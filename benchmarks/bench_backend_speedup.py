@@ -1,32 +1,27 @@
-"""Backend speedup over the reference engine (events and vector).
+"""Events-backend speedup over the reference engine.
 
 The ``events`` backend (:mod:`repro.sim.backends`) parks idle
 components and advances only hot channels, so its advantage is largest
-when most of the network is quiet.  The ``vector`` backend
-(:mod:`repro.sim.vector`) additionally mirrors the wire state into
-structure-of-arrays head-kind vectors and replays router/endpoint
-steady states inline, attacking the per-cycle constant factor that
-dominates under load.  This benchmark measures all three backends on
-the identical seeded workload — the loaded Figure 3 network from idle
-to saturated injection rates — and reports the speedup curves.  Equal
-delivered-message counts are asserted along the way: the speed claim
-is only meaningful because the results are byte-identical
+when most of the network is quiet.  This benchmark measures both
+backends on the identical seeded workload — the loaded Figure 3
+network from idle to loaded injection rates — and reports the speedup
+curve.  Equal delivered-message counts are asserted along the way: the
+speed claim is only meaningful because the results are byte-identical
 (``repro verify --backend-diff`` proves the strong version of that
 claim).
 
-The vector backend keeps the Python ``Word``/pipe objects
-authoritative (every observer, oracle and snapshot sees reference data
-structures), which sets a per-word-hop floor on the saturated rate:
-pushing much past ~2x at rate 0.01 would require making the arrays
-authoritative, trading away the equivalence-by-construction this
-backend is built on.
+This script times one warmed network with one long ``run()`` per
+sample and the collector off; the repo's trusted numbers, including
+the saturated regime where ``events`` is *slower* than the reference,
+come from ``python3 bench/run.py`` (``fig3_light`` /
+``fig3_saturated``).
 
 Run with ``REPRO_BENCH_QUICK=1`` (the CI smoke mode) to shrink the
-measurement and assert only that neither fast backend is slower than
-the reference; the full run gates per-rate floors for the vector
-backend and the >= 3x events target from the roadmap.  Both modes
-write a machine-readable ``BENCH_backend_speedup.json`` next to the
-text report so the perf trajectory can be tracked across commits.
+measurement and assert only that the events backend is not slower than
+the reference at the lowest rate; the full run gates the >= 3x events
+target from the roadmap.  Both modes write a machine-readable
+``BENCH_backend_speedup.json`` next to the text report so the perf
+trajectory can be tracked across commits.
 """
 
 import gc
@@ -53,14 +48,6 @@ ROUNDS = 2 if QUICK else 7
 #: machines are too noisy for a tight ratio gate.
 TARGET_SPEEDUP = 1.0 if QUICK else 3.0
 
-#: Full-mode floors on the vector speedup per rate, set below the
-#: measured best-of-7 (~6.9x at 0.001, ~3.5x at 0.002, ~1.9x at 0.01)
-#: with noise margin.  Quick mode gates parity only.
-VECTOR_TARGETS = (
-    {rate: 1.0 for rate in RATES}
-    if QUICK
-    else {0.001: 4.0, 0.002: 2.0, 0.01: 1.4}
-)
 
 def _measure(backend, rate):
     """Best-of-rounds seconds for MEASURE_CYCLES, plus delivery stats."""
@@ -86,50 +73,36 @@ def _measure(backend, rate):
 
 
 def test_backend_speedup(report):
-    backends = ("reference", "events", "vector")
     rows = []
     for rate in RATES:
-        timings = {}
-        checks = {}
-        for backend in backends:
-            seconds, delivered, messages = _measure(backend, rate)
-            timings[backend] = seconds
-            checks[backend] = (delivered, messages)
+        ref_s, *ref_check = _measure("reference", rate)
+        events_s, *events_check = _measure("events", rate)
         # Same seeds, same cycle count: anything but equality here is
         # an equivalence bug, not measurement noise.
-        assert checks["events"] == checks["reference"]
-        assert checks["vector"] == checks["reference"]
-        ref_s = timings["reference"]
+        assert events_check == ref_check
         rows.append(
             {
                 "rate": rate,
                 "reference_us_per_cycle": 1e6 * ref_s / MEASURE_CYCLES,
-                "events_us_per_cycle": 1e6 * timings["events"]
-                / MEASURE_CYCLES,
-                "vector_us_per_cycle": 1e6 * timings["vector"]
-                / MEASURE_CYCLES,
-                "events_speedup": ref_s / timings["events"],
-                "vector_speedup": ref_s / timings["vector"],
-                "delivered": checks["reference"][0],
+                "events_us_per_cycle": 1e6 * events_s / MEASURE_CYCLES,
+                "events_speedup": ref_s / events_s,
+                "delivered": ref_check[0],
             }
         )
     lines = [
         "Backend speedup, loaded Figure 3 network "
         "({} measured cycles, best of {}):".format(MEASURE_CYCLES, ROUNDS),
-        "  {:>6}  {:>14}  {:>19}  {:>19}  {:>9}".format(
-            "rate", "reference", "events", "vector", "delivered"
+        "  {:>6}  {:>14}  {:>19}  {:>9}".format(
+            "rate", "reference", "events", "delivered"
         ),
     ]
     for row in rows:
         lines.append(
-            "  {:>6}  {:>11.1f} us  {:>8.1f} us {:>6.2f}x  "
-            "{:>8.1f} us {:>6.2f}x  {:>9}".format(
+            "  {:>6}  {:>11.1f} us  {:>8.1f} us {:>6.2f}x  {:>9}".format(
                 row["rate"],
                 row["reference_us_per_cycle"],
                 row["events_us_per_cycle"],
                 row["events_speedup"],
-                row["vector_us_per_cycle"],
-                row["vector_speedup"],
                 row["delivered"],
             )
         )
@@ -143,9 +116,6 @@ def test_backend_speedup(report):
         # local color either way.
         metrics["events_speedup@{}".format(row["rate"])] = metric(
             row["events_speedup"], higher_is_better=True, portable=not QUICK
-        )
-        metrics["vector_speedup@{}".format(row["rate"])] = metric(
-            row["vector_speedup"], higher_is_better=True, portable=not QUICK
         )
         metrics["reference_us_per_cycle@{}".format(row["rate"])] = metric(
             row["reference_us_per_cycle"],
@@ -169,12 +139,6 @@ def test_backend_speedup(report):
         "(target {}x)".format(low["events_speedup"], low["rate"],
                               TARGET_SPEEDUP)
     )
-    for row in rows:
-        floor = VECTOR_TARGETS[row["rate"]]
-        assert row["vector_speedup"] >= floor, (
-            "vector backend was only {:.2f}x the reference at rate {} "
-            "(target {}x)".format(row["vector_speedup"], row["rate"], floor)
-        )
 
 
 def test_idle_network_compression(report):

@@ -1294,14 +1294,15 @@ def build_parser():
     )
 
     def add_backend(command):
+        from repro.sim.backends import BACKENDS
+
         command.add_argument(
             "--backend",
-            choices=("reference", "events", "vector"),
+            choices=sorted(BACKENDS),
             default="reference",
             help="engine backend: 'events' activity-gates idle "
-            "components for the same results faster at low load; "
-            "'vector' adds a structure-of-arrays fast path for "
-            "saturated loads (see docs/API.md)",
+            "components for the same results faster at low load "
+            "(see docs/API.md)",
         )
 
     def add_resilience(command, resume=True, quarantine=True):

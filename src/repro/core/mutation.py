@@ -56,6 +56,10 @@ WRONG_DIRECTION = "wrong-direction"
 #: backward port (BCB path reclamation leaks the traversed port).
 SKIP_BCB_RELEASE = "skip-bcb-release"
 
+#: Never service backward-control-bit pulses: fast-reclamation drops
+#: from blocked routers downstream are left on the wire unanswered.
+IGNORE_BCB = "ignore-bcb"
+
 ALL_MUTATIONS = frozenset(
     (
         SKIP_STATUS,
@@ -65,51 +69,30 @@ ALL_MUTATIONS = frozenset(
         DOUBLE_ALLOCATE,
         WRONG_DIRECTION,
         SKIP_BCB_RELEASE,
+        IGNORE_BCB,
     )
 )
 
-# -- Backend-layer mutations (vector engine) --------------------------------
+# -- Backend-layer mutations (event-driven engine) --------------------------
 #
-# Seeded bugs in the vectorized engine's structure-of-arrays layer
-# (:mod:`repro.sim.vector`).  Where ALL_MUTATIONS breaks the METRO
-# *protocol* to prove the oracle is sensitive, these break the vector
-# backend's *array bookkeeping* to prove the backend equivalence prover
-# (:mod:`repro.verify.backend_diff`) and the oracle both notice when
-# the accelerated engine drifts from the reference semantics.
+# Where ALL_MUTATIONS breaks the METRO *protocol* to prove the oracle is
+# sensitive, this breaks the events backend's *scheduling* to prove the
+# backend equivalence prover (:mod:`repro.verify.backend_diff`) and the
+# oracle both notice when the accelerated engine drifts from the
+# reference semantics (``tests/verify/test_backend_mutations.py``).
 
-#: Read head-of-pipeline word kinds one column early after the array
-#: roll, so the whole-array decision layer (idle-port gating, receive
-#: gating, arrival wakes) acts on stale wire state.
-VEC_ROLL_OFF_BY_ONE = "vector-roll-off-by-one"
+#: Drop the arrival wake in ``EventEngine.step``'s hot-channel loop:
+#: parked components are never re-scheduled when a word reaches their
+#: ports.
+EVENTS_SKIP_WAKE = "events-skip-wake"
 
-#: Encode staged STATUS words as empty in the kind matrix: the array
-#: occupancy undercounts, channels carrying only STATUS traffic are
-#: evicted from the hot set and the words stall in flight.
-VEC_DROP_STATUS_KIND = "vector-drop-status-kind"
-
-#: Never refresh a router's cached backward-port ownership mask after a
-#: full tick, so the fast path's BCB gate watches the wrong ports and
-#: misses fast-reclamation drops.
-VEC_STALE_OWNERSHIP = "vector-stale-ownership"
-
-#: Drop the arrival wake in the vectorized advance phase: parked
-#: components are never re-scheduled when a word reaches their ports.
-VEC_SKIP_WAKE = "vector-skip-wake"
-
-BACKEND_MUTATIONS = frozenset(
-    (
-        VEC_ROLL_OFF_BY_ONE,
-        VEC_DROP_STATUS_KIND,
-        VEC_STALE_OWNERSHIP,
-        VEC_SKIP_WAKE,
-    )
-)
+BACKEND_MUTATIONS = frozenset((EVENTS_SKIP_WAKE,))
 
 # -- Workload-layer mutations (collective DAG release) ----------------------
 #
 # Seeded bugs in the :class:`repro.workloads.collective.CollectiveObserver`
 # release bookkeeping.  Where ALL_MUTATIONS breaks the METRO protocol and
-# BACKEND_MUTATIONS breaks the vector engine's arrays, these break the
+# BACKEND_MUTATIONS breaks the events engine's scheduling, these break the
 # *application* layer — the dependency-DAG release rule a collective
 # workload lives by — to prove the workload determinism harness notices
 # when ops are released too early or never.

@@ -394,6 +394,8 @@ class MetroRouter(Component):
             stage_count = end.recv_bcb()
             if stage_count is None:
                 continue
+            if _mutation.ACTIVE and _mutation.enabled(_mutation.IGNORE_BCB):
+                continue
             # Terminate the downstream side, free the output, and keep
             # propagating the (incremented) drop toward the source.
             end.send(W.DROP_WORD)

@@ -3,8 +3,8 @@
 Every ``benchmarks/bench_*.py`` script measures something (cycles per
 second, backend speedup, telemetry overhead) and, until now, threw the
 number away — ``benchmarks/results/`` was rewritten per run, so a perf
-regression in the event or vector backend would land silently.  This
-module is the tracking layer:
+regression in the events backend would land silently.  This module is
+the tracking layer:
 
 * :func:`make_record` / :func:`append_record` — one JSON object per
   benchmark run (git SHA, UTC timestamp, parameters, raw rows, named

@@ -3,9 +3,9 @@
 :mod:`repro.faults` injects faults into the *simulated* network; this
 module injects faults into the *harness itself*, to prove the
 resilience layer (supervised pool, run journal, kill-resume) the same
-way PR 7's seeded mutations proved the vector backend: by actually
-breaking things and watching recovery happen.  Test/CI-only — nothing
-here runs unless explicitly armed.
+way :mod:`repro.core.mutation`'s seeded bugs prove the oracle and the
+backend differ: by actually breaking things and watching recovery
+happen.  Test/CI-only — nothing here runs unless explicitly armed.
 
 Arming is by environment variable, because the victim is usually a
 *worker process* (or a whole CLI subprocess) that inherits its

@@ -45,6 +45,7 @@ engine degrades to the dense reference sweep for the whole run —
 slower, never wrong.
 """
 
+from repro.core import mutation as _mutation
 from repro.sim.channel import Channel
 from repro.sim.component import ACTIVE, PARKED, POLL
 from repro.sim.engine import Engine, EngineDeadlineError
@@ -293,6 +294,10 @@ class EventEngine(Engine):
         hot = self._hot
         if hot:
             woken_add = woken.add
+            if _mutation.ACTIVE and _mutation.enabled(
+                _mutation.EVENTS_SKIP_WAKE
+            ):
+                woken_add = set().add  # seeded bug: wakes land nowhere
             cold = []
             for channel in hot:
                 channel.advance()
@@ -418,9 +423,7 @@ class EventEngine(Engine):
 
 
 #: Registered engine backends.  ``"reference"`` is the dense two-phase
-#: sweep; ``"events"`` the activity-gated event-driven engine;
-#: ``"vector"`` (registered below by :mod:`repro.sim.vector`) the
-#: structure-of-arrays engine for saturated loads.
+#: sweep; ``"events"`` the activity-gated event-driven engine.
 BACKENDS = {
     "reference": Engine,
     "events": EventEngine,
@@ -442,10 +445,3 @@ def make_engine(backend="reference"):
             )
         )
     return factory()
-
-
-# The vector backend registers itself into BACKENDS on import; pulling
-# it in here makes every entry point that knows this registry (CLI,
-# sweeps, snapshot transmute) see all three backends.  Import last:
-# repro.sim.vector imports EventEngine from this module.
-from repro.sim import vector as _vector  # noqa: E402,F401  isort:skip

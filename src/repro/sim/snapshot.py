@@ -19,16 +19,18 @@ Restoring is *proven* transparent, not assumed: the
 cycles equals running N/2, snapshotting, restoring and running the
 remaining N/2 — byte-identical message logs, latencies, retry counts
 and metrics — across the same workload families the backend
-equivalence proof covers, on all three engine backends and across
+equivalence proof covers, on both engine backends and across
 backend-switching restores.
 
 Snapshots are **backend-portable**: engine-installed acceleration
-state (activity maps, hot-channel sets, staging hooks, the vector
-backend's structure-of-arrays mirror) is shed at capture and rebuilt
-by the restoring backend's prepare pass at the first post-restore
-run, so a snapshot taken under the dense reference engine restores
-under the event-driven or vectorized one and vice versa
-(``restore_engine(snap, backend="vector")``).
+state (activity maps, hot-channel sets, staging hooks) is shed at
+capture and rebuilt by the restoring backend's prepare pass at the
+first post-restore run, so a snapshot taken under the dense reference
+engine restores under the event-driven one and vice versa
+(``restore_engine(snap, backend="events")``).  A snapshot whose
+capture backend this build does not register (one written before a
+backend was removed) is refused with :class:`SnapshotFormatError`
+before its graph is unpickled.
 
 Snapshots are **versioned**: :data:`SNAPSHOT_FORMAT_VERSION` is
 stamped into every capture and checked *before* any unpickling on
@@ -56,7 +58,8 @@ _HEADER = struct.Struct(">I")
 
 
 class SnapshotFormatError(RuntimeError):
-    """A saved snapshot cannot be used: bad magic or version mismatch."""
+    """A saved snapshot cannot be used: bad magic, version mismatch or
+    a capture backend this build does not have."""
 
 
 #: Outcome of :func:`restore`: the rebuilt engine, the rebuilt network
@@ -258,7 +261,17 @@ def restore(snap, backend=None):
 
     :param backend: target engine backend name; None keeps the backend
         the snapshot was captured under.
+    :raises SnapshotFormatError: the snapshot was captured under a
+        backend that is not registered, so its graph names classes this
+        build cannot unpickle.
     """
+    from repro.sim.backends import BACKENDS
+
+    if snap.backend not in BACKENDS:
+        raise SnapshotFormatError(
+            "snapshot was captured under unknown engine backend {!r} "
+            "(choices: {})".format(snap.backend, ", ".join(sorted(BACKENDS)))
+        )
     payload = pickle.loads(snap.blob)
     kind = payload["kind"]
     if kind == "network":

@@ -20,8 +20,8 @@ different kinds of traffic on a multipath network, and both live here:
 Both plug into the existing machinery unchanged: workloads are
 :class:`~repro.endpoint.traffic.TrafficSource`-compatible drivers plus
 (for collectives) a lightweight engine observer that watches
-message-log deliveries to release DAG successors.  They run on all
-three engine backends, pickle for the parallel
+message-log deliveries to release DAG successors.  They run on both
+engine backends, pickle for the parallel
 :class:`~repro.harness.parallel.TrialRunner` and for engine
 snapshot/restore, and sweep through
 :mod:`repro.harness.workload_sweep`.  See ``docs/workloads.md``.

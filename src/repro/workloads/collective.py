@@ -14,9 +14,8 @@ deliveries and releases DAG successors.
 Because the release mechanism runs entirely off the observer tick and
 the sources expose ``next_arrival_cycle`` hints, the same workload
 object runs unchanged — and byte-identically — on the dense reference
-engine, the event-driven backend (idle compression included), and the
-vectorized backend, and the whole live DAG pickles with the engine for
-snapshot/restore.
+engine and the event-driven backend (idle compression included), and
+the whole live DAG pickles with the engine for snapshot/restore.
 
 Schedule generators cover the collectives an ML fabric evaluation
 needs: ring and recursive-doubling all-reduce, all-to-all, and

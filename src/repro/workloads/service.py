@@ -19,7 +19,7 @@ preserves.
 
 The workload is a standard
 :class:`~repro.endpoint.traffic.TrafficSource`: picklable, resumable
-mid-sequence from an engine snapshot, byte-identical across all three
+mid-sequence from an engine snapshot, byte-identical across both
 backends, and compression-friendly (arrival times are precomputed per
 client, so an idle gap's length is always known).
 """

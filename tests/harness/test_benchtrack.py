@@ -144,6 +144,16 @@ class TestCompareLatest:
         assert compared == 1
         assert regressions == []
 
+    def test_metric_absent_from_the_newest_record_is_not_a_regression(self):
+        # A benchmark that stops reporting a metric (its subject was
+        # removed) leaves old records carrying it; history stays
+        # append-only and the comparator follows the newest record.
+        records = [_record(speed=100.0, retired=5.0) for _ in range(3)]
+        records.append(_record(speed=99.0))
+        regressions, compared = compare_latest(records)
+        assert compared == 1
+        assert regressions == []
+
     def test_nonpositive_values_are_skipped(self):
         records = [_record(speed=v) for v in (0.0, 0.0, 0.0)]
         regressions, compared = compare_latest(records)

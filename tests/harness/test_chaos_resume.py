@@ -10,7 +10,7 @@ from repro.harness.chaos import (
     resume_chaos_point,
     run_chaos_point,
 )
-from repro.sim.snapshot import MAGIC, SnapshotFormatError
+from repro.sim.snapshot import MAGIC, Snapshot, SnapshotFormatError
 
 # Small, fast soak: 6 windows of 200 cycles, ring every 2 windows.
 SOAK_KW = dict(
@@ -86,6 +86,12 @@ def test_resume_skips_a_corrupt_newest_entry(tmp_path):
     data = path and open(path, "rb").read()
     with open(path, "wb") as fh:  # truncate mid-payload
         fh.write(data[: len(data) // 2])
+    # The next-newest was written by a build with a backend this one
+    # no longer registers: skipped too, on to the intact third entry.
+    older = os.path.join(ring, sorted(os.listdir(ring))[-2])
+    stale = Snapshot.load(older)
+    stale.backend = "vector"
+    stale.save(older)
     resumed = resume_chaos_point(ring)
     assert _fingerprint(resumed) == _fingerprint(reference)
 
@@ -97,9 +103,13 @@ def test_resume_of_empty_or_unusable_ring_fails_loudly(tmp_path):
     ring.mkdir()
     (ring / "chaos-000000000400.snap").write_bytes(b"not a snapshot")
     (ring / "chaos-000000000800.snap").write_bytes(MAGIC + b"\x00")
+    Snapshot(backend="vector", cycle=1200, blob=b"").save(
+        str(ring / "chaos-000000001200.snap")
+    )
     with pytest.raises(SnapshotFormatError) as excinfo:
         resume_chaos_point(str(ring))
     assert "no usable chaos snapshot" in str(excinfo.value)
+    assert "unknown engine backend 'vector'" in str(excinfo.value)
 
 
 def test_trial_specs_give_each_soak_its_own_ring_subdir(tmp_path):

@@ -239,6 +239,20 @@ class TestBackendTransmute:
             restore_network(snap, backend="quantum")
         assert "quantum" in str(excinfo.value)
 
+    def test_unregistered_capture_backend_fails_before_unpickling(self):
+        # What a ring entry written under a since-removed backend looks
+        # like: the blob names classes this build cannot import, so the
+        # gate must fire on the envelope, never reach pickle.loads.
+        snap = Snapshot(backend="vector", cycle=7, blob=b"not a pickle")
+        with pytest.raises(SnapshotFormatError) as excinfo:
+            restore_engine(snap)
+        message = str(excinfo.value)
+        assert "'vector'" in message
+        for name in BACKENDS:
+            assert name in message
+        with pytest.raises(SnapshotFormatError):
+            restore_network(snap, backend="reference")
+
     def test_restore_engine_returns_the_engine(self):
         network = _network()
         network.run(2)

@@ -8,6 +8,7 @@ import pytest
 from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.chaos import chaos_sweep, run_chaos_point
 from repro.harness.load_sweep import figure1_network
+from repro.sim.backends import BACKENDS
 from repro.telemetry import (
     STREAM_FORMAT,
     TelemetryHub,
@@ -155,7 +156,9 @@ class TestLosslessDeltas:
         merged = merge_stream_metrics(read_run_log(path))
         assert merged == result.metrics
 
-    @pytest.mark.parametrize("backend", ["events", "vector"])
+    @pytest.mark.parametrize(
+        "backend", sorted(set(BACKENDS) - {"reference"})
+    )
     def test_merged_deltas_equal_final_snapshot_fast_backends(
         self, tmp_path, backend
     ):

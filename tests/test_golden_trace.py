@@ -15,12 +15,9 @@ statistics.  If a change is *intentional*, regenerate with::
 
 and review the fixture diff like any other code change.
 
-The same scenario is also pinned on the ``vector`` backend against its
-own fixture: the array layer's equivalence is byte-for-byte, so its
-fixture must be *identical* to the reference one — drift in the
-vectorized code shows up here without re-deriving any expectation, and
-a fixture pair that disagrees means the backends themselves split.
-``--regen`` rewrites both fixtures.
+Every registered backend is held to the same fixture: backend
+equivalence is byte-for-byte, so there is exactly one expectation and
+``--regen`` (which runs the reference backend) writes one file.
 """
 
 import hashlib
@@ -30,10 +27,6 @@ import os
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "fixtures", "golden_trace.json"
 )
-GOLDEN_VECTOR_PATH = os.path.join(
-    os.path.dirname(__file__), "fixtures", "golden_trace_vector.json"
-)
-FIXTURES = {"reference": GOLDEN_PATH, "vector": GOLDEN_VECTOR_PATH}
 
 SEED = 1234
 RATE = 0.05
@@ -105,10 +98,12 @@ def _symbol(word):
 
 import pytest
 
+from repro.sim.backends import BACKENDS
 
-@pytest.mark.parametrize("backend", sorted(FIXTURES))
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_golden_trace_matches_fixture(backend):
-    with open(FIXTURES[backend]) as handle:
+    with open(GOLDEN_PATH) as handle:
         golden = json.load(handle)
     state = _golden_state(backend)
     assert state["n_delivered"] > 0  # the scenario actually exercises routing
@@ -126,25 +121,14 @@ def test_golden_trace_is_reproducible_in_process():
     assert _golden_state() == _golden_state()
 
 
-def test_backend_fixtures_agree():
-    # Byte-identical backends pin byte-identical fixtures; a diff here
-    # means the committed expectations themselves have split.
-    with open(GOLDEN_PATH) as handle:
-        reference = json.load(handle)
-    with open(GOLDEN_VECTOR_PATH) as handle:
-        vector = json.load(handle)
-    assert vector == reference
-
-
 def _regen():
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    for backend, path in sorted(FIXTURES.items()):
-        state = _golden_state(backend)
-        with open(path, "w") as handle:
-            json.dump(state, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print("wrote {} ({} deliveries, checksum {})".format(
-            path, state["n_delivered"], state["waveform_sha256"][:12]))
+    state = _golden_state()
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(state, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print("wrote {} ({} deliveries, checksum {})".format(
+        GOLDEN_PATH, state["n_delivered"], state["waveform_sha256"][:12]))
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ of just that record pair, so an equivalence failure reads like a bug
 report.  These tests exercise the formatting layer directly on
 hand-built fingerprints; the end-to-end path (a seeded mutation
 producing such a report from a real run) is covered by
-``test_vector_mutations``.
+``test_backend_mutations``.
 """
 
+from repro.sim.backends import BACKENDS
 from repro.verify.backend_diff import _compare, diff_point
 
 
@@ -78,6 +79,7 @@ def test_equal_fingerprints_report_nothing():
 
 
 def test_diff_report_object_shape():
-    report = diff_point("scenario", 0, backend="vector")
-    assert report.ok and report.kind == "scenario" and report.seed == 0
-    assert report.mismatches == []
+    for backend in BACKENDS:
+        report = diff_point("scenario", 0, backend=backend)
+        assert report.ok and report.kind == "scenario" and report.seed == 0
+        assert report.mismatches == []

@@ -46,6 +46,7 @@ CASES = [
     (mutation.LEAK_PORT_ON_DROP, _converging_run, "ownership"),
     (mutation.DOUBLE_ALLOCATE, _converging_run, "ownership"),
     (mutation.SKIP_BCB_RELEASE, _converging_run, "ownership"),
+    (mutation.IGNORE_BCB, _converging_run, "bcb-ignored"),
 ]
 
 

@@ -3,8 +3,8 @@
 The acceptance claims of the workload engine:
 
 * a collective DAG run is byte-identical (same ``log_digest``, same
-  completion cycle) on the reference, event-driven and vectorized
-  backends — including the 64-endpoint Figure-3 ring all-reduce;
+  completion cycle) on every registered backend — including the
+  64-endpoint Figure-3 ring all-reduce;
 * sweeping it through the parallel :class:`TrialRunner` with
   ``workers=2`` reproduces the serial results exactly;
 * an engine snapshot taken mid-workload restores (on any backend) and
@@ -26,6 +26,7 @@ from repro.harness.workload_sweep import (
     run_service_point,
     service_sweep,
 )
+from repro.sim.backends import BACKENDS
 from repro.sim.snapshot import restore_network, snapshot_network
 from repro.workloads.collective import (
     CollectiveSchedule,
@@ -37,7 +38,6 @@ from repro.workloads.collective import (
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-BACKENDS = ("reference", "events", "vector")
 ALGORITHMS = ("ring", "recursive-doubling", "all-to-all", "pipeline")
 
 
@@ -51,14 +51,15 @@ def _fingerprint(result):
     algorithm=st.sampled_from(ALGORITHMS),
 )
 def test_random_collectives_identical_across_backends(seed, algorithm):
-    reference, events, vector = (
-        run_collective_point(seed=seed, algorithm=algorithm, words=6,
-                             backend=backend)
+    results = {
+        backend: run_collective_point(seed=seed, algorithm=algorithm,
+                                      words=6, backend=backend)
         for backend in BACKENDS
-    )
+    }
+    reference = results["reference"]
     assert not reference.incomplete
-    assert _fingerprint(events) == _fingerprint(reference)
-    assert _fingerprint(vector) == _fingerprint(reference)
+    for backend, result in results.items():
+        assert _fingerprint(result) == _fingerprint(reference), backend
 
 
 @settings(max_examples=4, deadline=None)
@@ -78,28 +79,30 @@ def test_random_collective_sweeps_identical_serial_vs_parallel(seed):
 
 def test_figure3_ring_all_reduce_identical_across_backends():
     """The acceptance instance: a 64-endpoint ring all-reduce."""
-    reference, events, vector = (
-        run_collective_point(seed=0, algorithm="ring", words=8,
-                             network="figure3", backend=backend)
+    results = {
+        backend: run_collective_point(seed=0, algorithm="ring", words=8,
+                                      network="figure3", backend=backend)
         for backend in BACKENDS
-    )
+    }
+    reference = results["reference"]
     assert not reference.incomplete
     assert reference.n_endpoints == 64
     assert reference.completed_ops == 2 * 63 * 64
     assert all(row["done"] is not None for row in reference.steps)
-    assert _fingerprint(events) == _fingerprint(reference)
-    assert _fingerprint(vector) == _fingerprint(reference)
+    for backend, result in results.items():
+        assert _fingerprint(result) == _fingerprint(reference), backend
 
 
 def test_service_point_identical_across_backends():
-    reference, events, vector = (
-        run_service_point(0.001, seed=1, backend=backend)
+    results = {
+        backend: run_service_point(0.001, seed=1, backend=backend)
         for backend in BACKENDS
-    )
+    }
+    reference = results["reference"]
     assert reference.delivered_count > 0
-    for other in (events, vector):
-        assert other.log_digest == reference.log_digest
-        assert other.as_dict() == reference.as_dict()
+    for backend, other in results.items():
+        assert other.log_digest == reference.log_digest, backend
+        assert other.as_dict() == reference.as_dict(), backend
         assert other.per_client_counts == reference.per_client_counts
 
 
