@@ -13,12 +13,11 @@ observer that tells them apart *from inside* the simulation:
   last cycle any message finished.
 * **stall** — if work is pending (an endpoint send FSM mid-protocol or
   a non-empty submission queue) and nothing has finished for
-  ``stall_cycles``, the watchdog declares a stall.  It then builds an
-  ad-hoc :class:`~repro.verify.oracle.Oracle` and runs its
-  ``check_quiescent`` inventory — the same leak audit used at
-  run end — to *diagnose* what is stuck, emits a ``watchdog.stall``
-  event to its sink (usually a
-  :class:`~repro.telemetry.stream.TelemetryStream`), and records it on
+  ``stall_cycles``, the watchdog declares a stall.  It then runs
+  :func:`repro.verify.oracle.leak_inventory` — the same leak audit
+  ``Oracle.check_quiescent`` runs at the end of a run — to *diagnose*
+  what is stuck, emits a ``watchdog.stall`` event to its sink (usually
+  a :class:`~repro.telemetry.stream.TelemetryStream`), and records it on
   :attr:`RunWatchdog.stalls`.  Idle networks (no pending work) never
   stall, no matter how long they sit quiet.
 * **heartbeats** — optionally, a small JSON file rewritten every
@@ -243,15 +242,12 @@ class RunWatchdog(Component):
 
     def _declare_stall(self, cycle, pending):
         # Import here: verify -> telemetry would otherwise be a cycle.
-        from repro.verify.oracle import Oracle
+        from repro.verify.oracle import leak_inventory
 
         network = self.network
-        oracle = Oracle(
-            list(network.all_routers()),
-            channels=list(network.channels.values()),
-            endpoints=list(network.endpoints),
+        violations = leak_inventory(
+            network.all_routers(), network.endpoints, cycle
         )
-        violations = oracle.check_quiescent(cycle)
         stall = Stall(
             cycle, cycle - self._last_progress_cycle, pending, violations
         )

@@ -41,6 +41,8 @@ cycle, router and port; :meth:`Oracle.assert_clean` raises
 :class:`OracleViolationError` with the full list.
 """
 
+import operator
+
 from repro.core import words as W
 from repro.core.router import (
     FORWARD_STATE,
@@ -49,6 +51,7 @@ from repro.core.router import (
 )
 from repro.endpoint.interface import _RX_IDLE
 from repro.sim.component import Component
+from repro.sim.snapshot import SnapshotFormatError
 
 # Rule identifiers carried by Violation records.
 RULE_OWNERSHIP = "ownership"
@@ -95,11 +98,10 @@ class OracleViolationError(AssertionError):
 
 
 class _ConnTrack:
-    """Oracle-side shadow state for one router connection.
+    """Shadow of one connection's current circuit.
 
-    Holds a strong reference to the connection object: while the entry
-    lives, the object's id cannot be recycled, so identity-keyed
-    lookups are unambiguous.
+    A fresh track *is* the reset state: empty checksum, nothing
+    counted, no stall, ``prev_pending`` as the connection stands.
     """
 
     __slots__ = ("conn", "shadow", "count", "prev_pending", "stall")
@@ -112,8 +114,18 @@ class _ConnTrack:
         self.stall = 0
 
 
+_HALF_DUPLEX_COUNT = operator.attrgetter("half_duplex_violations")
+
+
 class Oracle(Component):
     """Per-cycle conformance checker over a set of routers.
+
+    Shadow state is positional and local to each router: one track
+    slot per forward port (``None`` while the connection there has no
+    circuit to shadow) and one pre-tick ownership record per backward
+    port (``None`` while it was free).  A port with nothing on it costs
+    a constant-time glance; the rules themselves run only where a
+    circuit, a claim or a staged DATA word gives them something to say.
 
     :param routers: the routers to watch (usually every live router in
         a network; dead routers are skipped each cycle).
@@ -144,47 +156,27 @@ class Oracle(Component):
         self.max_violations = max_violations
         self.violations = []
         self.cycles_checked = 0
-        self._tracks = {}  # (router_name, id(conn)) -> _ConnTrack
-        self._half_duplex_seen = {id(ch): 0 for ch in self.channels}
-        # (router_name, q) -> (owner, state, words_forwarded) at the
-        # previous observed tick: the pre-tick ownership a BCB pulse at
-        # a backward-channel head was addressed to (see _check_router).
-        self._bcb_shadow = {}
-
-    # ------------------------------------------------------------------
-    # Pickling (snapshot support)
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        # ``id()`` keys are process-local: carry the identity-keyed
-        # maps positionally (half-duplex counts follow ``channels``
-        # order; each track already holds its connection) and re-key
-        # them against the restored objects, so an oracle riding an
-        # engine snapshot keeps its mid-circuit shadow state instead of
-        # silently resetting it.
-        state = dict(self.__dict__)
-        state["_half_duplex_seen"] = [
-            self._half_duplex_seen.get(id(ch), 0) for ch in self.channels
-        ]
-        state["_tracks"] = [
-            (key[0], track) for key, track in self._tracks.items()
-        ]
-        return state
+        # Per router, by forward port: the _ConnTrack of the connection
+        # there, or None for the reset shadow with no STATUS pending.
+        self._tracks = [[None] * len(r._conns) for r in self.routers]
+        # Per router, by backward port: (owner, state, words_forwarded)
+        # at the previous observed tick, or None if the port was free —
+        # the pre-tick ownership a BCB pulse at a backward-channel head
+        # was addressed to (see _check_owner).
+        self._bcb_prev = [[None] * len(r._bwd_owner) for r in self.routers]
+        # Per channel: collisions already reported.
+        self._half_duplex_seen = [0] * len(self.channels)
 
     def __setstate__(self, state):
-        half = state.pop("_half_duplex_seen")
-        tracks = state.pop("_tracks")
+        # An oracle pickled before the shadow became positional keyed
+        # its tracks by id(); restoring it here would drop every
+        # mid-circuit checksum without a word.
+        if "_bcb_prev" not in state:
+            raise SnapshotFormatError(
+                "snapshot holds a conformance oracle in a layout this "
+                "build cannot resume (identity-keyed shadow state)"
+            )
         self.__dict__.update(state)
-        self._half_duplex_seen = {
-            id(ch): seen for ch, seen in zip(self.channels, half)
-        }
-        self._tracks = {
-            (name, id(track.conn)): track for name, track in tracks
-        }
-        # Snapshots written before the BCB rule / endpoint quiescence
-        # checks existed restore clean.
-        self.__dict__.setdefault("_bcb_shadow", {})
-        self.__dict__.setdefault("endpoints", [])
 
     # ------------------------------------------------------------------
     # Reporting
@@ -204,10 +196,12 @@ class Oracle(Component):
             raise OracleViolationError(self.violations)
 
     def _violate(self, cycle, router_name, port, rule, detail):
-        if len(self.violations) < self.max_violations:
-            self.violations.append(
-                Violation(cycle, router_name, port, rule, detail)
-            )
+        self._record([Violation(cycle, router_name, port, rule, detail)])
+
+    def _record(self, found):
+        room = self.max_violations - len(self.violations)
+        if room > 0:
+            self.violations.extend(found[:room])
 
     # ------------------------------------------------------------------
     # Per-cycle checking
@@ -215,200 +209,225 @@ class Oracle(Component):
 
     def tick(self, cycle):
         self.cycles_checked += 1
-        for router in self.routers:
-            if router.dead:
-                continue
-            self._check_router(router, cycle)
-        for channel in self.channels:
-            seen = self._half_duplex_seen[id(channel)]
-            now = channel.half_duplex_violations
-            if now > seen:
-                self._violate(
-                    cycle,
-                    channel.name,
-                    None,
-                    RULE_HALF_DUPLEX,
-                    "{} simultaneous bidirectional DATA cycle(s)".format(
-                        now - seen
-                    ),
-                )
-                self._half_duplex_seen[id(channel)] = now
+        for router, tracks, bcb_prev in zip(
+            self.routers, self._tracks, self._bcb_prev
+        ):
+            if not router.dead:
+                self._check_router(router, tracks, bcb_prev, cycle)
+        self._record(self._sweep_half_duplex(cycle))
 
-    def _check_router(self, router, cycle):
-        allocator = router.allocator
-        config = router.config
-        owners = router._bwd_owner
-        live = {id(conn) for conn in router._conns}
-        live.update(id(conn) for conn in router._draining)
+    def _sweep_half_duplex(self, cycle):
+        """Collisions the channels counted since the last sweep.
 
-        # --- backward side: allocator/owner agreement, locked channels
-        shadow = self._bcb_shadow
-        for q, owner in enumerate(owners):
-            # Fast-reclamation conformance: the oracle observes the
-            # post-tick, pre-advance state, so a BCB pulse still at the
-            # head of a backward-control pipe was presented to this
-            # router *this* cycle, and servicing it is unconditional at
-            # tick top (Section 3.3): the addressed connection is torn
-            # down and its port released before any port handling runs.
-            # If the pre-tick owner (last tick's shadow) still owns the
-            # port with its FSM and forward-count unchanged, the router
-            # ignored the pulse.  A serviced-then-reallocated port does
-            # not match: the reused connection restarts in a fresh
-            # state with its word counter rewound.
-            end = router.backward_ends[q]
-            if end is not None and end.recv_bcb() is not None:
-                prev = shadow.get((router.name, q))
-                if prev is not None and prev[0] is not None:
-                    prev_owner, prev_state, prev_words = prev
-                    if (
-                        owner is prev_owner
-                        and owner.bwd_port == q
-                        and owner.state == prev_state
-                        and owner.words_forwarded >= prev_words
-                    ):
-                        self._violate(
-                            cycle,
-                            router.name,
-                            q,
-                            RULE_BCB_IGNORED,
-                            "BCB reclamation pulse presented this cycle "
-                            "but the owning connection (fwd port {}, "
-                            "state {!r}) was not torn down".format(
-                                owner.fwd_port, owner.state
-                            ),
-                        )
-            shadow[(router.name, q)] = (
-                owner,
-                None if owner is None else owner.state,
-                0 if owner is None else owner.words_forwarded,
+        A channel counts a collision as it advances, which is after the
+        observers of that cycle have ticked, so a collision on cycle
+        ``c`` is reported at ``c + 1`` — or by :meth:`check_quiescent`,
+        if the run ended on ``c``.
+        """
+        seen = self._half_duplex_seen
+        now = list(map(_HALF_DUPLEX_COUNT, self.channels))
+        if now == seen:
+            return []
+        self._half_duplex_seen = now
+        return [
+            Violation(
+                cycle,
+                channel.name,
+                None,
+                RULE_HALF_DUPLEX,
+                "{} simultaneous bidirectional DATA cycle(s)".format(
+                    count - before
+                ),
             )
-            if owner is not None and id(owner) not in live:
-                self._violate(
-                    cycle,
-                    router.name,
-                    q,
-                    RULE_OWNERSHIP,
-                    "port owned by a connection the router no longer "
-                    "tracks (leaked by teardown)",
-                )
-            if allocator.in_use(q) != (owner is not None):
-                self._violate(
-                    cycle,
-                    router.name,
-                    q,
-                    RULE_OWNERSHIP,
-                    "allocator IN-USE={} but owner table says {}".format(
-                        allocator.in_use(q),
-                        "owned" if owner is not None else "free",
-                    ),
-                )
-            if owner is not None and owner.bwd_port != q:
-                self._violate(
-                    cycle,
-                    router.name,
-                    q,
-                    RULE_OWNERSHIP,
-                    "owner (fwd port {}) no longer claims this port "
-                    "(claims {})".format(owner.fwd_port, owner.bwd_port),
-                )
-            end = router.backward_ends[q]
+            for channel, before, count in zip(self.channels, seen, now)
+            if count > before
+        ]
+
+    def _check_router(self, router, tracks, bcb_prev, cycle):
+        # --- backward side: allocator/owner agreement, locked channels
+        in_use = router.allocator._in_use
+        ends = router.backward_ends
+        for q, owner in enumerate(router._bwd_owner):
+            if owner is not None:
+                self._check_owner(router, q, owner, bcb_prev, cycle)
+            else:
+                # A free port: no pulse can be ignored, no claim can be
+                # stale; only the allocator bit could disagree.
+                if bcb_prev[q] is not None:
+                    bcb_prev[q] = None
+                if in_use[q]:
+                    self._inuse_mismatch(router, q, owner, cycle)
+            end = ends[q]
             if end is not None:
-                port_id = config.backward_port_id(q)
                 staged = end._tx.staged
                 if staged is not None and staged.kind == W.DATA:
-                    if not config.port_enabled[port_id]:
-                        # A masked port must carry no traffic; only the
-                        # scan subsystem's Off Port Drive option (Table
-                        # 2) may deliberately push test words out of it.
-                        if not config.off_port_drive[port_id]:
-                            self._violate(
-                                cycle,
-                                router.name,
-                                q,
-                                RULE_MASKED_PORT,
-                                "DATA staged on masked (disabled) port: "
-                                "{!r}".format(staged),
-                            )
-                    elif owner is None:
-                        self._violate(
-                            cycle,
-                            router.name,
-                            q,
-                            RULE_UNLOCKED_DATA,
-                            "DATA staged on unowned backward port: "
-                            "{!r}".format(staged),
-                        )
+                    self._check_backward_data(router, q, owner, staged, cycle)
 
         # --- forward side: per-connection invariants and shadows
-        for conn in router._conns:
-            self._check_conn(router, conn, cycle, draining=False)
+        for fp, conn in enumerate(router._conns):
+            if (
+                conn.state == IDLE_STATE
+                and conn.bwd_port is None
+                and not conn.status_pending
+            ):
+                # Nothing claimed, nothing pending: no rule can fire
+                # and the shadow is the reset one.
+                if tracks[fp] is not None:
+                    tracks[fp] = None
+            else:
+                self._check_conn(router, conn, tracks, fp, cycle)
+        # Draining connections keep flushing words that will never be
+        # checksummed: they have a claim to check but no shadow.
         for conn in router._draining:
-            self._check_conn(router, conn, cycle, draining=True)
-        name = router.name
-        stale = [
-            key
-            for key in self._tracks
-            if key[0] == name and key[1] not in live
-        ]
-        for key in stale:
-            del self._tracks[key]
+            self._check_claim(router, conn, cycle)
 
-    def _track_for(self, router, conn):
-        key = (router.name, id(conn))
-        track = self._tracks.get(key)
-        if track is None or track.conn is not conn:
-            track = _ConnTrack(conn)
-            self._tracks[key] = track
-        return track
+    def _inuse_mismatch(self, router, q, owner, cycle):
+        self._violate(
+            cycle,
+            router.name,
+            q,
+            RULE_OWNERSHIP,
+            "allocator IN-USE={} but owner table says {}".format(
+                router.allocator.in_use(q),
+                "owned" if owner is not None else "free",
+            ),
+        )
 
-    def _check_conn(self, router, conn, cycle, draining):
-        track = self._track_for(router, conn)
-        state = conn.state
-
-        # A connection's claimed port must be the one the router and
-        # allocator think it owns, inside the right dilation group.
-        if conn.bwd_port is not None:
-            q = conn.bwd_port
-            if router._bwd_owner[q] is not conn:
-                self._violate(
-                    cycle,
-                    router.name,
-                    q,
-                    RULE_OWNERSHIP,
-                    "connection (fwd port {}) claims a backward port "
-                    "it does not own".format(conn.fwd_port),
-                )
-            if conn.direction is not None:
-                group = router.config.backward_group(conn.direction)
-                if q not in group:
+    def _check_owner(self, router, q, owner, bcb_prev, cycle):
+        """Rules of an owned backward port ``q``."""
+        # Fast-reclamation conformance: the oracle observes the
+        # post-tick, pre-advance state, so a BCB pulse still at the
+        # head of a backward-control pipe was presented to this router
+        # *this* cycle, and servicing it is unconditional at tick top
+        # (Section 3.3): the addressed connection is torn down and its
+        # port released before any port handling runs.  If the pre-tick
+        # owner (last tick's record) still owns the port with its FSM
+        # and forward-count unchanged, the router ignored the pulse.  A
+        # serviced-then-reallocated port does not match: the reused
+        # connection restarts in a fresh state with its word counter
+        # rewound.
+        prev = bcb_prev[q]
+        if prev is not None:
+            end = router.backward_ends[q]
+            if end is not None and end.recv_bcb() is not None:
+                prev_owner, prev_state, prev_words = prev
+                if (
+                    owner is prev_owner
+                    and owner.bwd_port == q
+                    and owner.state == prev_state
+                    and owner.words_forwarded >= prev_words
+                ):
                     self._violate(
                         cycle,
                         router.name,
                         q,
-                        RULE_DIRECTION,
-                        "port outside dilation group {} of requested "
-                        "direction {}".format(group, conn.direction),
+                        RULE_BCB_IGNORED,
+                        "BCB reclamation pulse presented this cycle "
+                        "but the owning connection (fwd port {}, "
+                        "state {!r}) was not torn down".format(
+                            owner.fwd_port, owner.state
+                        ),
                     )
+        bcb_prev[q] = (owner, owner.state, owner.words_forwarded)
+        if owner not in router._conns and owner not in router._draining:
+            self._violate(
+                cycle,
+                router.name,
+                q,
+                RULE_OWNERSHIP,
+                "port owned by a connection the router no longer "
+                "tracks (leaked by teardown)",
+            )
+        if not router.allocator._in_use[q]:
+            self._inuse_mismatch(router, q, owner, cycle)
+        if owner.bwd_port != q:
+            self._violate(
+                cycle,
+                router.name,
+                q,
+                RULE_OWNERSHIP,
+                "owner (fwd port {}) no longer claims this port "
+                "(claims {})".format(owner.fwd_port, owner.bwd_port),
+            )
+
+    def _check_backward_data(self, router, q, owner, staged, cycle):
+        """A DATA word is staged on backward port ``q``: may it be?"""
+        config = router.config
+        port_id = config.backward_port_id(q)
+        if not config.port_enabled[port_id]:
+            # A masked port must carry no traffic; only the scan
+            # subsystem's Off Port Drive option (Table 2) may
+            # deliberately push test words out of it.
+            if not config.off_port_drive[port_id]:
+                self._violate(
+                    cycle,
+                    router.name,
+                    q,
+                    RULE_MASKED_PORT,
+                    "DATA staged on masked (disabled) port: "
+                    "{!r}".format(staged),
+                )
+        elif owner is None:
+            self._violate(
+                cycle,
+                router.name,
+                q,
+                RULE_UNLOCKED_DATA,
+                "DATA staged on unowned backward port: "
+                "{!r}".format(staged),
+            )
+
+    def _check_claim(self, router, conn, cycle):
+        """A connection's claimed port must be the one the router and
+        allocator think it owns, inside the right dilation group."""
+        q = conn.bwd_port
+        if q is None:
+            return
+        config = router.config
+        if router._bwd_owner[q] is not conn:
+            self._violate(
+                cycle,
+                router.name,
+                q,
+                RULE_OWNERSHIP,
+                "connection (fwd port {}) claims a backward port "
+                "it does not own".format(conn.fwd_port),
+            )
+        direction = conn.direction
+        if direction is not None and q // config.dilation != direction:
+            self._violate(
+                cycle,
+                router.name,
+                q,
+                RULE_DIRECTION,
+                "port outside dilation group {} of requested "
+                "direction {}".format(
+                    config.backward_group(direction), direction
+                ),
+            )
+
+    def _check_conn(self, router, conn, tracks, fp, cycle):
+        self._check_claim(router, conn, cycle)
+        state = conn.state
 
         # Outside the established states the router has reset (or never
         # started) its per-connection accumulators; mirror that, so a
         # reused connection object starts its next circuit with a fresh
-        # shadow.  Draining connections keep flushing words that will
-        # never be checksummed, so their shadow is simply dropped.
-        if state not in (FORWARD_STATE, REVERSED_STATE) or draining:
-            track.shadow.reset()
-            track.count = 0
-            track.stall = 0
-            track.prev_pending = conn.status_pending
+        # shadow.
+        if state != FORWARD_STATE and state != REVERSED_STATE:
+            tracks[fp] = _ConnTrack(conn) if conn.status_pending else None
             return
+        track = tracks[fp]
+        if track is None or track.conn is not conn:
+            track = tracks[fp] = _ConnTrack(conn)
 
         # Shadow-checksum the words this connection stages on the wire,
         # and verify the router's own STATUS word when it appears.
         out_end = None
-        if state == FORWARD_STATE and conn.bwd_port is not None:
-            out_end = router.backward_ends[conn.bwd_port]
-        elif state == REVERSED_STATE:
+        if state == REVERSED_STATE:
             out_end = router.forward_ends[conn.fwd_port]
+        elif conn.bwd_port is not None:
+            out_end = router.backward_ends[conn.bwd_port]
         saw_own_status = False
         if out_end is not None:
             staged = out_end._tx.staged
@@ -446,19 +465,6 @@ class Oracle(Component):
         # Pipelined TURN reversal: the STATUS either appears promptly
         # (stall bound) or, if pending quietly vanished while the
         # connection stayed established, was skipped outright.
-        if (
-            track.prev_pending
-            and not conn.status_pending
-            and state in (FORWARD_STATE, REVERSED_STATE)
-            and not saw_own_status
-        ):
-            self._violate(
-                cycle,
-                router.name,
-                conn.fwd_port,
-                RULE_MISSING_STATUS,
-                "reversal completed without injecting a STATUS word",
-            )
         if conn.status_pending:
             track.stall += 1
             if track.stall == self.turn_stall_bound + 1:
@@ -471,6 +477,14 @@ class Oracle(Component):
                     "cycles after a reversal".format(self.turn_stall_bound),
                 )
         else:
+            if track.prev_pending and not saw_own_status:
+                self._violate(
+                    cycle,
+                    router.name,
+                    conn.fwd_port,
+                    RULE_MISSING_STATUS,
+                    "reversal completed without injecting a STATUS word",
+                )
             track.stall = 0
         track.prev_pending = conn.status_pending
 
@@ -486,74 +500,59 @@ class Oracle(Component):
         is a resource leak, and so is an endpoint send or receive FSM
         still mid-protocol (METRO's statelessness claim, Section 2).
         Calling it on a network that *failed* to quiesce inventories
-        what is stuck, for the same rule.  Returns the violations
-        recorded by this check.
+        what is stuck, for the same rule.  A half-duplex collision on
+        the run's last cycle, which no later tick is left to report,
+        is picked up here too.  Returns the violations recorded by this
+        check.
         """
-        found = []
-        for router in self.routers:
-            if router.dead:
-                continue
-            for q in router.busy_backward_ports():
-                found.append(
-                    Violation(
-                        cycle,
-                        router.name,
-                        q,
-                        RULE_LEAK,
-                        "backward port still claimed after drain",
-                    )
-                )
-            for conn in router._conns:
-                if conn.state != IDLE_STATE:
-                    found.append(
-                        Violation(
-                            cycle,
-                            router.name,
-                            conn.fwd_port,
-                            RULE_LEAK,
-                            "connection FSM stuck in {!r}".format(conn.state),
-                        )
-                    )
-        for endpoint in self.endpoints:
-            if getattr(endpoint, "dead", False):
-                continue
-            for port, send in sorted(endpoint._sends.items()):
-                found.append(
-                    Violation(
-                        cycle,
-                        endpoint.name,
-                        port,
-                        RULE_LEAK,
-                        "send FSM stuck in {!r}".format(send.phase),
-                    )
-                )
-            if endpoint._queue:
-                found.append(
-                    Violation(
-                        cycle,
-                        endpoint.name,
-                        None,
-                        RULE_LEAK,
-                        "{} message(s) still queued".format(
-                            len(endpoint._queue)
-                        ),
-                    )
-                )
-            for port, state in enumerate(endpoint._recv_states):
-                if state.phase != _RX_IDLE:
-                    found.append(
-                        Violation(
-                            cycle,
-                            endpoint.name,
-                            port,
-                            RULE_LEAK,
-                            "receive FSM stuck in {!r}".format(state.phase),
-                        )
-                    )
-        for violation in found:
-            if len(self.violations) < self.max_violations:
-                self.violations.append(violation)
+        found = self._sweep_half_duplex(cycle)
+        found.extend(leak_inventory(self.routers, self.endpoints, cycle))
+        self._record(found)
         return found
+
+
+def leak_inventory(routers, endpoints, cycle=None):
+    """``quiescence-leak`` violations for everything still mid-protocol.
+
+    Stateless: reads only the routers and endpoints handed in, so the
+    run watchdog can diagnose a stall without an :class:`Oracle`.
+    """
+    found = []
+
+    def leak(component, port, detail):
+        found.append(Violation(cycle, component.name, port, RULE_LEAK, detail))
+
+    for router in routers:
+        if router.dead:
+            continue
+        for q in router.busy_backward_ports():
+            leak(router, q, "backward port still claimed after drain")
+        for conn in router._conns:
+            if conn.state != IDLE_STATE:
+                leak(
+                    router,
+                    conn.fwd_port,
+                    "connection FSM stuck in {!r}".format(conn.state),
+                )
+    for endpoint in endpoints:
+        if getattr(endpoint, "dead", False):
+            continue
+        for port, send in sorted(endpoint._sends.items()):
+            leak(endpoint, port, "send FSM stuck in {!r}".format(send.phase))
+        if endpoint._queue:
+            leak(
+                endpoint,
+                None,
+                "{} message(s) still queued".format(len(endpoint._queue)),
+            )
+        for port, state in enumerate(endpoint._recv_states):
+            if state.phase != _RX_IDLE:
+                leak(
+                    endpoint,
+                    port,
+                    "receive FSM stuck in {!r}".format(state.phase),
+                )
+    return found
 
 
 def attach_oracle(network, **kwargs):

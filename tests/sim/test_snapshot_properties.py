@@ -176,3 +176,99 @@ def test_masked_port_scan_state_round_trips():
     assert rrouter.config.port_enabled[0] is False
     # The rebuilt TAP is live: a surviving port still answers scans.
     rrouter.multitap.step(0, tms=0)
+
+
+def _oracle_shadow(oracle):
+    """The oracle's mid-circuit state as plain data."""
+    return [
+        [
+            None
+            if track is None
+            else (track.shadow.value, track.count, track.prev_pending,
+                  track.stall)
+            for track in tracks
+        ]
+        for tracks in oracle._tracks
+    ]
+
+
+@pytest.mark.parametrize("restore_backend", ["reference", "events"])
+@pytest.mark.parametrize("backend", ["reference", "events"])
+def test_oracle_shadow_round_trips_with_a_draining_connection(
+    backend, restore_backend
+):
+    """Snapshot on the cycle a short message's DROP is still flushing
+    through a router's pipeline (the closed connection sits in
+    ``_draining``) while a long message streams through the same
+    router: the oracle riding in ``extras`` must come back with that
+    circuit's shadow checksum intact and finish the run identically."""
+    from repro.verify.scenario import Scenario
+
+    scenario = Scenario(
+        radix=2, dilation=2, n_stages=2, w=8, dp=3, seed=5,
+        messages=[
+            {"src": 0, "dest": 3, "payload": [1, 2]},
+            {"src": 1, "dest": 2, "payload": list(range(1, 40))},
+        ],
+    )
+    reference = _finish_scenario(*_start_scenario(scenario, backend))
+    assert reference["quiet"] and not reference["violations"]
+
+    network, oracle, sent = _start_scenario(scenario, backend)
+    network.run(29)
+    busy = [r for r in network.all_routers() if r._draining]
+    assert busy, "no connection is draining at the split"
+    shadow = _oracle_shadow(oracle)
+    assert any(
+        track is not None and track[1] > 0
+        for track in shadow[oracle.routers.index(busy[0])]
+    ), "no live circuit shares the draining router"
+
+    snap = _roundtrip(
+        snapshot_network(network, extras={"oracle": oracle, "sent": sent})
+    )
+    restored = restore_network(snap, backend=restore_backend)
+    roracle = restored.extras["oracle"]
+    assert _oracle_shadow(roracle) == shadow
+    # The restored shadow tracks the restored connections, not copies.
+    for router, tracks in zip(roracle.routers, roracle._tracks):
+        for conn, track in zip(router._conns, tracks):
+            assert track is None or track.conn is conn
+    resumed = _finish_scenario(
+        restored.network, roracle, restored.extras["sent"]
+    )
+    assert resumed == reference
+    assert _finish_scenario(network, oracle, sent) == reference
+
+
+def test_oracle_in_the_identity_keyed_layout_is_refused():
+    """An oracle pickled before its shadow state became positional
+    must fail the restore with the typed format error — never come
+    back with its mid-circuit checksums silently reset."""
+    from repro.sim.snapshot import SnapshotFormatError
+    from repro.verify.oracle import Oracle
+    from repro.verify.scenario import Scenario
+
+    class LegacyPickle:
+        """Pickles as an ``Oracle`` carrying the old attribute layout."""
+
+        def __init__(self, oracle):
+            self.state = {
+                name: value
+                for name, value in oracle.__dict__.items()
+                if name not in ("_tracks", "_bcb_prev")
+            }
+            self.state["_tracks"] = []       # [(router name, track)]
+            self.state["_bcb_shadow"] = {}   # (router name, q) -> record
+
+        def __reduce__(self):
+            return (object.__new__, (Oracle,), self.state)
+
+    network, oracle, _sent = _start_scenario(
+        Scenario(radix=2, n_stages=2, seed=9), "reference"
+    )
+    snap = _roundtrip(
+        snapshot_network(network, extras={"oracle": LegacyPickle(oracle)})
+    )
+    with pytest.raises(SnapshotFormatError, match="oracle"):
+        restore_network(snap)

@@ -17,9 +17,9 @@ from repro.network.topology import figure1_plan
 from repro.verify import attach_oracle
 
 
-def _uniform_run(max_cycles=6000):
+def _uniform_run(max_cycles=6000, backend="reference"):
     """Unloaded all-to-all traffic: exercises routing, TURN, STATUS."""
-    network = build_network(figure1_plan(), seed=3)
+    network = build_network(figure1_plan(), seed=3, backend=backend)
     oracle = attach_oracle(network)
     for src in range(12):
         network.send(src, Message(dest=(src + 7) % 16, payload=[src % 16] * 6))
@@ -27,10 +27,12 @@ def _uniform_run(max_cycles=6000):
     return oracle
 
 
-def _converging_run(max_cycles=6000):
+def _converging_run(max_cycles=6000, backend="reference"):
     """Everyone to endpoint 15 with fast reclaim: heavy blocking, so
     DROPs, drains and the backward-channel-busy path all fire."""
-    network = build_network(figure1_plan(), seed=3, fast_reclaim=True)
+    network = build_network(
+        figure1_plan(), seed=3, fast_reclaim=True, backend=backend
+    )
     oracle = attach_oracle(network)
     for src in range(15):
         network.send(src, Message(dest=15, payload=[src % 16] * 6))

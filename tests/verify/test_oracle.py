@@ -144,12 +144,10 @@ def test_cascade_oracle_flags_inuse_disagreement():
     assert flagged[0].router == router.name
 
 
-def test_masked_port_carrying_data_is_flagged():
-    """Disabling a port out from under a live circuit (a mask without
-    quiescing first) must trip the data-on-masked-port rule."""
-    from repro.verify.oracle import RULE_MASKED_PORT
-
-    network = build_network(figure1_plan(), seed=41)
+def _masked_port_run(backend="reference"):
+    """Disable a backward port out from under the first circuit to lock
+    one; returns the oracle after three more cycles."""
+    network = build_network(figure1_plan(), seed=41, backend=backend)
     oracle = attach_oracle(network)
     network.send(2, Message(dest=13, payload=[7] * 200))
     victim = None
@@ -170,8 +168,15 @@ def test_masked_port_carrying_data_is_flagged():
     router, q = victim
     router.config.port_enabled[router.config.backward_port_id(q)] = False
     network.run(3)
-    rules = {v.rule for v in oracle.violations}
-    assert RULE_MASKED_PORT in rules
+    return oracle
+
+
+def test_masked_port_carrying_data_is_flagged():
+    """Disabling a port out from under a live circuit (a mask without
+    quiescing first) must trip the data-on-masked-port rule."""
+    from repro.verify.oracle import RULE_MASKED_PORT
+
+    assert RULE_MASKED_PORT in _masked_port_run().violation_rules()
 
 
 def test_quiesced_mask_is_clean():
