@@ -105,7 +105,29 @@ def _runner(args, resume_partial=None):
     )
 
 
-def _print_metrics(results):
+def _point_kwargs(args):
+    """Spec-builder kwargs every sweep family takes, only when set."""
+    kwargs = {}
+    if args.metrics or args.metrics_export:
+        kwargs["metrics"] = True
+    if args.backend != "reference":
+        kwargs["backend"] = args.backend
+    return kwargs
+
+
+_SWEEP_METRICS = dict(
+    names=(
+        "message.latency.cycles",
+        "message.queueing.cycles",
+        "message.attempts",
+        "channel.in_flight",
+    ),
+    title="Metrics: distributions over the merged sweep",
+    heatmap=True,
+)
+
+
+def _print_metrics(results, names, title, heatmap):
     """Merge per-trial snapshots (spec order) and print the summaries."""
     from repro.harness.reporting import format_percentiles, format_stage_heatmap
     from repro.telemetry import MetricsSnapshot
@@ -114,24 +136,15 @@ def _print_metrics(results):
     if not len(merged):
         return
     print()
-    print(
-        format_percentiles(
-            merged,
-            [
-                "message.latency.cycles",
-                "message.queueing.cycles",
-                "message.attempts",
-                "channel.in_flight",
-            ],
-            title="Metrics: distributions over the merged sweep",
+    print(format_percentiles(merged, list(names), title=title))
+    if heatmap:
+        print()
+        print(
+            format_stage_heatmap(
+                merged,
+                title="Metrics: mean backward-port utilization by stage",
+            )
         )
-    )
-    print()
-    print(
-        format_stage_heatmap(
-            merged, title="Metrics: mean backward-port utilization by stage"
-        )
-    )
 
 
 def _export_metrics(results, path):
@@ -147,9 +160,7 @@ def _export_metrics(results, path):
     from repro.telemetry import MetricsSnapshot
     from repro.telemetry.stream import snapshot_to_jsonable
 
-    merged = MetricsSnapshot.merge_all(
-        r.metrics for r in results if r.metrics is not None
-    )
+    merged = MetricsSnapshot.merge_all(r.metrics for r in results)
     document = {
         "format": "metro-metrics-v1",
         "series": snapshot_to_jsonable(merged),
@@ -196,6 +207,44 @@ def _strip_quarantined(results):
         file=sys.stderr,
     )
     return ok, 3
+
+
+def _sweep_command(args, run, render, gate=None, noun="trial",
+                   resume_partial=None, metrics_view=_SWEEP_METRICS,
+                   artifacts=None):
+    """The one path every sweep command takes; returns the exit status.
+
+    ``run(runner)`` executes the family's trial specs on the runner
+    built from the global and resilience flags and returns the results
+    in spec order.  Quarantined trials are reported and dropped (exit
+    3; exit 3 with nothing rendered when every ``noun`` was
+    quarantined), ``render(results)`` prints the family's tables,
+    ``--metrics`` prints the merged distributions (``metrics_view``:
+    names, title, heatmap), ``artifacts(results)`` writes the family's
+    own output files, ``--metrics-export`` the merged snapshot, and
+    every string ``gate(results)`` returns (a ``FAIL: ...`` line, or a
+    verify sweep's ``MISMATCH`` block) goes to stderr and makes the
+    exit status 1.  Verify sweeps have no metrics flags; their reports
+    ride the same path.
+    """
+    runner = _runner(args, resume_partial=resume_partial)
+    results = run(runner)
+    _report_runner_stats(runner)
+    results, status = _strip_quarantined(results)
+    if not results:
+        print("FAIL: every {} was quarantined".format(noun), file=sys.stderr)
+        return status or 1
+    render(results)
+    if getattr(args, "metrics", False):
+        _print_metrics(results, **metrics_view)
+    if artifacts is not None:
+        artifacts(results)
+    if getattr(args, "metrics_export", None):
+        _export_metrics(results, args.metrics_export)
+    for failure in gate(results) if gate is not None else ():
+        print(failure, file=sys.stderr)
+        status = status or 1
+    return status
 
 
 def _cmd_table3(args):
@@ -254,177 +303,162 @@ def _cmd_figure1(args):
 
 
 def _cmd_figure3(args):
-    from repro.harness.load_sweep import figure3_sweep, unloaded_latency
+    from repro.harness.load_sweep import load_trial_specs, unloaded_latency
     from repro.harness.reporting import ascii_chart, format_series, results_to_series
 
     rates = tuple(float(r) for r in args.rates.split(","))
     base = unloaded_latency(seed=args.seed, samples=8)
     print("Unloaded latency: {:.1f} cycles (paper: 28)\n".format(base))
-    runner = _runner(args)
-    sweep_kwargs = dict(
+    specs = load_trial_specs(
         rates=rates,
         seed=args.seed,
         warmup_cycles=args.warmup,
         measure_cycles=args.measure,
-        runner=runner,
+        **_point_kwargs(args)
     )
-    if args.metrics or args.metrics_export:
-        sweep_kwargs["metrics"] = True
-    if args.backend != "reference":
-        sweep_kwargs["backend"] = args.backend
-    results = figure3_sweep(**sweep_kwargs)
-    _report_runner_stats(runner)
-    results, status = _strip_quarantined(results)
-    if not results:
-        print("FAIL: every trial was quarantined", file=sys.stderr)
-        return status or 1
-    print(
-        format_series(
-            results_to_series(results),
-            x_label="label",
-            y_labels=["delivered_load", "mean_latency", "p95_latency", "mean_attempts"],
-            title="Figure 3: latency vs. network loading",
+
+    def render(results):
+        print(
+            format_series(
+                results_to_series(results),
+                x_label="label",
+                y_labels=["delivered_load", "mean_latency", "p95_latency", "mean_attempts"],
+                title="Figure 3: latency vs. network loading",
+            )
         )
-    )
-    print()
-    print(
-        ascii_chart(
-            [(r.delivered_load, r.mean_latency) for r in results],
-            title="latency vs delivered load",
-            x_label="delivered load (words/endpoint-cycle)",
-            y_label="mean latency (cycles)",
+        print()
+        print(
+            ascii_chart(
+                [(r.delivered_load, r.mean_latency) for r in results],
+                title="latency vs delivered load",
+                x_label="delivered load (words/endpoint-cycle)",
+                y_label="mean latency (cycles)",
+            )
         )
-    )
-    if args.metrics:
-        _print_metrics(results)
-    if args.metrics_export:
-        _export_metrics(results, args.metrics_export)
-    return status
+
+    return _sweep_command(args, lambda runner: runner.run(specs), render)
 
 
 def _cmd_faults(args):
-    from repro.harness.fault_sweep import (
-        degradation_failures,
-        fault_degradation_sweep,
-        run_fault_point,
-    )
+    from repro.harness.fault_sweep import degradation_failures, fault_trial_specs
     from repro.harness.reporting import format_table
 
+    common = dict(
+        rate=args.rate,
+        warmup_cycles=args.warmup,
+        measure_cycles=args.measure,
+        **_point_kwargs(args)
+    )
+    if args.max_attempts is not None:
+        common["max_attempts"] = args.max_attempts
     if args.levels:
-        levels = tuple(
-            tuple(int(n) for n in level.split(":"))
-            for level in args.levels.split(",")
-        )
-        runner = _runner(args)
-        sweep_kwargs = dict(
-            fault_levels=levels,
-            rate=args.rate,
+        specs = fault_trial_specs(
+            fault_levels=_parse_fault_levels(args.levels),
             seed=args.seed,
-            warmup_cycles=args.warmup,
-            measure_cycles=args.measure,
-            runner=runner,
+            **common
         )
-        if args.metrics or args.metrics_export:
-            sweep_kwargs["metrics"] = True
-        if args.max_attempts is not None:
-            sweep_kwargs["max_attempts"] = args.max_attempts
-        if args.backend != "reference":
-            sweep_kwargs["backend"] = args.backend
-        results = fault_degradation_sweep(**sweep_kwargs)
-        _report_runner_stats(runner)
-        results, status = _strip_quarantined(results)
-        if not results:
-            print("FAIL: every fault level was quarantined", file=sys.stderr)
-            return status or 1
+
+    def render(results):
         print(
             format_table(
                 [r.as_dict() for r in results],
-                title="Fault degradation sweep",
+                title="Fault degradation {}".format(
+                    "sweep" if args.levels else "point"
+                ),
             )
         )
-        if args.metrics:
-            _print_metrics(results)
-        if args.metrics_export:
-            _export_metrics(results, args.metrics_export)
+
+    def gate(results):
+        failures = []
         if any(r.delivered_count == 0 for r in results):
-            print("FAIL: a fault level delivered no messages", file=sys.stderr)
-            status = status or 1
+            failures.append(
+                "FAIL: a fault level delivered no messages"
+                if args.levels
+                else "FAIL: faulted network delivered no messages"
+            )
+        if not args.levels:
+            # --max-degradation/--max-undeliverable bound --levels sweeps.
+            return failures
         for result, floor in degradation_failures(
             results,
             max_degradation=args.max_degradation,
             max_undeliverable=args.max_undeliverable,
         ):
             if floor is None:
-                print(
+                failures.append(
                     "FAIL: {} abandoned {} message(s), over the "
                     "--max-undeliverable bound {}".format(
                         result.label,
                         result.undeliverable,
                         args.max_undeliverable,
-                    ),
-                    file=sys.stderr,
+                    )
                 )
             else:
-                print(
+                failures.append(
                     "FAIL: {} delivered {:.4f} words/endpoint-cycle, "
                     "below the {:.0%}-degradation floor {:.4f}".format(
                         result.label,
                         result.delivered_load,
                         args.max_degradation,
                         floor,
-                    ),
-                    file=sys.stderr,
+                    )
                 )
-            status = status or 1
-        return status
-    result = run_fault_point(
-        n_dead_links=args.links,
-        n_dead_routers=args.routers,
-        rate=args.rate,
-        seed=args.seed,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.measure,
-        metrics=args.metrics or bool(args.metrics_export),
-        max_attempts=args.max_attempts,
-        backend=args.backend,
+        return failures
+
+    if not args.levels:
+        from repro.harness.fault_sweep import run_fault_point
+
+        results = [
+            run_fault_point(
+                n_dead_links=args.links,
+                n_dead_routers=args.routers,
+                seed=args.seed,
+                **common
+            )
+        ]
+        render(results)
+        if args.metrics:
+            _print_metrics(results, **_SWEEP_METRICS)
+        if args.metrics_export:
+            _export_metrics(results, args.metrics_export)
+        failures = gate(results)
+        for failure in failures:
+            print(failure, file=sys.stderr)
+        return 1 if failures else 0
+    return _sweep_command(
+        args, lambda runner: runner.run(specs), render, gate,
+        noun="fault level",
     )
-    print(format_table([result.as_dict()], title="Fault degradation point"))
-    if args.metrics:
-        _print_metrics([result])
-    if args.metrics_export:
-        _export_metrics([result], args.metrics_export)
-    if result.delivered_count == 0:
-        print("FAIL: faulted network delivered no messages", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_chaos(args):
-    from repro.harness.chaos import chaos_slo_failures, chaos_sweep
+    from repro.harness.chaos import (
+        chaos_journal_partial,
+        chaos_slo_failures,
+        chaos_trial_specs,
+        resume_chaos_point,
+    )
     from repro.harness.reporting import format_table, sparkline
 
     ring_resume = bool(args.resume) and os.path.isdir(args.resume)
-    status = 0
+    resume_partial = None
     if ring_resume:
-        from repro.harness.chaos import resume_chaos_point
 
-        result = resume_chaos_point(
-            args.resume,
-            backend=args.backend,
-            stream_path=args.stream,
-            stall_cycles=args.stall_cycles,
-        )
-        print("resumed interrupted soak from {}".format(args.resume))
-        results = [result]
+        def run(_unused_runner):
+            result = resume_chaos_point(
+                args.resume,
+                backend=args.backend,
+                stream_path=args.stream,
+                stall_cycles=args.stall_cycles,
+            )
+            print("resumed interrupted soak from {}".format(args.resume))
+            return [result]
+
     else:
-        resume_partial = None
+        sweep_kwargs = _point_kwargs(args)
         if args.resume:
-            from repro.harness.chaos import chaos_journal_partial
-
             resume_partial = chaos_journal_partial(
-                backend=(
-                    args.backend if args.backend != "reference" else None
-                ),
+                backend=sweep_kwargs.get("backend"),
                 stall_cycles=args.stall_cycles,
             )
             print(
@@ -432,11 +466,6 @@ def _cmd_chaos(args):
                     args.resume
                 )
             )
-        heal_modes = (True, False) if args.compare else (True,)
-        runner = _runner(args, resume_partial=resume_partial)
-        sweep_kwargs = {}
-        if args.backend != "reference":
-            sweep_kwargs["backend"] = args.backend
         if args.snapshot_every:
             if not args.snapshot_dir:
                 print(
@@ -450,10 +479,13 @@ def _cmd_chaos(args):
             sweep_kwargs["stream_dir"] = args.stream
         if args.stall_cycles is not None:
             sweep_kwargs["stall_cycles"] = args.stall_cycles
-        results = chaos_sweep(
+        sweep_kwargs["metrics"] = bool(
+            sweep_kwargs.get("metrics") or args.snapshot or args.stream
+        )
+        specs = chaos_trial_specs(
             seeds=args.seeds,
             seed=args.seed,
-            self_heal=heal_modes,
+            self_heal=(True, False) if args.compare else (True,),
             n_windows=args.windows,
             window_cycles=args.window_cycles,
             warmup_windows=args.warmup_windows,
@@ -462,68 +494,46 @@ def _cmd_chaos(args):
             mtbf=args.mtbf,
             mttr=args.mttr,
             rate=args.rate,
-            metrics=args.metrics
-            or bool(args.snapshot)
-            or bool(args.stream)
-            or bool(args.metrics_export),
             oracle=args.oracle,
-            runner=runner,
             **sweep_kwargs
         )
-        _report_runner_stats(runner)
-        results, status = _strip_quarantined(results)
-        if not results:
-            print("FAIL: every soak was quarantined", file=sys.stderr)
-            return status or 1
-    rows = []
-    for result in results:
-        row = result.as_dict()
-        row["windows"] = sparkline(
-            result.windows, lo=0, hi=max(result.baseline_rate, 1)
-        )
-        del row["fault_events"]
-        del row["seed"]
-        rows.append(row)
-    if ring_resume:
-        title = "Chaos soak: resumed, {} windows x {} cycles".format(
-            len(results[0].windows), results[0].window_cycles
-        )
-    else:
-        title = (
-            "Chaos soak: {} seed(s), {} windows x {} cycles, "
-            "{} flaky link(s) + {} dead router(s)".format(
-                args.seeds,
-                args.windows,
-                args.window_cycles,
-                args.flaky_links,
-                args.dead_routers,
-            )
-        )
-    print(format_table(rows, title=title, floatfmt="{:.2f}"))
-    if args.metrics:
-        from repro.harness.reporting import format_percentiles
-        from repro.telemetry import MetricsSnapshot
 
-        merged = MetricsSnapshot.merge_all(
-            r.metrics for r in results if r.metrics is not None
-        )
-        if len(merged):
-            print()
-            print(
-                format_percentiles(
-                    merged,
-                    ["message.latency.cycles", "message.attempts"],
-                    title="Metrics: distributions over the merged soaks",
+        def run(runner):
+            return runner.run(specs)
+
+    def render(results):
+        rows = []
+        for result in results:
+            row = result.as_dict()
+            row["windows"] = sparkline(
+                result.windows, lo=0, hi=max(result.baseline_rate, 1)
+            )
+            del row["fault_events"]
+            del row["seed"]
+            rows.append(row)
+        if ring_resume:
+            title = "Chaos soak: resumed, {} windows x {} cycles".format(
+                len(results[0].windows), results[0].window_cycles
+            )
+        else:
+            title = (
+                "Chaos soak: {} seed(s), {} windows x {} cycles, "
+                "{} flaky link(s) + {} dead router(s)".format(
+                    args.seeds,
+                    args.windows,
+                    args.window_cycles,
+                    args.flaky_links,
+                    args.dead_routers,
                 )
             )
-    if args.snapshot:
+        print(format_table(rows, title=title, floatfmt="{:.2f}"))
+
+    def write_snapshot(results):
         import json
 
         from repro.telemetry import MetricsSnapshot
 
-        merged = MetricsSnapshot.merge_all(
-            r.metrics for r in results if r.metrics is not None
-        )
+        merged = MetricsSnapshot.merge_all(r.metrics for r in results)
         document = {
             "soaks": [r.as_dict() for r in results],
             "metrics": merged.as_dict(),
@@ -531,42 +541,50 @@ def _cmd_chaos(args):
         with open(args.snapshot, "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
         print("wrote soak snapshot to {}".format(args.snapshot))
-    if args.metrics_export:
-        _export_metrics(results, args.metrics_export)
-    for result in results:
-        for stall in result.stalls:
-            print(
-                "WARNING: {} stalled at cycle {}: no progress for {} "
-                "cycles with {} message(s) pending ({} quiescence "
-                "violation(s) diagnosed)".format(
-                    result.label,
-                    stall["cycle"],
-                    stall["stalled_cycles"],
-                    stall["pending"],
-                    len(stall["violations"]),
-                ),
-                file=sys.stderr,
-            )
-    if any(r.oracle_violations for r in results):
+
+    def gate(results):
         for result in results:
-            if result.oracle_violations:
+            for stall in result.stalls:
                 print(
-                    "FAIL: {} saw {} protocol violation(s) under the "
-                    "oracle".format(result.label, result.oracle_violations),
+                    "WARNING: {} stalled at cycle {}: no progress for {} "
+                    "cycles with {} message(s) pending ({} quiescence "
+                    "violation(s) diagnosed)".format(
+                        result.label,
+                        stall["cycle"],
+                        stall["stalled_cycles"],
+                        stall["pending"],
+                        len(stall["violations"]),
+                    ),
                     file=sys.stderr,
                 )
-        status = status or 1
-    healed = [r for r in results if r.self_heal]
-    for result, reason in chaos_slo_failures(
-        healed,
-        min_availability=args.min_availability,
-        max_undeliverable=args.max_undeliverable,
-        max_mttr_cycles=args.max_mttr,
-    ):
-        print("FAIL: {} violated SLO: {}".format(result.label, reason),
-              file=sys.stderr)
-        status = status or 1
-    return status
+        failures = [
+            "FAIL: {} saw {} protocol violation(s) under the "
+            "oracle".format(result.label, result.oracle_violations)
+            for result in results
+            if result.oracle_violations
+        ]
+        failures.extend(
+            "FAIL: {} violated SLO: {}".format(result.label, reason)
+            for result, reason in chaos_slo_failures(
+                [r for r in results if r.self_heal],
+                min_availability=args.min_availability,
+                max_undeliverable=args.max_undeliverable,
+                max_mttr_cycles=args.max_mttr,
+            )
+        )
+        return failures
+
+    return _sweep_command(
+        args, run, render, gate,
+        noun="soak",
+        resume_partial=resume_partial,
+        metrics_view=dict(
+            names=("message.latency.cycles", "message.attempts"),
+            title="Metrics: distributions over the merged soaks",
+            heatmap=False,
+        ),
+        artifacts=write_snapshot if args.snapshot else None,
+    )
 
 
 def _parse_fault_levels(text):
@@ -587,19 +605,12 @@ def _cmd_workloads(args):
     """
     from repro.harness.reporting import format_table
     from repro.harness.workload_sweep import (
-        collective_fault_sweep,
-        service_sweep,
+        collective_trial_specs,
+        service_trial_specs,
         workload_slo_failures,
     )
 
-    runner = _runner(args)
-    metrics = args.metrics or bool(args.metrics_export)
-    common = dict(network=args.network, seed=args.seed, runner=runner)
-    if args.backend != "reference":
-        common["backend"] = args.backend
-    if metrics:
-        common["metrics"] = True
-
+    common = dict(network=args.network, seed=args.seed, **_point_kwargs(args))
     slo = {}
     if args.kind == "collective":
         layers = (
@@ -607,7 +618,7 @@ def _cmd_workloads(args):
             if args.layers
             else None
         )
-        results = collective_fault_sweep(
+        specs = collective_trial_specs(
             fault_levels=_parse_fault_levels(args.fault_levels),
             algorithm=args.algorithm,
             words=args.words,
@@ -619,7 +630,7 @@ def _cmd_workloads(args):
         if args.slo_cycles is not None:
             slo["collective_cycles"] = args.slo_cycles
     else:
-        results = service_sweep(
+        specs = service_trial_specs(
             rates=tuple(float(r) for r in args.rates.split(",")),
             servers=tuple(int(s) for s in args.servers.split(",")),
             clients=args.clients,
@@ -641,44 +652,36 @@ def _cmd_workloads(args):
         if args.slo_abandoned is not None:
             slo["abandoned"] = args.slo_abandoned
 
-    _report_runner_stats(runner)
-    results, status = _strip_quarantined(results)
-    if not results:
-        print("FAIL: every trial was quarantined", file=sys.stderr)
-        return status or 1
-
-    rows = []
-    for result in results:
-        row = result.as_dict()
-        row.pop("log_digest", None)
-        rows.append(row)
-    if args.kind == "collective":
-        print(format_table(rows, title="Collective completion vs fault level"))
+    def render(results):
+        rows = []
         for result in results:
-            print()
+            row = result.as_dict()
+            row.pop("log_digest", None)
+            rows.append(row)
+        if args.kind == "collective":
+            print(format_table(rows, title="Collective completion vs fault level"))
+            for result in results:
+                print()
+                print(
+                    format_table(
+                        result.steps,
+                        title="{}: per-step completion".format(result.label),
+                    )
+                )
+        else:
             print(
                 format_table(
-                    result.steps,
-                    title="{}: per-step completion".format(result.label),
+                    rows, title="Service tail latency vs offered load"
                 )
             )
-    else:
-        print(
-            format_table(
-                rows, title="Service tail latency vs offered load"
-            )
-        )
 
-    failures = workload_slo_failures(results, slo)
-    for failure in failures:
-        print("FAIL: SLO violated: {}".format(failure), file=sys.stderr)
-    if failures:
-        status = status or 1
-    if metrics and args.metrics:
-        _print_metrics(results)
-    if args.metrics_export:
-        _export_metrics(results, args.metrics_export)
-    return status
+    def gate(results):
+        return [
+            "FAIL: SLO violated: {}".format(failure)
+            for failure in workload_slo_failures(results, slo)
+        ]
+
+    return _sweep_command(args, lambda runner: runner.run(specs), render, gate)
 
 
 def _cmd_breakdown(args):
@@ -709,36 +712,39 @@ def _cmd_saturation(args):
     from repro.harness.reporting import format_series, results_to_series
     from repro.harness.saturation import find_saturation
 
-    runner = _runner(args)
-    saturated, results = find_saturation(
-        seed=args.seed,
-        measure_cycles=args.measure,
-        metrics=args.metrics or bool(args.metrics_export),
-        backend=args.backend,
-        runner=runner,
-    )
-    _report_runner_stats(runner)
-    print(
-        format_series(
-            results_to_series(results),
-            x_label="label",
-            y_labels=["delivered_load", "mean_latency", "mean_attempts"],
-            title="Saturation search (Figure 3 network)",
+    saturated = None
+
+    def run(runner):
+        nonlocal saturated
+        saturated, results = find_saturation(
+            seed=args.seed,
+            measure_cycles=args.measure,
+            runner=runner,
+            **_point_kwargs(args)
         )
-    )
-    print(
-        "\nSaturation: ~{:.2f} words/endpoint-cycle at {}".format(
-            saturated.delivered_load, saturated.label
+        return results
+
+    def render(results):
+        print(
+            format_series(
+                results_to_series(results),
+                x_label="label",
+                y_labels=["delivered_load", "mean_latency", "mean_attempts"],
+                title="Saturation search (Figure 3 network)",
+            )
         )
-    )
-    if args.metrics:
-        _print_metrics(results)
-    if args.metrics_export:
-        _export_metrics(results, args.metrics_export)
-    if saturated.delivered_load <= 0:
-        print("FAIL: network carried no traffic at any rate", file=sys.stderr)
-        return 1
-    return 0
+        print(
+            "\nSaturation: ~{:.2f} words/endpoint-cycle at {}".format(
+                saturated.delivered_load, saturated.label
+            )
+        )
+
+    def gate(_results):
+        if saturated.delivered_load <= 0:
+            return ["FAIL: network carried no traffic at any rate"]
+        return []
+
+    return _sweep_command(args, run, render, gate)
 
 
 def _cmd_send(args):
@@ -792,69 +798,57 @@ def _cmd_send(args):
     return 0
 
 
-def _cmd_verify(args):
-    import os
+def _cmd_verify_diff(args):
+    """``verify --backend-diff`` / ``--resume-diff``: the twin sweeps."""
+    if args.backend_diff:
+        from repro.verify.backend_diff import backend_diff_specs
 
+        specs = backend_diff_specs(
+            n_trials=args.trials,
+            seed=args.seed,
+            backend=args.backend if args.backend != "reference" else "events",
+        )
+        summary = (
+            "backend diff sweep: {}/{} workloads byte-identical across "
+            "backends"
+        )
+        name = "{0.kind}[seed={0.seed}]"
+    else:
+        from repro.verify.resume_diff import resume_diff_specs
+
+        specs = resume_diff_specs(n_trials=args.trials, seed=args.seed)
+        summary = (
+            "resume diff sweep: {}/{} workloads resumed byte-identically "
+            "from mid-run snapshots (incl. cross-backend)"
+        )
+        name = "{0.kind}[seed={0.seed}] {0.backend}->{0.restore_backend}"
+
+    def render(reports):
+        print(summary.format(sum(1 for r in reports if r.ok), len(reports)))
+
+    def gate(reports):
+        return [
+            "\n".join(
+                ["MISMATCH {}:".format(name.format(report))]
+                + ["  {}".format(line[:200]) for line in report.mismatches[:5]]
+            )
+            for report in reports
+            if not report.ok
+        ]
+
+    return _sweep_command(args, lambda runner: runner.run(specs), render, gate)
+
+
+def _cmd_verify(args):
     from repro.verify.differential import (
-        differential_sweep,
+        differential_specs,
         mismatch_aware_run,
     )
     from repro.verify.scenario import Scenario
     from repro.verify.shrink import shrink_scenario
 
-    if args.backend_diff:
-        from repro.verify.backend_diff import diff_failures, diff_sweep
-
-        runner = _runner(args)
-        reports = diff_sweep(
-            n_trials=args.trials,
-            seed=args.seed,
-            backend=args.backend if args.backend != "reference" else "events",
-            runner=runner,
-        )
-        _report_runner_stats(runner)
-        failures = diff_failures(reports)
-        print(
-            "backend diff sweep: {}/{} workloads byte-identical across "
-            "backends".format(len(reports) - len(failures), len(reports))
-        )
-        for report in failures:
-            print(
-                "MISMATCH {}[seed={}]:".format(report.kind, report.seed),
-                file=sys.stderr,
-            )
-            for line in report.mismatches[:5]:
-                print("  {}".format(line[:200]), file=sys.stderr)
-        return 1 if failures else 0
-
-    if args.resume_diff:
-        from repro.verify.resume_diff import resume_failures, resume_sweep
-
-        runner = _runner(args)
-        reports = resume_sweep(
-            n_trials=args.trials, seed=args.seed, runner=runner
-        )
-        _report_runner_stats(runner)
-        failures = resume_failures(reports)
-        print(
-            "resume diff sweep: {}/{} workloads resumed byte-identically "
-            "from mid-run snapshots (incl. cross-backend)".format(
-                len(reports) - len(failures), len(reports)
-            )
-        )
-        for report in failures:
-            print(
-                "MISMATCH {}[seed={}] {}->{}:".format(
-                    report.kind,
-                    report.seed,
-                    report.backend,
-                    report.restore_backend,
-                ),
-                file=sys.stderr,
-            )
-            for line in report.mismatches[:5]:
-                print("  {}".format(line[:200]), file=sys.stderr)
-        return 1 if failures else 0
+    if args.backend_diff or args.resume_diff:
+        return _cmd_verify_diff(args)
 
     if args.replay:
         scenario = Scenario.load(args.replay)
@@ -870,17 +864,21 @@ def _cmd_verify(args):
                 cycle, router, port, rule, detail))
         return 0 if result.clean else 1
 
-    runner = _runner(args)
-    reports, mismatches = differential_sweep(
-        n_trials=args.trials, root_seed=args.seed, runner=runner
-    )
-    _report_runner_stats(runner)
-    print(
-        "differential sweep: {}/{} configurations agree with the "
-        "latency model".format(len(reports) - len(mismatches), len(reports))
-    )
+    specs = differential_specs(args.trials, args.seed)
+    mismatches = []
+
+    def render(reports):
+        mismatches.extend(report for report in reports if not report["ok"])
+        print(
+            "differential sweep: {}/{} configurations agree with the "
+            "latency model".format(
+                len(reports) - len(mismatches), len(reports)
+            )
+        )
+
+    status = _sweep_command(args, lambda runner: runner.run(specs), render)
     if not mismatches:
-        return 0
+        return status
 
     os.makedirs(args.save, exist_ok=True)
     for index, report in enumerate(mismatches):
@@ -1282,17 +1280,6 @@ def build_parser():
     sub.add_parser("table5", help="Table 5 contemporary comparison")
     sub.add_parser("figure1", help="Figure 1 structural statistics")
 
-    metrics_help = (
-        "collect per-trial telemetry metrics and print merged "
-        "latency/occupancy percentiles plus a per-stage utilization "
-        "heatmap (identical for serial and parallel runs)"
-    )
-    export_help = (
-        "write the sweep's merged metrics snapshot to FILE as JSON "
-        "(metro-metrics-v1: a lossless 'series' encoding plus rendered "
-        "summaries); implies metrics collection"
-    )
-
     def add_backend(command):
         from repro.sim.backends import BACKENDS
 
@@ -1305,7 +1292,21 @@ def build_parser():
             "(see docs/API.md)",
         )
 
-    def add_resilience(command, resume=True, quarantine=True):
+    def add_sweep_options(command, resume=True, quarantine=True):
+        """What every sweep command shares: metrics, backend, resilience."""
+        command.add_argument(
+            "--metrics", action="store_true",
+            help="collect per-trial telemetry metrics and print merged "
+            "latency/occupancy percentiles plus a per-stage utilization "
+            "heatmap (identical for serial and parallel runs)",
+        )
+        command.add_argument(
+            "--metrics-export", default=None, metavar="FILE",
+            help="write the sweep's merged metrics snapshot to FILE as JSON "
+            "(metro-metrics-v1: a lossless 'series' encoding plus rendered "
+            "summaries); implies metrics collection",
+        )
+        add_backend(command)
         command.add_argument(
             "--journal", default=None, metavar="FILE",
             help="write a durable run journal (metro-run-journal-v1, "
@@ -1341,12 +1342,7 @@ def build_parser():
     fig3.add_argument("--rates", default="0.002,0.01,0.04,0.16")
     fig3.add_argument("--warmup", type=int, default=600)
     fig3.add_argument("--measure", type=int, default=2500)
-    fig3.add_argument("--metrics", action="store_true", help=metrics_help)
-    fig3.add_argument(
-        "--metrics-export", default=None, metavar="FILE", help=export_help
-    )
-    add_backend(fig3)
-    add_resilience(fig3)
+    add_sweep_options(fig3)
 
     faults = sub.add_parser("faults", help="fault-degradation point")
     faults.add_argument("--links", type=int, default=8)
@@ -1383,12 +1379,7 @@ def build_parser():
         help="with --levels: exit nonzero if any level abandons more "
         "than N messages (retry-budget exhaustion)",
     )
-    faults.add_argument("--metrics", action="store_true", help=metrics_help)
-    faults.add_argument(
-        "--metrics-export", default=None, metavar="FILE", help=export_help
-    )
-    add_backend(faults)
-    add_resilience(faults)
+    add_sweep_options(faults)
 
     chaos = sub.add_parser(
         "chaos",
@@ -1474,12 +1465,7 @@ def build_parser():
         "progress for N cycles while messages are pending (defaults "
         "to 5 windows when --stream or a heartbeat file is active)",
     )
-    chaos.add_argument("--metrics", action="store_true", help=metrics_help)
-    chaos.add_argument(
-        "--metrics-export", default=None, metavar="FILE", help=export_help
-    )
-    add_backend(chaos)
-    add_resilience(chaos, resume=False)
+    add_sweep_options(chaos, resume=False)
 
     workloads = sub.add_parser(
         "workloads",
@@ -1569,25 +1555,13 @@ def build_parser():
         "--slo-abandoned", type=int, default=None, metavar="N",
         help="exit 1 if more than N requests were abandoned",
     )
-    workloads.add_argument("--metrics", action="store_true", help=metrics_help)
-    workloads.add_argument(
-        "--metrics-export", default=None, metavar="FILE", help=export_help
-    )
-    add_backend(workloads)
-    add_resilience(workloads)
+    add_sweep_options(workloads)
 
     saturation = sub.add_parser("saturation", help="find saturation throughput")
     saturation.add_argument("--measure", type=int, default=2000)
-    saturation.add_argument(
-        "--metrics", action="store_true", help=metrics_help
-    )
-    saturation.add_argument(
-        "--metrics-export", default=None, metavar="FILE", help=export_help
-    )
-    add_backend(saturation)
     # No --quarantine: the saturation search reads delivered_load off
     # every probed point, which a quarantine report cannot provide.
-    add_resilience(saturation, quarantine=False)
+    add_sweep_options(saturation, quarantine=False)
 
     tail = sub.add_parser(
         "tail",
@@ -1732,10 +1706,13 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    from repro.harness.parallel import SweepInterrupted
+    from repro.harness.parallel import JournalMismatchError, SweepInterrupted
 
     try:
         return _COMMANDS[args.command](args)
+    except JournalMismatchError as exc:
+        print("resume: {}".format(exc), file=sys.stderr)
+        return 2
     except SweepInterrupted as exc:
         print(
             "interrupted: {} — the journal is flushed; finish the "

@@ -19,7 +19,7 @@ import itertools
 
 from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.experiment import run_experiment
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.parallel import TrialSpec, run_trials
 
 
 def run_grid_trial(
@@ -134,9 +134,7 @@ class ExperimentGrid:
         """
         self.cells = []
         specs = self.trial_specs()
-        if runner is None:
-            runner = TrialRunner(workers=workers, cache_dir=cache_dir)
-        flat = runner.run(specs)
+        flat = run_trials(specs, workers=workers, cache_dir=cache_dir, runner=runner)
 
         per_seed = len(self.seeds)
         for combo_index, (name, rate) in enumerate(

@@ -35,8 +35,8 @@ from repro.endpoint.traffic import UniformRandomTraffic
 from repro.faults.injector import FaultInjector, random_transient_scenario
 from repro.faults.manager import FaultManager
 from repro.faults.model import DeadRouter
-from repro.harness.load_sweep import figure1_network
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.load_sweep import build_point_network, figure1_network
+from repro.harness.parallel import TrialSpec, run_trials
 
 logger = logging.getLogger(__name__)
 
@@ -250,31 +250,13 @@ def run_chaos_point(
     """
     if fault_start is None:
         fault_start = warmup_windows * window_cycles
-    endpoint_kwargs = {
-        "verify_stage_checksums": True,
-        "max_attempts": max_attempts,
-    }
-    factory_kwargs = {}
-    if backend != "reference":
-        # Forwarded only when overridden so custom factories without a
-        # backend parameter keep working (and reference cache keys stay
-        # stable).
-        factory_kwargs["backend"] = backend
-    telemetry = None
-    if metrics:
-        from repro.telemetry import TelemetryHub
-
-        telemetry = TelemetryHub(spans=False)
-        network = network_factory(
-            seed=seed,
-            telemetry=telemetry,
-            endpoint_kwargs=endpoint_kwargs,
-            **factory_kwargs
-        )
-    else:
-        network = network_factory(
-            seed=seed, endpoint_kwargs=endpoint_kwargs, **factory_kwargs
-        )
+    network, telemetry = build_point_network(
+        network_factory, seed, backend=backend, metrics=metrics,
+        endpoint_kwargs={
+            "verify_stage_checksums": True,
+            "max_attempts": max_attempts,
+        },
+    )
 
     watcher = None
     if oracle:
@@ -721,9 +703,9 @@ def chaos_sweep(
     specs = chaos_trial_specs(
         seeds=seeds, seed=seed, self_heal=self_heal, **kwargs
     )
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir, progress=progress)
-    return runner.run(specs)
+    return run_trials(
+        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
+    )
 
 
 def chaos_slo_failures(

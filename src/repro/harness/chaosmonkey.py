@@ -57,13 +57,6 @@ def arm(ledger_dir, target="*", strikes=1):
     }
 
 
-def disarm(environ=None):
-    """Remove the monkey's variables from ``environ`` (default ``os.environ``)."""
-    environ = os.environ if environ is None else environ
-    environ.pop(CHAOSMONKEY_ENV, None)
-    environ.pop(CHAOSMONKEY_DIR_ENV, None)
-
-
 def _ledger_path(ledger_dir, label):
     digest = hashlib.sha256(label.encode("utf-8")).hexdigest()[:16]
     return os.path.join(ledger_dir, "strikes-{}.txt".format(digest))

@@ -12,8 +12,8 @@ from repro.core.random_source import derive_seed
 from repro.endpoint.traffic import UniformRandomTraffic
 from repro.faults.injector import FaultInjector, random_fault_scenario
 from repro.harness.experiment import measure_experiment
-from repro.harness.load_sweep import figure3_network
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.load_sweep import build_point_network, figure3_network
+from repro.harness.parallel import TrialSpec, run_trials
 
 
 def _build_warm_workload(
@@ -26,24 +26,10 @@ def _build_warm_workload(
         endpoint_kwargs["max_attempts"] = max_attempts
     if retry_policy is not None:
         endpoint_kwargs["retry_policy"] = retry_policy
-    factory_kwargs = {}
-    if backend != "reference":
-        factory_kwargs["backend"] = backend
-    telemetry = None
-    if metrics:
-        from repro.telemetry import TelemetryHub
-
-        telemetry = TelemetryHub(spans=False)
-        network = network_factory(
-            seed=seed,
-            telemetry=telemetry,
-            endpoint_kwargs=endpoint_kwargs,
-            **factory_kwargs
-        )
-    else:
-        network = network_factory(
-            seed=seed, endpoint_kwargs=endpoint_kwargs, **factory_kwargs
-        )
+    network, telemetry = build_point_network(
+        network_factory, seed, backend=backend, metrics=metrics,
+        endpoint_kwargs=endpoint_kwargs,
+    )
     traffic = UniformRandomTraffic(
         n_endpoints=network.plan.n_endpoints,
         w=network.codec.w,
@@ -176,8 +162,7 @@ def run_fault_point(
     counted in ``result.undeliverable`` (note: a ``retry_policy``
     object in the params makes the trial spec uncacheable — prefer
     plain ``max_attempts`` for swept trials).  ``backend`` selects the
-    engine backend; forwarded to ``network_factory`` only when not the
-    default, so custom factories keep working.
+    engine backend.
 
     ``inject_after_warmup=True`` moves the fault strike from before
     warmup (the default, modelling a network that was *built* broken)
@@ -323,9 +308,9 @@ def fault_degradation_sweep(
         inject_after_warmup=inject_after_warmup,
         **kwargs
     )
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir, progress=progress)
-    return runner.run(specs)
+    return run_trials(
+        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
+    )
 
 
 def degradation_failures(results, max_degradation=None, max_undeliverable=None):

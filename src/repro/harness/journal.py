@@ -326,9 +326,9 @@ def load_journal_state(path):
 def precomputed_from_state(state, specs, cache, partial=None):
     """``{spec index: result}`` a journal replay can serve for ``specs``.
 
-    The resume decision per trial, shared by :func:`resume_sweep` and
-    a :class:`~repro.harness.parallel.TrialRunner` built with
-    ``resume_from=``:
+    The resume decision per trial, made by a resuming
+    :class:`~repro.harness.parallel.TrialRunner` (``resume_from=`` or
+    :func:`resume_sweep`) at the top of every batch:
 
     * a trial with a ``trial.done`` record is fetched from the trial
       ``cache`` and served **only if** its content hash matches the
@@ -393,14 +393,17 @@ def precomputed_from_state(state, specs, cache, partial=None):
 def resume_sweep(journal_path, specs, runner, partial=None):
     """Finish an interrupted sweep; returns results in spec order.
 
-    Replays the journal at ``journal_path``, then runs ``specs`` on
-    ``runner`` with every already-finished trial served as a
-    precomputed result (progress source ``"resumed"``) per
-    :func:`precomputed_from_state`.
+    Points ``runner`` at the journal (:meth:`TrialRunner.resume
+    <repro.harness.parallel.TrialRunner.resume>`, what
+    ``TrialRunner(resume_from=journal_path, resume_partial=partial)``
+    does at construction) and runs ``specs`` on it, so every
+    already-finished trial is served as a precomputed result (progress
+    source ``"resumed"``) per :func:`precomputed_from_state`.
 
     Because trials are pure functions of their specs, the merged
     results are byte-identical to an uninterrupted run.  Raises
-    ``ValueError`` when the journal shares no trial keys with
+    :class:`~repro.harness.parallel.JournalMismatchError` (a
+    ``ValueError``) when the journal shares no trial keys with
     ``specs`` — the wrong journal, or a code change moved every
     fingerprint, either way nothing can be safely resumed.
 
@@ -408,24 +411,5 @@ def resume_sweep(journal_path, specs, runner, partial=None):
     history: the resumed leg appends its records after the crash
     point.
     """
-    specs = list(specs)
-    state = load_journal_state(journal_path)
-    spec_keys = [journal_trial_key(spec) for spec in specs]
-    known = set(state.trials) | set(state.done) | set(state.quarantined)
-    if specs and not any(key in known for key in spec_keys):
-        raise ValueError(
-            "journal {} does not describe this sweep: none of its {} "
-            "trial key(s) match (wrong journal, or a code/parameter "
-            "change moved every fingerprint)".format(
-                journal_path, len(spec_keys)
-            )
-        )
-    precomputed = precomputed_from_state(
-        state, specs, runner.cache, partial=partial
-    )
-    logger.info(
-        "resuming sweep from %s: %s; %d of %d trial(s) served from the "
-        "journal", journal_path, state.describe(), len(precomputed),
-        len(specs),
-    )
-    return runner.run(specs, precomputed=precomputed)
+    runner.resume(journal_path, partial=partial)
+    return runner.run(specs)

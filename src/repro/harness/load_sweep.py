@@ -20,7 +20,7 @@ bit-identical to a serial run.
 from repro.core.random_source import derive_seed
 from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.experiment import run_experiment
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.parallel import TrialSpec, run_trials
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan, figure3_plan
 
@@ -53,6 +53,35 @@ def figure1_network(seed=0, fast_reclaim=True, **overrides):
     )
 
 
+def build_point_network(network_factory, seed, backend="reference",
+                        metrics=False, endpoint_kwargs=None):
+    """One sweep point's network; returns ``(network, telemetry)``.
+
+    ``metrics=True`` binds a metrics-only
+    :class:`~repro.telemetry.TelemetryHub` (spans stay off — a sweep
+    point generates far too many to keep); ``telemetry`` is None
+    otherwise.  ``backend``, the hub and ``endpoint_kwargs`` are
+    forwarded to ``network_factory`` only when set: that is the one
+    reason sweeps leave defaults out of what they pass down — custom
+    factories written without those parameters
+    (``tests/harness/test_saturation.py::_small_factory``) keep
+    working.  It is not about cache keys: a
+    :meth:`~repro.harness.parallel.TrialSpec.fingerprint` hashes the
+    whole source tree, so any edit moves every key anyway.
+    """
+    kwargs = {}
+    if backend != "reference":
+        kwargs["backend"] = backend
+    if endpoint_kwargs:
+        kwargs["endpoint_kwargs"] = endpoint_kwargs
+    telemetry = None
+    if metrics:
+        from repro.telemetry import TelemetryHub
+
+        telemetry = kwargs["telemetry"] = TelemetryHub(spans=False)
+    return network_factory(seed=seed, **kwargs), telemetry
+
+
 def run_load_point(
     rate,
     seed=0,
@@ -66,28 +95,16 @@ def run_load_point(
 ):
     """One point of the latency/load curve.
 
-    ``metrics=True`` binds a metrics-only
-    :class:`~repro.telemetry.TelemetryHub` to the network and attaches
-    its picklable snapshot to the result (``result.metrics``); spans
-    stay off — a sweep point generates far too many to keep.
-
-    ``backend`` selects the engine backend (see
-    :mod:`repro.sim.backends`); results are identical either way, the
-    ``"events"`` backend is just faster at low load.  The default is
-    only forwarded to ``network_factory`` when overridden, so custom
-    factories without a ``backend`` parameter keep working.
+    ``metrics=True`` attaches a metrics-only telemetry snapshot to the
+    result (``result.metrics``, picklable).  ``backend`` selects the
+    engine backend (see :mod:`repro.sim.backends`); results are
+    identical either way, the ``"events"`` backend is just faster at
+    low load.  Both reach ``network_factory`` through
+    :func:`build_point_network`.
     """
-    factory_kwargs = {}
-    if backend != "reference":
-        factory_kwargs["backend"] = backend
-    telemetry = None
-    if metrics:
-        from repro.telemetry import TelemetryHub
-
-        telemetry = TelemetryHub(spans=False)
-        network = network_factory(seed=seed, telemetry=telemetry, **factory_kwargs)
-    else:
-        network = network_factory(seed=seed, **factory_kwargs)
+    network, telemetry = build_point_network(
+        network_factory, seed, backend=backend, metrics=metrics
+    )
     traffic = traffic_class(
         n_endpoints=network.plan.n_endpoints,
         w=network.codec.w,
@@ -141,9 +158,9 @@ def figure3_sweep(
     across several sweeps (it overrides the other execution knobs).
     """
     specs = load_trial_specs(rates=rates, seed=seed, **kwargs)
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir, progress=progress)
-    return runner.run(specs)
+    return run_trials(
+        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
+    )
 
 
 def unloaded_latency(seed=0, samples=24, network_factory=figure3_network,

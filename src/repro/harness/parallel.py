@@ -34,9 +34,10 @@ Durability: pass ``journal=`` (a :class:`~repro.harness.journal
 (queued → running → done/failed/quarantined) are appended to a
 crash-safe JSONL journal as they happen; SIGTERM/SIGINT mid-sweep
 flushes the journal and shuts the pool down cleanly instead of tearing
-the run.  :func:`repro.harness.journal.resume_sweep` replays such a
-journal against the trial cache so an interrupted sweep finishes from
-where it died.
+the run.  A runner built with ``resume_from=`` (or
+:func:`repro.harness.journal.resume_sweep`) replays such a journal
+against the trial cache so an interrupted sweep finishes from where it
+died.
 
 Determinism: each trial receives its own seed derived from the sweep's
 root seed via :func:`repro.core.random_source.derive_seed`, and every
@@ -116,6 +117,15 @@ class SweepInterrupted(RuntimeError):
     def __init__(self, message, signum=None):
         super().__init__(message)
         self.signum = signum
+
+
+class JournalMismatchError(ValueError):
+    """The journal being resumed shares no trial with the sweep.
+
+    The wrong journal, or a code/parameter change moved every
+    fingerprint; either way nothing can be safely resumed, and
+    appending this sweep to that journal would corrupt its history.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +717,6 @@ class TrialRunner:
         retries/quarantines/raises per the retry policy.  (Serial
         trials are bounded by the engine's own deadline guard
         instead.)
-    :param start_method: multiprocessing start method override.
     :param heartbeat_dir: directory for per-trial liveness heartbeats
         (``trial-<index>.json``); each trial runs with
         :data:`~repro.telemetry.watchdog.HEARTBEAT_ENV` pointing at
@@ -733,7 +742,10 @@ class TrialRunner:
         from: every :meth:`run` batch first serves trials the journal
         shows finished (content-hash-verified against the trial
         cache, source ``"resumed"``) and re-executes only the rest.
-        Works across multiple batches on one runner (lazy sweeps).
+        Works across multiple batches on one runner (lazy sweeps);
+        the *first* batch must share at least one trial with the
+        journal, else :class:`JournalMismatchError` is raised before
+        anything is recorded.
     :param resume_partial: optional ``(index, spec, state) -> result
         or None`` hook for trials the journal shows *mid-flight* —
         how the chaos harness finishes a half-done soak from its
@@ -747,7 +759,6 @@ class TrialRunner:
         cache_dir=None,
         progress=None,
         trial_timeout=None,
-        start_method=None,
         heartbeat_dir=None,
         journal=None,
         retries=None,
@@ -759,17 +770,15 @@ class TrialRunner:
         self.cache = TrialCache(cache_dir) if cache_dir else None
         self.progress = progress
         self.trial_timeout = trial_timeout
-        self.start_method = start_method
         self.heartbeat_dir = heartbeat_dir
         # Resume state is replayed before the journal handle opens so
         # a missing/empty resume file fails loudly instead of being
         # created empty by the append-mode open below.
         self.resume_state = None
-        self.resume_partial = resume_partial
+        self.resume_partial = None
+        self._resume_unchecked = None
         if resume_from:
-            from repro.harness.journal import load_journal_state
-
-            self.resume_state = load_journal_state(resume_from)
+            self.resume(resume_from, partial=resume_partial)
         if isinstance(journal, (str, os.PathLike)):
             from repro.harness.journal import RunJournal
 
@@ -790,31 +799,43 @@ class TrialRunner:
 
     # -- public API ------------------------------------------------------
 
-    def run(self, specs, precomputed=None):
+    def resume(self, journal_path, partial=None):
+        """Replay ``journal_path`` into every later :meth:`run` batch.
+
+        What ``resume_from=``/``resume_partial=`` do at construction;
+        a missing, empty or malformed journal raises here.
+        """
+        from repro.harness.journal import load_journal_state
+
+        self.resume_state = load_journal_state(journal_path)
+        self.resume_partial = partial
+        self._resume_unchecked = journal_path
+
+    def run(self, specs):
         """Run every spec; returns results in spec order.
 
         Cached trials are served without execution; the remainder run
         serially or on the pool.  Results are identical either way
-        because each trial is a pure function of its spec.
-        ``precomputed`` maps spec indices to already-known results
-        (how :func:`repro.harness.journal.resume_sweep` feeds finished
-        trials back in); those are served with source ``"resumed"``.
+        because each trial is a pure function of its spec.  When the
+        runner is resuming a journal, trials it shows finished are
+        served with source ``"resumed"``
+        (:func:`repro.harness.journal.precomputed_from_state`).
         """
         specs = list(specs)
         total = len(specs)
         results = [None] * total
         pending = []
         keys = {}
-        precomputed = dict(precomputed or {})
+        precomputed = {}
         self._journal_keys = {}
         if self.resume_state is not None:
             from repro.harness.journal import precomputed_from_state
 
-            for index, result in precomputed_from_state(
+            self._check_resume(specs)
+            precomputed = precomputed_from_state(
                 self.resume_state, specs, self.cache,
                 partial=self.resume_partial,
-            ).items():
-                precomputed.setdefault(index, result)
+            )
         if self.journal is not None:
             self.journal.record(
                 "sweep.start",
@@ -833,31 +854,21 @@ class TrialRunner:
                 ],
             )
         for index, spec in enumerate(specs):
-            if index in precomputed:
-                result = precomputed[index]
+            source, result = "resumed", precomputed.get(index, CACHE_MISS)
+            if (result is CACHE_MISS and self.cache is not None
+                    and spec.cacheable()):
+                keys[index] = spec.fingerprint()
+                source, result = "cache", self.cache.get(keys[index])
+            if result is not CACHE_MISS:
                 results[index] = result
                 self.stats.cached += 1
                 if self.journal is not None:
                     self._journal_trial(
-                        "trial.done", index, spec, source="resumed",
+                        "trial.done", index, spec, source=source,
                         elapsed=0.0, result_hash=result_content_hash(result),
                     )
-                self._emit(TrialEvent(index, total, spec.label, 0.0, "resumed"))
+                self._emit(TrialEvent(index, total, spec.label, 0.0, source))
                 continue
-            if self.cache is not None and spec.cacheable():
-                key = spec.fingerprint()
-                keys[index] = key
-                hit = self.cache.get(key)
-                if hit is not CACHE_MISS:
-                    results[index] = hit
-                    self.stats.cached += 1
-                    if self.journal is not None:
-                        self._journal_trial(
-                            "trial.done", index, spec, source="cache",
-                            elapsed=0.0, result_hash=result_content_hash(hit),
-                        )
-                    self._emit(TrialEvent(index, total, spec.label, 0.0, "cache"))
-                    continue
             pending.append(index)
             self._journal_trial("trial.queued", index, spec, seed=spec.seed)
 
@@ -881,15 +892,32 @@ class TrialRunner:
             )
         return results
 
-    def run_one(self, spec):
-        """Run a single spec (cache-aware); returns its result."""
-        return self.run([spec])[0]
-
     # -- internals -------------------------------------------------------
 
     def _emit(self, event):
         if self.progress is not None:
             self.progress(event)
+
+    def _check_resume(self, specs):
+        """Refuse to resume a journal that does not describe ``specs``.
+
+        Only the first batch after :meth:`resume` is checked: later
+        batches of a lazy search may legitimately probe points the
+        interrupted run never reached.
+        """
+        journal_path, self._resume_unchecked = self._resume_unchecked, None
+        if journal_path is None or not specs:
+            return
+        state = self.resume_state
+        known = set(state.trials) | set(state.done) | set(state.quarantined)
+        if not any(self._journal_key(spec) in known for spec in specs):
+            raise JournalMismatchError(
+                "journal {} does not describe this sweep: none of its {} "
+                "trial key(s) match (wrong journal, or a code/parameter "
+                "change moved every fingerprint)".format(
+                    journal_path, len(specs)
+                )
+            )
 
     def _journal_key(self, spec):
         key = self._journal_keys.get(id(spec))
@@ -1001,6 +1029,56 @@ class TrialRunner:
             )
         )
 
+    def _attempt_failed(self, index, total, spec, attempt, failures, started,
+                        results, kind, detail, exitcode=None, error=None,
+                        heartbeat=None):
+        """One failed attempt, whatever the mechanism (crash, hang,
+        exception) and whichever path ran it: journal it, then retry /
+        quarantine / raise per the attempt budget.
+
+        Returns the backoff delay in seconds when the trial is to be
+        re-dispatched, None when it was quarantined (its result slot
+        then holds the report).  ``error`` is the trial's own exception
+        when there is one to re-raise.
+        """
+        failures.append({
+            "attempt": attempt, "kind": kind,
+            "detail": detail, "exitcode": exitcode,
+        })
+        self._journal_trial(
+            "trial.failed", index, spec, attempt=attempt, kind=kind,
+            detail=detail, exitcode=exitcode,
+        )
+        if attempt < self.retries.max_attempts:
+            delay = self.retries.delay(attempt)
+            logger.warning(
+                "trial %r attempt %d/%d failed (%s); retrying in %.2fs",
+                spec.label, attempt, self.retries.max_attempts,
+                detail.split("\n", 1)[0] if kind == "error" else kind, delay,
+            )
+            return delay
+        if self.on_exhausted == "quarantine":
+            self._quarantine(
+                index, total, spec, attempt, failures, started, results,
+                heartbeat=heartbeat,
+            )
+            return None
+        if kind == "timeout":
+            self._timeout(index, total, spec, started, heartbeat=heartbeat)
+        if kind == "crash":
+            raise WorkerCrashError(
+                "worker running trial {!r} died with exit code {} "
+                "(attempt {}/{})".format(
+                    spec.label, exitcode, attempt, self.retries.max_attempts,
+                )
+            )
+        if error is not None:
+            raise error
+        raise RuntimeError(
+            "trial {!r} failed and its exception could not be "
+            "pickled back: {}".format(spec.label, detail)
+        )
+
     def _run_serial(self, specs, pending, results, keys, total):
         for index in pending:
             self._check_interrupt()
@@ -1019,32 +1097,16 @@ class TrialRunner:
                         spec, heartbeat_path=self._heartbeat_path(index)
                     )
                 except Exception as error:
-                    detail = "{}: {}".format(type(error).__name__, error)
-                    failures.append({
-                        "attempt": attempt, "kind": "error",
-                        "detail": detail, "exitcode": None,
-                    })
-                    self._journal_trial(
-                        "trial.failed", index, spec, attempt=attempt,
-                        kind="error", detail=detail, exitcode=None,
+                    delay = self._attempt_failed(
+                        index, total, spec, attempt, failures, started,
+                        results, "error",
+                        "{}: {}".format(type(error).__name__, error),
+                        error=error,
                     )
-                    if attempt < self.retries.max_attempts:
-                        delay = self.retries.delay(attempt)
-                        logger.warning(
-                            "trial %r attempt %d/%d failed (%s); retrying "
-                            "in %.2fs", spec.label, attempt,
-                            self.retries.max_attempts, detail, delay,
-                        )
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    if self.on_exhausted == "quarantine":
-                        self._quarantine(
-                            index, total, spec, attempt, failures,
-                            started, results,
-                        )
+                    if delay is None:
                         break
-                    raise
+                    time.sleep(delay)
+                    continue
                 results[index] = result
                 self._finish(
                     index, total, spec, result, elapsed, keys,
@@ -1089,9 +1151,7 @@ class TrialRunner:
                     "worker pool (use module-level factories, or "
                     "workers=1): {}".format(specs[index].label, error)
                 )
-        context = multiprocessing.get_context(
-            self.start_method or _preferred_start_method()
-        )
+        context = multiprocessing.get_context(_preferred_start_method())
         result_queue = context.Queue()
         workers = [
             self._spawn_worker(context, result_queue)
@@ -1106,58 +1166,20 @@ class TrialRunner:
         inflight = {}  # index -> attempt currently dispatched
         done = set()
 
-        def resolve_failure(index, kind, detail, exitcode=None, error=None,
-                            heartbeat=None):
-            # One failed attempt, whatever the mechanism (crash, hang,
-            # exception): journal it, then retry / quarantine / raise
-            # per the attempt budget.
+        def resolve_failure(index, kind, detail, **context):
             nonlocal tiebreak
             inflight.pop(index, None)
-            attempt = attempts[index]
-            spec = specs[index]
-            failures[index].append({
-                "attempt": attempt, "kind": kind,
-                "detail": detail, "exitcode": exitcode,
-            })
-            self._journal_trial(
-                "trial.failed", index, spec, attempt=attempt, kind=kind,
-                detail=detail, exitcode=exitcode,
+            delay = self._attempt_failed(
+                index, total, specs[index], attempts[index], failures[index],
+                submitted, results, kind, detail, **context
             )
-            if attempt < self.retries.max_attempts:
-                delay = self.retries.delay(attempt)
-                logger.warning(
-                    "trial %r attempt %d/%d failed (%s); retrying in %.2fs",
-                    spec.label, attempt, self.retries.max_attempts, kind,
-                    delay,
-                )
+            if delay is None:
+                done.add(index)
+            else:
                 tiebreak += 1
                 heapq.heappush(
                     delayed, (time.monotonic() + delay, tiebreak, index)
                 )
-                return
-            if self.on_exhausted == "quarantine":
-                self._quarantine(
-                    index, total, spec, attempt, failures[index],
-                    submitted, results, heartbeat=heartbeat,
-                )
-                done.add(index)
-                return
-            if kind == "timeout":
-                self._timeout(index, total, spec, submitted, heartbeat=heartbeat)
-            if kind == "crash":
-                raise WorkerCrashError(
-                    "worker running trial {!r} died with exit code {} "
-                    "(attempt {}/{})".format(
-                        spec.label, exitcode, attempt,
-                        self.retries.max_attempts,
-                    )
-                )
-            if error is not None:
-                raise error
-            raise RuntimeError(
-                "trial {!r} failed and its exception could not be "
-                "pickled back: {}".format(spec.label, detail)
-            )
 
         def recycle(worker, reason):
             # Kill/reap a dead-or-hung worker and try to replace it;
@@ -1317,10 +1339,6 @@ class TrialRunner:
         the run got to — the difference between "the soak wedged at
         cycle 8400 with 3 sends pending" and a silent timeout.
         """
-        if heartbeat is None:
-            path = self._heartbeat_path(index)
-            if path is not None:
-                heartbeat = read_heartbeat(path)
         detail = (
             "last heartbeat at cycle {} ({} finished{})".format(
                 heartbeat.get("cycle"),
@@ -1358,16 +1376,24 @@ def run_trials(
     journal=None,
     retries=None,
     on_exhausted=None,
+    runner=None,
 ):
-    """One-shot convenience: build a :class:`TrialRunner` and run."""
-    runner = TrialRunner(
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
-        trial_timeout=trial_timeout,
-        heartbeat_dir=heartbeat_dir,
-        journal=journal,
-        retries=retries,
-        on_exhausted=on_exhausted,
-    )
+    """Run ``specs`` on ``runner``, or on a one-shot :class:`TrialRunner`.
+
+    Where every sweep function's ``runner=None`` default is resolved:
+    a prebuilt runner (shared cache/stats/journal across several
+    sweeps) overrides the other execution knobs; without one, they
+    configure a runner that lives for this call.
+    """
+    if runner is None:
+        runner = TrialRunner(
+            workers=workers,
+            cache_dir=cache_dir,
+            progress=progress,
+            trial_timeout=trial_timeout,
+            heartbeat_dir=heartbeat_dir,
+            journal=journal,
+            retries=retries,
+            on_exhausted=on_exhausted,
+        )
     return runner.run(specs)

@@ -18,48 +18,38 @@ mode merely spends extra work past the knee in exchange for latency).
 
 from repro.core.random_source import derive_seed
 from repro.harness.load_sweep import figure3_network, run_load_point
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.parallel import TrialSpec, run_trials
 
 
-def run_saturation_point(rate, seed=0, **kwargs):
-    """One saturation-search measurement (a relabeled load point)."""
-    result = run_load_point(rate, seed=seed, **kwargs)
+def run_saturation_point(rate, seed=0, warmup_cycles=800, measure_cycles=3000,
+                         **kwargs):
+    """One saturation-search measurement (a relabeled load point).
+
+    The search's own, shorter windows are the defaults; everything
+    else (``network_factory``, ``message_words``, ``metrics``,
+    ``backend``) is :func:`~repro.harness.load_sweep.run_load_point`'s.
+    """
+    result = run_load_point(
+        rate, seed=seed, warmup_cycles=warmup_cycles,
+        measure_cycles=measure_cycles, **kwargs
+    )
     result.label = "rate={:.4g}".format(rate)
     return result
 
 
-def saturation_trial_specs(
-    start_rate=0.01,
-    growth=2.0,
-    max_steps=8,
-    seed=0,
-    network_factory=figure3_network,
-    message_words=20,
-    warmup_cycles=800,
-    measure_cycles=3000,
-    metrics=False,
-    backend="reference",
-):
-    """The geometric rate ladder as :class:`TrialSpec` objects."""
+def saturation_trial_specs(start_rate=0.01, growth=2.0, max_steps=8, seed=0,
+                           **kwargs):
+    """The geometric rate ladder as :class:`TrialSpec` objects.
+
+    ``kwargs`` reach :func:`run_saturation_point` only when given.
+    """
     specs = []
     rate = start_rate
-    # metrics/backend only enter the params (and hence the trial cache
-    # key) when requested, so default sweeps keep their cache entries.
-    extra = {"metrics": True} if metrics else {}
-    if backend != "reference":
-        extra["backend"] = backend
     for _step in range(max_steps):
         specs.append(
             TrialSpec(
                 runner="repro.harness.saturation:run_saturation_point",
-                params=dict(
-                    rate=rate,
-                    network_factory=network_factory,
-                    message_words=message_words,
-                    warmup_cycles=warmup_cycles,
-                    measure_cycles=measure_cycles,
-                    **extra
-                ),
+                params=dict(rate=rate, **kwargs),
                 seed=derive_seed(seed, "saturation", rate),
                 label="rate={:.4g}".format(rate),
             )
@@ -95,15 +85,11 @@ def find_saturation(
     tolerance=0.05,
     max_steps=8,
     seed=0,
-    message_words=20,
-    warmup_cycles=800,
-    measure_cycles=3000,
-    metrics=False,
-    backend="reference",
     workers=1,
     cache_dir=None,
     progress=None,
     runner=None,
+    **kwargs
 ):
     """Grow the injection rate until throughput gains fall below
     ``tolerance``; returns ``(saturation_result, all_results)``.
@@ -113,6 +99,9 @@ def find_saturation(
     With ``workers`` > 1 all candidate rates are measured concurrently
     and the result series is truncated at the same stopping point the
     serial search would have reached, so the two modes agree exactly.
+    ``kwargs`` (``message_words``, ``warmup_cycles``,
+    ``measure_cycles``, ``metrics``, ``backend``) go to
+    :func:`saturation_trial_specs`.
     """
     specs = saturation_trial_specs(
         start_rate=start_rate,
@@ -120,26 +109,23 @@ def find_saturation(
         max_steps=max_steps,
         seed=seed,
         network_factory=network_factory,
-        message_words=message_words,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        metrics=metrics,
-        backend=backend,
+        **kwargs
     )
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir, progress=progress)
-
-    if runner.workers > 1:
-        all_results = runner.run(specs)
-        index = _saturation_index(all_results, tolerance)
-        if index is None:
-            return all_results[-1], all_results
-        return all_results[index], all_results[: index + 2]
-
+    # One batch of every candidate on a pool, one candidate per batch
+    # serially; a prebuilt runner's pool size wins over ``workers``.
+    if getattr(runner, "workers", workers) > 1:
+        batches = [specs]
+    else:
+        batches = [[spec] for spec in specs]
     results = []
-    for spec in specs:
-        results.append(runner.run_one(spec))
+    for batch in batches:
+        results.extend(
+            run_trials(
+                batch, workers=workers, cache_dir=cache_dir, progress=progress,
+                runner=runner,
+            )
+        )
         index = _saturation_index(results, tolerance)
         if index is not None:
-            return results[index], results
+            return results[index], results[: index + 2]
     return results[-1], results

@@ -18,8 +18,12 @@ serial vs parallel.  The CLI front end is ``repro workloads`` (see
 
 from repro.core.random_source import derive_seed
 from repro.harness.fault_sweep import _apply_fault_level
-from repro.harness.load_sweep import figure1_network, figure3_network
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.load_sweep import (
+    build_point_network,
+    figure1_network,
+    figure3_network,
+)
+from repro.harness.parallel import TrialSpec, run_trials
 from repro.workloads.collective import (
     CollectiveSchedule,
     CollectiveWorkload,
@@ -110,16 +114,9 @@ def run_collective_point(
     specs stay picklable.
     """
     network_factory = _NETWORKS[network] if isinstance(network, str) else network
-    factory_kwargs = {}
-    if backend != "reference":
-        factory_kwargs["backend"] = backend
-    telemetry = None
-    if metrics:
-        from repro.telemetry import TelemetryHub
-
-        telemetry = TelemetryHub(spans=False)
-        factory_kwargs["telemetry"] = telemetry
-    net = network_factory(seed=seed, **factory_kwargs)
+    net, telemetry = build_point_network(
+        network_factory, seed, backend=backend, metrics=metrics
+    )
     if n_dead_links or n_dead_routers:
         _apply_fault_level(net, n_dead_links, n_dead_routers, seed)
     schedule = build_schedule(
@@ -156,18 +153,10 @@ def run_service_point(
 ):
     """One request/response soak at one offered load."""
     network_factory = _NETWORKS[network] if isinstance(network, str) else network
-    factory_kwargs = {
-        "endpoint_kwargs": {"max_outstanding": max_outstanding},
-    }
-    if backend != "reference":
-        factory_kwargs["backend"] = backend
-    telemetry = None
-    if metrics:
-        from repro.telemetry import TelemetryHub
-
-        telemetry = TelemetryHub(spans=False)
-        factory_kwargs["telemetry"] = telemetry
-    net = network_factory(seed=seed, **factory_kwargs)
+    net, telemetry = build_point_network(
+        network_factory, seed, backend=backend, metrics=metrics,
+        endpoint_kwargs={"max_outstanding": max_outstanding},
+    )
     workload = RequestResponseWorkload(
         n_endpoints=net.plan.n_endpoints,
         w=net.codec.w,
@@ -230,20 +219,18 @@ def collective_fault_sweep(fault_levels=DEFAULT_FAULT_LEVELS, seed=0,
                            runner=None, **kwargs):
     """Collective completion time vs fault level, one result per level."""
     specs = collective_trial_specs(fault_levels=fault_levels, seed=seed, **kwargs)
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir,
-                             progress=progress)
-    return runner.run(specs)
+    return run_trials(
+        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
+    )
 
 
 def service_sweep(rates=DEFAULT_SERVICE_RATES, seed=0, workers=1,
                   cache_dir=None, progress=None, runner=None, **kwargs):
     """Service tail latency vs offered load, one result per rate."""
     specs = service_trial_specs(rates=rates, seed=seed, **kwargs)
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir,
-                             progress=progress)
-    return runner.run(specs)
+    return run_trials(
+        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
+    )
 
 
 def workload_slo_failures(results, slo):

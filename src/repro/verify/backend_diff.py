@@ -51,7 +51,7 @@ from repro.endpoint.traffic import (
     PermutationTraffic,
     UniformRandomTraffic,
 )
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.parallel import TrialSpec, run_trials
 
 #: Workload families diffed by default, in sweep order.
 DEFAULT_KINDS = ("scenario", "traffic", "faults", "chaos")
@@ -429,9 +429,9 @@ def diff_sweep(
     specs = backend_diff_specs(
         n_trials=n_trials, seed=seed, backend=backend, kinds=kinds
     )
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir, progress=progress)
-    return runner.run(specs)
+    return run_trials(
+        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
+    )
 
 
 def diff_failures(reports):

@@ -44,7 +44,7 @@ import tempfile
 from collections import namedtuple
 
 from repro.core.random_source import derive_seed
-from repro.harness.parallel import TrialRunner, TrialSpec
+from repro.harness.parallel import TrialSpec, run_trials
 from repro.sim.snapshot import restore_network, snapshot_network
 from repro.verify.backend_diff import (
     DEFAULT_KINDS,
@@ -348,9 +348,9 @@ def resume_sweep(
     specs = resume_diff_specs(
         n_trials=n_trials, seed=seed, kinds=kinds, pairs=pairs
     )
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir, progress=progress)
-    return runner.run(specs)
+    return run_trials(
+        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
+    )
 
 
 def resume_failures(reports):
