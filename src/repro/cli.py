@@ -352,11 +352,15 @@ def _cmd_faults(args):
     if args.max_attempts is not None:
         common["max_attempts"] = args.max_attempts
     if args.levels:
-        specs = fault_trial_specs(
-            fault_levels=_parse_fault_levels(args.levels),
-            seed=args.seed,
-            **common
-        )
+        levels = _parse_fault_levels(args.levels)
+    else:
+        levels = ((args.links, args.routers),)
+    specs = fault_trial_specs(fault_levels=levels, seed=args.seed, **common)
+    if not args.levels:
+        # One point is a one-spec sweep, so --journal/--resume/--retries/
+        # --quarantine/--workers/--cache-dir/--progress apply to it; it
+        # has always been seeded by --seed itself, not a per-level seed.
+        specs[0].seed = args.seed
 
     def render(results):
         print(
@@ -405,26 +409,6 @@ def _cmd_faults(args):
                 )
         return failures
 
-    if not args.levels:
-        from repro.harness.fault_sweep import run_fault_point
-
-        results = [
-            run_fault_point(
-                n_dead_links=args.links,
-                n_dead_routers=args.routers,
-                seed=args.seed,
-                **common
-            )
-        ]
-        render(results)
-        if args.metrics:
-            _print_metrics(results, **_SWEEP_METRICS)
-        if args.metrics_export:
-            _export_metrics(results, args.metrics_export)
-        failures = gate(results)
-        for failure in failures:
-            print(failure, file=sys.stderr)
-        return 1 if failures else 0
     return _sweep_command(
         args, lambda runner: runner.run(specs), render, gate,
         noun="fault level",

@@ -521,3 +521,43 @@ def test_parser_accepts_resilience_flags():
     # Saturation has no --quarantine (its search needs real results).
     with pytest.raises(SystemExit):
         parser.parse_args(["saturation", "--quarantine"])
+
+
+def test_faults_point_honours_journal_and_cache(tmp_path, capsys):
+    # The single-point form used to call run_fault_point directly and
+    # silently ignore --journal/--cache-dir (and the other sweep flags).
+    from repro.harness.journal import read_journal, validate_journal
+
+    journal = tmp_path / "f.jsonl"
+    argv = ["--cache-dir", str(tmp_path / "cache"), "faults", "--links", "2",
+            "--warmup", "150", "--measure", "400"]
+    first = _run(capsys, argv + ["--journal", str(journal)])
+    events = read_journal(str(journal))
+    assert validate_journal(events) == len(events)
+    assert [e["label"] for e in events if e["event"] == "trial.done"] == [
+        "links=2 routers=0"
+    ]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "0 executed" in captured.err and "1 from cache" in captured.err
+    assert captured.out == first
+
+
+def test_resume_with_a_foreign_journal_is_a_usage_error(tmp_path, capsys):
+    # --resume used to double as --journal unchecked: the unrelated sweep
+    # re-executed everything and was appended to the other run's history.
+    journal = tmp_path / "j.jsonl"
+    base = ["--cache-dir", str(tmp_path / "cache"), "figure3", "--warmup",
+            "100", "--measure", "200"]
+    _run(capsys, base + ["--rates", "0.01,0.02", "--journal", str(journal)])
+    before = journal.read_bytes()
+    code = main(base + ["--rates", "0.03,0.05", "--resume", str(journal)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("resume: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "does not describe this sweep" in captured.err
+    assert journal.read_bytes() == before
+    # The sweep the journal does describe still resumes.
+    assert main(base + ["--rates", "0.01,0.02", "--resume", str(journal)]) == 0
+    assert "2 from cache" in capsys.readouterr().err
