@@ -19,6 +19,7 @@ import itertools
 
 from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.experiment import run_experiment
+from repro.harness.load_sweep import point_traffic
 from repro.harness.parallel import TrialSpec, run_trials
 
 
@@ -34,16 +35,9 @@ def run_grid_trial(
 ):
     """One grid cell run: module-level so worker pools can import it."""
     network = factory(seed)
-    traffic = traffic_class(
-        n_endpoints=network.plan.n_endpoints,
-        w=network.codec.w,
-        rate=rate,
-        message_words=message_words,
-        seed=seed + 1,
-    )
     return run_experiment(
         network,
-        traffic,
+        point_traffic(network, rate, message_words, seed, traffic_class),
         warmup_cycles=warmup_cycles,
         measure_cycles=measure_cycles,
         label=label,

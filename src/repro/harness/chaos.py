@@ -31,11 +31,10 @@ import os
 import random
 
 from repro.core.random_source import derive_seed
-from repro.endpoint.traffic import UniformRandomTraffic
 from repro.faults.injector import FaultInjector, random_transient_scenario
 from repro.faults.manager import FaultManager
 from repro.faults.model import DeadRouter
-from repro.harness.load_sweep import build_point_network, figure1_network
+from repro.harness.load_sweep import build_point_network, figure1_network, point_traffic
 from repro.harness.parallel import TrialSpec, run_trials
 
 logger = logging.getLogger(__name__)
@@ -292,13 +291,7 @@ def run_chaos_point(
             kwargs.update(manager_kwargs)
         manager = FaultManager(network, **kwargs)
 
-    UniformRandomTraffic(
-        n_endpoints=network.plan.n_endpoints,
-        w=network.codec.w,
-        rate=rate,
-        message_words=message_words,
-        seed=seed + 1,
-    ).attach(network)
+    point_traffic(network, rate, message_words, seed).attach(network)
 
     meta = {
         "seed": seed,
@@ -663,27 +656,22 @@ def chaos_trial_specs(
     specs = []
     for index in range(seeds):
         for heal in self_heal:
+            mode = "on" if heal else "off"
             params = dict(self_heal=heal, **kwargs)
             if snapshot_dir is not None:
                 params["snapshot_dir"] = os.path.join(
-                    snapshot_dir,
-                    "soak{}-heal{}".format(index, "on" if heal else "off"),
+                    snapshot_dir, "soak{}-heal{}".format(index, mode)
                 )
             if stream_dir is not None:
                 params["stream_path"] = os.path.join(
-                    stream_dir,
-                    "soak{}-heal{}.jsonl".format(
-                        index, "on" if heal else "off"
-                    ),
+                    stream_dir, "soak{}-heal{}.jsonl".format(index, mode)
                 )
             specs.append(
                 TrialSpec(
                     runner="repro.harness.chaos:run_chaos_point",
                     params=params,
                     seed=derive_seed(seed, "chaos", index, heal),
-                    label="chaos[{}] heal={}".format(
-                        index, "on" if heal else "off"
-                    ),
+                    label="chaos[{}] heal={}".format(index, mode),
                 )
             )
     return specs

@@ -9,10 +9,9 @@ reporting delivered throughput, latency and retry inflation.
 """
 
 from repro.core.random_source import derive_seed
-from repro.endpoint.traffic import UniformRandomTraffic
 from repro.faults.injector import FaultInjector, random_fault_scenario
 from repro.harness.experiment import measure_experiment
-from repro.harness.load_sweep import build_point_network, figure3_network
+from repro.harness.load_sweep import build_point_network, figure3_network, point_traffic
 from repro.harness.parallel import TrialSpec, run_trials
 
 
@@ -30,14 +29,7 @@ def _build_warm_workload(
         network_factory, seed, backend=backend, metrics=metrics,
         endpoint_kwargs=endpoint_kwargs,
     )
-    traffic = UniformRandomTraffic(
-        n_endpoints=network.plan.n_endpoints,
-        w=network.codec.w,
-        rate=rate,
-        message_words=message_words,
-        seed=seed + 1,
-    )
-    return network, traffic, telemetry
+    return network, point_traffic(network, rate, message_words, seed), telemetry
 
 
 def _apply_fault_level(network, n_dead_links, n_dead_routers, seed):

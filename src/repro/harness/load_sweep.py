@@ -82,6 +82,22 @@ def build_point_network(network_factory, seed, backend="reference",
     return network_factory(seed=seed, **kwargs), telemetry
 
 
+def point_traffic(network, rate, message_words, seed,
+                  traffic_class=UniformRandomTraffic):
+    """The random workload a sweep point drives, sized to ``network``.
+
+    Seeded ``seed + 1``: the traffic stream never shares a seed with
+    the network's own randomness (wiring, arbitration).
+    """
+    return traffic_class(
+        n_endpoints=network.plan.n_endpoints,
+        w=network.codec.w,
+        rate=rate,
+        message_words=message_words,
+        seed=seed + 1,
+    )
+
+
 def run_load_point(
     rate,
     seed=0,
@@ -105,16 +121,9 @@ def run_load_point(
     network, telemetry = build_point_network(
         network_factory, seed, backend=backend, metrics=metrics
     )
-    traffic = traffic_class(
-        n_endpoints=network.plan.n_endpoints,
-        w=network.codec.w,
-        rate=rate,
-        message_words=message_words,
-        seed=seed + 1,
-    )
     result = run_experiment(
         network,
-        traffic,
+        point_traffic(network, rate, message_words, seed, traffic_class),
         warmup_cycles=warmup_cycles,
         measure_cycles=measure_cycles,
         label="rate={}".format(rate),

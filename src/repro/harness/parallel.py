@@ -1008,27 +1008,6 @@ class TrialRunner:
         os.makedirs(self.heartbeat_dir, exist_ok=True)
         return os.path.join(self.heartbeat_dir, "trial-{}.json".format(index))
 
-    def _quarantine(self, index, total, spec, attempts, failures, started,
-                    results, heartbeat=None):
-        report = QuarantinedTrial(
-            spec.label, self._journal_key(spec), spec.seed, attempts, failures,
-        )
-        results[index] = report
-        logger.warning(
-            "trial %r quarantined after %d failed attempt(s); sweep continues",
-            spec.label, attempts,
-        )
-        self._journal_trial(
-            "trial.quarantined", index, spec, report=report.as_dict(),
-        )
-        self._emit(
-            TrialEvent(
-                index, total, spec.label, 0.0, "quarantined",
-                duration=time.perf_counter() - started,
-                heartbeat=heartbeat,
-            )
-        )
-
     def _attempt_failed(self, index, total, spec, attempt, failures, started,
                         results, kind, detail, exitcode=None, error=None,
                         heartbeat=None):
@@ -1058,9 +1037,23 @@ class TrialRunner:
             )
             return delay
         if self.on_exhausted == "quarantine":
-            self._quarantine(
-                index, total, spec, attempt, failures, started, results,
-                heartbeat=heartbeat,
+            report = QuarantinedTrial(
+                spec.label, self._journal_key(spec), spec.seed, attempt, failures,
+            )
+            results[index] = report
+            logger.warning(
+                "trial %r quarantined after %d failed attempt(s); sweep "
+                "continues", spec.label, attempt,
+            )
+            self._journal_trial(
+                "trial.quarantined", index, spec, report=report.as_dict(),
+            )
+            self._emit(
+                TrialEvent(
+                    index, total, spec.label, 0.0, "quarantined",
+                    duration=time.perf_counter() - started,
+                    heartbeat=heartbeat,
+                )
             )
             return None
         if kind == "timeout":

@@ -516,6 +516,96 @@ def test_crashed_worker_retries_to_success(tmp_path, monkeypatch):
     assert results == [("survived", 7)]
 
 
+def _flaky_trial(ledger, fail_first, seed=0):
+    # Raises on its first ``fail_first`` attempts; the count lives in a
+    # file because on a pool every attempt may run in a fresh process.
+    attempt = 1
+    if os.path.exists(ledger):
+        with open(ledger) as handle:
+            attempt = int(handle.read()) + 1
+    with open(ledger, "w") as handle:
+        handle.write(str(attempt))
+    if attempt <= fail_first:
+        raise ValueError("boom on attempt {}".format(attempt))
+    return ("recovered", attempt, seed)
+
+
+@pytest.mark.parametrize(
+    "fail_first, max_attempts, on_exhausted",
+    [(2, 3, "raise"), (5, 2, "quarantine"), (5, 2, "raise")],
+    ids=["retry-to-success", "exhausted-quarantine", "exhausted-raise"],
+)
+def test_serial_and_pool_agree_on_failure_handling(
+    tmp_path, fail_first, max_attempts, on_exhausted
+):
+    """One failed-attempt policy: the journal's trial.failed /
+    trial.quarantined sequence, the quarantine report and the outcome
+    are the same whether the trial ran in-process or on the pool
+    (``worker``, ``t`` and ``detail`` aside: the pool's detail carries
+    the worker's traceback)."""
+    from repro.harness.journal import read_journal
+    from repro.harness.parallel import TrialBackoff, is_quarantined
+
+    ledger = str(tmp_path / "attempts.txt")
+    specs = [
+        TrialSpec(__name__ + ":_flaky_trial",
+                  params=dict(ledger=ledger, fail_first=fail_first),
+                  seed=11, label="flaky"),
+        TrialSpec(__name__ + ":_echo_trial", params=dict(value=1), seed=1,
+                  label="bystander"),
+    ]
+
+    def scrub(record):
+        record = {k: v for k, v in record.items()
+                  if k not in ("t", "worker", "detail")}
+        if "report" in record:
+            record["report"] = scrub(record["report"])
+        if "failures" in record:
+            record["failures"] = [scrub(f) for f in record["failures"]]
+        return record
+
+    def observe(workers):
+        if os.path.exists(ledger):
+            os.remove(ledger)
+        journal = str(tmp_path / "journal-{}.jsonl".format(workers))
+        runner = TrialRunner(
+            workers=workers, journal=journal, on_exhausted=on_exhausted,
+            retries=TrialBackoff(max_attempts=max_attempts, base=0.0,
+                                 jitter=False),
+        )
+        try:
+            flaky = runner.run(specs)[0]
+            outcome = (
+                scrub(flaky.as_dict()) if is_quarantined(flaky) else flaky
+            )
+        except ValueError as error:
+            outcome = "raised {}".format(error)
+        finally:
+            runner.journal.close()
+        failures = [
+            scrub(event) for event in read_journal(journal)
+            if event.get("label") == "flaky"
+            and event["event"] in ("trial.failed", "trial.quarantined")
+        ]
+        return outcome, failures
+
+    serial, pool = observe(1), observe(2)
+    assert serial == pool
+    outcome, failures = serial
+    kinds = [event["event"] for event in failures]
+    if fail_first < max_attempts:
+        assert outcome == ("recovered", fail_first + 1, 11)
+        assert kinds == ["trial.failed"] * fail_first
+    elif on_exhausted == "quarantine":
+        assert outcome["attempts"] == max_attempts
+        assert kinds == ["trial.failed"] * max_attempts + ["trial.quarantined"]
+    else:
+        assert outcome == "raised boom on attempt {}".format(max_attempts)
+        assert kinds == ["trial.failed"] * max_attempts
+    attempts = [e["attempt"] for e in failures if e["event"] == "trial.failed"]
+    assert attempts == list(range(1, len(attempts) + 1))
+
+
 def test_pool_shrinks_when_respawn_fails(tmp_path, monkeypatch, caplog):
     """Graceful degradation: a dead worker that cannot be respawned
     shrinks the pool instead of wedging or crashing the sweep."""

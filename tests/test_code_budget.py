@@ -1,0 +1,55 @@
+"""Code budget: the sweep harness and CLI may not quietly grow back.
+
+ROADMAP item 3 is shrinking ``repro.harness`` + ``cli.py`` without
+changing a byte of output.  This is the ratchet: the count of lines
+that hold code (``tools/code_lines.py``: not blank, not comment, not
+docstring) must stay at or under :data:`BUDGET`.  A PR that needs more
+raises the number here, deliberately, in its diff; a PR that removes
+code should lower it.
+"""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PATHS = ("src/repro/harness", "src/repro/cli.py")
+
+#: 4931 before the sweep spine (PR 14).
+BUDGET = 4728
+
+
+def _code_lines():
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", os.path.join(ROOT, "tools", "code_lines.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_harness_and_cli_stay_within_the_code_budget():
+    rows = _code_lines().count_paths([os.path.join(ROOT, p) for p in PATHS])
+    total = sum(count for _path, count in rows)
+    assert total <= BUDGET, (
+        "{} code lines in {}, budget {}: run `python tools/code_lines.py {}` "
+        "for the per-file counts, then remove code or raise BUDGET in "
+        "tests/test_code_budget.py on purpose".format(
+            total, " + ".join(PATHS), BUDGET, " ".join(PATHS)
+        )
+    )
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    source = "\n".join([
+        "'''Module docstring.'''",
+        "",
+        "# a comment",
+        "def f(x):",
+        "    '''Docstring",
+        "    over two lines.'''",
+        "    y = (x +  # trailing comment",
+        "         1)",
+        "    return '''a string",
+        "    that is code'''",
+    ])
+    assert _code_lines().count_code_lines(source) == 5
