@@ -62,9 +62,12 @@ writes a durable run journal, ``--resume <journal>`` finishes a killed
 sweep byte-identically, ``--retries``/``--quarantine`` retry crashed
 or hung trials and quarantine poison ones.  Exit codes are consistent
 across commands: 0 success, 1 a result gate failed (SLO, degradation,
-verification), 2 usage/input error, 3 the sweep completed but
+verification), 2 usage/input error (including ``--resume`` with a
+journal that describes another sweep), 3 the sweep completed but
 quarantined trials (structured failure report on stderr), 130
-interrupted by SIGINT/SIGTERM (journal flushed for resume).
+interrupted by SIGINT/SIGTERM (journal flushed for resume).  Every
+sweep command takes that path through :func:`_sweep_command` (see
+"Anatomy of a sweep family" in ``docs/parallel.md``).
 """
 
 import argparse
