@@ -212,7 +212,7 @@ def _strip_quarantined(results):
     return ok, 3
 
 
-def _sweep_command(args, run, render, gate=None, noun="trial",
+def _sweep_command(args, run, render, gate=lambda results: (), noun="trial",
                    resume_partial=None, metrics_view=_SWEEP_METRICS,
                    artifacts=None):
     """The one path every sweep command takes; returns the exit status.
@@ -244,7 +244,7 @@ def _sweep_command(args, run, render, gate=None, noun="trial",
         artifacts(results)
     if getattr(args, "metrics_export", None):
         _export_metrics(results, args.metrics_export)
-    for failure in gate(results) if gate is not None else ():
+    for failure in gate(results):
         print(failure, file=sys.stderr)
         status = status or 1
     return status

@@ -1159,12 +1159,12 @@ class TrialRunner:
         inflight = {}  # index -> attempt currently dispatched
         done = set()
 
-        def resolve_failure(index, kind, detail, **context):
+        def resolve_failure(index, kind, detail, **extra):
             nonlocal tiebreak
             inflight.pop(index, None)
             delay = self._attempt_failed(
                 index, total, specs[index], attempts[index], failures[index],
-                submitted, results, kind, detail, **context
+                submitted, results, kind, detail, **extra
             )
             if delay is None:
                 done.add(index)
