@@ -17,17 +17,13 @@ invocations.
 
 import math
 import os
-import time
 
-from _record import metric, write_bench
 from repro.harness.load_sweep import figure3_sweep, unloaded_latency
 from repro.harness.parallel import TrialRunner
 from repro.harness.reporting import format_series, format_table, results_to_series
 
 # REPRO_BENCH_QUICK=1 (the CI smoke mode) shrinks the measured window;
-# the qualitative-shape assertions are gated to the full run, but the
-# quick sweep is still fully deterministic, so its recorded history
-# metrics are exact across machines.
+# the qualitative-shape assertions are gated to the full run.
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 RATES = (0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32)
@@ -49,9 +45,7 @@ def _sweep():
 
 
 def test_figure3_series(benchmark, report):
-    started = time.perf_counter()
     base, results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    sweep_seconds = time.perf_counter() - started
     points = results_to_series(results)
     table = format_series(
         points,
@@ -74,46 +68,6 @@ def test_figure3_series(benchmark, report):
 
     loads = [r.delivered_load for r in results]
     latencies = [r.mean_latency for r in results]
-
-    # The simulation outputs (loads, latencies) are deterministic
-    # functions of the seed — exact across machines, so they are
-    # *portable* history metrics: any drift at all is a behavior
-    # change, which makes bench-check a cheap cross-commit
-    # golden-value guard.  Only the sweep's wall time is machine-local.
-    metrics = {
-        "unloaded_latency": metric(
-            base, higher_is_better=False, portable=True
-        ),
-        "light_load_latency": metric(
-            latencies[0], higher_is_better=False, portable=True
-        ),
-        "saturated_latency": metric(
-            latencies[-1], higher_is_better=False, portable=True
-        ),
-        "saturated_delivered_load": metric(
-            loads[-1], higher_is_better=True, portable=True
-        ),
-        "sweep_seconds": metric(sweep_seconds, higher_is_better=False),
-    }
-    write_bench(
-        "figure3_load_latency",
-        metrics,
-        params={
-            "rates": list(RATES),
-            "warmup_cycles": WARMUP_CYCLES,
-            "measure_cycles": MEASURE_CYCLES,
-            "seed": 3,
-        },
-        rows=[
-            {
-                "rate": rate,
-                "delivered_load": r.delivered_load,
-                "mean_latency": r.mean_latency,
-                "p95_latency": r.latency_percentile(95),
-            }
-            for rate, r in zip(RATES, results)
-        ],
-    )
 
     # Unloaded latency in the paper's regime (tens of cycles; ours pays
     # for explicit wire pipelining + checksum word + close handshake).

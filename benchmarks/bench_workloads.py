@@ -4,26 +4,21 @@ Two workload-level figures of merit on top of the fabric benchmarks:
 
 * **Collective completion time** — cycles for a ring all-reduce (and,
   in full mode, recursive doubling and all-to-all) to run its whole
-  dependency DAG on the Figure 3 network, plus the wall-clock cost of
-  simulating it on the events backend.  The cycle counts are exact,
-  deterministic properties of the simulated fabric, so they are
-  portable metrics: any drift across commits is a behavior change, not
-  noise.
+  dependency DAG on the Figure 3 network.  The cycle counts are exact,
+  deterministic properties of the simulated fabric: any drift across
+  commits is a behavior change, not noise.  (What simulating it costs
+  in wall time is ``bench/``'s ``ring_allreduce`` workload.)
 
 * **Service tail latency** — p99/p999 of the request/response workload
-  at a low and a loaded offered rate.  Same portability argument: the
-  simulation is seeded and byte-identical across machines.
+  at a low and a loaded offered rate.  Same argument: the simulation
+  is seeded and byte-identical across machines.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke) shrinks to the
-Figure 1 network and one algorithm per family; the records still land
-in ``benchmarks/results/history/workloads.jsonl`` for
-``metro-repro bench-check``.
+Figure 1 network and one algorithm per family.
 """
 
 import os
-import time
 
-from _record import metric, write_bench
 from repro.harness.workload_sweep import run_collective_point, run_service_point
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -38,12 +33,10 @@ MEASURE_CYCLES = 3000 if QUICK else 6000
 def test_collective_completion(report):
     rows = []
     for algorithm in ALGORITHMS:
-        start = time.perf_counter()
         result = run_collective_point(
             seed=0, algorithm=algorithm, words=WORDS, network=NETWORK,
             backend="events",
         )
-        elapsed = time.perf_counter() - start
         assert not result.incomplete, algorithm
         rows.append(
             {
@@ -52,52 +45,25 @@ def test_collective_completion(report):
                 "total_cycles": result.total_cycles,
                 "max_step_skew": result.max_step_skew(),
                 "mean_attempts": result.mean_attempts,
-                "wall_seconds": elapsed,
             }
         )
     lines = [
         "Collective completion, {} network (events backend):".format(NETWORK),
-        "  {:>18}  {:>6}  {:>12}  {:>9}  {:>9}  {:>8}".format(
-            "algorithm", "ops", "total_cycles", "max_skew", "attempts", "wall"
+        "  {:>18}  {:>6}  {:>12}  {:>9}  {:>9}".format(
+            "algorithm", "ops", "total_cycles", "max_skew", "attempts"
         ),
     ]
     for row in rows:
         lines.append(
-            "  {:>18}  {:>6}  {:>12}  {:>9}  {:>9.2f}  {:>6.2f} s".format(
+            "  {:>18}  {:>6}  {:>12}  {:>9}  {:>9.2f}".format(
                 row["algorithm"],
                 row["ops"],
                 row["total_cycles"],
                 row["max_step_skew"],
                 row["mean_attempts"],
-                row["wall_seconds"],
             )
         )
     report("\n".join(lines), name="workload_collectives")
-    metrics = {}
-    for row in rows:
-        # Simulated cycle counts are deterministic: drift is a real
-        # behavior change.  Wall time is local color only.
-        metrics["total_cycles@{}".format(row["algorithm"])] = metric(
-            row["total_cycles"], higher_is_better=False, portable=True
-        )
-        metrics["max_step_skew@{}".format(row["algorithm"])] = metric(
-            row["max_step_skew"], higher_is_better=False, portable=True
-        )
-        metrics["wall_seconds@{}".format(row["algorithm"])] = metric(
-            row["wall_seconds"], higher_is_better=False, portable=False
-        )
-    write_bench(
-        "workloads",
-        metrics,
-        params={
-            "network": NETWORK,
-            "words": WORDS,
-            "algorithms": list(ALGORITHMS),
-            "service_rates": list(SERVICE_RATES),
-            "measure_cycles": MEASURE_CYCLES,
-        },
-        rows=rows,
-    )
 
 
 def test_service_tail_latency(report):
@@ -135,20 +101,3 @@ def test_service_tail_latency(report):
             )
         )
     report("\n".join(lines), name="workload_service")
-    metrics = {}
-    for row in rows:
-        metrics["p99_latency@{}".format(row["rate"])] = metric(
-            row["p99"], higher_is_better=False, portable=True
-        )
-        metrics["p999_latency@{}".format(row["rate"])] = metric(
-            row["p999"], higher_is_better=False, portable=True
-        )
-    write_bench(
-        "workloads_service",
-        metrics,
-        params={
-            "rates": list(SERVICE_RATES),
-            "measure_cycles": MEASURE_CYCLES,
-        },
-        rows=rows,
-    )

@@ -22,7 +22,6 @@
     python -m repro tail chaos-logs/soak0-healon.jsonl
     python -m repro tail chaos-logs/soak0-healon.jsonl --follow
     python -m repro figure3 --metrics-export metrics.json
-    python -m repro bench-check --portable-only --threshold 0.5
     python -m repro saturation --workers 4
     python -m repro send 5 15 --network figure1
     python -m repro figure3 --backend events
@@ -42,10 +41,7 @@ violation.
 ``chaos --stream`` writes one JSONL run log per live soak
 (``metro-run-log-v1``: periodic metrics deltas, per-window SLO stats,
 fault transitions, watchdog stalls); ``tail`` renders a log —
-finished or still being written (``--follow``).  ``bench-check``
-compares the newest record in each ``benchmarks/results/history/*.jsonl``
-file against its trailing-median baseline and exits nonzero on a
-regression past ``--threshold`` (see ``docs/observability.md``).
+finished or still being written (``--follow``).
 
 ``--workers N`` fans a sweep's independent trials across N worker
 processes; results are bit-identical to a serial run for the same
@@ -63,11 +59,12 @@ sweep byte-identically, ``--retries``/``--quarantine`` retry crashed
 or hung trials and quarantine poison ones.  Exit codes are consistent
 across commands: 0 success, 1 a result gate failed (SLO, degradation,
 verification), 2 usage/input error (including ``--resume`` with a
-journal that describes another sweep), 3 the sweep completed but
-quarantined trials (structured failure report on stderr), 130
-interrupted by SIGINT/SIGTERM (journal flushed for resume).  Every
-sweep command takes that path through :func:`_sweep_command` (see
-"Anatomy of a sweep family" in ``docs/parallel.md``).
+journal that cannot be read or describes another sweep), 3 the sweep
+completed but quarantined trials (structured failure report on
+stderr), 130 interrupted by SIGINT/SIGTERM (journal flushed for
+resume).  Every sweep command takes that path through
+:func:`_sweep_command` (see "Anatomy of a sweep family" in
+``docs/parallel.md``).
 """
 
 import argparse
@@ -1210,33 +1207,6 @@ def _cmd_tail(args):
         return 0
 
 
-def _cmd_bench_check(args):
-    from repro.harness.benchtrack import check_history_dir
-
-    try:
-        regressions, lines = check_history_dir(
-            args.history_dir,
-            benches=args.bench or None,
-            threshold=args.threshold,
-            window=args.window,
-            min_history=args.min_history,
-            portable_only=args.portable_only,
-        )
-    except FileNotFoundError as exc:
-        print("bench-check: {}".format(exc), file=sys.stderr)
-        return 2
-    for line in lines:
-        print(line)
-    if regressions:
-        print(
-            "bench-check: {} metric(s) regressed past the {:.0%} "
-            "threshold".format(len(regressions), args.threshold),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1569,41 +1539,6 @@ def build_parser():
         help="window/fault rows shown in the summary tables",
     )
 
-    bench_check = sub.add_parser(
-        "bench-check",
-        help="flag benchmark regressions against the recorded history",
-    )
-    bench_check.add_argument(
-        "--history-dir",
-        default="benchmarks/results/history",
-        metavar="DIR",
-        help="benchmark history directory (<bench>.jsonl, appended by "
-        "every bench run)",
-    )
-    bench_check.add_argument(
-        "--bench", action="append", default=None, metavar="NAME",
-        help="check only the named benchmark (repeatable; default all "
-        "with history)",
-    )
-    bench_check.add_argument(
-        "--threshold", type=float, default=0.3, metavar="FRACTION",
-        help="fractional worsening vs the trailing-median baseline "
-        "that counts as a regression",
-    )
-    bench_check.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="baseline is the median of the last N prior records",
-    )
-    bench_check.add_argument(
-        "--min-history", type=int, default=2, metavar="N",
-        help="prior records required before a metric is compared at all",
-    )
-    bench_check.add_argument(
-        "--portable-only", action="store_true",
-        help="compare only machine-portable metrics (the CI mode: "
-        "committed history spans machines)",
-    )
-
     sub.add_parser("breakdown", help="latency decomposition by message size")
 
     send = sub.add_parser("send", help="trace one message end to end")
@@ -1687,7 +1622,6 @@ _COMMANDS = {
     "send": _cmd_send,
     "verify": _cmd_verify,
     "tail": _cmd_tail,
-    "bench-check": _cmd_bench_check,
 }
 
 

@@ -120,11 +120,13 @@ class SweepInterrupted(RuntimeError):
 
 
 class JournalMismatchError(ValueError):
-    """The journal being resumed shares no trial with the sweep.
+    """The journal being resumed cannot serve the sweep.
 
-    The wrong journal, or a code/parameter change moved every
-    fingerprint; either way nothing can be safely resumed, and
-    appending this sweep to that journal would corrupt its history.
+    Either it is not a readable journal at all (missing, empty,
+    malformed, undecodable), or it shares no trial with the sweep: the
+    wrong journal, or a code/parameter change moved every fingerprint.
+    Either way nothing can be safely resumed, and appending this sweep
+    to that file would corrupt its history.
     """
 
 
@@ -803,11 +805,18 @@ class TrialRunner:
         """Replay ``journal_path`` into every later :meth:`run` batch.
 
         What ``resume_from=``/``resume_partial=`` do at construction;
-        a missing, empty or malformed journal raises here.
+        a missing, empty, malformed or undecodable journal raises
+        :class:`JournalMismatchError` here, before any file is opened
+        for writing.
         """
         from repro.harness.journal import load_journal_state
 
-        self.resume_state = load_journal_state(journal_path)
+        try:
+            self.resume_state = load_journal_state(journal_path)
+        except (OSError, ValueError) as exc:
+            raise JournalMismatchError(
+                "journal {} cannot be resumed: {}".format(journal_path, exc)
+            ) from exc
         self.resume_partial = partial
         self._resume_unchecked = journal_path
 

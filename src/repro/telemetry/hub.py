@@ -13,8 +13,8 @@ the hub translates them into metric increments and span operations.
 When no hub is bound, components hold the
 :data:`~repro.telemetry.nullobj.NULL_TELEMETRY` singleton and every
 hook site is skipped behind an ``enabled`` check — the disabled path
-is a single attribute test, benchmarked in
-``benchmarks/bench_telemetry_overhead.py``.
+is a single attribute test, and it is the path ``bench/``'s
+``fig3_light`` and ``fig3_saturated`` workloads time.
 
 Metric names are documented in ``docs/observability.md``.
 """

@@ -5,7 +5,8 @@ live :class:`~repro.telemetry.hub.TelemetryHub` or this null object.
 Hot paths guard every hook call with ``if self.telemetry.enabled:`` —
 one attribute load and a truth test when telemetry is off, which is
 what keeps the disabled path within a few percent of an
-uninstrumented simulator (see ``benchmarks/bench_telemetry_overhead``).
+uninstrumented simulator (``bench/``'s hub-less ``fig3_light`` and
+``fig3_saturated`` workloads hold it to their ``round_s`` bound).
 The no-op methods below exist so un-guarded call sites (cold paths,
 user code) also work against the null object.
 """

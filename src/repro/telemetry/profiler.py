@@ -10,8 +10,8 @@ behave as usual), then restores the original methods and reports.
 
 The numbers include the wrapper's own overhead (~a closure call and
 two clock reads per tick), so treat them as *relative* shares rather
-than absolute nanoseconds; the unwrapped cycles/second figure from
-``bench_sim_performance.py`` remains the ground truth for throughput.
+than absolute nanoseconds; the unwrapped ``host_cycles_per_s`` of
+``python3 bench/run.py`` remains the ground truth for throughput.
 Allocation counts come from :func:`sys.getallocatedblocks` deltas
 (CPython; reported as None elsewhere).
 """

@@ -392,7 +392,8 @@ def read_run_log(path_or_lines):
     Accepts a path or an iterable of lines.  Blank lines are skipped;
     a torn final line (a crash mid-write) is ignored, everything else
     must parse — a malformed interior line raises ``ValueError`` with
-    its line number.
+    its line number, and so does any line that parses to something
+    other than a JSON object.
     """
     if isinstance(path_or_lines, str):
         with open(path_or_lines) as handle:
@@ -405,7 +406,7 @@ def read_run_log(path_or_lines):
         if not line:
             continue
         try:
-            events.append(json.loads(line))
+            event = json.loads(line)
         except ValueError:
             if number == len(lines):
                 break  # torn tail from an interrupted writer
@@ -414,6 +415,12 @@ def read_run_log(path_or_lines):
                     number, line[:120]
                 )
             )
+        if not isinstance(event, dict):
+            raise ValueError(
+                "run-log record on line {} is not a JSON object: "
+                "{!r}".format(number, line[:120])
+            )
+        events.append(event)
     return events
 
 

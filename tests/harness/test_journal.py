@@ -129,6 +129,9 @@ def test_validate_journal_rejects_malformed(tmp_path):
         validate_journal([header, {"event": "trial.done", "index": 0}])
     # Unknown kinds pass: the format is forward-extensible.
     assert validate_journal([header, {"event": "trial.custom"}]) == 2
+    # JSON that is not an object is stopped by the shared parser.
+    with pytest.raises(ValueError, match="line 1 is not a JSON object"):
+        read_journal(["[1,2,3]", "42"])
 
 
 def test_replay_journal_later_records_win():

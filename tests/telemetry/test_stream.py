@@ -79,6 +79,8 @@ class TestRunLogSchema:
         # The soak injects faults, so transitions must be streamed.
         assert "fault.transition" in kinds
         assert events[-1]["event"] == "run.end"
+        deltas = [e for e in events if e["event"] == "metrics.delta"]
+        assert events[-1]["deltas"] == len(deltas) > 0
         assert result.windows  # the run itself finished normally
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
@@ -93,6 +95,9 @@ class TestRunLogSchema:
     def test_malformed_interior_line_raises_with_line_number(self):
         lines = ['{"event": "run.start"}', "not json", '{"event": "x"}']
         with pytest.raises(ValueError, match="line 2"):
+            read_run_log(lines)
+        lines[1] = "[1, 2, 3]"
+        with pytest.raises(ValueError, match="line 2 is not a JSON object"):
             read_run_log(lines)
 
     def test_validate_rejects_missing_start_and_bad_format(self):

@@ -416,49 +416,6 @@ def test_figure3_metrics_export_round_trips(tmp_path, capsys):
     assert document["rendered"]
 
 
-def test_bench_check_flags_seeded_slowdown(tmp_path, capsys):
-    from repro.harness.benchtrack import append_record, make_record, metric
-
-    history = str(tmp_path)
-    for value in (100.0, 102.0, 98.0, 49.0):
-        append_record(
-            history,
-            make_record("demo", {"speed": metric(value, portable=True)}),
-        )
-    code = main(["bench-check", "--history-dir", history])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "REGRESSION demo/speed" in captured.out
-    assert "regressed" in captured.err
-
-    # The same history passes with a tolerant threshold...
-    assert main(
-        ["bench-check", "--history-dir", history, "--threshold", "5.0"]
-    ) == 0
-    assert "ok" in capsys.readouterr().out
-    # ...and a missing directory is a usage error, not a regression.
-    assert main(
-        ["bench-check", "--history-dir", str(tmp_path / "nope")]
-    ) == 2
-
-
-def test_bench_check_portable_only_skips_local_metrics(tmp_path, capsys):
-    from repro.harness.benchtrack import append_record, make_record, metric
-
-    history = str(tmp_path)
-    for value in (100.0, 102.0, 98.0, 49.0):
-        append_record(
-            history,
-            make_record(
-                "demo", {"wall_rate": metric(value, portable=False)}
-            ),
-        )
-    assert main(
-        ["bench-check", "--history-dir", history, "--portable-only"]
-    ) == 0
-    assert "insufficient history" in capsys.readouterr().out
-
-
 _FIG3_SMALL = ["figure3", "--rates", "0.005,0.01", "--warmup", "200",
                "--measure", "600"]
 
@@ -561,3 +518,43 @@ def test_resume_with_a_foreign_journal_is_a_usage_error(tmp_path, capsys):
     # The sweep the journal does describe still resumes.
     assert main(base + ["--rates", "0.01,0.02", "--resume", str(journal)]) == 0
     assert "2 from cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "No such file"),
+        (b"", "journal is empty"),
+        (b"not json\nnor this\n", "malformed run-log record on line 1"),
+        (bytes(range(128, 256)) * 3, "codec can't decode"),
+        (b'{"event":"journal.start"}', "unknown journal format"),
+        (b"[1,2,3]\n42\n", "line 1 is not a JSON object"),
+    ],
+    ids=["missing", "empty", "malformed", "undecodable", "headless",
+         "non-object"],
+)
+def test_resume_with_an_unreadable_journal_is_a_usage_error(
+    tmp_path, capsys, content, reason
+):
+    journal = tmp_path / "j.jsonl"
+    if content is not None:
+        journal.write_bytes(content)
+    code = main(["--cache-dir", str(tmp_path / "cache"), "figure3", "--rates",
+                 "0.01,0.02", "--resume", str(journal)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("resume: ") and len(err.splitlines()) == 1
+    assert reason in err
+    if content is None:
+        assert not journal.exists()
+    else:
+        assert journal.read_bytes() == content
+
+
+def test_tail_rejects_a_log_of_non_objects(tmp_path, capsys):
+    log = tmp_path / "x"
+    log.write_text("[1,2,3]\n42\n")
+    assert main(["tail", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tail: ") and len(err.splitlines()) == 1
+    assert "line 1 is not a JSON object" in err

@@ -14,8 +14,9 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PATHS = ("src/repro/harness", "src/repro/cli.py")
 
-#: 4931 before the sweep spine (PR 14).
-BUDGET = 4728
+#: 4931 before the sweep spine (PR 14); 4728 before the PR 8 benchmark
+#: tracker and its subcommand went (PR 15).
+BUDGET = 4478
 
 
 def _code_lines():
