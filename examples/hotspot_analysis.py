@@ -1,17 +1,22 @@
 """Congestion analysis: find the hot routers under a skewed workload.
 
-Attaches a utilization probe to the Figure 3 network, drives a
+Binds a metrics-only telemetry hub to the Figure 3 network, drives a
 hotspot workload (a fraction of all traffic targets one endpoint), and
-prints per-stage utilization plus the hottest routers — then shows the
-measured latency penalty the hotspot victims pay versus bystanders.
+prints per-stage utilization plus the hottest routers from the hub's
+``router.util.*`` samples — then shows the measured latency penalty
+the hotspot victims pay versus bystanders.
 
 Run:  python examples/hotspot_analysis.py
 """
 
 from repro.endpoint.traffic import HotspotTraffic
 from repro.harness.load_sweep import figure3_network
-from repro.harness.reporting import format_table
-from repro.harness.utilization import attach_probe
+from repro.harness.reporting import (
+    format_stage_heatmap,
+    format_table,
+    router_utilization,
+)
+from repro.telemetry import TelemetryHub
 
 HOT = 0
 FRACTION = 0.5
@@ -19,31 +24,28 @@ RATE = 0.05
 
 
 def main():
-    network = figure3_network(seed=77)
-    probe = attach_probe(network, period=2)
+    hub = TelemetryHub(spans=False, sample_period=2)
+    network = figure3_network(seed=77, telemetry=hub)
     traffic = HotspotTraffic(
         64, 8, rate=RATE, hotspot=HOT, fraction=FRACTION,
         message_words=20, seed=78,
     )
     traffic.attach(network)
     network.run(6000)
+    snapshot = hub.snapshot()
 
     print("Workload: {}% of traffic to endpoint {} (rate {})\n".format(
         int(FRACTION * 100), HOT, RATE))
 
-    stages = probe.stage_utilization()
-    print(format_table(
-        [{"stage": s, "mean utilization": u, "imbalance (max/mean)":
-          probe.imbalance(s)} for s, u in sorted(stages.items())],
-        title="Per-stage backward-port utilization",
-        floatfmt="{:.3f}",
-    ))
+    print(format_stage_heatmap(
+        snapshot, title="Per-stage backward-port utilization"))
 
     print()
-    hottest = probe.hottest(6)
+    utilization = router_utilization(snapshot)
+    hottest = sorted(utilization, key=utilization.get, reverse=True)[:6]
     print(format_table(
-        [{"router": "r{}.{}.{}".format(*key), "utilization": value}
-         for key, value in hottest],
+        [{"router": "r" + router, "utilization": utilization[stage, router]}
+         for stage, router in hottest],
         title="Hottest routers (expect the final-stage routers of "
         "endpoint {}'s block)".format(HOT),
         floatfmt="{:.3f}",

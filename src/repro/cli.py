@@ -72,7 +72,7 @@ import os
 import sys
 
 
-def _runner(args, resume_partial=None):
+def _runner(args):
     """The shared TrialRunner configured by --workers/--cache-dir.
 
     The resilience flags ride along when the subcommand defines them:
@@ -81,15 +81,12 @@ def _runner(args, resume_partial=None):
     re-running), ``--retries`` (per-trial attempt budget with
     exponential backoff on recycled workers) and ``--quarantine``
     (poison trials become structured reports instead of killing the
-    sweep).  A ``--resume`` pointing at a *directory* is the chaos
-    snapshot-ring form, handled by the chaos command itself.
+    sweep).
     """
     from repro.harness.parallel import TrialRunner
     from repro.harness.reporting import progress_printer
 
     resume_from = getattr(args, "resume", None)
-    if resume_from and os.path.isdir(resume_from):
-        resume_from = None
     journal = getattr(args, "journal", None) or resume_from
     return TrialRunner(
         workers=args.workers,
@@ -101,7 +98,6 @@ def _runner(args, resume_partial=None):
             "quarantine" if getattr(args, "quarantine", False) else None
         ),
         resume_from=resume_from,
-        resume_partial=resume_partial,
     )
 
 
@@ -210,8 +206,7 @@ def _strip_quarantined(results):
 
 
 def _sweep_command(args, run, render, gate=lambda results: (), noun="trial",
-                   resume_partial=None, metrics_view=_SWEEP_METRICS,
-                   artifacts=None):
+                   metrics_view=_SWEEP_METRICS, artifacts=None):
     """The one path every sweep command takes; returns the exit status.
 
     ``run(runner)`` executes the family's trial specs on the runner
@@ -227,7 +222,7 @@ def _sweep_command(args, run, render, gate=lambda results: (), noun="trial",
     exit status 1.  Verify sweeps have no metrics flags; their reports
     ride the same path.
     """
-    runner = _runner(args, resume_partial=resume_partial)
+    runner = _runner(args)
     results = run(runner)
     _report_runner_stats(runner)
     results, status = _strip_quarantined(results)
@@ -416,74 +411,41 @@ def _cmd_faults(args):
 
 
 def _cmd_chaos(args):
-    from repro.harness.chaos import (
-        chaos_journal_partial,
-        chaos_slo_failures,
-        chaos_trial_specs,
-        resume_chaos_point,
-    )
+    from repro.harness.chaos import chaos_slo_failures, chaos_trial_specs
     from repro.harness.reporting import format_table, sparkline
 
-    ring_resume = bool(args.resume) and os.path.isdir(args.resume)
-    resume_partial = None
-    if ring_resume:
-
-        def run(_unused_runner):
-            result = resume_chaos_point(
-                args.resume,
-                backend=args.backend,
-                stream_path=args.stream,
-                stall_cycles=args.stall_cycles,
-            )
-            print("resumed interrupted soak from {}".format(args.resume))
-            return [result]
-
-    else:
-        sweep_kwargs = _point_kwargs(args)
-        if args.resume:
-            resume_partial = chaos_journal_partial(
-                backend=sweep_kwargs.get("backend"),
-                stall_cycles=args.stall_cycles,
-            )
+    sweep_kwargs = _point_kwargs(args)
+    if args.snapshot_every:
+        if not args.snapshot_dir:
             print(
-                "resuming interrupted sweep from journal {}".format(
-                    args.resume
-                )
+                "--snapshot-every requires --snapshot-dir",
+                file=sys.stderr,
             )
-        if args.snapshot_every:
-            if not args.snapshot_dir:
-                print(
-                    "--snapshot-every requires --snapshot-dir",
-                    file=sys.stderr,
-                )
-                return 2
-            sweep_kwargs["snapshot_every"] = args.snapshot_every
-            sweep_kwargs["snapshot_dir"] = args.snapshot_dir
-        if args.stream:
-            sweep_kwargs["stream_dir"] = args.stream
-        if args.stall_cycles is not None:
-            sweep_kwargs["stall_cycles"] = args.stall_cycles
-        sweep_kwargs["metrics"] = bool(
-            sweep_kwargs.get("metrics") or args.snapshot or args.stream
-        )
-        specs = chaos_trial_specs(
-            seeds=args.seeds,
-            seed=args.seed,
-            self_heal=(True, False) if args.compare else (True,),
-            n_windows=args.windows,
-            window_cycles=args.window_cycles,
-            warmup_windows=args.warmup_windows,
-            n_flaky_links=args.flaky_links,
-            n_dead_routers=args.dead_routers,
-            mtbf=args.mtbf,
-            mttr=args.mttr,
-            rate=args.rate,
-            oracle=args.oracle,
-            **sweep_kwargs
-        )
-
-        def run(runner):
-            return runner.run(specs)
+            return 2
+        sweep_kwargs["snapshot_every"] = args.snapshot_every
+        sweep_kwargs["snapshot_dir"] = args.snapshot_dir
+    if args.stream:
+        sweep_kwargs["stream_dir"] = args.stream
+    if args.stall_cycles is not None:
+        sweep_kwargs["stall_cycles"] = args.stall_cycles
+    sweep_kwargs["metrics"] = bool(
+        sweep_kwargs.get("metrics") or args.snapshot or args.stream
+    )
+    specs = chaos_trial_specs(
+        seeds=args.seeds,
+        seed=args.seed,
+        self_heal=(True, False) if args.compare else (True,),
+        n_windows=args.windows,
+        window_cycles=args.window_cycles,
+        warmup_windows=args.warmup_windows,
+        n_flaky_links=args.flaky_links,
+        n_dead_routers=args.dead_routers,
+        mtbf=args.mtbf,
+        mttr=args.mttr,
+        rate=args.rate,
+        oracle=args.oracle,
+        **sweep_kwargs
+    )
 
     def render(results):
         rows = []
@@ -495,21 +457,16 @@ def _cmd_chaos(args):
             del row["fault_events"]
             del row["seed"]
             rows.append(row)
-        if ring_resume:
-            title = "Chaos soak: resumed, {} windows x {} cycles".format(
-                len(results[0].windows), results[0].window_cycles
+        title = (
+            "Chaos soak: {} seed(s), {} windows x {} cycles, "
+            "{} flaky link(s) + {} dead router(s)".format(
+                args.seeds,
+                args.windows,
+                args.window_cycles,
+                args.flaky_links,
+                args.dead_routers,
             )
-        else:
-            title = (
-                "Chaos soak: {} seed(s), {} windows x {} cycles, "
-                "{} flaky link(s) + {} dead router(s)".format(
-                    args.seeds,
-                    args.windows,
-                    args.window_cycles,
-                    args.flaky_links,
-                    args.dead_routers,
-                )
-            )
+        )
         print(format_table(rows, title=title, floatfmt="{:.2f}"))
 
     def write_snapshot(results):
@@ -559,9 +516,8 @@ def _cmd_chaos(args):
         return failures
 
     return _sweep_command(
-        args, run, render, gate,
+        args, lambda runner: runner.run(specs), render, gate,
         noun="soak",
-        resume_partial=resume_partial,
         metrics_view=dict(
             names=("message.latency.cycles", "message.attempts"),
             title="Metrics: distributions over the merged soaks",
@@ -1249,7 +1205,7 @@ def build_parser():
             "(see docs/API.md)",
         )
 
-    def add_sweep_options(command, resume=True, quarantine=True):
+    def add_sweep_options(command, quarantine=True):
         """What every sweep command shares: metrics, backend, resilience."""
         command.add_argument(
             "--metrics", action="store_true",
@@ -1271,15 +1227,14 @@ def build_parser():
             "state transition; a killed sweep finishes with --resume "
             "FILE (see docs/resilience.md; render with 'repro tail')",
         )
-        if resume:
-            command.add_argument(
-                "--resume", default=None, metavar="JOURNAL",
-                help="replay a run journal: finished trials are served "
-                "from the --cache-dir trial cache (content-hash "
-                "verified), only unfinished trials re-execute, and the "
-                "resumed leg appends to the same journal — "
-                "byte-identical to an uninterrupted run",
-            )
+        command.add_argument(
+            "--resume", default=None, metavar="JOURNAL",
+            help="replay a run journal: finished trials are served "
+            "from the --cache-dir trial cache (content-hash "
+            "verified), only unfinished trials re-execute, and the "
+            "resumed leg appends to the same journal — "
+            "byte-identical to an uninterrupted run",
+        )
         command.add_argument(
             "--retries", type=int, default=None, metavar="N",
             help="per-trial attempt budget with exponential backoff: "
@@ -1388,19 +1343,13 @@ def build_parser():
         "--snapshot-every", type=int, default=None, metavar="K",
         help="checkpoint each live soak every K completed windows into "
         "a ring of engine snapshots under --snapshot-dir (one "
-        "subdirectory per soak); a crashed run resumes with --resume",
+        "subdirectory per soak); running the same command again (or "
+        "--resume on its journal) continues each unfinished soak from "
+        "its newest checkpoint",
     )
     chaos.add_argument(
         "--snapshot-dir", default=None, metavar="DIR",
         help="directory for the --snapshot-every checkpoint rings",
-    )
-    chaos.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume interrupted work: a run-journal FILE (from "
-        "--journal) resumes the whole sweep — finished soaks come "
-        "from the trial cache, mid-flight soaks from their checkpoint "
-        "rings; a soak's ring DIR (a subdirectory of a "
-        "--snapshot-dir) resumes that one soak directly",
     )
     chaos.add_argument(
         "--snapshot", default=None, metavar="FILE",
@@ -1408,13 +1357,12 @@ def build_parser():
         "(the chaos-smoke CI artifact)",
     )
     chaos.add_argument(
-        "--stream", default=None, metavar="PATH",
+        "--stream", default=None, metavar="DIR",
         help="stream live JSONL run logs (metro-run-log-v1: metrics "
-        "deltas, window stats, fault transitions, watchdog stalls): "
-        "PATH is a directory holding one log per soak for a sweep, or "
-        "the log file for the resumed leg with --resume; implies "
-        "--metrics and attaches a run-health watchdog (render with "
-        "'repro tail')",
+        "deltas, window stats, fault transitions, watchdog stalls) "
+        "into DIR, one log per soak; a resumed soak appends its leg to "
+        "the same log; implies --metrics and attaches a run-health "
+        "watchdog (render with 'repro tail')",
     )
     chaos.add_argument(
         "--stall-cycles", type=int, default=None, metavar="N",
@@ -1422,7 +1370,7 @@ def build_parser():
         "progress for N cycles while messages are pending (defaults "
         "to 5 windows when --stream or a heartbeat file is active)",
     )
-    add_sweep_options(chaos, resume=False)
+    add_sweep_options(chaos)
 
     workloads = sub.add_parser(
         "workloads",

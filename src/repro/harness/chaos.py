@@ -18,12 +18,13 @@ parallel execution byte-identically (the
 
 Long soaks can checkpoint themselves: ``snapshot_every=K`` writes an
 engine snapshot (:mod:`repro.sim.snapshot`) every ``K`` windows into a
-small on-disk ring, and :func:`resume_chaos_point` (CLI: ``repro
-chaos --resume``) picks up the newest intact checkpoint after a crash
-or host restart and finishes the soak — producing the *same*
-:class:`ChaosResult` an uninterrupted run would have, because the
-result is a pure function of the final message log and fault
-histories, all of which ride the snapshot.
+small on-disk ring, and running the same soak again (same parameters,
+same ``snapshot_dir``: re-run the command, or ``--resume`` its
+journal) picks up its newest intact checkpoint after a crash or host
+restart and finishes — producing the *same* :class:`ChaosResult` an
+uninterrupted run would have, because the result is a pure function
+of the final message log and fault histories, all of which ride the
+snapshot.
 """
 
 import logging
@@ -229,26 +230,72 @@ def run_chaos_point(
 
     ``snapshot_every=K`` (with ``snapshot_dir``) checkpoints the live
     network every ``K`` completed windows into a ring of at most
-    ``snapshot_keep`` files, so a crashed soak resumes from its newest
-    intact checkpoint via :func:`resume_chaos_point`.  Checkpointing
-    never changes the result: snapshot capture does not perturb the
-    live graph, and run-boundary placement is proven transparent by
+    ``snapshot_keep`` files, and makes the soak idempotent: it first
+    looks in ``snapshot_dir`` for the newest intact checkpoint *it*
+    wrote and continues from there, so calling it again after a crash
+    finishes the soak instead of restarting it.  "It" is an identity
+    stamped into every checkpoint: the fingerprint of every parameter
+    here that can change the :class:`ChaosResult`, plus the code
+    version — everything but ``backend`` (snapshots restore across
+    backends) and where the ring and run log live.  An entry that is
+    corrupt or carries another identity is skipped with a warning and
+    removed (so pruning by cycle can never evict this soak's own
+    checkpoints in favour of stale higher-numbered ones); with no
+    usable entry the soak starts at cycle 0.  Checkpointing never
+    changes the result: snapshot capture does not perturb the live
+    graph, and run-boundary placement is proven transparent by
     :mod:`repro.verify.resume_diff`.
 
     ``stream_path`` attaches a
     :class:`~repro.telemetry.stream.TelemetryStream` writing the
     soak's live JSONL run log (metric deltas when ``metrics=True``,
     window stats, fault transitions, snapshot-ring writes, stall
-    diagnoses) — see ``docs/observability.md``.  ``stall_cycles``
-    attaches a :class:`~repro.telemetry.watchdog.RunWatchdog` (also
-    attached implicitly when streaming, with a default window of five
-    soak windows, or when the parallel runner requests heartbeats via
+    diagnoses) — see ``docs/observability.md``.  The log is appended,
+    never truncated, so the legs of a resumed soak form one log.
+    ``stall_cycles`` attaches a
+    :class:`~repro.telemetry.watchdog.RunWatchdog` (also attached
+    implicitly when streaming, with a default window of five soak
+    windows, or when the parallel runner requests heartbeats via
     ``REPRO_HEARTBEAT_FILE``).  Neither observer perturbs the
     simulation — a streamed soak's :class:`ChaosResult` scores
     byte-identically to an unstreamed one.
     """
     if fault_start is None:
         fault_start = warmup_windows * window_cycles
+    # Every argument with its default resolved, before any other local
+    # exists: what a checkpoint's identity is computed over.
+    params = dict(locals())
+    meta = {
+        key: params[key]
+        for key in (
+            "seed", "self_heal", "n_windows", "window_cycles",
+            "warmup_windows", "fault_start", "slo_fraction",
+            "snapshot_every", "snapshot_keep",
+        )
+    }
+    run = dict(
+        snapshot_dir=snapshot_dir,
+        stream_path=stream_path,
+        stall_cycles=stall_cycles,
+    )
+    if snapshot_every:
+        if snapshot_dir is None:
+            raise ValueError("snapshot_every requires snapshot_dir")
+        meta["identity"] = _soak_identity(params)
+        restored = _restore_own_checkpoint(
+            snapshot_dir, meta["identity"], backend
+        )
+        if restored is not None:
+            extras = restored.extras
+            return _finish_soak(
+                restored.network,
+                extras["injector"],
+                extras["manager"],
+                extras["watcher"],
+                extras["telemetry"],
+                meta,
+                **run
+            )
     network, telemetry = build_point_network(
         network_factory, seed, backend=backend, metrics=metrics,
         endpoint_kwargs={
@@ -292,28 +339,8 @@ def run_chaos_point(
         manager = FaultManager(network, **kwargs)
 
     point_traffic(network, rate, message_words, seed).attach(network)
-
-    meta = {
-        "seed": seed,
-        "self_heal": self_heal,
-        "n_windows": n_windows,
-        "window_cycles": window_cycles,
-        "warmup_windows": warmup_windows,
-        "fault_start": fault_start,
-        "slo_fraction": slo_fraction,
-        "snapshot_every": snapshot_every,
-        "snapshot_keep": snapshot_keep,
-    }
     return _finish_soak(
-        network,
-        injector,
-        manager,
-        watcher,
-        telemetry,
-        meta,
-        snapshot_dir=snapshot_dir,
-        stream_path=stream_path,
-        stall_cycles=stall_cycles,
+        network, injector, manager, watcher, telemetry, meta, **run
     )
 
 
@@ -328,12 +355,11 @@ def _finish_soak(
     stream_path=None,
     stall_cycles=None,
 ):
-    """Run a (possibly resumed) soak to completion and score it.
+    """Run a (possibly restored) soak to completion and score it.
 
-    The loop and scoring are shared between :func:`run_chaos_point`
-    and :func:`resume_chaos_point`: scoring is a pure function of the
-    final message log and fault histories, so a resumed soak produces
-    exactly the uninterrupted soak's :class:`ChaosResult`.
+    Scoring is a pure function of the final message log and fault
+    histories, so a soak continued from a checkpoint produces exactly
+    the uninterrupted soak's :class:`ChaosResult`.
     """
     window_cycles = meta["window_cycles"]
     snapshot_every = meta.get("snapshot_every")
@@ -372,8 +398,6 @@ def _finish_soak(
     span = None
     next_snap = None
     if snapshot_every:
-        if snapshot_dir is None:
-            raise ValueError("snapshot_every requires snapshot_dir")
         span = snapshot_every * window_cycles
         next_snap = (engine.cycle // span + 1) * span
     while engine.cycle < target:
@@ -522,109 +546,69 @@ def _write_ring_snapshot(
     return path
 
 
-def resume_chaos_point(
-    snapshot_dir, backend=None, stream_path=None, stall_cycles=None
-):
-    """Finish a soak from its newest intact ring checkpoint.
+def _soak_identity(params):
+    """What makes a ring entry *this* soak's checkpoint.
 
-    Walks the ring newest-first, skipping entries that are corrupt or
-    from an incompatible snapshot format (:class:`~repro.sim.snapshot
-    .SnapshotFormatError` — a *loud* failure when no entry is usable).
-    The returned :class:`ChaosResult` is byte-identical to what the
-    uninterrupted soak would have produced.
-
-    :param backend: engine backend to resume under; None keeps the
-        backend the soak was checkpointed under (snapshots are
-        backend-portable, so switching is allowed).
-    :param stream_path: run-log path for the resumed leg.  A stream
-        restored with the checkpoint is inert (its file handle does
-        not survive pickling), so a resumed soak streams only when
-        given a fresh path — appended, never truncated, so the two
-        legs form one log.
+    The trial-cache fingerprint (:meth:`TrialSpec.fingerprint`: runner,
+    parameters, seed, code version) over :func:`run_chaos_point`'s
+    arguments less ``backend`` (a checkpoint restores under either
+    engine) and where the ring and the run log live.  None when a
+    parameter has no stable identity (a lambda factory): such a soak
+    checkpoints but never resumes.
     """
-    from repro.sim.snapshot import Snapshot, SnapshotFormatError, restore_network
+    params = dict(params)
+    seed = params.pop("seed")
+    for key in ("backend", "snapshot_dir", "stream_path"):
+        del params[key]
+    spec = TrialSpec(
+        "repro.harness.chaos:run_chaos_point", params=params, seed=seed
+    )
+    return spec.fingerprint() if spec.cacheable() else None
+
+
+def _restore_own_checkpoint(snapshot_dir, identity, backend):
+    """Restore the newest intact ring entry stamped ``identity``, or None.
+
+    Walks the ring newest-first.  The identity is compared on
+    ``snap.meta`` before anything is restored; an entry that is
+    corrupt, from an incompatible snapshot format or another soak's is
+    skipped with a warning and removed, so every entry left behind is
+    this soak's and older than the one restored.  None means a fresh
+    start (warned when the ring was not simply empty): an unusable
+    ring costs the soak's time, never an exception and never another
+    run's answer.
+    """
+    from repro.sim.snapshot import Snapshot, restore_network
 
     entries = _ring_files(snapshot_dir)
-    if not entries:
-        raise FileNotFoundError(
-            "no chaos snapshots found in {!r}".format(snapshot_dir)
-        )
-    errors = []
     for cycle, path in reversed(entries):
+        unusable = "checkpoint of a different soak or code version"
         try:
             snap = Snapshot.load(path)
-            restored = restore_network(snap, backend=backend)
-        except SnapshotFormatError as error:
-            errors.append(str(error))
-            continue
-        except Exception as error:  # corrupt tail entry: fall back
-            errors.append("{}: {}".format(path, error))
-            continue
-        extras = restored.extras
-        return _finish_soak(
-            restored.network,
-            extras["injector"],
-            extras["manager"],
-            extras["watcher"],
-            extras["telemetry"],
-            snap.meta,
-            snapshot_dir=snapshot_dir,
-            stream_path=stream_path,
-            stall_cycles=stall_cycles,
+            if identity is not None and snap.meta.get("identity") == identity:
+                restored = restore_network(snap, backend=backend)
+                unusable = None
+        except Exception as error:  # corrupt entry: anything can raise
+            unusable = error
+        if unusable is None:
+            logger.info(
+                "chaos ring %s: continuing from cycle %d", snapshot_dir, cycle
+            )
+            return restored
+        logger.warning(
+            "chaos ring %s: skipping and removing %s (%s)",
+            snapshot_dir, os.path.basename(path), unusable,
         )
-    raise SnapshotFormatError(
-        "no usable chaos snapshot in {!r}:\n  {}".format(
-            snapshot_dir, "\n  ".join(errors)
-        )
-    )
-
-
-def chaos_journal_partial(backend=None, stall_cycles=None):
-    """``partial`` hook finishing mid-flight soaks from their snapshot rings.
-
-    Journal-based resume (``repro chaos --resume <journal>``) serves
-    *finished* trials from the content-hash cache; a soak the journal
-    shows mid-flight has no cached result, but — when checkpointing
-    was on — it does have a per-soak snapshot ring.  The returned
-    callable plugs into :func:`repro.harness.journal.resume_sweep`
-    (or ``TrialRunner(resume_partial=...)``) and finishes such a soak
-    via :func:`resume_chaos_point`, falling back to a full re-run (by
-    returning None) whenever the ring is missing, unusable, or the
-    recovered result's seed does not match the spec — recovery must
-    never substitute the wrong soak.
-    """
-
-    def partial(index, spec, state):
-        ring_dir = spec.params.get("snapshot_dir")
-        if not ring_dir or not os.path.isdir(ring_dir):
-            return None
         try:
-            result = resume_chaos_point(
-                ring_dir,
-                backend=backend,
-                stream_path=spec.params.get("stream_path"),
-                stall_cycles=stall_cycles,
-            )
-        except Exception as error:
-            logger.warning(
-                "resume: could not finish mid-flight soak %r from its "
-                "snapshot ring (%s); re-executing", spec.label, error,
-            )
-            return None
-        if result.seed != spec.seed:
-            logger.warning(
-                "resume: snapshot ring %r holds seed %r, spec %r wants "
-                "seed %r; re-executing", ring_dir, result.seed,
-                spec.label, spec.seed,
-            )
-            return None
-        logger.info(
-            "resume: finished mid-flight soak %r from its snapshot ring",
-            spec.label,
+            os.remove(path)
+        except OSError:
+            pass
+    if entries:
+        logger.warning(
+            "chaos ring %s: no usable checkpoint; starting the soak at "
+            "cycle 0", snapshot_dir,
         )
-        return result
-
-    return partial
+    return None
 
 
 def chaos_trial_specs(
@@ -641,12 +625,12 @@ def chaos_trial_specs(
 
     When checkpointing (``snapshot_dir`` in ``kwargs``), each soak
     gets its own ring subdirectory (``soak<i>-heal<on|off>/``) so
-    concurrent soaks never clobber each other's checkpoints; resume a
-    specific soak by pointing :func:`resume_chaos_point` at its
-    subdirectory.  Likewise ``stream_dir`` gives each soak its own
-    run log (``soak<i>-heal<on|off>.jsonl``).  Note that run logs and
-    checkpoints are side effects outside the trial-cache key's view of
-    a result: a cache-hit trial returns its cached
+    concurrent soaks never clobber each other's checkpoints, and
+    running the same specs again continues every unfinished soak from
+    its own subdirectory.  Likewise ``stream_dir`` gives each soak its
+    own run log (``soak<i>-heal<on|off>.jsonl``).  Note that run logs
+    and checkpoints are side effects outside the trial-cache key's
+    view of a result: a cache-hit trial returns its cached
     :class:`ChaosResult` without re-writing them.
     """
     snapshot_dir = kwargs.pop("snapshot_dir", None)

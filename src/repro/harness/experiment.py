@@ -203,37 +203,6 @@ def run_experiment(
         network.engine.set_deadline(network.engine.cycle + deadline_cycles)
     traffic.attach(network)
     network.run(warmup_cycles)
-    return measure_experiment(
-        network,
-        traffic,
-        measure_cycles,
-        drain=drain,
-        label=label,
-        message_words=message_words,
-        telemetry=telemetry,
-        warmup_cycles=warmup_cycles,
-    )
-
-
-def measure_experiment(
-    network,
-    traffic,
-    measure_cycles,
-    drain=True,
-    label="",
-    message_words=None,
-    telemetry=None,
-    warmup_cycles=0,
-):
-    """Measure one window on an already-warm network.
-
-    The back half of :func:`run_experiment`: the network is taken as it
-    stands — traffic attached, warmup (if any) already run — so a
-    warm-started trial can restore a post-warmup engine snapshot
-    (:mod:`repro.sim.snapshot`) and jump straight to the measured
-    window.  ``warmup_cycles`` is bookkeeping only (carried into the
-    result); no warmup is run here.
-    """
     start = network.engine.cycle
     network.run(measure_cycles)
     end = network.engine.cycle

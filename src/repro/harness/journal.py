@@ -323,7 +323,7 @@ def load_journal_state(path):
     return replay_journal(events)
 
 
-def precomputed_from_state(state, specs, cache, partial=None):
+def precomputed_from_state(state, specs, cache):
     """``{spec index: result}`` a journal replay can serve for ``specs``.
 
     The resume decision per trial, made by a resuming
@@ -337,11 +337,10 @@ def precomputed_from_state(state, specs, cache, partial=None):
     * a quarantined trial's report is carried over as-is (it spent its
       attempt budget; resuming is not a free retry — re-run without
       resuming to try again);
-    * an unfinished trial is left out (it will re-execute), except
-      that ``partial(index, spec, state)`` — if given — may recover a
-      result for trials the journal shows *mid-flight* (e.g. the
-      chaos harness finishing a half-done soak from its snapshot
-      ring).
+    * an unfinished trial — never started, or caught *mid-flight* —
+      is left out: it re-executes on the runner like any other trial
+      (a checkpointed chaos soak then continues from its own snapshot
+      ring instead of starting over).
 
     Serving nothing is always safe: trials are pure functions of
     their specs, so re-execution reproduces the journaled results
@@ -357,10 +356,6 @@ def precomputed_from_state(state, specs, cache, partial=None):
             continue
         entry = state.done.get(key)
         if entry is None:
-            if partial is not None and key in state.started:
-                result = partial(index, spec, state)
-                if result is not None:
-                    precomputed[index] = result
             continue
         if cache is None or not spec.cacheable():
             recomputing.append(spec.label)
@@ -390,13 +385,13 @@ def precomputed_from_state(state, specs, cache, partial=None):
     return precomputed
 
 
-def resume_sweep(journal_path, specs, runner, partial=None):
+def resume_sweep(journal_path, specs, runner):
     """Finish an interrupted sweep; returns results in spec order.
 
     Points ``runner`` at the journal (:meth:`TrialRunner.resume
     <repro.harness.parallel.TrialRunner.resume>`, what
-    ``TrialRunner(resume_from=journal_path, resume_partial=partial)``
-    does at construction) and runs ``specs`` on it, so every
+    ``TrialRunner(resume_from=journal_path)`` does at construction)
+    and runs ``specs`` on it, so every
     already-finished trial is served as a precomputed result (progress
     source ``"resumed"``) per :func:`precomputed_from_state`.
 
@@ -411,5 +406,5 @@ def resume_sweep(journal_path, specs, runner, partial=None):
     history: the resumed leg appends its records after the crash
     point.
     """
-    runner.resume(journal_path, partial=partial)
+    runner.resume(journal_path)
     return runner.run(specs)

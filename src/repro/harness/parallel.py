@@ -138,13 +138,11 @@ class JournalMismatchError(ValueError):
 def _canonicalize(value, opaque):
     """A JSON-able canonical form of ``value`` for content hashing.
 
-    Callables and classes are named by ``module:qualname``; an object
-    exposing a ``cache_token()`` method (e.g. a
-    :class:`~repro.sim.snapshot.Snapshot`, whose token is its content
-    hash) is keyed by that token; anything else without a stable
-    importable identity (lambdas, closures, instances of arbitrary
-    classes) is rendered opaquely and flips ``opaque[0]`` so the spec
-    is marked uncacheable rather than cached under an ambiguous key.
+    Callables and classes are named by ``module:qualname``; anything
+    else without a stable importable identity (lambdas, closures,
+    instances of arbitrary classes) is rendered opaquely and flips
+    ``opaque[0]`` so the spec is marked uncacheable rather than cached
+    under an ambiguous key.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -157,10 +155,6 @@ def _canonicalize(value, opaque):
             [_canonicalize(k, opaque), _canonicalize(v, opaque)]
             for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
         ]
-    if not isinstance(value, type):
-        token = getattr(value, "cache_token", None)
-        if callable(token):
-            return "token:{}".format(token())
     if callable(value):
         module = getattr(value, "__module__", None)
         qualname = getattr(value, "__qualname__", None)
@@ -747,12 +741,10 @@ class TrialRunner:
         Works across multiple batches on one runner (lazy sweeps);
         the *first* batch must share at least one trial with the
         journal, else :class:`JournalMismatchError` is raised before
-        anything is recorded.
-    :param resume_partial: optional ``(index, spec, state) -> result
-        or None`` hook for trials the journal shows *mid-flight* —
-        how the chaos harness finishes a half-done soak from its
-        snapshot ring (:func:`repro.harness.chaos
-        .chaos_journal_partial`) instead of restarting it.
+        anything is recorded.  A trial the journal shows *mid-flight*
+        is an unfinished trial like any other: it is re-dispatched,
+        and a checkpointed chaos soak then continues from its own
+        snapshot ring (:func:`repro.harness.chaos.run_chaos_point`).
     """
 
     def __init__(
@@ -766,7 +758,6 @@ class TrialRunner:
         retries=None,
         on_exhausted=None,
         resume_from=None,
-        resume_partial=None,
     ):
         self.workers = max(1, int(workers))
         self.cache = TrialCache(cache_dir) if cache_dir else None
@@ -777,10 +768,9 @@ class TrialRunner:
         # a missing/empty resume file fails loudly instead of being
         # created empty by the append-mode open below.
         self.resume_state = None
-        self.resume_partial = None
         self._resume_unchecked = None
         if resume_from:
-            self.resume(resume_from, partial=resume_partial)
+            self.resume(resume_from)
         if isinstance(journal, (str, os.PathLike)):
             from repro.harness.journal import RunJournal
 
@@ -801,11 +791,10 @@ class TrialRunner:
 
     # -- public API ------------------------------------------------------
 
-    def resume(self, journal_path, partial=None):
+    def resume(self, journal_path):
         """Replay ``journal_path`` into every later :meth:`run` batch.
 
-        What ``resume_from=``/``resume_partial=`` do at construction;
-        a missing, empty, malformed or undecodable journal raises
+        What ``resume_from=`` does at construction; a missing, empty, malformed or undecodable journal raises
         :class:`JournalMismatchError` here, before any file is opened
         for writing.
         """
@@ -817,7 +806,6 @@ class TrialRunner:
             raise JournalMismatchError(
                 "journal {} cannot be resumed: {}".format(journal_path, exc)
             ) from exc
-        self.resume_partial = partial
         self._resume_unchecked = journal_path
 
     def run(self, specs):
@@ -842,8 +830,7 @@ class TrialRunner:
 
             self._check_resume(specs)
             precomputed = precomputed_from_state(
-                self.resume_state, specs, self.cache,
-                partial=self.resume_partial,
+                self.resume_state, specs, self.cache
             )
         if self.journal is not None:
             self.journal.record(

@@ -262,33 +262,42 @@ def format_percentiles(
     return format_table(rows, title=title, floatfmt=floatfmt)
 
 
-def format_stage_heatmap(snapshot, title=None, width=30):
-    """Per-stage router-utilization bars from ``router.util.*`` series.
+def router_utilization(snapshot):
+    """``{(stage, router label): utilization}`` from ``router.util.*``.
 
-    Consumes the series the :class:`~repro.telemetry.TelemetryHub` and
-    :class:`~repro.harness.utilization.UtilizationProbe` both emit:
-    ``router.util.samples`` (counter), ``router.util.busy`` and
+    Consumes the series the :class:`~repro.telemetry.TelemetryHub`
+    emits: ``router.util.samples`` (counter), ``router.util.busy`` and
     ``router.util.ports`` (labeled by router and stage).  Utilization
-    is busy-port samples over total port-samples; each stage shows its
-    mean as a bar plus the stage's hottest router.  Correct on merged
-    sweep snapshots too — busy and samples both sum across trials.
+    is busy-port samples over total port-samples, the mean fraction of
+    a router's backward ports that were busy.  Correct on merged sweep
+    snapshots too — busy and samples both sum across trials.  Empty
+    when nothing was sampled.
     """
     samples = snapshot.get("router.util.samples", 0)
     if not samples:
-        return "(no utilization samples)"
+        return {}
     ports = {}
     for labels, _kind, data in snapshot.labeled("router.util.ports"):
         ports[labels.get("router")] = data[0]
-    stages = {}
+    utilization = {}
     for labels, _kind, busy in snapshot.labeled("router.util.busy"):
         router = labels.get("router")
         n_ports = ports.get(router)
-        if not n_ports:
-            continue
-        utilization = busy / (samples * n_ports)
-        stages.setdefault(labels.get("stage"), []).append(
-            (utilization, router)
-        )
+        if n_ports:
+            utilization[labels.get("stage"), router] = busy / (
+                samples * n_ports
+            )
+    return utilization
+
+
+def format_stage_heatmap(snapshot, title=None, width=30):
+    """Per-stage router-utilization bars (:func:`router_utilization`).
+
+    Each stage shows its mean as a bar plus the stage's hottest router.
+    """
+    stages = {}
+    for (stage, router), utilization in router_utilization(snapshot).items():
+        stages.setdefault(stage, []).append((utilization, router))
     if not stages:
         return "(no utilization samples)"
     lines = []

@@ -93,16 +93,6 @@ class Snapshot:
         digest.update(self.blob)
         return digest.hexdigest()
 
-    def cache_token(self):
-        """Stable cache identity for trial-cache keys.
-
-        A :class:`~repro.harness.parallel.TrialSpec` parameter with a
-        ``cache_token`` method stays cacheable: two specs warm-started
-        from snapshots with equal content hash exactly when their
-        tokens match (see :func:`repro.harness.parallel._canonicalize`).
-        """
-        return "snapshot:sha256:" + self.content_hash
-
     def __repr__(self):
         return "<Snapshot v{} backend={} cycle={} {} bytes>".format(
             self.version, self.backend, self.cycle, len(self.blob)

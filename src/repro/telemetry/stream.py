@@ -176,7 +176,7 @@ class TelemetryStream(Component):
         # Streams ride engine snapshots (they are engine observers),
         # but file handles do not pickle: a restored stream comes back
         # *inert* — closed, handleless — and a resumed run attaches a
-        # fresh stream for its own leg (see ``resume_chaos_point``).
+        # fresh stream for its own leg (see ``run_chaos_point``).
         state = dict(self.__dict__)
         state["_handle"] = None
         state["closed"] = True

@@ -22,9 +22,9 @@ The same four workload families as the backend diff are covered —
 ``scenario`` (random topology under the conformance oracle),
 ``traffic`` (figure-1 network, seeded open-ended traffic, metrics
 hub), ``faults`` (traffic plus static/scheduled/reverted/transient
-faults) and ``chaos`` (a self-healing soak, resumed from its on-disk
-snapshot ring via :func:`~repro.harness.chaos.resume_chaos_point`) —
-and every restore is exercised **across backends** too: a snapshot
+faults) and ``chaos`` (a self-healing soak, continued from its on-disk
+snapshot ring by a second :func:`~repro.harness.chaos.run_chaos_point`
+call) — and every restore is exercised **across backends** too: a snapshot
 captured under the dense reference engine must resume byte-identically
 under the event-driven engine and vice versa.
 
@@ -38,6 +38,7 @@ restore_backend)``, so sweeps are reproducible and fan out across a
 :class:`~repro.harness.parallel.TrialRunner` worker pool.
 """
 
+import logging
 import pickle
 import random
 import tempfile
@@ -219,7 +220,7 @@ def _chaos_fingerprint(result):
 
 
 def _resume_chaos(seed, backend, restore_backend):
-    from repro.harness.chaos import resume_chaos_point, run_chaos_point
+    from repro.harness import chaos
 
     kwargs = dict(
         seed=derive_seed(seed, "resume-diff", "chaos"),
@@ -228,24 +229,32 @@ def _resume_chaos(seed, backend, restore_backend):
         warmup_windows=3,
     )
     mismatches = []
-    reference = _chaos_fingerprint(run_chaos_point(backend=backend, **kwargs))
+    reference = _chaos_fingerprint(
+        chaos.run_chaos_point(backend=backend, **kwargs)
+    )
     with tempfile.TemporaryDirectory() as ring:
+        kwargs.update(snapshot_every=3, snapshot_dir=ring)
         # The ring-writing soak must score identically to the plain one
         # (writing a checkpoint is observation, not perturbation) ...
         ringed = _chaos_fingerprint(
-            run_chaos_point(
-                backend=backend,
-                snapshot_every=3,
-                snapshot_dir=ring,
-                **kwargs
-            )
+            chaos.run_chaos_point(backend=backend, **kwargs)
         )
         _compare((reference, ringed), mismatches, prefix="ringed:")
-        # ... and resuming from its newest on-disk snapshot (a
-        # simulated host restart) must land on the same verdicts.
-        resumed = _chaos_fingerprint(
-            resume_chaos_point(ring, backend=restore_backend)
+        # ... and running it again (a simulated host restart) must
+        # continue from its newest on-disk snapshot and land on the
+        # same verdicts.  A ring warning means it started over instead,
+        # which would make the comparison vacuous.
+        warnings = logging.Handler(level=logging.WARNING)
+        warnings.emit = lambda record: mismatches.append(
+            "resumed: " + record.getMessage()
         )
+        chaos.logger.addHandler(warnings)
+        try:
+            resumed = _chaos_fingerprint(
+                chaos.run_chaos_point(backend=restore_backend, **kwargs)
+            )
+        finally:
+            chaos.logger.removeHandler(warnings)
         _compare((reference, resumed), mismatches, prefix="resumed:")
     return mismatches
 

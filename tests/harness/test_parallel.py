@@ -129,11 +129,11 @@ def test_spec_fingerprint_includes_code_version():
 
 
 def test_module_level_callables_are_cacheable_lambdas_are_not():
-    good = TrialSpec("repro.harness.batch:run_grid_trial",
-                     params=dict(factory=figure1_network, rate=0.01))
+    good = TrialSpec("repro.harness.load_sweep:run_load_point",
+                     params=dict(network_factory=figure1_network, rate=0.01))
     assert good.cacheable()
-    bad = TrialSpec("repro.harness.batch:run_grid_trial",
-                    params=dict(factory=lambda seed: None, rate=0.01))
+    bad = TrialSpec("repro.harness.load_sweep:run_load_point",
+                    params=dict(network_factory=lambda seed: None, rate=0.01))
     assert not bad.cacheable()
 
 

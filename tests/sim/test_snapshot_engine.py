@@ -200,15 +200,6 @@ class TestFormatGate:
         assert "v{}".format(SNAPSHOT_FORMAT_VERSION + 1) in message
         assert "expected v{}".format(SNAPSHOT_FORMAT_VERSION) in message
 
-    def test_cache_token_is_content_addressed(self):
-        network = _network()
-        snap = snapshot_network(network)
-        token = snap.cache_token()
-        assert token.startswith("snapshot:sha256:")
-        assert _roundtrip(snap).cache_token() == token
-        network.run(2)
-        assert snapshot_network(network).cache_token() != token
-
 
 class TestBackendTransmute:
     @pytest.mark.parametrize("capture", sorted(BACKENDS))

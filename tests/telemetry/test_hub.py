@@ -3,8 +3,9 @@
 import pytest
 
 from repro.endpoint.messages import DELIVERED, Message
-from repro.endpoint.traffic import HotspotTraffic
+from repro.endpoint.traffic import HotspotTraffic, UniformRandomTraffic
 from repro.harness.load_sweep import figure1_network, figure3_sweep
+from repro.harness.reporting import router_utilization
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
 from repro.telemetry import (
@@ -84,6 +85,56 @@ def test_occupancy_sampling_period():
     network, hub = _bound_network(sample_period=10)
     network.run(100)
     assert hub.snapshot().value("router.util.samples") == 10
+
+
+# -- router utilization: where is the network busy? ----------------------
+
+
+def _stage_utilization(traffic_class, **traffic_kwargs):
+    """stage -> {router label: utilization} after a loaded run, read
+    off the hub's ``router.util.*`` series."""
+    network, hub = _bound_network(seed=91, spans=False, sample_period=2)
+    traffic_class(
+        16, 4, message_words=8, seed=91, **traffic_kwargs
+    ).attach(network)
+    network.run(3000)
+    stages = {}
+    for (stage, router), value in router_utilization(hub.snapshot()).items():
+        stages.setdefault(stage, {})[router] = value
+    return stages
+
+
+def _imbalance(utilization):
+    """max/mean utilization within one stage (1.0 = flat)."""
+    values = list(utilization.values())
+    return max(values) / (sum(values) / len(values))
+
+
+def test_uniform_load_is_balanced():
+    """Random output selection keeps utilization flat within a stage."""
+    stages = _stage_utilization(UniformRandomTraffic, rate=0.05)
+    assert sorted(stages) == [0, 1, 2]
+    for utilization in stages.values():
+        assert all(value > 0 for value in utilization.values())
+        assert _imbalance(utilization) < 1.6
+
+
+def test_hotspot_shows_up_in_final_stage():
+    """Everyone hammering endpoint 0 must make the final-stage routers
+    serving endpoint 0 the hottest in their stage."""
+    stages = _stage_utilization(
+        HotspotTraffic, rate=0.08, hotspot=0, fraction=0.7
+    )
+    everywhere = {
+        router: value
+        for utilization in stages.values()
+        for router, value in utilization.items()
+    }
+    hottest = sorted(everywhere, key=everywhere.get, reverse=True)[:4]
+    # Endpoint 0 lives in final-stage block 0; its two routers are
+    # 2.0.0 and 2.0.1.
+    assert set(hottest) & {"2.0.0", "2.0.1"}
+    assert _imbalance(stages[2]) > 1.5
 
 
 # -- span trees ----------------------------------------------------------

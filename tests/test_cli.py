@@ -1,5 +1,9 @@
 """CLI smoke tests: every subcommand runs and prints sane output."""
 
+import json
+import os
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -291,25 +295,78 @@ def test_chaos_snapshot_every_requires_dir(capsys):
     assert "--snapshot-dir" in capsys.readouterr().err
 
 
+def _ring_cycles(ring):
+    return sorted(
+        int(name[len("chaos-"):-len(".snap")])
+        for name in os.listdir(str(ring))
+        if name.startswith("chaos-") and name.endswith(".snap")
+    )
+
+
 def test_chaos_ring_then_resume(tmp_path, capsys):
     ring_root = tmp_path / "rings"
-    out = _run(
-        capsys,
-        _CHAOS_SMALL
-        + ["--snapshot-every", "2", "--snapshot-dir", str(ring_root)],
-    )
+    argv = _CHAOS_SMALL + [
+        "--snapshot-every", "2", "--snapshot-dir", str(ring_root)
+    ]
+    out = _run(capsys, argv)
     assert "Chaos soak" in out
-    ring = ring_root / "soak0-healon"
-    assert any(
-        name.startswith("chaos-") and name.endswith(".snap")
-        for name in __import__("os").listdir(str(ring))
+    assert _ring_cycles(ring_root / "soak0-healon")
+    # Running the same command again continues from the ring and scores
+    # exactly like the uninterrupted soak: the result row (label,
+    # windows, availability, ...) is identical.
+    assert main(argv) == 0
+    again = capsys.readouterr()
+    assert "chaos ring" not in again.err  # no warned fresh start
+    assert out.splitlines()[-1] == again.out.splitlines()[-1]
+
+
+def test_chaos_resume_never_serves_another_soaks_ring(tmp_path, capsys):
+    ring_root = tmp_path / "rings"
+    journal = tmp_path / "j.jsonl"
+    argv = _CHAOS_SMALL + [
+        "--snapshot-every", "2", "--snapshot-dir", str(ring_root)
+    ]
+    first = _run(
+        capsys, argv + ["--rate", "0.01", "--journal", str(journal)]
     )
-    resumed = _run(capsys, ["chaos", "--resume", str(ring)])
-    assert "resumed interrupted soak" in resumed
-    assert "Chaos soak: resumed" in resumed
-    # The resumed soak scores exactly like the uninterrupted one: the
-    # result row (label, windows, availability, ...) is identical.
-    assert out.splitlines()[-1] == resumed.splitlines()[-1]
+    # A soak killed before its first checkpoint: the journal ends at
+    # its trial.start and the ring is empty ...
+    lines = journal.read_text().splitlines(True)
+    cut = next(
+        i for i, line in enumerate(lines)
+        if json.loads(line)["event"] == "trial.start"
+    )
+    journal.write_text("".join(lines[:cut + 1]))
+    shutil.rmtree(str(ring_root))
+    # ... and then the same ring subdirectory (same --snapshot-dir, same
+    # derived seed) is filled by a soak at another rate.
+    other = _run(capsys, argv + ["--rate", "0.02"])
+    assert other.splitlines()[-1] != first.splitlines()[-1]
+    resumed = _run(
+        capsys, argv + ["--rate", "0.01", "--resume", str(journal)]
+    )
+    assert resumed.splitlines()[-1] == first.splitlines()[-1]
+
+
+def test_chaos_ring_keeps_the_running_soaks_own_checkpoints(tmp_path, capsys):
+    ring_root = tmp_path / "rings"
+
+    def argv(windows):
+        return [
+            "chaos", "--seeds", "1", "--windows", str(windows),
+            "--window-cycles", "200", "--warmup-windows", "2", "--mtbf",
+            "400", "--mttr", "200", "--snapshot-every", "2",
+            "--snapshot-dir", str(ring_root),
+        ]
+
+    _run(capsys, argv(20))
+    long_soak = _ring_cycles(ring_root / "soak0-healon")
+    assert long_soak and min(long_soak) > 6 * 200
+    # A shorter soak pointed at the same directory must end with its
+    # own checkpoints in the ring, not the stale higher-numbered ones.
+    _run(capsys, argv(6))
+    short_soak = _ring_cycles(ring_root / "soak0-healon")
+    assert short_soak and max(short_soak) < 6 * 200
 
 
 def test_faults_max_attempts_flag_parses():
@@ -520,6 +577,9 @@ def test_resume_with_a_foreign_journal_is_a_usage_error(tmp_path, capsys):
     assert "2 from cache" in capsys.readouterr().err
 
 
+_A_DIRECTORY = object()
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [
@@ -529,26 +589,33 @@ def test_resume_with_a_foreign_journal_is_a_usage_error(tmp_path, capsys):
         (bytes(range(128, 256)) * 3, "codec can't decode"),
         (b'{"event":"journal.start"}', "unknown journal format"),
         (b"[1,2,3]\n42\n", "line 1 is not a JSON object"),
+        (_A_DIRECTORY, "Is a directory"),
     ],
     ids=["missing", "empty", "malformed", "undecodable", "headless",
-         "non-object"],
+         "non-object", "directory"],
 )
 def test_resume_with_an_unreadable_journal_is_a_usage_error(
     tmp_path, capsys, content, reason
 ):
     journal = tmp_path / "j.jsonl"
-    if content is not None:
+    if content is _A_DIRECTORY:
+        journal.mkdir()
+    elif content is not None:
         journal.write_bytes(content)
-    code = main(["--cache-dir", str(tmp_path / "cache"), "figure3", "--rates",
-                 "0.01,0.02", "--resume", str(journal)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("resume: ") and len(err.splitlines()) == 1
-    assert reason in err
-    if content is None:
-        assert not journal.exists()
-    else:
-        assert journal.read_bytes() == content
+    # chaos takes the same --resume JOURNAL as every other sweep.
+    for command in (["figure3", "--rates", "0.01,0.02"], _CHAOS_SMALL):
+        code = main(["--cache-dir", str(tmp_path / "cache")] + command
+                    + ["--resume", str(journal)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("resume: ") and len(err.splitlines()) == 1
+        assert reason in err
+        if content is None:
+            assert not journal.exists()
+        elif content is _A_DIRECTORY:
+            assert journal.is_dir()
+        else:
+            assert journal.read_bytes() == content
 
 
 def test_tail_rejects_a_log_of_non_objects(tmp_path, capsys):

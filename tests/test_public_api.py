@@ -89,7 +89,6 @@ SUBMODULES = [
     "repro.latency_model.equations",
     "repro.latency_model.general",
     "repro.latency_model.implementations",
-    "repro.harness.batch",
     "repro.harness.breakdown",
     "repro.harness.experiment",
     "repro.harness.fault_sweep",
@@ -97,7 +96,6 @@ SUBMODULES = [
     "repro.harness.parallel",
     "repro.harness.reporting",
     "repro.harness.saturation",
-    "repro.harness.utilization",
     "repro.baseline.builder",
     "repro.baseline.harness",
     "repro.baseline.wormhole",
