@@ -28,7 +28,8 @@
     python -m repro verify --trials 100 --workers 4
     python -m repro verify --trials 100 --shrink
     python -m repro verify --replay .verify-artifacts/diff-fail-0.json
-    python -m repro verify --backend-diff --trials 52 --workers 4
+    python -m repro verify --backend-diff --trials 54 --workers 4
+    python -m repro verify --resume-diff --trials 24 --workers 4
 
 Commands exit nonzero on failure: ``send`` when the message is not
 delivered, ``faults`` when the degraded network delivers nothing (or
@@ -1540,14 +1541,16 @@ def build_parser():
         action="store_true",
         help="instead of the latency-model sweep, differentially test "
         "the --backend engine against the reference engine over "
-        "--trials seeded workloads (scenario/traffic/faults/chaos); "
+        "--trials seeded workloads "
+        "(scenario/traffic/faults/chaos/collective/service); "
         "any observable difference fails the command",
     )
     verify.add_argument(
         "--resume-diff",
         action="store_true",
         help="prove snapshot/restore transparency: each of --trials "
-        "seeded workloads (scenario/traffic/faults/chaos) is run "
+        "seeded workloads "
+        "(scenario/traffic/faults/chaos/collective/service) is run "
         "straight through and as run-half/snapshot/restore/run-half "
         "across every (capture, restore) backend pair; any observable "
         "difference fails the command",

@@ -12,6 +12,7 @@ from repro.endpoint.messages import (
     MessageLog,
     NACKED,
     TIMEOUT,
+    message_fingerprint,
 )
 from repro.endpoint.retry import (
     BudgetedRetries,
@@ -38,4 +39,5 @@ __all__ = [
     "RetryPolicy",
     "TIMEOUT",
     "UniformBackoff",
+    "message_fingerprint",
 ]

@@ -128,3 +128,29 @@ class MessageLog:
 
     def __len__(self):
         return len(self.messages)
+
+
+def message_fingerprint(log):
+    """Every observable fact about a message log, as plain tuples."""
+    return {
+        "messages": [
+            (
+                m.source,
+                m.dest,
+                tuple(m.payload),
+                m.queued_cycle,
+                m.start_cycle,
+                m.done_cycle,
+                m.attempts,
+                m.outcome,
+                tuple(m.failure_causes),
+                tuple(m.blocked_stages),
+                None if m.reply_payload is None else tuple(m.reply_payload),
+            )
+            for m in log.messages
+        ],
+        "receiver_deliveries": log.receiver_deliveries,
+        "receiver_checksum_failures": log.receiver_checksum_failures,
+        "receiver_arrivals": [tuple(entry) for entry in log.receiver_arrivals],
+        "attempt_failures": dict(log.attempt_failures),
+    }

@@ -36,7 +36,7 @@ from repro.faults.injector import FaultInjector, random_transient_scenario
 from repro.faults.manager import FaultManager
 from repro.faults.model import DeadRouter
 from repro.harness.load_sweep import build_point_network, figure1_network, point_traffic
-from repro.harness.parallel import TrialSpec, run_trials
+from repro.harness.parallel import TrialSpec
 
 logger = logging.getLogger(__name__)
 
@@ -659,25 +659,6 @@ def chaos_trial_specs(
                 )
             )
     return specs
-
-
-def chaos_sweep(
-    seeds=4,
-    seed=0,
-    self_heal=(True,),
-    workers=1,
-    cache_dir=None,
-    progress=None,
-    runner=None,
-    **kwargs
-):
-    """Run a batch of chaos soaks (parallelizable, cacheable)."""
-    specs = chaos_trial_specs(
-        seeds=seeds, seed=seed, self_heal=self_heal, **kwargs
-    )
-    return run_trials(
-        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
-    )
 
 
 def chaos_slo_failures(

@@ -23,7 +23,7 @@ from repro.harness.load_sweep import (
     figure1_network,
     figure3_network,
 )
-from repro.harness.parallel import TrialSpec, run_trials
+from repro.harness.parallel import TrialSpec
 from repro.workloads.collective import (
     CollectiveSchedule,
     CollectiveWorkload,
@@ -47,7 +47,8 @@ _NETWORKS = {
     "figure3": figure3_network,
 }
 
-_ALGORITHMS = (
+#: Collective schedule generators :func:`build_schedule` knows by name.
+ALGORITHMS = (
     "ring",
     "recursive-doubling",
     "all-to-all",
@@ -86,7 +87,7 @@ def build_schedule(algorithm, n_endpoints, words=20, layers=None,
         )
     raise ValueError(
         "unknown algorithm {!r} (expected one of {})".format(
-            algorithm, ", ".join(_ALGORITHMS)
+            algorithm, ", ".join(ALGORITHMS)
         )
     )
 
@@ -212,25 +213,6 @@ def service_trial_specs(rates=DEFAULT_SERVICE_RATES, seed=0, **kwargs):
         )
         for rate in rates
     ]
-
-
-def collective_fault_sweep(fault_levels=DEFAULT_FAULT_LEVELS, seed=0,
-                           workers=1, cache_dir=None, progress=None,
-                           runner=None, **kwargs):
-    """Collective completion time vs fault level, one result per level."""
-    specs = collective_trial_specs(fault_levels=fault_levels, seed=seed, **kwargs)
-    return run_trials(
-        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
-    )
-
-
-def service_sweep(rates=DEFAULT_SERVICE_RATES, seed=0, workers=1,
-                  cache_dir=None, progress=None, runner=None, **kwargs):
-    """Service tail latency vs offered load, one result per rate."""
-    specs = service_trial_specs(rates=rates, seed=seed, **kwargs)
-    return run_trials(
-        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
-    )
 
 
 def workload_slo_failures(results, slo):

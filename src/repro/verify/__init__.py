@@ -14,13 +14,16 @@ protocol (paper, Sections 4-5):
   reduces a failing configuration or message plan to a minimal
   reproduction worth committing to the test suite.
 
-Two differential proof harnesses build on those checks:
+Two equivalence proofs build on those checks, both loops over one
+table of six workload families (:mod:`repro.verify.families`: what a
+family builds, how it is driven, what its fingerprint holds, where it
+is split):
 
 * :mod:`repro.verify.backend_diff` — byte-identical equivalence
   between the dense reference engine and the event-driven backend.
 * :mod:`repro.verify.resume_diff` — byte-identical transparency of
   engine snapshot/restore (:mod:`repro.sim.snapshot`), including
-  cross-backend restores, over the same workload families.
+  cross-backend restores.
 """
 
 from repro.verify.oracle import (
@@ -31,12 +34,7 @@ from repro.verify.oracle import (
     attach_cascade_oracle,
     attach_oracle,
 )
-from repro.verify.resume_diff import (
-    ResumeReport,
-    resume_failures,
-    resume_point,
-    resume_sweep,
-)
+from repro.verify.resume_diff import ResumeReport, resume_point
 
 __all__ = [
     "CascadeOracle",
@@ -46,7 +44,5 @@ __all__ = [
     "Violation",
     "attach_cascade_oracle",
     "attach_oracle",
-    "resume_failures",
     "resume_point",
-    "resume_sweep",
 ]

@@ -3,36 +3,20 @@
 The event-driven backend (:mod:`repro.sim.backends`) claims to be a
 drop-in replacement for the reference engine: not statistically
 similar — *byte-identical*.  This module is the proof harness.  Each
-diff point runs the same seeded workload once per backend and compares
-everything observable:
+diff point runs one seeded workload of one family once per backend,
+start to finish, and compares the two fingerprints key by key.
 
-* the full message log, message by message — source, destination,
-  payload words, queue/start/completion cycles, attempt counts,
-  outcomes, per-attempt failure causes, blocked stages and reply
-  payloads;
-* receiver-side arrivals, delivery counts and checksum failures;
-* aggregate attempt-failure tallies;
-* telemetry metrics snapshots (where the workload binds a hub);
-* applied-fault transition histories (where faults are injected);
-* oracle violations and quiescence (scenario workloads);
-* the final engine cycle.
-
-Four workload families cover the backend's behaviour space:
-
-``scenario``
-    A :func:`~repro.verify.scenario.random_scenario` (random topology,
-    radix, dilation, datapath, link delay and message set) run under
-    the conformance oracle until quiescent.
-``traffic``
-    A Figure 1 network under seeded open-ended traffic (uniform,
-    hotspot or permutation — chosen by the seed) with a metrics-only
-    telemetry hub bound.
-``faults``
-    The traffic workload plus static dead links/routers, scheduled
-    mid-run faults with reverts, and transient (duty-cycled) faults.
-``chaos``
-    A full :func:`~repro.harness.chaos.run_chaos_point` soak with
-    self-healing enabled, compared window by window.
+What a family builds, how it is driven and what its fingerprint holds
+is written once, in the table both provers loop over
+(:data:`repro.verify.families.FAMILIES`): always the full message log,
+message by message — source, destination, payload words,
+queue/start/completion cycles, attempt counts, outcomes, per-attempt
+failure causes, blocked stages and reply payloads — with receiver-side
+arrivals, delivery counts, checksum failures and attempt-failure
+tallies, plus per family the quiescence flag and oracle violations,
+the telemetry metrics snapshot, the applied-fault transition history,
+the collective's per-step rows, the chaos verdicts, and the final
+engine cycle where an interrupted run would end on the same one.
 
 Every diff is a pure function of ``(kind, seed)``, so sweeps are
 reproducible and can fan out across a
@@ -42,54 +26,26 @@ is picklable).
 
 import difflib
 import pprint
-import random
 from collections import namedtuple
 
 from repro.core.random_source import derive_seed
-from repro.endpoint.traffic import (
-    HotspotTraffic,
-    PermutationTraffic,
-    UniformRandomTraffic,
-)
-from repro.harness.parallel import TrialSpec, run_trials
+# Lives beside MessageLog; bench/ and older callers import it from here.
+from repro.endpoint.messages import message_fingerprint  # noqa: F401
+from repro.harness.parallel import TrialSpec
+from repro.verify.families import FAMILIES, run_family
 
-#: Workload families diffed by default, in sweep order.
-DEFAULT_KINDS = ("scenario", "traffic", "faults", "chaos")
+#: Workload families diffed by default, in sweep order: the table's keys.
+DEFAULT_KINDS = tuple(FAMILIES)
 
 #: Outcome of one differential run.  ``mismatches`` is a list of
 #: human-readable field descriptions (empty when the backends agree).
 DiffReport = namedtuple("DiffReport", ["kind", "seed", "ok", "mismatches"])
 
 
-def message_fingerprint(log):
-    """Every observable fact about a message log, as plain tuples."""
-    return {
-        "messages": [
-            (
-                m.source,
-                m.dest,
-                tuple(m.payload),
-                m.queued_cycle,
-                m.start_cycle,
-                m.done_cycle,
-                m.attempts,
-                m.outcome,
-                tuple(m.failure_causes),
-                tuple(m.blocked_stages),
-                None if m.reply_payload is None else tuple(m.reply_payload),
-            )
-            for m in log.messages
-        ],
-        "receiver_deliveries": log.receiver_deliveries,
-        "receiver_checksum_failures": log.receiver_checksum_failures,
-        "receiver_arrivals": [tuple(entry) for entry in log.receiver_arrivals],
-        "attempt_failures": dict(log.attempt_failures),
-    }
-
-
 #: Positions of the simulation cycle and the component id inside the
 #: known sequence-valued fingerprint records (see
-#: :func:`message_fingerprint` and the per-family fingerprints below).
+#: :func:`~repro.endpoint.messages.message_fingerprint` and the rows of
+#: :mod:`repro.verify.families`).
 _RECORD_FIELDS = {
     "messages": {"cycle": 3, "component": 0},  # queued_cycle, source
     "receiver_arrivals": {"cycle": 0},
@@ -163,223 +119,13 @@ def _compare(fingerprints, mismatches, prefix=""):
             )
 
 
-# ---------------------------------------------------------------------------
-# Workload families
-# ---------------------------------------------------------------------------
-
-
-def _diff_scenario(seed, backend):
-    from repro.verify.scenario import random_scenario
-
-    rng = random.Random(derive_seed(seed, "backend-diff", "scenario"))
-    scenario = random_scenario(
-        seed=rng.getrandbits(24), n_messages=rng.randrange(1, 5)
-    )
-    mismatches = []
-    results = [scenario.run(backend=be) for be in ("reference", backend)]
-    fingerprints = [
-        {
-            "quiet": r.quiet,
-            "outcomes": list(r.outcomes),
-            "attempts": list(r.attempts),
-            "start_cycles": list(r.start_cycles),
-            "arrivals": list(r.arrivals),
-            "checksum_failures": r.checksum_failures,
-            "violations": list(r.violations),
-        }
-        for r in results
-    ]
-    _compare(fingerprints, mismatches)
-    return mismatches
-
-
-def _traffic_for(rng, network, seed):
-    """A seeded traffic source: uniform, hotspot or permutation."""
-    n = network.plan.n_endpoints
-    w = network.codec.w
-    words = rng.choice((4, 12, 20))
-    rate = rng.choice((0.01, 0.02, 0.05))
-    kind = rng.randrange(3)
-    if kind == 0:
-        return UniformRandomTraffic(n, w, rate=rate, message_words=words, seed=seed)
-    if kind == 1:
-        return HotspotTraffic(
-            n,
-            w,
-            rate=rate,
-            hotspot=rng.randrange(n),
-            fraction=rng.choice((0.1, 0.3)),
-            message_words=words,
-            seed=seed,
-        )
-    return PermutationTraffic(
-        n,
-        w,
-        rate=rate,
-        permutation=rng.choice(("bit-reverse", "shift")),
-        message_words=words,
-        seed=seed,
-    )
-
-
-def _build_traffic(seed, backend, cycles, with_faults):
-    """Build the traffic-family workload: a figure-1 network with a
-    metrics hub bound, seeded traffic attached, and (optionally) the
-    full static/scheduled/reverted/transient fault mix installed.
-
-    Returns ``(network, telemetry, injector)`` (injector None without
-    faults).  Shared by the backend diff and the resume diff
-    (:mod:`repro.verify.resume_diff`), which snapshots the same
-    workload mid-run.
-    """
-    from repro.harness.load_sweep import figure1_network
-    from repro.telemetry import TelemetryHub
-
-    rng = random.Random(derive_seed(seed, "backend-diff", "traffic"))
-    build_seed = rng.getrandbits(24)
-    traffic_seed = rng.getrandbits(24)
-    telemetry = TelemetryHub(spans=False)
-    network = figure1_network(
-        seed=build_seed, telemetry=telemetry, backend=backend
-    )
-    traffic = _traffic_for(rng, network, traffic_seed)
-    applied = None
-    if with_faults:
-        from repro.faults.injector import (
-            FaultInjector,
-            random_fault_scenario,
-            random_transient_scenario,
-        )
-
-        injector = FaultInjector(network)
-        fault_seed = rng.getrandbits(24)
-        static = random_fault_scenario(
-            network,
-            n_dead_links=rng.randrange(0, 3),
-            n_dead_routers=rng.randrange(0, 2),
-            seed=fault_seed,
-            exclude_final_stage=True,
-        )
-        # A mix of immediate, scheduled and scheduled-then-reverted
-        # faults exercises every injector entry point.
-        for index, fault in enumerate(static):
-            if index % 2 == 0:
-                injector.now(fault)
-            else:
-                strike = rng.randrange(cycles // 4, cycles // 2)
-                injector.at(strike, fault)
-                if rng.random() < 0.5:
-                    injector.revert_at(
-                        strike + rng.randrange(50, cycles // 4), fault
-                    )
-        for fault in random_transient_scenario(
-            network,
-            n_flaky_links=rng.randrange(1, 3),
-            mtbf=rng.choice((300, 600)),
-            mttr=rng.choice((80, 150)),
-            seed=fault_seed + 1,
-            start=rng.randrange(0, cycles // 4),
-        ):
-            injector.transient(fault)
-        applied = injector
-    traffic.attach(network)
-    return network, telemetry, applied
-
-
-def _traffic_fingerprint(network, telemetry, injector):
-    """Everything observable about a traffic-family run so far."""
-    fingerprint = message_fingerprint(network.log)
-    fingerprint["cycle"] = network.engine.cycle
-    fingerprint["metrics"] = telemetry.snapshot().as_dict()
-    if injector is not None:
-        fingerprint["applied"] = [
-            (entry.cycle, entry.fault.describe(), entry.scheduled, entry.action)
-            for entry in injector.applied
-        ]
-    return fingerprint
-
-
-def _run_traffic(seed, backend, cycles, with_faults):
-    network, telemetry, injector = _build_traffic(
-        seed, backend, cycles, with_faults
-    )
-    # Several run() calls rather than one: run boundaries are where an
-    # event-driven backend re-prepares, so they must also be
-    # transparent.
-    remaining = cycles
-    while remaining > 0:
-        span = min(remaining, max(1, cycles // 3))
-        network.run(span)
-        remaining -= span
-    return _traffic_fingerprint(network, telemetry, injector)
-
-
-def _diff_traffic(seed, backend, with_faults=False):
-    mismatches = []
-    fingerprints = [
-        _run_traffic(seed, be, cycles=2400, with_faults=with_faults)
-        for be in ("reference", backend)
-    ]
-    _compare(fingerprints, mismatches)
-    return mismatches
-
-
-def _diff_chaos(seed, backend):
-    from repro.harness.chaos import run_chaos_point
-
-    mismatches = []
-    results = [
-        run_chaos_point(
-            seed=derive_seed(seed, "backend-diff", "chaos"),
-            n_windows=10,
-            window_cycles=300,
-            warmup_windows=3,
-            backend=be,
-        )
-        for be in ("reference", backend)
-    ]
-    fingerprints = [
-        {
-            "windows": list(r.windows),
-            "availability": r.availability,
-            "undeliverable": r.undeliverable,
-            "attempt_failures": dict(r.attempt_failures),
-            "fault_events": list(r.fault_events),
-            "mask_events": list(r.mask_events),
-            "repairs": list(r.repairs),
-            "evidence_count": r.evidence_count,
-            "oracle_violations": r.oracle_violations,
-        }
-        for r in results
-    ]
-    _compare(fingerprints, mismatches)
-    return mismatches
-
-
-_KIND_RUNNERS = {
-    "scenario": _diff_scenario,
-    "traffic": lambda seed, backend: _diff_traffic(seed, backend, False),
-    "faults": lambda seed, backend: _diff_traffic(seed, backend, True),
-    "chaos": _diff_chaos,
-}
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
-
-
 def diff_point(kind, seed, backend="events"):
     """Run one differential trial; returns a :class:`DiffReport`."""
-    try:
-        runner = _KIND_RUNNERS[kind]
-    except KeyError:
-        raise ValueError(
-            "unknown diff kind {!r} (choices: {})".format(
-                kind, ", ".join(sorted(_KIND_RUNNERS))
-            )
-        )
-    mismatches = runner(seed, backend)
+    mismatches = []
+    _compare(
+        [run_family(kind, seed, be) for be in ("reference", backend)],
+        mismatches,
+    )
     return DiffReport(kind=kind, seed=seed, ok=not mismatches, mismatches=mismatches)
 
 
@@ -408,32 +154,3 @@ def backend_diff_specs(n_trials=50, seed=0, backend="events", kinds=DEFAULT_KIND
             )
         )
     return specs
-
-
-def diff_sweep(
-    n_trials=50,
-    seed=0,
-    backend="events",
-    kinds=DEFAULT_KINDS,
-    workers=1,
-    cache_dir=None,
-    progress=None,
-    runner=None,
-):
-    """Run ``n_trials`` differential trials; returns the reports.
-
-    With ``workers`` > 1 the trials fan out across a process pool —
-    each trial is self-contained, so parallel order cannot change any
-    report.
-    """
-    specs = backend_diff_specs(
-        n_trials=n_trials, seed=seed, backend=backend, kinds=kinds
-    )
-    return run_trials(
-        specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
-    )
-
-
-def diff_failures(reports):
-    """The subset of reports where the backends disagreed."""
-    return [report for report in reports if not report.ok]

@@ -31,7 +31,7 @@ bit-identical serial or parallel.
 
 from repro.core.random_source import derive_seed
 from repro.endpoint.messages import DELIVERED
-from repro.harness.parallel import TrialSpec, run_trials
+from repro.harness.parallel import TrialSpec
 from repro.latency_model import equations
 from repro.verify.scenario import Scenario, random_scenario
 
@@ -159,15 +159,3 @@ def mismatch_aware_run(max_cycles=50000):
         return result
 
     return run
-
-
-def differential_sweep(n_trials=50, root_seed=0, runner=None):
-    """Run the sweep; returns ``(reports, mismatches)``.
-
-    Deterministic in ``root_seed``: per-trial seeds come from
-    :func:`~repro.core.random_source.derive_seed`, so a parallel runner
-    returns results identical to a serial one.
-    """
-    reports = run_trials(differential_specs(n_trials, root_seed), runner=runner)
-    mismatches = [report for report in reports if not report["ok"]]
-    return reports, mismatches

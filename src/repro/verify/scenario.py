@@ -170,8 +170,10 @@ class Scenario:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles=50000, backend="reference"):
-        """Simulate the scenario under the conformance oracle."""
+    def start(self, backend="reference"):
+        """Build the network, attach the conformance oracle and submit
+        every message; nothing is run.  Returns ``(network, oracle,
+        sent)``, ``sent`` being the submitted messages in plan order."""
         network = self.build(backend=backend, verify_stage_checksums=True)
         oracle = attach_oracle(network)
         sent = [
@@ -180,9 +182,12 @@ class Scenario:
             )
             for m in self.messages
         ]
-        quiet = network.run_until_quiet(max_cycles=max_cycles)
-        if quiet:
-            oracle.check_quiescent(network.engine.cycle)
+        return network, oracle, sent
+
+    def run(self, max_cycles=50000, backend="reference"):
+        """Simulate the scenario under the conformance oracle."""
+        network, oracle, sent = self.start(backend)
+        quiet = finish_scenario(network, oracle, max_cycles=max_cycles)
         return ScenarioResult(
             scenario=self,
             quiet=quiet,
@@ -196,6 +201,16 @@ class Scenario:
                 for v in oracle.violations
             ],
         )
+
+
+def finish_scenario(network, oracle, max_cycles=50000):
+    """Drive a started scenario until the network is quiet, then hold
+    the quiet network to the oracle's leak inventory.  Returns whether
+    it went quiet within ``max_cycles``."""
+    quiet = network.run_until_quiet(max_cycles=max_cycles)
+    if quiet:
+        oracle.check_quiescent(network.engine.cycle)
+    return quiet
 
 
 class ScenarioResult:

@@ -28,7 +28,12 @@ import hashlib
 
 from repro.core import mutation
 from repro.core.random_source import derive_seed
-from repro.endpoint.messages import ABANDONED, DELIVERED, Message
+from repro.endpoint.messages import (
+    ABANDONED,
+    DELIVERED,
+    Message,
+    message_fingerprint,
+)
 from repro.endpoint.traffic import random_payload
 
 import random
@@ -634,13 +639,11 @@ class CollectiveResult:
 def collective_log_digest(log):
     """A stable hash of every observable fact about the run's messages.
 
-    Built on :func:`repro.verify.backend_diff.message_fingerprint`, so
+    Built on :func:`repro.endpoint.messages.message_fingerprint`, so
     "two runs produced this digest" means byte-identical trajectories
     — the check the cross-backend and serial-vs-parallel acceptance
     tests pin.
     """
-    from repro.verify.backend_diff import message_fingerprint
-
     material = repr(sorted(message_fingerprint(log)["messages"]))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 

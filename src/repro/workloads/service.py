@@ -347,6 +347,19 @@ def service_slo_failures(result, slo):
     return failures
 
 
+def stop_arrivals(network, at_cycle):
+    """Stop every arrival process at the window edge ``at_cycle``.
+
+    Arrivals that already happened stay pending inside the sources and
+    are still emitted during the drain — detaching the sources instead
+    would silently censor exactly the worst-latency tail requests.
+    """
+    for endpoint in network.endpoints:
+        source = endpoint.traffic_source
+        if source is not None:
+            source.stop(at_cycle)
+
+
 def run_service(network, workload, warmup_cycles=1000, measure_cycles=6000,
                 drain_cycles=None, label=None):
     """Warm up, measure, drain, and summarize one service soak.
@@ -362,14 +375,7 @@ def run_service(network, workload, warmup_cycles=1000, measure_cycles=6000,
     start = network.engine.cycle
     network.run(measure_cycles)
     end = network.engine.cycle
-    # Stop the arrival processes at the window edge.  Arrivals that
-    # already happened stay pending inside the sources and are still
-    # emitted during the drain — detaching the sources here would
-    # silently censor exactly the worst-latency tail requests.
-    for endpoint in network.endpoints:
-        source = endpoint.traffic_source
-        if source is not None:
-            source.stop(end)
+    stop_arrivals(network, end)
     budget = drain_cycles if drain_cycles is not None else measure_cycles * 4
     network.run_until_quiet(max_cycles=budget)
 

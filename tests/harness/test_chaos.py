@@ -7,10 +7,10 @@ import pytest
 from repro.harness.chaos import (
     ChaosResult,
     chaos_slo_failures,
-    chaos_sweep,
     chaos_trial_specs,
     run_chaos_point,
 )
+from repro.harness.parallel import run_trials
 
 # Small, fast soak used throughout this module.
 SOAK_KW = dict(
@@ -125,8 +125,8 @@ class TestDeterminism:
 class TestParallelEquivalence:
     def test_serial_matches_parallel_byte_identically(self):
         kw = dict(seeds=2, seed=4, self_heal=(True,), metrics=True, **SOAK_KW)
-        serial = chaos_sweep(workers=1, **kw)
-        parallel = chaos_sweep(workers=2, **kw)
+        serial = run_trials(chaos_trial_specs(**kw), workers=1)
+        parallel = run_trials(chaos_trial_specs(**kw), workers=2)
         assert len(serial) == len(parallel) == 2
         for a, b in zip(serial, parallel):
             # Per-result pickles match byte-for-byte (list-level pickle

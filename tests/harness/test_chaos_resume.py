@@ -13,6 +13,7 @@ from repro.harness.journal import RunJournal, read_journal
 from repro.harness.load_sweep import figure1_network
 from repro.harness.parallel import TrialRunner, TrialSpec, journal_trial_key
 from repro.sim.snapshot import MAGIC, Snapshot
+from repro.verify.families import FAMILIES
 
 # Small, fast soak: 6 windows of 200 cycles, ring every window.
 SOAK_KW = dict(
@@ -30,18 +31,8 @@ SOAK_KW = dict(
 RING_KW = dict(SOAK_KW, snapshot_every=1)
 
 
-def _fingerprint(result):
-    return {
-        "windows": list(result.windows),
-        "availability": result.availability,
-        "undeliverable": result.undeliverable,
-        "attempt_failures": dict(result.attempt_failures),
-        "fault_events": list(result.fault_events),
-        "mask_events": list(result.mask_events),
-        "repairs": list(result.repairs),
-        "evidence_count": result.evidence_count,
-        "oracle_violations": result.oracle_violations,
-    }
+#: The nine verdict fields both provers compare for a soak.
+_fingerprint = FAMILIES["chaos"].fingerprint
 
 
 def _cycles(ring):

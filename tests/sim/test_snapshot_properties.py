@@ -6,9 +6,10 @@ import pickle
 
 import pytest
 
+from repro.endpoint.messages import message_fingerprint
 from repro.sim.snapshot import restore_network, snapshot_network
-from repro.verify.backend_diff import message_fingerprint
-from repro.verify.resume_diff import _finish_scenario, _start_scenario
+from repro.verify.families import FAMILIES
+from repro.verify.resume_diff import resume_at
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -28,33 +29,12 @@ def _roundtrip(snap):
 def test_snapshot_pickle_restore_is_identity(
     seed, backend, restore_backend, split
 ):
-    from repro.verify.scenario import random_scenario
-
-    scenario = random_scenario(seed=seed, n_messages=2)
-
-    reference = _finish_scenario(*_start_scenario(scenario, backend))
-
-    network, oracle, sent = _start_scenario(scenario, backend)
-    network.run(split)
-    at_capture = message_fingerprint(network.log)
-    snap = _roundtrip(
-        snapshot_network(network, extras={"oracle": oracle, "sent": sent})
-    )
-    restored = restore_network(snap, backend=restore_backend)
-
-    # Identity at the capture point: same cycle, same observable log.
-    assert restored.network.engine.cycle == split
-    assert message_fingerprint(restored.network.log) == at_capture
-
-    # Identity under continuation: the restored half-run ends exactly
-    # where the uninterrupted run does — and so does the original,
-    # which the capture must not have perturbed.
-    resumed = _finish_scenario(
-        restored.network, restored.extras["oracle"], restored.extras["sent"]
-    )
-    assert resumed == reference
-    original = _finish_scenario(network, oracle, sent)
-    assert original == reference
+    # Identity at the capture point (same cycle, same observable log)
+    # and under continuation (the restored half-run and the original,
+    # which the capture must not have perturbed, both end exactly where
+    # the uninterrupted run does): the resume proof, at hypothesis's
+    # choice of scenario, split and backend pair.
+    assert not resume_at("scenario", seed, split, backend, restore_backend)
 
 
 def _soak_pieces(backend):
@@ -211,10 +191,19 @@ def test_oracle_shadow_round_trips_with_a_draining_connection(
             {"src": 1, "dest": 2, "payload": list(range(1, 40))},
         ],
     )
-    reference = _finish_scenario(*_start_scenario(scenario, backend))
+    # A curated scenario, driven and fingerprinted as the ``scenario``
+    # family's row does its seeded ones.
+    row = FAMILIES["scenario"]
+
+    def started():
+        network, oracle, sent = scenario.start(backend)
+        return network, {"oracle": oracle, "sent": sent}
+
+    reference = row.fingerprint(row.finish(started()))
     assert reference["quiet"] and not reference["violations"]
 
-    network, oracle, sent = _start_scenario(scenario, backend)
+    network, riders = started()
+    oracle = riders["oracle"]
     network.run(29)
     busy = [r for r in network.all_routers() if r._draining]
     assert busy, "no connection is draining at the split"
@@ -224,9 +213,7 @@ def test_oracle_shadow_round_trips_with_a_draining_connection(
         for track in shadow[oracle.routers.index(busy[0])]
     ), "no live circuit shares the draining router"
 
-    snap = _roundtrip(
-        snapshot_network(network, extras={"oracle": oracle, "sent": sent})
-    )
+    snap = _roundtrip(snapshot_network(network, extras=riders))
     restored = restore_network(snap, backend=restore_backend)
     roracle = restored.extras["oracle"]
     assert _oracle_shadow(roracle) == shadow
@@ -234,11 +221,9 @@ def test_oracle_shadow_round_trips_with_a_draining_connection(
     for router, tracks in zip(roracle.routers, roracle._tracks):
         for conn, track in zip(router._conns, tracks):
             assert track is None or track.conn is conn
-    resumed = _finish_scenario(
-        restored.network, roracle, restored.extras["sent"]
-    )
-    assert resumed == reference
-    assert _finish_scenario(network, oracle, sent) == reference
+    resumed = row.finish((restored.network, restored.extras))
+    assert row.fingerprint(resumed) == reference
+    assert row.fingerprint(row.finish((network, riders))) == reference
 
 
 def test_oracle_in_the_identity_keyed_layout_is_refused():
@@ -264,9 +249,7 @@ def test_oracle_in_the_identity_keyed_layout_is_refused():
         def __reduce__(self):
             return (object.__new__, (Oracle,), self.state)
 
-    network, oracle, _sent = _start_scenario(
-        Scenario(radix=2, n_stages=2, seed=9), "reference"
-    )
+    network, oracle, _sent = Scenario(radix=2, n_stages=2, seed=9).start()
     snap = _roundtrip(
         snapshot_network(network, extras={"oracle": LegacyPickle(oracle)})
     )

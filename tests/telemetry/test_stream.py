@@ -6,8 +6,9 @@ import json
 import pytest
 
 from repro.endpoint.traffic import UniformRandomTraffic
-from repro.harness.chaos import chaos_sweep, run_chaos_point
+from repro.harness.chaos import chaos_trial_specs, run_chaos_point
 from repro.harness.load_sweep import figure1_network
+from repro.harness.parallel import run_trials
 from repro.sim.backends import BACKENDS
 from repro.telemetry import (
     STREAM_FORMAT,
@@ -176,13 +177,15 @@ class TestLosslessDeltas:
         assert merged == result.metrics
 
     def test_merged_deltas_equal_final_snapshot_parallel(self, tmp_path):
-        results = chaos_sweep(
-            seeds=2,
-            seed=7,
+        results = run_trials(
+            chaos_trial_specs(
+                seeds=2,
+                seed=7,
+                stream_dir=str(tmp_path),
+                metrics=True,
+                **SOAK_KW
+            ),
             workers=2,
-            stream_dir=str(tmp_path),
-            metrics=True,
-            **SOAK_KW
         )
         for index, result in enumerate(results):
             path = str(tmp_path / "soak{}-healon.jsonl".format(index))

@@ -104,6 +104,9 @@ SUBMODULES = [
     "repro.telemetry.nullobj",
     "repro.telemetry.profiler",
     "repro.telemetry.spans",
+    "repro.verify.backend_diff",
+    "repro.verify.families",
+    "repro.verify.resume_diff",
     "repro.cli",
 ]
 

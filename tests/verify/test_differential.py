@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.harness.parallel import TrialRunner
+from repro.harness.parallel import run_trials
 from repro.verify.differential import (
     compare,
     differential_specs,
-    differential_sweep,
     model_one_way,
     model_slack,
     run_trial,
@@ -19,17 +18,15 @@ pytestmark = pytest.mark.stress
 def test_fifty_random_configs_agree_with_model():
     """The acceptance bar: >= 50 random (r, d, vtd, dp, hw) draws, the
     simulator and the closed-form model agree at the stated slack."""
-    reports, mismatches = differential_sweep(n_trials=50, root_seed=0)
+    reports = run_trials(differential_specs(50, root_seed=0))
+    mismatches = [report for report in reports if not report["ok"]]
     assert len(reports) == 50
     assert mismatches == [], mismatches[0]["detail"] if mismatches else ""
 
 
 def test_serial_and_parallel_sweeps_are_identical():
-    serial, _ = differential_sweep(n_trials=10, root_seed=7)
-    parallel, _ = differential_sweep(
-        n_trials=10, root_seed=7, runner=TrialRunner(workers=2)
-    )
-    assert serial == parallel
+    specs = differential_specs(10, root_seed=7)
+    assert run_trials(specs) == run_trials(specs, workers=2)
 
 
 def test_specs_are_deterministic_in_root_seed():
