@@ -151,6 +151,11 @@ CASES = {
     "verify_resume_diff": {
         "commands": [["verify", "--resume-diff", "--trials", "4"]],
     },
+    "send_plain": {"commands": [["send", "5", "15"]]},
+    "send_events": {"commands": [["send", "5", "15", "--backend", "events"]]},
+    "send_fattree": {
+        "commands": [["send", "1", "14", "--network", "fattree"]],
+    },
 }
 
 _SECONDS = re.compile(r"\d+\.\d+s\b")
