@@ -302,11 +302,10 @@ def _cmd_figure3(args):
     from repro.harness.load_sweep import load_trial_specs, unloaded_latency
     from repro.harness.reporting import ascii_chart, format_series, results_to_series
 
-    rates = tuple(float(r) for r in args.rates.split(","))
     base = unloaded_latency(seed=args.seed, samples=8)
     print("Unloaded latency: {:.1f} cycles (paper: 28)\n".format(base))
     specs = load_trial_specs(
-        rates=rates,
+        rates=args.rates,
         seed=args.seed,
         warmup_cycles=args.warmup,
         measure_cycles=args.measure,
@@ -347,10 +346,7 @@ def _cmd_faults(args):
     )
     if args.max_attempts is not None:
         common["max_attempts"] = args.max_attempts
-    if args.levels:
-        levels = _parse_fault_levels(args.levels)
-    else:
-        levels = ((args.links, args.routers),)
+    levels = args.levels or ((args.links, args.routers),)
     specs = fault_trial_specs(fault_levels=levels, seed=args.seed, **common)
     if not args.levels:
         # One point is a one-spec sweep, so --journal/--resume/--retries/
@@ -528,14 +524,6 @@ def _cmd_chaos(args):
     )
 
 
-def _parse_fault_levels(text):
-    levels = []
-    for part in text.split(","):
-        links, _, routers = part.partition(":")
-        levels.append((int(links), int(routers or 0)))
-    return tuple(levels)
-
-
 def _cmd_workloads(args):
     """Application workload sweeps with SLO gates (docs/workloads.md).
 
@@ -554,16 +542,11 @@ def _cmd_workloads(args):
     common = dict(network=args.network, seed=args.seed, **_point_kwargs(args))
     slo = {}
     if args.kind == "collective":
-        layers = (
-            [int(part) for part in args.layers.split(",")]
-            if args.layers
-            else None
-        )
         specs = collective_trial_specs(
-            fault_levels=_parse_fault_levels(args.fault_levels),
+            fault_levels=args.fault_levels,
             algorithm=args.algorithm,
             words=args.words,
-            layers=layers,
+            layers=args.layers,
             microbatches=args.microbatches,
             max_cycles=args.max_cycles,
             **common
@@ -572,8 +555,8 @@ def _cmd_workloads(args):
             slo["collective_cycles"] = args.slo_cycles
     else:
         specs = service_trial_specs(
-            rates=tuple(float(r) for r in args.rates.split(",")),
-            servers=tuple(int(s) for s in args.servers.split(",")),
+            rates=args.rates,
+            servers=args.servers,
             clients=args.clients,
             burst_prob=args.burst_prob,
             burst_size=args.burst_size,
@@ -693,30 +676,34 @@ def _cmd_send(args):
     from repro.network.builder import build_network
     from repro.network.fattree import fattree_plan
     from repro.network.topology import figure1_plan, figure3_plan
-    from repro.sim.trace import Trace
 
     plans = {
         "figure1": figure1_plan,
         "figure3": figure3_plan,
         "fattree": fattree_plan,
     }
+    plan = plans[args.network]()
+    for role, index in (("src", args.src), ("dest", args.dest)):
+        if not 0 <= index < plan.n_endpoints:
+            print(
+                "send: {} {} is not an endpoint of --network {} "
+                "(valid: 0..{})".format(
+                    role, index, args.network, plan.n_endpoints - 1
+                ),
+                file=sys.stderr,
+            )
+            return 2
     telemetry = None
-    if args.trace_export:
+    if args.verbose or args.trace_export:
         from repro.telemetry import TelemetryHub
 
         telemetry = TelemetryHub()
-    trace = Trace()
     network = build_network(
-        plans[args.network](),
-        seed=args.seed,
-        trace=trace,
-        trace_routers=True,
-        telemetry=telemetry,
-        backend=args.backend,
+        plan, seed=args.seed, telemetry=telemetry, backend=args.backend
     )
     message = network.send(args.src, Message(dest=args.dest, payload=[1, 2, 3, 4]))
     network.run_until_quiet(max_cycles=args.max_cycles)
-    if telemetry is not None:
+    if args.trace_export:
         document = telemetry.export_trace(args.trace_export)
         print(
             "wrote {} trace events to {} (open in Perfetto / "
@@ -730,9 +717,8 @@ def _cmd_send(args):
         )
     )
     if args.verbose:
-        for event in trace.events:
-            print("  @{:>4} {:>10} {:<22} {}".format(
-                event.cycle, event.source, event.kind, event.detail))
+        for line in telemetry.spans.timeline():
+            print("  " + line)
     if message.outcome != DELIVERED:
         print("FAIL: message was not delivered", file=sys.stderr)
         return 1
@@ -1164,6 +1150,25 @@ def _cmd_tail(args):
         return 0
 
 
+def _comma_list(item):
+    """An argparse ``type=`` for ``A,B,...``: a tuple of ``item(part)``.
+
+    A part ``item`` rejects (``ValueError``) becomes argparse's one-line
+    ``error: argument --X: invalid ... value`` and exit 2.
+    """
+    def parse(text):
+        return tuple(item(part) for part in text.split(","))
+
+    parse.__name__ = "{}_list".format(item.__name__.lstrip("_"))
+    return parse
+
+
+def _fault_level(part):
+    """``LINKS[:ROUTERS]`` -> ``(dead links, dead routers)``."""
+    links, _, routers = part.partition(":")
+    return int(links), int(routers or 0)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1252,7 +1257,9 @@ def build_parser():
             )
 
     fig3 = sub.add_parser("figure3", help="Figure 3 latency/load sweep")
-    fig3.add_argument("--rates", default="0.002,0.01,0.04,0.16")
+    fig3.add_argument(
+        "--rates", type=_comma_list(float), default="0.002,0.01,0.04,0.16"
+    )
     fig3.add_argument("--warmup", type=int, default=600)
     fig3.add_argument("--measure", type=int, default=2500)
     add_sweep_options(fig3)
@@ -1265,6 +1272,7 @@ def build_parser():
     faults.add_argument("--measure", type=int, default=2500)
     faults.add_argument(
         "--levels",
+        type=_comma_list(_fault_level),
         default=None,
         help="run a full degradation sweep over LINKS:ROUTERS levels, "
         "e.g. 0:0,8:0,8:4 (parallelizes with --workers)",
@@ -1400,7 +1408,7 @@ def build_parser():
         help="per-rank vector words (chunked by the algorithm)",
     )
     workloads.add_argument(
-        "--layers", default=None, metavar="W1,W2,...",
+        "--layers", type=_comma_list(int), default=None, metavar="W1,W2,...",
         help="model-shaped mode: per-layer gradient sizes in words; "
         "one serialized all-reduce per layer in backprop order",
     )
@@ -1409,7 +1417,8 @@ def build_parser():
         help="microbatches for the pipeline-parallel schedule",
     )
     workloads.add_argument(
-        "--fault-levels", default="0:0,4:0,8:0", metavar="L:R,...",
+        "--fault-levels", type=_comma_list(_fault_level),
+        default="0:0,4:0,8:0", metavar="L:R,...",
         help="dead-links:dead-routers levels for the collective sweep",
     )
     workloads.add_argument(
@@ -1422,11 +1431,13 @@ def build_parser():
         "(incomplete collectives always fail)",
     )
     workloads.add_argument(
-        "--rates", default="0.0005,0.001,0.002,0.004",
+        "--rates", type=_comma_list(float),
+        default="0.0005,0.001,0.002,0.004",
         help="per-client mean arrivals/cycle for the service sweep",
     )
     workloads.add_argument(
-        "--servers", default="0", metavar="E1,E2,...",
+        "--servers", type=_comma_list(int), default="0",
+        metavar="E1,E2,...",
         help="server endpoint indices; every other endpoint hosts "
         "clients",
     )

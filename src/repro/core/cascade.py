@@ -50,10 +50,9 @@ class CascadeGroup(Component):
     :param members: the cascaded :class:`~repro.core.router.MetroRouter`
         objects; they must share identical ``i``/``o`` geometry and are
         expected to share a :class:`~repro.core.random_source.SharedRandomBus`.
-    :param trace: optional trace; records ``inuse-mismatch`` events.
     """
 
-    def __init__(self, members, name="cascade", trace=None):
+    def __init__(self, members, name="cascade"):
         if len(members) < 2:
             raise ValueError("a cascade needs at least two members")
         geometry = {(m.params.i, m.params.o) for m in members}
@@ -61,7 +60,6 @@ class CascadeGroup(Component):
             raise ValueError("cascade members must share port geometry")
         self.members = list(members)
         self.name = name
-        self.trace = trace
         self.mismatches = 0
 
     def tick(self, cycle):
@@ -75,8 +73,6 @@ class CascadeGroup(Component):
             # Disagreement: the IN-USE pull-up fires.  Kill every
             # connection touching this backward port, on every member.
             self.mismatches += 1
-            if self.trace is not None:
-                self.trace.record(cycle, self.name, "inuse-mismatch", q)
             for owner in owners:
                 if owner is None:
                     continue

@@ -131,12 +131,6 @@ def activate(*names):
     ACTIVE = ACTIVE | frozenset(names)
 
 
-def deactivate_all():
-    """Return to healthy-protocol operation."""
-    global ACTIVE
-    ACTIVE = frozenset()
-
-
 @contextmanager
 def seeded(*names):
     """Context manager seeding mutations for the enclosed block only."""

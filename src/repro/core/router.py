@@ -125,7 +125,6 @@ class MetroRouter(Component):
     :param signal_timeout: cycles of silence on a live connection
         before the router unilaterally tears it down (fault
         containment); None disables the watchdog.
-    :param trace: optional :class:`~repro.sim.trace.Trace`.
     """
 
     def __init__(
@@ -136,8 +135,6 @@ class MetroRouter(Component):
         random_stream=None,
         selection_policy=RANDOM,
         signal_timeout=64,
-        trace=None,
-        telemetry=None,
     ):
         self.params = params
         self.name = name
@@ -154,10 +151,10 @@ class MetroRouter(Component):
             self.config, random_stream, policy=selection_policy
         )
         self.signal_timeout = signal_timeout
-        self.trace = trace
-        #: A live TelemetryHub or the null object; every event site
-        #: already funnels through _record, which guards on .enabled.
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: The TelemetryHub bound to this router's network, or the null
+        #: object; every event site funnels through _record, which
+        #: guards on .enabled.
+        self.telemetry = NULL_TELEMETRY
         #: Channel ends, installed by the network builder via attach_*().
         self.forward_ends = [None] * params.i
         self.backward_ends = [None] * params.o
@@ -768,7 +765,5 @@ class MetroRouter(Component):
             self._scan_drive[q] = None
 
     def _record(self, kind, port, detail):
-        if self.trace is not None:
-            self.trace.record(self._cycle, self.name, kind, (port, detail))
         if self.telemetry.enabled:
             self.telemetry.router_event(self._cycle, self, kind, port, detail)

@@ -14,12 +14,7 @@ from repro.endpoint.messages import (
     TIMEOUT,
     message_fingerprint,
 )
-from repro.endpoint.retry import (
-    BudgetedRetries,
-    ExponentialBackoff,
-    RetryPolicy,
-    UniformBackoff,
-)
+from repro.endpoint.retry import RetryPolicy, UniformBackoff
 
 __all__ = [
     "ABANDONED",
@@ -27,12 +22,10 @@ __all__ = [
     "ACK_OK",
     "BLOCKED",
     "BLOCKED_FAST",
-    "BudgetedRetries",
     "CORRUPTED",
     "DELIVERED",
     "DIED",
     "Endpoint",
-    "ExponentialBackoff",
     "Message",
     "MessageLog",
     "NACKED",

@@ -109,12 +109,7 @@ class Endpoint(Component):
         declaring the connection dead and retrying.
     :param max_attempts: per-message retry budget (None = unlimited).
     :param backoff: (lo, hi) inclusive range of idle cycles inserted
-        before a retry, drawn uniformly (the default policy).
-    :param retry_policy: a :class:`~repro.endpoint.retry.RetryPolicy`
-        overriding ``backoff``; it is ``clone()``d per endpoint so a
-        stateful policy never shares counters across sources.  A
-        policy returning ``None`` abandons the message (counted as
-        undeliverable, same as exhausting ``max_attempts``).
+        before a retry, drawn uniformly.
     :param reply_handler: ``f(payload_words, checksum_ok) ->
         (reply_words, delay_cycles)`` run at the receiver; default
         replies with nothing extra and zero delay.
@@ -136,13 +131,10 @@ class Endpoint(Component):
         reply_timeout=300,
         max_attempts=None,
         backoff=(0, 3),
-        retry_policy=None,
         reply_handler=None,
         verify_stage_checksums=False,
         seed=0,
         traffic_source=None,
-        trace=None,
-        telemetry=None,
     ):
         self.index = index
         self.name = "ep{}".format(index)
@@ -153,20 +145,17 @@ class Endpoint(Component):
         self.reply_timeout = reply_timeout
         self.max_attempts = max_attempts
         self.backoff = backoff
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else UniformBackoff(*backoff)
-        ).clone()
+        self.retry_policy = UniformBackoff(*backoff)
         #: Optional ``f(cycle, endpoint, send, cause, blocked_stage)``
         #: observer of every failed attempt; the online FaultManager
         #: hangs its evidence collection here.
         self.fault_listener = None
         self.reply_handler = reply_handler
         self.verify_stage_checksums = verify_stage_checksums
-        self.trace = trace
-        #: A live TelemetryHub, or the null object when telemetry is
-        #: off (hot paths guard on ``.enabled`` — a single attribute
-        #: test on the disabled path).
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: The TelemetryHub bound to this endpoint's network, or the
+        #: null object when telemetry is off (hot paths guard on
+        #: ``.enabled`` — a single attribute test on the disabled path).
+        self.telemetry = NULL_TELEMETRY
         self._rng = random.Random((seed << 16) ^ index)
         self.traffic_source = traffic_source
 
@@ -293,8 +282,10 @@ class Endpoint(Component):
 
         ``None`` means unpredictable (a Bernoulli source consumes
         randomness every cycle — never compressible); ``inf`` means no
-        pending work at all.  Trace-style sources expose the next
-        arrival via ``next_arrival_cycle``.
+        pending work at all.  Sources that schedule their arrivals
+        ahead of time (the service workload's open-loop clients, a
+        collective's dependency-released sends) expose the next one
+        via ``next_arrival_cycle``.
         """
         source = self.traffic_source
         if source is None:
@@ -354,7 +345,6 @@ class Endpoint(Component):
         message.attempts += 1
         words, header_len = self._build_stream(message)
         self._sends[port] = _SendState(message, port, words, header_len)
-        self._record("send-start", (message.dest, message.attempts))
         if self.telemetry.enabled:
             self.telemetry.attempt_started(cycle, self, port, message)
 
@@ -440,7 +430,6 @@ class Endpoint(Component):
         message.outcome = M.DELIVERED
         self.log.record(message)
         del self._sends[send.port]
-        self._record("send-delivered", (message.dest, message.attempts))
         if self.telemetry.enabled:
             self.telemetry.attempt_finished(
                 self._cycle, self, send.port, message, M.DELIVERED
@@ -482,7 +471,6 @@ class Endpoint(Component):
         if blocked_stage is not None:
             message.blocked_stages.append(blocked_stage)
         del self._sends[send.port]
-        self._record("send-failed", (message.dest, cause))
         if self.telemetry.enabled:
             self.telemetry.attempt_finished(
                 self._cycle, self, send.port, message, cause,
@@ -583,12 +571,7 @@ class Endpoint(Component):
         state.reply_position = 0
         state.delay = delay
         state.phase = _RX_REPLY
-        self._record("recv-message", (len(payload), checksum_ok))
         if self.telemetry.enabled:
             self.telemetry.message_received(
                 self._cycle, self, len(payload), checksum_ok
             )
-
-    def _record(self, kind, detail):
-        if self.trace is not None:
-            self.trace.record(self._cycle, self.name, kind, detail)

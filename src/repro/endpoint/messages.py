@@ -87,8 +87,7 @@ class MessageLog:
         #: (cycle, payload_words, checksum_ok) per message *arrival* at
         #: a receiver — the one-way delivery instant, before any reply.
         self.receiver_arrivals = []
-        #: Per-attempt failure tallies, updated live as attempts fail
-        #: (finished-message tallies via failure_cause_counts()).
+        #: Per-attempt failure tallies, updated live as attempts fail.
         self.attempt_failures = {}
 
     def record(self, message):
@@ -106,9 +105,6 @@ class MessageLog:
     def latencies(self):
         return [m.latency for m in self.delivered()]
 
-    def total_latencies(self):
-        return [m.total_latency for m in self.delivered()]
-
     def mean_latency(self):
         values = self.latencies()
         return sum(values) / len(values) if values else None
@@ -118,13 +114,6 @@ class MessageLog:
         if not delivered:
             return None
         return sum(m.attempts for m in delivered) / len(delivered)
-
-    def failure_cause_counts(self):
-        counts = {}
-        for message in self.messages:
-            for cause in message.failure_causes:
-                counts[cause] = counts.get(cause, 0) + 1
-        return counts
 
     def __len__(self):
         return len(self.messages)

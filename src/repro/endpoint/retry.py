@@ -1,17 +1,13 @@
-"""Retry backoff policies for the source endpoint.
+"""The source endpoint's retry backoff.
 
 The paper's protocol leaves the retry discipline to the source: after
 a failed attempt the endpoint waits some number of cycles and
 re-transmits, relying on random output selection to steer the retry
-around congestion or faults (PAPER.md Section 4).  Historically the
-simulator hard-coded a uniform draw from ``backoff=(lo, hi)``;
-policies make the discipline pluggable without disturbing that
-default's random stream.
-
-A policy instance passed to several endpoints is ``clone()``d per
-endpoint so stateful policies (e.g. :class:`BudgetedRetries`) never
-share counters across sources.  Policies hold only plain data, so
-cloning is a deepcopy and endpoints remain picklable.
+around congestion or faults (PAPER.md Section 4).  Every endpoint
+draws that wait uniformly from ``backoff=(lo, hi)``
+(:class:`UniformBackoff`); the draw order is part of every golden
+trace's random stream, and endpoints pickle their policy object into
+engine snapshots, so both classes keep their names and shape.
 """
 
 import copy
@@ -55,69 +51,3 @@ class UniformBackoff(RetryPolicy):
 
     def describe(self):
         return "uniform({}..{})".format(self.lo, self.hi)
-
-
-class ExponentialBackoff(RetryPolicy):
-    """Exponentially growing wait with optional jitter.
-
-    The ceiling doubles (by ``factor``) with each failed attempt up to
-    ``max_delay``; with ``jitter`` the wait is drawn uniformly from
-    ``[0, ceiling]`` (decorrelates retries from sources that failed on
-    the same hotspot), otherwise the ceiling itself is used.
-    """
-
-    def __init__(self, base=1, factor=2.0, max_delay=64, jitter=True):
-        if base < 1 or factor < 1.0 or max_delay < base:
-            raise ValueError(
-                "need base >= 1, factor >= 1, max_delay >= base; got "
-                "({}, {}, {})".format(base, factor, max_delay)
-            )
-        self.base = base
-        self.factor = factor
-        self.max_delay = max_delay
-        self.jitter = jitter
-
-    def delay(self, rng, message):
-        ceiling = min(
-            self.max_delay,
-            int(self.base * self.factor ** max(0, message.attempts - 1)),
-        )
-        if self.jitter:
-            return rng.randint(0, ceiling)
-        return ceiling
-
-    def describe(self):
-        return "exponential(base={}, factor={}, max={}{})".format(
-            self.base, self.factor, self.max_delay,
-            ", jitter" if self.jitter else "",
-        )
-
-
-class BudgetedRetries(RetryPolicy):
-    """Caps total retries per destination, delegating delay to ``inner``.
-
-    Once ``budget`` retries have been spent on a destination, further
-    failures toward it are declared undeliverable (``delay`` returns
-    ``None``) — a source-side circuit breaker that stops pouring
-    traffic at an unreachable region while other destinations keep
-    their full retry discipline.
-    """
-
-    def __init__(self, budget=16, inner=None):
-        if budget < 0:
-            raise ValueError("budget must be >= 0, got {}".format(budget))
-        self.budget = budget
-        self.inner = inner if inner is not None else UniformBackoff()
-        self._spent = {}
-
-    def delay(self, rng, message):
-        spent = self._spent.get(message.dest, 0)
-        if spent >= self.budget:
-            return None
-        self._spent[message.dest] = spent + 1
-        return self.inner.delay(rng, message)
-
-    def describe(self):
-        return "budgeted({} per dest, inner={})".format(
-            self.budget, self.inner.describe()
-        )

@@ -8,8 +8,9 @@ and then stalls until the acknowledgment returns.  The injection
 probability is the offered-load knob.
 
 Additional generators cover the other workloads a router evaluation
-needs: hotspot concentration, fixed permutations, and a simple trace
-player for reproducible regression workloads.
+needs: hotspot concentration and fixed permutations.  Collectives and
+request/response services bring their own sources
+(:mod:`repro.workloads`).
 """
 
 import random
@@ -201,91 +202,3 @@ class _PartnerSource:
         if rng.random() >= traffic.rate or self._partner == self._index:
             return None
         return traffic._message(rng, self._partner)
-
-
-def bit_complement(value, bits):
-    return (~value) & ((1 << bits) - 1)
-
-
-def tornado(value, n):
-    """Tornado: each endpoint sends halfway around the ID space."""
-    return (value + (n // 2 - 1)) % n
-
-
-class AdversarialTraffic(TrafficSource):
-    """The classic stress permutations: tornado / complement / neighbor.
-
-    These patterns exist to defeat *structured* networks; a randomized
-    multibutterfly should treat them like any other permutation (see
-    ``benchmarks/bench_ablation_wiring.py`` for the comparison).
-
-    :param pattern: ``"tornado"``, ``"complement"``, or ``"neighbor"``.
-    """
-
-    def __init__(self, n_endpoints, w, rate=0.01, pattern="tornado",
-                 message_words=20, seed=0):
-        super().__init__(n_endpoints, w, message_words, seed)
-        self.rate = rate
-        bits = max(1, (n_endpoints - 1).bit_length())
-        if pattern == "tornado":
-            self.mapping = [tornado(e, n_endpoints) for e in range(n_endpoints)]
-        elif pattern == "complement":
-            self.mapping = [
-                bit_complement(e, bits) % n_endpoints for e in range(n_endpoints)
-            ]
-        elif pattern == "neighbor":
-            self.mapping = [(e + 1) % n_endpoints for e in range(n_endpoints)]
-        else:
-            raise ValueError("unknown pattern {!r}".format(pattern))
-
-    def source_for(self, endpoint_index):
-        return _PartnerSource(
-            self,
-            self._rng(endpoint_index),
-            endpoint_index,
-            self.mapping[endpoint_index],
-        )
-
-
-class _TraceSource:
-    """One endpoint's trace player.
-
-    A callable (the ``f(cycle) -> Message | None`` endpoints consult)
-    that also names its next arrival via :meth:`next_arrival_cycle`, so
-    the event-driven engine backend can compress the idle gaps between
-    trace events instead of polling through them.
-    """
-
-    __slots__ = ("_traffic", "_rng", "_queue")
-
-    def __init__(self, traffic, rng, queue):
-        self._traffic = traffic
-        self._rng = rng
-        self._queue = queue
-
-    def __call__(self, cycle):
-        queue = self._queue
-        if not queue or queue[0][0] > cycle:
-            return None
-        _cycle, dest = queue.pop(0)
-        return self._traffic._message(self._rng, dest)
-
-    def next_arrival_cycle(self):
-        """Cycle of the next queued event, or None when exhausted."""
-        return self._queue[0][0] if self._queue else None
-
-
-class TraceTraffic(TrafficSource):
-    """Replays an explicit list of (cycle, src, dest) events."""
-
-    def __init__(self, n_endpoints, w, events, message_words=20, seed=0):
-        super().__init__(n_endpoints, w, message_words, seed)
-        self.events = sorted(events)
-        self._queues = {}
-        for cycle, src, dest in self.events:
-            self._queues.setdefault(src, []).append((cycle, dest))
-
-    def source_for(self, endpoint_index):
-        rng = self._rng(endpoint_index)
-        queue = list(self._queues.get(endpoint_index, []))
-        return _TraceSource(self, rng, queue)

@@ -50,9 +50,6 @@ class ExperimentResult:
         )
         self._attempts = np.array([m.attempts for m in delivered], dtype=float)
         self._sources = [m.source for m in delivered]
-        self._queueing = np.array(
-            [m.start_cycle - m.queued_cycle for m in delivered], dtype=float
-        )
 
     # -- latency ---------------------------------------------------------
 
@@ -71,17 +68,6 @@ class ExperimentResult:
     def mean_attempts(self):
         return float(self._attempts.mean()) if self.delivered_count else float("nan")
 
-    @property
-    def mean_queueing(self):
-        """Cycles spent waiting at the source before first transmission.
-
-        Separates endpoint-side head-of-line waiting from network
-        latency; under the Figure 3 single-outstanding model this is
-        usually zero (closed-loop sources only generate when idle), and
-        it grows when callers submit bursts.
-        """
-        return float(self._queueing.mean()) if self.delivered_count else float("nan")
-
     # -- throughput / load -----------------------------------------------
 
     @property
@@ -93,10 +79,6 @@ class ExperimentResult:
         """
         total_words = self.delivered_count * self.message_words
         return total_words / (self.measure_cycles * self.n_endpoints)
-
-    @property
-    def messages_per_kilocycle(self):
-        return 1000.0 * self.delivered_count / self.measure_cycles
 
     def per_source_counts(self):
         """Delivered-message count per source endpoint."""

@@ -41,25 +41,19 @@ def run_fault_point(
     network_factory=figure3_network,
     metrics=False,
     max_attempts=None,
-    retry_policy=None,
     backend="reference",
 ):
     """One (fault level, load) measurement.
 
     ``metrics=True`` attaches a metrics-only telemetry snapshot to the
     result (see :func:`~repro.harness.load_sweep.run_load_point`).
-    ``max_attempts``/``retry_policy`` configure the endpoints' retry
-    discipline; with a finite budget, messages that exhaust it are
-    counted in ``result.undeliverable`` (note: a ``retry_policy``
-    object in the params makes the trial spec uncacheable — prefer
-    plain ``max_attempts`` for swept trials).  ``backend`` selects the
-    engine backend.
+    ``max_attempts`` is the endpoints' retry budget; when finite,
+    messages that exhaust it are counted in ``result.undeliverable``.
+    ``backend`` selects the engine backend.
     """
     endpoint_kwargs = {}
     if max_attempts is not None:
         endpoint_kwargs["max_attempts"] = max_attempts
-    if retry_policy is not None:
-        endpoint_kwargs["retry_policy"] = retry_policy
     network, telemetry = build_point_network(
         network_factory, seed, backend=backend, metrics=metrics,
         endpoint_kwargs=endpoint_kwargs,

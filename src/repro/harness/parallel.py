@@ -280,14 +280,13 @@ def execute_trial(spec, heartbeat_path=None):
 class TrialBackoff:
     """Backoff policy for re-dispatching failed trial attempts.
 
-    The harness-scale mirror of
-    :class:`repro.endpoint.retry.ExponentialBackoff`: the wait ceiling
-    grows by ``factor`` with each failed attempt up to ``max_delay``
-    seconds, and with ``jitter`` the actual wait is drawn uniformly
-    from ``[0, ceiling]`` (decorrelates retries when several workers
-    died together, e.g. an OOM sweep).  ``max_attempts`` is the
-    per-trial attempt budget — the harness analogue of
-    :class:`repro.endpoint.retry.BudgetedRetries` — after which the
+    The harness-scale mirror of the endpoint's retry discipline: the
+    wait ceiling grows by ``factor`` with each failed attempt up to
+    ``max_delay`` seconds, and with ``jitter`` the actual wait is
+    drawn uniformly from ``[0, ceiling]`` (decorrelates retries when
+    several workers died together, e.g. an OOM sweep).
+    ``max_attempts`` is the per-trial attempt budget — the harness
+    analogue of the endpoint's ``max_attempts`` — after which the
     trial is quarantined or the failure raised (the runner's
     ``on_exhausted`` knob).
     """

@@ -5,15 +5,13 @@ keep that output consistent and readable in a terminal.  They also
 render the parallel runner's progress events
 (:func:`format_trial_event` / :func:`progress_printer`) so sweeps can
 narrate per-trial completion and cache hits, and the telemetry
-subsystem's aggregates (:func:`format_histogram`,
-:func:`format_percentiles`, :func:`format_stage_heatmap`) so
-metrics-enabled sweeps print distributions, not just means.
+subsystem's aggregates (:func:`format_percentiles`,
+:func:`format_stage_heatmap`) so metrics-enabled sweeps print
+distributions, not just means.
 """
 
 import collections
 import sys
-
-from repro.telemetry.metrics import bucket_bounds
 
 
 def format_trial_event(event):
@@ -198,35 +196,6 @@ def sparkline(values, lo=None, hi=None):
         index = int((value - low) / span * (len(ramp) - 1))
         chars.append(ramp[max(0, min(index, len(ramp) - 1))])
     return "".join(chars)
-
-
-def format_histogram(histogram, title=None, width=40):
-    """ASCII bar chart of one log2-bucketed telemetry histogram.
-
-    ``histogram`` is a :class:`~repro.telemetry.metrics.Histogram`
-    (typically rebuilt from a snapshot via
-    ``snapshot.histogram(name)``).  One row per occupied bucket:
-    half-open value range, count, and a bar scaled to the modal bucket.
-    """
-    if not histogram.count:
-        return "(empty histogram)"
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(
-        "count={} mean={:.1f} min={:g} max={:g}".format(
-            histogram.count, histogram.mean, histogram.low, histogram.high
-        )
-    )
-    peak = max(histogram.buckets.values())
-    for index in sorted(histogram.buckets):
-        low, high = bucket_bounds(index)
-        count = histogram.buckets[index]
-        bar = "#" * max(1, int(round(width * count / peak)))
-        lines.append(
-            "[{:>8g}, {:>8g})  {:>8}  {}".format(low, high, count, bar)
-        )
-    return "\n".join(lines)
 
 
 def format_percentiles(

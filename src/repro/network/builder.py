@@ -20,7 +20,6 @@ from repro.network.headers import HeaderCodec
 from repro.network.multibutterfly import wire
 from repro.sim.backends import make_engine
 from repro.sim.channel import Channel
-from repro.sim.trace import Trace
 
 
 class MetroNetwork:
@@ -38,8 +37,8 @@ class MetroNetwork:
     * ``telemetry`` — the bound TelemetryHub, or None.
     """
 
-    #: Overridden per-instance when a hub is bound (builder ``telemetry=``
-    #: argument or :func:`repro.telemetry.attach_telemetry`).
+    #: Overridden per-instance by :meth:`TelemetryHub.bind` (which the
+    #: builder's ``telemetry=`` argument calls).
     telemetry = None
 
     def __init__(self, plan, engine, routers, router_grid, endpoints, channels, log, codec, links):
@@ -116,9 +115,6 @@ class MetroNetwork:
             for router in stage:
                 yield router
 
-    def channel_between(self, src_key, dst_key):
-        return self.channels[(src_key, dst_key)]
-
 
 def build_network(
     plan,
@@ -129,8 +125,6 @@ def build_network(
     selection_policy=RANDOM,
     signal_timeout=64,
     endpoint_kwargs=None,
-    trace=None,
-    trace_routers=False,
     telemetry=None,
     backend="reference",
 ):
@@ -151,9 +145,6 @@ def build_network(
     :param signal_timeout: router dead-signal watchdog, in cycles.
     :param endpoint_kwargs: extra keyword arguments forwarded to every
         :class:`~repro.endpoint.interface.Endpoint`.
-    :param trace: a shared :class:`~repro.sim.trace.Trace`; endpoint
-        events always go there, router events only when
-        ``trace_routers`` is set (they are voluminous).
     :param telemetry: an unbound
         :class:`~repro.telemetry.TelemetryHub`; it is bound to the
         finished network (engine observer + per-component hooks).
@@ -199,7 +190,6 @@ def build_network(
                     random_stream=RandomStream(rng.getrandbits(32)),
                     selection_policy=selection_policy,
                     signal_timeout=signal_timeout,
-                    trace=trace if trace_routers else None,
                 )
                 engine.add_component(router)
                 stage_routers.append(router)
@@ -215,7 +205,6 @@ def build_network(
             log=log,
             n_stages=plan.n_stages,
             seed=rng.getrandbits(24),
-            trace=trace,
             **endpoint_kwargs
         )
         engine.add_component(endpoint)
@@ -238,7 +227,6 @@ def build_network(
     )
     if telemetry is not None:
         telemetry.bind(network)
-        network.telemetry = telemetry
     return network
 
 

@@ -13,7 +13,6 @@ the two-phase simulation engine that models that clock:
   path reclamation.
 * :class:`~repro.sim.engine.Engine` — steps all components, then
   advances all channels, so evaluation order never matters.
-* :class:`~repro.sim.trace.Trace` — optional event recording.
 * :mod:`repro.sim.snapshot` — versioned capture/restore of live engine
   state (checkpointing, warm starts, crash-safe soaks).
 """
@@ -30,7 +29,6 @@ from repro.sim.snapshot import (
     snapshot_engine,
     snapshot_network,
 )
-from repro.sim.trace import Trace, TraceEvent
 
 __all__ = [
     "Channel",
@@ -40,8 +38,6 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "Snapshot",
     "SnapshotFormatError",
-    "Trace",
-    "TraceEvent",
     "restore_engine",
     "restore_network",
     "snapshot_engine",

@@ -37,12 +37,6 @@ class _Pipe:
         self.staged = None
         self.occupied = 0
 
-    def push(self, word):
-        self.staged = word
-
-    def head(self):
-        return self.slots[-1]
-
     def advance(self):
         staged = self.staged
         if self.occupied == 0 and staged is None:
@@ -54,11 +48,6 @@ class _Pipe:
         slots[0] = staged
         self.staged = None
         self.occupied += (staged is not None) - (leaving is not None)
-
-    def flush(self):
-        self.slots = [None] * self.delay
-        self.staged = None
-        self.occupied = 0
 
     def occupancy(self):
         return self.occupied
@@ -169,44 +158,6 @@ class Channel:
         for pipe in (self._a_to_b, self._b_to_a, self._bcb_b_to_a, self._bcb_a_to_b):
             if pipe.occupied or pipe.staged is not None:
                 pipe.advance()
-
-    # -- side-specific accessors used by ChannelEnd -------------------
-
-    def _send(self, side, word):
-        if side == "a":
-            self._a_to_b.push(word)
-        else:
-            self._b_to_a.push(word)
-        if self.hot_hook is not None:
-            self.hot_hook(self)
-
-    def _recv(self, side):
-        if side == "a":
-            word = self._b_to_a.head()
-            fault = self.fault_b_to_a
-        else:
-            word = self._a_to_b.head()
-            fault = self.fault_a_to_b
-        if self.dead:
-            return None
-        if fault is not None and word is not None:
-            word = fault(word)
-        return word
-
-    def _send_bcb(self, side, value):
-        if side == "a":
-            self._bcb_a_to_b.push(value)
-        else:
-            self._bcb_b_to_a.push(value)
-        if self.hot_hook is not None:
-            self.hot_hook(self)
-
-    def _recv_bcb(self, side):
-        if self.dead:
-            return None
-        if side == "a":
-            return self._bcb_b_to_a.head()
-        return self._bcb_a_to_b.head()
 
     def in_flight(self):
         """Number of words currently inside the channel (both directions)."""

@@ -1,18 +1,15 @@
 """Observability for the METRO reproduction.
 
-Three layers, composable and individually optional:
+Four layers, composable and individually optional:
 
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and
   log-bucketed histograms with hierarchical labels, snapshotted into
   picklable, mergeable :class:`MetricsSnapshot` objects so parallel
   sweeps aggregate across worker processes.
 * **Spans** (:mod:`repro.telemetry.spans`) — message-lifecycle span
-  trees and router point events, exportable as Chrome trace-event
-  JSON (Perfetto-loadable), with an optional ring buffer for bounded
-  memory.
-* **Profiler** (:mod:`repro.telemetry.profiler`) — per-component-class
-  tick time, cycles/second and allocation deltas for the simulator
-  itself.
+  trees and router point events, printable as a text timeline
+  (``repro send --verbose``) and exportable as Chrome trace-event
+  JSON (Perfetto-loadable).
 * **Streaming** (:mod:`repro.telemetry.stream`) — a
   :class:`TelemetryStream` observer writing live JSONL run logs
   (metric deltas, SLO-window stats, fault transitions, lifecycle)
@@ -23,13 +20,15 @@ Three layers, composable and individually optional:
   quiescence inventory, and writing liveness heartbeats for parallel
   trial workers.
 
-The :class:`TelemetryHub` ties the first two to a live network; when
-no hub is bound, components carry :data:`NULL_TELEMETRY` and the
-instrumentation costs one attribute test per event site.  See
-``docs/observability.md``.
+The :class:`TelemetryHub` ties the first two to a live network and is
+the one sink components report protocol events to; when no hub is
+bound, components carry :data:`NULL_TELEMETRY` and the instrumentation
+costs one attribute test per event site.  Where the simulator's own
+wall-clock goes is ``bench/``'s job (``python3 bench/run.py --trace
+1``).  See ``docs/observability.md``.
 """
 
-from repro.telemetry.hub import NULL_TELEMETRY, TelemetryHub, attach_telemetry
+from repro.telemetry.hub import NULL_TELEMETRY, TelemetryHub
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -37,7 +36,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from repro.telemetry.profiler import ProfileReport, SimProfiler, profile_engine
 from repro.telemetry.spans import Span, SpanRecorder, validate_trace_events
 from repro.telemetry.stream import (
     STREAM_FORMAT,
@@ -62,15 +60,11 @@ from repro.telemetry.watchdog import (
 __all__ = [
     "NULL_TELEMETRY",
     "TelemetryHub",
-    "attach_telemetry",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "ProfileReport",
-    "SimProfiler",
-    "profile_engine",
     "Span",
     "SpanRecorder",
     "validate_trace_events",

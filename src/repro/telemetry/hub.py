@@ -36,17 +36,6 @@ _ROUTER_COUNTERS = {
     "watchdog-teardown": "router.watchdog.teardowns",
 }
 
-#: Router kinds worth a point event on the span timeline.
-_ROUTER_INSTANTS = {
-    "conn-open",
-    "conn-blocked",
-    "conn-turn",
-    "conn-drop",
-    "bcb-sent",
-    "bcb-propagate",
-    "watchdog-teardown",
-}
-
 
 def _port_track(endpoint_index, port):
     return "ep{}/p{}".format(endpoint_index, port)
@@ -55,44 +44,34 @@ def _port_track(endpoint_index, port):
 class TelemetryHub(Component):
     """Collects metrics, spans and samples for one network.
 
-    :param metrics: collect counters/gauges/histograms.
+    Metrics are always collected; every protocol event a component
+    reports also lands on the span timeline when ``spans`` is on.
+
     :param spans: record the span timeline (memory-heavier; sweeps
-        normally run metrics-only).
-    :param max_spans: ring-buffer cap for completed spans (None keeps
-        all; see :class:`~repro.telemetry.spans.SpanRecorder`).
+        run metrics-only).
     :param sample_period: cycles between occupancy samples (router
         backward-port busy counts, channel in-flight words); 0
         disables sampling.
-    :param router_spans: include router point events on the timeline
-        (voluminous on big runs; metrics are unaffected).
     """
 
     enabled = True
     name = "telemetry-hub"
 
-    def __init__(
-        self,
-        metrics=True,
-        spans=True,
-        max_spans=None,
-        sample_period=16,
-        router_spans=True,
-    ):
-        self.registry = MetricsRegistry() if metrics else None
-        self.spans = SpanRecorder(max_spans=max_spans) if spans else None
+    def __init__(self, spans=True, sample_period=16):
+        self.registry = registry = MetricsRegistry()
+        self.spans = SpanRecorder() if spans else None
         self.sample_period = sample_period
-        self.router_spans = router_spans
         self.network = None
         self._router_labels = {}   # router name -> (stage, "s.b.i" label)
         self._router_counters = {}  # (name, kind, extra) -> Counter
         self._ep_counters = {}      # (endpoint, kind[, cause]) -> Counter
-        self._channel_counters = None  # channel -> (fwd, rev) counters
+        self._channel_counters = {}  # channel -> (fwd, rev) counters
         self._samplers = []
-        self._hist_latency = None
-        self._hist_attempts = None
-        self._hist_queueing = None
-        self._hist_occupancy = None
-        self._util_samples = None
+        self._hist_latency = registry.histogram("message.latency.cycles")
+        self._hist_attempts = registry.histogram("message.attempts")
+        self._hist_queueing = registry.histogram("message.queueing.cycles")
+        self._hist_occupancy = registry.histogram("channel.in_flight")
+        self._util_samples = registry.counter("router.util.samples")
 
     # ------------------------------------------------------------------
     # Binding
@@ -112,30 +91,23 @@ class TelemetryHub(Component):
             router.telemetry = self
         for endpoint in network.endpoints:
             endpoint.telemetry = self
-        if self.registry is not None:
-            self._hist_latency = self.registry.histogram("message.latency.cycles")
-            self._hist_attempts = self.registry.histogram("message.attempts")
-            self._hist_queueing = self.registry.histogram("message.queueing.cycles")
-            self._hist_occupancy = self.registry.histogram("channel.in_flight")
-            self._util_samples = self.registry.counter("router.util.samples")
-            self._bind_channels(network)
-            for router in network.all_routers():
-                stage, label = self._router_labels[router.name]
-                self.registry.gauge(
-                    "router.util.ports", router=label, stage=stage
-                ).set(router.params.o)
-                self._samplers.append(
-                    (
-                        router,
-                        self.registry.counter(
-                            "router.util.busy", router=label, stage=stage
-                        ),
-                    )
+        self._bind_channels(network)
+        for router in network.all_routers():
+            stage, label = self._router_labels[router.name]
+            self.registry.gauge(
+                "router.util.ports", router=label, stage=stage
+            ).set(router.params.o)
+            self._samplers.append(
+                (
+                    router,
+                    self.registry.counter(
+                        "router.util.busy", router=label, stage=stage
+                    ),
                 )
+            )
         return self
 
     def _bind_channels(self, network):
-        self._channel_counters = {}
         for link in network.links:
             channel = network.channels[(link.src.key(), link.dst.key())]
             if link.src.kind == "endpoint":
@@ -155,28 +127,22 @@ class TelemetryHub(Component):
     # ------------------------------------------------------------------
 
     def tick(self, cycle):
-        if (
-            self.registry is None
-            or not self.sample_period
-            or cycle % self.sample_period
-        ):
+        if not self.sample_period or cycle % self.sample_period:
             return
         self._util_samples.inc()
         for router, busy_counter in self._samplers:
             busy_counter.inc(len(router.busy_backward_ports()))
-        if self._channel_counters is not None:
-            total = 0
-            for channel in self._channel_counters:
-                total += channel.in_flight()
-            self._hist_occupancy.observe(total)
+        total = 0
+        for channel in self._channel_counters:
+            total += channel.in_flight()
+        self._hist_occupancy.observe(total)
 
     # ------------------------------------------------------------------
     # Endpoint hooks
     # ------------------------------------------------------------------
 
     def attempt_started(self, cycle, endpoint, port, message):
-        if self.registry is not None:
-            self._endpoint_counter(endpoint.index, "endpoint.send.attempts").inc()
+        self._endpoint_counter(endpoint.index, "endpoint.send.attempts").inc()
         if self.spans is not None:
             track = _port_track(endpoint.index, port)
             self.spans.begin(
@@ -207,34 +173,33 @@ class TelemetryHub(Component):
     def attempt_finished(
         self, cycle, endpoint, port, message, outcome, blocked_stage=None
     ):
-        if self.registry is not None:
-            if outcome == "delivered":
-                self._endpoint_counter(
-                    endpoint.index, "endpoint.send.delivered"
-                ).inc()
-                self._hist_attempts.observe(message.attempts)
-                if message.latency is not None:
-                    self._hist_latency.observe(message.latency)
-                if (
-                    message.start_cycle is not None
-                    and message.queued_cycle is not None
-                ):
-                    self._hist_queueing.observe(
-                        message.start_cycle - message.queued_cycle
+        if outcome == "delivered":
+            self._endpoint_counter(
+                endpoint.index, "endpoint.send.delivered"
+            ).inc()
+            self._hist_attempts.observe(message.attempts)
+            if message.latency is not None:
+                self._hist_latency.observe(message.latency)
+            if (
+                message.start_cycle is not None
+                and message.queued_cycle is not None
+            ):
+                self._hist_queueing.observe(
+                    message.start_cycle - message.queued_cycle
+                )
+        else:
+            self._endpoint_counter(
+                endpoint.index, "endpoint.send.failures", cause=outcome
+            ).inc()
+            if blocked_stage is not None:
+                key = ("blocked.stage", blocked_stage)
+                counter = self._ep_counters.get(key)
+                if counter is None:
+                    counter = self.registry.counter(
+                        "endpoint.blocked.stage", stage=blocked_stage
                     )
-            else:
-                self._endpoint_counter(
-                    endpoint.index, "endpoint.send.failures", cause=outcome
-                ).inc()
-                if blocked_stage is not None:
-                    key = ("blocked.stage", blocked_stage)
-                    counter = self._ep_counters.get(key)
-                    if counter is None:
-                        counter = self.registry.counter(
-                            "endpoint.blocked.stage", stage=blocked_stage
-                        )
-                        self._ep_counters[key] = counter
-                    counter.inc()
+                    self._ep_counters[key] = counter
+                counter.inc()
         if self.spans is not None:
             track = _port_track(endpoint.index, port)
             if outcome == "blocked-fast":
@@ -248,12 +213,11 @@ class TelemetryHub(Component):
             self.spans.end_all(cycle, track, args={"outcome": outcome})
 
     def message_received(self, cycle, endpoint, n_words, checksum_ok):
-        if self.registry is not None:
-            self._endpoint_counter(endpoint.index, "endpoint.recv.messages").inc()
-            if not checksum_ok:
-                self._endpoint_counter(
-                    endpoint.index, "endpoint.recv.checksum_failures"
-                ).inc()
+        self._endpoint_counter(endpoint.index, "endpoint.recv.messages").inc()
+        if not checksum_ok:
+            self._endpoint_counter(
+                endpoint.index, "endpoint.recv.checksum_failures"
+            ).inc()
         if self.spans is not None:
             self.spans.instant(
                 cycle,
@@ -278,33 +242,28 @@ class TelemetryHub(Component):
     def router_event(self, cycle, router, kind, port, detail):
         name = router.name
         stage, label = self._router_labels.get(name, (None, name))
-        if self.registry is not None:
-            extra = None
-            if kind == "conn-blocked":
-                extra = detail[1] if isinstance(detail, tuple) else None
-            key = (name, kind, extra)
-            counter = self._router_counters.get(key)
-            if counter is None:
-                family = _ROUTER_COUNTERS.get(kind)
-                if family is None:
-                    counter = self.registry.counter(
-                        "router.events", kind=kind, stage=stage
-                    )
-                elif extra is not None:
-                    counter = self.registry.counter(
-                        family, router=label, stage=stage, mode=extra
-                    )
-                else:
-                    counter = self.registry.counter(
-                        family, router=label, stage=stage
-                    )
-                self._router_counters[key] = counter
-            counter.inc()
-        if (
-            self.spans is not None
-            and self.router_spans
-            and kind in _ROUTER_INSTANTS
-        ):
+        extra = None
+        if kind == "conn-blocked":
+            extra = detail[1] if isinstance(detail, tuple) else None
+        key = (name, kind, extra)
+        counter = self._router_counters.get(key)
+        if counter is None:
+            family = _ROUTER_COUNTERS.get(kind)
+            if family is None:
+                counter = self.registry.counter(
+                    "router.events", kind=kind, stage=stage
+                )
+            elif extra is not None:
+                counter = self.registry.counter(
+                    family, router=label, stage=stage, mode=extra
+                )
+            else:
+                counter = self.registry.counter(
+                    family, router=label, stage=stage
+                )
+            self._router_counters[key] = counter
+        counter.inc()
+        if self.spans is not None:
             self.spans.instant(
                 cycle,
                 name,
@@ -331,8 +290,8 @@ class TelemetryHub(Component):
     # ------------------------------------------------------------------
 
     def snapshot(self):
-        """A picklable metrics snapshot (None when metrics are off)."""
-        return None if self.registry is None else self.registry.snapshot()
+        """A picklable metrics snapshot."""
+        return self.registry.snapshot()
 
     def export_trace(self, path):
         """Write the span timeline as Chrome trace-event JSON."""
@@ -340,10 +299,3 @@ class TelemetryHub(Component):
             raise ValueError("this hub was built with spans=False")
         final = self.network.engine.cycle if self.network is not None else None
         return self.spans.export(path, final_cycle=final)
-
-
-def attach_telemetry(network, **kwargs):
-    """Create a :class:`TelemetryHub`, bind it to ``network``, return it."""
-    hub = TelemetryHub(**kwargs)
-    hub.bind(network)
-    return hub

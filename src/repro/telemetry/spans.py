@@ -11,12 +11,11 @@ naturally onto a span tree per send attempt::
     attempt #2 ...                           │
 
 with zero-length *instants* marking point events (a BCB drop arriving,
-a router opening or turning a connection).  The recorder keeps
-completed spans in an optional ring buffer (``max_spans``) so tracing
-a long run has bounded memory: the newest spans survive, and
-``dropped`` counts what the ring evicted.
+a router opening or turning a connection).
 
-:meth:`SpanRecorder.to_chrome` renders everything as Chrome
+:meth:`SpanRecorder.timeline` renders everything as text, one line per
+span or instant in cycle order (``repro send --verbose`` prints it);
+:meth:`SpanRecorder.to_chrome` renders it as Chrome
 trace-event JSON (the ``traceEvents`` array format), which loads
 directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``
 — one simulated cycle is exported as one microsecond.
@@ -26,7 +25,6 @@ by ``repro send --trace-export``.
 """
 
 import json
-from collections import deque
 
 #: Phase constants from the Chrome trace-event format.
 _PH_COMPLETE = "X"
@@ -59,23 +57,10 @@ class Span:
 
 
 class SpanRecorder:
-    """Collects spans and instants; exports Chrome trace-event JSON.
+    """Collects spans and instants; renders them as text or Chrome JSON."""
 
-    :param max_spans: ring-buffer capacity for *completed* spans and
-        instants; None keeps everything.  When the ring is full the
-        oldest record is evicted and counted in :attr:`dropped` —
-        long-running simulations trace the recent past in bounded
-        memory instead of growing without limit.
-    """
-
-    def __init__(self, max_spans=None):
-        if max_spans is not None and max_spans < 1:
-            raise ValueError(
-                "max_spans must be >= 1 or None, got {}".format(max_spans)
-            )
-        self.max_spans = max_spans
-        self.completed = deque()
-        self.dropped = 0
+    def __init__(self):
+        self.completed = []  # spans and instants, in the order they ended
         self._open = {}  # track -> stack of open spans
 
     # -- recording -------------------------------------------------------
@@ -96,7 +81,7 @@ class SpanRecorder:
         span.end = cycle
         if args:
             span.args.update(args)
-        self._store(span)
+        self.completed.append(span)
         return span
 
     def end_all(self, cycle, track, args=None):
@@ -110,19 +95,13 @@ class SpanRecorder:
         """Record a zero-length point event on ``track``."""
         span = Span(track, name, cat, cycle, dict(args or {}), 0)
         span.end = cycle
-        self._store(span)
-        return span
-
-    def _store(self, span):
-        if self.max_spans is not None and len(self.completed) >= self.max_spans:
-            self.completed.popleft()
-            self.dropped += 1
         self.completed.append(span)
+        return span
 
     # -- queries ---------------------------------------------------------
 
-    def open_count(self):
-        return sum(len(stack) for stack in self._open.values())
+    def _open_spans(self):
+        return [span for stack in self._open.values() for span in stack]
 
     def spans(self, name=None, track=None):
         """Completed spans, optionally filtered by name and/or track."""
@@ -133,10 +112,32 @@ class SpanRecorder:
             and (track is None or span.track == track)
         ]
 
-    def clear(self):
-        self.completed.clear()
-        self._open.clear()
-        self.dropped = 0
+    def timeline(self):
+        """The timeline as text: one line per span or instant.
+
+        Lines are in cycle order, a span at the cycle it began and
+        enclosing spans first; each gives the cycle (``begin..end`` for
+        a span, ``begin..`` while it is still open), track, name and
+        args.
+        """
+        records = self.completed + self._open_spans()
+        records.sort(
+            key=lambda s: (s.begin, -(float("inf") if s.end is None else s.end))
+        )
+        lines = []
+        for span in records:
+            extent = ""
+            if span.end != span.begin:
+                extent = "..{}".format("" if span.end is None else span.end)
+            args = " ".join(
+                "{}={}".format(key, value) for key, value in span.args.items()
+            )
+            lines.append(
+                "@{:>4}{:<6} {:>10} {:<22} {}".format(
+                    span.begin, extent, span.track, span.name, args
+                ).rstrip()
+            )
+        return lines
 
     # -- export ----------------------------------------------------------
 
@@ -149,10 +150,8 @@ class SpanRecorder:
         threads of a single process; thread ids are assigned in sorted
         track-name order, so the export is deterministic.
         """
-        records = list(self.completed)
-        open_spans = [
-            span for stack in self._open.values() for span in stack
-        ]
+        records = self.completed
+        open_spans = self._open_spans()
         horizon = final_cycle
         if horizon is None:
             horizon = 0
@@ -225,10 +224,7 @@ class SpanRecorder:
         return {
             "traceEvents": events[: 1 + len(tracks)] + body,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "time_unit": "1 cycle = 1us",
-                "dropped_spans": self.dropped,
-            },
+            "otherData": {"time_unit": "1 cycle = 1us"},
         }
 
     def export(self, path, **kwargs):

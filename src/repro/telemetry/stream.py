@@ -291,7 +291,7 @@ class TelemetryStream(Component):
 
     def flush_delta(self, cycle=None):
         """Emit a ``metrics.delta`` for everything since the last one."""
-        if self.hub is None or self.hub.registry is None:
+        if self.hub is None:
             return
         current = self.hub.registry.snapshot()
         delta = current.delta_since(self._last)

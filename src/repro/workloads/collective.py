@@ -596,10 +596,6 @@ class CollectiveResult:
                 per_rank[op.src] = done if prev is None else max(prev, done)
         return per_rank
 
-    def step_times(self):
-        """Completion cycle of each step, in schedule order."""
-        return [row["done"] for row in self.steps]
-
     def max_step_skew(self):
         skews = [row["skew"] for row in self.steps if row["skew"] is not None]
         return max(skews) if skews else None

@@ -272,18 +272,6 @@ class ServiceResult:
             return float("nan")
         return 1000.0 * self.delivered_count / self.measure_cycles
 
-    def starved_clients(self):
-        """Clients that completed no request inside the window."""
-        expected = {
-            (endpoint, client)
-            for endpoint in self.client_endpoints()
-            for client in range(self.clients)
-        }
-        return sorted(expected - set(self.per_client_counts))
-
-    def client_endpoints(self):
-        return sorted({key[0] for key in self.per_client_counts})
-
     def content_hash(self):
         from repro.harness.parallel import result_content_hash
 

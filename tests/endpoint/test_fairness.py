@@ -82,7 +82,10 @@ def test_hotspot_service_load_starves_no_client():
     """
     result = run_service_point(0.002, seed=2, measure_cycles=6000)
     assert result.delivered_count > 0
-    assert result.starved_clients() == []
+    # Every client of every client endpoint completed a request.
+    assert len(result.per_client_counts) == (
+        result.n_client_endpoints * result.clients
+    )
     # No client hogs the interface: the busiest client completed at
     # most a small multiple of the median.
     counts = sorted(result.per_client_counts.values())

@@ -52,7 +52,6 @@ class TestMessageLog:
         for latency in (10, 20, 30):
             log.record(self._delivered(latency))
         assert log.mean_latency() == 20
-        assert log.total_latencies() == [10, 20, 30]
 
     def test_abandoned_separated(self):
         log = M.MessageLog()
@@ -62,14 +61,6 @@ class TestMessageLog:
         log.record(bad)
         assert len(log.delivered()) == 1
         assert len(log.abandoned()) == 1
-
-    def test_failure_cause_counts(self):
-        log = M.MessageLog()
-        message = self._delivered(10, attempts=3)
-        message.failure_causes = [M.BLOCKED, M.BLOCKED, M.TIMEOUT]
-        log.record(message)
-        counts = log.failure_cause_counts()
-        assert counts == {M.BLOCKED: 2, M.TIMEOUT: 1}
 
     def test_attempt_failures_live_counter(self):
         log = M.MessageLog()

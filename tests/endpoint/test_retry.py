@@ -1,12 +1,10 @@
-"""Retry policies: backoff shapes, budgets, and endpoint integration."""
+"""Retry backoff: the uniform draw, and the endpoint's attempt budget."""
 
 import random
 
 import pytest
 
 from repro.endpoint.retry import (
-    BudgetedRetries,
-    ExponentialBackoff,
     RetryPolicy,
     UniformBackoff,
 )
@@ -34,51 +32,6 @@ class TestUniformBackoff:
         assert draws == {2, 3, 4, 5}
 
 
-class TestExponentialBackoff:
-    def test_ceiling_doubles_per_attempt(self):
-        policy = ExponentialBackoff(base=1, factor=2.0, max_delay=64, jitter=False)
-        rng = random.Random(0)
-        delays = [
-            policy.delay(rng, _Message(attempts=n)) for n in range(1, 9)
-        ]
-        assert delays == [1, 2, 4, 8, 16, 32, 64, 64]
-
-    def test_jitter_stays_within_ceiling(self):
-        policy = ExponentialBackoff(base=1, factor=2.0, max_delay=32, jitter=True)
-        rng = random.Random(3)
-        for attempt in range(1, 20):
-            delay = policy.delay(rng, _Message(attempts=attempt))
-            ceiling = min(32, int(2.0 ** (attempt - 1)))
-            assert 0 <= delay <= ceiling
-
-
-class TestBudgetedRetries:
-    def test_per_destination_budget_exhausts(self):
-        policy = BudgetedRetries(budget=3)
-        rng = random.Random(1)
-        hot, cold = _Message(dest=5), _Message(dest=9)
-        for _ in range(3):
-            assert policy.delay(rng, hot) is not None
-        assert policy.delay(rng, hot) is None  # dest 5 budget spent
-        assert policy.delay(rng, cold) is not None  # dest 9 untouched
-
-    def test_delegates_to_inner_policy(self):
-        inner = ExponentialBackoff(base=2, factor=2.0, jitter=False)
-        policy = BudgetedRetries(budget=10, inner=inner)
-        rng = random.Random(0)
-        assert policy.delay(rng, _Message(attempts=1)) == 2
-        assert policy.delay(rng, _Message(attempts=2)) == 4
-
-    def test_clones_do_not_share_spent_counters(self):
-        policy = BudgetedRetries(budget=1)
-        clone = policy.clone()
-        rng = random.Random(0)
-        policy.delay(rng, _Message(dest=2))
-        assert policy.delay(rng, _Message(dest=2)) is None
-        # The clone's budget for dest 2 is untouched.
-        assert clone.delay(rng, _Message(dest=2)) is not None
-
-
 class TestEndpointIntegration:
     def _network(self, **endpoint_kwargs):
         from repro.network.builder import build_network
@@ -89,11 +42,13 @@ class TestEndpointIntegration:
         )
 
     def test_each_endpoint_gets_its_own_policy_clone(self):
-        network = self._network(retry_policy=BudgetedRetries(budget=4))
+        """``backoff=(lo, hi)`` reaches every endpoint as its own
+        UniformBackoff object, never one shared across sources."""
+        network = self._network(backoff=(1, 5))
         policies = {id(e.retry_policy) for e in network.endpoints}
         assert len(policies) == len(network.endpoints)
         assert all(
-            isinstance(e.retry_policy, BudgetedRetries)
+            (e.retry_policy.lo, e.retry_policy.hi) == (1, 5)
             for e in network.endpoints
         )
 
@@ -111,7 +66,7 @@ class TestEndpointIntegration:
         from repro.faults.injector import FaultInjector
         from repro.faults.model import DeadRouter
 
-        network = self._network(retry_policy=BudgetedRetries(budget=2))
+        network = self._network(max_attempts=3)
         injector = FaultInjector(network)
         # Kill the whole final stage: nothing is deliverable.
         last = network.plan.n_stages - 1
@@ -127,8 +82,6 @@ class TestEndpointIntegration:
 
     def test_describe_is_informative(self):
         assert "uniform" in UniformBackoff().describe()
-        assert "exp" in ExponentialBackoff().describe()
-        assert "budget" in BudgetedRetries().describe()
 
     def test_base_policy_is_abstract(self):
         with pytest.raises(NotImplementedError):

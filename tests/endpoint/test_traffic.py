@@ -5,7 +5,6 @@ import pytest
 from repro.endpoint.traffic import (
     HotspotTraffic,
     PermutationTraffic,
-    TraceTraffic,
     UniformRandomTraffic,
     bit_reverse,
     random_payload,
@@ -135,46 +134,6 @@ class TestPermutation:
                 assert all(m.dest != endpoint for m in messages)
 
 
-class TestTrace:
-    def test_events_fire_at_their_cycles(self):
-        traffic = TraceTraffic(8, 4, events=[(5, 1, 3), (10, 1, 4), (2, 0, 7)])
-        source1 = traffic.source_for(1)
-        assert source1(0) is None
-        assert source1(4) is None
-        first = source1(5)
-        assert first.dest == 3
-        assert source1(6) is None
-        second = source1(12)  # late poll still drains the queue
-        assert second.dest == 4
-
-    def test_other_endpoints_unaffected(self):
-        traffic = TraceTraffic(8, 4, events=[(0, 2, 6)])
-        assert _drain(traffic.source_for(3), 10) == []
-
-    def test_events_sorted_regardless_of_input_order(self):
-        traffic = TraceTraffic(8, 4, events=[(30, 1, 5), (4, 1, 2), (11, 1, 7)])
-        assert traffic.events == [(4, 1, 2), (11, 1, 7), (30, 1, 5)]
-        source = traffic.source_for(1)
-        dests = [m.dest for m in _drain(source, 40)]
-        assert dests == [2, 7, 5]  # queue drains in cycle order
-
-    def test_same_cycle_events_keep_tuple_order(self):
-        traffic = TraceTraffic(8, 4, events=[(5, 1, 6), (5, 1, 2)])
-        source = traffic.source_for(1)
-        first = source(5)
-        second = source(5)  # one event per poll; same-cycle ties queue
-        assert (first.dest, second.dest) == (2, 6)
-
-    def test_next_arrival_cycle_tracks_the_queue(self):
-        traffic = TraceTraffic(8, 4, events=[(4, 1, 2), (11, 1, 7)])
-        source = traffic.source_for(1)
-        assert source.next_arrival_cycle() == 4
-        assert source(4) is not None
-        assert source.next_arrival_cycle() == 11
-        assert source(11) is not None
-        assert source.next_arrival_cycle() is None  # exhausted
-
-
 @pytest.mark.parametrize("w", [1, 4, 8, 12, 16, 20, 24])
 def test_random_payload_respects_width(w):
     import random
@@ -189,41 +148,3 @@ def test_random_payload_respects_width(w):
     assert max(values) >= (1 << (w - 1))
     if w > 16:
         assert max(values) > 0xFFFF
-
-
-class TestAdversarial:
-    def test_tornado_mapping(self):
-        from repro.endpoint.traffic import AdversarialTraffic, tornado
-
-        assert tornado(0, 16) == 7
-        assert tornado(10, 16) == 1
-        traffic = AdversarialTraffic(16, 4, pattern="tornado")
-        assert sorted(traffic.mapping) == list(range(16))
-
-    def test_complement_mapping(self):
-        from repro.endpoint.traffic import AdversarialTraffic, bit_complement
-
-        assert bit_complement(0b0101, 4) == 0b1010
-        traffic = AdversarialTraffic(16, 4, pattern="complement")
-        assert traffic.mapping[0] == 15
-        assert sorted(traffic.mapping) == list(range(16))
-
-    def test_neighbor_mapping(self):
-        from repro.endpoint.traffic import AdversarialTraffic
-
-        traffic = AdversarialTraffic(8, 4, pattern="neighbor")
-        assert traffic.mapping == [1, 2, 3, 4, 5, 6, 7, 0]
-
-    def test_unknown_pattern_rejected(self):
-        from repro.endpoint.traffic import AdversarialTraffic
-
-        with pytest.raises(ValueError):
-            AdversarialTraffic(8, 4, pattern="bogus")
-
-    def test_generates_to_fixed_partner(self):
-        from repro.endpoint.traffic import AdversarialTraffic
-
-        traffic = AdversarialTraffic(16, 4, rate=1.0, pattern="tornado", seed=3)
-        messages = _drain(traffic.source_for(4), 50)
-        assert messages
-        assert all(m.dest == traffic.mapping[4] for m in messages)

@@ -5,7 +5,6 @@ import io
 from repro.harness.parallel import TrialEvent
 from repro.harness.reporting import (
     ascii_chart,
-    format_histogram,
     format_percentiles,
     format_series,
     format_stage_heatmap,
@@ -13,7 +12,7 @@ from repro.harness.reporting import (
     format_trial_event,
     progress_printer,
 )
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 
 
 # -- format_table --------------------------------------------------------
@@ -121,26 +120,6 @@ def _snapshot():
             "router.util.ports", router=router, stage=stage
         ).set(ports)
     return registry.snapshot()
-
-
-def test_format_histogram_bars_scale_to_modal_bucket():
-    histogram = Histogram()
-    for value in (1, 2, 2, 3, 10):
-        histogram.observe(value)
-    text = format_histogram(histogram, title="h", width=10)
-    lines = text.splitlines()
-    assert lines[0] == "h"
-    assert "count=5" in lines[1]
-    # Bucket [2, 4) holds 3 of 5 values: the longest bar.
-    bars = {
-        line.split(")")[0].strip("[ "): line.count("#")
-        for line in lines[2:]
-    }
-    assert max(bars, key=bars.get).startswith("2")
-
-
-def test_format_histogram_empty():
-    assert format_histogram(Histogram()) == "(empty histogram)"
 
 
 def test_format_percentiles_skips_missing_series():

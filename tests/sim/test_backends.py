@@ -11,12 +11,13 @@ import pytest
 
 from repro.core import words as W
 from repro.endpoint.messages import DELIVERED, Message
-from repro.endpoint.traffic import TraceTraffic, UniformRandomTraffic
+from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.load_sweep import figure1_network
 from repro.sim.backends import BACKENDS, EventEngine, make_engine
 from repro.sim.channel import Channel
 from repro.sim.component import ACTIVE, Component
 from repro.sim.engine import Engine, EngineDeadlineError
+from repro.workloads.service import RequestResponseWorkload
 
 
 def test_make_engine_selects_backend():
@@ -121,32 +122,38 @@ def test_loaded_equivalence_uniform_traffic():
 
 
 def test_trace_traffic_compresses_between_arrivals():
-    """Trace sources name their next arrival, so the gaps between
-    events are compressed — without changing a single delivery."""
-    events = [(100, 1, 9), (1800, 6, 2), (3500, 12, 4)]
+    """A source that names its next arrival lets the gaps between
+    arrivals be compressed — without changing a single delivery.  The
+    source here is the service workload's open-loop client population
+    (arrival times are drawn per request, so ``next_arrival_cycle`` is
+    always known), at a rate that leaves thousands of idle cycles
+    between requests."""
     logs = []
     compressed = None
     for backend in ("reference", "events"):
         network = figure1_network(seed=21, backend=backend)
-        TraceTraffic(
+        RequestResponseWorkload(
             network.plan.n_endpoints,
             network.codec.w,
-            events=events,
-            message_words=6,
+            clients=1,
+            rate=0.00005,
+            request_words=6,
+            seed=4,
         ).attach(network)
         network.run(5000)
         logs.append(
             [
-                (m.source, m.dest, m.start_cycle, m.done_cycle, m.outcome)
+                (m.source, m.dest, m.queued_cycle, m.start_cycle,
+                 m.done_cycle, m.outcome)
                 for m in network.log.messages
             ]
         )
         if backend == "events":
             compressed = network.engine.compressed_cycles
     assert logs[0] == logs[1]
-    assert len(logs[0]) == len(events)
-    assert all(outcome == DELIVERED for _, _, _, _, outcome in logs[0])
-    assert compressed > 3000  # the dead air between arrivals
+    assert len(logs[0]) == 3  # arrivals at cycles 63, 2264 and 4895
+    assert all(entry[-1] == DELIVERED for entry in logs[0])
+    assert compressed > 4000  # the dead air between arrivals
 
 
 def test_compression_respects_the_deadline():

@@ -1,5 +1,7 @@
 """TelemetryHub: binding, metrics, span trees, sweep integration."""
 
+import collections
+
 import pytest
 
 from repro.endpoint.messages import DELIVERED, Message
@@ -11,7 +13,6 @@ from repro.network.topology import figure1_plan
 from repro.telemetry import (
     MetricsSnapshot,
     TelemetryHub,
-    attach_telemetry,
     validate_trace_events,
 )
 
@@ -41,11 +42,58 @@ def test_hub_binds_exactly_once():
         hub.bind(network)
 
 
-def test_attach_telemetry_convenience():
-    network = build_network(figure1_plan(), seed=4)
-    hub = attach_telemetry(network, spans=False)
-    assert network.telemetry is hub
-    assert hub.spans is None
+# -- one sink: each event is reported once ------------------------------
+
+
+class _CountingHub(TelemetryHub):
+    """A hub that tallies every reporting call components make to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = collections.Counter()
+
+    def router_event(self, cycle, router, kind, port, detail):
+        self.calls[kind] += 1
+        super().router_event(cycle, router, kind, port, detail)
+
+    def attempt_started(self, *args, **kwargs):
+        self.calls["attempt_started"] += 1
+        super().attempt_started(*args, **kwargs)
+
+    def attempt_finished(self, *args, **kwargs):
+        self.calls["attempt_finished"] += 1
+        super().attempt_finished(*args, **kwargs)
+
+    def message_received(self, *args, **kwargs):
+        self.calls["message_received"] += 1
+        super().message_received(*args, **kwargs)
+
+
+def test_each_protocol_event_reaches_the_hub_exactly_once():
+    """The pinned ``send 2 9`` run (tests/fixtures/cli_golden/
+    send_verbose.json): one attempt that crosses three routers and
+    turns twice.  Each occurrence is one call into the hub — and one
+    line of its timeline — no more."""
+    hub = _CountingHub()
+    network = build_network(figure1_plan(), seed=0, telemetry=hub)
+    message = network.send(2, Message(dest=9, payload=[1, 2, 3, 4]))
+    assert network.run_until_quiet(max_cycles=5000)
+    assert (message.outcome, message.attempts) == (DELIVERED, 1)
+    assert hub.calls == {
+        "attempt_started": 1,
+        "attempt_finished": 1,
+        "message_received": 1,
+        "conn-open": 3,
+        "conn-turn": 6,
+        "conn-close-accepted": 3,
+        "conn-drop": 3,
+    }
+    on_timeline = collections.Counter(
+        span.name for span in hub.spans.completed
+    )
+    assert on_timeline["attempt"] == on_timeline["deliver"] == 1
+    for kind in ("conn-open", "conn-turn", "conn-close-accepted", "conn-drop"):
+        assert on_timeline[kind] == hub.calls[kind]
 
 
 # -- metrics from one delivery ------------------------------------------
@@ -175,16 +223,17 @@ def test_blocked_then_retried_message_shows_bcb_drop():
 
     drops = hub.spans.spans(name="bcb-drop")
     assert drops, "no fast-reclaim drop was ever recorded"
-    retried = []
-    for drop in drops:
-        retried.extend(
-            span
-            for span in hub.spans.spans(name="attempt", track=drop.track)
-            if span.begin >= drop.end
-            and span.args.get("outcome") == "delivered"
-            and span.args.get("attempt", 0) > 0
-        )
-    assert retried, "no blocked track ever retried to delivery"
+    delivered = [
+        span
+        for span in hub.spans.spans(name="attempt")
+        if span.args.get("outcome") == "delivered"
+        and span.args.get("attempt", 0) > 0
+    ]
+    assert any(
+        span.track == drop.track and span.begin >= drop.end
+        for drop in drops
+        for span in delivered
+    ), "no blocked track ever retried to delivery"
     # Metrics agree that the fast path fired.
     snapshot = hub.snapshot()
     assert snapshot.total("router.bcb.sent") > 0
@@ -205,17 +254,6 @@ def test_metrics_only_hub_rejects_trace_export():
     network, hub = _bound_network(spans=False)
     with pytest.raises(ValueError):
         hub.export_trace("/tmp/never-written.json")
-
-
-def test_span_ring_buffer_passthrough():
-    network, hub = _bound_network(max_spans=8)
-    traffic = HotspotTraffic(
-        16, 4, rate=0.2, hotspot=0, fraction=0.9, message_words=12, seed=13
-    )
-    traffic.attach(network)
-    network.run(600)
-    assert len(hub.spans.completed) == 8
-    assert hub.spans.dropped > 0
 
 
 # -- sweep integration ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Span recorder: nesting, ring buffer, Chrome export, validation."""
+"""Span recorder: nesting, text timeline, Chrome export, validation."""
 
 import json
 
@@ -43,21 +43,7 @@ def test_end_all_closes_innermost_first():
     closed = recorder.end_all(7, "t", args={"outcome": "blocked"})
     assert [span.name for span in closed] == ["reply", "attempt"]
     assert all(span.args["outcome"] == "blocked" for span in closed)
-    assert recorder.open_count() == 0
-
-
-def test_ring_buffer_bounds_memory_and_counts_drops():
-    recorder = SpanRecorder(max_spans=5)
-    for cycle in range(12):
-        recorder.instant(cycle, "t", "e{}".format(cycle))
-    assert len(recorder.completed) == 5
-    assert recorder.dropped == 7
-    assert [span.begin for span in recorder.completed] == list(range(7, 12))
-
-
-def test_max_spans_validation():
-    with pytest.raises(ValueError):
-        SpanRecorder(max_spans=0)
+    assert recorder.end(8, "t") is None
 
 
 def _recorded():
@@ -70,6 +56,18 @@ def _recorded():
     recorder.end(9, "ep0/p0")
     recorder.end(20, "ep0/p0", args={"outcome": "delivered"})
     return recorder
+
+
+def test_timeline_is_in_cycle_order_with_enclosing_spans_first():
+    recorder = _recorded()
+    recorder.begin(21, "ep0/p0", "attempt", args={"attempt": 2})
+    assert recorder.timeline() == [
+        "@   0..20       ep0/p0 attempt                outcome=delivered",
+        "@   0..3        ep0/p0 setup",
+        "@   3..9        ep0/p0 stream",
+        "@   8           r0.0.0 conn-open",
+        "@  21..         ep0/p0 attempt                attempt=2",
+    ]
 
 
 def test_chrome_export_is_valid_and_deterministic():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -56,16 +57,69 @@ def test_send(capsys):
     assert "5 -> 15: delivered" in out
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["send", "99", "1"], "src 99"),
+        (["send", "1", "99"], "dest 99"),
+        (["send", "--", "-1", "3"], "src -1"),
+        (["send", "20", "1", "--network", "fattree"], "src 20"),
+    ],
+)
+def test_send_rejects_an_endpoint_outside_the_network(capsys, argv, named):
+    """One ``send:`` line naming the valid range, exit 2, nothing run."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("send: " + named)
+    assert "(valid: 0..15)" in line
+
+
 def test_send_verbose_traces_protocol(capsys):
+    """Every protocol event of the send, one line each, in cycle order."""
     out = _run(capsys, ["send", "2", "9", "--verbose"])
-    assert "conn-open" in out
-    assert "conn-turn" in out
-    assert "recv-message" in out
+    lines = out.splitlines()[1:]
+    fields = [
+        re.match(r"  @ *(\d+)(?:\.\.\d*)? +(\S+) +(\S+)", line).groups()
+        for line in lines
+    ]
+    names = [name for _cycle, _track, name in fields]
+    for name, count in (
+        ("attempt", 1), ("setup", 1), ("stream", 1), ("reply", 1),
+        ("conn-open", 3), ("conn-turn", 6), ("deliver", 1),
+        ("conn-close-accepted", 3), ("conn-drop", 3),
+    ):
+        assert names.count(name) == count, name
+    assert "outcome=delivered" in lines[names.index("attempt")]
+    cycles = [int(cycle) for cycle, _track, _name in fields]
+    assert cycles == sorted(cycles)
 
 
 def test_send_fattree(capsys):
     out = _run(capsys, ["send", "1", "14", "--network", "fattree"])
     assert "delivered" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure3", "--rates", "abc"],
+        ["figure3", "--rates", ""],
+        ["faults", "--levels", "2:x"],
+        ["workloads", "collective", "--layers", "8,,4"],
+        ["workloads", "collective", "--fault-levels", "a:0"],
+        ["workloads", "service", "--servers", "0;1"],
+        ["workloads", "service", "--rates", "fast"],
+    ],
+)
+def test_malformed_comma_list_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert "error: argument {}: invalid".format(argv[-2]) in error
 
 
 def test_parser_rejects_unknown_command():

@@ -156,6 +156,11 @@ CASES = {
     "send_fattree": {
         "commands": [["send", "1", "14", "--network", "fattree"]],
     },
+    "send_verbose": {"commands": [["send", "2", "9", "--verbose"]]},
+    "send_trace_export": {
+        "commands": [["send", "5", "15", "--trace-export", "t.json"]],
+        "files": ["t.json"],
+    },
 }
 
 _SECONDS = re.compile(r"\d+\.\d+s\b")

@@ -125,7 +125,7 @@ class TestConcurrentTraffic:
         oracle.assert_clean()
         for message in msgs:
             assert message.outcome == DELIVERED
-        causes = network.log.failure_cause_counts()
+        causes = network.log.attempt_failures
         assert causes.get("blocked", 0) > 0  # contention really happened
 
 
@@ -139,7 +139,7 @@ class TestFastReclamation:
         assert network.run_until_quiet(max_cycles=50000)
         for message in msgs:
             assert message.outcome == DELIVERED
-        causes = network.log.failure_cause_counts()
+        causes = network.log.attempt_failures
         assert causes.get("blocked-fast", 0) > 0
         assert causes.get("blocked", 0) == 0
 

@@ -79,21 +79,6 @@ class TestCascadedNetworkMisc:
         assert wide.latency is not None
 
 
-class TestWaveformPathHelper:
-    def test_record_path_names_hops(self):
-        from repro.network.builder import build_network
-        from repro.network.topology import figure1_plan
-        from repro.sim.waveform import record_path
-
-        network = build_network(figure1_plan(), seed=4)
-        keys = list(network.channels)[:3]
-        recorder = record_path(network, keys, max_cycles=16)
-        network.run(4)
-        assert set(recorder.lanes) == {
-            "hop0 >", "hop0 <", "hop1 >", "hop1 <", "hop2 >", "hop2 <"
-        }
-
-
 class TestScanControllerMisc:
     def test_write_config_bits_roundtrip(self):
         from repro.core.parameters import METROJR

@@ -60,12 +60,10 @@ SUBMODULES = [
     "repro.sim.channel",
     "repro.sim.component",
     "repro.sim.engine",
-    "repro.sim.trace",
     "repro.sim.waveform",
     "repro.network.analysis",
     "repro.network.builder",
     "repro.network.cascaded",
-    "repro.network.dot",
     "repro.network.fattree",
     "repro.network.headers",
     "repro.network.multibutterfly",
@@ -102,7 +100,6 @@ SUBMODULES = [
     "repro.telemetry.hub",
     "repro.telemetry.metrics",
     "repro.telemetry.nullobj",
-    "repro.telemetry.profiler",
     "repro.telemetry.spans",
     "repro.verify.backend_diff",
     "repro.verify.families",

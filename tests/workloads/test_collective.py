@@ -143,7 +143,6 @@ def test_per_step_report_is_monotone_and_complete():
     assert dones == sorted(dones)
     assert all(row["skew"] >= 0 for row in result.steps)
     assert result.straggler_rank() in result.per_rank_done
-    assert result.step_times() == dones
 
 
 def test_collective_point_under_faults_still_completes():
