@@ -1163,6 +1163,27 @@ def _comma_list(item):
     return parse
 
 
+def _at_least(low, name):
+    """An argparse ``type=``: an integer ``>= low``.
+
+    Anything else (``--measure 0``, ``--warmup -5``, ``--trials x``) is
+    argparse's one-line ``error: argument --X: invalid <name> value``
+    and exit 2, before a command divides by it or loops over it.
+    """
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+_positive = _at_least(1, "positive_int")
+_non_negative = _at_least(0, "non_negative_int")
+
+
 def _fault_level(part):
     """``LINKS[:ROUTERS]`` -> ``(dead links, dead routers)``."""
     links, _, routers = part.partition(":")
@@ -1177,7 +1198,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive,
         default=1,
         help="worker processes for sweep trials (1 = serial; results "
         "are identical either way for the same --seed)",
@@ -1242,7 +1263,7 @@ def build_parser():
             "byte-identical to an uninterrupted run",
         )
         command.add_argument(
-            "--retries", type=int, default=None, metavar="N",
+            "--retries", type=_positive, default=None, metavar="N",
             help="per-trial attempt budget with exponential backoff: "
             "a trial whose worker crashes (SIGKILL/OOM), times out, or "
             "raises is retried on a recycled worker up to N attempts "
@@ -1260,16 +1281,16 @@ def build_parser():
     fig3.add_argument(
         "--rates", type=_comma_list(float), default="0.002,0.01,0.04,0.16"
     )
-    fig3.add_argument("--warmup", type=int, default=600)
-    fig3.add_argument("--measure", type=int, default=2500)
+    fig3.add_argument("--warmup", type=_non_negative, default=600)
+    fig3.add_argument("--measure", type=_positive, default=2500)
     add_sweep_options(fig3)
 
     faults = sub.add_parser("faults", help="fault-degradation point")
-    faults.add_argument("--links", type=int, default=8)
-    faults.add_argument("--routers", type=int, default=0)
+    faults.add_argument("--links", type=_non_negative, default=8)
+    faults.add_argument("--routers", type=_non_negative, default=0)
     faults.add_argument("--rate", type=float, default=0.02)
-    faults.add_argument("--warmup", type=int, default=600)
-    faults.add_argument("--measure", type=int, default=2500)
+    faults.add_argument("--warmup", type=_non_negative, default=600)
+    faults.add_argument("--measure", type=_positive, default=2500)
     faults.add_argument(
         "--levels",
         type=_comma_list(_fault_level),
@@ -1287,14 +1308,14 @@ def build_parser():
     )
     faults.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive,
         default=None,
         help="per-message retry budget; exhausted messages surface as "
         "'undeliverable' in the sweep results",
     )
     faults.add_argument(
         "--max-undeliverable",
-        type=int,
+        type=_non_negative,
         default=None,
         metavar="N",
         help="with --levels: exit nonzero if any level abandons more "
@@ -1307,17 +1328,17 @@ def build_parser():
         help="chaos soak: transient faults with online self-healing",
     )
     chaos.add_argument(
-        "--seeds", type=int, default=4,
+        "--seeds", type=_positive, default=4,
         help="independent soaks (parallelizes with --workers)",
     )
-    chaos.add_argument("--windows", type=int, default=30)
-    chaos.add_argument("--window-cycles", type=int, default=400)
-    chaos.add_argument("--warmup-windows", type=int, default=5)
-    chaos.add_argument("--flaky-links", type=int, default=1)
-    chaos.add_argument("--dead-routers", type=int, default=1)
-    chaos.add_argument("--mtbf", type=int, default=1500,
+    chaos.add_argument("--windows", type=_positive, default=30)
+    chaos.add_argument("--window-cycles", type=_positive, default=400)
+    chaos.add_argument("--warmup-windows", type=_non_negative, default=5)
+    chaos.add_argument("--flaky-links", type=_non_negative, default=1)
+    chaos.add_argument("--dead-routers", type=_non_negative, default=1)
+    chaos.add_argument("--mtbf", type=_positive, default=1500,
                        help="mean cycles between transient failures")
-    chaos.add_argument("--mttr", type=int, default=600,
+    chaos.add_argument("--mttr", type=_positive, default=600,
                        help="mean cycles a transient fault stays down")
     chaos.add_argument("--rate", type=float, default=0.02)
     chaos.add_argument(
@@ -1339,7 +1360,7 @@ def build_parser():
         "falls below FRACTION",
     )
     chaos.add_argument(
-        "--max-undeliverable", type=int, default=None, metavar="N",
+        "--max-undeliverable", type=_non_negative, default=None, metavar="N",
         help="exit nonzero if a self-healing soak abandons more than "
         "N messages",
     )
@@ -1349,7 +1370,7 @@ def build_parser():
         "episode exceeds CYCLES",
     )
     chaos.add_argument(
-        "--snapshot-every", type=int, default=None, metavar="K",
+        "--snapshot-every", type=_positive, default=None, metavar="K",
         help="checkpoint each live soak every K completed windows into "
         "a ring of engine snapshots under --snapshot-dir (one "
         "subdirectory per soak); running the same command again (or "
@@ -1374,7 +1395,7 @@ def build_parser():
         "watchdog (render with 'repro tail')",
     )
     chaos.add_argument(
-        "--stall-cycles", type=int, default=None, metavar="N",
+        "--stall-cycles", type=_positive, default=None, metavar="N",
         help="watchdog threshold: flag a soak making no delivery "
         "progress for N cycles while messages are pending (defaults "
         "to 5 windows when --stream or a heartbeat file is active)",
@@ -1404,7 +1425,7 @@ def build_parser():
         help="collective schedule generator",
     )
     workloads.add_argument(
-        "--words", type=int, default=20,
+        "--words", type=_positive, default=20,
         help="per-rank vector words (chunked by the algorithm)",
     )
     workloads.add_argument(
@@ -1413,7 +1434,7 @@ def build_parser():
         "one serialized all-reduce per layer in backprop order",
     )
     workloads.add_argument(
-        "--microbatches", type=int, default=4,
+        "--microbatches", type=_positive, default=4,
         help="microbatches for the pipeline-parallel schedule",
     )
     workloads.add_argument(
@@ -1422,7 +1443,7 @@ def build_parser():
         help="dead-links:dead-routers levels for the collective sweep",
     )
     workloads.add_argument(
-        "--max-cycles", type=int, default=400000,
+        "--max-cycles", type=_positive, default=400000,
         help="cycle budget per collective execution",
     )
     workloads.add_argument(
@@ -1442,7 +1463,7 @@ def build_parser():
         "clients",
     )
     workloads.add_argument(
-        "--clients", type=int, default=4,
+        "--clients", type=_positive, default=4,
         help="simulated clients multiplexed per client endpoint",
     )
     workloads.add_argument(
@@ -1450,17 +1471,17 @@ def build_parser():
         help="probability an arrival triggers a burst",
     )
     workloads.add_argument(
-        "--burst-size", type=int, default=1,
+        "--burst-size", type=_positive, default=1,
         help="requests per burst (1 = pure Poisson arrivals)",
     )
-    workloads.add_argument("--request-words", type=int, default=8)
-    workloads.add_argument("--reply-words", type=int, default=4)
+    workloads.add_argument("--request-words", type=_positive, default=8)
+    workloads.add_argument("--reply-words", type=_non_negative, default=4)
     workloads.add_argument(
         "--service-time", default="0:16", metavar="LO:HI",
         help="uniform simulated server processing cycles per request",
     )
-    workloads.add_argument("--warmup", type=int, default=1000)
-    workloads.add_argument("--measure", type=int, default=6000)
+    workloads.add_argument("--warmup", type=_non_negative, default=1000)
+    workloads.add_argument("--measure", type=_positive, default=6000)
     for quantile in ("p50", "p95", "p99", "p999"):
         workloads.add_argument(
             "--slo-{}".format(quantile), type=float, default=None,
@@ -1469,13 +1490,13 @@ def build_parser():
             "CYCLES".format(quantile),
         )
     workloads.add_argument(
-        "--slo-abandoned", type=int, default=None, metavar="N",
+        "--slo-abandoned", type=_non_negative, default=None, metavar="N",
         help="exit 1 if more than N requests were abandoned",
     )
     add_sweep_options(workloads)
 
     saturation = sub.add_parser("saturation", help="find saturation throughput")
-    saturation.add_argument("--measure", type=int, default=2000)
+    saturation.add_argument("--measure", type=_positive, default=2000)
     # No --quarantine: the saturation search reads delivered_load off
     # every probed point, which a quarantine report cannot provide.
     add_sweep_options(saturation, quarantine=False)
@@ -1495,7 +1516,7 @@ def build_parser():
         help="--follow poll interval",
     )
     tail.add_argument(
-        "--last", type=int, default=12, metavar="N",
+        "--last", type=_positive, default=12, metavar="N",
         help="window/fault rows shown in the summary tables",
     )
 
@@ -1507,7 +1528,7 @@ def build_parser():
     send.add_argument("--network", choices=("figure1", "figure3", "fattree"),
                       default="figure1")
     send.add_argument("--verbose", "-v", action="store_true")
-    send.add_argument("--max-cycles", type=int, default=50000)
+    send.add_argument("--max-cycles", type=_positive, default=50000)
     send.add_argument(
         "--trace-export",
         default=None,
@@ -1523,7 +1544,7 @@ def build_parser():
     )
     verify.add_argument(
         "--trials",
-        type=int,
+        type=_positive,
         default=50,
         help="number of random configurations (parallelizes with --workers)",
     )
@@ -1546,7 +1567,7 @@ def build_parser():
         help="re-run one saved scenario JSON under the conformance "
         "oracle instead of sweeping",
     )
-    verify.add_argument("--max-cycles", type=int, default=50000)
+    verify.add_argument("--max-cycles", type=_positive, default=50000)
     verify.add_argument(
         "--backend-diff",
         action="store_true",

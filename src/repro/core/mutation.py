@@ -108,9 +108,28 @@ WL_PREMATURE_RELEASE = "workload-premature-release"
 
 WORKLOAD_MUTATIONS = frozenset((WL_DROP_DEP_EDGE, WL_PREMATURE_RELEASE))
 
+# -- Fast-path mutations (layers both engines share) ------------------------
+#
+# ``Channel.advance`` and ``MetroRouter.tick`` skip work on the strength
+# of derived summaries.  Both engines run that code, so the backend
+# prover cannot see it go stale; these show the checks that can
+# (``tests/sim/test_channel.py``, ``tests/verify/test_fast_path_mutations.py``).
+
+#: A lone ``send_bcb`` does not mark the wire live: a BCB pulse staged on
+#: an otherwise silent channel is never shifted.
+CHANNEL_STALE_LIVENESS = "channel-stale-liveness"
+
+#: The router's owned-port count misses every claim, so
+#: ``_service_backward_bcb`` is skipped while a port is owned.
+STALE_OWNED_COUNT = "router-stale-owned-count"
+
+FAST_PATH_MUTATIONS = frozenset((CHANNEL_STALE_LIVENESS, STALE_OWNED_COUNT))
+
 #: Every mutation :func:`activate` accepts (protocol + backend +
-#: workload layers).
-KNOWN_MUTATIONS = ALL_MUTATIONS | BACKEND_MUTATIONS | WORKLOAD_MUTATIONS
+#: workload + fast-path layers).
+KNOWN_MUTATIONS = (
+    ALL_MUTATIONS | BACKEND_MUTATIONS | WORKLOAD_MUTATIONS | FAST_PATH_MUTATIONS
+)
 
 #: The active mutation set.  Falsy (empty) in production; the guards in
 #: router/allocator code check emptiness before doing a set lookup.

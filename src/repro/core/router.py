@@ -93,11 +93,8 @@ class _Connection:
     def pipe_push(self, word):
         """Shift the internal pipeline one stage; returns the word exiting."""
         pipe = self.pipe
-        out = pipe[-1]
-        for index in range(len(pipe) - 1, 0, -1):
-            pipe[index] = pipe[index - 1]
-        pipe[0] = word
-        return out
+        pipe.insert(0, word)
+        return pipe.pop()
 
     def pipe_clear(self):
         for index in range(len(self.pipe)):
@@ -171,6 +168,7 @@ class MetroRouter(Component):
         self.boundary_capture = [None] * (params.i + params.o)
         #: Scan-driven test word per backward port (off-port drive).
         self._scan_drive = [None] * params.o
+        self._owned = 0
         self._cycle = 0
         #: A dead router (hard fault) goes completely silent; neighbours
         #: recover through their dead-signal watchdogs and sources route
@@ -184,6 +182,18 @@ class MetroRouter(Component):
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
+
+    #: Derived state the tick's fast paths rest on: never pickled, and
+    #: valid the moment a snapshot is restored (out-of-tick mutators run
+    #: before the first tick).  ``_rx_slots`` is ``(forward port, its
+    #: receive pipe's slots)`` per wired port; None means "rebuild on
+    #: the next tick", because the channel ends may still be incomplete
+    #: inside ``__setstate__``.  ``_owned`` is never less than the
+    #: number of owned backward ports: it is recounted, never stepped,
+    #: at every claim and release.  ``_scan_pending`` may be True with
+    #: nothing to drive, never False with a word waiting.
+    _rx_slots = None
+    _scan_pending = True
 
     def __getstate__(self):
         """Shed engine- and scan-installed machinery for snapshots.
@@ -199,6 +209,8 @@ class MetroRouter(Component):
         """
         state = dict(self.__dict__)
         state["wake_hook"] = None
+        for name in ("_rx_slots", "_owned", "_scan_pending"):
+            state.pop(name, None)
         multitap = state.pop("multitap", None)
         if multitap is not None:
             state["_scan_marker"] = (multitap.sp, sorted(multitap.dead_ports))
@@ -207,6 +219,7 @@ class MetroRouter(Component):
     def __setstate__(self, state):
         marker = state.pop("_scan_marker", None)
         self.__dict__.update(state)
+        self._count_owned()
         if marker is not None:
             from repro.scan.controller import attach_scan
 
@@ -221,6 +234,7 @@ class MetroRouter(Component):
     def attach_forward(self, port, channel_end):
         """Connect forward port ``port`` to the B side of its channel."""
         self.forward_ends[port] = channel_end
+        self._rx_slots = None
 
     def attach_backward(self, port, channel_end):
         """Connect backward port ``port`` to the A side of its channel."""
@@ -280,19 +294,12 @@ class MetroRouter(Component):
         """Nothing to normalize: see :meth:`activity_state`."""
 
     def attached_channels(self):
-        """``(channel, is_a_side)`` for every wired port.
-
-        Forward ports hold the B side of their (upstream) channel,
-        backward ports the A side of their (downstream) channel.
-        """
-        channels = []
-        for end in self.forward_ends:
-            if end is not None:
-                channels.append((end.channel, False))
-        for end in self.backward_ends:
-            if end is not None:
-                channels.append((end.channel, True))
-        return channels
+        """The channel of every wired port, forward ports first."""
+        return [
+            end.channel
+            for end in self.forward_ends + self.backward_ends
+            if end is not None
+        ]
 
     def _notify_wake(self):
         if self.wake_hook is not None:
@@ -316,6 +323,7 @@ class MetroRouter(Component):
                 "off-port drive not enabled for backward port {}".format(port)
             )
         self._scan_drive[port] = word
+        self._scan_pending = True
         self._notify_wake()
 
     # ------------------------------------------------------------------
@@ -328,26 +336,39 @@ class MetroRouter(Component):
         self._cycle = cycle
         if self._shared_bus:
             self.random_stream.begin_cycle(cycle)
-        self._service_backward_bcb()
+        if self._owned:
+            self._service_backward_bcb()
         if self._draining:
             self._service_draining()
+        rx = self._rx_slots
+        if rx is None:
+            rx = self._rx_slots = [
+                (fp, end._rx.slots)
+                for fp, end in enumerate(self.forward_ends)
+                if end is not None
+            ]
         # The port loop is inlined (rather than calling a per-port
-        # helper) and skips the state dispatch for silent idle ports —
-        # the overwhelmingly common case on a lightly loaded network.
-        forward_ends = self.forward_ends
+        # helper).  A silent port with an idle connection and a boundary
+        # register already None is the overwhelmingly common case on a
+        # lightly loaded network: it is decided from the receive pipe's
+        # last slot, which is None whatever ``dead`` or a fault
+        # transform would say; only a word goes through recv().
+        conns = self._conns
         boundary = self.boundary_capture
         enabled = self.config.port_enabled
-        for conn in self._conns:
-            fp = conn.fwd_port
-            fwd_end = forward_ends[fp]
-            if fwd_end is None:
-                continue
-            word = fwd_end.recv()
+        for fp, slots in rx:
+            word = slots[-1]
+            conn = conns[fp]
+            if word is None:
+                if conn.state == IDLE_STATE and boundary[fp] is None:
+                    continue
+            else:
+                word = self.forward_ends[fp].recv()
+            state = conn.state
             # The boundary register observes the pins even on a
             # disabled port — that observability is what port-isolation
             # tests use.  (Forward port ids equal forward indices.)
             boundary[fp] = word
-            state = conn.state
             if state == IDLE_STATE and (word is None or word.kind != W.DATA):
                 continue
             if not enabled[fp]:
@@ -364,7 +385,8 @@ class MetroRouter(Component):
                 self._handle_reversed(conn, word)
             elif state == DISCARD_STATE:
                 self._handle_discard(conn, word)
-        self._drive_scan_outputs()
+        if self._scan_pending:
+            self._drive_scan_outputs()
 
     def _service_draining(self):
         """Flush pipelines of closed connections; free ports on DROP exit."""
@@ -386,11 +408,11 @@ class MetroRouter(Component):
             if conn is None:
                 continue
             end = self.backward_ends[q]
-            if end is None:
+            if end is None or end._bcb_rx.slots[-1] is None:
                 continue
             stage_count = end.recv_bcb()
             if stage_count is None:
-                continue
+                continue  # a dead wire delivers no pulse
             if _mutation.ACTIVE and _mutation.enabled(_mutation.IGNORE_BCB):
                 continue
             # Terminate the downstream side, free the output, and keep
@@ -459,6 +481,10 @@ class MetroRouter(Component):
             return
         conn.bwd_port = backward
         self._bwd_owner[backward] = conn
+        if not (
+            _mutation.ACTIVE and _mutation.enabled(_mutation.STALE_OWNED_COUNT)
+        ):
+            self._count_owned()
         conn.state = FORWARD_STATE
         conn.silent_cycles = 0
         self._record("conn-open", conn.fwd_port, (conn.direction, backward))
@@ -740,7 +766,13 @@ class MetroRouter(Component):
                 return
         self.allocator.release(conn.bwd_port)
         self._bwd_owner[conn.bwd_port] = None
+        self._count_owned()
         conn.bwd_port = None
+
+    def _count_owned(self):
+        """Recount (never step) ``_owned``, at every claim and release."""
+        owners = self._bwd_owner
+        self._owned = len(owners) - owners.count(None)
 
     def _teardown_downstream(self, conn):
         self.backward_ends[conn.bwd_port].send(W.DROP_WORD)
@@ -763,6 +795,7 @@ class MetroRouter(Component):
             if end is not None:
                 end.send(word)
             self._scan_drive[q] = None
+        self._scan_pending = False
 
     def _record(self, kind, port, detail):
         if self.telemetry.enabled:

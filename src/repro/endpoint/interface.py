@@ -202,12 +202,27 @@ class Endpoint(Component):
 
     def tick(self, cycle):
         self._cycle = cycle
-        for port in range(len(self.receive_ends)):
-            self._service_receive(port)
-        for port in list(self._sends):
-            self._service_send(self._sends[port])
-        self._maybe_generate(cycle)
-        self._maybe_start_send(cycle)
+        # A silent receive port in its idle phase, an empty send table
+        # and an empty queue each cost one test.  A None last slot is
+        # None whatever ``dead`` or a fault transform would say; only
+        # _service_receive reads a word, through recv().
+        states = self._recv_states
+        for port, end in enumerate(self.receive_ends):
+            if end._rx.slots[-1] is not None or states[port].phase != _RX_IDLE:
+                self._service_receive(port)
+        sends = self._sends
+        if sends:
+            for port in list(sends):
+                self._service_send(sends[port])
+        source = self.traffic_source
+        if source is not None:
+            while len(self._queue) + len(sends) < self.max_outstanding:
+                message = source(cycle)
+                if message is None:
+                    break
+                self.submit(message)
+        if self._queue:
+            self._maybe_start_send(cycle)
 
     # ------------------------------------------------------------------
     # Activity protocol (event-driven engine backend)
@@ -239,19 +254,20 @@ class Endpoint(Component):
         Exact when nothing is queued, in flight, or arriving (the
         engine's wake rules guarantee arrivals promote the endpoint to
         a full tick first): receive and send service loops are no-ops,
-        leaving only the traffic poll and a possible send start.  The
-        first source draw is inlined — POLL guarantees zero pending
-        sends, so the capacity check of ``_maybe_generate`` is vacuous
-        for it — and the return value tells the engine whether the
-        endpoint now has work (no re-classification call needed).
+        leaving only the traffic poll.  The first source draw is made
+        here — POLL guarantees zero pending sends, so :meth:`tick`'s
+        capacity check is vacuous for it — and only a draw that yields
+        a message pays for the rest of the tick (further draws up to
+        capacity, the send start).  The return value tells the engine
+        whether the endpoint now has work (no re-classification call
+        needed).
         """
         self._cycle = cycle
         message = self.traffic_source(cycle)
         if message is None:
             return False
         self.submit(message)
-        self._maybe_generate(cycle)
-        self._maybe_start_send(cycle)
+        self.tick(cycle)
         return True
 
     def on_park(self):
@@ -268,14 +284,8 @@ class Endpoint(Component):
             self._cycle = cycle
 
     def attached_channels(self):
-        """``(channel, is_a_side)`` for every wired port.
-
-        Source ports hold the A side of their stage-0 channel, receive
-        ports the B side of their final-stage channel.
-        """
-        channels = [(end.channel, True) for end in self.source_ends]
-        channels.extend((end.channel, False) for end in self.receive_ends)
-        return channels
+        """The channel of every wired port, source ports first."""
+        return [end.channel for end in self.source_ends + self.receive_ends]
 
     def next_event_cycle(self):
         """Idle-run compression hint: next cycle the poll could act.
@@ -295,15 +305,6 @@ class Endpoint(Component):
             return None
         due = probe()
         return float("inf") if due is None else due
-
-    def _maybe_generate(self, cycle):
-        if self.traffic_source is None:
-            return
-        while self.pending_count() < self.max_outstanding:
-            message = self.traffic_source(cycle)
-            if message is None:
-                return
-            self.submit(message)
 
     def _maybe_start_send(self, cycle):
         """Start the *oldest* ready message on a free port.

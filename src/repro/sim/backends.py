@@ -17,8 +17,10 @@ provable no-op work and nothing else:
   source) run a reduced poll; ``ACTIVE`` components tick normally, in
   registration order, so traces, logs and telemetry events appear in
   exactly the reference order.
-* A parked component is re-scheduled when any pipe of an attached
-  channel carries a word toward it, when a pre-cycle hook (the fault
+* A parked component is re-scheduled while an attached channel has a
+  word or BCB pulse in flight (in either direction: waking the sender
+  too is a spurious tick at worst, and measured no slower than testing
+  four pipe heads per hot channel), when a pre-cycle hook (the fault
   injector) or an out-of-tick mutator calls :meth:`EventEngine.wake`,
   or — conservatively — at the start of every ``run``/``run_until``
   call (external code may mutate anything between runs, so each run
@@ -71,7 +73,7 @@ class EventEngine(Engine):
         self._hot = set()
         #: component -> [registered channel, ...] (for wake re-heating)
         self._adjacent = {}
-        #: channel -> (a_side component or None, b_side component or None)
+        #: registered channel -> [the components at its ends]
         self._attached = {}
         self._ticked = []
         #: True when every idle-poll source and pre-cycle hook can name
@@ -156,40 +158,28 @@ class EventEngine(Engine):
                 return
         states = self._states = {}
         adjacent = self._adjacent = {}
-        attached = {}
+        attached = self._attached = {}
         hot_add = self._hot.add
         for channel in self.channels:
-            attached[channel] = [None, None]
+            attached[channel] = []
             channel.hot_hook = hot_add
         for component in self.components:
             states[component] = ACTIVE
             entries = []
-            for channel, is_a_side in component.attached_channels():
-                sides = attached.get(channel)
-                if sides is None:
+            for channel in component.attached_channels():
+                ends = attached.get(channel)
+                if ends is None:
                     # Wired to a channel the engine never registered
                     # (ad-hoc test harnesses): the reference engine
                     # would never advance it, so neither may we —
                     # leave it out of the maps entirely.
                     continue
-                sides[0 if is_a_side else 1] = component
+                ends.append(component)
                 entries.append(channel)
             adjacent[component] = entries
             hook = getattr(component, "wake_hook", False)
             if hook is None or callable(hook):
                 component.wake_hook = self.wake
-        self._attached = {
-            channel: tuple(sides) for channel, sides in attached.items()
-        }
-        for channel, (a_side, b_side) in self._attached.items():
-            channel._ev_rec = (
-                channel._a_to_b,
-                channel._b_to_a,
-                channel._bcb_a_to_b,
-                channel._bcb_b_to_a,
-                a_side,
-                b_side,
-            )
         self._woken.clear()
         self._hot.clear()
         self._hot.update(self.channels)
@@ -233,14 +223,12 @@ class EventEngine(Engine):
         """
         if isinstance(obj, Channel):
             if self._prepared and not self.degraded:
-                pair = self._attached.get(obj)
-                if pair is not None:
+                ends = self._attached.get(obj)
+                if ends is not None:
                     # Unregistered channels stay out of the hot set:
                     # the reference engine never advances them.
                     self._hot.add(obj)
-                    for component in pair:
-                        if component is not None:
-                            self._woken.add(component)
+                    self._woken.update(ends)
             return
         on_wake = getattr(obj, "on_wake", None)
         if on_wake is not None:
@@ -293,30 +281,20 @@ class EventEngine(Engine):
         # set via their staging hook; no scan needed.
         hot = self._hot
         if hot:
-            woken_add = woken.add
+            wake_ends = woken.update
             if _mutation.ACTIVE and _mutation.enabled(
                 _mutation.EVENTS_SKIP_WAKE
             ):
-                woken_add = set().add  # seeded bug: wakes land nowhere
+                wake_ends = set().update  # seeded bug: wakes land nowhere
             cold = []
+            attached = self._attached
             for channel in hot:
                 channel.advance()
-                p_ab, p_ba, p_bab, p_bba, a_side, b_side = channel._ev_rec
-                if b_side is not None and (
-                    p_ab.slots[-1] is not None or p_bab.slots[-1] is not None
-                ):
-                    woken_add(b_side)
-                if a_side is not None and (
-                    p_ba.slots[-1] is not None or p_bba.slots[-1] is not None
-                ):
-                    woken_add(a_side)
-                if not (
-                    p_ab.occupied
-                    or p_ba.occupied
-                    or p_bab.occupied
-                    or p_bba.occupied
-                ):
+                if not channel.live:
+                    # Nothing in flight: nothing can arrive.
                     cold.append(channel)
+                    continue
+                wake_ends(attached[channel])
             for channel in cold:
                 hot.discard(channel)
         # Re-classification is deliberately throttled: parking *late* is

@@ -21,12 +21,15 @@ emerge from the pipeline, which is indistinguishable, to the attached
 components, from a broken or noisy wire.
 """
 
+from repro.core import mutation as _mutation
+
 
 class _Pipe:
     """A unidirectional shift register of ``delay`` word slots.
 
-    Tracks its occupancy so that fully-empty pipes (the common case —
-    idle wires and the rarely-used BCB sidebands) advance in O(1).
+    ``slots`` is shifted in place and never reassigned (routers keep a
+    reference to it); ``occupied`` counts the words in it.
+    :meth:`Channel.advance` does the shifting.
     """
 
     __slots__ = ("slots", "staged", "delay", "occupied")
@@ -36,21 +39,6 @@ class _Pipe:
         self.slots = [None] * delay
         self.staged = None
         self.occupied = 0
-
-    def advance(self):
-        staged = self.staged
-        if self.occupied == 0 and staged is None:
-            return
-        slots = self.slots
-        leaving = slots[-1]
-        for index in range(len(slots) - 1, 0, -1):
-            slots[index] = slots[index - 1]
-        slots[0] = staged
-        self.staged = None
-        self.occupied += (staged is not None) - (leaving is not None)
-
-    def occupancy(self):
-        return self.occupied
 
 
 class Channel:
@@ -74,7 +62,7 @@ class Channel:
         "half_duplex_violations",
         "telemetry",
         "hot_hook",
-        "_ev_rec",
+        "live",
     )
 
     def __init__(self, delay=1, name="channel"):
@@ -109,14 +97,17 @@ class Channel:
         #: default, and always under the reference engine) costs one
         #: branch per send.
         self.hot_hook = None
-        #: Event-engine advance record ``(pipe, pipe, pipe, pipe,
-        #: a_component, b_component)``; built by the backend's prepare
-        #: pass so its advance loop avoids repeated attribute chains.
-        self._ev_rec = None
+        #: Liveness summary: falsy only when no word or BCB pulse is
+        #: staged or in flight on any of the four pipes.
+        #: ``ChannelEnd.send`` / ``send_bcb`` (the only writers of
+        #: ``staged``) set it and :meth:`advance` recounts it, so a
+        #: silent wire costs one test.
+        self.live = False
 
-    #: Engine-installed acceleration state, rebuilt by the event
-    #: backend's prepare pass; never part of a snapshot.
-    _TRANSIENT_SLOTS = ("hot_hook", "_ev_rec")
+    #: The engine-installed staging hook (re-installed by the event
+    #: backend's prepare pass) and the liveness summary (recounted on
+    #: restore); never part of a snapshot.
+    _TRANSIENT_SLOTS = ("hot_hook", "live")
 
     def __getstate__(self):
         return {
@@ -129,7 +120,8 @@ class Channel:
         for name, value in state.items():
             setattr(self, name, value)
         self.hot_hook = None
-        self._ev_rec = None
+        # Sound, not exact: the first advance() recounts.
+        self.live = True
 
     @property
     def a(self):
@@ -143,6 +135,8 @@ class Channel:
 
     def advance(self):
         """Shift all four pipelines by one cycle (phase two of a tick)."""
+        if not self.live:
+            return
         down = self._a_to_b.staged
         up = self._b_to_a.staged
         if down is not None or up is not None:
@@ -155,13 +149,20 @@ class Channel:
                 self.half_duplex_violations += 1
             if self.telemetry is not None:
                 self.telemetry.channel_activity(self, down, up)
+        live = 0
         for pipe in (self._a_to_b, self._b_to_a, self._bcb_b_to_a, self._bcb_a_to_b):
-            if pipe.occupied or pipe.staged is not None:
-                pipe.advance()
+            staged = pipe.staged
+            if staged is not None or pipe.occupied:
+                slots = pipe.slots
+                slots.insert(0, staged)
+                pipe.occupied += (staged is not None) - (slots.pop() is not None)
+                pipe.staged = None
+                live += pipe.occupied
+        self.live = live
 
     def in_flight(self):
         """Number of words currently inside the channel (both directions)."""
-        return self._a_to_b.occupancy() + self._b_to_a.occupancy()
+        return self._a_to_b.occupied + self._b_to_a.occupied
 
     def __repr__(self):
         return "<Channel {} delay={}>".format(self.name, self.delay)
@@ -207,9 +208,11 @@ class ChannelEnd:
     def send(self, word):
         """Stage ``word`` onto the wire toward the other side."""
         self._tx.staged = word
-        hook = self.channel.hot_hook
+        channel = self.channel
+        channel.live = True
+        hook = channel.hot_hook
         if hook is not None:
-            hook(self.channel)
+            hook(channel)
 
     def recv(self):
         """Read the word arriving at this side this cycle (or None)."""
@@ -234,9 +237,15 @@ class ChannelEnd:
         *Path Reclamation*).
         """
         self._bcb_tx.staged = value
-        hook = self.channel.hot_hook
+        channel = self.channel
+        if not (
+            _mutation.ACTIVE
+            and _mutation.enabled(_mutation.CHANNEL_STALE_LIVENESS)
+        ):
+            channel.live = True
+        hook = channel.hot_hook
         if hook is not None:
-            hook(self.channel)
+            hook(channel)
 
     def recv_bcb(self):
         """Read the backward-control pulse arriving this cycle (or None)."""

@@ -230,7 +230,7 @@ class _Wired(Component):
         return ACTIVE
 
     def attached_channels(self):
-        return [(self.channel, True)]
+        return [self.channel]
 
     def on_park(self):
         pass

@@ -1,7 +1,11 @@
 """Channel pipeline semantics: wires are shift registers."""
 
-import pytest
+import pickle
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core import mutation
 from repro.core import words as W
 from repro.sim.channel import Channel
 
@@ -137,3 +141,100 @@ class TestHalfDuplexMonitor:
         channel.b.send(W.data(2))
         channel.advance()
         assert channel.half_duplex_violations == 0
+
+
+# ---------------------------------------------------------------------------
+# Property: the channel against a model that always shifts everything
+# ---------------------------------------------------------------------------
+#
+# ``verify --backend-diff`` cannot see a bug in ``Channel``: both engines
+# run it.  This can.  The model keeps no liveness summary and skips
+# nothing; the channel must agree with it on every observable, every
+# cycle, across a pickle round-trip (which drops the summary).
+
+_LANES = ("a_data", "b_data", "a_bcb", "b_bcb")
+
+
+class _NaiveChannel:
+    """Four shift registers of ``delay`` slots, all shifted every cycle."""
+
+    def __init__(self, delay):
+        self.lanes = {lane: [None] * delay for lane in _LANES}
+        self.violations = 0
+
+    def advance(self, staged):
+        down, up = staged["a_data"], staged["b_data"]
+        if down and up and down.kind == up.kind == W.DATA:
+            self.violations += 1
+        for lane in _LANES:
+            self.lanes[lane] = [staged[lane]] + self.lanes[lane][:-1]
+
+    def observe(self):
+        """What each end reads this cycle, and the data words in flight."""
+        heads = {lane: slots[-1] for lane, slots in self.lanes.items()}
+        in_flight = sum(
+            word is not None
+            for lane in ("a_data", "b_data")
+            for word in self.lanes[lane]
+        )
+        return heads, in_flight, self.violations
+
+
+def _observe(channel):
+    heads = {
+        "a_data": channel.b.recv(),
+        "b_data": channel.a.recv(),
+        "a_bcb": channel.b.recv_bcb(),
+        "b_bcb": channel.a.recv_bcb(),
+    }
+    return heads, channel.in_flight(), channel.half_duplex_violations
+
+
+_WORDS = st.one_of(
+    st.none(),
+    st.builds(W.data, st.integers(0, 15)),
+    st.sampled_from([W.IDLE_WORD, W.TURN_WORD, W.DROP_WORD]),
+)
+_PULSES = st.one_of(st.none(), st.integers(1, 3))
+#: One cycle: what each end stages (None: that end stays silent).
+_CYCLE = st.fixed_dictionaries(
+    {"a_data": _WORDS, "b_data": _WORDS, "a_bcb": _PULSES, "b_bcb": _PULSES}
+)
+_SILENCE = dict.fromkeys(_LANES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delay=st.integers(1, 4),
+    script=st.lists(_CYCLE, min_size=1, max_size=24),
+    pickle_at=st.integers(0, 24),
+)
+# A pulse alone on an otherwise silent wire, then silence while it flies.
+@example(
+    delay=3,
+    script=[dict(_SILENCE, b_bcb=2)] + [_SILENCE] * 4,
+    pickle_at=2,
+)
+def test_channel_matches_the_always_shift_model(delay, script, pickle_at):
+    channel = Channel(delay=delay)
+    model = _NaiveChannel(delay)
+    for cycle, staged in enumerate(script):
+        if cycle == pickle_at:
+            channel = pickle.loads(pickle.dumps(channel))
+        for end in "ab":
+            if staged[end + "_data"] is not None:
+                getattr(channel, end).send(staged[end + "_data"])
+            if staged[end + "_bcb"] is not None:
+                getattr(channel, end).send_bcb(staged[end + "_bcb"])
+        channel.advance()
+        model.advance(staged)
+        assert _observe(channel) == model.observe(), (cycle, staged)
+
+
+def test_the_property_catches_a_stale_liveness_summary():
+    """``channel-stale-liveness``: a lone ``send_bcb`` leaves the wire
+    marked silent, so ``advance`` never shifts the pulse."""
+    assert mutation.CHANNEL_STALE_LIVENESS in mutation.FAST_PATH_MUTATIONS
+    with mutation.seeded(mutation.CHANNEL_STALE_LIVENESS):
+        with pytest.raises(AssertionError):
+            test_channel_matches_the_always_shift_model()

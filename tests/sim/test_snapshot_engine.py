@@ -261,3 +261,85 @@ class TestBackendTransmute:
         restored = restore_network(snap).network
         assert type(restored.engine) is BACKENDS["events"]
         assert isinstance(restored.engine, Engine)
+
+
+class TestDerivedStateAcrossRestore:
+    """What the tick fast paths derive (a channel's liveness summary, a
+    router's owned-port count, pending-scan flag and cached receive
+    slots) is never pickled and is valid the moment a snapshot is
+    restored: out-of-tick mutators run on a restored network before its
+    first tick (``FaultManager.service()`` inside a resumed chaos soak
+    is the case that found this)."""
+
+    SPLIT = 40
+
+    @staticmethod
+    def _loaded(backend):
+        from repro.endpoint.traffic import UniformRandomTraffic
+        from repro.network.builder import build_network
+        from repro.network.topology import figure1_plan
+
+        network = build_network(
+            figure1_plan(), seed=11, fast_reclaim=True, backend=backend
+        )
+        UniformRandomTraffic(
+            n_endpoints=network.plan.n_endpoints, w=network.codec.w,
+            rate=0.2, message_words=8, seed=5,
+        ).attach(network)
+        return network
+
+    @staticmethod
+    def _mutate(network):
+        """Evict the owner of an owned backward port; scan-drive a
+        (newly) disabled one.  Both between ticks."""
+        from repro.core import words as W
+
+        router = next(
+            r for r in network.router_grid.values() if r.busy_backward_ports()
+        )
+        assert router.quiesce_backward_port(router.busy_backward_ports()[0])
+        spare = router._bwd_owner.index(None)
+        port_id = router.config.backward_port_id(spare)
+        router.config.port_enabled[port_id] = False
+        router.config.off_port_drive[port_id] = True
+        router.scan_drive_backward(spare, W.data(9))
+
+    @staticmethod
+    def _facts(network):
+        from repro.endpoint.messages import message_fingerprint
+
+        network.run(150)
+        # repr: a STATUS word's payload compares by identity.
+        return message_fingerprint(network.log), [
+            repr(r.boundary_capture) for r in network.router_grid.values()
+        ]
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_mutators_called_before_the_first_step(self, backend):
+        straight = self._loaded(backend)
+        straight.run(self.SPLIT)
+        self._mutate(straight)
+        expected = self._facts(straight)
+        assert expected[0]["messages"], "nothing was delivered"
+
+        network = self._loaded(backend)
+        network.run(self.SPLIT)
+        restored = restore_network(_roundtrip(snapshot_network(network))).network
+        self._mutate(restored)
+        assert self._facts(restored) == expected
+
+    def test_pickled_state_names_no_derived_field(self):
+        network = self._loaded("reference")
+        network.run(self.SPLIT)
+        router = next(iter(network.router_grid.values()))
+        assert router._rx_slots is not None  # built by the first tick
+        assert not {"_rx_slots", "_owned", "_scan_pending"} & set(
+            router.__getstate__()
+        )
+        channel = network.engine.channels[0]
+        assert "live" not in channel.__getstate__()
+        # An endpoint pickles its __dict__: ticking must add nothing to it.
+        endpoint = network.endpoints[0]
+        assert set(vars(endpoint)) == set(
+            vars(self._loaded("reference").endpoints[0])
+        )

@@ -122,6 +122,50 @@ def test_malformed_comma_list_is_a_usage_error(capsys, argv):
     assert "error: argument {}: invalid".format(argv[-2]) in error
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # ROADMAP item 4(iii): the first was a ZeroDivisionError
+        # traceback, the second ran and printed a curve.
+        ["figure3", "--rates", "0.01", "--warmup", "10", "--measure", "0"],
+        ["figure3", "--rates", "0.01", "--measure", "50", "--warmup", "-5"],
+        ["--workers", "0"],
+        ["figure3", "--retries", "0"],
+        ["faults", "--links", "-1"],
+        ["faults", "--max-attempts", "0"],
+        ["chaos", "--seeds", "0"],
+        ["chaos", "--windows", "0"],
+        ["chaos", "--window-cycles", "-200"],
+        ["chaos", "--warmup-windows", "-1"],
+        ["chaos", "--snapshot-every", "0"],
+        ["workloads", "collective", "--words", "0"],
+        ["workloads", "service", "--clients", "0"],
+        ["workloads", "service", "--measure", "0"],
+        ["saturation", "--measure", "0"],
+        ["tail", "run.jsonl", "--last", "0"],
+        ["send", "1", "2", "--max-cycles", "0"],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "many"],
+    ],
+)
+def test_out_of_range_number_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert "error: argument {}: invalid".format(argv[-2]) in error
+
+
+def test_zero_is_a_count_where_none_is_meant(capsys):
+    args = build_parser().parse_args(
+        ["chaos", "--warmup-windows", "0", "--flaky-links", "0",
+         "--dead-routers", "0", "--max-undeliverable", "0"]
+    )
+    assert (args.warmup_windows, args.flaky_links, args.dead_routers,
+            args.max_undeliverable) == (0, 0, 0, 0)
+    assert build_parser().parse_args(["figure3", "--warmup", "0"]).warmup == 0
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bogus"])
