@@ -751,3 +751,263 @@ def test_workers_exit_when_supervisor_is_sigkilled(tmp_path):
                 os.kill(pid, signal.SIGKILL)
             except OSError:
                 pass
+
+
+# ---------------------------------------------------------------------------
+# Pinned identities (tests/fixtures/harness_identity.json)
+# ---------------------------------------------------------------------------
+#
+# What the harness writes to disk or compares across runs, as literals:
+# cache keys, journal keys, the soak identity a checkpoint ring carries,
+# the bytes of a cache entry, and the records a journal holds for each
+# trial.  A refactor of the harness must leave the fixture untouched;
+# after an *intentional* identity change regenerate it with
+#
+#     PYTHONPATH=src python -m tests.harness.test_parallel --regen
+#
+# and review the diff (every trial cache and journal in the field moves
+# with it).
+
+IDENTITY_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "fixtures", "harness_identity.json"
+)
+
+#: A runner string is part of a fingerprint, so the pinned batch names
+#: this module by its import path: ``__name__`` is ``__main__`` under
+#: ``--regen``.
+_HERE = "tests.harness.test_parallel"
+_LEDGER_ENV = "REPRO_TEST_FLAKY_LEDGER"
+_PINNED_RESULT = {"answer": 42, "values": [1, 2.5, "x"], "ok": True}
+
+
+def _env_flaky_trial(seed=0):
+    # ``_flaky_trial`` failing once, its ledger named by the environment:
+    # a path in the params would move the key with every tmp_path.
+    return _flaky_trial(os.environ[_LEDGER_ENV], 1, seed=seed)
+
+
+def _pinned_specs():
+    from repro.harness.chaos import chaos_trial_specs
+    from repro.harness.fault_sweep import fault_trial_specs
+    from repro.harness.saturation import saturation_trial_specs
+    from repro.harness.workload_sweep import (
+        collective_trial_specs,
+        service_trial_specs,
+    )
+    from repro.verify.backend_diff import backend_diff_specs
+    from repro.verify.resume_diff import resume_diff_specs
+
+    return {
+        "load": load_trial_specs(rates=(0.04,), seed=3, **SWEEP_KW)[0],
+        "fault": fault_trial_specs(fault_levels=((2, 1),), seed=3)[0],
+        "saturation": saturation_trial_specs(max_steps=2, seed=3)[1],
+        "chaos": chaos_trial_specs(
+            seeds=1, seed=3, n_windows=6, window_cycles=200
+        )[0],
+        "collective": collective_trial_specs(
+            fault_levels=((2, 0),), seed=3, words=6
+        )[0],
+        "service": service_trial_specs(rates=(0.001,), seed=3)[0],
+        "backend_diff": backend_diff_specs(n_trials=1, seed=3)[0],
+        "resume_diff": resume_diff_specs(n_trials=1, seed=3)[0],
+    }
+
+
+def _default_soak_identity():
+    import inspect
+
+    from repro.harness.chaos import _soak_identity, run_chaos_point
+
+    params = {
+        name: parameter.default
+        for name, parameter in inspect.signature(
+            run_chaos_point
+        ).parameters.items()
+    }
+    # What ``run_chaos_point(snapshot_every=3, snapshot_dir=...)`` stamps
+    # into its ring: defaults resolved, wherever the ring and log live.
+    params["fault_start"] = params["warmup_windows"] * params["window_cycles"]
+    params["snapshot_every"] = 3
+    return _soak_identity(params)
+
+
+def _journal_shape(path):
+    """The records a journal holds, per trial key.
+
+    A pool interleaves trials in completion order, so the order that is
+    pinned is each trial's own; wall-clock and process facts (``t``,
+    pids, seconds, the pool's traceback under the first ``detail``
+    line) are masked.
+    """
+    from repro.harness.journal import read_journal
+
+    sweep, trials = [], {}
+    for event in read_journal(path):
+        event = {
+            k: v for k, v in event.items()
+            if k not in ("t", "pid", "worker", "elapsed")
+        }
+        if "detail" in event:
+            event["detail"] = event["detail"].split("\n", 1)[0]
+        if event["event"].startswith("trial."):
+            trials.setdefault(event.pop("key"), []).append(event)
+        else:
+            sweep.append(event)
+    return {"sweep": sweep, "trials": trials}
+
+
+def _pinned_batch_journals(directory, workers):
+    """Cold, then resumed onto the same journal, then warm from the cache."""
+    from repro.harness.parallel import TrialBackoff
+
+    specs = [
+        TrialSpec(_HERE + ":_echo_trial", params=dict(value=v), seed=v,
+                  label="echo{}".format(v))
+        for v in range(3)
+    ]
+    specs.insert(1, TrialSpec(_HERE + ":_env_flaky_trial", seed=11,
+                              label="flaky"))
+    base = os.path.join(directory, "w{}".format(workers))
+    os.environ[_LEDGER_ENV] = base + "-ledger.txt"
+    cold, warm = base + "-cold.jsonl", base + "-warm.jsonl"
+    legs = [
+        dict(journal=cold),
+        dict(journal=cold, resume_from=cold),
+        dict(journal=warm),
+    ]
+    try:
+        for leg in legs:
+            runner = TrialRunner(
+                workers=workers, cache_dir=base + "-cache",
+                retries=TrialBackoff(max_attempts=2, base=0.0, jitter=False),
+                **leg
+            )
+            try:
+                results = runner.run(specs)
+            finally:
+                runner.journal.close()
+            assert results[1] == ("recovered", 2, 11)
+    finally:
+        del os.environ[_LEDGER_ENV]
+    return {
+        "cold_then_resumed": _journal_shape(cold),
+        "warm": _journal_shape(warm),
+    }
+
+
+def _parallel_public_names():
+    """What ``repro.harness.parallel`` offers: the harness's own classes
+    and functions reachable from it (not the stdlib modules and
+    telemetry helpers it happens to import), plus ``CACHE_MISS``."""
+    import inspect
+
+    from repro.harness import parallel
+
+    return sorted(
+        name for name, value in vars(parallel).items()
+        if not name.startswith("_") and (
+            name == "CACHE_MISS"
+            or ((inspect.isclass(value) or inspect.isfunction(value))
+                and value.__module__.startswith("repro.harness."))
+        )
+    )
+
+
+def _identity_state(directory):
+    """Everything the fixture pins; needs ``REPRO_CODE_VERSION=pinned``."""
+    import hashlib
+
+    from repro.harness.parallel import journal_trial_key, result_content_hash
+
+    assert repro_code_version() == "pinned"
+    cache = TrialCache(os.path.join(directory, "cache"))
+    key = "ab" + "0" * 62
+    cache.put(key, _PINNED_RESULT)
+    entry = os.path.join("ab", key + ".pkl")
+    with open(os.path.join(cache.root, entry), "rb") as handle:
+        entry_sha256 = hashlib.sha256(handle.read()).hexdigest()
+    return {
+        "specs": {
+            family: {
+                "runner": spec.runner,
+                "label": spec.label,
+                "seed": spec.seed,
+                "fingerprint": spec.fingerprint(code_version="pinned"),
+                "journal_key": journal_trial_key(spec),
+            }
+            for family, spec in _pinned_specs().items()
+        },
+        "uncacheable_journal_key": journal_trial_key(
+            TrialSpec(lambda seed: seed, seed=3, label="anonymous")
+        ),
+        "default_soak_identity": _default_soak_identity(),
+        "cache_entry": {
+            "path": entry,
+            "sha256": entry_sha256,
+            "result_content_hash": result_content_hash(_PINNED_RESULT),
+        },
+        "journal": {
+            "workers={}".format(workers): _pinned_batch_journals(
+                directory, workers
+            )
+            for workers in (1, 2)
+        },
+    }
+
+
+def _load_identity_fixture():
+    import json
+
+    with open(IDENTITY_PATH) as handle:
+        return json.load(handle)
+
+
+def test_harness_identities_match_the_pinned_fixture(tmp_path, monkeypatch):
+    import json
+
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+    pinned = _load_identity_fixture()
+    # Through JSON, as the fixture went: tuples become lists.
+    observed = json.loads(json.dumps(_identity_state(str(tmp_path))))
+    for section in sorted(observed):
+        assert observed[section] == pinned[section], section
+    # The pool journals what the serial loop journals, trial by trial.
+    serial, pool = (
+        pinned["journal"]["workers={}".format(workers)] for workers in (1, 2)
+    )
+    for leg in serial:
+        assert serial[leg]["trials"] == pool[leg]["trials"], leg
+
+
+def test_parallel_offers_every_name_the_pinned_parent_offered():
+    from repro.harness import parallel
+
+    missing = [
+        name for name in _load_identity_fixture()["parallel_public_names"]
+        if not hasattr(parallel, name)
+    ]
+    assert missing == []
+
+
+def _regen_identity():
+    import json
+    import tempfile
+
+    os.environ["REPRO_CODE_VERSION"] = "pinned"
+    with tempfile.TemporaryDirectory() as directory:
+        state = _identity_state(directory)
+    state["parallel_public_names"] = _parallel_public_names()
+    with open(IDENTITY_PATH, "w") as handle:
+        json.dump(state, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print("wrote {} ({} specs, {} names)".format(
+        IDENTITY_PATH, len(state["specs"]),
+        len(state["parallel_public_names"]),
+    ))
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        _regen_identity()
+    else:
+        print(__doc__)
