@@ -190,7 +190,7 @@ def _strip_quarantined(results):
     :class:`~repro.harness.parallel.QuarantinedTrial` has no
     latencies to plot, just the report printed here.
     """
-    from repro.harness.parallel import partition_quarantined
+    from repro.harness.cache import partition_quarantined
     from repro.harness.reporting import format_quarantine_report
 
     ok, quarantined = partition_quarantined(results)
@@ -1042,7 +1042,7 @@ def _render_run_log(events, last=12):
 def _render_journal(events, last=12):
     """Summary rendering of a run journal (see docs/resilience.md)."""
     from repro.harness.journal import replay_journal
-    from repro.harness.parallel import QuarantinedTrial
+    from repro.harness.cache import QuarantinedTrial
     from repro.harness.reporting import format_quarantine_report, format_table
 
     state = replay_journal(events)
@@ -1163,16 +1163,18 @@ def _comma_list(item):
     return parse
 
 
-def _at_least(low, name):
-    """An argparse ``type=``: an integer ``>= low``.
+def _checked(number, accept, name):
+    """An argparse ``type=``: a ``number`` (``int`` / ``float``) that
+    ``accept`` passes.
 
-    Anything else (``--measure 0``, ``--warmup -5``, ``--trials x``) is
-    argparse's one-line ``error: argument --X: invalid <name> value``
-    and exit 2, before a command divides by it or loops over it.
+    Anything else (``--measure 0``, ``--warmup -5``, ``--trials x``,
+    ``--rate 7``, ``--burst-prob nan``) is argparse's one-line ``error:
+    argument --X: invalid <name> value`` and exit 2, before a command
+    divides by it, loops over it or simulates a rate that is not one.
     """
     def parse(text):
-        value = int(text)
-        if value < low:
+        value = number(text)
+        if not accept(value):
             raise ValueError(text)
         return value
 
@@ -1180,8 +1182,12 @@ def _at_least(low, name):
     return parse
 
 
-_positive = _at_least(1, "positive_int")
-_non_negative = _at_least(0, "non_negative_int")
+_positive = _checked(int, lambda n: n >= 1, "positive_int")
+_non_negative = _checked(int, lambda n: n >= 0, "non_negative_int")
+#: A probability per cycle or a share of something: ``[0, 1]``.
+_fraction = _checked(float, lambda x: 0 <= x <= 1, "fraction")
+_non_negative_float = _checked(float, lambda x: x >= 0, "non_negative_float")
+_positive_float = _checked(float, lambda x: x > 0, "positive_float")
 
 
 def _fault_level(part):
@@ -1279,7 +1285,7 @@ def build_parser():
 
     fig3 = sub.add_parser("figure3", help="Figure 3 latency/load sweep")
     fig3.add_argument(
-        "--rates", type=_comma_list(float), default="0.002,0.01,0.04,0.16"
+        "--rates", type=_comma_list(_fraction), default="0.002,0.01,0.04,0.16"
     )
     fig3.add_argument("--warmup", type=_non_negative, default=600)
     fig3.add_argument("--measure", type=_positive, default=2500)
@@ -1288,7 +1294,7 @@ def build_parser():
     faults = sub.add_parser("faults", help="fault-degradation point")
     faults.add_argument("--links", type=_non_negative, default=8)
     faults.add_argument("--routers", type=_non_negative, default=0)
-    faults.add_argument("--rate", type=float, default=0.02)
+    faults.add_argument("--rate", type=_fraction, default=0.02)
     faults.add_argument("--warmup", type=_non_negative, default=600)
     faults.add_argument("--measure", type=_positive, default=2500)
     faults.add_argument(
@@ -1300,7 +1306,7 @@ def build_parser():
     )
     faults.add_argument(
         "--max-degradation",
-        type=float,
+        type=_fraction,
         default=None,
         metavar="FRACTION",
         help="with --levels: exit nonzero if any level's delivered load "
@@ -1340,7 +1346,7 @@ def build_parser():
                        help="mean cycles between transient failures")
     chaos.add_argument("--mttr", type=_positive, default=600,
                        help="mean cycles a transient fault stays down")
-    chaos.add_argument("--rate", type=float, default=0.02)
+    chaos.add_argument("--rate", type=_fraction, default=0.02)
     chaos.add_argument(
         "--compare",
         action="store_true",
@@ -1354,7 +1360,8 @@ def build_parser():
         "soak; violations fail the command",
     )
     chaos.add_argument(
-        "--min-availability", type=float, default=None, metavar="FRACTION",
+        "--min-availability", type=_non_negative_float, default=None,
+        metavar="FRACTION",
         help="exit nonzero if a self-healing soak's availability "
         "(fraction of post-fault windows meeting the delivered SLO) "
         "falls below FRACTION",
@@ -1365,7 +1372,7 @@ def build_parser():
         "N messages",
     )
     chaos.add_argument(
-        "--max-mttr", type=float, default=None, metavar="CYCLES",
+        "--max-mttr", type=_non_negative_float, default=None, metavar="CYCLES",
         help="exit nonzero if a self-healing soak's mean degraded "
         "episode exceeds CYCLES",
     )
@@ -1447,12 +1454,12 @@ def build_parser():
         help="cycle budget per collective execution",
     )
     workloads.add_argument(
-        "--slo-cycles", type=float, default=None, metavar="CYCLES",
+        "--slo-cycles", type=_non_negative_float, default=None, metavar="CYCLES",
         help="exit 1 if a collective's completion time exceeds CYCLES "
         "(incomplete collectives always fail)",
     )
     workloads.add_argument(
-        "--rates", type=_comma_list(float),
+        "--rates", type=_comma_list(_non_negative_float),
         default="0.0005,0.001,0.002,0.004",
         help="per-client mean arrivals/cycle for the service sweep",
     )
@@ -1467,7 +1474,7 @@ def build_parser():
         help="simulated clients multiplexed per client endpoint",
     )
     workloads.add_argument(
-        "--burst-prob", type=float, default=0.0,
+        "--burst-prob", type=_fraction, default=0.0,
         help="probability an arrival triggers a burst",
     )
     workloads.add_argument(
@@ -1484,7 +1491,7 @@ def build_parser():
     workloads.add_argument("--measure", type=_positive, default=6000)
     for quantile in ("p50", "p95", "p99", "p999"):
         workloads.add_argument(
-            "--slo-{}".format(quantile), type=float, default=None,
+            "--slo-{}".format(quantile), type=_non_negative_float, default=None,
             metavar="CYCLES",
             help="exit 1 if the {} request latency exceeds "
             "CYCLES".format(quantile),
@@ -1512,7 +1519,7 @@ def build_parser():
         "they are appended, until run.end (Ctrl-C to stop)",
     )
     tail.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
+        "--interval", type=_positive_float, default=1.0, metavar="SECONDS",
         help="--follow poll interval",
     )
     tail.add_argument(

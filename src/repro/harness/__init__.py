@@ -18,21 +18,22 @@ from repro.harness.journal import (
     resume_sweep,
     validate_journal,
 )
-from repro.harness.parallel import (
+from repro.harness.cache import (
     QuarantinedTrial,
-    SweepInterrupted,
-    TrialBackoff,
     TrialCache,
-    TrialRunner,
-    TrialSpec,
-    TrialTimeoutError,
-    WorkerCrashError,
     is_quarantined,
-    journal_trial_key,
     partition_quarantined,
     result_content_hash,
+)
+from repro.harness.parallel import (
+    SweepInterrupted,
+    TrialBackoff,
+    TrialRunner,
+    TrialTimeoutError,
+    WorkerCrashError,
     run_trials,
 )
+from repro.harness.spec import TrialSpec, journal_trial_key
 from repro.harness.load_sweep import (
     DEFAULT_RATES,
     figure1_network,

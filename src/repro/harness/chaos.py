@@ -36,7 +36,7 @@ from repro.faults.injector import FaultInjector, random_transient_scenario
 from repro.faults.manager import FaultManager
 from repro.faults.model import DeadRouter
 from repro.harness.load_sweep import build_point_network, figure1_network, point_traffic
-from repro.harness.parallel import TrialSpec
+from repro.harness.spec import TrialSpec, trial_keys
 
 logger = logging.getLogger(__name__)
 
@@ -563,7 +563,7 @@ def _soak_identity(params):
     spec = TrialSpec(
         "repro.harness.chaos:run_chaos_point", params=params, seed=seed
     )
-    return spec.fingerprint() if spec.cacheable() else None
+    return trial_keys(spec)[1]
 
 
 def _restore_own_checkpoint(snapshot_dir, identity, backend):

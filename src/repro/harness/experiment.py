@@ -9,6 +9,8 @@ the window.  :func:`run_experiment` is that loop;
 
 import numpy as np
 
+from repro.harness.cache import result_content_hash
+
 
 class ExperimentResult:
     """Statistics over one measured window."""
@@ -123,13 +125,11 @@ class ExperimentResult:
         """The identity a run journal records for this result.
 
         Delegates to
-        :func:`~repro.harness.parallel.result_content_hash` (sha256
+        :func:`~repro.harness.cache.result_content_hash` (sha256
         over the canonical pickle), so a cached result can be checked
         against its ``trial.done`` journal record without re-deriving
         the hashing convention.
         """
-        from repro.harness.parallel import result_content_hash
-
         return result_content_hash(self)
 
     def as_dict(self):

@@ -12,7 +12,8 @@ from repro.core.random_source import derive_seed
 from repro.faults.injector import FaultInjector, random_fault_scenario
 from repro.harness.experiment import run_experiment
 from repro.harness.load_sweep import build_point_network, figure3_network, point_traffic
-from repro.harness.parallel import TrialSpec, run_trials
+from repro.harness.parallel import run_trials
+from repro.harness.spec import TrialSpec
 
 
 def _apply_fault_level(network, n_dead_links, n_dead_routers, seed):

@@ -13,11 +13,11 @@ trial state transition:
 * ``trial.queued`` / ``trial.start`` / ``trial.done`` /
   ``trial.failed`` / ``trial.quarantined`` — per-trial lifecycle,
   where ``trial.done`` carries the result's content hash
-  (:func:`~repro.harness.parallel.result_content_hash`) and
+  (:func:`~repro.harness.cache.result_content_hash`) and
   ``trial.failed`` one attempt's failure kind/detail/exit code;
 * ``sweep.end`` / ``sweep.interrupted`` — how the sweep stopped.
 
-Trial identity is :func:`~repro.harness.parallel.journal_trial_key`:
+Trial identity is :func:`~repro.harness.spec.journal_trial_key`:
 the spec's cache fingerprint when cacheable (journal and trial cache
 agree on identity), else a label key.  That makes resume a pure
 replay: :func:`resume_sweep` reads the journal (torn final lines are
@@ -41,48 +41,13 @@ import logging
 import os
 import time
 
-from repro.harness.parallel import (
-    CACHE_MISS,
-    QuarantinedTrial,
-    journal_trial_key,
-    result_content_hash,
-)
-from repro.telemetry.stream import read_run_log
+from repro.harness.cache import CACHE_MISS, QuarantinedTrial, result_content_hash
+from repro.telemetry.stream import read_run_log, trim_torn_tail
 
 logger = logging.getLogger(__name__)
 
 #: Format tag carried by ``journal.start``; bump on breaking changes.
 JOURNAL_FORMAT = "metro-run-journal-v1"
-
-def _trim_torn_tail(path):
-    """Drop a torn (newline-less) final line before appending.
-
-    Readers already tolerate a torn tail, but *appending* after one
-    would glue the new record onto the fragment, turning a harmless
-    torn tail into a corrupt interior line.  Truncating back to the
-    last complete record keeps append-after-crash safe; the torn
-    record was never readable anyway.
-    """
-    try:
-        with open(path, "rb+") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            if size == 0:
-                return
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) == b"\n":
-                return
-            handle.seek(0)
-            data = handle.read()
-            keep = data.rfind(b"\n") + 1
-            handle.truncate(keep)
-        logger.warning(
-            "journal %s: dropped a torn final record (%d byte(s)) "
-            "before appending", path, size - keep,
-        )
-    except OSError:
-        return
-
 
 #: Required fields per journal event kind (:func:`validate_journal`;
 #: also folded into run-log validation so journal events embedded in a
@@ -104,7 +69,7 @@ class RunJournal:
     """Append-only JSONL write-ahead journal for sweep state.
 
     Every :meth:`record` is one JSON object per line, written, flushed
-    and (by default) fsynced before returning — the write-ahead
+    and fsynced before returning — the write-ahead
     discipline that makes a SIGKILL at any instant recoverable.  The
     worst a crash can leave is one torn final line, which every reader
     here tolerates.  Opening an existing journal appends to it (a
@@ -112,16 +77,13 @@ class RunJournal:
     the ``journal.start`` header first.
 
     :param path: journal file path (parent directories are created).
-    :param fsync: set False to skip the per-record fsync (tests that
-        hammer the journal; production sweeps should keep it on).
     """
 
-    def __init__(self, path, fsync=True):
+    def __init__(self, path):
         self.path = str(path)
-        self.fsync = fsync
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
-        _trim_torn_tail(self.path)
+        trim_torn_tail(self.path)
         fresh = (
             not os.path.exists(self.path)
             or os.path.getsize(self.path) == 0
@@ -143,8 +105,7 @@ class RunJournal:
         entry.update(fields)
         self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self.records_written += 1
 
     def close(self):
@@ -216,7 +177,7 @@ class JournalState:
     """The replayed view of a journal: where every trial got to.
 
     Built by :func:`replay_journal`.  Keys throughout are
-    :func:`~repro.harness.parallel.journal_trial_key` values.
+    :func:`~repro.harness.spec.journal_trial_key` values.
     """
 
     def __init__(self):
@@ -323,10 +284,13 @@ def load_journal_state(path):
     return replay_journal(events)
 
 
-def precomputed_from_state(state, specs, cache):
-    """``{spec index: result}`` a journal replay can serve for ``specs``.
+def precomputed_from_state(state, trials, cache):
+    """``{trial index: result}`` a journal replay can serve for ``trials``.
 
-    The resume decision per trial, made by a resuming
+    ``trials`` are the runner's per-trial records (``index``, ``spec``,
+    ``journal_key``, ``cache_key`` or None), so a spec's identity is the
+    one the runner already computed for this batch.  The resume
+    decision per trial, made by a resuming
     :class:`~repro.harness.parallel.TrialRunner` (``resume_from=`` or
     :func:`resume_sweep`) at the top of every batch:
 
@@ -348,31 +312,31 @@ def precomputed_from_state(state, specs, cache):
     """
     precomputed = {}
     recomputing = []
-    for index, spec in enumerate(specs):
-        key = journal_trial_key(spec)
-        report = state.quarantined.get(key)
+    for trial in trials:
+        label = trial.spec.label
+        report = state.quarantined.get(trial.journal_key)
         if report is not None:
-            precomputed[index] = QuarantinedTrial.from_dict(report)
+            precomputed[trial.index] = QuarantinedTrial.from_dict(report)
             continue
-        entry = state.done.get(key)
+        entry = state.done.get(trial.journal_key)
         if entry is None:
             continue
-        if cache is None or not spec.cacheable():
-            recomputing.append(spec.label)
+        if cache is None or trial.cache_key is None:
+            recomputing.append(label)
             continue
-        hit = cache.get(spec.fingerprint())
+        hit = cache.get(trial.cache_key)
         if hit is CACHE_MISS:
-            recomputing.append(spec.label)
+            recomputing.append(label)
             continue
         expected = entry.get("result_hash")
         if expected is not None and result_content_hash(hit) != expected:
             logger.warning(
                 "resume: cached result for trial %r does not match the "
-                "journal's content hash; re-executing", spec.label,
+                "journal's content hash; re-executing", label,
             )
-            recomputing.append(spec.label)
+            recomputing.append(label)
             continue
-        precomputed[index] = hit
+        precomputed[trial.index] = hit
     if recomputing:
         shown = ", ".join(recomputing[:5])
         if len(recomputing) > 5:

@@ -20,7 +20,8 @@ bit-identical to a serial run.
 from repro.core.random_source import derive_seed
 from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.experiment import run_experiment
-from repro.harness.parallel import TrialSpec, run_trials
+from repro.harness.parallel import run_trials
+from repro.harness.spec import TrialSpec
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan, figure3_plan
 

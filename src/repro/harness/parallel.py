@@ -1,19 +1,25 @@
-"""Parallel trial execution: worker pools, seed streams, result cache.
+"""Parallel trial execution: the runner and its policy.
 
 Every sweep in :mod:`repro.harness` is a set of *independent* trials —
 one network, one workload, one measured window — whose results are
 aggregated afterwards.  That structure is embarrassingly parallel, and
 this module is the shared execution layer that exploits it:
 
-* :class:`TrialSpec` — a picklable description of one trial: a runner
-  function (named by ``"module:function"`` so worker processes import
-  it fresh), its parameters, and the trial's derived seed.
-* :class:`TrialCache` — an on-disk result store keyed by a content
-  hash of (runner, parameters, seed, code version), so re-running a
-  sweep skips every point that has already been computed.
-* :class:`TrialRunner` — executes a list of specs, serially
-  (``workers=1``) or on a *supervised* worker pool, consulting the
-  cache first and reporting per-trial progress/timing events.
+* :class:`~repro.harness.spec.TrialSpec` (:mod:`repro.harness.spec`) —
+  a picklable description of one trial: a runner function (named by
+  ``"module:function"`` so worker processes import it fresh), its
+  parameters, and the trial's derived seed; and the trial's identity.
+* :class:`~repro.harness.cache.TrialCache` (:mod:`repro.harness.cache`)
+  — an on-disk result store keyed by a content hash of (runner,
+  parameters, seed, code version), so re-running a sweep skips every
+  point that has already been computed; and the result encoding.
+* :class:`~repro.harness.pool.WorkerPool` (:mod:`repro.harness.pool`) —
+  the supervised worker processes: mechanism, no policy.
+* :class:`TrialRunner` (here) — executes a list of specs, serially
+  (``workers=1``) or on the pool, and owns every decision: cache
+  first, journal every transition, retry / quarantine / raise a failed
+  attempt, report progress, stop cleanly on a signal.  Every name the
+  three modules above define is re-exported from here.
 
 The pool is supervised rather than a bare ``multiprocessing.Pool``:
 the parent dispatches one trial at a time to each worker process and
@@ -53,28 +59,34 @@ benchmarking cache behaviour itself).  See ``docs/parallel.md``.
 """
 
 import collections
-import hashlib
 import heapq
-import importlib
-import json
+import itertools
 import logging
-import multiprocessing
 import os
-import pickle
-import queue as queue_module
 import random
 import signal
-import tempfile
 import threading
 import time
-import traceback
 
-from repro.telemetry.watchdog import HEARTBEAT_ENV, read_heartbeat
+from repro.harness.cache import (  # noqa: F401  (re-exported)
+    CACHE_MISS,
+    QuarantinedTrial,
+    TrialCache,
+    is_quarantined,
+    partition_quarantined,
+    result_content_hash,
+)
+from repro.harness.journal import RunJournal, load_journal_state, precomputed_from_state
+from repro.harness.pool import WorkerPool, check_sendable
+from repro.harness.spec import (  # noqa: F401  (re-exported)
+    TrialSpec,
+    execute_trial,
+    journal_trial_key,
+    repro_code_version,
+    trial_keys,
+)
 
 logger = logging.getLogger(__name__)
-
-#: Sentinel for a cache lookup that found nothing.
-CACHE_MISS = object()
 
 
 class TrialTimeoutError(RuntimeError):
@@ -128,153 +140,6 @@ class JournalMismatchError(ValueError):
     Either way nothing can be safely resumed, and appending this sweep
     to that file would corrupt its history.
     """
-
-
-# ---------------------------------------------------------------------------
-# Canonicalization (hashing parameters that may include callables)
-# ---------------------------------------------------------------------------
-
-
-def _canonicalize(value, opaque):
-    """A JSON-able canonical form of ``value`` for content hashing.
-
-    Callables and classes are named by ``module:qualname``; anything
-    else without a stable importable identity (lambdas, closures,
-    instances of arbitrary classes) is rendered opaquely and flips
-    ``opaque[0]`` so the spec is marked uncacheable rather than cached
-    under an ambiguous key.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return [_canonicalize(v, opaque) for v in value]
-    if isinstance(value, dict):
-        return [
-            [_canonicalize(k, opaque), _canonicalize(v, opaque)]
-            for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-        ]
-    if callable(value):
-        module = getattr(value, "__module__", None)
-        qualname = getattr(value, "__qualname__", None)
-        if module and qualname and "<" not in qualname:
-            return "callable:{}:{}".format(module, qualname)
-        opaque[0] = True
-        return "opaque-callable:{}".format(qualname or repr(value))
-    opaque[0] = True
-    return "opaque:{}".format(repr(value))
-
-
-class TrialSpec:
-    """One independent trial, ready to run anywhere.
-
-    :param runner: the trial function — either a ``"module:function"``
-        string (preferred: always picklable, cache keys are stable) or
-        a module-level callable.  It is invoked as
-        ``runner(seed=seed, **params)`` and must return a picklable
-        result.
-    :param params: keyword arguments for the runner.  Values may
-        include module-level callables (network factories, traffic
-        classes); lambdas work in serial runs but make the spec
-        uncacheable and unpicklable.
-    :param seed: this trial's seed — derive it from the sweep's root
-        seed with :func:`repro.core.random_source.derive_seed`.
-    :param label: display name for progress output.
-    """
-
-    def __init__(self, runner, params=None, seed=0, label=None):
-        self.runner = runner
-        self.params = dict(params or {})
-        self.seed = seed
-        self.label = label if label is not None else self._default_label()
-
-    def _default_label(self):
-        name = self.runner if isinstance(self.runner, str) else getattr(
-            self.runner, "__name__", repr(self.runner)
-        )
-        return "{}(seed={})".format(name.rsplit(":", 1)[-1], self.seed)
-
-    def resolve_runner(self):
-        """The runner callable (importing it if named by string)."""
-        if isinstance(self.runner, str):
-            module_name, _, attr = self.runner.partition(":")
-            if not attr:
-                raise ValueError(
-                    "runner string must be 'module:function', got {!r}".format(
-                        self.runner
-                    )
-                )
-            return getattr(importlib.import_module(module_name), attr)
-        return self.runner
-
-    def canonical(self):
-        """(canonical structure, cacheable flag) for this spec."""
-        opaque = [False]
-        structure = {
-            "runner": _canonicalize(
-                self.runner if isinstance(self.runner, str)
-                else self.resolve_runner(),
-                opaque,
-            ),
-            "params": _canonicalize(self.params, opaque),
-            "seed": self.seed,
-        }
-        return structure, not opaque[0]
-
-    def cacheable(self):
-        """True when every parameter has a stable hashable identity."""
-        return self.canonical()[1]
-
-    def fingerprint(self, code_version=None):
-        """Cache key: sha256 over (code version, runner, params, seed)."""
-        structure, _cacheable = self.canonical()
-        structure["code"] = (
-            code_version if code_version is not None else repro_code_version()
-        )
-        blob = json.dumps(structure, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def __repr__(self):
-        return "<TrialSpec {} seed={}>".format(self.label, self.seed)
-
-
-def execute_trial(spec, heartbeat_path=None):
-    """Run one spec; returns ``(result, elapsed_seconds)``.
-
-    Module-level so worker processes can unpickle references to it.
-    ``heartbeat_path`` exports :data:`~repro.telemetry.watchdog
-    .HEARTBEAT_ENV` for the duration of the trial, so any harness that
-    attaches a :class:`~repro.telemetry.watchdog.RunWatchdog` writes
-    liveness heartbeats there (restored afterwards — worker processes
-    run many trials back to back).
-    """
-    if os.environ.get("REPRO_CHAOSMONKEY"):
-        # Test/CI-only fault injector; the env lookup is the only cost
-        # in production runs.  See repro.harness.chaosmonkey.
-        from repro.harness import chaosmonkey
-
-        chaosmonkey.maybe_strike(spec)
-    start = time.perf_counter()
-    runner = spec.resolve_runner()
-    if heartbeat_path is None:
-        result = runner(seed=spec.seed, **spec.params)
-    else:
-        previous = os.environ.get(HEARTBEAT_ENV)
-        os.environ[HEARTBEAT_ENV] = heartbeat_path
-        try:
-            result = runner(seed=spec.seed, **spec.params)
-        finally:
-            if previous is None:
-                os.environ.pop(HEARTBEAT_ENV, None)
-            else:
-                os.environ[HEARTBEAT_ENV] = previous
-    return result, time.perf_counter() - start
-
-
-# ---------------------------------------------------------------------------
-# Retry policy + quarantine report (worker supervision)
-# ---------------------------------------------------------------------------
 
 
 class TrialBackoff:
@@ -334,211 +199,6 @@ def _normalize_retries(retries):
     if isinstance(retries, int):
         return TrialBackoff(max_attempts=retries)
     return retries
-
-
-class QuarantinedTrial:
-    """Structured report for a poison trial the sweep gave up on.
-
-    Takes the trial's slot in the results list when a
-    :class:`TrialRunner` running with ``on_exhausted="quarantine"``
-    exhausts the attempt budget, so the sweep *completes* and the
-    failure is inspectable data — label, per-attempt failure records
-    (kind, detail, worker exit code) — instead of a dead sweep.  Plain
-    data only, so quarantine reports pickle and journal like results.
-    """
-
-    quarantined = True
-
-    def __init__(self, label, key, seed, attempts, failures):
-        self.label = label
-        self.key = key
-        self.seed = seed
-        self.attempts = attempts
-        #: One dict per failed attempt: ``attempt``, ``kind``
-        #: ("crash" | "timeout" | "error"), ``detail``, ``exitcode``.
-        self.failures = [dict(f) for f in failures]
-
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "key": self.key,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "failures": [dict(f) for f in self.failures],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            data.get("label"),
-            data.get("key"),
-            data.get("seed"),
-            data.get("attempts"),
-            data.get("failures", ()),
-        )
-
-    def __repr__(self):
-        kinds = collections.Counter(f.get("kind") for f in self.failures)
-        return "<QuarantinedTrial {} after {} attempt(s): {}>".format(
-            self.label,
-            self.attempts,
-            ", ".join("{} x{}".format(k, n) for k, n in sorted(kinds.items()))
-            or "no failures recorded",
-        )
-
-
-def is_quarantined(result):
-    """True when a sweep result slot holds a quarantine report."""
-    return isinstance(result, QuarantinedTrial)
-
-
-def partition_quarantined(results):
-    """Split sweep results into ``(ok_results, quarantined_reports)``."""
-    ok, quarantined = [], []
-    for result in results:
-        (quarantined if is_quarantined(result) else ok).append(result)
-    return ok, quarantined
-
-
-def journal_trial_key(spec):
-    """The stable identity a journal records for ``spec``.
-
-    Cacheable specs use their content fingerprint (so the journal and
-    the trial cache agree on identity); uncacheable ones fall back to
-    ``"label:<label>"`` — resumable only if labels are unique and
-    stable across runs.
-    """
-    if spec.cacheable():
-        return spec.fingerprint()
-    return "label:" + str(spec.label)
-
-
-def result_content_hash(result):
-    """sha256 hex digest of the pickled result.
-
-    The journal records this for every finished trial, so a resumed
-    sweep can *prove* the cache entry it is about to serve is the very
-    bytes the original run produced (same protocol as
-    :meth:`TrialCache.put` writes).
-    """
-    blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(blob).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Code-version fingerprint (cache invalidation on source change)
-# ---------------------------------------------------------------------------
-
-_CODE_VERSION = None
-
-
-def repro_code_version():
-    """A fingerprint of the installed ``repro`` source tree.
-
-    sha256 over every ``.py`` file's path and contents (plus the
-    package version), computed once per process.  Any source edit
-    therefore invalidates the whole trial cache — stale results can
-    never masquerade as current ones.  Set ``REPRO_CODE_VERSION`` to
-    pin the fingerprint explicitly.
-    """
-    global _CODE_VERSION
-    override = os.environ.get("REPRO_CODE_VERSION")
-    if override:
-        return override
-    if _CODE_VERSION is None:
-        import repro
-
-        digest = hashlib.sha256()
-        digest.update(getattr(repro, "__version__", "?").encode())
-        root = os.path.dirname(os.path.abspath(repro.__file__))
-        for dirpath, dirnames, filenames in sorted(os.walk(root)):
-            dirnames.sort()
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                digest.update(os.path.relpath(path, root).encode())
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _CODE_VERSION = digest.hexdigest()
-    return _CODE_VERSION
-
-
-# ---------------------------------------------------------------------------
-# On-disk trial cache
-# ---------------------------------------------------------------------------
-
-
-class TrialCache:
-    """Pickled trial results under ``root/<key[:2]>/<key>.pkl``.
-
-    Keys are :meth:`TrialSpec.fingerprint` hex digests.  Writes are
-    atomic (temp file + rename) so concurrent sweeps sharing a cache
-    directory never read torn files; unreadable entries are treated as
-    misses and recomputed.
-    """
-
-    def __init__(self, root):
-        self.root = str(root)
-        os.makedirs(self.root, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key):
-        return os.path.join(self.root, key[:2], key + ".pkl")
-
-    def get(self, key):
-        """The cached result for ``key``, or :data:`CACHE_MISS`.
-
-        An *absent* entry is a silent miss.  A *present but
-        unreadable* entry — truncated write, flipped bytes, foreign
-        pickle, renamed class — is also a miss (the trial recomputes
-        and overwrites it), but logged as a warning: corruption should
-        never crash a sweep, and should never pass silently either.
-        """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                result = pickle.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            return CACHE_MISS
-        except Exception as error:
-            logger.warning(
-                "corrupt trial-cache entry %s (%s: %s); treating as a "
-                "miss and recomputing", path, type(error).__name__, error,
-            )
-            self.misses += 1
-            return CACHE_MISS
-        self.hits += 1
-        return result
-
-    def put(self, key, result):
-        """Store ``result`` under ``key`` (atomically)."""
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self):
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(1 for f in filenames if f.endswith(".pkl"))
-        return count
-
-
-# ---------------------------------------------------------------------------
-# Runner
-# ---------------------------------------------------------------------------
 
 
 class TrialEvent:
@@ -606,96 +266,34 @@ class TrialStats:
         )
 
 
-def _preferred_start_method():
-    # fork is markedly cheaper and inherits sys.path (so specs built
-    # from test-local factories resolve); fall back to spawn where fork
-    # does not exist (Windows) — specs must then be import-resolvable.
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+class _Trial:
+    """One trial of one :meth:`TrialRunner.run` batch: everything the
+    runner knows about it, in one place.
 
-
-def _supervised_worker(conn, result_queue):
-    """Worker-process main loop: recv a task, run it, report back.
-
-    Tasks arrive as ``(index, attempt, spec, heartbeat_path)`` on the
-    worker's private pipe; ``None`` (or a closed pipe) shuts the
-    worker down.  Results go back on the shared queue as plain
-    picklable tuples — the result/exception is pre-pickled *here*, in
-    the worker, so a value that fails to pickle becomes a reported
-    error instead of wedging the queue's feeder thread.
+    Built once per spec per batch, so the spec's identity is computed
+    once (a spec is mutable, hence here and not on :class:`TrialSpec`);
+    the serial loop, the pool loop, :meth:`TrialRunner._attempt_failed`
+    and :func:`repro.harness.journal.precomputed_from_state` all pass
+    this record around instead of its fields.
     """
-    # The supervisor owns interrupt handling; a terminal SIGINT goes to
-    # the whole process group and must not race workers into dying
-    # before the parent journals the shutdown.
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread / exotic platform
-        pass
-    pid = os.getpid()
-    ppid = os.getppid()
-    while True:
-        try:
-            # Poll rather than block: if the supervisor is SIGKILLed,
-            # sibling workers (forked later) still hold the parent end
-            # of this pipe, so EOF never arrives.  Orphaning — getppid
-            # no longer the supervisor — is the reliable death signal;
-            # without this check killed sweeps leak idle workers that
-            # block on the pipe forever.
-            while not conn.poll(1.0):
-                if os.getppid() != ppid:
-                    return
-            task = conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        index, attempt, spec, heartbeat_path = task
-        try:
-            result, elapsed = execute_trial(spec, heartbeat_path=heartbeat_path)
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            message = (pid, index, attempt, "ok", payload, elapsed, None)
-        except BaseException as error:
-            detail = "{}: {}\n{}".format(
-                type(error).__name__, error, traceback.format_exc()
-            )
-            try:
-                payload = pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                payload = None
-            message = (pid, index, attempt, "error", payload, None, detail)
-        result_queue.put(message)
 
+    __slots__ = (
+        "index", "total", "spec", "journal_key", "cache_key", "attempt",
+        "inflight", "failures", "started", "resolved", "result",
+    )
 
-class _PoolWorker:
-    """Supervisor-side handle on one worker process."""
-
-    __slots__ = ("process", "conn", "busy", "deadline")
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-        self.busy = None  # (index, attempt) while a task is dispatched
-        self.deadline = None
-
-    @property
-    def dead(self):
-        return self.process.exitcode is not None
-
-    def kill(self):
-        try:
-            self.process.kill()
-        except Exception:
-            pass
-
-    def reap(self, timeout=5.0):
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.kill()
-            self.process.join(1.0)
-        try:
-            self.conn.close()
-        except Exception:
-            pass
+    def __init__(self, index, total, spec):
+        self.index = index
+        self.total = total
+        self.spec = spec
+        self.journal_key, self.cache_key = trial_keys(spec)
+        #: Attempts dispatched so far; the one in flight, else None.
+        self.attempt = 0
+        self.inflight = None
+        self.failures = []
+        self.started = None
+        self.resolved = False
+        self.result = None
 
 
 class TrialRunner:
@@ -709,9 +307,11 @@ class TrialRunner:
         as each trial completes (in completion order on a pool).
     :param trial_timeout: wall-clock seconds allowed per parallel
         trial; exceeding it kills and recycles the hung worker, then
-        retries/quarantines/raises per the retry policy.  (Serial
-        trials are bounded by the engine's own deadline guard
-        instead.)
+        retries/quarantines/raises per the retry policy.  Every point
+        runner in the repo simulates a bounded number of cycles, so
+        this defends library callers against the hang a cycle bound
+        cannot see (a trial stuck outside the engine loop); a serial
+        trial runs in this process and has no such guard.
     :param heartbeat_dir: directory for per-trial liveness heartbeats
         (``trial-<index>.json``); each trial runs with
         :data:`~repro.telemetry.watchdog.HEARTBEAT_ENV` pointing at
@@ -771,13 +371,10 @@ class TrialRunner:
         if resume_from:
             self.resume(resume_from)
         if isinstance(journal, (str, os.PathLike)):
-            from repro.harness.journal import RunJournal
-
             journal = RunJournal(journal)
         self.journal = journal
         self.retries = _normalize_retries(retries)
-        if on_exhausted is None:
-            on_exhausted = "raise"
+        on_exhausted = on_exhausted or "raise"
         if on_exhausted not in ("raise", "quarantine"):
             raise ValueError(
                 "on_exhausted must be 'raise' or 'quarantine', got "
@@ -786,7 +383,6 @@ class TrialRunner:
         self.on_exhausted = on_exhausted
         self.stats = TrialStats()
         self._interrupt = None
-        self._journal_keys = {}
 
     # -- public API ------------------------------------------------------
 
@@ -797,8 +393,6 @@ class TrialRunner:
         :class:`JournalMismatchError` here, before any file is opened
         for writing.
         """
-        from repro.harness.journal import load_journal_state
-
         try:
             self.resume_state = load_journal_state(journal_path)
         except (OSError, ValueError) as exc:
@@ -818,69 +412,59 @@ class TrialRunner:
         (:func:`repro.harness.journal.precomputed_from_state`).
         """
         specs = list(specs)
-        total = len(specs)
-        results = [None] * total
+        trials = [
+            _Trial(index, len(specs), spec) for index, spec in enumerate(specs)
+        ]
         pending = []
-        keys = {}
         precomputed = {}
-        self._journal_keys = {}
         if self.resume_state is not None:
-            from repro.harness.journal import precomputed_from_state
-
-            self._check_resume(specs)
+            self._check_resume(trials)
             precomputed = precomputed_from_state(
-                self.resume_state, specs, self.cache
+                self.resume_state, trials, self.cache
             )
         if self.journal is not None:
             self.journal.record(
                 "sweep.start",
-                total=total,
+                total=len(trials),
                 workers=self.workers,
                 retries=self.retries.describe(),
                 on_exhausted=self.on_exhausted,
                 trials=[
                     {
-                        "index": i,
-                        "key": self._journal_key(specs[i]),
-                        "label": specs[i].label,
-                        "seed": specs[i].seed,
+                        "index": trial.index,
+                        "key": trial.journal_key,
+                        "label": trial.spec.label,
+                        "seed": trial.spec.seed,
                     }
-                    for i in range(total)
+                    for trial in trials
                 ],
             )
-        for index, spec in enumerate(specs):
-            source, result = "resumed", precomputed.get(index, CACHE_MISS)
+        for trial in trials:
+            source, result = "resumed", precomputed.get(trial.index, CACHE_MISS)
             if (result is CACHE_MISS and self.cache is not None
-                    and spec.cacheable()):
-                keys[index] = spec.fingerprint()
-                source, result = "cache", self.cache.get(keys[index])
-            if result is not CACHE_MISS:
-                results[index] = result
-                self.stats.cached += 1
-                if self.journal is not None:
-                    self._journal_trial(
-                        "trial.done", index, spec, source=source,
-                        elapsed=0.0, result_hash=result_content_hash(result),
-                    )
-                self._emit(TrialEvent(index, total, spec.label, 0.0, source))
-                continue
-            pending.append(index)
-            self._journal_trial("trial.queued", index, spec, seed=spec.seed)
+                    and trial.cache_key is not None):
+                source, result = "cache", self.cache.get(trial.cache_key)
+            if result is CACHE_MISS:
+                pending.append(trial)
+                self._journal_trial("trial.queued", trial, seed=trial.spec.seed)
+            else:
+                self._finish(trial, result, 0.0, source)
 
         if pending:
             restore = self._install_signal_handlers()
             try:
                 if self.workers == 1:
-                    self._run_serial(specs, pending, results, keys, total)
+                    self._run_serial(pending)
                 else:
-                    self._run_pool(specs, pending, results, keys, total)
+                    self._run_pool(trials, pending)
             finally:
                 restore()
+        results = [trial.result for trial in trials]
         if self.journal is not None:
             _ok, quarantined = partition_quarantined(results)
             self.journal.record(
                 "sweep.end",
-                total=total,
+                total=len(trials),
                 executed=self.stats.executed,
                 cached=self.stats.cached,
                 quarantined=len(quarantined),
@@ -889,44 +473,44 @@ class TrialRunner:
 
     # -- internals -------------------------------------------------------
 
-    def _emit(self, event):
+    def _emit(self, trial, seconds, source, heartbeat=None):
         if self.progress is not None:
-            self.progress(event)
+            self.progress(TrialEvent(
+                trial.index, trial.total, trial.spec.label, seconds, source,
+                duration=(
+                    None if trial.started is None
+                    else time.perf_counter() - trial.started
+                ),
+                heartbeat=heartbeat,
+            ))
 
-    def _check_resume(self, specs):
-        """Refuse to resume a journal that does not describe ``specs``.
+    def _check_resume(self, trials):
+        """Refuse to resume a journal that does not describe ``trials``.
 
         Only the first batch after :meth:`resume` is checked: later
         batches of a lazy search may legitimately probe points the
         interrupted run never reached.
         """
         journal_path, self._resume_unchecked = self._resume_unchecked, None
-        if journal_path is None or not specs:
+        if journal_path is None or not trials:
             return
         state = self.resume_state
         known = set(state.trials) | set(state.done) | set(state.quarantined)
-        if not any(self._journal_key(spec) in known for spec in specs):
+        if not any(trial.journal_key in known for trial in trials):
             raise JournalMismatchError(
                 "journal {} does not describe this sweep: none of its {} "
                 "trial key(s) match (wrong journal, or a code/parameter "
                 "change moved every fingerprint)".format(
-                    journal_path, len(specs)
+                    journal_path, len(trials)
                 )
             )
 
-    def _journal_key(self, spec):
-        key = self._journal_keys.get(id(spec))
-        if key is None:
-            key = journal_trial_key(spec)
-            self._journal_keys[id(spec)] = key
-        return key
-
-    def _journal_trial(self, event_kind, index, spec, **fields):
+    def _journal_trial(self, event_kind, trial, **fields):
         if self.journal is None:
             return
         self.journal.record(
-            event_kind, index=index, key=self._journal_key(spec),
-            label=spec.label, **fields,
+            event_kind, index=trial.index, key=trial.journal_key,
+            label=trial.spec.label, **fields,
         )
 
     def _install_signal_handlers(self):
@@ -936,9 +520,8 @@ class TrialRunner:
         without a journal (the historical KeyboardInterrupt behaviour
         stands) or off the main thread (the signal module refuses).
         """
-        if self.journal is None:
-            return lambda: None
-        if threading.current_thread() is not threading.main_thread():
+        if (self.journal is None
+                or threading.current_thread() is not threading.main_thread()):
             return lambda: None
         self._interrupt = None
 
@@ -971,30 +554,11 @@ class TrialRunner:
         except ValueError:
             name = str(signum)
         logger.warning("sweep interrupted by %s; flushing journal", name)
-        if self.journal is not None:
-            self.journal.record("sweep.interrupted", signum=int(signum), signal=name)
-            self.journal.close()
+        # Only a journaled run arms the handler that sets ``_interrupt``.
+        self.journal.record("sweep.interrupted", signum=int(signum), signal=name)
+        self.journal.close()
         raise SweepInterrupted(
             "sweep interrupted by {}".format(name), signum=signum
-        )
-
-    def _finish(self, index, total, spec, result, elapsed, keys, duration=None):
-        self.stats.executed += 1
-        self.stats.seconds += elapsed
-        if self.cache is not None and index in keys:
-            self.cache.put(keys[index], result)
-        self._journal_trial(
-            "trial.done", index, spec, source="executed", elapsed=elapsed,
-            result_hash=(
-                result_content_hash(result)
-                if self.journal is not None else None
-            ),
-        )
-        self._emit(
-            TrialEvent(
-                index, total, spec.label, elapsed, "executed",
-                duration=duration,
-            )
         )
 
     def _heartbeat_path(self, index):
@@ -1003,24 +567,43 @@ class TrialRunner:
         os.makedirs(self.heartbeat_dir, exist_ok=True)
         return os.path.join(self.heartbeat_dir, "trial-{}.json".format(index))
 
-    def _attempt_failed(self, index, total, spec, attempt, failures, started,
-                        results, kind, detail, exitcode=None, error=None,
+    def _finish(self, trial, result, elapsed, source="executed"):
+        """``trial`` has its result: executed just now, or served from
+        the cache (``"cache"``) or a journal replay (``"resumed"``)."""
+        trial.result = result
+        trial.resolved = True
+        if source != "executed":
+            self.stats.cached += 1
+        else:
+            self.stats.executed += 1
+            self.stats.seconds += elapsed
+            if self.cache is not None and trial.cache_key is not None:
+                self.cache.put(trial.cache_key, result)
+        if self.journal is not None:  # hashing a result is not free
+            self._journal_trial(
+                "trial.done", trial, source=source, elapsed=elapsed,
+                result_hash=result_content_hash(result),
+            )
+        self._emit(trial, elapsed, source)
+
+    def _attempt_failed(self, trial, kind, detail, exitcode=None, error=None,
                         heartbeat=None):
         """One failed attempt, whatever the mechanism (crash, hang,
         exception) and whichever path ran it: journal it, then retry /
         quarantine / raise per the attempt budget.
 
         Returns the backoff delay in seconds when the trial is to be
-        re-dispatched, None when it was quarantined (its result slot
-        then holds the report).  ``error`` is the trial's own exception
+        re-dispatched, None when it was quarantined (its record then
+        holds the report).  ``error`` is the trial's own exception
         when there is one to re-raise.
         """
-        failures.append({
+        spec, attempt = trial.spec, trial.attempt
+        trial.failures.append({
             "attempt": attempt, "kind": kind,
             "detail": detail, "exitcode": exitcode,
         })
         self._journal_trial(
-            "trial.failed", index, spec, attempt=attempt, kind=kind,
+            "trial.failed", trial, attempt=attempt, kind=kind,
             detail=detail, exitcode=exitcode,
         )
         if attempt < self.retries.max_attempts:
@@ -1033,26 +616,22 @@ class TrialRunner:
             return delay
         if self.on_exhausted == "quarantine":
             report = QuarantinedTrial(
-                spec.label, self._journal_key(spec), spec.seed, attempt, failures,
+                spec.label, trial.journal_key, spec.seed, attempt,
+                trial.failures,
             )
-            results[index] = report
+            trial.result = report
+            trial.resolved = True
             logger.warning(
                 "trial %r quarantined after %d failed attempt(s); sweep "
                 "continues", spec.label, attempt,
             )
             self._journal_trial(
-                "trial.quarantined", index, spec, report=report.as_dict(),
+                "trial.quarantined", trial, report=report.as_dict(),
             )
-            self._emit(
-                TrialEvent(
-                    index, total, spec.label, 0.0, "quarantined",
-                    duration=time.perf_counter() - started,
-                    heartbeat=heartbeat,
-                )
-            )
+            self._emit(trial, 0.0, "quarantined", heartbeat=heartbeat)
             return None
         if kind == "timeout":
-            self._timeout(index, total, spec, started, heartbeat=heartbeat)
+            self._timeout(trial, heartbeat)
         if kind == "crash":
             raise WorkerCrashError(
                 "worker running trial {!r} died with exit code {} "
@@ -1067,259 +646,7 @@ class TrialRunner:
             "pickled back: {}".format(spec.label, detail)
         )
 
-    def _run_serial(self, specs, pending, results, keys, total):
-        for index in pending:
-            self._check_interrupt()
-            spec = specs[index]
-            started = time.perf_counter()
-            attempt = 0
-            failures = []
-            while True:
-                attempt += 1
-                self._journal_trial(
-                    "trial.start", index, spec, attempt=attempt,
-                    worker=os.getpid(),
-                )
-                try:
-                    result, elapsed = execute_trial(
-                        spec, heartbeat_path=self._heartbeat_path(index)
-                    )
-                except Exception as error:
-                    delay = self._attempt_failed(
-                        index, total, spec, attempt, failures, started,
-                        results, "error",
-                        "{}: {}".format(type(error).__name__, error),
-                        error=error,
-                    )
-                    if delay is None:
-                        break
-                    time.sleep(delay)
-                    continue
-                results[index] = result
-                self._finish(
-                    index, total, spec, result, elapsed, keys,
-                    duration=time.perf_counter() - started,
-                )
-                break
-
-    # -- supervised pool -------------------------------------------------
-
-    def _spawn_worker(self, context, result_queue):
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(
-            target=_supervised_worker,
-            args=(child_conn, result_queue),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _PoolWorker(process, parent_conn)
-
-    def _shutdown_pool(self, workers, result_queue):
-        for worker in workers:
-            try:
-                worker.conn.send(None)
-            except Exception:
-                pass
-        for worker in workers:
-            worker.reap(timeout=2.0)
-        try:
-            result_queue.close()
-            result_queue.cancel_join_thread()
-        except Exception:
-            pass
-
-    def _run_pool(self, specs, pending, results, keys, total):
-        for index in pending:
-            try:
-                pickle.dumps(specs[index])
-            except Exception as error:
-                raise ValueError(
-                    "trial {!r} is not picklable and cannot run on a "
-                    "worker pool (use module-level factories, or "
-                    "workers=1): {}".format(specs[index].label, error)
-                )
-        context = multiprocessing.get_context(_preferred_start_method())
-        result_queue = context.Queue()
-        workers = [
-            self._spawn_worker(context, result_queue)
-            for _ in range(min(self.workers, len(pending)))
-        ]
-        submitted = time.perf_counter()
-        ready = collections.deque(pending)
-        delayed = []  # heap of (monotonic ready-time, tiebreak, index)
-        tiebreak = 0
-        attempts = {index: 0 for index in pending}
-        failures = {index: [] for index in pending}
-        inflight = {}  # index -> attempt currently dispatched
-        done = set()
-
-        def resolve_failure(index, kind, detail, **extra):
-            nonlocal tiebreak
-            inflight.pop(index, None)
-            delay = self._attempt_failed(
-                index, total, specs[index], attempts[index], failures[index],
-                submitted, results, kind, detail, **extra
-            )
-            if delay is None:
-                done.add(index)
-            else:
-                tiebreak += 1
-                heapq.heappush(
-                    delayed, (time.monotonic() + delay, tiebreak, index)
-                )
-
-        def recycle(worker, reason):
-            # Kill/reap a dead-or-hung worker and try to replace it;
-            # the pool shrinks (loudly) when respawning fails.
-            worker.kill()
-            worker.reap()
-            workers.remove(worker)
-            try:
-                workers.append(self._spawn_worker(context, result_queue))
-            except Exception as spawn_error:
-                logger.warning(
-                    "could not respawn worker after %s (%s: %s); pool "
-                    "shrinks to %d worker(s)", reason,
-                    type(spawn_error).__name__, spawn_error, len(workers),
-                )
-
-        try:
-            while len(done) < len(pending):
-                self._check_interrupt()
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, index = heapq.heappop(delayed)
-                    ready.append(index)
-
-                # Dispatch to idle workers.
-                for worker in workers:
-                    if not ready:
-                        break
-                    if worker.busy is not None or worker.dead:
-                        continue
-                    index = ready.popleft()
-                    attempts[index] += 1
-                    attempt = attempts[index]
-                    task = (
-                        index, attempt, specs[index],
-                        self._heartbeat_path(index),
-                    )
-                    try:
-                        worker.conn.send(task)
-                    except Exception:
-                        # Dead pipe — undo and let the liveness scan
-                        # reap the corpse next iteration.
-                        attempts[index] -= 1
-                        ready.appendleft(index)
-                        continue
-                    worker.busy = (index, attempt)
-                    worker.deadline = (
-                        time.monotonic() + self.trial_timeout
-                        if self.trial_timeout is not None else None
-                    )
-                    inflight[index] = attempt
-                    self._journal_trial(
-                        "trial.start", index, specs[index], attempt=attempt,
-                        worker=worker.process.pid,
-                    )
-
-                # Drain one result (50ms tick doubles as the
-                # supervision cadence).
-                try:
-                    message = result_queue.get(timeout=0.05)
-                except (queue_module.Empty, EOFError, OSError):
-                    message = None
-                if message is not None:
-                    pid, index, attempt, status, payload, elapsed, detail = (
-                        message
-                    )
-                    for worker in workers:
-                        if worker.busy == (index, attempt):
-                            worker.busy = None
-                            worker.deadline = None
-                            break
-                    # Late replies from killed/superseded attempts are
-                    # dropped; the supervisor already resolved them.
-                    if index not in done and inflight.get(index) == attempt:
-                        if status == "ok":
-                            inflight.pop(index, None)
-                            result = pickle.loads(payload)
-                            results[index] = result
-                            done.add(index)
-                            self._finish(
-                                index, total, specs[index], result, elapsed,
-                                keys, duration=time.perf_counter() - submitted,
-                            )
-                        else:
-                            error = None
-                            if payload is not None:
-                                try:
-                                    error = pickle.loads(payload)
-                                except Exception:
-                                    error = None
-                            resolve_failure(
-                                index, "error", detail, error=error,
-                            )
-
-                # Liveness + deadline scan.
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.dead:
-                        busy = worker.busy
-                        exitcode = worker.process.exitcode
-                        worker.busy = None
-                        recycle(
-                            worker,
-                            "worker death (exit code {})".format(exitcode),
-                        )
-                        if busy is not None:
-                            index, attempt = busy
-                            if (index not in done
-                                    and inflight.get(index) == attempt):
-                                logger.warning(
-                                    "worker running trial %r died with "
-                                    "exit code %s; recycling worker",
-                                    specs[index].label, exitcode,
-                                )
-                                resolve_failure(
-                                    index, "crash",
-                                    "worker died with exit code {}".format(
-                                        exitcode
-                                    ),
-                                    exitcode=exitcode,
-                                )
-                    elif (worker.busy is not None
-                            and worker.deadline is not None
-                            and now >= worker.deadline):
-                        index, attempt = worker.busy
-                        worker.busy = None
-                        heartbeat = None
-                        path = self._heartbeat_path(index)
-                        if path is not None:
-                            heartbeat = read_heartbeat(path)
-                        recycle(worker, "trial timeout")
-                        if (index not in done
-                                and inflight.get(index) == attempt):
-                            resolve_failure(
-                                index, "timeout",
-                                "exceeded {}s wall-clock timeout".format(
-                                    self.trial_timeout
-                                ),
-                                heartbeat=heartbeat,
-                            )
-
-                if not workers and len(done) < len(pending):
-                    raise WorkerCrashError(
-                        "worker pool exhausted: every worker died and none "
-                        "could be respawned; {} trial(s) unfinished".format(
-                            len(pending) - len(done)
-                        )
-                    )
-        finally:
-            self._shutdown_pool(workers, result_queue)
-
-    def _timeout(self, index, total, spec, submitted, heartbeat=None):
+    def _timeout(self, trial, heartbeat):
         """Report a hung trial loudly, then raise.
 
         The killed worker cannot tell us anything, but its last
@@ -1337,51 +664,121 @@ class TrialRunner:
             else "no heartbeat recorded"
         )
         message = "trial {!r} exceeded the {}s wall-clock timeout ({})".format(
-            spec.label, self.trial_timeout, detail
+            trial.spec.label, self.trial_timeout, detail
         )
         logger.warning(message)
-        self._emit(
-            TrialEvent(
-                index,
-                total,
-                spec.label,
-                self.trial_timeout,
-                "timeout",
-                duration=time.perf_counter() - submitted,
-                heartbeat=heartbeat,
-            )
-        )
+        self._emit(trial, self.trial_timeout, "timeout", heartbeat=heartbeat)
         raise TrialTimeoutError(message, heartbeat=heartbeat)
 
+    def _run_serial(self, pending):
+        for trial in pending:
+            self._check_interrupt()
+            trial.started = time.perf_counter()
+            while not trial.resolved:
+                trial.attempt += 1
+                self._journal_trial(
+                    "trial.start", trial, attempt=trial.attempt,
+                    worker=os.getpid(),
+                )
+                try:
+                    result, elapsed = execute_trial(
+                        trial.spec,
+                        heartbeat_path=self._heartbeat_path(trial.index),
+                    )
+                except Exception as error:
+                    delay = self._attempt_failed(
+                        trial, "error",
+                        "{}: {}".format(type(error).__name__, error),
+                        error=error,
+                    )
+                    if delay is not None:
+                        time.sleep(delay)
+                    continue
+                self._finish(trial, result, elapsed)
 
-def run_trials(
-    specs,
-    workers=1,
-    cache_dir=None,
-    progress=None,
-    trial_timeout=None,
-    heartbeat_dir=None,
-    journal=None,
-    retries=None,
-    on_exhausted=None,
-    runner=None,
-):
+    def _run_pool(self, trials, pending):
+        for trial in pending:
+            check_sendable(trial.spec)
+        pool = WorkerPool(min(self.workers, len(pending)), self.trial_timeout)
+        submitted = time.perf_counter()
+        for trial in pending:
+            trial.started = submitted
+        ready = collections.deque(pending)
+        delayed = []  # heap of (monotonic ready-time, tiebreak, trial)
+        tiebreak = 0
+        unresolved = len(pending)
+        try:
+            while unresolved:
+                self._check_interrupt()
+                now = time.monotonic()
+                while delayed and delayed[0][0] <= now:
+                    ready.append(heapq.heappop(delayed)[2])
+
+                for worker in pool.idle():
+                    if not ready:
+                        break
+                    trial = ready.popleft()
+                    if not pool.dispatch(
+                        worker, trial.index, trial.attempt + 1, trial.spec,
+                        self._heartbeat_path(trial.index),
+                    ):
+                        # Dead pipe: no attempt was spent; the trial
+                        # goes to the next idle worker.
+                        ready.appendleft(trial)
+                        continue
+                    trial.attempt += 1
+                    trial.inflight = trial.attempt
+                    self._journal_trial(
+                        "trial.start", trial, attempt=trial.attempt,
+                        worker=worker.process.pid,
+                    )
+
+                # scan() is lazy: the reply is handled before the scan
+                # starts, and each lost attempt before the next worker.
+                for report in itertools.chain(pool.drain(), pool.scan()):
+                    trial = trials[report.index]
+                    # A late reply from a killed or superseded attempt:
+                    # the supervisor already resolved it.
+                    if trial.inflight != report.attempt:
+                        continue
+                    trial.inflight = None
+                    if report.kind == "ok":
+                        self._finish(trial, report.decoded(), report.elapsed)
+                    else:
+                        delay = self._attempt_failed(
+                            trial, report.kind, report.detail,
+                            exitcode=report.exitcode, error=report.decoded(),
+                            heartbeat=report.heartbeat,
+                        )
+                        if delay is not None:
+                            tiebreak += 1
+                            heapq.heappush(
+                                delayed,
+                                (time.monotonic() + delay, tiebreak, trial),
+                            )
+                    if trial.resolved:
+                        unresolved -= 1
+
+                if not pool.workers and unresolved:
+                    raise WorkerCrashError(
+                        "worker pool exhausted: every worker died and none "
+                        "could be respawned; {} trial(s) unfinished".format(
+                            unresolved
+                        )
+                    )
+        finally:
+            pool.shutdown()
+
+
+def run_trials(specs, runner=None, **runner_options):
     """Run ``specs`` on ``runner``, or on a one-shot :class:`TrialRunner`.
 
     Where every sweep function's ``runner=None`` default is resolved:
     a prebuilt runner (shared cache/stats/journal across several
-    sweeps) overrides the other execution knobs; without one, they
+    sweeps) overrides the other execution knobs; without one,
+    ``runner_options`` (anything :class:`TrialRunner` accepts)
     configure a runner that lives for this call.
     """
     if runner is None:
-        runner = TrialRunner(
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-            trial_timeout=trial_timeout,
-            heartbeat_dir=heartbeat_dir,
-            journal=journal,
-            retries=retries,
-            on_exhausted=on_exhausted,
-        )
+        runner = TrialRunner(**runner_options)
     return runner.run(specs)

@@ -18,7 +18,8 @@ mode merely spends extra work past the knee in exchange for latency).
 
 from repro.core.random_source import derive_seed
 from repro.harness.load_sweep import figure3_network, run_load_point
-from repro.harness.parallel import TrialSpec, run_trials
+from repro.harness.parallel import run_trials
+from repro.harness.spec import TrialSpec
 
 
 def run_saturation_point(rate, seed=0, warmup_cycles=800, measure_cycles=3000,

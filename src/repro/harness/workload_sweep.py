@@ -23,7 +23,7 @@ from repro.harness.load_sweep import (
     figure1_network,
     figure3_network,
 )
-from repro.harness.parallel import TrialSpec
+from repro.harness.spec import TrialSpec
 from repro.workloads.collective import (
     CollectiveSchedule,
     CollectiveWorkload,

@@ -40,10 +40,14 @@ idle-gap compression keeps working between them.
 """
 
 import json
+import logging
+import os
 import time
 
 from repro.sim.component import Component
 from repro.telemetry.metrics import MetricsSnapshot
+
+logger = logging.getLogger(__name__)
 
 #: Format tag carried by ``run.start``; bump on breaking changes.
 STREAM_FORMAT = "metro-run-log-v1"
@@ -199,6 +203,9 @@ class TelemetryStream(Component):
         if self.hub is not None and not self.hub.enabled:
             self.hub = None
         if self._own_handle:
+            # The legs of a resumed soak append to one log, and the leg
+            # before this one may have been SIGKILLed mid-write.
+            trim_torn_tail(self._path)
             self._handle = open(self._path, "a")
         self._t0 = time.perf_counter()
         cycle = network.engine.cycle
@@ -422,6 +429,38 @@ def read_run_log(path_or_lines):
             )
         events.append(event)
     return events
+
+
+def trim_torn_tail(path):
+    """Drop a torn (newline-less) final line before appending to ``path``.
+
+    :func:`read_run_log` tolerates a torn tail, but *appending* after
+    one would glue the new record onto the fragment, turning a harmless
+    torn tail into a corrupt interior line.  Truncating back to the
+    last complete record keeps append-after-crash safe; the torn
+    record was never readable anyway.  Every appender that owns its
+    file (:class:`TelemetryStream`, :class:`repro.harness.journal
+    .RunJournal`) calls this before opening it.
+    """
+    try:
+        with open(path, "rb+") as handle:
+            handle.seek(0, os.SEEK_END)
+            size = handle.tell()
+            if size == 0:
+                return
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) == b"\n":
+                return
+            handle.seek(0)
+            data = handle.read()
+            keep = data.rfind(b"\n") + 1
+            handle.truncate(keep)
+        logger.warning(
+            "%s: dropped a torn final record (%d byte(s)) before "
+            "appending", path, size - keep,
+        )
+    except OSError:
+        return
 
 
 def merge_stream_metrics(events):

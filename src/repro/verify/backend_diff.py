@@ -31,7 +31,7 @@ from collections import namedtuple
 from repro.core.random_source import derive_seed
 # Lives beside MessageLog; bench/ and older callers import it from here.
 from repro.endpoint.messages import message_fingerprint  # noqa: F401
-from repro.harness.parallel import TrialSpec
+from repro.harness.spec import TrialSpec
 from repro.verify.families import FAMILIES, run_family
 
 #: Workload families diffed by default, in sweep order: the table's keys.

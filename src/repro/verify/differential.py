@@ -31,7 +31,7 @@ bit-identical serial or parallel.
 
 from repro.core.random_source import derive_seed
 from repro.endpoint.messages import DELIVERED
-from repro.harness.parallel import TrialSpec
+from repro.harness.spec import TrialSpec
 from repro.latency_model import equations
 from repro.verify.scenario import Scenario, random_scenario
 

@@ -41,7 +41,7 @@ from collections import namedtuple
 
 from repro.core.random_source import derive_seed
 from repro.harness import chaos
-from repro.harness.parallel import TrialSpec
+from repro.harness.spec import TrialSpec
 from repro.sim.snapshot import restore_network, snapshot_network
 from repro.verify.backend_diff import DEFAULT_KINDS, _compare
 from repro.verify.families import family, run_family

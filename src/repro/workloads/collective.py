@@ -607,7 +607,7 @@ class CollectiveResult:
         return max(self.per_rank_done, key=lambda r: (self.per_rank_done[r], r))
 
     def content_hash(self):
-        from repro.harness.parallel import result_content_hash
+        from repro.harness.cache import result_content_hash
 
         return result_content_hash(self)
 

@@ -273,7 +273,7 @@ class ServiceResult:
         return 1000.0 * self.delivered_count / self.measure_cycles
 
     def content_hash(self):
-        from repro.harness.parallel import result_content_hash
+        from repro.harness.cache import result_content_hash
 
         return result_content_hash(self)
 

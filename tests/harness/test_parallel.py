@@ -615,16 +615,18 @@ def test_pool_shrinks_when_respawn_fails(tmp_path, monkeypatch, caplog):
     for key, value in arm(str(tmp_path / "ledger"), target="victim",
                           strikes=1).items():
         monkeypatch.setenv(key, value)
-    original = TrialRunner._spawn_worker
+    from repro.harness.pool import WorkerPool
+
+    original = WorkerPool.spawn
     spawned = []
 
-    def rationed_spawn(self, context, result_queue):
+    def rationed_spawn(self):
         if len(spawned) >= 2:
             raise OSError("fork budget exhausted")
         spawned.append(True)
-        return original(self, context, result_queue)
+        return original(self)
 
-    monkeypatch.setattr(TrialRunner, "_spawn_worker", rationed_spawn)
+    monkeypatch.setattr(WorkerPool, "spawn", rationed_spawn)
     runner = TrialRunner(
         workers=2,
         retries=TrialBackoff(max_attempts=2, base=0.0, jitter=False),
@@ -641,6 +643,23 @@ def test_pool_shrinks_when_respawn_fails(tmp_path, monkeypatch, caplog):
     assert results[0] == ("survived", 7)
     assert results[1:] == [(v, v) for v in range(3)]
     assert any("pool shrinks" in r.message for r in caplog.records)
+
+
+def _thread_count_trial(seed=0):
+    import threading
+
+    return threading.active_count()
+
+
+def test_workers_reply_from_the_thread_that_runs_trials():
+    """A worker has one thread.  A ``multiprocessing.Queue`` replies
+    from a feeder thread, which could hold the queue's write lock when
+    the worker was SIGKILLed at the start of its next trial: every
+    other worker's reply then blocked for good and the sweep hung."""
+    specs = [
+        TrialSpec(__name__ + ":_thread_count_trial", seed=v) for v in range(6)
+    ]
+    assert TrialRunner(workers=2).run(specs) == [1] * 6
 
 
 def test_corrupt_cache_entry_is_a_warned_miss(tmp_path, caplog):

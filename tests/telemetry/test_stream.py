@@ -93,6 +93,24 @@ class TestRunLogSchema:
         torn = read_run_log(path)
         assert torn == whole
 
+    def test_appending_after_a_torn_tail_keeps_the_log_readable(self, tmp_path):
+        """A resumed leg binds a new stream to the log a SIGKILLed leg
+        left torn: the fragment is trimmed, not glued onto ``run.start``."""
+        path = str(tmp_path / "run.jsonl")
+        first = TelemetryStream(path, window_cycles=100).bind(_loaded_network())
+        first.network.run(250)
+        first.close()
+        whole = read_run_log(path)
+        with open(path, "a") as handle:
+            handle.write('{"event": "window.stats", "cyc')  # SIGKILL mid-write
+        second = TelemetryStream(path, window_cycles=100).bind(_loaded_network())
+        second.network.run(250)
+        second.close()
+        events = read_run_log(path)
+        assert events[:len(whole)] == whole
+        assert events[len(whole)]["event"] == "run.start"
+        assert [e["event"] for e in events].count("run.end") == 2
+
     def test_malformed_interior_line_raises_with_line_number(self):
         lines = ['{"event": "run.start"}', "not json", '{"event": "x"}']
         with pytest.raises(ValueError, match="line 2"):

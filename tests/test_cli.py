@@ -146,6 +146,22 @@ def test_malformed_comma_list_is_a_usage_error(capsys, argv):
         ["send", "1", "2", "--max-cycles", "0"],
         ["verify", "--trials", "0"],
         ["verify", "--trials", "many"],
+        # ROADMAP item 6(iii), floats: the first three ran (a row of nan
+        # and exit 1; a curve; a table).  --min-availability stays open
+        # above 1: a bound no soak can meet is how the gate is shown to
+        # fire (test_chaos_slo_violation_exits_nonzero, the
+        # chaos_compare_min_availability fixture).
+        ["faults", "--rate", "-1"],
+        ["figure3", "--rates", "0.01,7"],
+        ["workloads", "service", "--burst-prob", "-3"],
+        ["chaos", "--min-availability", "-1"],
+        ["chaos", "--rate", "nan"],
+        ["faults", "--max-degradation", "1.5"],
+        ["chaos", "--max-mttr", "-1"],
+        ["workloads", "service", "--rates", "0.001,-0.5"],
+        ["workloads", "service", "--slo-p99", "-50"],
+        ["workloads", "collective", "--slo-cycles", "-1"],
+        ["tail", "run.jsonl", "--interval", "0"],
     ],
 )
 def test_out_of_range_number_is_a_usage_error(capsys, argv):

@@ -26,8 +26,13 @@ PATHS = ("src/repro/harness", "src/repro/cli.py")
 #: properties and the hand-split comma lists in ``cli.py`` went (PR 19);
 #: 3991 before PR 20 raised it by the ten lines of ``cli._at_least``, the
 #: positive / non-negative integer ``type=`` every count and cycle flag
-#: now takes (``--measure 0`` was a ZeroDivisionError traceback).
-BUDGET = 4001
+#: now takes (``--measure 0`` was a ZeroDivisionError traceback); 4001
+#: before PR 21: ``parallel.py`` (897) became spec / cache / pool / runner
+#: (122 + 98 + 196 + 473 = 889) around one per-trial record, ``journal.py``
+#: lost 27 (the torn-tail trimmer moved to ``telemetry/stream.py``, where
+#: ``SRC_BUDGET`` still counts it; ``RunJournal(fsync=)`` went), four
+#: import headers cost 4 and the float ``type=`` helpers in ``cli.py`` 4.
+BUDGET = 3974
 
 #: 13880 before PR 16, the first PR to ratchet it; 13458 before the two
 #: equivalence provers became loops over one table of workload families
@@ -41,8 +46,13 @@ BUDGET = 4001
 #: owned-port count, a receive-slot cache, their snapshot handling and
 #: two seeded mutations, less ``_Pipe.advance`` / ``occupancy``,
 #: ``Channel._ev_rec``, the side flag of ``attached_channels`` and
-#: ``Endpoint._maybe_generate``.
-SRC_BUDGET = 12881
+#: ``Endpoint._maybe_generate``; 12881 before PR 21, where the harness
+#: split's savings (six containers, the 12-parameter call sites, three
+#: lazy imports, ``run_trials``' copied option list, ``RunJournal(fsync=)``)
+#: paid for three module headers, the re-export block, the stream's
+#: torn-tail call with its logger, the float ``type=`` helpers and the
+#: pool's lock-and-pipe replies, with three lines to spare.
+SRC_BUDGET = 12878
 
 
 def _code_lines():

@@ -88,12 +88,15 @@ SUBMODULES = [
     "repro.latency_model.general",
     "repro.latency_model.implementations",
     "repro.harness.breakdown",
+    "repro.harness.cache",
     "repro.harness.experiment",
     "repro.harness.fault_sweep",
     "repro.harness.load_sweep",
     "repro.harness.parallel",
+    "repro.harness.pool",
     "repro.harness.reporting",
     "repro.harness.saturation",
+    "repro.harness.spec",
     "repro.baseline.builder",
     "repro.baseline.harness",
     "repro.baseline.wormhole",
