@@ -71,10 +71,9 @@ class WormholeNetwork:
         return sum(values) / len(values) if values else float("nan")
 
 
-def build_wormhole_network(plan, seed=0, buffer_depth=4, link_delay=1,
-                           randomize_wiring=True, store_and_forward=False):
+def build_wormhole_network(plan, seed=0, buffer_depth=4, store_and_forward=False):
     """Instantiate wormhole (or store-and-forward) routers + endpoints
-    over a METRO plan."""
+    over a METRO plan, randomly wired with one-cycle links."""
     rng = random.Random(seed)
     engine = Engine()
     w = plan.stages[0].params.w
@@ -115,11 +114,9 @@ def build_wormhole_network(plan, seed=0, buffer_depth=4, link_delay=1,
         sources.append(source)
         sinks.append(sink)
 
-    links = wire(plan, rng=random.Random(rng.getrandbits(32)),
-                 randomize=randomize_wiring)
+    links = wire(plan, rng=random.Random(rng.getrandbits(32)))
     for link in links:
-        delay = link_delay(link) if callable(link_delay) else link_delay
-        channel = Channel(delay=delay, name="{}->{}".format(link.src, link.dst))
+        channel = Channel(delay=1, name="{}->{}".format(link.src, link.dst))
         engine.add_channel(channel)
         _attach(router_grid, sources, sinks, link.src, channel.a, True)
         _attach(router_grid, sources, sinks, link.dst, channel.b, False)

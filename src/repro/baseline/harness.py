@@ -86,7 +86,6 @@ def run_wormhole_point(
     buffer_depth=4,
     warmup_cycles=1500,
     measure_cycles=6000,
-    label=None,
     store_and_forward=False,
 ):
     """One latency/load point for the wormhole (or S&F) network."""
@@ -114,7 +113,7 @@ def run_wormhole_point(
         if p.queued_cycle is not None and start <= p.queued_cycle < end
     ]
     return WormholeResult(
-        label or "rate={}".format(rate),
+        "rate={}".format(rate),
         window,
         measure_cycles,
         plan.n_endpoints,

@@ -53,8 +53,9 @@ results, faster at low load (see ``docs/API.md`` and
 ``repro.sim.backends``); ``verify --backend-diff`` checks that claim
 end to end.
 
-The sweep commands (``figure3``/``faults``/``chaos``/``saturation``)
-also take resilience flags (see ``docs/resilience.md``): ``--journal``
+The sweep commands
+(``figure3``/``faults``/``chaos``/``workloads``/``saturation``) also
+take resilience flags (see ``docs/resilience.md``): ``--journal``
 writes a durable run journal, ``--resume <journal>`` finishes a killed
 sweep byte-identically, ``--retries``/``--quarantine`` retry crashed
 or hung trials and quarantine poison ones.  Exit codes are consistent
@@ -554,6 +555,19 @@ def _cmd_workloads(args):
         if args.slo_cycles is not None:
             slo["collective_cycles"] = args.slo_cycles
     else:
+        from repro.network.topology import figure1_plan, figure3_plan
+
+        plan = {"figure1": figure1_plan, "figure3": figure3_plan}[args.network]()
+        for server in args.servers:
+            if server >= plan.n_endpoints:
+                print(
+                    "repro workloads: error: argument --servers: {} is not an "
+                    "endpoint of --network {} (valid: 0..{})".format(
+                        server, args.network, plan.n_endpoints - 1
+                    ),
+                    file=sys.stderr,
+                )
+                return 2
         specs = service_trial_specs(
             rates=args.rates,
             servers=args.servers,
@@ -562,9 +576,7 @@ def _cmd_workloads(args):
             burst_size=args.burst_size,
             request_words=args.request_words,
             reply_words=args.reply_words,
-            service_time=tuple(
-                int(part) for part in args.service_time.split(":")
-            ),
+            service_time=args.service_time,
             warmup_cycles=args.warmup,
             measure_cycles=args.measure,
             **common
@@ -1164,8 +1176,8 @@ def _comma_list(item):
 
 
 def _checked(number, accept, name):
-    """An argparse ``type=``: a ``number`` (``int`` / ``float``) that
-    ``accept`` passes.
+    """An argparse ``type=``: a ``number`` (``int`` / ``float``, or any
+    other parser of the text) that ``accept`` passes.
 
     Anything else (``--measure 0``, ``--warmup -5``, ``--trials x``,
     ``--rate 7``, ``--burst-prob nan``) is argparse's one-line ``error:
@@ -1188,6 +1200,12 @@ _non_negative = _checked(int, lambda n: n >= 0, "non_negative_int")
 _fraction = _checked(float, lambda x: 0 <= x <= 1, "fraction")
 _non_negative_float = _checked(float, lambda x: x >= 0, "non_negative_float")
 _positive_float = _checked(float, lambda x: x > 0, "positive_float")
+#: ``LO:HI``: a range of cycle counts, ``0 <= LO <= HI``.
+_service_time = _checked(
+    lambda text: tuple(int(part) for part in text.split(":")),
+    lambda pair: len(pair) == 2 and 0 <= pair[0] <= pair[1],
+    "service_time",
+)
 
 
 def _fault_level(part):
@@ -1436,7 +1454,8 @@ def build_parser():
         help="per-rank vector words (chunked by the algorithm)",
     )
     workloads.add_argument(
-        "--layers", type=_comma_list(int), default=None, metavar="W1,W2,...",
+        "--layers", type=_comma_list(_positive), default=None,
+        metavar="W1,W2,...",
         help="model-shaped mode: per-layer gradient sizes in words; "
         "one serialized all-reduce per layer in backprop order",
     )
@@ -1464,7 +1483,7 @@ def build_parser():
         help="per-client mean arrivals/cycle for the service sweep",
     )
     workloads.add_argument(
-        "--servers", type=_comma_list(int), default="0",
+        "--servers", type=_comma_list(_non_negative), default="0",
         metavar="E1,E2,...",
         help="server endpoint indices; every other endpoint hosts "
         "clients",
@@ -1484,7 +1503,7 @@ def build_parser():
     workloads.add_argument("--request-words", type=_positive, default=8)
     workloads.add_argument("--reply-words", type=_non_negative, default=4)
     workloads.add_argument(
-        "--service-time", default="0:16", metavar="LO:HI",
+        "--service-time", type=_service_time, default="0:16", metavar="LO:HI",
         help="uniform simulated server processing cycles per request",
     )
     workloads.add_argument("--warmup", type=_non_negative, default=1000)

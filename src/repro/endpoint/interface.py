@@ -110,15 +110,17 @@ class Endpoint(Component):
     :param max_attempts: per-message retry budget (None = unlimited).
     :param backoff: (lo, hi) inclusive range of idle cycles inserted
         before a retry, drawn uniformly.
-    :param reply_handler: ``f(payload_words, checksum_ok) ->
-        (reply_words, delay_cycles)`` run at the receiver; default
-        replies with nothing extra and zero delay.
     :param verify_stage_checksums: compare each router's reported
         checksum against the expected value to detect (and count)
         in-network corruption even when the destination acked.
     :param seed: randomness for port choice / backoff.
-    :param traffic_source: optional ``f(cycle) -> Message | None``
-        consulted when the endpoint has capacity for new work.
+
+    Two hooks are plain attributes, set after construction:
+    ``reply_handler`` (``f(payload_words, checksum_ok) ->
+    (reply_words, delay_cycles)``, run at the receiver; None replies
+    with nothing extra and zero delay) and ``traffic_source`` (``f(cycle) -> Message | None``,
+    consulted when the endpoint has capacity for new work; a traffic
+    generator's ``attach`` sets it).
     """
 
     def __init__(
@@ -131,10 +133,8 @@ class Endpoint(Component):
         reply_timeout=300,
         max_attempts=None,
         backoff=(0, 3),
-        reply_handler=None,
         verify_stage_checksums=False,
         seed=0,
-        traffic_source=None,
     ):
         self.index = index
         self.name = "ep{}".format(index)
@@ -150,14 +150,14 @@ class Endpoint(Component):
         #: observer of every failed attempt; the online FaultManager
         #: hangs its evidence collection here.
         self.fault_listener = None
-        self.reply_handler = reply_handler
+        self.reply_handler = None
         self.verify_stage_checksums = verify_stage_checksums
         #: The TelemetryHub bound to this endpoint's network, or the
         #: null object when telemetry is off (hot paths guard on
         #: ``.enabled`` — a single attribute test on the disabled path).
         self.telemetry = NULL_TELEMETRY
         self._rng = random.Random((seed << 16) ^ index)
-        self.traffic_source = traffic_source
+        self.traffic_source = None
 
         self.source_ends = []   # channel A-sides into stage 0
         self.receive_ends = []  # channel B-sides from the final stage

@@ -68,18 +68,16 @@ class TrafficSource:
 
 
 class UniformRandomTraffic(TrafficSource):
-    """Closed-loop Bernoulli injection to uniform-random destinations.
+    """Closed-loop Bernoulli injection to uniform-random destinations
+    other than the sender.
 
     :param rate: probability an idle endpoint starts a message each
         cycle (the offered-load knob of Figure 3).
-    :param exclude_self: don't address messages to the sender.
     """
 
-    def __init__(self, n_endpoints, w, rate=0.01, message_words=20, seed=0,
-                 exclude_self=True):
+    def __init__(self, n_endpoints, w, rate=0.01, message_words=20, seed=0):
         super().__init__(n_endpoints, w, message_words, seed)
         self.rate = rate
-        self.exclude_self = exclude_self
 
     def source_for(self, endpoint_index):
         return _UniformSource(self, self._rng(endpoint_index), endpoint_index)
@@ -101,7 +99,7 @@ class _UniformSource:
         if rng.random() >= traffic.rate:
             return None
         dest = rng.randrange(traffic.n_endpoints)
-        while traffic.exclude_self and dest == self._index:
+        while dest == self._index:
             dest = rng.randrange(traffic.n_endpoints)
         return traffic._message(rng, dest)
 

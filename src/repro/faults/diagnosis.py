@@ -51,8 +51,8 @@ def _link_ends(network, src_key, dst_key):
     return upstream, s_port, downstream, d_port
 
 
-def port_isolation_test(network, src_key, dst_key, patterns=DEFAULT_PATTERNS):
-    """Test one wire with scan patterns; returns (passed, observations).
+def port_isolation_test(network, src_key, dst_key):
+    """Test one wire with :data:`DEFAULT_PATTERNS`; returns (passed, observations).
 
     Both facing ports are disabled for the duration (the rest of both
     routers keeps routing), patterns are driven via EXTEST from the
@@ -70,7 +70,7 @@ def port_isolation_test(network, src_key, dst_key, patterns=DEFAULT_PATTERNS):
     mask = (1 << downstream.params.w) - 1
     observations = []
     try:
-        for pattern in patterns:
+        for pattern in DEFAULT_PATTERNS:
             up_scan.extest_drive(bwd_port, pattern & mask)
             # One cycle to launch, plus the wire's pipeline depth.
             delay = network.channels[(src_key, dst_key)].delay
@@ -84,7 +84,7 @@ def port_isolation_test(network, src_key, dst_key, patterns=DEFAULT_PATTERNS):
     return passed, observations
 
 
-def diagnose_stage(network, stage, patterns=DEFAULT_PATTERNS):
+def diagnose_stage(network, stage):
     """Isolation-test every wire from ``stage`` to the next layer.
 
     Returns the list of failing ``(src_key, dst_key)`` wire keys.
@@ -95,7 +95,7 @@ def diagnose_stage(network, stage, patterns=DEFAULT_PATTERNS):
             continue
         if src_key[1] != stage:
             continue
-        passed, _obs = port_isolation_test(network, src_key, dst_key, patterns)
+        passed, _obs = port_isolation_test(network, src_key, dst_key)
         if not passed:
             failing.append((src_key, dst_key))
     return failing
@@ -115,9 +115,9 @@ def mask_link(network, src_key, dst_key):
     )
 
 
-def diagnose_and_mask(network, stage, patterns=DEFAULT_PATTERNS):
+def diagnose_and_mask(network, stage):
     """Full repair loop for one inter-stage layer; returns masked wires."""
-    failing = diagnose_stage(network, stage, patterns)
+    failing = diagnose_stage(network, stage)
     for src_key, dst_key in failing:
         mask_link(network, src_key, dst_key)
     return failing

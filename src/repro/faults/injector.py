@@ -156,16 +156,13 @@ def random_transient_scenario(
     mtbf=600,
     mttr=150,
     seed=0,
-    burst=1,
-    burst_gap=None,
     start=0,
-    exclude_final_stage=True,
 ):
     """A reproducible random set of transient (duty-cycled) faults.
 
     Flaky links are drawn from inter-router wires; flaky routers from
-    the middle stages (optionally excluding the final stage, same
-    rationale as :func:`random_fault_scenario` — plus stage-0 routers,
+    the middle stages (never the final stage, same rationale as
+    :func:`random_fault_scenario` — nor stage-0 routers,
     whose source ports endpoints attach to directly, so masking can
     never heal them).  Each fault gets its own RNG stream derived from
     ``seed`` so the set is a pure function of its arguments.  Register
@@ -183,19 +180,14 @@ def random_transient_scenario(
                 mtbf=mtbf,
                 mttr=mttr,
                 seed=rng.getrandbits(32),
-                burst=burst,
-                burst_gap=burst_gap,
                 start=start,
             )
         )
     router_pool = []
     last = network.plan.n_stages - 1
     for (stage, block, index) in network.router_grid:
-        if stage == 0:
-            continue
-        if exclude_final_stage and stage == last:
-            continue
-        router_pool.append((stage, block, index))
+        if 0 < stage < last:
+            router_pool.append((stage, block, index))
     rng.shuffle(router_pool)
     for stage, block, index in router_pool[:n_flaky_routers]:
         faults.append(
@@ -206,8 +198,6 @@ def random_transient_scenario(
                 mtbf=mtbf,
                 mttr=mttr,
                 seed=rng.getrandbits(32),
-                burst=burst,
-                burst_gap=burst_gap,
                 start=start,
             )
         )

@@ -24,7 +24,7 @@ The loop:
    Per-stage suspicion scores accumulate with exponential decay, so
    isolated failures fade while a real fault's steady evidence ramps.
 3. **Mask.**  When a stage's suspicion crosses threshold the manager
-   schedules a repair and (by default) stops the engine; the driving
+   schedules a repair and stops the engine; the driving
    loop calls :meth:`service` between run windows.  A repair
    isolation-tests every wire of the suspect layers — quiescing each
    wire's circuits first so live traffic cannot fake a failure — and
@@ -43,7 +43,6 @@ manager only accumulates evidence during the simulation proper.
 
 from repro.endpoint import messages as M
 from repro.faults.diagnosis import (
-    DEFAULT_PATTERNS,
     _link_ends,
     port_isolation_test,
     suspect_stage_from_statuses,
@@ -70,56 +69,35 @@ class FaultManager(Component):
     :param network: the :class:`~repro.network.builder.MetroNetwork`
         to manage; the manager installs itself as an engine observer
         and hooks every endpoint's ``fault_listener``.
-    :param fabric: the :class:`~repro.scan.netconfig.NetworkScanFabric`
-        to issue repairs through (one is built when omitted).
-    :param threshold: suspicion score at which a stage is repaired.
-    :param decay_half_life: cycles for half of a stage's suspicion to
-        decay; isolated failures fade, persistent faults ramp.
-    :param weights: evidence weight per failure cause (missing causes
-        count 0); defaults to :data:`DEFAULT_WEIGHTS`.
-    :param patterns: scan test patterns for wire isolation tests.
-    :param auto_stop: stop the engine when a repair becomes due so a
-        driving loop can :meth:`service` it immediately; with False
-        the loop polls :meth:`repairs_due` on its own schedule.
     :param rate_window: cycles per delivered-rate window (recovery
         verification granularity).
-    :param recovery_ratio: fraction of the pre-repair peak window rate
-        a post-repair window must reach for the repair to be
-        ``verified``.
-    :param max_masks: stop masking after this many wires (safety valve
-        against an evidence storm disabling the whole network).
-    :param cooldown: cycles after a stage's repair during which fresh
-        threshold crossings for it are ignored — congestion noise
-        (masking shrinks path diversity, so blocked evidence rises)
-        must not trigger repeated fruitless isolation sweeps.
+
+    Its tuning is fixed, one class constant each: a stage is repaired
+    when its suspicion reaches :attr:`threshold`; half of a stage's
+    suspicion decays every :attr:`decay_half_life` cycles, so isolated
+    failures fade while a persistent fault ramps; a post-repair window
+    must reach :attr:`recovery_ratio` of the pre-repair peak window
+    rate for the repair to be ``verified``; and for :attr:`cooldown`
+    cycles after a stage's repair fresh threshold crossings for it are
+    ignored, because masking shrinks path diversity, blocked evidence
+    rises, and congestion noise must not trigger repeated fruitless
+    isolation sweeps.  Evidence is weighed by :data:`DEFAULT_WEIGHTS`
+    (missing causes count 0) and repairs go through the manager's own
+    :class:`~repro.scan.netconfig.NetworkScanFabric`.  A due repair
+    stops the engine, so a driving loop alternates ``run`` and
+    :meth:`service`.
     """
 
-    def __init__(
-        self,
-        network,
-        fabric=None,
-        threshold=5.0,
-        decay_half_life=600,
-        weights=None,
-        patterns=DEFAULT_PATTERNS,
-        auto_stop=True,
-        rate_window=200,
-        recovery_ratio=0.9,
-        max_masks=None,
-        cooldown=1000,
-    ):
+    threshold = 5.0
+    decay_half_life = 600
+    recovery_ratio = 0.9
+    cooldown = 1000
+
+    def __init__(self, network, rate_window=200):
         self.network = network
         self.name = "faultmgr"
-        self.fabric = fabric if fabric is not None else NetworkScanFabric(network)
-        self.threshold = threshold
-        self.decay_half_life = decay_half_life
-        self.weights = dict(DEFAULT_WEIGHTS if weights is None else weights)
-        self.patterns = patterns
-        self.auto_stop = auto_stop
+        self.fabric = NetworkScanFabric(network)
         self.rate_window = rate_window
-        self.recovery_ratio = recovery_ratio
-        self.max_masks = max_masks
-        self.cooldown = cooldown
         self._cooldown_until = {}
 
         self.n_stages = network.plan.n_stages
@@ -159,7 +137,7 @@ class FaultManager(Component):
     # ------------------------------------------------------------------
 
     def _on_attempt_failure(self, cycle, endpoint, send, cause, blocked_stage):
-        weight = self.weights.get(cause, 0.0)
+        weight = DEFAULT_WEIGHTS.get(cause, 0.0)
         if weight <= 0.0:
             return
         suspect = self._localize(endpoint, send, cause, blocked_stage)
@@ -177,7 +155,7 @@ class FaultManager(Component):
                 self._telemetry.registry.counter(
                     "faultmgr.repairs_scheduled", stage=suspect
                 ).inc()
-            if self.auto_stop and not self._servicing:
+            if not self._servicing:
                 self.network.engine.stop()
 
     def _localize(self, endpoint, send, cause, blocked_stage):
@@ -196,7 +174,7 @@ class FaultManager(Component):
     def _bump(self, stage, weight, cycle):
         score = self.suspicion.get(stage, 0.0)
         touched = self._touched.get(stage, cycle)
-        if cycle > touched and self.decay_half_life:
+        if cycle > touched:
             score *= 0.5 ** ((cycle - touched) / self.decay_half_life)
         score += weight
         self.suspicion[stage] = score
@@ -247,9 +225,9 @@ class FaultManager(Component):
         """Perform every due repair; returns the repair records.
 
         Must be called between ``network.run(...)`` windows (isolation
-        tests run the engine internally).  With ``auto_stop`` the
-        engine halts as soon as a repair becomes due, so the driving
-        loop simply alternates ``run``/``service`` until done.
+        tests run the engine internally).  The engine halts as soon as
+        a repair becomes due, so the driving loop simply alternates
+        ``run``/``service`` until done.
         """
         if self._servicing or not self.due:
             return []
@@ -307,8 +285,6 @@ class FaultManager(Component):
                 # (the isolation test restores them on exit) — the mask
                 # is a standing repair, leave it alone.
                 continue
-            if self.max_masks is not None and len(self.masked) >= self.max_masks:
-                break
             if self._test_wire(src_key, dst_key):
                 continue
             self._mask_wire(src_key, dst_key)
@@ -341,9 +317,7 @@ class FaultManager(Component):
         self.fabric.disable_port(down_key, down_port_id)
         settle = network.channels[(src_key, dst_key)].delay + 2
         network.run(settle)
-        passed, _observations = port_isolation_test(
-            network, src_key, dst_key, self.patterns
-        )
+        passed, _observations = port_isolation_test(network, src_key, dst_key)
         if passed:
             # The isolation test's exit path re-enabled both ports;
             # the wire rejoins the redundant pool.

@@ -65,12 +65,10 @@ class _LinkFault(Fault):
     so a used fault never drags a live network into worker processes.
     """
 
-    def __init__(self, src_key=None, dst_key=None, channel=None):
-        if channel is None and (src_key is None or dst_key is None):
-            raise ValueError("need channel or (src_key, dst_key)")
+    def __init__(self, src_key, dst_key):
         self.src_key = src_key
         self.dst_key = dst_key
-        self.channel = channel
+        self.channel = None
 
     def _resolve(self, network):
         if self.channel is None:
@@ -83,27 +81,24 @@ class _LinkFault(Fault):
         name = self.__dict__.get("_name_cache")
         if name is not None:
             return name
-        if self.src_key is not None:
-            return "{}->{}".format(self.src_key, self.dst_key)
-        return "?"
+        return "{}->{}".format(self.src_key, self.dst_key)
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        if state.get("src_key") is not None:
-            # Keep the human-readable wire name: describe() must render
-            # identically before and after a snapshot round-trip even
-            # while the channel cache is unresolved.
-            if state.get("channel") is not None:
-                state["_name_cache"] = state["channel"].name
-            state["channel"] = None
+        # Keep the human-readable wire name: describe() must render
+        # identically before and after a snapshot round-trip even
+        # while the channel cache is unresolved.
+        if state.get("channel") is not None:
+            state["_name_cache"] = state["channel"].name
+        state["channel"] = None
         return state
 
 
 class DeadLink(_LinkFault):
     """A wire that stops conducting in both directions.
 
-    :param src_key: producing port key (``NodeRef.key()``), or pass a
-        ``channel`` directly.
+    :param src_key: producing port key (``NodeRef.key()``).
+    :param dst_key: consuming port key.
     """
 
     kind = LINK_DEAD
@@ -129,31 +124,22 @@ class CorruptLink(_LinkFault):
     corruption targets data word values — the payload/header bits a
     real line error would hit.  Per-router checksums (STATUS) localize
     the corruption; the destination's end-to-end checksum catches it.
+    Words travelling from the wire's ``a`` side to its ``b`` side (the
+    forward direction of a connection) are the ones damaged.
 
     :param probability: chance each traversing data word is damaged.
     :param mask: XOR pattern applied to a damaged word (default flips
         the low bit).
-    :param direction: ``"a_to_b"``, ``"b_to_a"`` or ``"both"``.
     :param seed: noise randomness; the RNG is derived lazily from the
         stored seed so the descriptor stays picklable.
     """
 
     kind = LINK_CORRUPT
 
-    def __init__(
-        self,
-        src_key=None,
-        dst_key=None,
-        channel=None,
-        probability=1.0,
-        mask=0x1,
-        direction="a_to_b",
-        seed=0,
-    ):
-        super().__init__(src_key=src_key, dst_key=dst_key, channel=channel)
+    def __init__(self, src_key, dst_key, probability=1.0, mask=0x1, seed=0):
+        super().__init__(src_key, dst_key)
         self.probability = probability
         self.mask = mask
-        self.direction = direction
         self.seed = seed
         self._rng_obj = None
 
@@ -172,18 +158,12 @@ class CorruptLink(_LinkFault):
 
     def apply(self, network):
         channel = self._resolve(network)
-        if self.direction in ("a_to_b", "both"):
-            channel.fault_a_to_b = self._corrupt
-        if self.direction in ("b_to_a", "both"):
-            channel.fault_b_to_a = self._corrupt
+        channel.fault_a_to_b = self._corrupt
         network.engine.wake(channel)
 
     def revert(self, network):
         channel = self._resolve(network)
-        if self.direction in ("a_to_b", "both"):
-            channel.fault_a_to_b = None
-        if self.direction in ("b_to_a", "both"):
-            channel.fault_b_to_a = None
+        channel.fault_a_to_b = None
         network.engine.wake(channel)
 
     def describe(self):
@@ -265,11 +245,6 @@ class TransientFault(Fault):
     periods average ``mttr`` cycles, both drawn exponentially from the
     stored seed so the whole schedule is a pure function of the seed.
 
-    ``burst > 1`` models correlated failures: after each recovery, the
-    next ``burst - 1`` failures arrive after short gaps (mean
-    ``burst_gap``) before the schedule returns to the MTBF cadence —
-    the "fault burst" pattern of a part going marginal.
-
     The schedule is driven by :meth:`poll`, which the
     :class:`~repro.faults.injector.FaultInjector` calls from its
     pre-cycle hook once the fault is registered via
@@ -279,21 +254,16 @@ class TransientFault(Fault):
 
     kind = "transient"
 
-    def __init__(self, mtbf, mttr, seed=0, burst=1, burst_gap=None, start=0):
+    def __init__(self, mtbf, mttr, seed=0, start=0):
         if mtbf < 1 or mttr < 1:
             raise ValueError("mtbf and mttr must be >= 1 cycle")
-        if burst < 1:
-            raise ValueError("burst must be >= 1")
         self.mtbf = mtbf
         self.mttr = mttr
         self.seed = seed
-        self.burst = burst
-        self.burst_gap = burst_gap if burst_gap is not None else max(1, mtbf // 8)
         self.start = start
         self.down = False
         self._rng_obj = None
         self._next_change = None
-        self._burst_left = 0
 
     @property
     def _rng(self):
@@ -314,7 +284,6 @@ class TransientFault(Fault):
         if cycle < self.start:
             return []
         if self._next_change is None:
-            self._burst_left = self.burst - 1
             self._next_change = cycle + self._draw(self.mtbf)
         events = []
         while cycle >= self._next_change:
@@ -322,13 +291,7 @@ class TransientFault(Fault):
                 self.revert(network)
                 self.down = False
                 events.append(("revert", cycle))
-                if self._burst_left > 0:
-                    self._burst_left -= 1
-                    gap = self._draw(self.burst_gap)
-                else:
-                    self._burst_left = self.burst - 1
-                    gap = self._draw(self.mtbf)
-                self._next_change = cycle + gap
+                self._next_change = cycle + self._draw(self.mtbf)
             else:
                 self.apply(network)
                 self.down = True
@@ -355,26 +318,11 @@ class FlakyLink(TransientFault):
 
     kind = LINK_FLAKY
 
-    def __init__(
-        self,
-        src_key=None,
-        dst_key=None,
-        channel=None,
-        mtbf=600,
-        mttr=150,
-        seed=0,
-        burst=1,
-        burst_gap=None,
-        start=0,
-    ):
-        super().__init__(
-            mtbf, mttr, seed=seed, burst=burst, burst_gap=burst_gap, start=start
-        )
-        if channel is None and (src_key is None or dst_key is None):
-            raise ValueError("need channel or (src_key, dst_key)")
+    def __init__(self, src_key, dst_key, mtbf=600, mttr=150, seed=0, start=0):
+        super().__init__(mtbf, mttr, seed=seed, start=start)
         self.src_key = src_key
         self.dst_key = dst_key
-        self.channel = channel
+        self.channel = None
 
     def _resolve(self, network):
         if self.channel is None:
@@ -408,10 +356,9 @@ class FlakyLink(TransientFault):
         # to (for a snapshot, the restored one); the rendered wire
         # name is kept so describe() is stable across the round-trip.
         state = dict(self.__dict__)
-        if state.get("src_key") is not None:
-            if state.get("channel") is not None:
-                state["_name_cache"] = state["channel"].name
-            state["channel"] = None
+        if state.get("channel") is not None:
+            state["_name_cache"] = state["channel"].name
+        state["channel"] = None
         return state
 
 
@@ -428,13 +375,9 @@ class FlakyRouter(TransientFault):
         mtbf=600,
         mttr=150,
         seed=0,
-        burst=1,
-        burst_gap=None,
         start=0,
     ):
-        super().__init__(
-            mtbf, mttr, seed=seed, burst=burst, burst_gap=burst_gap, start=start
-        )
+        super().__init__(mtbf, mttr, seed=seed, start=start)
         self.stage = stage
         self.block = block
         self.index = index

@@ -40,6 +40,12 @@ from repro.harness.spec import TrialSpec, trial_keys
 
 logger = logging.getLogger(__name__)
 
+#: A window meets the SLO when it delivers this fraction of the
+#: fault-free baseline rate.
+SLO_FRACTION = 0.75
+#: Checkpoints a soak's snapshot ring holds; older ones are pruned.
+SNAPSHOT_KEEP = 3
+
 
 class ChaosResult:
     """Outcome of one chaos soak: windowed rates plus fault history.
@@ -189,34 +195,27 @@ def run_chaos_point(
     n_windows=30,
     window_cycles=400,
     warmup_windows=5,
-    fault_start=None,
     n_flaky_links=1,
-    n_flaky_routers=0,
     n_dead_routers=1,
     mtbf=1500,
     mttr=600,
-    burst=1,
     rate=0.02,
     message_words=12,
     max_attempts=60,
-    slo_fraction=0.75,
     network_factory=figure1_network,
-    manager_kwargs=None,
     metrics=False,
     oracle=False,
     backend="reference",
     snapshot_every=None,
     snapshot_dir=None,
-    snapshot_keep=3,
     stream_path=None,
     stall_cycles=None,
 ):
     """One chaos soak: seeded transient + hard faults, optional healing.
 
     The soak warms up fault-free for ``warmup_windows`` windows, then
-    (at ``fault_start``, default the end of warmup) ``n_dead_routers``
-    middle-stage routers die for good while ``n_flaky_links`` wires and
-    ``n_flaky_routers`` routers begin transient duty cycles (seeded
+    ``n_dead_routers`` middle-stage routers die for good while
+    ``n_flaky_links`` wires begin transient duty cycles (seeded
     MTBF/MTTR).  With ``self_heal`` a
     :class:`~repro.faults.manager.FaultManager` watches the failure
     evidence and masks localized faults online; without it the
@@ -230,7 +229,7 @@ def run_chaos_point(
 
     ``snapshot_every=K`` (with ``snapshot_dir``) checkpoints the live
     network every ``K`` completed windows into a ring of at most
-    ``snapshot_keep`` files, and makes the soak idempotent: it first
+    :data:`SNAPSHOT_KEEP` files, and makes the soak idempotent: it first
     looks in ``snapshot_dir`` for the newest intact checkpoint *it*
     wrote and continues from there, so calling it again after a crash
     finishes the soak instead of restarting it.  "It" is an identity
@@ -260,19 +259,21 @@ def run_chaos_point(
     simulation — a streamed soak's :class:`ChaosResult` scores
     byte-identically to an unstreamed one.
     """
-    if fault_start is None:
-        fault_start = warmup_windows * window_cycles
     # Every argument with its default resolved, before any other local
     # exists: what a checkpoint's identity is computed over.
     params = dict(locals())
-    meta = {
-        key: params[key]
-        for key in (
-            "seed", "self_heal", "n_windows", "window_cycles",
-            "warmup_windows", "fault_start", "slo_fraction",
-            "snapshot_every", "snapshot_keep",
-        )
-    }
+    fault_start = warmup_windows * window_cycles
+    meta = dict(
+        seed=seed,
+        self_heal=self_heal,
+        n_windows=n_windows,
+        window_cycles=window_cycles,
+        warmup_windows=warmup_windows,
+        fault_start=fault_start,
+        slo_fraction=SLO_FRACTION,
+        snapshot_every=snapshot_every,
+        snapshot_keep=SNAPSHOT_KEEP,
+    )
     run = dict(
         snapshot_dir=snapshot_dir,
         stream_path=stream_path,
@@ -322,21 +323,16 @@ def run_chaos_point(
     for fault in random_transient_scenario(
         network,
         n_flaky_links=n_flaky_links,
-        n_flaky_routers=n_flaky_routers,
         mtbf=mtbf,
         mttr=mttr,
         seed=derive_seed(seed, "chaos-transients"),
-        burst=burst,
         start=fault_start,
     ):
         injector.transient(fault)
 
     manager = None
     if self_heal:
-        kwargs = dict(rate_window=window_cycles)
-        if manager_kwargs:
-            kwargs.update(manager_kwargs)
-        manager = FaultManager(network, **kwargs)
+        manager = FaultManager(network, rate_window=window_cycles)
 
     point_traffic(network, rate, message_words, seed).attach(network)
     return _finish_soak(
@@ -513,7 +509,7 @@ def _ring_files(snapshot_dir):
 def _write_ring_snapshot(
     network, injector, manager, watcher, telemetry, meta, snapshot_dir
 ):
-    """Checkpoint the live soak; prune the ring to ``snapshot_keep``."""
+    """Checkpoint the live soak; prune the ring to :data:`SNAPSHOT_KEEP`."""
     from repro.sim.snapshot import snapshot_network
 
     os.makedirs(snapshot_dir, exist_ok=True)
@@ -536,9 +532,7 @@ def _write_ring_snapshot(
     tmp = path + ".tmp"
     snap.save(tmp)
     os.replace(tmp, path)
-    keep = meta.get("snapshot_keep") or 1
-    entries = _ring_files(snapshot_dir)
-    for _cycle, old in entries[:-keep]:
+    for _cycle, old in _ring_files(snapshot_dir)[:-SNAPSHOT_KEEP]:
         try:
             os.remove(old)
         except OSError:

@@ -41,11 +41,12 @@ CHAOSMONKEY_ENV = "REPRO_CHAOSMONKEY"
 CHAOSMONKEY_DIR_ENV = "REPRO_CHAOSMONKEY_DIR"
 
 
-def arm(ledger_dir, target="*", strikes=1):
+def arm(ledger_dir, target, strikes):
     """Environment variables arming the monkey; the caller exports them.
 
     Returns a dict to merge into ``os.environ`` (in-process pools
-    inherit it on fork/spawn) or a subprocess's ``env``.  ``strikes``
+    inherit it on fork/spawn) or a subprocess's ``env``.  ``target``
+    selects trials by label (``"*"`` = every trial); ``strikes``
     is the per-trial-label kill budget: set it below the runner's
     attempt budget to prove retry-to-success, at/above it to prove
     quarantine.
@@ -128,7 +129,7 @@ def maybe_strike(spec):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def truncate_tail(path, nbytes=7):
+def truncate_tail(path, nbytes):
     """Chop ``nbytes`` off the end of ``path`` (a crash mid-append).
 
     Returns the number of bytes actually removed.  The journal and
@@ -142,8 +143,8 @@ def truncate_tail(path, nbytes=7):
     return removed
 
 
-def corrupt_cache_entry(cache, key, offset=8, flip=0xFF):
-    """XOR one byte of the cached pickle for ``key`` in place.
+def corrupt_cache_entry(cache, key):
+    """Invert one byte (the ninth) of the cached pickle for ``key`` in place.
 
     Returns True if an entry existed and was corrupted.  A resumed
     sweep must refuse to serve the damaged entry (the journal's
@@ -156,10 +157,10 @@ def corrupt_cache_entry(cache, key, offset=8, flip=0xFF):
         return False
     if size == 0:
         return False
-    position = min(int(offset), size - 1)
+    position = min(8, size - 1)
     with open(path, "rb+") as handle:
         handle.seek(position)
         byte = handle.read(1)
         handle.seek(position)
-        handle.write(bytes([byte[0] ^ flip]))
+        handle.write(bytes([byte[0] ^ 0xFF]))
     return True

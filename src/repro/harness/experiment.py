@@ -157,43 +157,31 @@ def run_experiment(
     traffic,
     warmup_cycles=2000,
     measure_cycles=10000,
-    drain=True,
     label="",
-    message_words=None,
-    deadline_cycles=None,
     telemetry=None,
 ):
     """Warm up, measure, and summarize one workload on one network.
 
     Messages are attributed to the measured window by *submission*
     time; statistics cover those submitted inside the window that
-    eventually completed (``drain`` lets stragglers finish so the tail
-    isn't censored).
-
-    ``deadline_cycles`` installs a hard engine deadline (relative to
-    the current cycle) covering the whole experiment including drain:
-    a trial that somehow exceeds it raises
-    :class:`~repro.sim.engine.EngineDeadlineError` instead of spinning
-    — the guard worker pools rely on to never hang on a runaway trial.
+    eventually completed (after the window the sources stop and the
+    network drains, so stragglers finish and the tail isn't censored).
 
     ``telemetry`` is the :class:`~repro.telemetry.TelemetryHub` already
     bound to ``network`` (if any): its picklable metrics snapshot is
     attached to the result as ``result.metrics``, which is how sweep
     trials ship metrics back across process boundaries.
     """
-    if deadline_cycles is not None:
-        network.engine.set_deadline(network.engine.cycle + deadline_cycles)
     traffic.attach(network)
     network.run(warmup_cycles)
     start = network.engine.cycle
     network.run(measure_cycles)
     end = network.engine.cycle
 
-    if drain:
-        # Stop generating, let in-flight messages finish.
-        for endpoint in network.endpoints:
-            endpoint.traffic_source = None
-        network.run_until_quiet(max_cycles=measure_cycles * 4)
+    # Stop generating, let in-flight messages finish.
+    for endpoint in network.endpoints:
+        endpoint.traffic_source = None
+    network.run_until_quiet(max_cycles=measure_cycles * 4)
 
     window = [
         m
@@ -212,9 +200,7 @@ def run_experiment(
         warmup_cycles=warmup_cycles,
         measure_cycles=measure_cycles,
         n_endpoints=network.plan.n_endpoints,
-        message_words=(
-            message_words if message_words is not None else traffic.message_words
-        ),
+        message_words=traffic.message_words,
         attempt_failures=network.log.attempt_failures,
     )
     if telemetry is not None:

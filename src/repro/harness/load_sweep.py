@@ -83,14 +83,13 @@ def build_point_network(network_factory, seed, backend="reference",
     return network_factory(seed=seed, **kwargs), telemetry
 
 
-def point_traffic(network, rate, message_words, seed,
-                  traffic_class=UniformRandomTraffic):
-    """The random workload a sweep point drives, sized to ``network``.
+def point_traffic(network, rate, message_words, seed):
+    """The uniform random workload a sweep point drives, sized to ``network``.
 
     Seeded ``seed + 1``: the traffic stream never shares a seed with
     the network's own randomness (wiring, arbitration).
     """
-    return traffic_class(
+    return UniformRandomTraffic(
         n_endpoints=network.plan.n_endpoints,
         w=network.codec.w,
         rate=rate,
@@ -106,7 +105,6 @@ def run_load_point(
     warmup_cycles=1500,
     measure_cycles=6000,
     network_factory=figure3_network,
-    traffic_class=UniformRandomTraffic,
     metrics=False,
     backend="reference",
 ):
@@ -124,7 +122,7 @@ def run_load_point(
     )
     result = run_experiment(
         network,
-        point_traffic(network, rate, message_words, seed, traffic_class),
+        point_traffic(network, rate, message_words, seed),
         warmup_cycles=warmup_cycles,
         measure_cycles=measure_cycles,
         label="rate={}".format(rate),

@@ -146,35 +146,34 @@ class TrialBackoff:
     """Backoff policy for re-dispatching failed trial attempts.
 
     The harness-scale mirror of the endpoint's retry discipline: the
-    wait ceiling grows by ``factor`` with each failed attempt up to
-    ``max_delay`` seconds, and with ``jitter`` the actual wait is
+    wait ceiling starts at ``base`` seconds and grows by
+    :attr:`factor` with each failed attempt up to :attr:`max_delay`
+    seconds, and with ``jitter`` the actual wait is
     drawn uniformly from ``[0, ceiling]`` (decorrelates retries when
-    several workers died together, e.g. an OOM sweep).
+    several workers died together, e.g. an OOM sweep; ``jitter=False``
+    is for tests that assert on the waits).
     ``max_attempts`` is the per-trial attempt budget — the harness
     analogue of the endpoint's ``max_attempts`` — after which the
     trial is quarantined or the failure raised (the runner's
     ``on_exhausted`` knob).
     """
 
-    def __init__(
-        self, max_attempts=3, base=0.25, factor=2.0, max_delay=30.0,
-        jitter=True, seed=0,
-    ):
+    factor = 2.0
+    max_delay = 30.0
+
+    def __init__(self, max_attempts=3, base=0.25, jitter=True):
         if max_attempts < 1:
             raise ValueError(
                 "max_attempts must be >= 1, got {}".format(max_attempts)
             )
-        if base < 0 or factor < 1.0 or max_delay < base:
+        if not 0 <= base <= self.max_delay:
             raise ValueError(
-                "need base >= 0, factor >= 1, max_delay >= base; got "
-                "({}, {}, {})".format(base, factor, max_delay)
+                "need 0 <= base <= {}, got {}".format(self.max_delay, base)
             )
         self.max_attempts = int(max_attempts)
         self.base = base
-        self.factor = factor
-        self.max_delay = max_delay
         self.jitter = jitter
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
 
     def delay(self, attempt):
         """Seconds to wait before re-dispatching after failed ``attempt``."""

@@ -61,7 +61,7 @@ def progress_printer(stream=None):
     return _print
 
 
-def format_quarantine_report(reports, title="Quarantined trials"):
+def format_quarantine_report(reports):
     """Summary table for :class:`~repro.harness.parallel.QuarantinedTrial` reports.
 
     One row per poisoned trial: its label, seed, attempt count, a
@@ -89,7 +89,7 @@ def format_quarantine_report(reports, title="Quarantined trials"):
                 "last failure": detail,
             }
         )
-    return format_table(rows, title=title)
+    return format_table(rows, title="Quarantined trials")
 
 
 def format_table(rows, columns=None, title=None, floatfmt="{:.1f}"):
@@ -138,7 +138,12 @@ def format_series(points, x_label, y_labels, title=None):
     return format_table(rows, columns=[x_label] + list(y_labels), title=title)
 
 
-def ascii_chart(points, width=50, height=12, title=None, x_label="x", y_label="y"):
+#: Plot area of :func:`ascii_chart`, in characters.
+CHART_WIDTH = 50
+CHART_HEIGHT = 12
+
+
+def ascii_chart(points, title=None, x_label="x", y_label="y"):
     """A quick terminal scatter/line chart for (x, y) numeric pairs.
 
     Good enough to see the Figure 3 knee in benchmark output without
@@ -153,6 +158,7 @@ def ascii_chart(points, width=50, height=12, title=None, x_label="x", y_label="y
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
+    width, height = CHART_WIDTH, CHART_HEIGHT
     grid = [[" "] * width for _ in range(height)]
     for x, y in pairs:
         column = int((x - x_lo) / x_span * (width - 1))
@@ -198,17 +204,19 @@ def sparkline(values, lo=None, hi=None):
     return "".join(chars)
 
 
-def format_percentiles(
-    snapshot, names, qs=(50, 90, 99, 99.9), title=None, floatfmt="{:.1f}"
-):
+#: Quantile columns of :func:`format_percentiles`.
+PERCENTILES = (50, 90, 99, 99.9)
+
+
+def format_percentiles(snapshot, names, title=None):
     """A count/mean/percentile table over histogram series.
 
     ``names`` selects unlabeled histogram series from a
     :class:`~repro.telemetry.metrics.MetricsSnapshot`; names absent
     from the snapshot are skipped, so one call covers hubs configured
-    with different instrument sets.  The default quantiles run out to
-    p99.9 — SLO-grade tails (``docs/workloads.md``); non-integral
-    quantiles render as ``p99.9``-style columns.
+    with different instrument sets.  The quantiles
+    (:data:`PERCENTILES`) run out to p99.9 — SLO-grade tails
+    (``docs/workloads.md``).
     """
     rows = []
     for name in names:
@@ -222,13 +230,13 @@ def format_percentiles(
             "mean": histogram.mean,
             "min": float(histogram.low) if histogram.count else None,
         }
-        for q in qs:
+        for q in PERCENTILES:
             row["p{:g}".format(q)] = histogram.percentile(q)
         row["max"] = float(histogram.high) if histogram.count else None
         rows.append(row)
     if not rows:
         return "(no histogram series)"
-    return format_table(rows, title=title, floatfmt=floatfmt)
+    return format_table(rows, title=title)
 
 
 def router_utilization(snapshot):
@@ -259,7 +267,7 @@ def router_utilization(snapshot):
     return utilization
 
 
-def format_stage_heatmap(snapshot, title=None, width=30):
+def format_stage_heatmap(snapshot, title=None):
     """Per-stage router-utilization bars (:func:`router_utilization`).
 
     Each stage shows its mean as a bar plus the stage's hottest router.
@@ -269,6 +277,7 @@ def format_stage_heatmap(snapshot, title=None, width=30):
         stages.setdefault(stage, []).append((utilization, router))
     if not stages:
         return "(no utilization samples)"
+    width = 30  # characters a fully busy stage's bar takes
     lines = []
     if title:
         lines.append(title)
@@ -285,11 +294,10 @@ def format_stage_heatmap(snapshot, title=None, width=30):
     return "\n".join(lines)
 
 
-def results_to_series(results, x_from="label"):
-    """ExperimentResults -> (x, metrics) pairs for format_series."""
+def results_to_series(results):
+    """ExperimentResults -> (label, metrics) pairs for format_series."""
     points = []
     for result in results:
         data = result.as_dict()
-        x = data.pop(x_from)
-        points.append((x, data))
+        points.append((data.pop("label"), data))
     return points

@@ -7,8 +7,8 @@ improving, then reports the saturation throughput and the rate at
 which it was reached — useful for comparing network variants (size,
 dilation, reclamation mode) by a single number.
 
-The candidate rates are known up front (``start_rate`` growing by
-``growth`` for ``max_steps``), so each is an independent
+The candidate rates are known up front (:data:`START_RATE` growing by
+:data:`GROWTH` for :data:`MAX_STEPS`), so each is an independent
 :class:`~repro.harness.parallel.TrialSpec`.  A serial runner evaluates
 them lazily with early stopping; a parallel runner measures all
 candidates concurrently and then applies the *same* stopping rule to
@@ -20,6 +20,14 @@ from repro.core.random_source import derive_seed
 from repro.harness.load_sweep import figure3_network, run_load_point
 from repro.harness.parallel import run_trials
 from repro.harness.spec import TrialSpec
+
+#: The geometric rate ladder the search climbs.
+START_RATE = 0.01
+GROWTH = 2.0
+MAX_STEPS = 8
+#: The curve has flattened when one more rung improves delivered load
+#: by less than this fraction.
+TOLERANCE = 0.05
 
 
 def run_saturation_point(rate, seed=0, warmup_cycles=800, measure_cycles=3000,
@@ -38,15 +46,14 @@ def run_saturation_point(rate, seed=0, warmup_cycles=800, measure_cycles=3000,
     return result
 
 
-def saturation_trial_specs(start_rate=0.01, growth=2.0, max_steps=8, seed=0,
-                           **kwargs):
+def saturation_trial_specs(seed=0, **kwargs):
     """The geometric rate ladder as :class:`TrialSpec` objects.
 
     ``kwargs`` reach :func:`run_saturation_point` only when given.
     """
     specs = []
-    rate = start_rate
-    for _step in range(max_steps):
+    rate = START_RATE
+    for _step in range(MAX_STEPS):
         specs.append(
             TrialSpec(
                 runner="repro.harness.saturation:run_saturation_point",
@@ -55,16 +62,16 @@ def saturation_trial_specs(start_rate=0.01, growth=2.0, max_steps=8, seed=0,
                 label="rate={:.4g}".format(rate),
             )
         )
-        rate *= growth
+        rate *= GROWTH
     return specs
 
 
-def _saturation_index(results, tolerance):
+def _saturation_index(results):
     """Index of the first flattening point, or None if still growing.
 
     The rule the serial loop has always used: the curve is saturated at
     point ``k`` when point ``k+1`` improves delivered load by less than
-    ``tolerance`` (points with zero delivered load never saturate —
+    :data:`TOLERANCE` (points with zero delivered load never saturate —
     the network hasn't started carrying traffic yet).
     """
     for k in range(1, len(results)):
@@ -74,17 +81,13 @@ def _saturation_index(results, tolerance):
         gain = (
             current.delivered_load - previous.delivered_load
         ) / previous.delivered_load
-        if gain < tolerance:
+        if gain < TOLERANCE:
             return k - 1
     return None
 
 
 def find_saturation(
     network_factory=figure3_network,
-    start_rate=0.01,
-    growth=2.0,
-    tolerance=0.05,
-    max_steps=8,
     seed=0,
     workers=1,
     cache_dir=None,
@@ -93,10 +96,10 @@ def find_saturation(
     **kwargs
 ):
     """Grow the injection rate until throughput gains fall below
-    ``tolerance``; returns ``(saturation_result, all_results)``.
+    :data:`TOLERANCE`; returns ``(saturation_result, all_results)``.
 
     The saturation result is the first point whose delivered load is
-    within ``tolerance`` of its successor's (the curve has flattened).
+    within :data:`TOLERANCE` of its successor's (the curve has flattened).
     With ``workers`` > 1 all candidate rates are measured concurrently
     and the result series is truncated at the same stopping point the
     serial search would have reached, so the two modes agree exactly.
@@ -105,12 +108,7 @@ def find_saturation(
     :func:`saturation_trial_specs`.
     """
     specs = saturation_trial_specs(
-        start_rate=start_rate,
-        growth=growth,
-        max_steps=max_steps,
-        seed=seed,
-        network_factory=network_factory,
-        **kwargs
+        seed=seed, network_factory=network_factory, **kwargs
     )
     # One batch of every candidate on a pool, one candidate per batch
     # serially; a prebuilt runner's pool size wins over ``workers``.
@@ -126,7 +124,7 @@ def find_saturation(
                 runner=runner,
             )
         )
-        index = _saturation_index(results, tolerance)
+        index = _saturation_index(results)
         if index is not None:
             return results[index], results[: index + 2]
     return results[-1], results

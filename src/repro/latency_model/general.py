@@ -72,15 +72,19 @@ def saturation_messages_per_us(impl, message_bytes, stage_radices=None):
     return 1000.0 / (cycles * impl.t_clk)
 
 
-def crossover_message_bytes(slow_impl, fast_impl, stage_radices=None, limit=4096):
+#: Largest message :func:`crossover_message_bytes` tries, in bytes.
+LIMIT = 4096
+
+
+def crossover_message_bytes(slow_impl, fast_impl, stage_radices=None):
     """Smallest message size (bytes) where ``fast_impl`` wins.
 
-    Returns None when ``fast_impl`` never catches up within ``limit``
-    bytes.  Useful for cascade decisions: the wider router pays header
+    Returns None when ``fast_impl`` never catches up within
+    :data:`LIMIT` bytes.  Useful for cascade decisions: the wider router pays header
     replication on every stage but serializes payload faster, so there
     is a break-even size.
     """
-    for message_bytes in range(1, limit + 1):
+    for message_bytes in range(1, LIMIT + 1):
         if t_message(fast_impl, message_bytes, stage_radices) < t_message(
             slow_impl, message_bytes, stage_radices
         ):

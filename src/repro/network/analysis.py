@@ -100,12 +100,14 @@ def path_multiplicity_matrix(plan, graph):
     ]
 
 
-def reachable_with_removed(plan, graph, src, dest, removed_nodes=(), removed_edges=()):
-    """Is ``dest`` still reachable from ``src`` after removals?
+def reachable_with_removed(plan, graph, dest, removed_nodes=(), removed_edges=()):
+    """The sources that still reach ``dest`` after removals, as a set.
 
     ``removed_nodes`` are router nodes ``("r", stage, block, index)``;
     ``removed_edges`` are ``(u, v, key)`` triples identifying a single
-    wire, or ``(u, v)`` pairs removing every parallel wire.
+    wire, or ``(u, v)`` pairs removing every parallel wire.  The
+    destination-filtered subgraph is pruned once and every source is
+    read off the sink's ancestors.
     """
     sub = route_subgraph(plan, graph, dest)
     sub.remove_nodes_from([n for n in removed_nodes if n in sub])
@@ -117,10 +119,10 @@ def reachable_with_removed(plan, graph, src, dest, removed_nodes=(), removed_edg
             u, v = edge
             while sub.has_edge(u, v):
                 sub.remove_edge(u, v)
-    source, sink = ("src", src), ("dst", dest)
-    if source not in sub or sink not in sub:
-        return False
-    return nx.has_path(sub, source, sink)
+    sink = ("dst", dest)
+    if sink not in sub:
+        return set()
+    return {node[1] for node in nx.ancestors(sub, sink) if node[0] == "src"}
 
 
 def tolerates_any_single_router_loss(plan, graph, stage):
@@ -134,24 +136,26 @@ def tolerates_any_single_router_loss(plan, graph, stage):
     ]
     for router in routers:
         for dest in range(plan.n_endpoints):
-            for src in range(plan.n_endpoints):
-                if not reachable_with_removed(
-                    plan, graph, src, dest, removed_nodes=[router]
-                ):
-                    return False
+            reachable = reachable_with_removed(
+                plan, graph, dest, removed_nodes=[router]
+            )
+            if len(reachable) < plan.n_endpoints:
+                return False
     return True
 
 
-def isolated_pairs_after_loss(plan, graph, removed_nodes=(), removed_edges=()):
-    """All (src, dest) pairs disconnected by the given removals."""
-    broken = []
-    for src in range(plan.n_endpoints):
-        for dest in range(plan.n_endpoints):
-            if not reachable_with_removed(
-                plan, graph, src, dest, removed_nodes, removed_edges
-            ):
-                broken.append((src, dest))
-    return broken
+def isolated_pairs_after_loss(plan, graph, removed_edges):
+    """All (src, dest) pairs disconnected by removing ``removed_edges``."""
+    reachable = [
+        reachable_with_removed(plan, graph, dest, removed_edges=removed_edges)
+        for dest in range(plan.n_endpoints)
+    ]
+    return [
+        (src, dest)
+        for src in range(plan.n_endpoints)
+        for dest in range(plan.n_endpoints)
+        if src not in reachable[dest]
+    ]
 
 
 def min_route_diversity(plan, graph):

@@ -30,16 +30,15 @@ from repro.network.topology import NetworkPlan, StageSpec
 
 def fattree_plan(
     n_endpoints=16,
-    endpoint_ports=2,
     up_stages=1,
     router_ports=4,
     w=8,
     down_dilation=2,
 ):
-    """A randomized-routing fat-tree plan.
+    """A randomized-routing fat-tree plan (two wires per endpoint in
+    each direction, as in Figures 1 and 3).
 
     :param n_endpoints: leaves of the tree (power of the down radix).
-    :param endpoint_ports: wires per endpoint in each direction.
     :param up_stages: stages of radix-1 random climbing.
     :param router_ports: ``i = o`` of every router used.
     :param w: datapath width.
@@ -79,7 +78,7 @@ def fattree_plan(
     stages.append(StageSpec(down_params, dilation=1))
     return NetworkPlan(
         n_endpoints=n_endpoints,
-        endpoint_out_ports=endpoint_ports,
-        endpoint_in_ports=endpoint_ports,
+        endpoint_out_ports=2,
+        endpoint_in_ports=2,
         stages=stages,
     )

@@ -161,7 +161,6 @@ def multibutterfly_plan(
     n_endpoints,
     router_ports=8,
     w=8,
-    endpoint_ports=2,
     dilation=2,
     hw=0,
     dp=1,
@@ -169,9 +168,9 @@ def multibutterfly_plan(
     """A Figure-1-style multipath plan for any power-of-two size.
 
     Early stages use ``router_ports`` x ``router_ports`` routers at the
-    given dilation; the final stage uses dilation-1 routers sized so
-    each endpoint keeps ``endpoint_ports`` redundant inputs — the
-    construction of Figure 1 and Figure 3, generalized.
+    given dilation; the final stage uses dilation-1 routers and each
+    endpoint has two wires in each direction — the construction of
+    Figure 1 and Figure 3, generalized.
 
     :raises ValueError: when ``n_endpoints`` cannot be reached with a
         whole number of stages of this radix.
@@ -212,8 +211,8 @@ def multibutterfly_plan(
     stages.append(StageSpec(final, 1))
     return NetworkPlan(
         n_endpoints=n_endpoints,
-        endpoint_out_ports=endpoint_ports,
-        endpoint_in_ports=endpoint_ports,
+        endpoint_out_ports=2,
+        endpoint_in_ports=2,
         stages=stages,
     )
 

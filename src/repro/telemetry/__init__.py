@@ -40,7 +40,6 @@ from repro.telemetry.spans import Span, SpanRecorder, validate_trace_events
 from repro.telemetry.stream import (
     STREAM_FORMAT,
     TelemetryStream,
-    attach_stream,
     merge_stream_metrics,
     read_run_log,
     snapshot_from_jsonable,
@@ -70,7 +69,6 @@ __all__ = [
     "validate_trace_events",
     "STREAM_FORMAT",
     "TelemetryStream",
-    "attach_stream",
     "merge_stream_metrics",
     "read_run_log",
     "snapshot_from_jsonable",

@@ -381,23 +381,15 @@ class MetricsSnapshot:
                 out.append((dict(label_items), kind, data))
         return out
 
-    def total(self, name, by=None):
-        """Sum a counter family, optionally grouped by one label key.
+    def total(self, name):
+        """Sum a counter family over all its label sets.
 
-        ``total("router.conn.blocked")`` -> overall count;
-        ``total("router.conn.blocked", by="stage")`` -> {stage: count}.
+        ``total("router.conn.blocked")`` -> overall count.
         """
-        if by is None:
-            acc = 0
-            for _labels, kind, data in self.labeled(name):
-                acc += data if kind == "counter" else data[0]
-            return acc
-        grouped = {}
-        for labels, kind, data in self.labeled(name):
-            group = labels.get(by)
-            value = data if kind == "counter" else data[0]
-            grouped[group] = grouped.get(group, 0) + value
-        return grouped
+        acc = 0
+        for _labels, kind, data in self.labeled(name):
+            acc += data if kind == "counter" else data[0]
+        return acc
 
     def histogram(self, name, **labels):
         """A :class:`Histogram` rebuilt from this snapshot's data."""

@@ -103,13 +103,10 @@ class SpanRecorder:
     def _open_spans(self):
         return [span for stack in self._open.values() for span in stack]
 
-    def spans(self, name=None, track=None):
-        """Completed spans, optionally filtered by name and/or track."""
+    def spans(self, name=None):
+        """Completed spans, optionally only those called ``name``."""
         return [
-            span
-            for span in self.completed
-            if (name is None or span.name == name)
-            and (track is None or span.track == track)
+            span for span in self.completed if name is None or span.name == name
         ]
 
     def timeline(self):
@@ -141,7 +138,7 @@ class SpanRecorder:
 
     # -- export ----------------------------------------------------------
 
-    def to_chrome(self, process_name="metro-sim", final_cycle=None):
+    def to_chrome(self, final_cycle=None):
         """The Chrome trace-event document (a picklable plain dict).
 
         Still-open spans are exported as running to ``final_cycle``
@@ -170,7 +167,7 @@ class SpanRecorder:
                 "ph": _PH_METADATA,
                 "pid": 1,
                 "tid": 0,
-                "args": {"name": process_name},
+                "args": {"name": "metro-sim"},
             }
         ]
         for track in tracks:

@@ -144,7 +144,7 @@ class TelemetryStream(Component):
         disables window events.
     :param meta: JSON-able dict carried on the ``run.start`` record.
 
-    Bind with :meth:`bind` (or :func:`attach_stream`); the stream picks
+    Bind with :meth:`bind`; the stream picks
     up the network's bound :class:`~repro.telemetry.hub.TelemetryHub`
     for metric deltas — without one, lifecycle/window/fault events
     still stream, metric deltas are simply absent.
@@ -370,12 +370,6 @@ class TelemetryStream(Component):
         if self._own_handle and self._handle is not None:
             self._handle.close()
         self._handle = None
-
-
-def attach_stream(network, path, injector=None, **kwargs):
-    """Create a :class:`TelemetryStream`, bind it, return it."""
-    stream = TelemetryStream(path, **kwargs)
-    return stream.bind(network, injector=injector)
 
 
 # ---------------------------------------------------------------------------

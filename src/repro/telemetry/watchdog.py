@@ -122,13 +122,15 @@ class RunWatchdog(Component):
     :param sink: object with ``emit(event, cycle=..., **fields)`` —
         typically a :class:`~repro.telemetry.stream.TelemetryStream` —
         receiving ``watchdog.stall`` / ``watchdog.progress`` events.
-    :param stall_limit: stop diagnosing after this many stalls (the
-        condition persists; re-auditing every window just repeats the
-        same inventory).
+
+    Diagnosis stops after :attr:`stall_limit` stalls: the condition
+    persists, and re-auditing every window just repeats the same
+    inventory.
     """
 
     enabled = True
     name = "run-watchdog"
+    stall_limit = 5
 
     def __init__(
         self,
@@ -136,7 +138,6 @@ class RunWatchdog(Component):
         heartbeat_path=None,
         heartbeat_every=500,
         sink=None,
-        stall_limit=5,
     ):
         self.stall_cycles = int(stall_cycles)
         self.heartbeat_path = (
@@ -146,7 +147,6 @@ class RunWatchdog(Component):
         )
         self.heartbeat_every = int(heartbeat_every)
         self.sink = sink
-        self.stall_limit = stall_limit
         self.network = None
         self.stalls = []
         self.delivered = 0

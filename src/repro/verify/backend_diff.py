@@ -134,8 +134,8 @@ def run_diff_trial(seed=0, kind="scenario", backend="events"):
     return diff_point(kind, seed, backend=backend)
 
 
-def backend_diff_specs(n_trials=50, seed=0, backend="events", kinds=DEFAULT_KINDS):
-    """``n_trials`` diff trials cycling through the workload kinds.
+def backend_diff_specs(n_trials=50, seed=0, backend="events"):
+    """``n_trials`` diff trials cycling through :data:`DEFAULT_KINDS`.
 
     Each trial's seed derives from the root seed and its index, so the
     set is a pure function of its arguments (and each report is
@@ -143,7 +143,7 @@ def backend_diff_specs(n_trials=50, seed=0, backend="events", kinds=DEFAULT_KIND
     """
     specs = []
     for index in range(n_trials):
-        kind = kinds[index % len(kinds)]
+        kind = DEFAULT_KINDS[index % len(DEFAULT_KINDS)]
         trial_seed = derive_seed(seed, "backend-diff", index)
         specs.append(
             TrialSpec(

@@ -131,29 +131,21 @@ class Oracle(Component):
         a network; dead routers are skipped each cycle).
     :param channels: optional iterable of channels whose half-duplex
         monitors the oracle should watch.
-    :param turn_stall_bound: consecutive post-tick cycles a reversal's
-        STATUS injection may stay pending.  The implementation emits
-        STATUS on the first service tick after a reversal, so the bound
-        is 2 observed cycles; raise it only for experimental routers.
-    :param max_violations: stop recording (not checking) beyond this
-        many violations, keeping pathological runs bounded.
     """
 
     name = "oracle"
+    #: Consecutive post-tick cycles a reversal's STATUS injection may
+    #: stay pending.  The implementation emits STATUS on the first
+    #: service tick after a reversal, so the bound is 2 observed cycles.
+    turn_stall_bound = 2
+    #: Recording (not checking) stops beyond this many violations,
+    #: keeping pathological runs bounded.
+    max_violations = 1000
 
-    def __init__(
-        self,
-        routers,
-        channels=None,
-        endpoints=None,
-        turn_stall_bound=2,
-        max_violations=1000,
-    ):
+    def __init__(self, routers, channels=None, endpoints=None):
         self.routers = list(routers)
         self.channels = list(channels) if channels is not None else []
         self.endpoints = list(endpoints) if endpoints is not None else []
-        self.turn_stall_bound = turn_stall_bound
-        self.max_violations = max_violations
         self.violations = []
         self.cycles_checked = 0
         # Per router, by forward port: the _ConnTrack of the connection
@@ -555,7 +547,7 @@ def leak_inventory(routers, endpoints, cycle=None):
     return found
 
 
-def attach_oracle(network, **kwargs):
+def attach_oracle(network):
     """Attach a conformance oracle to a built network; returns it.
 
     The oracle is registered as an engine *observer*, so each of its
@@ -567,7 +559,6 @@ def attach_oracle(network, **kwargs):
         list(network.all_routers()),
         channels=list(network.channels.values()),
         endpoints=list(network.endpoints),
-        **kwargs
     )
     network.engine.add_observer(oracle)
     return oracle

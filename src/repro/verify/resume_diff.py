@@ -167,19 +167,18 @@ def run_resume_trial(seed=0, kind="scenario", backend="reference", restore_backe
     )
 
 
-def resume_diff_specs(
-    n_trials=16, seed=0, kinds=DEFAULT_KINDS, pairs=DEFAULT_PAIRS
-):
-    """``n_trials`` resume trials crossing workload kinds with backend
-    pairs.
+def resume_diff_specs(n_trials=16, seed=0):
+    """``n_trials`` resume trials crossing :data:`DEFAULT_KINDS` with
+    :data:`DEFAULT_PAIRS` of backends.
 
     Kinds cycle with the trial index and pairs cycle once per full pass
-    over the kinds, so ``len(kinds) * len(pairs)`` trials (24 by
-    default) cover the full (kind, capture backend, restore backend)
+    over the kinds, so ``len(kinds) * len(pairs)`` trials (24)
+    cover the full (kind, capture backend, restore backend)
     matrix.  Each trial's seed derives from
     the root seed and its index, making the set a pure function of its
     arguments.
     """
+    kinds, pairs = DEFAULT_KINDS, DEFAULT_PAIRS
     specs = []
     for index in range(n_trials):
         kind = kinds[index % len(kinds)]

@@ -283,9 +283,10 @@ STAGE_CHOICES = (1, 2, 3)
 HW_CHOICES = (0, 1, 2)
 DP_CHOICES = (1, 2, 3)
 LINK_DELAY_CHOICES = (1, 2, 3)
+MAX_PAYLOAD_WORDS = 12
 
 
-def random_scenario(seed, n_messages=1, max_payload_words=12):
+def random_scenario(seed, n_messages=1):
     """Draw a random scenario from the ``(r, d, vtd, dp, hw)`` space.
 
     Deterministic in ``seed``; the same seed always produces the same
@@ -314,7 +315,7 @@ def random_scenario(seed, n_messages=1, max_payload_words=12):
         dest = rng.randrange(n_endpoints)
         payload = [
             rng.randrange(1 << scenario.w)
-            for _ in range(rng.randint(1, max_payload_words))
+            for _ in range(rng.randint(1, MAX_PAYLOAD_WORDS))
         ]
         scenario.messages.append({"src": src, "dest": dest, "payload": payload})
     return scenario

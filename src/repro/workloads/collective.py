@@ -113,7 +113,7 @@ class CollectiveSchedule:
 
     @classmethod
     def ring_all_reduce(cls, n_endpoints, words_per_rank=20, ranks=None,
-                        step_offset=0, base=None):
+                        base=None):
         """Ring all-reduce: ``2(n-1)`` steps of neighbor transfers.
 
         The classic bandwidth-optimal algorithm: ``n-1`` reduce-scatter
@@ -136,15 +136,14 @@ class CollectiveSchedule:
                 if s > 0:
                     deps.append(previous[(i - 1) % n])
                 current[i] = schedule.add_op(
-                    ranks[i], ranks[(i + 1) % n], chunk,
-                    deps=deps, step=step_offset + s,
+                    ranks[i], ranks[(i + 1) % n], chunk, deps=deps, step=s
                 )
             previous = current
         return schedule
 
     @classmethod
     def recursive_doubling_all_reduce(cls, n_endpoints, words_per_rank=20,
-                                      ranks=None, step_offset=0, base=None):
+                                      base=None):
         """Recursive-doubling all-reduce: ``log2(n)`` exchange steps.
 
         At step ``s`` rank ``i`` exchanges its full accumulated vector
@@ -154,8 +153,7 @@ class CollectiveSchedule:
         Latency-optimal for small vectors; requires a power-of-two rank
         count.
         """
-        ranks = list(range(n_endpoints)) if ranks is None else list(ranks)
-        n = len(ranks)
+        n = n_endpoints
         if n < 2 or n & (n - 1):
             raise ValueError("recursive doubling needs a power-of-two rank count")
         schedule = (
@@ -173,8 +171,7 @@ class CollectiveSchedule:
                     deps.append(previous[i])
                     deps.append(previous[i ^ (stride >> 1)])
                 current[i] = schedule.add_op(
-                    ranks[i], ranks[partner], words_per_rank,
-                    deps=deps, step=step_offset + s,
+                    i, partner, words_per_rank, deps=deps, step=s
                 )
             previous = current
             stride <<= 1
@@ -182,35 +179,31 @@ class CollectiveSchedule:
         return schedule
 
     @classmethod
-    def all_to_all(cls, n_endpoints, words_per_pair=8, ranks=None,
-                   step_offset=0, base=None):
+    def all_to_all(cls, n_endpoints, words_per_pair=8):
         """All-to-all: ``n-1`` shifted-permutation rounds.
 
         Round ``s`` sends rank ``i``'s block to rank ``(i+s+1) mod n``;
         each rank serializes its own rounds (one outstanding block per
         rank), so round ``s`` depends on the rank's round-``s-1`` send.
         """
-        ranks = list(range(n_endpoints)) if ranks is None else list(ranks)
-        n = len(ranks)
+        n = n_endpoints
         if n < 2:
             raise ValueError("all-to-all needs at least 2 ranks")
-        schedule = base if base is not None else cls(n_endpoints, "all-to-all")
+        schedule = cls(n_endpoints, "all-to-all")
         previous = {}
         for s in range(n - 1):
             current = {}
             for i in range(n):
                 deps = [previous[i]] if s > 0 else []
                 current[i] = schedule.add_op(
-                    ranks[i], ranks[(i + s + 1) % n], words_per_pair,
-                    deps=deps, step=step_offset + s,
+                    i, (i + s + 1) % n, words_per_pair, deps=deps, step=s
                 )
             previous = current
         return schedule
 
     @classmethod
     def pipeline_parallel(cls, n_endpoints, n_microbatches=4,
-                          activation_words=20, ranks=None, step_offset=0,
-                          base=None):
+                          activation_words=20):
         """Pipeline parallelism: microbatches flow forward, then back.
 
         Ranks are pipeline stages.  Microbatch ``m``'s forward transfer
@@ -221,11 +214,10 @@ class CollectiveSchedule:
         the hop index along the schedule, so the per-step report shows
         the fill/steady/drain phases of the pipe.
         """
-        ranks = list(range(n_endpoints)) if ranks is None else list(ranks)
-        n = len(ranks)
+        n = n_endpoints
         if n < 2:
             raise ValueError("a pipeline needs at least 2 stages")
-        schedule = base if base is not None else cls(n_endpoints, "pipeline")
+        schedule = cls(n_endpoints, "pipeline")
         fwd = {}
         bwd = {}
         for m in range(n_microbatches):
@@ -236,8 +228,7 @@ class CollectiveSchedule:
                 if m > 0:
                     deps.append(fwd[(m - 1, k)])
                 fwd[(m, k)] = schedule.add_op(
-                    ranks[k], ranks[k + 1], activation_words,
-                    deps=deps, step=step_offset + m + k,
+                    k, k + 1, activation_words, deps=deps, step=m + k
                 )
             for j in range(n - 1):
                 k = n - 1 - j  # gradient leaves stage k toward k-1
@@ -245,8 +236,8 @@ class CollectiveSchedule:
                 if m > 0:
                     deps.append(bwd[(m - 1, k)])
                 bwd[(m, k)] = schedule.add_op(
-                    ranks[k], ranks[k - 1], activation_words,
-                    deps=deps, step=step_offset + m + (n - 1) + j,
+                    k, k - 1, activation_words,
+                    deps=deps, step=m + (n - 1) + j,
                 )
         return schedule
 
@@ -269,7 +260,7 @@ class ModelShape:
         self.layer_words = list(layer_words)
         self.algorithm = algorithm
 
-    def schedule(self, n_endpoints, ranks=None):
+    def schedule(self, n_endpoints):
         generator = {
             "ring": CollectiveSchedule.ring_all_reduce,
             "recursive-doubling":
@@ -281,13 +272,7 @@ class ModelShape:
         barrier = []  # final ops of the previous layer's collective
         for layer, words in enumerate(reversed(self.layer_words)):
             first_op = len(schedule.ops)
-            generator(
-                n_endpoints,
-                words_per_rank=words,
-                ranks=ranks,
-                step_offset=0,
-                base=schedule,
-            )
+            generator(n_endpoints, words_per_rank=words, base=schedule)
             # Serialize layers: every rank's first op of this layer
             # additionally waits for the previous layer's last step.
             if barrier:
@@ -644,8 +629,7 @@ def collective_log_digest(log):
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def run_collective(network, workload, max_cycles=200000, chunk=256,
-                   settle=8, label=None):
+def run_collective(network, workload, max_cycles=200000, label=None):
     """Execute ``workload`` on ``network`` to completion (or deadlock).
 
     Attaches the workload and hands off to :func:`finish_collective`.
@@ -653,19 +637,21 @@ def run_collective(network, workload, max_cycles=200000, chunk=256,
     """
     workload.attach(network)
     return finish_collective(
-        network, workload, max_cycles=max_cycles, chunk=chunk,
-        settle=settle, label=label,
+        network, workload, max_cycles=max_cycles, label=label
     )
 
 
-def finish_collective(network, workload, max_cycles=200000, chunk=256,
-                      settle=8, label=None):
+#: Cycles per engine ``run`` slice of :func:`finish_collective`.
+CHUNK = 256
+
+
+def finish_collective(network, workload, max_cycles=200000, label=None):
     """Drive an already-attached workload to completion (or deadlock).
 
     The resume half of :func:`run_collective`: a network restored from
     a mid-workload engine snapshot comes back with its sources and
     observer already wired (shared identity through the pickle), so
-    only the drive loop remains.  Runs the engine in ``chunk``-cycle
+    only the drive loop remains.  Runs the engine in :data:`CHUNK`-cycle
     slices (compression-friendly: plain ``run`` slices, never an
     opaque ``run_until`` predicate) until the DAG finishes, the cycle
     budget runs out, or the DAG is provably stuck (network quiet,
@@ -674,7 +660,7 @@ def finish_collective(network, workload, max_cycles=200000, chunk=256,
     """
     spent = 0
     while not workload.finished and spent < max_cycles:
-        step = min(chunk, max_cycles - spent)
+        step = min(CHUNK, max_cycles - spent)
         network.run(step)
         spent += step
         if (
@@ -684,5 +670,5 @@ def finish_collective(network, workload, max_cycles=200000, chunk=256,
             break
     if workload.finished:
         # Let the receive-side FSMs of the final transfers close.
-        network.run_until_quiet(max_cycles=max_cycles, settle=settle)
+        network.run_until_quiet(max_cycles=max_cycles, settle=8)
     return workload.result(network, label=label)

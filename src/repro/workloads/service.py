@@ -349,7 +349,7 @@ def stop_arrivals(network, at_cycle):
 
 
 def run_service(network, workload, warmup_cycles=1000, measure_cycles=6000,
-                drain_cycles=None, label=None):
+                label=None):
     """Warm up, measure, drain, and summarize one service soak.
 
     Requests are attributed to the measured window by *arrival* cycle
@@ -364,8 +364,7 @@ def run_service(network, workload, warmup_cycles=1000, measure_cycles=6000,
     network.run(measure_cycles)
     end = network.engine.cycle
     stop_arrivals(network, end)
-    budget = drain_cycles if drain_cycles is not None else measure_cycles * 4
-    network.run_until_quiet(max_cycles=budget)
+    network.run_until_quiet(max_cycles=measure_cycles * 4)
 
     in_window = [
         m

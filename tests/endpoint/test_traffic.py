@@ -41,11 +41,6 @@ class TestUniformRandom:
         messages = _drain(traffic.source_for(5), 200)
         assert all(m.dest != 5 for m in messages)
 
-    def test_self_allowed_when_requested(self):
-        traffic = UniformRandomTraffic(8, 4, rate=1.0, seed=3, exclude_self=False)
-        messages = _drain(traffic.source_for(5), 500)
-        assert any(m.dest == 5 for m in messages)
-
     def test_payload_shape(self):
         traffic = UniformRandomTraffic(8, 4, rate=1.0, message_words=20, seed=4)
         message = traffic.source_for(0)(0)

@@ -60,32 +60,36 @@ class TestLocalization:
 
 class TestEvidence:
     def test_suspicion_accumulates_by_weight(self):
-        manager = FaultManager(_network(), decay_half_life=0)
+        manager = FaultManager(_network())
+        # Same cycle: no time for either bump to decay.
         manager._bump(2, DEFAULT_WEIGHTS["timeout"], cycle=10)
-        manager._bump(2, DEFAULT_WEIGHTS["timeout"], cycle=11)
+        manager._bump(2, DEFAULT_WEIGHTS["timeout"], cycle=10)
         assert manager.suspicion[2] == pytest.approx(2.0)
 
     def test_suspicion_decays_by_half_life(self):
-        manager = FaultManager(_network(), decay_half_life=100)
+        manager = FaultManager(_network())
         manager._bump(1, 4.0, cycle=0)
-        score = manager._bump(1, 0.5, cycle=100)
+        score = manager._bump(1, 0.5, cycle=FaultManager.decay_half_life)
         # One half-life later the old 4.0 is worth 2.0.
         assert score == pytest.approx(2.5)
 
     def test_threshold_crossing_schedules_a_repair_and_stops(self):
         network = _network()
-        manager = FaultManager(network, threshold=2.0)
+        manager = FaultManager(network)
         endpoint = _Endpoint([10, 20, 30])
         send = _Send([_Status(10), _Status(99), _Status(30)])
-        manager._on_attempt_failure(50, endpoint, send, "corrupted", None)
+        # Corruption weighs 1.5: three reports leave the stage at 4.5,
+        # under the threshold of 5; the fourth crosses it.
+        for cycle in (50, 51, 52):
+            manager._on_attempt_failure(cycle, endpoint, send, "corrupted", None)
         assert not manager.repairs_due()
-        manager._on_attempt_failure(51, endpoint, send, "corrupted", None)
+        manager._on_attempt_failure(53, endpoint, send, "corrupted", None)
         assert manager.repairs_due()
         assert manager.due == [1]
         assert network.engine._stop_requested
 
     def test_blocked_evidence_is_weak(self):
-        manager = FaultManager(_network(), threshold=2.0)
+        manager = FaultManager(_network())
         for cycle in range(30):
             manager._on_attempt_failure(cycle, None, None, "blocked", 2)
         # 30 blocked attempts at weight 0.05 stay under threshold.
@@ -93,16 +97,22 @@ class TestEvidence:
         assert manager.evidence_count == 30
 
     def test_cooldown_suppresses_rescheduling(self):
-        manager = FaultManager(_network(), threshold=1.0, cooldown=500)
+        manager = FaultManager(_network())
         endpoint = _Endpoint([10])
         send = _Send([_Status(99)])
-        manager._on_attempt_failure(10, endpoint, send, "timeout", None)
+
+        def fail(cycle):
+            # Six timeouts (weight 1.0) in one cycle: well past threshold.
+            for _ in range(6):
+                manager._on_attempt_failure(cycle, endpoint, send, "timeout", None)
+
+        fail(10)
         assert manager.due == [0]
         manager.due.clear()
         manager._cooldown_until[0] = 600
-        manager._on_attempt_failure(200, endpoint, send, "timeout", None)
+        fail(200)
         assert manager.due == []
-        manager._on_attempt_failure(700, endpoint, send, "timeout", None)
+        fail(700)
         assert manager.due == [0]
 
 

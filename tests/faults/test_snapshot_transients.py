@@ -61,7 +61,6 @@ def _schedule_state(fault):
     return {
         "down": fault.down,
         "next_change": fault._next_change,
-        "burst_left": fault._burst_left,
         "rng": fault._rng.getstate(),
     }
 

@@ -95,37 +95,13 @@ class TestDutyCycle:
         assert actions == {"apply", "revert"}
         assert router.dead == (injector.applied[-1].action == "apply")
 
-    def test_burst_failures_cluster(self):
-        """burst=3 packs failures closer together than the MTBF cadence."""
-        network = _network()
-        src, dst = _wire(network)
-        fault = FlakyLink(
-            src_key=src,
-            dst_key=dst,
-            mtbf=400,
-            mttr=10,
-            seed=6,
-            burst=3,
-            burst_gap=5,
-        )
-        injector = FaultInjector(network)
-        injector.transient(fault)
-        network.run(4000)
-        applies = [e.cycle for e in injector.applied if e.action == "apply"]
-        assert len(applies) >= 3
-        gaps = [b - a for a, b in zip(applies, applies[1:])]
-        # Within a burst the gap is ~mttr+burst_gap, far under the MTBF.
-        assert min(gaps) < 100
-
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             TransientFault(mtbf=0, mttr=10)
         with pytest.raises(ValueError):
             TransientFault(mtbf=10, mttr=0)
-        with pytest.raises(ValueError):
-            TransientFault(mtbf=10, mttr=10, burst=0)
-        with pytest.raises(ValueError):
-            FlakyLink(mtbf=10, mttr=10)  # needs channel or keys
+        with pytest.raises(TypeError):
+            FlakyLink(mtbf=10, mttr=10)  # needs the wire's keys
 
 
 class TestPickling:
@@ -144,10 +120,10 @@ class TestPickling:
         assert (clone.mtbf, clone.mttr, clone.seed) == (70, 35, 8)
 
     def test_flaky_router_round_trips(self):
-        fault = FlakyRouter(1, 0, 2, mtbf=50, mttr=25, seed=5, burst=2)
+        fault = FlakyRouter(1, 0, 2, mtbf=50, mttr=25, seed=5)
         clone = pickle.loads(pickle.dumps(fault))
         assert (clone.stage, clone.block, clone.index) == (1, 0, 2)
-        assert clone.burst == 2
+        assert (clone.mtbf, clone.mttr, clone.seed) == (50, 25, 5)
 
 
 class TestRandomTransientScenario:

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from repro.harness.chaos import chaos_trial_specs, run_chaos_point
+from repro.harness.chaos import SNAPSHOT_KEEP, chaos_trial_specs, run_chaos_point
 from repro.harness.journal import RunJournal, read_journal
 from repro.harness.load_sweep import figure1_network
 from repro.harness.parallel import TrialRunner, TrialSpec, journal_trial_key
@@ -89,13 +89,13 @@ def _warnings(caplog):
 def test_ring_writes_and_prunes_to_snapshot_keep(tmp_path, ring_log):
     # Checkpoint every window so several ring entries are written
     # (repair servicing may advance the engine over a grid point), then
-    # verify only the newest snapshot_keep survive.
+    # verify only the newest SNAPSHOT_KEEP survive.
     ring = str(tmp_path / "ring")
-    run_chaos_point(snapshot_dir=ring, snapshot_keep=2, **RING_KW)
+    run_chaos_point(snapshot_dir=ring, **RING_KW)
     # No ring yet is the ordinary first run: nothing to warn about.
     assert not _warnings(ring_log)
     names = sorted(os.listdir(ring))
-    assert len(names) == 2, names
+    assert len(names) == SNAPSHOT_KEEP < 5, names  # 5 were written
     assert all(
         n.startswith("chaos-") and n.endswith(".snap") for n in names
     )

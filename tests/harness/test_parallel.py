@@ -176,9 +176,6 @@ def test_fault_sweep_parallel_matches_serial():
 def test_saturation_parallel_matches_serial():
     kw = dict(
         network_factory=figure1_network,
-        start_rate=0.02,
-        growth=3.0,
-        max_steps=4,
         seed=2,
         message_words=8,
         warmup_cycles=200,
@@ -420,10 +417,10 @@ def _crash_once_trial(seed=0):
 def test_trial_backoff_mirrors_retry_shapes():
     from repro.harness.parallel import TrialBackoff, _normalize_retries
 
-    backoff = TrialBackoff(max_attempts=4, base=0.5, factor=2.0,
-                           max_delay=1.5, jitter=False)
-    assert [backoff.delay(a) for a in (1, 2, 3)] == [0.5, 1.0, 1.5]
-    jittered = TrialBackoff(max_attempts=4, base=0.5, seed=1)
+    backoff = TrialBackoff(max_attempts=4, base=0.5, jitter=False)
+    assert [backoff.delay(a) for a in (1, 2, 3)] == [0.5, 1.0, 2.0]
+    assert backoff.delay(9) == TrialBackoff.max_delay == 30.0
+    jittered = TrialBackoff(max_attempts=4, base=0.5)
     assert 0.0 <= jittered.delay(1) <= 0.5
     assert _normalize_retries(None).max_attempts == 1
     assert _normalize_retries(3).max_attempts == 3
@@ -819,7 +816,7 @@ def _pinned_specs():
     return {
         "load": load_trial_specs(rates=(0.04,), seed=3, **SWEEP_KW)[0],
         "fault": fault_trial_specs(fault_levels=((2, 1),), seed=3)[0],
-        "saturation": saturation_trial_specs(max_steps=2, seed=3)[1],
+        "saturation": saturation_trial_specs(seed=3)[1],
         "chaos": chaos_trial_specs(
             seeds=1, seed=3, n_windows=6, window_cycles=200
         )[0],
@@ -845,7 +842,6 @@ def _default_soak_identity():
     }
     # What ``run_chaos_point(snapshot_every=3, snapshot_dir=...)`` stamps
     # into its ring: defaults resolved, wherever the ring and log live.
-    params["fault_start"] = params["warmup_windows"] * params["window_cycles"]
     params["snapshot_every"] = 3
     return _soak_identity(params)
 

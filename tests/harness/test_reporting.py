@@ -144,7 +144,7 @@ def test_format_percentiles_columns():
 
 
 def test_format_stage_heatmap():
-    text = format_stage_heatmap(_snapshot(), title="util", width=20)
+    text = format_stage_heatmap(_snapshot(), title="util")
     lines = text.splitlines()
     assert lines[0] == "util"
     assert lines[1].startswith("stage 0")

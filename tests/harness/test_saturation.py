@@ -12,9 +12,6 @@ def _small_factory(seed=0):
 def test_finds_a_flattening_point():
     saturated, results = find_saturation(
         network_factory=_small_factory,
-        start_rate=0.02,
-        growth=3.0,
-        max_steps=5,
         seed=2,
         message_words=8,
         warmup_cycles=300,
@@ -31,9 +28,6 @@ def test_finds_a_flattening_point():
 def test_results_are_ordered_by_rate():
     _saturated, results = find_saturation(
         network_factory=_small_factory,
-        start_rate=0.01,
-        growth=4.0,
-        max_steps=3,
         seed=3,
         message_words=8,
         warmup_cycles=200,

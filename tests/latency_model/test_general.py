@@ -70,4 +70,4 @@ class TestCrossover:
 
     def test_no_crossover_returns_none(self):
         # An implementation never beats itself.
-        assert G.crossover_message_bytes(ORBIT, ORBIT, limit=64) is None
+        assert G.crossover_message_bytes(ORBIT, ORBIT) is None

@@ -213,14 +213,9 @@ def test_experiment_deadline_cycles_guard():
         message_words=6,
         seed=2,
     )
+    network.engine.set_deadline(50)  # far too tight: the guard must fire
     with pytest.raises(EngineDeadlineError):
-        run_experiment(
-            network,
-            traffic,
-            warmup_cycles=200,
-            measure_cycles=600,
-            deadline_cycles=50,  # far too tight: the guard must fire
-        )
+        run_experiment(network, traffic, warmup_cycles=200, measure_cycles=600)
 
 
 def test_pre_cycle_hooks_run_before_ticks():

@@ -52,7 +52,7 @@ def test_ascii_diagram_glyphs():
 
 def test_ascii_window():
     recorder = _recorded_session()
-    text = recorder.ascii_diagram(start=0, end=2, legend=False)
+    text = recorder.ascii_diagram(end=2)
     forward_line = next(l for l in text.splitlines() if "wire >" in l)
     # Two cycles only -> exactly two glyph columns after the label.
     assert len(forward_line.split("  ")[-1]) == 2

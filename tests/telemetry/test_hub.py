@@ -200,8 +200,8 @@ def test_delivered_message_span_tree():
     assert attempt.args["outcome"] == "delivered"
     children = [
         span
-        for span in hub.spans.spans(track=attempt.track)
-        if span.depth == 1
+        for span in hub.spans.spans()
+        if span.track == attempt.track and span.depth == 1
     ]
     assert [span.name for span in children] == ["setup", "stream", "reply"]
     assert children[0].begin == attempt.begin

@@ -179,7 +179,10 @@ def test_merge_rejects_kind_conflicts():
 def test_total_and_grouping():
     snapshot = _sample_registry().snapshot()
     assert snapshot.total("sends") == 7
-    assert snapshot.total("sends", by="endpoint") == {0: 3, 1: 4}
+    assert {
+        labels["endpoint"]: count
+        for labels, _kind, count in snapshot.labeled("sends")
+    } == {0: 3, 1: 4}
 
 
 def test_names_get_and_as_dict():

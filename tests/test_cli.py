@@ -162,6 +162,13 @@ def test_malformed_comma_list_is_a_usage_error(capsys, argv):
         ["workloads", "service", "--slo-p99", "-50"],
         ["workloads", "collective", "--slo-cycles", "-1"],
         ["tail", "run.jsonl", "--interval", "0"],
+        # PR 22: the first two were ValueError tracebacks (the second
+        # from inside run_service), the last two ran and printed a table.
+        ["workloads", "service", "--service-time", "abc"],
+        ["workloads", "service", "--service-time", "5"],
+        ["workloads", "service", "--service-time", "9:3"],
+        ["workloads", "collective", "--layers", "0,-3"],
+        ["workloads", "service", "--servers", "-1"],
     ],
 )
 def test_out_of_range_number_is_a_usage_error(capsys, argv):
@@ -170,6 +177,27 @@ def test_out_of_range_number_is_a_usage_error(capsys, argv):
     assert excinfo.value.code == 2
     error = capsys.readouterr().err.splitlines()[-1]
     assert "error: argument {}: invalid".format(argv[-2]) in error
+
+
+@pytest.mark.parametrize(
+    "argv, valid",
+    [
+        (["workloads", "service", "--servers", "99"], "0..15"),
+        (["workloads", "service", "--network", "figure3", "--servers", "3,64"],
+         "0..63"),
+    ],
+)
+def test_workloads_rejects_a_server_outside_the_network(capsys, argv, valid):
+    """As ``send`` does for its endpoints: one ``error:`` line naming the
+    valid range, exit 2, nothing run (it was a ``ValueError`` traceback
+    from ``network/headers.py``)."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "error: argument --servers: " in line
+    assert "(valid: {})".format(valid) in line
 
 
 def test_zero_is_a_count_where_none_is_meant(capsys):

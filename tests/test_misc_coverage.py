@@ -9,9 +9,9 @@ class TestFaultModelErrors:
     def test_dead_link_needs_identification(self):
         from repro.faults.model import CorruptLink, DeadLink
 
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DeadLink()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CorruptLink()
 
     def test_base_fault_abstract(self):

@@ -58,7 +58,7 @@ def test_data_on_an_unowned_backward_port_is_flagged(backend):
 @backends
 def test_status_pending_past_the_bound_is_a_turn_stall(backend):
     network = build_network(figure1_plan(), seed=3, backend=backend)
-    oracle = attach_oracle(network, turn_stall_bound=2)
+    oracle = attach_oracle(network)
     network.send(2, Message(dest=13, payload=[7] * 40))
     held = None
     while held is None:

@@ -28,7 +28,7 @@ def test_shrinks_mutation_failure_to_one_small_message():
     """Under a seeded checksum bug every delivery fails the oracle, so
     the shrinker should reach the floor: one message, one payload word,
     a one-stage network — while preserving the failure signature."""
-    scenario = random_scenario(21, n_messages=4, max_payload_words=10)
+    scenario = random_scenario(21, n_messages=4)
     with mutation.seeded(mutation.CORRUPT_STATUS_CHECKSUM):
         original = failure_signature(scenario.run(max_cycles=2000))
         assert "rule:status-checksum-mismatch" in original
