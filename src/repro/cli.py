@@ -16,7 +16,6 @@
     python -m repro chaos --seeds 2 --min-availability 0.8 --snapshot chaos.json
     python -m repro chaos --seeds 2 --stream chaos-logs --stall-cycles 2000
     python -m repro chaos --seeds 4 --journal run.jsonl --cache-dir .cache
-    python -m repro chaos --resume run.jsonl --cache-dir .cache
     python -m repro figure3 --retries 3 --quarantine --journal run.jsonl
     python -m repro tail run.jsonl
     python -m repro tail chaos-logs/soak0-healon.jsonl
@@ -56,15 +55,16 @@ end to end.
 The sweep commands
 (``figure3``/``faults``/``chaos``/``workloads``/``saturation``) also
 take resilience flags (see ``docs/resilience.md``): ``--journal``
-writes a durable run journal, ``--resume <journal>`` finishes a killed
-sweep byte-identically, ``--retries``/``--quarantine`` retry crashed
-or hung trials and quarantine poison ones.  Exit codes are consistent
+writes a durable run journal, and running the same command again on
+that journal finishes a killed sweep byte-identically;
+``--retries``/``--quarantine`` retry crashed or hung trials and
+quarantine poison ones.  Exit codes are consistent
 across commands: 0 success, 1 a result gate failed (SLO, degradation,
-verification), 2 usage/input error (including ``--resume`` with a
-journal that cannot be read or describes another sweep), 3 the sweep
+verification), 2 usage/input error (including a ``--journal`` that
+cannot be read or describes another sweep), 3 the sweep
 completed but quarantined trials (structured failure report on
-stderr), 130 interrupted by SIGINT/SIGTERM (journal flushed for
-resume).  Every sweep command takes that path through
+stderr), 130 interrupted by SIGINT/SIGTERM (journal flushed: run the
+same command again).  Every sweep command takes that path through
 :func:`_sweep_command` (see "Anatomy of a sweep family" in
 ``docs/parallel.md``).
 """
@@ -78,28 +78,25 @@ def _runner(args):
     """The shared TrialRunner configured by --workers/--cache-dir.
 
     The resilience flags ride along when the subcommand defines them:
-    ``--journal`` (durable run journal), ``--resume`` (replay a
-    journal so finished trials are served from the cache instead of
-    re-running), ``--retries`` (per-trial attempt budget with
-    exponential backoff on recycled workers) and ``--quarantine``
-    (poison trials become structured reports instead of killing the
-    sweep).
+    ``--journal`` (durable run journal; one that already holds this
+    sweep's records is continued, so finished trials are served from
+    the cache instead of re-running), ``--retries`` (per-trial attempt
+    budget with exponential backoff on recycled workers) and
+    ``--quarantine`` (poison trials become structured reports instead
+    of killing the sweep).
     """
     from repro.harness.parallel import TrialRunner
     from repro.harness.reporting import progress_printer
 
-    resume_from = getattr(args, "resume", None)
-    journal = getattr(args, "journal", None) or resume_from
     return TrialRunner(
         workers=args.workers,
         cache_dir=args.cache_dir,
         progress=progress_printer() if args.progress else None,
-        journal=journal,
+        journal=getattr(args, "journal", None),
         retries=getattr(args, "retries", None),
         on_exhausted=(
             "quarantine" if getattr(args, "quarantine", False) else None
         ),
-        resume_from=resume_from,
     )
 
 
@@ -350,7 +347,7 @@ def _cmd_faults(args):
     levels = args.levels or ((args.links, args.routers),)
     specs = fault_trial_specs(fault_levels=levels, seed=args.seed, **common)
     if not args.levels:
-        # One point is a one-spec sweep, so --journal/--resume/--retries/
+        # One point is a one-spec sweep, so --journal/--retries/
         # --quarantine/--workers/--cache-dir/--progress apply to it; it
         # has always been seeded by --seed itself, not a per-level seed.
         specs[0].seed = args.seed
@@ -848,316 +845,48 @@ def _cmd_verify(args):
     return 1
 
 
-def _format_stream_event(event):
-    """One `tail --follow` line for a run-log event (None = silent).
+def _tail_view(events):
+    """``(validator, summary renderer, follow-line formatter)`` of the
+    format the header record names."""
+    if events and events[0].get("event") == "journal.start":
+        from repro.harness import journal
 
-    Deltas are deliberately silent in follow mode — they are transport,
-    not narrative; the summary rendering folds them into percentiles.
-    """
-    kind = event.get("event")
-    cycle = event.get("cycle")
-    if kind == "run.start":
-        return "run.start  flush every {} cycles, window {} cycles".format(
-            event.get("flush_every"), event.get("window_cycles")
-        )
-    if kind == "window.stats":
-        p50 = event.get("p50_latency")
-        p99 = event.get("p99_latency")
-        p999 = event.get("p999_latency")
-        return (
-            "window {:>4} @{:<8} delivered={:<6} p50={} p99={} p999={}".format(
-                event.get("window"),
-                cycle,
-                event.get("delivered"),
-                "-" if p50 is None else p50,
-                "-" if p99 is None else p99,
-                "-" if p999 is None else p999,
-            )
-        )
-    if kind == "fault.transition":
-        return "fault       @{:<8} {:<8} {}".format(
-            cycle, event.get("action"), event.get("fault")
-        )
-    if kind == "watchdog.stall":
-        return (
-            "STALL       @{:<8} no progress for {} cycles, {} pending, "
-            "{} violation(s)".format(
-                cycle,
-                event.get("stalled_cycles"),
-                event.get("pending"),
-                len(event.get("violations", [])),
-            )
-        )
-    if kind == "snapshot.write":
-        return "checkpoint  @{:<8} {}".format(cycle, event.get("path"))
-    if kind == "run.end":
-        return "run.end     @{:<8} {} delta(s)".format(
-            cycle, event.get("deltas")
-        )
-    if kind == "journal.start":
-        return "journal.start ({}, pid {})".format(
-            event.get("format"), event.get("pid")
-        )
-    if kind == "sweep.start":
-        return "sweep.start {} trial(s), {} worker(s)".format(
-            event.get("total"), event.get("workers")
-        )
-    if kind == "trial.start":
-        return "trial       [{}] {} attempt {} on worker {}".format(
-            event.get("index"), event.get("label"),
-            event.get("attempt"), event.get("worker"),
-        )
-    if kind == "trial.done":
-        elapsed = event.get("elapsed")
-        return "trial done  [{}] {} ({}{})".format(
-            event.get("index"), event.get("label"), event.get("source"),
-            "" if elapsed is None else ", {:.2f}s".format(elapsed),
-        )
-    if kind == "trial.failed":
-        return "trial FAIL  [{}] {} attempt {}: {} ({})".format(
-            event.get("index"), event.get("label"), event.get("attempt"),
-            event.get("kind"), event.get("detail"),
-        )
-    if kind == "trial.quarantined":
-        return "QUARANTINE  [{}] {}".format(
-            event.get("index"), event.get("label")
-        )
-    if kind == "sweep.end":
-        return (
-            "sweep.end   {} trial(s): {} executed, {} cached, "
-            "{} quarantined".format(
-                event.get("total"), event.get("executed"),
-                event.get("cached"), event.get("quarantined"),
-            )
-        )
-    if kind == "sweep.interrupted":
-        return "INTERRUPT   {} — journal flushed, resume with --resume".format(
-            event.get("signal") or event.get("signum")
-        )
-    return None
+        return (journal.validate_journal, journal.render_journal,
+                journal.format_journal_event)
+    from repro.telemetry import stream
 
-
-def _render_run_log(events, last=12):
-    """Summary rendering of a whole (possibly still-growing) run log."""
-    from repro.harness.reporting import (
-        format_percentiles,
-        format_table,
-        sparkline,
-    )
-    from repro.telemetry.stream import merge_stream_metrics
-
-    kinds = {}
-    for event in events:
-        kinds.setdefault(event.get("event"), []).append(event)
-
-    start = events[0]
-    line = "run log: {} event(s), flush every {} cycles".format(
-        len(events), start.get("flush_every")
-    )
-    if start.get("window_cycles"):
-        line += ", window {} cycles".format(start.get("window_cycles"))
-    print(line)
-    meta = start.get("meta") or {}
-    if meta:
-        print(
-            "  meta: "
-            + ", ".join(
-                "{}={}".format(key, meta[key]) for key in sorted(meta)
-            )
-        )
-
-    windows = kinds.get("window.stats", [])
-    if windows:
-        print()
-        print(
-            "delivered/window: {}".format(
-                sparkline([w.get("delivered", 0) for w in windows], lo=0)
-            )
-        )
-        rows = [
-            {
-                "window": w.get("window"),
-                "cycles": "{}..{}".format(
-                    w.get("start_cycle"), w.get("end_cycle")
-                ),
-                "delivered": w.get("delivered"),
-                "p50": w.get("p50_latency"),
-                "p95": w.get("p95_latency"),
-                "p99": w.get("p99_latency"),
-                "p999": w.get("p999_latency"),
-            }
-            for w in windows[-last:]
-        ]
-        title = (
-            "last {} of {} windows".format(len(rows), len(windows))
-            if len(windows) > len(rows)
-            else "windows"
-        )
-        print(format_table(rows, title=title))
-
-    faults = kinds.get("fault.transition", [])
-    if faults:
-        print()
-        print("fault transitions: {}".format(len(faults)))
-        for event in faults[-last:]:
-            print("  " + _format_stream_event(event))
-
-    for event in kinds.get("watchdog.stall", []):
-        print()
-        print(_format_stream_event(event))
-        for violation in event.get("violations", [])[:5]:
-            print(
-                "    {} port={} [{}] {}".format(
-                    violation.get("component"),
-                    violation.get("port"),
-                    violation.get("rule"),
-                    violation.get("detail"),
-                )
-            )
-
-    snapshots = kinds.get("snapshot.write", [])
-    if snapshots:
-        print()
-        print(
-            "checkpoints: {} (latest {})".format(
-                len(snapshots), snapshots[-1].get("path")
-            )
-        )
-
-    merged = merge_stream_metrics(events)
-    if len(merged):
-        print()
-        print(
-            format_percentiles(
-                merged,
-                ["message.latency.cycles", "message.attempts"],
-                title="metrics ({} delta(s) merged)".format(
-                    len(kinds.get("metrics.delta", []))
-                ),
-            )
-        )
-
-    print()
-    ends = kinds.get("run.end", [])
-    if ends:
-        summary = ends[-1].get("summary") or {}
-        line = "run ended at cycle {}".format(ends[-1].get("cycle"))
-        if summary:
-            line += ": " + ", ".join(
-                "{}={}".format(key, summary[key]) for key in sorted(summary)
-            )
-        print(line)
-    else:
-        print("run in progress (no run.end yet)")
-
-
-def _render_journal(events, last=12):
-    """Summary rendering of a run journal (see docs/resilience.md)."""
-    from repro.harness.journal import replay_journal
-    from repro.harness.cache import QuarantinedTrial
-    from repro.harness.reporting import format_quarantine_report, format_table
-
-    state = replay_journal(events)
-    print("run journal: {} event(s); {}".format(len(events), state.describe()))
-
-    rows = []
-    for event in events:
-        kind = event.get("event")
-        if kind == "trial.done":
-            detail = event.get("source")
-            elapsed = event.get("elapsed")
-            if elapsed is not None:
-                detail = "{} ({:.2f}s)".format(detail, elapsed)
-        elif kind == "trial.failed":
-            detail = "{}: {}".format(
-                event.get("kind"), (event.get("detail") or "")[:40]
-            )
-        elif kind == "trial.quarantined":
-            detail = "attempt budget exhausted"
-        else:
-            continue
-        rows.append(
-            {
-                "trial": event.get("label"),
-                "event": kind.split(".", 1)[1],
-                "attempt": event.get("attempt", "-"),
-                "detail": detail,
-            }
-        )
-    if rows:
-        shown = rows[-last:]
-        title = (
-            "last {} of {} trial event(s)".format(len(shown), len(rows))
-            if len(rows) > len(shown)
-            else "trial events"
-        )
-        print()
-        print(format_table(shown, title=title))
-
-    if state.quarantined:
-        reports = [
-            QuarantinedTrial.from_dict(report)
-            for report in state.quarantined.values()
-        ]
-        print()
-        print(format_quarantine_report(reports))
-
-    print()
-    if state.interrupted:
-        print(
-            "sweep interrupted by {} (finish it with --resume)".format(
-                state.interrupted
-            )
-        )
-    elif state.completed:
-        print("sweep completed")
-    else:
-        print("sweep in progress (no sweep.end yet)")
+    return (stream.validate_run_log, stream.render_run_log,
+            stream.format_run_log_event)
 
 
 def _cmd_tail(args):
-    from repro.telemetry.stream import read_run_log, validate_run_log
-
-    def load():
-        events = read_run_log(args.run_log)
-        if events and events[0].get("event") == "journal.start":
-            from repro.harness.journal import validate_journal
-
-            validate_journal(events)
-        else:
-            validate_run_log(events)
-        return events
-
-    try:
-        events = load()
-    except (OSError, ValueError) as exc:
-        print("tail: {}".format(exc), file=sys.stderr)
-        return 2
-    if not args.follow:
-        if events and events[0].get("event") == "journal.start":
-            _render_journal(events, last=args.last)
-        else:
-            _render_run_log(events, last=args.last)
-        return 0
-
     import time
 
+    from repro.telemetry.stream import read_run_log
+
+    view = None
     printed = 0
     try:
         while True:
-            for event in events[printed:]:
-                line = _format_stream_event(event)
-                if line:
-                    print(line, flush=True)
-            printed = len(events)
-            if events and events[-1].get("event") in ("run.end", "sweep.end"):
-                return 0
-            time.sleep(args.interval)
             try:
-                events = load()
+                events = read_run_log(args.run_log)
+                view = view or _tail_view(events)
+                validate, render, follow_line = view
+                validate(events)
             except (OSError, ValueError) as exc:
                 print("tail: {}".format(exc), file=sys.stderr)
                 return 2
+            if not args.follow:
+                print("\n".join(render(events, args.last)))
+                return 0
+            for event in events[printed:]:
+                line = follow_line(event)
+                if line:
+                    print(line, flush=True)
+            printed = len(events)
+            if events[-1].get("event") in ("run.end", "sweep.end"):
+                return 0
+            time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
 
@@ -1208,6 +937,23 @@ _service_time = _checked(
 )
 
 
+#: A file a command writes: in a directory that exists, and not itself
+#: one.  Checked before any trial runs: three of these flags are written
+#: only after the sweep has run and printed.
+_output_file = _checked(
+    str,
+    lambda path: os.path.isdir(os.path.dirname(os.path.abspath(path)))
+    and not os.path.isdir(path),
+    "output_file",
+)
+#: A directory a command fills: one that exists, or a path still free.
+_output_dir = _checked(
+    str,
+    lambda path: os.path.isdir(path) or not os.path.lexists(path),
+    "output_dir",
+)
+
+
 def _fault_level(part):
     """``LINKS[:ROUTERS]`` -> ``(dead links, dead routers)``."""
     links, _, routers = part.partition(":")
@@ -1229,6 +975,7 @@ def build_parser():
     )
     parser.add_argument(
         "--cache-dir",
+        type=_output_dir,
         default=None,
         help="directory for the on-disk trial cache (repeat runs skip "
         "already-computed sweep points)",
@@ -1265,26 +1012,23 @@ def build_parser():
             "heatmap (identical for serial and parallel runs)",
         )
         command.add_argument(
-            "--metrics-export", default=None, metavar="FILE",
+            "--metrics-export", type=_output_file, default=None,
+            metavar="FILE",
             help="write the sweep's merged metrics snapshot to FILE as JSON "
             "(metro-metrics-v1: a lossless 'series' encoding plus rendered "
             "summaries); implies metrics collection",
         )
         add_backend(command)
         command.add_argument(
-            "--journal", default=None, metavar="FILE",
+            "--journal", type=_output_file, default=None, metavar="FILE",
             help="write a durable run journal (metro-run-journal-v1, "
             "append-only JSONL, fsynced per record) of every trial "
-            "state transition; a killed sweep finishes with --resume "
-            "FILE (see docs/resilience.md; render with 'repro tail')",
-        )
-        command.add_argument(
-            "--resume", default=None, metavar="JOURNAL",
-            help="replay a run journal: finished trials are served "
-            "from the --cache-dir trial cache (content-hash "
-            "verified), only unfinished trials re-execute, and the "
-            "resumed leg appends to the same journal — "
-            "byte-identical to an uninterrupted run",
+            "state transition.  Run the same command again to finish a "
+            "killed sweep: trials FILE shows finished are served from "
+            "the --cache-dir trial cache (content-hash verified), only "
+            "the rest re-execute, and the new leg appends to FILE — "
+            "byte-identical to an uninterrupted run (see "
+            "docs/resilience.md; render with 'repro tail')",
         )
         command.add_argument(
             "--retries", type=_positive, default=None, metavar="N",
@@ -1398,21 +1142,20 @@ def build_parser():
         "--snapshot-every", type=_positive, default=None, metavar="K",
         help="checkpoint each live soak every K completed windows into "
         "a ring of engine snapshots under --snapshot-dir (one "
-        "subdirectory per soak); running the same command again (or "
-        "--resume on its journal) continues each unfinished soak from "
-        "its newest checkpoint",
+        "subdirectory per soak); running the same command again "
+        "continues each unfinished soak from its newest checkpoint",
     )
     chaos.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
+        "--snapshot-dir", type=_output_dir, default=None, metavar="DIR",
         help="directory for the --snapshot-every checkpoint rings",
     )
     chaos.add_argument(
-        "--snapshot", default=None, metavar="FILE",
+        "--snapshot", type=_output_file, default=None, metavar="FILE",
         help="write soak summaries + merged telemetry metrics as JSON "
         "(the chaos-smoke CI artifact)",
     )
     chaos.add_argument(
-        "--stream", default=None, metavar="DIR",
+        "--stream", type=_output_dir, default=None, metavar="DIR",
         help="stream live JSONL run logs (metro-run-log-v1: metrics "
         "deltas, window stats, fault transitions, watchdog stalls) "
         "into DIR, one log per soak; a resumed soak appends its leg to "
@@ -1557,6 +1300,7 @@ def build_parser():
     send.add_argument("--max-cycles", type=_positive, default=50000)
     send.add_argument(
         "--trace-export",
+        type=_output_file,
         default=None,
         metavar="FILE",
         help="record the message's span timeline and write it as "
@@ -1641,12 +1385,12 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except JournalMismatchError as exc:
-        print("resume: {}".format(exc), file=sys.stderr)
+        print("error: {}".format(exc), file=sys.stderr)
         return 2
     except SweepInterrupted as exc:
         print(
-            "interrupted: {} — the journal is flushed; finish the "
-            "sweep with --resume".format(exc),
+            "interrupted: {} — the journal is flushed; run the same "
+            "command again to finish the sweep".format(exc),
             file=sys.stderr,
         )
         return 130

@@ -12,10 +12,7 @@ from repro.harness.journal import (
     JournalState,
     RunJournal,
     load_journal_state,
-    precomputed_from_state,
-    read_journal,
     replay_journal,
-    resume_sweep,
     validate_journal,
 )
 from repro.harness.cache import (
@@ -94,13 +91,10 @@ __all__ = [
     "load_journal_state",
     "load_trial_specs",
     "partition_quarantined",
-    "precomputed_from_state",
     "progress_printer",
-    "read_journal",
     "replay_journal",
     "result_content_hash",
     "results_to_series",
-    "resume_sweep",
     "run_experiment",
     "run_fault_point",
     "run_load_point",

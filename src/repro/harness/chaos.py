@@ -19,8 +19,8 @@ parallel execution byte-identically (the
 Long soaks can checkpoint themselves: ``snapshot_every=K`` writes an
 engine snapshot (:mod:`repro.sim.snapshot`) every ``K`` windows into a
 small on-disk ring, and running the same soak again (same parameters,
-same ``snapshot_dir``: re-run the command, or ``--resume`` its
-journal) picks up its newest intact checkpoint after a crash or host
+same ``snapshot_dir``: re-run the command) picks up its newest intact
+checkpoint after a crash or host
 restart and finishes — producing the *same* :class:`ChaosResult` an
 uninterrupted run would have, because the result is a pure function
 of the final message log and fault histories, all of which ride the

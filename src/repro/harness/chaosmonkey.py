@@ -146,9 +146,12 @@ def truncate_tail(path, nbytes):
 def corrupt_cache_entry(cache, key):
     """Invert one byte (the ninth) of the cached pickle for ``key`` in place.
 
-    Returns True if an entry existed and was corrupted.  A resumed
-    sweep must refuse to serve the damaged entry (the journal's
-    content hash no longer matches) and re-execute instead.
+    Returns True if an entry existed and was corrupted.  The byte sits
+    inside the pickle's frame length, so the entry no longer *decodes*:
+    ``TrialCache.get`` warns and reports a miss, and the sweep
+    re-executes the trial.  Damage that still decodes is the case only
+    the journal's content hash catches; ``tests/harness/test_journal.py``
+    makes that kind by hand.
     """
     path = cache._path(key)
     try:

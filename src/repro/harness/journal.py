@@ -1,4 +1,4 @@
-"""Durable write-ahead run journal: crash-safe sweeps, kill-resume.
+"""Durable write-ahead run journal: crash-safe sweeps, run it again.
 
 A sweep that dies forty hours into a chaos soak should cost the time
 of the *unfinished* trials, not the whole campaign.  The
@@ -19,39 +19,37 @@ trial state transition:
 
 Trial identity is :func:`~repro.harness.spec.journal_trial_key`:
 the spec's cache fingerprint when cacheable (journal and trial cache
-agree on identity), else a label key.  That makes resume a pure
-replay: :func:`resume_sweep` reads the journal (torn final lines are
-tolerated, exactly like
+agree on identity), else a label key.  That makes continuing a killed
+sweep a pure replay, and the way to ask for it is to run the same sweep
+on the same journal again: opening a journal that already holds records
+reads them first (torn final lines are tolerated, exactly like
 :func:`repro.telemetry.stream.read_run_log` — a crash mid-append
-never poisons the file), reconstructs each trial's last known state
-(:func:`replay_journal`), serves every finished trial from the trial
-cache *after verifying its content hash matches what the journal
-recorded*, carries quarantine reports over, and re-executes only what
-never finished.  Because every trial is a pure function of its spec,
-the merged results are byte-identical to an uninterrupted run — the
-kill-resume proof in ``tests/harness/test_journal.py`` pins this on
-both the dense and events backends.
+never poisons the file) and folds them into each trial's last known
+state (:func:`replay_journal`, kept as :attr:`RunJournal.state`).  The
+runner then serves every finished trial from the trial cache *after
+verifying its content hash matches what the journal recorded*, carries
+quarantine reports over, and re-executes only what never finished.
+Because every trial is a pure function of its spec, the merged results
+are byte-identical to an uninterrupted run — the kill-resume proof in
+``tests/harness/test_journal.py`` pins this on both the dense and
+events backends.
 
 See ``docs/resilience.md`` for the format and the operational
-workflow (``--journal`` / ``--resume`` on the sweep CLIs).
+workflow (``--journal`` on the sweep CLIs).
 """
 
 import json
-import logging
 import os
 import time
 
-from repro.harness.cache import CACHE_MISS, QuarantinedTrial, result_content_hash
-from repro.telemetry.stream import read_run_log, trim_torn_tail
-
-logger = logging.getLogger(__name__)
+from repro.harness.cache import QuarantinedTrial
+from repro.harness.reporting import format_quarantine_report, format_table
+from repro.telemetry.stream import read_run_log, trim_torn_tail, validate_records
 
 #: Format tag carried by ``journal.start``; bump on breaking changes.
 JOURNAL_FORMAT = "metro-run-journal-v1"
 
-#: Required fields per journal event kind (:func:`validate_journal`;
-#: also folded into run-log validation so journal events embedded in a
-#: run log validate there too).
+#: Required fields per journal event kind (:func:`validate_journal`).
 JOURNAL_REQUIRED_FIELDS = {
     "journal.start": ("format",),
     "sweep.start": ("total", "trials"),
@@ -65,6 +63,18 @@ JOURNAL_REQUIRED_FIELDS = {
 }
 
 
+class JournalMismatchError(ValueError):
+    """This journal cannot take this sweep.
+
+    Either the file is not a readable journal (a directory, malformed
+    or undecodable lines, no ``journal.start`` header, an unknown
+    format tag), or the trials it records share no key with the sweep:
+    the wrong journal, or a code/parameter change moved every
+    fingerprint.  Either way nothing in it can be continued, and
+    appending this sweep to that file would corrupt its history.
+    """
+
+
 class RunJournal:
     """Append-only JSONL write-ahead journal for sweep state.
 
@@ -72,25 +82,34 @@ class RunJournal:
     and fsynced before returning — the write-ahead
     discipline that makes a SIGKILL at any instant recoverable.  The
     worst a crash can leave is one torn final line, which every reader
-    here tolerates.  Opening an existing journal appends to it (a
-    resumed run extends the same history); opening a fresh path writes
-    the ``journal.start`` header first.
+    here tolerates.  Opening an existing journal reads it, keeps the
+    replay as :attr:`state` (what the file held when it was opened; the
+    records this handle appends are not folded in) and appends after it
+    — a re-run extends the same history; opening a fresh path writes the
+    ``journal.start`` header first.  A file that is not a journal
+    raises :class:`JournalMismatchError` with its bytes untouched.
 
     :param path: journal file path (parent directories are created).
     """
 
     def __init__(self, path):
         self.path = str(path)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
+        try:
+            os.makedirs(
+                os.path.dirname(os.path.abspath(self.path)), exist_ok=True
+            )
+            events = read_run_log(self.path) if os.path.exists(self.path) else []
+            if events:
+                validate_journal(events)
+        except (OSError, ValueError) as exc:
+            raise JournalMismatchError(
+                "journal {} cannot be continued: {}".format(self.path, exc)
+            ) from exc
+        self.state = replay_journal(events)
         trim_torn_tail(self.path)
-        fresh = (
-            not os.path.exists(self.path)
-            or os.path.getsize(self.path) == 0
-        )
         self._handle = open(self.path, "a")
         self.records_written = 0
-        if fresh:
+        if not events:
             self.record("journal.start", format=JOURNAL_FORMAT, pid=os.getpid())
 
     @property
@@ -128,17 +147,6 @@ class RunJournal:
         )
 
 
-def read_journal(path_or_lines):
-    """Parse a journal into event dicts (torn final line tolerated).
-
-    Same parser and tolerance contract as
-    :func:`repro.telemetry.stream.read_run_log`: blank lines are
-    skipped, a malformed *final* line (crash mid-append) is dropped,
-    a malformed interior line raises ``ValueError``.
-    """
-    return read_run_log(path_or_lines)
-
-
 def validate_journal(events):
     """Schema-check parsed journal events; returns the event count.
 
@@ -148,29 +156,10 @@ def validate_journal(events):
     format is forward-extensible — but known kinds missing fields
     raise ``ValueError``.
     """
-    if not events:
-        raise ValueError("journal is empty")
-    first = events[0]
-    if first.get("event") != "journal.start":
-        raise ValueError("journal must begin with a journal.start record")
-    if first.get("format") != JOURNAL_FORMAT:
-        raise ValueError(
-            "unknown journal format {!r} (expected {!r})".format(
-                first.get("format"), JOURNAL_FORMAT
-            )
-        )
-    for index, event in enumerate(events):
-        kind = event.get("event")
-        if not isinstance(kind, str):
-            raise ValueError("record {} has no event field".format(index))
-        for field in JOURNAL_REQUIRED_FIELDS.get(kind, ()):
-            if field not in event:
-                raise ValueError(
-                    "record {} ({}) is missing field {!r}".format(
-                        index, kind, field
-                    )
-                )
-    return len(events)
+    return validate_records(
+        events, "journal", "journal.start", JOURNAL_FORMAT,
+        JOURNAL_REQUIRED_FIELDS,
+    )
 
 
 class JournalState:
@@ -279,96 +268,116 @@ def replay_journal(events):
 
 def load_journal_state(path):
     """Read + validate + replay ``path`` in one call."""
-    events = read_journal(path)
+    events = read_run_log(path)
     validate_journal(events)
     return replay_journal(events)
 
 
-def precomputed_from_state(state, trials, cache):
-    """``{trial index: result}`` a journal replay can serve for ``trials``.
-
-    ``trials`` are the runner's per-trial records (``index``, ``spec``,
-    ``journal_key``, ``cache_key`` or None), so a spec's identity is the
-    one the runner already computed for this batch.  The resume
-    decision per trial, made by a resuming
-    :class:`~repro.harness.parallel.TrialRunner` (``resume_from=`` or
-    :func:`resume_sweep`) at the top of every batch:
-
-    * a trial with a ``trial.done`` record is fetched from the trial
-      ``cache`` and served **only if** its content hash matches the
-      hash the journal recorded — a corrupt or foreign cache entry is
-      re-executed, never trusted;
-    * a quarantined trial's report is carried over as-is (it spent its
-      attempt budget; resuming is not a free retry — re-run without
-      resuming to try again);
-    * an unfinished trial — never started, or caught *mid-flight* —
-      is left out: it re-executes on the runner like any other trial
-      (a checkpointed chaos soak then continues from its own snapshot
-      ring instead of starting over).
-
-    Serving nothing is always safe: trials are pure functions of
-    their specs, so re-execution reproduces the journaled results
-    byte-identically, just slower.
-    """
-    precomputed = {}
-    recomputing = []
-    for trial in trials:
-        label = trial.spec.label
-        report = state.quarantined.get(trial.journal_key)
-        if report is not None:
-            precomputed[trial.index] = QuarantinedTrial.from_dict(report)
-            continue
-        entry = state.done.get(trial.journal_key)
-        if entry is None:
-            continue
-        if cache is None or trial.cache_key is None:
-            recomputing.append(label)
-            continue
-        hit = cache.get(trial.cache_key)
-        if hit is CACHE_MISS:
-            recomputing.append(label)
-            continue
-        expected = entry.get("result_hash")
-        if expected is not None and result_content_hash(hit) != expected:
-            logger.warning(
-                "resume: cached result for trial %r does not match the "
-                "journal's content hash; re-executing", label,
-            )
-            recomputing.append(label)
-            continue
-        precomputed[trial.index] = hit
-    if recomputing:
-        shown = ", ".join(recomputing[:5])
-        if len(recomputing) > 5:
-            shown += ", ..."
-        logger.warning(
-            "resume: %d journal-finished trial(s) not servable from the "
-            "trial cache; re-executing deterministically: %s",
-            len(recomputing), shown,
+def format_journal_event(event):
+    """One ``tail --follow`` line for a journal record (None = silent)."""
+    kind = event.get("event")
+    if kind == "journal.start":
+        return "journal.start ({}, pid {})".format(
+            event.get("format"), event.get("pid")
         )
-    return precomputed
+    if kind == "sweep.start":
+        return "sweep.start {} trial(s), {} worker(s)".format(
+            event.get("total"), event.get("workers")
+        )
+    if kind == "trial.start":
+        return "trial       [{}] {} attempt {} on worker {}".format(
+            event.get("index"), event.get("label"),
+            event.get("attempt"), event.get("worker"),
+        )
+    if kind == "trial.done":
+        elapsed = event.get("elapsed")
+        return "trial done  [{}] {} ({}{})".format(
+            event.get("index"), event.get("label"), event.get("source"),
+            "" if elapsed is None else ", {:.2f}s".format(elapsed),
+        )
+    if kind == "trial.failed":
+        return "trial FAIL  [{}] {} attempt {}: {} ({})".format(
+            event.get("index"), event.get("label"), event.get("attempt"),
+            event.get("kind"), event.get("detail"),
+        )
+    if kind == "trial.quarantined":
+        return "QUARANTINE  [{}] {}".format(
+            event.get("index"), event.get("label")
+        )
+    if kind == "sweep.end":
+        return (
+            "sweep.end   {} trial(s): {} executed, {} cached, "
+            "{} quarantined".format(
+                event.get("total"), event.get("executed"),
+                event.get("cached"), event.get("quarantined"),
+            )
+        )
+    if kind == "sweep.interrupted":
+        return (
+            "INTERRUPT   {} — journal flushed, run the same command "
+            "again".format(event.get("signal") or event.get("signum"))
+        )
+    return None
 
 
-def resume_sweep(journal_path, specs, runner):
-    """Finish an interrupted sweep; returns results in spec order.
+def render_journal(events, last):
+    """The ``tail`` summary of a run journal, as lines; the trial table
+    shows the ``last`` trial events (see ``docs/resilience.md``)."""
+    state = replay_journal(events)
+    lines = [
+        "run journal: {} event(s); {}".format(len(events), state.describe())
+    ]
 
-    Points ``runner`` at the journal (:meth:`TrialRunner.resume
-    <repro.harness.parallel.TrialRunner.resume>`, what
-    ``TrialRunner(resume_from=journal_path)`` does at construction)
-    and runs ``specs`` on it, so every
-    already-finished trial is served as a precomputed result (progress
-    source ``"resumed"``) per :func:`precomputed_from_state`.
+    rows = []
+    for event in events:
+        kind = event.get("event")
+        if kind == "trial.done":
+            detail = event.get("source")
+            elapsed = event.get("elapsed")
+            if elapsed is not None:
+                detail = "{} ({:.2f}s)".format(detail, elapsed)
+        elif kind == "trial.failed":
+            detail = "{}: {}".format(
+                event.get("kind"), (event.get("detail") or "")[:40]
+            )
+        elif kind == "trial.quarantined":
+            detail = "attempt budget exhausted"
+        else:
+            continue
+        rows.append(
+            {
+                "trial": event.get("label"),
+                "event": kind.split(".", 1)[1],
+                "attempt": event.get("attempt", "-"),
+                "detail": detail,
+            }
+        )
+    if rows:
+        shown = rows[-last:]
+        title = (
+            "last {} of {} trial event(s)".format(len(shown), len(rows))
+            if len(rows) > len(shown)
+            else "trial events"
+        )
+        lines.append("")
+        lines.append(format_table(shown, title=title))
 
-    Because trials are pure functions of their specs, the merged
-    results are byte-identical to an uninterrupted run.  Raises
-    :class:`~repro.harness.parallel.JournalMismatchError` (a
-    ``ValueError``) when the journal shares no trial keys with
-    ``specs`` — the wrong journal, or a code change moved every
-    fingerprint, either way nothing can be safely resumed.
+    if state.quarantined:
+        reports = [
+            QuarantinedTrial.from_dict(report)
+            for report in state.quarantined.values()
+        ]
+        lines.append("")
+        lines.append(format_quarantine_report(reports))
 
-    Point the runner's own ``journal`` at the same path to extend the
-    history: the resumed leg appends its records after the crash
-    point.
-    """
-    runner.resume(journal_path)
-    return runner.run(specs)
+    lines.append("")
+    if state.interrupted:
+        lines.append(
+            "sweep interrupted by {} (run the same command again to "
+            "finish it)".format(state.interrupted)
+        )
+    elif state.completed:
+        lines.append("sweep completed")
+    else:
+        lines.append("sweep in progress (no sweep.end yet)")
+    return lines

@@ -40,10 +40,9 @@ Durability: pass ``journal=`` (a :class:`~repro.harness.journal
 (queued → running → done/failed/quarantined) are appended to a
 crash-safe JSONL journal as they happen; SIGTERM/SIGINT mid-sweep
 flushes the journal and shuts the pool down cleanly instead of tearing
-the run.  A runner built with ``resume_from=`` (or
-:func:`repro.harness.journal.resume_sweep`) replays such a journal
-against the trial cache so an interrupted sweep finishes from where it
-died.
+the run.  A runner given a journal that already holds records replays
+it against the trial cache first, so running an interrupted sweep again
+on the same journal finishes it from where it died.
 
 Determinism: each trial receives its own seed derived from the sweep's
 root seed via :func:`repro.core.random_source.derive_seed`, and every
@@ -76,7 +75,7 @@ from repro.harness.cache import (  # noqa: F401  (re-exported)
     partition_quarantined,
     result_content_hash,
 )
-from repro.harness.journal import RunJournal, load_journal_state, precomputed_from_state
+from repro.harness.journal import JournalMismatchError, JournalState, RunJournal
 from repro.harness.pool import WorkerPool, check_sendable
 from repro.harness.spec import (  # noqa: F401  (re-exported)
     TrialSpec,
@@ -122,24 +121,13 @@ class SweepInterrupted(RuntimeError):
 
     The runner flushes a ``sweep.interrupted`` journal record and
     shuts the pool down cleanly before raising, so the journal +
-    trial cache describe exactly what finished —
-    :func:`repro.harness.journal.resume_sweep` picks up from there.
+    trial cache describe exactly what finished — running the same
+    sweep on the same journal again picks up from there.
     """
 
     def __init__(self, message, signum=None):
         super().__init__(message)
         self.signum = signum
-
-
-class JournalMismatchError(ValueError):
-    """The journal being resumed cannot serve the sweep.
-
-    Either it is not a readable journal at all (missing, empty,
-    malformed, undecodable), or it shares no trial with the sweep: the
-    wrong journal, or a code/parameter change moved every fingerprint.
-    Either way nothing can be safely resumed, and appending this sweep
-    to that file would corrupt its history.
-    """
 
 
 class TrialBackoff:
@@ -203,9 +191,9 @@ def _normalize_retries(retries):
 class TrialEvent:
     """One progress report: trial ``index`` of ``total`` finished.
 
-    ``source`` is ``"executed"``, ``"cache"``, ``"resumed"`` (served
-    from the cache via a journal replay —
-    :func:`repro.harness.journal.resume_sweep`), ``"timeout"`` (the
+    ``source`` is ``"executed"``, ``"cache"``, ``"resumed"`` (the
+    runner's journal already records the trial finished: served from
+    the cache, content hash verified), ``"timeout"`` (the
     trial was killed at the runner's wall-clock limit), or
     ``"quarantined"`` (the trial exhausted its attempt budget and the
     sweep carried on without it).  On a parallel pool, events fire in
@@ -271,14 +259,15 @@ class _Trial:
 
     Built once per spec per batch, so the spec's identity is computed
     once (a spec is mutable, hence here and not on :class:`TrialSpec`);
-    the serial loop, the pool loop, :meth:`TrialRunner._attempt_failed`
-    and :func:`repro.harness.journal.precomputed_from_state` all pass
-    this record around instead of its fields.
+    the lookup, the serial loop, the pool loop and
+    :meth:`TrialRunner._attempt_failed` all pass this record around
+    instead of its fields.
     """
 
     __slots__ = (
         "index", "total", "spec", "journal_key", "cache_key", "attempt",
         "inflight", "failures", "started", "resolved", "result",
+        "result_hash",
     )
 
     def __init__(self, index, total, spec):
@@ -293,6 +282,8 @@ class _Trial:
         self.started = None
         self.resolved = False
         self.result = None
+        #: The result's content hash, once something has computed it.
+        self.result_hash = None
 
 
 class TrialRunner:
@@ -319,10 +310,23 @@ class TrialRunner:
         :class:`TrialTimeoutError` instead of being lost with the
         killed worker.
     :param journal: a :class:`repro.harness.journal.RunJournal` (or a
-        path to create one at) that receives every trial state
+        path to open one at) that receives every trial state
         transition as a durable JSONL record; also arms SIGTERM/SIGINT
         handling so an interrupted sweep journals its shutdown and
         stops cleanly (:class:`SweepInterrupted`) instead of tearing.
+        A journal that already holds records is continued: every
+        :meth:`run` batch first serves the trials it shows finished
+        (content-hash-verified against the trial cache, source
+        ``"resumed"``), carries its quarantine reports over and
+        re-executes only the rest, so the way to finish a killed sweep
+        is to run it again on the same journal.  That works across the
+        batches of a lazy sweep; the *first* batch must share at least
+        one trial with the journal, else :class:`JournalMismatchError`
+        is raised before anything is recorded.  A trial the journal
+        shows *mid-flight* is an unfinished trial like any other: it
+        is re-dispatched, and a checkpointed chaos soak then continues
+        from its own snapshot ring
+        (:func:`repro.harness.chaos.run_chaos_point`).
     :param retries: per-trial attempt budget — a :class:`TrialBackoff`,
         an int (= ``max_attempts`` with default backoff), or None
         (single attempt, the historical behaviour).
@@ -332,17 +336,6 @@ class TrialRunner:
         trial's own exception) or ``"quarantine"`` (the sweep
         completes; the trial's result slot holds a
         :class:`QuarantinedTrial` report).
-    :param resume_from: path to an existing run journal to resume
-        from: every :meth:`run` batch first serves trials the journal
-        shows finished (content-hash-verified against the trial
-        cache, source ``"resumed"``) and re-executes only the rest.
-        Works across multiple batches on one runner (lazy sweeps);
-        the *first* batch must share at least one trial with the
-        journal, else :class:`JournalMismatchError` is raised before
-        anything is recorded.  A trial the journal shows *mid-flight*
-        is an unfinished trial like any other: it is re-dispatched,
-        and a checkpointed chaos soak then continues from its own
-        snapshot ring (:func:`repro.harness.chaos.run_chaos_point`).
     """
 
     def __init__(
@@ -355,23 +348,17 @@ class TrialRunner:
         journal=None,
         retries=None,
         on_exhausted=None,
-        resume_from=None,
     ):
         self.workers = max(1, int(workers))
         self.cache = TrialCache(cache_dir) if cache_dir else None
         self.progress = progress
         self.trial_timeout = trial_timeout
         self.heartbeat_dir = heartbeat_dir
-        # Resume state is replayed before the journal handle opens so
-        # a missing/empty resume file fails loudly instead of being
-        # created empty by the append-mode open below.
-        self.resume_state = None
-        self._resume_unchecked = None
-        if resume_from:
-            self.resume(resume_from)
         if isinstance(journal, (str, os.PathLike)):
             journal = RunJournal(journal)
         self.journal = journal
+        #: What the journal held when it was opened (without one: nothing).
+        self._history = journal.state if journal is not None else JournalState()
         self.retries = _normalize_retries(retries)
         on_exhausted = on_exhausted or "raise"
         if on_exhausted not in ("raise", "quarantine"):
@@ -385,42 +372,19 @@ class TrialRunner:
 
     # -- public API ------------------------------------------------------
 
-    def resume(self, journal_path):
-        """Replay ``journal_path`` into every later :meth:`run` batch.
-
-        What ``resume_from=`` does at construction; a missing, empty, malformed or undecodable journal raises
-        :class:`JournalMismatchError` here, before any file is opened
-        for writing.
-        """
-        try:
-            self.resume_state = load_journal_state(journal_path)
-        except (OSError, ValueError) as exc:
-            raise JournalMismatchError(
-                "journal {} cannot be resumed: {}".format(journal_path, exc)
-            ) from exc
-        self._resume_unchecked = journal_path
-
     def run(self, specs):
         """Run every spec; returns results in spec order.
 
-        Cached trials are served without execution; the remainder run
-        serially or on the pool.  Results are identical either way
-        because each trial is a pure function of its spec.  When the
-        runner is resuming a journal, trials it shows finished are
-        served with source ``"resumed"``
-        (:func:`repro.harness.journal.precomputed_from_state`).
+        Trials the journal or the cache can serve (:meth:`_lookup`) are
+        not executed; the remainder run serially or on the pool.
+        Results are identical either way because each trial is a pure
+        function of its spec.
         """
         specs = list(specs)
         trials = [
             _Trial(index, len(specs), spec) for index, spec in enumerate(specs)
         ]
-        pending = []
-        precomputed = {}
-        if self.resume_state is not None:
-            self._check_resume(trials)
-            precomputed = precomputed_from_state(
-                self.resume_state, trials, self.cache
-            )
+        self._check_journal(trials)
         if self.journal is not None:
             self.journal.record(
                 "sweep.start",
@@ -438,16 +402,23 @@ class TrialRunner:
                     for trial in trials
                 ],
             )
+        pending = []
         for trial in trials:
-            source, result = "resumed", precomputed.get(trial.index, CACHE_MISS)
-            if (result is CACHE_MISS and self.cache is not None
-                    and trial.cache_key is not None):
-                source, result = "cache", self.cache.get(trial.cache_key)
+            result, source = self._lookup(trial)
             if result is CACHE_MISS:
                 pending.append(trial)
                 self._journal_trial("trial.queued", trial, seed=trial.spec.seed)
             else:
                 self._finish(trial, result, 0.0, source)
+        unserved = sum(
+            trial.journal_key in self._history.done for trial in pending
+        )
+        if unserved:
+            logger.warning(
+                "%d trial(s) journal %s records as finished cannot be "
+                "served from the trial cache; re-executing deterministically",
+                unserved, self.journal.path,
+            )
 
         if pending:
             restore = self._install_signal_handlers()
@@ -483,26 +454,67 @@ class TrialRunner:
                 heartbeat=heartbeat,
             ))
 
-    def _check_resume(self, trials):
-        """Refuse to resume a journal that does not describe ``trials``.
+    def _check_journal(self, trials):
+        """Refuse a journal that records other trials than ``trials``.
 
-        Only the first batch after :meth:`resume` is checked: later
+        Only the first batch is checked, while this runner has appended
+        nothing and refusing leaves the file as it was found: later
         batches of a lazy search may legitimately probe points the
-        interrupted run never reached.
+        earlier run never reached.  A journal that records no trial yet
+        is a fresh one.
         """
-        journal_path, self._resume_unchecked = self._resume_unchecked, None
-        if journal_path is None or not trials:
+        if self.journal is None or self.journal.records_written or not trials:
             return
-        state = self.resume_state
-        known = set(state.trials) | set(state.done) | set(state.quarantined)
-        if not any(trial.journal_key in known for trial in trials):
+        history = self._history
+        known = set(history.trials) | set(history.done) | set(history.quarantined)
+        if known and not any(trial.journal_key in known for trial in trials):
             raise JournalMismatchError(
                 "journal {} does not describe this sweep: none of its {} "
                 "trial key(s) match (wrong journal, or a code/parameter "
                 "change moved every fingerprint)".format(
-                    journal_path, len(trials)
+                    self.journal.path, len(trials)
                 )
             )
+
+    def _lookup(self, trial):
+        """The one lookup per trial: ``(result, source)``, the result
+        :data:`CACHE_MISS` when the trial has to run.
+
+        * A trial the journal quarantined keeps its report (it spent
+          its attempt budget; running the sweep again is not a free
+          retry: use a fresh journal to try again).
+        * Otherwise the trial cache is asked, once.  A hit for a trial
+          the journal shows finished is served (``"resumed"``) **only
+          if** its content hash is the one the journal recorded: a
+          damaged or foreign entry is a warned miss, and the
+          re-execution overwrites it.  A hit the journal says nothing
+          about is served as ``"cache"``.
+        * A trial that never finished, or was caught *mid-flight*, is
+          a miss like any other.
+
+        Serving nothing is always safe: trials are pure functions of
+        their specs, so re-execution reproduces the journaled results
+        byte-identically, just slower.
+        """
+        report = self._history.quarantined.get(trial.journal_key)
+        if report is not None:
+            return QuarantinedTrial.from_dict(report), "resumed"
+        if self.cache is None or trial.cache_key is None:
+            return CACHE_MISS, None
+        result = self.cache.get(trial.cache_key)
+        finished = self._history.done.get(trial.journal_key)
+        if result is CACHE_MISS or finished is None:
+            return result, "cache"
+        digest = result_content_hash(result)
+        if finished.get("result_hash") not in (None, digest):
+            logger.warning(
+                "cached result for trial %r does not match the content "
+                "hash journal %s recorded; re-executing",
+                trial.spec.label, self.journal.path,
+            )
+            return CACHE_MISS, None
+        trial.result_hash = digest  # trial.done records it again
+        return result, "resumed"
 
     def _journal_trial(self, event_kind, trial, **fields):
         if self.journal is None:
@@ -567,8 +579,9 @@ class TrialRunner:
         return os.path.join(self.heartbeat_dir, "trial-{}.json".format(index))
 
     def _finish(self, trial, result, elapsed, source="executed"):
-        """``trial`` has its result: executed just now, or served from
-        the cache (``"cache"``) or a journal replay (``"resumed"``)."""
+        """``trial`` has its result: executed just now, or served by
+        :meth:`_lookup` (``"cache"``, or ``"resumed"`` under the
+        journal's content hash)."""
         trial.result = result
         trial.resolved = True
         if source != "executed":
@@ -581,7 +594,7 @@ class TrialRunner:
         if self.journal is not None:  # hashing a result is not free
             self._journal_trial(
                 "trial.done", trial, source=source, elapsed=elapsed,
-                result_hash=result_content_hash(result),
+                result_hash=trial.result_hash or result_content_hash(result),
             )
         self._emit(trial, elapsed, source)
 

@@ -29,9 +29,9 @@ Every record is one JSON object per line with at least ``event`` and
 ``cycle``; ``t`` is wall-clock seconds since the stream opened (log
 metadata only — nothing in the simulation ever reads it, so streamed
 and unstreamed runs stay byte-identical).  ``metro-repro tail`` renders
-a run log (optionally following it live); :func:`read_run_log` parses
-one; :func:`merge_stream_metrics` folds its deltas back into a
-snapshot.
+a run log (optionally following it live) with :func:`render_run_log`
+and :func:`format_run_log_event`; :func:`read_run_log` parses one;
+:func:`merge_stream_metrics` folds its deltas back into a snapshot.
 
 The stream implements the observer compression protocol
 (``next_event_cycle``): on the event-driven backends an attached
@@ -53,9 +53,6 @@ logger = logging.getLogger(__name__)
 STREAM_FORMAT = "metro-run-log-v1"
 
 #: Per-event required fields enforced by :func:`validate_run_log`.
-#: Journal events (``trial.*`` / ``sweep.*``, see
-#: :mod:`repro.harness.journal`) are merged in at validation time so a
-#: run log and a run journal can share tooling (``metro-repro tail``).
 REQUIRED_FIELDS = {
     "metrics.delta": ("series", "seq"),
     "window.stats": ("window", "delivered"),
@@ -471,31 +468,32 @@ def merge_stream_metrics(events):
     return merged
 
 
-def validate_run_log(events):
-    """Schema-check parsed run-log events; returns the event count.
+def validate_records(events, noun, header, format_tag, required):
+    """Schema-check parsed JSONL records; returns the record count.
 
-    Requires a leading ``run.start`` with the known format tag, an
-    integer-or-null ``cycle`` on every record, and per-event required
-    fields.  Raises ``ValueError`` on the first offense (mirrors
-    :func:`repro.telemetry.spans.validate_trace_events` — CI gates
-    streamed artifacts with it).
+    The one loop behind :func:`validate_run_log` and
+    :func:`repro.harness.journal.validate_journal`: ``events`` (a
+    ``noun``, for the messages) must begin with a ``header`` record
+    carrying ``format_tag``, every record needs a string ``event``, and
+    a kind listed in ``required`` needs every field named there.
+    Unknown kinds pass: both formats are forward-extensible.  A
+    ``cycle``, where a record has one (every run-log record does, no
+    journal record does), must be an integer or null.  Raises
+    ``ValueError`` on the first offense.
     """
     if not events:
-        raise ValueError("run log is empty")
+        raise ValueError("{} is empty".format(noun))
     first = events[0]
-    if first.get("event") != "run.start":
-        raise ValueError("run log must begin with a run.start event")
-    if first.get("format") != STREAM_FORMAT:
+    if first.get("event") != header:
         raise ValueError(
-            "unknown run-log format {!r} (expected {!r})".format(
-                first.get("format"), STREAM_FORMAT
+            "{} must begin with a {} record".format(noun, header)
+        )
+    if first.get("format") != format_tag:
+        raise ValueError(
+            "unknown {} format {!r} (expected {!r})".format(
+                noun, first.get("format"), format_tag
             )
         )
-    # Lazy import: journal builds on this module, not the reverse.
-    from repro.harness.journal import JOURNAL_REQUIRED_FIELDS
-
-    required = dict(REQUIRED_FIELDS)
-    required.update(JOURNAL_REQUIRED_FIELDS)
     for index, event in enumerate(events):
         kind = event.get("event")
         if not isinstance(kind, str):
@@ -515,3 +513,188 @@ def validate_run_log(events):
                     )
                 )
     return len(events)
+
+
+def validate_run_log(events):
+    """Schema-check parsed run-log events; returns the event count.
+
+    Requires a leading ``run.start`` with the known format tag, an
+    integer-or-null ``cycle`` on every record, and per-event required
+    fields.  Raises ``ValueError`` on the first offense (mirrors
+    :func:`repro.telemetry.spans.validate_trace_events` — CI gates
+    streamed artifacts with it).
+    """
+    return validate_records(
+        events, "run log", "run.start", STREAM_FORMAT, REQUIRED_FIELDS
+    )
+
+
+# ---------------------------------------------------------------------------
+# Rendering run logs (``repro tail``)
+# ---------------------------------------------------------------------------
+
+
+def format_run_log_event(event):
+    """One ``tail --follow`` line for a run-log event (None = silent).
+
+    Deltas are deliberately silent in follow mode — they are transport,
+    not narrative; the summary rendering folds them into percentiles.
+    """
+    kind = event.get("event")
+    cycle = event.get("cycle")
+    if kind == "run.start":
+        return "run.start  flush every {} cycles, window {} cycles".format(
+            event.get("flush_every"), event.get("window_cycles")
+        )
+    if kind == "window.stats":
+        p50 = event.get("p50_latency")
+        p99 = event.get("p99_latency")
+        p999 = event.get("p999_latency")
+        return (
+            "window {:>4} @{:<8} delivered={:<6} p50={} p99={} p999={}".format(
+                event.get("window"),
+                cycle,
+                event.get("delivered"),
+                "-" if p50 is None else p50,
+                "-" if p99 is None else p99,
+                "-" if p999 is None else p999,
+            )
+        )
+    if kind == "fault.transition":
+        return "fault       @{:<8} {:<8} {}".format(
+            cycle, event.get("action"), event.get("fault")
+        )
+    if kind == "watchdog.stall":
+        return (
+            "STALL       @{:<8} no progress for {} cycles, {} pending, "
+            "{} violation(s)".format(
+                cycle,
+                event.get("stalled_cycles"),
+                event.get("pending"),
+                len(event.get("violations", [])),
+            )
+        )
+    if kind == "snapshot.write":
+        return "checkpoint  @{:<8} {}".format(cycle, event.get("path"))
+    if kind == "run.end":
+        return "run.end     @{:<8} {} delta(s)".format(
+            cycle, event.get("deltas")
+        )
+    return None
+
+
+def render_run_log(events, last):
+    """The ``tail`` summary of a whole (possibly still-growing) run log,
+    as lines; tables show the ``last`` windows and fault transitions."""
+    # The table formatters are a stdlib-only leaf; imported here because
+    # the ``repro.harness`` package imports this module.
+    from repro.harness.reporting import (
+        format_percentiles,
+        format_table,
+        sparkline,
+    )
+
+    kinds = {}
+    for event in events:
+        kinds.setdefault(event.get("event"), []).append(event)
+
+    start = events[0]
+    line = "run log: {} event(s), flush every {} cycles".format(
+        len(events), start.get("flush_every")
+    )
+    if start.get("window_cycles"):
+        line += ", window {} cycles".format(start.get("window_cycles"))
+    lines = [line]
+    meta = start.get("meta") or {}
+    if meta:
+        lines.append(
+            "  meta: "
+            + ", ".join(
+                "{}={}".format(key, meta[key]) for key in sorted(meta)
+            )
+        )
+
+    windows = kinds.get("window.stats", [])
+    if windows:
+        lines.append("")
+        lines.append(
+            "delivered/window: {}".format(
+                sparkline([w.get("delivered", 0) for w in windows], lo=0)
+            )
+        )
+        rows = [
+            {
+                "window": w.get("window"),
+                "cycles": "{}..{}".format(
+                    w.get("start_cycle"), w.get("end_cycle")
+                ),
+                "delivered": w.get("delivered"),
+                "p50": w.get("p50_latency"),
+                "p95": w.get("p95_latency"),
+                "p99": w.get("p99_latency"),
+                "p999": w.get("p999_latency"),
+            }
+            for w in windows[-last:]
+        ]
+        title = (
+            "last {} of {} windows".format(len(rows), len(windows))
+            if len(windows) > len(rows)
+            else "windows"
+        )
+        lines.append(format_table(rows, title=title))
+
+    faults = kinds.get("fault.transition", [])
+    if faults:
+        lines.append("")
+        lines.append("fault transitions: {}".format(len(faults)))
+        for event in faults[-last:]:
+            lines.append("  " + format_run_log_event(event))
+
+    for event in kinds.get("watchdog.stall", []):
+        lines.append("")
+        lines.append(format_run_log_event(event))
+        for violation in event.get("violations", [])[:5]:
+            lines.append(
+                "    {} port={} [{}] {}".format(
+                    violation.get("component"),
+                    violation.get("port"),
+                    violation.get("rule"),
+                    violation.get("detail"),
+                )
+            )
+
+    snapshots = kinds.get("snapshot.write", [])
+    if snapshots:
+        lines.append("")
+        lines.append(
+            "checkpoints: {} (latest {})".format(
+                len(snapshots), snapshots[-1].get("path")
+            )
+        )
+
+    merged = merge_stream_metrics(events)
+    if len(merged):
+        lines.append("")
+        lines.append(
+            format_percentiles(
+                merged,
+                ["message.latency.cycles", "message.attempts"],
+                title="metrics ({} delta(s) merged)".format(
+                    len(kinds.get("metrics.delta", []))
+                ),
+            )
+        )
+
+    lines.append("")
+    ends = kinds.get("run.end", [])
+    if ends:
+        summary = ends[-1].get("summary") or {}
+        line = "run ended at cycle {}".format(ends[-1].get("cycle"))
+        if summary:
+            line += ": " + ", ".join(
+                "{}={}".format(key, summary[key]) for key in sorted(summary)
+            )
+        lines.append(line)
+    else:
+        lines.append("run in progress (no run.end yet)")
+    return lines

@@ -9,10 +9,11 @@ import shutil
 import pytest
 
 from repro.harness.chaos import SNAPSHOT_KEEP, chaos_trial_specs, run_chaos_point
-from repro.harness.journal import RunJournal, read_journal
+from repro.harness.journal import RunJournal
 from repro.harness.load_sweep import figure1_network
 from repro.harness.parallel import TrialRunner, TrialSpec, journal_trial_key
 from repro.sim.snapshot import MAGIC, Snapshot
+from repro.telemetry.stream import read_run_log
 from repro.verify.families import FAMILIES
 
 # Small, fast soak: 6 windows of 200 cycles, ring every window.
@@ -211,12 +212,11 @@ def test_journal_resume_finishes_a_mid_flight_soak_in_a_pool_worker(
         handle.record("sweep.start", total=1, trials=[dict(trial, seed=spec.seed)])
         handle.record("trial.queued", seed=spec.seed, **trial)
         handle.record("trial.start", attempt=1, worker=os.getpid(), **trial)
-    before = len(read_journal(journal))
+    before = len(read_run_log(journal))
 
     events = []
     runner = TrialRunner(
-        workers=2, resume_from=journal, journal=journal,
-        progress=events.append,
+        workers=2, journal=journal, progress=events.append,
     )
     (result,) = runner.run([spec])
     runner.journal.close()
@@ -225,7 +225,7 @@ def test_journal_resume_finishes_a_mid_flight_soak_in_a_pool_worker(
     # its own trial.start record, and reported as executed.
     assert [event.source for event in events] == ["executed"]
     (start,) = [
-        e for e in read_journal(journal)[before:] if e["event"] == "trial.start"
+        e for e in read_run_log(journal)[before:] if e["event"] == "trial.start"
     ]
     assert start["worker"] != os.getpid()
     # The worker picked the soak up at its checkpoint: the run log's

@@ -19,9 +19,7 @@ from repro.harness.journal import (
     JOURNAL_FORMAT,
     RunJournal,
     load_journal_state,
-    read_journal,
     replay_journal,
-    resume_sweep,
     validate_journal,
 )
 from repro.harness.parallel import (
@@ -33,6 +31,7 @@ from repro.harness.parallel import (
     journal_trial_key,
     result_content_hash,
 )
+from repro.telemetry.stream import read_run_log
 
 
 def _load_specs(n=3, backend=None):
@@ -88,14 +87,14 @@ def test_journal_header_and_round_trip(tmp_path):
         ])
         journal.record("trial.done", index=0, key="k0", label="pt0",
                        source="executed", result_hash="abc")
-    events = read_journal(str(path))
+    events = read_run_log(str(path))
     assert validate_journal(events) == 3
     assert events[0]["event"] == "journal.start"
     assert events[0]["format"] == JOURNAL_FORMAT
     assert all("t" in event for event in events)
     # Closed journals drop further records instead of crashing.
     journal.record("sweep.end", total=1)
-    assert len(read_journal(str(path))) == 3
+    assert len(read_run_log(str(path))) == 3
 
 
 def test_torn_tail_is_tolerated_and_trimmed_on_append(tmp_path):
@@ -105,12 +104,12 @@ def test_torn_tail_is_tolerated_and_trimmed_on_append(tmp_path):
         journal.record("trial.queued", index=1, key="k1", label="pt1")
     # Crash mid-append: the final record is torn.
     assert truncate_tail(str(path), 9) == 9
-    events = read_journal(str(path))
+    events = read_run_log(str(path))
     assert [e["event"] for e in events] == ["journal.start", "trial.queued"]
     # Appending after the crash must not glue onto the fragment.
     with RunJournal(path) as journal:
         journal.record("trial.queued", index=2, key="k2", label="pt2")
-    events = read_journal(str(path))
+    events = read_run_log(str(path))
     assert validate_journal(events) == 3
     assert [e.get("key") for e in events] == [None, "k0", "k2"]
     # The header was not rewritten on reopen.
@@ -131,7 +130,7 @@ def test_validate_journal_rejects_malformed(tmp_path):
     assert validate_journal([header, {"event": "trial.custom"}]) == 2
     # JSON that is not an object is stopped by the shared parser.
     with pytest.raises(ValueError, match="line 1 is not a JSON object"):
-        read_journal(["[1,2,3]", "42"])
+        read_run_log(["[1,2,3]", "42"])
 
 
 def test_replay_journal_later_records_win():
@@ -181,7 +180,7 @@ def test_runner_journals_full_sweep_lifecycle(tmp_path):
     ]
     results = runner.run(specs)
     runner.journal.close()
-    events = read_journal(str(path))
+    events = read_run_log(str(path))
     validate_journal(events)
     kinds = [e["event"] for e in events]
     assert kinds[0] == "journal.start"
@@ -213,7 +212,7 @@ def test_resume_sweep_is_byte_identical_to_uninterrupted(tmp_path):
         cache_dir=cache_dir, journal=path,
         progress=lambda e: sources.append(e.source),
     )
-    resumed = resume_sweep(path, specs, leg2)
+    resumed = leg2.run(specs)
     leg2.journal.close()
     assert sources == ["resumed", "resumed", "executed"]
     assert leg2.stats.executed == 1
@@ -232,8 +231,10 @@ def test_resume_rejects_unrelated_journal(tmp_path):
     other = [
         TrialSpec(__name__ + ":_echo_trial", params=dict(value=9), seed=9)
     ]
+    before = open(path, "rb").read()
     with pytest.raises(ValueError, match="does not describe this sweep"):
-        resume_sweep(path, other, TrialRunner())
+        TrialRunner(journal=path).run(other)
+    assert open(path, "rb").read() == before
 
 
 def test_resume_refuses_corrupt_cache_entry_and_recomputes(tmp_path):
@@ -246,11 +247,50 @@ def test_resume_refuses_corrupt_cache_entry_and_recomputes(tmp_path):
     # A worker died mid-write / the disk lied: flip a cached byte.
     assert corrupt_cache_entry(leg1.cache, specs[0].fingerprint())
     leg2 = TrialRunner(cache_dir=cache_dir, journal=path)
-    resumed = resume_sweep(path, specs, leg2)
+    resumed = leg2.run(specs)
     leg2.journal.close()
     # The damaged entry was not trusted; the result is still right.
     assert leg2.stats.executed == 1
     assert _result_bytes(resumed) == _result_bytes(control)
+
+
+@pytest.mark.parametrize("damage", ["rewritten in place", "another result"])
+def test_resume_refuses_a_damaged_cache_entry_that_still_decodes(
+    tmp_path, damage
+):
+    """The journal's content hash is the only thing that can catch it:
+    ``TrialCache.get`` decodes the entry without complaint."""
+    specs = [
+        TrialSpec(__name__ + ":_echo_trial", params=dict(value=value),
+                  seed=1, label="echo-{}".format(value))
+        for value in ("payload-AAAA", "payload-CCCC")
+    ]
+    cache_dir = str(tmp_path / "cache")
+    path = str(tmp_path / "run.jsonl")
+    leg1 = TrialRunner(cache_dir=cache_dir, journal=path)
+    control = leg1.run(specs)
+    leg1.journal.close()
+    key = specs[0].fingerprint()
+    entry = leg1.cache._path(key)
+    intact = open(entry, "rb").read()
+    if damage == "rewritten in place":
+        assert intact.count(b"payload-AAAA") == 1
+        with open(entry, "wb") as handle:
+            handle.write(intact.replace(b"payload-AAAA", b"payload-BBBB"))
+    else:
+        leg1.cache.put(key, ("payload-BBBB", 1))
+    assert leg1.cache.get(key) == ("payload-BBBB", 1)
+
+    sources = []
+    leg2 = TrialRunner(cache_dir=cache_dir, journal=path,
+                       progress=lambda e: sources.append(e.source))
+    resumed = leg2.run(specs)
+    leg2.journal.close()
+    assert sources == ["resumed", "executed"]  # completion order
+    assert leg2.stats.executed == 1
+    assert resumed == control == [("payload-AAAA", 1), ("payload-CCCC", 1)]
+    # The re-execution left a correct entry behind.
+    assert open(entry, "rb").read() == intact
 
 
 def test_quarantine_report_carries_over_on_resume(tmp_path):
@@ -269,7 +309,7 @@ def test_quarantine_report_carries_over_on_resume(tmp_path):
     assert is_quarantined(results[1])
     # Resume does not grant the poison trial a fresh attempt budget.
     leg2 = TrialRunner(cache_dir=cache_dir, journal=path)
-    resumed = resume_sweep(path, specs, leg2)
+    resumed = leg2.run(specs)
     leg2.journal.close()
     assert leg2.stats.executed == 0
     assert resumed[0] == (1, 1)
@@ -297,7 +337,7 @@ def test_sigterm_mid_sweep_flushes_journal_and_resumes(tmp_path):
     assert state.interrupted == "SIGTERM"
     assert len(state.done) >= 1 and state.unfinished
     leg2 = TrialRunner(cache_dir=cache_dir, journal=path)
-    resumed = resume_sweep(path, specs, leg2)
+    resumed = leg2.run(specs)
     leg2.journal.close()
     control = TrialRunner(cache_dir=str(tmp_path / "control")).run(specs)
     assert _result_bytes(resumed) == _result_bytes(control)
@@ -360,9 +400,7 @@ def test_kill_resume_byte_identical(tmp_path, backend):
     assert state.started and not state.completed
 
     specs = _load_specs(3, backend=backend)
-    resumed_runner = TrialRunner(
-        cache_dir=cache_dir, journal=journal, resume_from=journal
-    )
+    resumed_runner = TrialRunner(cache_dir=cache_dir, journal=journal)
     resumed = resumed_runner.run(specs)
     resumed_runner.journal.close()
     assert resumed_runner.stats.cached == 1     # pt0 served, not re-run

@@ -540,7 +540,7 @@ def test_serial_and_pool_agree_on_failure_handling(
     are the same whether the trial ran in-process or on the pool
     (``worker``, ``t`` and ``detail`` aside: the pool's detail carries
     the worker's traceback)."""
-    from repro.harness.journal import read_journal
+    from repro.telemetry.stream import read_run_log
     from repro.harness.parallel import TrialBackoff, is_quarantined
 
     ledger = str(tmp_path / "attempts.txt")
@@ -580,7 +580,7 @@ def test_serial_and_pool_agree_on_failure_handling(
         finally:
             runner.journal.close()
         failures = [
-            scrub(event) for event in read_journal(journal)
+            scrub(event) for event in read_run_log(journal)
             if event.get("label") == "flaky"
             and event["event"] in ("trial.failed", "trial.quarantined")
         ]
@@ -854,10 +854,10 @@ def _journal_shape(path):
     pids, seconds, the pool's traceback under the first ``detail``
     line) are masked.
     """
-    from repro.harness.journal import read_journal
+    from repro.telemetry.stream import read_run_log
 
     sweep, trials = [], {}
-    for event in read_journal(path):
+    for event in read_run_log(path):
         event = {
             k: v for k, v in event.items()
             if k not in ("t", "pid", "worker", "elapsed")
@@ -887,7 +887,7 @@ def _pinned_batch_journals(directory, workers):
     cold, warm = base + "-cold.jsonl", base + "-warm.jsonl"
     legs = [
         dict(journal=cold),
-        dict(journal=cold, resume_from=cold),
+        dict(journal=cold),
         dict(journal=warm),
     ]
     try:

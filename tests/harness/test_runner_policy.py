@@ -21,6 +21,7 @@ import pytest
 
 from repro.harness import pool as pool_module
 from repro.harness.cache import encode_result
+from repro.harness.journal import JournalState
 from repro.harness.parallel import (
     TrialBackoff,
     TrialRunner,
@@ -129,10 +130,15 @@ def script(monkeypatch):
 
 
 class _Journal:
-    """What the runner records, in order (``RunJournal``'s interface)."""
+    """What the runner records, in order (``RunJournal``'s interface:
+    a fresh journal, so it held nothing when it was opened)."""
+
+    path = "scripted"
+    records_written = 0
 
     def __init__(self):
         self.records = []
+        self.state = JournalState()
 
     def record(self, event, **fields):
         self.records.append(dict(fields, event=event))
@@ -308,12 +314,11 @@ def test_a_batch_canonicalises_each_spec_once(tmp_path, monkeypatch):
         for v in range(8)
     ]
     journal = str(tmp_path / "run.jsonl")
-    legs = [dict(), dict(), dict(resume_from=journal)]  # cold, warm, resumed
-    for leg in legs:
-        runner = TrialRunner(cache_dir=str(tmp_path), journal=journal, **leg)
+    for _leg in ("cold", "resumed"):
+        runner = TrialRunner(cache_dir=str(tmp_path), journal=journal)
         try:
             assert runner.run(specs) == [(v, v) for v in range(8)]
         finally:
             runner.journal.close()
-        assert len(calls) == len(specs)  # 32, 32 and 48 before the record
+        assert len(calls) == len(specs)  # 32 and 48 before the record
         del calls[:]

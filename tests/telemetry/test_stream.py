@@ -154,22 +154,6 @@ class TestRunLogSchema:
             assert torn == whole[: len(torn)]
             assert len(torn) >= len(whole) - 2
 
-    def test_journal_events_validate_inside_run_logs(self):
-        """Journal trial events embedded in a run log schema-check."""
-        events = [
-            {"event": "run.start", "format": STREAM_FORMAT},
-            {"event": "trial.done", "index": 0, "key": "k", "label": "pt0",
-             "source": "executed"},
-        ]
-        assert validate_run_log(events) == 2
-        with pytest.raises(ValueError, match="missing field"):
-            validate_run_log(
-                [
-                    {"event": "run.start", "format": STREAM_FORMAT},
-                    {"event": "trial.done", "index": 0},
-                ]
-            )
-
 
 class TestLosslessDeltas:
     def test_merged_deltas_equal_final_snapshot_serial(self, tmp_path):

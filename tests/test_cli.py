@@ -485,7 +485,7 @@ def test_chaos_resume_never_serves_another_soaks_ring(tmp_path, capsys):
     other = _run(capsys, argv + ["--rate", "0.02"])
     assert other.splitlines()[-1] != first.splitlines()[-1]
     resumed = _run(
-        capsys, argv + ["--rate", "0.01", "--resume", str(journal)]
+        capsys, argv + ["--rate", "0.01", "--journal", str(journal)]
     )
     assert resumed.splitlines()[-1] == first.splitlines()[-1]
 
@@ -622,10 +622,24 @@ _FIG3_SMALL = ["figure3", "--rates", "0.005,0.01", "--warmup", "200",
 def test_figure3_journal_then_resume(tmp_path, capsys):
     journal = str(tmp_path / "run.jsonl")
     argv = ["--cache-dir", str(tmp_path / "cache")] + _FIG3_SMALL
-    out = _run(capsys, argv + ["--journal", journal])
-    resumed = _run(capsys, argv + ["--resume", journal])
-    # Identical tables: the resumed run served everything by replay.
-    assert out.splitlines()[-1] == resumed.splitlines()[-1]
+    argv = ["--progress"] + argv + ["--journal", journal]
+    out = _run(capsys, argv)
+    # The same command again, and again: each leg serves everything by
+    # replay and appends one sweep to the same history.
+    for leg in (2, 3):
+        assert main(argv) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == out
+        progress = resumed.err.splitlines()
+        assert progress[-1].startswith("trials: 0 executed")
+        assert len(progress) == 3
+        assert all(line.endswith("resumed") for line in progress[:-1])
+        kinds = [
+            json.loads(line)["event"]
+            for line in open(journal).read().splitlines()
+        ]
+        assert kinds.count("sweep.start") == kinds.count("sweep.end") == leg
+        assert kinds[-1] == "sweep.end"
     from repro.harness.journal import load_journal_state
 
     state = load_journal_state(journal)
@@ -682,13 +696,14 @@ def test_parser_accepts_resilience_flags():
 def test_faults_point_honours_journal_and_cache(tmp_path, capsys):
     # The single-point form used to call run_fault_point directly and
     # silently ignore --journal/--cache-dir (and the other sweep flags).
-    from repro.harness.journal import read_journal, validate_journal
+    from repro.harness.journal import validate_journal
+    from repro.telemetry.stream import read_run_log
 
     journal = tmp_path / "f.jsonl"
     argv = ["--cache-dir", str(tmp_path / "cache"), "faults", "--links", "2",
             "--warmup", "150", "--measure", "400"]
     first = _run(capsys, argv + ["--journal", str(journal)])
-    events = read_journal(str(journal))
+    events = read_run_log(str(journal))
     assert validate_journal(events) == len(events)
     assert [e["label"] for e in events if e["event"] == "trial.done"] == [
         "links=2 routers=0"
@@ -700,22 +715,29 @@ def test_faults_point_honours_journal_and_cache(tmp_path, capsys):
 
 
 def test_resume_with_a_foreign_journal_is_a_usage_error(tmp_path, capsys):
-    # --resume used to double as --journal unchecked: the unrelated sweep
-    # re-executed everything and was appended to the other run's history.
+    # An unrelated sweep pointed at another run's journal used to
+    # re-execute everything and be appended to that run's history.
     journal = tmp_path / "j.jsonl"
     base = ["--cache-dir", str(tmp_path / "cache"), "figure3", "--warmup",
             "100", "--measure", "200"]
     _run(capsys, base + ["--rates", "0.01,0.02", "--journal", str(journal)])
     before = journal.read_bytes()
-    code = main(base + ["--rates", "0.03,0.05", "--resume", str(journal)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("resume: ")
-    assert len(captured.err.splitlines()) == 1
-    assert "does not describe this sweep" in captured.err
-    assert journal.read_bytes() == before
+    foreign = (
+        base + ["--rates", "0.03,0.05"],
+        # Another command's journal is as foreign as another sweep's.
+        ["--cache-dir", str(tmp_path / "cache"), "faults", "--warmup",
+         "100", "--measure", "200"],
+    )
+    for argv in foreign:
+        code = main(argv + ["--journal", str(journal)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "does not describe this sweep" in captured.err
+        assert journal.read_bytes() == before
     # The sweep the journal does describe still resumes.
-    assert main(base + ["--rates", "0.01,0.02", "--resume", str(journal)]) == 0
+    assert main(base + ["--rates", "0.01,0.02", "--journal", str(journal)]) == 0
     assert "2 from cache" in capsys.readouterr().err
 
 
@@ -725,39 +747,99 @@ _A_DIRECTORY = object()
 @pytest.mark.parametrize(
     "content, reason",
     [
-        (None, "No such file"),
-        (b"", "journal is empty"),
         (b"not json\nnor this\n", "malformed run-log record on line 1"),
         (bytes(range(128, 256)) * 3, "codec can't decode"),
         (b'{"event":"journal.start"}', "unknown journal format"),
         (b"[1,2,3]\n42\n", "line 1 is not a JSON object"),
         (_A_DIRECTORY, "Is a directory"),
     ],
-    ids=["missing", "empty", "malformed", "undecodable", "headless",
-         "non-object", "directory"],
+    ids=["malformed", "undecodable", "headless", "non-object", "directory"],
 )
 def test_resume_with_an_unreadable_journal_is_a_usage_error(
     tmp_path, capsys, content, reason
 ):
     journal = tmp_path / "j.jsonl"
     if content is _A_DIRECTORY:
+        # The parser stops this one (the output-path test below); the
+        # library says the same thing in its own words.
+        from repro.harness.parallel import JournalMismatchError, TrialRunner
+
         journal.mkdir()
-    elif content is not None:
-        journal.write_bytes(content)
-    # chaos takes the same --resume JOURNAL as every other sweep.
+        with pytest.raises(JournalMismatchError, match=reason):
+            TrialRunner(journal=str(journal))
+        with pytest.raises(SystemExit) as excinfo:
+            main(_FIG3_SMALL + ["--journal", str(journal)])
+        assert excinfo.value.code == 2 and journal.is_dir()
+        return
+    journal.write_bytes(content)
+    # chaos takes the same --journal as every other sweep.
     for command in (["figure3", "--rates", "0.01,0.02"], _CHAOS_SMALL):
         code = main(["--cache-dir", str(tmp_path / "cache")] + command
-                    + ["--resume", str(journal)])
+                    + ["--journal", str(journal)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("resume: ") and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert reason in err
-        if content is None:
-            assert not journal.exists()
-        elif content is _A_DIRECTORY:
-            assert journal.is_dir()
-        else:
-            assert journal.read_bytes() == content
+        assert journal.read_bytes() == content
+
+
+@pytest.mark.parametrize("found", ["missing", "empty", "header-only"])
+def test_a_journal_that_records_no_trial_is_a_fresh_journal(
+    tmp_path, capsys, found
+):
+    """``--resume`` refused the first two; with one flag there is no
+    other file they could have been meant to be."""
+    from repro.harness.journal import RunJournal, load_journal_state
+
+    journal = tmp_path / "j.jsonl"
+    if found == "empty":
+        journal.write_bytes(b"")
+    elif found == "header-only":
+        RunJournal(journal).close()
+    _run(capsys, _FIG3_SMALL + ["--journal", str(journal)])
+    state = load_journal_state(str(journal))
+    assert state.completed and len(state.done) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        # Each was a traceback; the last three after the sweep had run
+        # and printed, losing its result.
+        ("--journal", _FIG3_SMALL + ["--journal", "{a_directory}"]),
+        ("--cache-dir", ["--cache-dir", "{a_file}"] + _FIG3_SMALL),
+        ("--stream", _CHAOS_SMALL + ["--stream", "{a_file}"]),
+        ("--snapshot-dir", _CHAOS_SMALL + ["--snapshot-every", "1",
+                                           "--snapshot-dir", "{a_file}"]),
+        ("--metrics-export",
+         _FIG3_SMALL + ["--metrics-export", "{no_directory}/m.json"]),
+        ("--snapshot", _CHAOS_SMALL + ["--snapshot", "{no_directory}/x.json"]),
+        ("--trace-export",
+         ["send", "5", "15", "--trace-export", "{no_directory}/t.json"]),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, flag, argv
+):
+    from repro.harness import parallel
+
+    def no_trial_may_run(*_args, **_kwargs):
+        raise AssertionError("a trial ran before the path was checked")
+
+    monkeypatch.setattr(parallel, "execute_trial", no_trial_may_run)
+    (tmp_path / "file").write_text("")
+    places = dict(
+        a_directory=str(tmp_path), a_file=str(tmp_path / "file"),
+        no_directory=str(tmp_path / "nodir"),
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main([part.format(**places) for part in argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    error = captured.err.splitlines()[-1]
+    assert "error: argument {}: invalid output_".format(flag) in error
 
 
 def test_tail_rejects_a_log_of_non_objects(tmp_path, capsys):

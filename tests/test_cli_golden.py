@@ -61,7 +61,7 @@ CASES = {
         "commands": [
             ["--cache-dir", "cache"] + _FIG3 + ["--journal", "run.jsonl"],
             ["tail", "run.jsonl"],
-            ["--cache-dir", "cache"] + _FIG3 + ["--resume", "run.jsonl"],
+            ["--cache-dir", "cache"] + _FIG3 + ["--journal", "run.jsonl"],
             ["tail", "run.jsonl"],
         ],
     },
