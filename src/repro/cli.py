@@ -74,6 +74,11 @@ import os
 import sys
 
 
+class _UsageError(Exception):
+    """A command line argparse accepts and the command cannot apply:
+    :func:`main` prints ``repro <cmd>: error: <this>`` and exits 2."""
+
+
 def _runner(args):
     """The shared TrialRunner configured by --workers/--cache-dir.
 
@@ -344,6 +349,9 @@ def _cmd_faults(args):
     )
     if args.max_attempts is not None:
         common["max_attempts"] = args.max_attempts
+    bounds = (args.max_degradation, args.max_undeliverable)
+    if not args.levels and bounds != (None, None):
+        raise _UsageError("--max-degradation and --max-undeliverable need --levels")
     levels = args.levels or ((args.links, args.routers),)
     specs = fault_trial_specs(fault_levels=levels, seed=args.seed, **common)
     if not args.levels:
@@ -370,9 +378,7 @@ def _cmd_faults(args):
                 if args.levels
                 else "FAIL: faulted network delivered no messages"
             )
-        if not args.levels:
-            # --max-degradation/--max-undeliverable bound --levels sweeps.
-            return failures
+        # Without --levels both bounds are None: nothing to check.
         for result, floor in degradation_failures(
             results,
             max_degradation=args.max_degradation,
@@ -410,13 +416,9 @@ def _cmd_chaos(args):
     from repro.harness.reporting import format_table, sparkline
 
     sweep_kwargs = _point_kwargs(args)
+    if bool(args.snapshot_every) != bool(args.snapshot_dir):
+        raise _UsageError("--snapshot-every and --snapshot-dir need each other")
     if args.snapshot_every:
-        if not args.snapshot_dir:
-            print(
-                "--snapshot-every requires --snapshot-dir",
-                file=sys.stderr,
-            )
-            return 2
         sweep_kwargs["snapshot_every"] = args.snapshot_every
         sweep_kwargs["snapshot_dir"] = args.snapshot_dir
     if args.stream:
@@ -522,6 +524,29 @@ def _cmd_chaos(args):
     )
 
 
+#: What only one kind of ``workloads`` run reads, written once: kind ->
+#: ({spec-builder keyword: flag}, {SLO bound: flag}).  The kind's specs
+#: and SLO gate are built from its own entry; a flag of the other entry
+#: moved off its default is a usage error.
+_WORKLOAD_FLAGS = {
+    "collective": (
+        dict(fault_levels="fault_levels", algorithm="algorithm",
+             words="words", layers="layers", microbatches="microbatches",
+             max_cycles="max_cycles"),
+        dict(collective_cycles="slo_cycles"),
+    ),
+    "service": (
+        dict(rates="rates", servers="servers", clients="clients",
+             burst_prob="burst_prob", burst_size="burst_size",
+             request_words="request_words", reply_words="reply_words",
+             service_time="service_time", warmup_cycles="warmup",
+             measure_cycles="measure"),
+        dict(p50="slo_p50", p95="slo_p95", p99="slo_p99", p999="slo_p999",
+             abandoned="slo_abandoned"),
+    ),
+}
+
+
 def _cmd_workloads(args):
     """Application workload sweeps with SLO gates (docs/workloads.md).
 
@@ -537,53 +562,38 @@ def _cmd_workloads(args):
         workload_slo_failures,
     )
 
-    common = dict(network=args.network, seed=args.seed, **_point_kwargs(args))
-    slo = {}
-    if args.kind == "collective":
-        specs = collective_trial_specs(
-            fault_levels=args.fault_levels,
-            algorithm=args.algorithm,
-            words=args.words,
-            layers=args.layers,
-            microbatches=args.microbatches,
-            max_cycles=args.max_cycles,
-            **common
-        )
-        if args.slo_cycles is not None:
-            slo["collective_cycles"] = args.slo_cycles
-    else:
+    other = "service" if args.kind == "collective" else "collective"
+    bare = build_parser().parse_args(["workloads", args.kind])
+    stray = [
+        "--" + flag.replace("_", "-")
+        for flags in _WORKLOAD_FLAGS[other] for flag in flags.values()
+        if getattr(args, flag) != getattr(bare, flag)
+    ]
+    if stray:
+        raise _UsageError("{} set, which only `workloads {}` reads".format(
+            ", ".join(stray), other))
+    if args.kind == "service":
         from repro.network.topology import figure1_plan, figure3_plan
 
         plan = {"figure1": figure1_plan, "figure3": figure3_plan}[args.network]()
         for server in args.servers:
             if server >= plan.n_endpoints:
-                print(
-                    "repro workloads: error: argument --servers: {} is not an "
-                    "endpoint of --network {} (valid: 0..{})".format(
+                raise _UsageError(
+                    "argument --servers: {} is not an endpoint of --network "
+                    "{} (valid: 0..{})".format(
                         server, args.network, plan.n_endpoints - 1
-                    ),
-                    file=sys.stderr,
+                    )
                 )
-                return 2
-        specs = service_trial_specs(
-            rates=args.rates,
-            servers=args.servers,
-            clients=args.clients,
-            burst_prob=args.burst_prob,
-            burst_size=args.burst_size,
-            request_words=args.request_words,
-            reply_words=args.reply_words,
-            service_time=args.service_time,
-            warmup_cycles=args.warmup,
-            measure_cycles=args.measure,
-            **common
-        )
-        for name in ("p50", "p95", "p99", "p999"):
-            bound = getattr(args, "slo_{}".format(name))
-            if bound is not None:
-                slo[name] = bound
-        if args.slo_abandoned is not None:
-            slo["abandoned"] = args.slo_abandoned
+    keywords, bounds = _WORKLOAD_FLAGS[args.kind]
+    build = collective_trial_specs if args.kind == "collective" else service_trial_specs
+    specs = build(
+        network=args.network, seed=args.seed, **_point_kwargs(args),
+        **{keyword: getattr(args, flag) for keyword, flag in keywords.items()}
+    )
+    slo = {
+        bound: getattr(args, flag) for bound, flag in bounds.items()
+        if getattr(args, flag) is not None
+    }
 
     def render(results):
         rows = []
@@ -783,6 +793,10 @@ def _cmd_verify(args):
     from repro.verify.scenario import Scenario
     from repro.verify.shrink import shrink_scenario
 
+    if args.backend_diff + args.resume_diff + bool(args.replay) > 1:
+        raise _UsageError(
+            "--backend-diff, --resume-diff and --replay are three runs: give one"
+        )
     if args.backend_diff or args.resume_diff:
         return _cmd_verify_diff(args)
 
@@ -1384,6 +1398,9 @@ def main(argv=None):
 
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print("repro {}: error: {}".format(args.command, exc), file=sys.stderr)
+        return 2
     except JournalMismatchError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 2

@@ -54,11 +54,12 @@ class ChaosResult:
     pickle byte-identically regardless of which process produced them.
     """
 
-    #: MetricsSnapshot when the soak ran with telemetry, else None
-    #: (class attribute so old pickles still answer ``.metrics``).
+    #: MetricsSnapshot when the soak ran with telemetry, else None.
+    #: Class attribute because only such a soak sets it; no pickle
+    #: written by older code is ever read (``ExperimentResult.metrics``).
     metrics = None
     #: Stall diagnoses (plain dicts) when the soak ran with a
-    #: watchdog, else empty (class attribute for old pickles).
+    #: watchdog, else empty (class attribute for the same reason).
     stalls = ()
 
     def __init__(

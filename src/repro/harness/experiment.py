@@ -17,15 +17,16 @@ class ExperimentResult:
 
     #: A :class:`~repro.telemetry.metrics.MetricsSnapshot` when the
     #: experiment ran with a telemetry hub bound, else None.  Class
-    #: attribute, so results pickled before this field existed (old
-    #: cache entries) still answer ``result.metrics``.
+    #: attribute because only a run with a hub sets it: a result
+    #: without one carries (and pickles) no such field.  Not for old
+    #: cache entries: any source edit moves every cache key, so an
+    #: entry written by other code is never served.
     metrics = None
 
     #: Real results are never quarantine reports; the counterpart
     #: (:class:`~repro.harness.parallel.QuarantinedTrial`) carries
     #: True, so sweep consumers can branch on ``result.quarantined``
-    #: uniformly.  Class attribute for the same old-pickle reason as
-    #: ``metrics``.
+    #: uniformly.  A constant of the type, so a class attribute.
     quarantined = False
 
     def __init__(

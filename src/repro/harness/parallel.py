@@ -33,7 +33,10 @@ is eventually *quarantined*: the sweep completes and the poison trial
 surfaces as a structured :class:`QuarantinedTrial` report in the
 results instead of hanging or crashing the whole sweep.  When a dead
 worker cannot be respawned the pool shrinks and carries on with the
-workers it has.  See ``docs/resilience.md``.
+workers it has.  A worker answers on the private pipe its task went out
+on, so every report the pool hands back is of a trial's current
+attempt: the runner keeps no record of what is in flight and has no
+late reply to drop.  See ``docs/resilience.md``.
 
 Durability: pass ``journal=`` (a :class:`~repro.harness.journal
 .RunJournal` or a path) and every trial's state transitions
@@ -266,8 +269,7 @@ class _Trial:
 
     __slots__ = (
         "index", "total", "spec", "journal_key", "cache_key", "attempt",
-        "inflight", "failures", "started", "resolved", "result",
-        "result_hash",
+        "failures", "started", "resolved", "result", "result_hash",
     )
 
     def __init__(self, index, total, spec):
@@ -275,9 +277,8 @@ class _Trial:
         self.total = total
         self.spec = spec
         self.journal_key, self.cache_key = trial_keys(spec)
-        #: Attempts dispatched so far; the one in flight, else None.
+        #: Attempts dispatched so far.
         self.attempt = 0
-        self.inflight = None
         self.failures = []
         self.started = None
         self.resolved = False
@@ -739,21 +740,18 @@ class TrialRunner:
                         ready.appendleft(trial)
                         continue
                     trial.attempt += 1
-                    trial.inflight = trial.attempt
                     self._journal_trial(
                         "trial.start", trial, attempt=trial.attempt,
                         worker=worker.process.pid,
                     )
 
-                # scan() is lazy: the reply is handled before the scan
+                # scan() is lazy: the replies are handled before the scan
                 # starts, and each lost attempt before the next worker.
+                # Every report is of a trial's current attempt: a reply
+                # is read off the pipe its task went out on, and a
+                # killed worker's pipe is closed unread.
                 for report in itertools.chain(pool.drain(), pool.scan()):
                     trial = trials[report.index]
-                    # A late reply from a killed or superseded attempt:
-                    # the supervisor already resolved it.
-                    if trial.inflight != report.attempt:
-                        continue
-                    trial.inflight = None
                     if report.kind == "ok":
                         self._finish(trial, report.decoded(), report.elapsed)
                     else:

@@ -8,8 +8,8 @@ supervision loop is three steps:
 
 * :meth:`WorkerPool.dispatch` — hand one attempt to one idle worker (a
   dead pipe is reported, not raised);
-* :meth:`WorkerPool.drain` — wait one supervision tick for a worker's
-  reply (``"ok"`` or ``"error"``);
+* :meth:`WorkerPool.drain` — wait one supervision tick for the busy
+  workers' replies (``"ok"`` or ``"error"``);
 * :meth:`WorkerPool.scan` — find workers that died (``"crash"``) or ran
   past the wall-clock limit (``"timeout"``), kill, reap and replace them.
 
@@ -20,8 +20,11 @@ mid-trial (SIGKILL, OOM-kill, a segfaulting extension — failures an
 exception handler never sees, and which break every pending future of
 an executor) costs one attempt of one trial.  When a dead worker cannot
 be respawned the pool shrinks and carries on with the workers it has.
-Tasks go out on one private pipe per worker; replies come back on one
-shared pipe, written under one lock by the worker itself.
+Each worker has one private duplex pipe and nothing else to talk on: a
+reply comes back on the pipe its task went out on, so *where* it arrives
+names the attempt it answers, a worker killed at its deadline takes its
+unread bytes with its closed pipe, and a worker killed mid-write is an
+end-of-file on a pipe only it wrote to.  No worker can block another.
 
 This module imports nothing from the runner or the journal, which is
 what lets ``tests/harness/test_runner_policy.py`` script a worker
@@ -31,6 +34,7 @@ without forking.  See ``docs/resilience.md``.
 import collections
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
@@ -52,19 +56,16 @@ def _preferred_start_method():
     return "fork" if "fork" in methods else "spawn"
 
 
-def _supervised_worker(conn, replies, reply_lock):
-    """Worker-process main loop: recv a task, run it, report back.
+def _supervised_worker(conn):
+    """Worker-process main loop: recv a task, run it, answer on ``conn``.
 
-    Tasks arrive as ``(index, attempt, spec, heartbeat_path)`` on the
-    worker's private pipe; ``None`` (or a closed pipe) shuts the
-    worker down.  Replies go back on the pool's shared ``replies`` pipe
-    as plain picklable tuples — the result/exception is pre-encoded
+    Tasks arrive as ``(spec, heartbeat_path)`` on the worker's private
+    pipe; ``None`` (or a closed pipe) shuts the worker down.  The reply
+    goes back on the same pipe as a plain picklable tuple ``(kind,
+    payload, elapsed, detail)`` — the result/exception is pre-encoded
     *here*, so a value that fails to pickle becomes a reported error —
-    written under ``reply_lock`` by this thread, the one that runs
-    trials.  (A ``multiprocessing.Queue`` writes from a feeder thread:
-    a worker SIGKILLed at the start of its next trial could die with
-    that thread still holding the queue's write lock, which then blocks
-    every other worker's reply for good.)
+    written by this thread, the one that runs trials, so a worker that
+    dies has no second thread left holding anything.
     """
     # The supervisor owns interrupt handling; a terminal SIGINT goes to
     # the whole process group and must not race workers into dying
@@ -73,7 +74,6 @@ def _supervised_worker(conn, replies, reply_lock):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # non-main thread / exotic platform
         pass
-    pid = os.getpid()
     ppid = os.getppid()
     while True:
         try:
@@ -91,10 +91,10 @@ def _supervised_worker(conn, replies, reply_lock):
             return
         if task is None:
             return
-        index, attempt, spec, heartbeat_path = task
+        spec, heartbeat_path = task
         try:
             result, elapsed = execute_trial(spec, heartbeat_path=heartbeat_path)
-            message = (pid, index, attempt, "ok", encode_result(result), elapsed, None)
+            message = ("ok", encode_result(result), elapsed, None)
         except BaseException as error:
             detail = "{}: {}\n{}".format(
                 type(error).__name__, error, traceback.format_exc()
@@ -103,10 +103,9 @@ def _supervised_worker(conn, replies, reply_lock):
                 payload = encode_result(error)
             except Exception:
                 payload = None
-            message = (pid, index, attempt, "error", payload, None, detail)
+            message = ("error", payload, None, detail)
         try:
-            with reply_lock:
-                replies.send(message)
+            conn.send(message)
         except OSError:  # the supervisor is gone
             return
 
@@ -191,7 +190,7 @@ class AttemptReport(collections.namedtuple(
 
 
 class WorkerPool:
-    """``size`` supervised worker processes and the pipe they answer on.
+    """``size`` supervised worker processes, one private pipe each.
 
     :param trial_timeout: wall-clock seconds an attempt may run before
         :meth:`scan` kills its worker; None = no limit.
@@ -203,17 +202,13 @@ class WorkerPool:
     def __init__(self, size, trial_timeout=None):
         self.trial_timeout = trial_timeout
         self._context = multiprocessing.get_context(_preferred_start_method())
-        self._replies, self.reply_writer = self._context.Pipe(duplex=False)
-        self._reply_lock = self._context.Lock()
         self.workers = [self.spawn() for _ in range(size)]
 
     def spawn(self):
         """Start one worker process; returns its handle."""
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_supervised_worker,
-            args=(child_conn, self.reply_writer, self._reply_lock),
-            daemon=True,
+            target=_supervised_worker, args=(child_conn,), daemon=True,
         )
         process.start()
         child_conn.close()
@@ -229,12 +224,11 @@ class WorkerPool:
         A dead pipe sends nothing and changes nothing: the caller keeps
         the trial, and the next :meth:`scan` reaps the corpse.
         """
-        task = (index, attempt, spec, heartbeat_path)
         try:
-            worker.conn.send(task)
+            worker.conn.send((spec, heartbeat_path))
         except Exception:
             return False
-        worker.task = task
+        worker.task = (index, attempt, spec, heartbeat_path)
         worker.deadline = (
             time.monotonic() + self.trial_timeout
             if self.trial_timeout is not None else None
@@ -242,26 +236,31 @@ class WorkerPool:
         return True
 
     def drain(self):
-        """At most one worker reply, waiting up to :data:`TICK` for it.
+        """The replies of the busy workers, waiting up to :data:`TICK`
+        for the first of them.
 
-        The worker that sent it is idle again.  A reply whose attempt
-        the supervisor already resolved (its worker was killed at the
-        deadline, or died, after writing it) is still reported: only
-        the caller knows which attempt of a trial is current.
+        A reply answers the attempt its pipe's worker was handed, and
+        that worker is idle again.  End-of-file or a torn message means
+        the worker died with the pipe in its hand (nobody else writes
+        to it): it is killed here, and :meth:`scan` reports it.
         """
-        try:
-            if not self._replies.poll(self.TICK):
-                return []
-            message = self._replies.recv()
-        except (EOFError, OSError):
-            return []
-        _pid, index, attempt, kind, payload, elapsed, detail = message
-        for worker in self.workers:
-            if worker.task is not None and worker.task[:2] == (index, attempt):
-                worker.task = None
-                worker.deadline = None
-                break
-        return [AttemptReport(index, attempt, kind, detail, payload, elapsed)]
+        busy = {w.conn: w for w in self.workers if w.task is not None}
+        reports = []
+        for conn in multiprocessing.connection.wait(list(busy), self.TICK):
+            worker = busy[conn]
+            try:
+                kind, payload, elapsed, detail = conn.recv()
+            except (EOFError, OSError):
+                worker.kill()
+                worker.process.join(self.TICK)  # dead by this pass's scan
+                continue
+            index, attempt = worker.task[:2]
+            worker.task = None
+            worker.deadline = None
+            reports.append(
+                AttemptReport(index, attempt, kind, detail, payload, elapsed)
+            )
+        return reports
 
     def scan(self):
         """Liveness and deadline scan: yields one report per attempt lost.
@@ -318,7 +317,7 @@ class WorkerPool:
             )
 
     def shutdown(self):
-        """Ask every worker to exit, reap them, close the reply pipe."""
+        """Ask every worker to exit and reap them (closing their pipes)."""
         for worker in self.workers:
             try:
                 worker.conn.send(None)
@@ -326,5 +325,3 @@ class WorkerPool:
                 pass
         for worker in self.workers:
             worker.reap(timeout=2.0)
-        self._replies.close()
-        self.reply_writer.close()

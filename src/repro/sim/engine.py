@@ -29,9 +29,11 @@ class Engine:
       ``run_until`` loop finishes its cycle and returns early.  Safe to
       call from a component's ``tick`` or a pre-cycle hook.
     * :meth:`set_deadline` installs a hard cycle ceiling: stepping at
-      or past it raises :class:`EngineDeadlineError`.  Worker processes
-      use this so a runaway trial fails loudly instead of hanging a
-      pool.
+      or past it raises :class:`EngineDeadlineError`.  No runner arms
+      it (``run_experiment(deadline_cycles=)`` went in PR 22: every
+      point runner bounds its own cycles, and the pool has a wall-clock
+      limit); tests do, and ``deadline`` is part of every snapshot, so
+      the guard stays (DESIGN.md, "Kept on purpose").
 
     The deadline takes precedence over every soft budget: a
     ``run_until`` whose ``max_cycles`` extends past the deadline raises

@@ -659,6 +659,65 @@ def test_workers_reply_from_the_thread_that_runs_trials():
     assert TrialRunner(workers=2).run(specs) == [1] * 6
 
 
+def _bulky_trial(seed=0):
+    return bytes(200000)
+
+
+def test_worker_killed_halfway_through_its_reply_costs_one_attempt(
+        tmp_path, monkeypatch):
+    """A kill that lands inside the reply write (an OOM kill, a deadline
+    kill at the instant a trial finishes) tears a message on a pipe only
+    the victim wrote to: the supervisor reads end-of-file, the attempt
+    is a ``crash``, and nobody else waits on anything the victim held.
+    No ``trial_timeout``: nothing but the pool itself may break a hang.
+    When replies shared one pipe under one lock the victim died holding
+    the lock and every other worker blocked on it for good."""
+    from multiprocessing.connection import Connection
+
+    from repro.harness.journal import read_run_log
+    from repro.harness.parallel import TrialBackoff
+
+    supervisor, struck = os.getpid(), str(tmp_path / "struck")
+    send = Connection._send
+
+    def tear_the_first_bulky_message(conn, buf):
+        if (os.getpid() != supervisor and len(buf) > 100000
+                and not os.path.exists(struck)):
+            open(struck, "w").close()
+            os.write(conn.fileno(), buf[:len(buf) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        send(conn, buf)
+
+    def hung(signum, frame):
+        raise AssertionError("the pool hung on a half-written reply")
+
+    monkeypatch.setattr(Connection, "_send", tear_the_first_bulky_message)
+    journal = str(tmp_path / "journal.jsonl")
+    runner = TrialRunner(
+        workers=2, journal=journal, trial_timeout=None,
+        retries=TrialBackoff(max_attempts=2, base=0.0, jitter=False),
+    )
+    specs = [
+        TrialSpec(__name__ + ":_bulky_trial", seed=7, label="victim"),
+        TrialSpec(__name__ + ":_echo_trial", params=dict(value=1), seed=1,
+                  label="bystander"),
+    ]
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        results = runner.run(specs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        runner.journal.close()
+    assert results == [bytes(200000), (1, 1)]
+    assert os.path.exists(struck)
+    assert [
+        (event["label"], event["attempt"], event["kind"], event["exitcode"])
+        for event in read_run_log(journal) if event["event"] == "trial.failed"
+    ] == [("victim", 1, "crash", -signal.SIGKILL)]
+
+
 def test_corrupt_cache_entry_is_a_warned_miss(tmp_path, caplog):
     """Satellite fix: unreadable cached pickles never crash a sweep."""
     cache = TrialCache(str(tmp_path))

@@ -5,20 +5,25 @@
 cache), so the three pool paths real processes cannot reach on demand
 are reached here by replacing :meth:`WorkerPool.spawn`: no fork, no
 sleep, no chaosmonkey.  A scripted worker is a ``_PoolWorker`` around a
-fake process and a fake pipe whose ``send`` runs one step of a script;
-replies travel the pool's real reply pipe.  The pool's clock stands
-still unless the script lets time pass.
+fake process and the supervisor's end of a real ``multiprocessing.Pipe``;
+the script holds the other end and, as a task is dispatched to the
+worker, runs one step on it: write a reply, close it, or nothing.  The
+pool's clock stands still unless the script lets time pass.
 
 Also here: the import directions the split rests on, and how often a
 batch canonicalises a spec.
 """
 
 import ast
+import inspect
+import multiprocessing
 import os
+import textwrap
 import types
 
 import pytest
 
+from repro.harness import parallel as parallel_module
 from repro.harness import pool as pool_module
 from repro.harness.cache import encode_result
 from repro.harness.journal import JournalState
@@ -59,22 +64,11 @@ class _Process:
         return False
 
 
-class _Pipe:
-    def __init__(self, on_task):
-        self.on_task = on_task
-        self.closed = False
-
-    def send(self, task):
-        if task is not None:  # None is the pool's shutdown request
-            self.on_task(task)
-
-    def close(self):
-        self.closed = True
-
-
 class _Script:
-    """``steps[n]`` is what the n-th spawned worker does with a task:
-    a callable ``(script, worker, task)``.  Spawning past the end of the
+    """``steps[n]`` is what the n-th spawned worker does as a task is
+    dispatched to it: a callable ``(script, worker, far)``, ``far`` being
+    the worker's end of its pipe.  It runs just before the send, so it
+    can also be what the send finds.  Spawning past the end of the
     script fails, as a host out of processes would."""
 
     def __init__(self, monkeypatch):
@@ -82,19 +76,25 @@ class _Script:
         self.passing = 0.0
         self.steps = []
         self.spawned = []
+        self.far = []
         self.shutdowns = 0
-        self.pool = None
         script = self
 
         def spawn(pool):
-            script.pool = pool
             if len(script.spawned) >= len(script.steps):
                 raise OSError("fork budget exhausted")
-            step = script.steps[len(script.spawned)]
-            worker = _PoolWorker(_Process(1000 + len(script.spawned)), None)
-            worker.conn = _Pipe(lambda task: step(script, worker, task))
+            near, far = multiprocessing.Pipe()
+            worker = _PoolWorker(_Process(1000 + len(script.spawned)), near)
             script.spawned.append(worker)
+            script.far.append(far)
             return worker
+
+        dispatch = WorkerPool.dispatch
+
+        def scripted_dispatch(pool, worker, *task):
+            n = script.spawned.index(worker)
+            script.steps[n](script, worker, script.far[n])
+            return dispatch(pool, worker, *task)
 
         shutdown = WorkerPool.shutdown
 
@@ -103,6 +103,7 @@ class _Script:
             shutdown(pool)
 
         monkeypatch.setattr(WorkerPool, "spawn", spawn)
+        monkeypatch.setattr(WorkerPool, "dispatch", scripted_dispatch)
         monkeypatch.setattr(WorkerPool, "shutdown", counted_shutdown)
         monkeypatch.setattr(
             pool_module, "time", types.SimpleNamespace(monotonic=self.monotonic)
@@ -110,23 +111,27 @@ class _Script:
 
     def monotonic(self):
         # ``dispatch`` reads the clock right after the send a step runs
-        # in, to set the deadline; time a step lets pass shows from the
-        # reading after that one.
+        # before, to set the deadline; time a step lets pass shows from
+        # the reading after that one.
         now = self.now
         self.now += self.passing
         self.passing = 0.0
         return now
 
-    def reply(self, worker, index, attempt, value):
-        self.pool.reply_writer.send((
-            worker.process.pid, index, attempt, "ok", encode_result(value),
-            0.25, None,
-        ))
+    def close(self):
+        for far in self.far:
+            far.close()
+
+
+def _reply(far, value):
+    far.send(("ok", encode_result(value), 0.25, None))
 
 
 @pytest.fixture
 def script(monkeypatch):
-    return _Script(monkeypatch)
+    script = _Script(monkeypatch)
+    yield script
+    script.close()
 
 
 class _Journal:
@@ -157,16 +162,27 @@ def _runner(journal, **options):
     return TrialRunner(workers=2, journal=journal, **options)
 
 
-def test_late_reply_from_a_resolved_attempt_is_dropped(script):
-    def hang(script, worker, task):
-        script.passing = 10.0  # past the 5 s limit, and no reply
+def test_late_reply_from_a_resolved_attempt_is_dropped(script, monkeypatch):
+    """A reply written before the deadline kill is closed unread with
+    its worker's pipe, and the retry's reply is the one served."""
 
-    def answer_stale_then_fresh(script, worker, task):
-        index, attempt, _spec, _heartbeat = task
-        script.reply(worker, index, 1, "stale")  # attempt 1, after its kill
-        script.reply(worker, index, attempt, "fresh")
+    def hang(script, worker, far):
+        script.passing = 10.0  # past the 5 s limit
 
-    script.steps = [hang, answer_stale_then_fresh]
+    def answer(script, worker, far):
+        _reply(far, "fresh")
+
+    scan = WorkerPool.scan
+
+    def scan_after_the_hung_worker_answers(pool):
+        # Too late for this pass's drain, in time to sit in the pipe
+        # when the scan kills its worker at the deadline.
+        if not script.spawned[0].dead:
+            _reply(script.far[0], "stale")
+        return scan(pool)
+
+    monkeypatch.setattr(WorkerPool, "scan", scan_after_the_hung_worker_answers)
+    script.steps = [hang, answer]
     journal, events = _Journal(), []
     runner = _runner(journal, trial_timeout=5.0, progress=events.append)
     assert runner.run([_spec("slow")]) == ["fresh"]
@@ -181,20 +197,20 @@ def test_late_reply_from_a_resolved_attempt_is_dropped(script):
         ("trial.done", None, None),
     ]
     assert [event.source for event in events] == ["executed"]
-    # The hung worker was killed and reaped; the pool was shut down once.
+    # The hung worker was killed and reaped, its reply still in the
+    # pipe that was closed with it; the pool was shut down once.
     assert script.spawned[0].process.exitcode == -9
     assert script.spawned[0].conn.closed
     assert script.shutdowns == 1
 
 
 def test_dispatch_onto_a_dead_pipe_spends_no_attempt(script):
-    def dead_pipe(script, worker, task):
+    def dead_pipe(script, worker, far):
         worker.process.exitcode = 1
-        raise BrokenPipeError("worker is gone")
+        far.close()  # the send that follows is a BrokenPipeError
 
-    def answer(script, worker, task):
-        index, attempt, _spec, _heartbeat = task
-        script.reply(worker, index, attempt, "done")
+    def answer(script, worker, far):
+        _reply(far, "done")
 
     script.steps = [dead_pipe, answer]
     journal = _Journal()
@@ -208,8 +224,25 @@ def test_dispatch_onto_a_dead_pipe_spends_no_attempt(script):
     assert script.spawned[0].conn.closed  # the corpse was reaped
 
 
+def test_the_dead_pipe_test_catches_an_attempt_spent_on_a_dead_pipe(
+        script, monkeypatch):
+    """Seeded runner-policy bug (``docs/testing.md``, the mutation
+    table): a dispatch that failed is counted as an attempt."""
+    healthy = "ready.appendleft(trial)"
+    source = textwrap.dedent(inspect.getsource(TrialRunner._run_pool))
+    assert source.count(healthy) == 1
+    mutant = {}
+    exec(
+        source.replace(healthy, "trial.attempt += 1; " + healthy),
+        vars(parallel_module), mutant,
+    )
+    monkeypatch.setattr(TrialRunner, "_run_pool", mutant["_run_pool"])
+    with pytest.raises(AssertionError):
+        test_dispatch_onto_a_dead_pipe_spends_no_attempt(script)
+
+
 def test_every_worker_dead_and_none_respawnable_raises(script, caplog):
-    def die(script, worker, task):
+    def die(script, worker, far):
         worker.process.exitcode = -9
 
     script.steps = [die, die]  # a third spawn fails

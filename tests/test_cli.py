@@ -200,6 +200,37 @@ def test_workloads_rejects_a_server_outside_the_network(capsys, argv, valid):
     assert "(valid: {})".format(valid) in line
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # Each ran and exited 0 with the flag dropped (the last wrote no
+        # ring; the --backend-diff pair ran only the first).
+        (["faults", "--links", "8", "--max-degradation", "0.0",
+          "--max-undeliverable", "0"], ["--max-degradation", "--levels"]),
+        (["workloads", "collective", "--slo-p99", "1", "--slo-abandoned", "0",
+          "--rates", "0.5"], ["--rates, --slo-p99, --slo-abandoned", "service"]),
+        (["workloads", "service", "--words", "8", "--slo-cycles", "900"],
+         ["--words, --slo-cycles", "collective"]),
+        (["verify", "--backend-diff", "--resume-diff"], ["--resume-diff"]),
+        (["verify", "--resume-diff", "--replay", "scenario.json"], ["--replay"]),
+        (["chaos", "--snapshot-dir", "ring"], ["--snapshot-every"]),
+        (["chaos", "--snapshot-every", "2"], ["--snapshot-dir"]),
+    ],
+)
+def test_a_flag_that_cannot_apply_is_a_usage_error(
+        capsys, tmp_path, monkeypatch, argv, named):
+    """One ``repro <cmd>: error:`` line, exit 2, before any trial runs."""
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("repro {}: error: ".format(argv[0]))
+    assert all(name in line for name in named)
+    assert os.listdir(str(tmp_path)) == []
+
+
 def test_zero_is_a_count_where_none_is_meant(capsys):
     args = build_parser().parse_args(
         ["chaos", "--warmup-windows", "0", "--flaky-links", "0",
