@@ -7,7 +7,7 @@ Demonstrates the paper's full fault story on the Figure 1 network:
    sources detect damaged connections (silence, missing statuses) and
    their stochastic retries route around the faults;
 3. the scan system then localizes the dead wire with port-isolation
-   tests and masks it by disabling the facing ports;
+   tests, which leave the facing ports of a failing wire disabled;
 4. traffic continues with no further timeouts.
 
 Run:  python examples/fault_tolerant_operation.py
@@ -15,7 +15,7 @@ Run:  python examples/fault_tolerant_operation.py
 
 from repro import Message, build_network, figure1_plan
 from repro.faults import DeadLink, DeadRouter, FaultInjector
-from repro.faults.diagnosis import diagnose_and_mask
+from repro.faults.diagnosis import diagnose_stage
 from repro.faults.injector import router_to_router_channels
 
 
@@ -54,7 +54,7 @@ def main():
     # Diagnose and mask the dead wire so nobody stumbles on it again.
     masked = []
     for stage in range(network.plan.n_stages - 1):
-        masked.extend(diagnose_and_mask(network, stage))
+        masked.extend(diagnose_stage(network, stage))
     print("\nScan diagnosis masked {} wire(s): {}".format(
         len(masked), ["{} -> {}".format(s, d) for s, d in masked]))
 

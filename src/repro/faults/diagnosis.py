@@ -11,11 +11,12 @@ can no longer corrupt messages.
 The flow implemented here:
 
 1. :func:`suspect_stage_from_statuses` — message-level localization.
-2. :func:`port_isolation_test` — EXTEST patterns across one wire
-   between a (disabled) backward port and the neighbouring (disabled)
-   forward port, observed through the neighbour's boundary register.
-3. :func:`diagnose_stage` — sweep every wire between two stages.
-4. :func:`mask_link` — leave both ports of a bad wire disabled.
+2. :func:`port_isolation_test` — the one wire repair: tear the wire's
+   circuits down, disable both facing ports, drive EXTEST patterns
+   across the wire from the upstream side and observe them through
+   the neighbour's boundary register; a passing wire gets its ports
+   back, a failing one keeps them disabled (masked).
+3. :func:`diagnose_stage` — repair every wire between two stages.
 """
 
 from repro.scan.controller import ScanController
@@ -52,42 +53,57 @@ def _link_ends(network, src_key, dst_key):
 
 
 def port_isolation_test(network, src_key, dst_key):
-    """Test one wire with :data:`DEFAULT_PATTERNS`; returns (passed, observations).
+    """Test one wire with :data:`DEFAULT_PATTERNS` and mask it if it fails.
 
-    Both facing ports are disabled for the duration (the rest of both
-    routers keeps routing), patterns are driven via EXTEST from the
-    upstream side and observed via SAMPLE at the downstream boundary,
-    then the ports are re-enabled.
+    Returns ``(passed, observations)``.  Ordering matters: the wire's
+    circuits are torn down first (their DROP words cross the wire
+    while its ports are still enabled), then both facing ports are
+    disabled in the same inter-cycle gap, so the allocator cannot hand
+    the wire to new traffic, while the rest of both routers keeps
+    routing.  The wire settles for its pipeline depth, patterns are
+    driven via EXTEST from the upstream side and observed via SAMPLE
+    at the downstream boundary.  A passing wire gets both ports back;
+    a failing one keeps both disabled with the upstream driver off —
+    the mask, so the fault can no longer corrupt traffic and the
+    network runs on its redundancy.  An exception re-enables both.
     """
     upstream, bwd_port, downstream, fwd_port = _link_ends(network, src_key, dst_key)
     up_scan = ScanController(upstream)
     down_scan = ScanController(downstream)
     up_port_id = upstream.config.backward_port_id(bwd_port)
     down_port_id = downstream.config.forward_port_id(fwd_port)
+    delay = network.channels[(src_key, dst_key)].delay
+    mask = (1 << downstream.params.w) - 1
 
+    upstream.quiesce_backward_port(bwd_port)
+    downstream.force_teardown(fwd_port)
     up_scan.disable_port(up_port_id, drive=True)
     down_scan.disable_port(down_port_id)
-    mask = (1 << downstream.params.w) - 1
     observations = []
+    passed = None
     try:
+        network.run(delay + 2)
         for pattern in DEFAULT_PATTERNS:
             up_scan.extest_drive(bwd_port, pattern & mask)
             # One cycle to launch, plus the wire's pipeline depth.
-            delay = network.channels[(src_key, dst_key)].delay
             network.run(1 + delay)
             seen = down_scan.sample_boundary()[fwd_port]
             observations.append((pattern & mask, seen))
+        passed = all(drove == seen for drove, seen in observations)
     finally:
-        up_scan.enable_port(up_port_id)
-        down_scan.enable_port(down_port_id)
-    passed = all(drove == seen for drove, seen in observations)
+        if passed is False:
+            up_scan.disable_port(up_port_id)
+        else:
+            up_scan.enable_port(up_port_id)
+            down_scan.enable_port(down_port_id)
     return passed, observations
 
 
 def diagnose_stage(network, stage):
-    """Isolation-test every wire from ``stage`` to the next layer.
+    """Repair every wire from ``stage`` to the next layer.
 
-    Returns the list of failing ``(src_key, dst_key)`` wire keys.
+    Returns the list of failing ``(src_key, dst_key)`` wire keys, each
+    left masked by :func:`port_isolation_test`.
     """
     failing = []
     for (src_key, dst_key) in network.channels:
@@ -98,26 +114,4 @@ def diagnose_stage(network, stage):
         passed, _obs = port_isolation_test(network, src_key, dst_key)
         if not passed:
             failing.append((src_key, dst_key))
-    return failing
-
-
-def mask_link(network, src_key, dst_key):
-    """Disable both ports facing a faulty wire (permanent masking).
-
-    After masking, the allocator never selects the upstream port and
-    the downstream port ignores its pins: the fault can no longer
-    corrupt message traffic, and the network runs on its redundancy.
-    """
-    upstream, bwd_port, downstream, fwd_port = _link_ends(network, src_key, dst_key)
-    ScanController(upstream).disable_port(upstream.config.backward_port_id(bwd_port))
-    ScanController(downstream).disable_port(
-        downstream.config.forward_port_id(fwd_port)
-    )
-
-
-def diagnose_and_mask(network, stage):
-    """Full repair loop for one inter-stage layer; returns masked wires."""
-    failing = diagnose_stage(network, stage)
-    for src_key, dst_key in failing:
-        mask_link(network, src_key, dst_key)
     return failing

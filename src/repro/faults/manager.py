@@ -7,9 +7,9 @@ checksums, silence), retries route around the damage, and — once the
 fault is localized — scan control disables the faulty ports so the
 fault is masked and stops corrupting traffic.  The pieces exist
 elsewhere in this reproduction (``endpoint.interface`` produces the
-evidence, ``faults.diagnosis`` runs isolation tests, ``scan.netconfig``
-writes port masks); :class:`FaultManager` closes the loop *online*,
-while traffic keeps flowing.
+evidence, ``faults.diagnosis`` isolation-tests wires and masks the
+failing ones through scan); :class:`FaultManager` closes the loop
+*online*, while traffic keeps flowing.
 
 The loop:
 
@@ -25,13 +25,13 @@ The loop:
    isolated failures fade while a real fault's steady evidence ramps.
 3. **Mask.**  When a stage's suspicion crosses threshold the manager
    schedules a repair and stops the engine; the driving
-   loop calls :meth:`service` between run windows.  A repair
-   isolation-tests every wire of the suspect layers — quiescing each
-   wire's circuits first so live traffic cannot fake a failure — and
-   leaves the ports of every failing wire disabled through the scan
-   fabric.  Dead routers need no special case: a silent router fails
-   the isolation tests of all its wires, so the whole region is
-   masked.
+   loop calls :meth:`service` between run windows.  A repair runs
+   :func:`~repro.faults.diagnosis.port_isolation_test` on every
+   unmasked wire of the suspect layers — it quiesces the wire's
+   circuits first so live traffic cannot fake a failure, and leaves
+   the ports of a failing wire disabled.  Dead routers need no
+   special case: a silent router fails the isolation tests of all its
+   wires, so the whole region is masked.
 4. **Recover.**  The manager watches the delivered rate (windowed
    count of acked deliveries) rebound toward its pre-fault peak and
    marks repairs ``verified`` when it crosses the recovery ratio.
@@ -43,11 +43,9 @@ manager only accumulates evidence during the simulation proper.
 
 from repro.endpoint import messages as M
 from repro.faults.diagnosis import (
-    _link_ends,
     port_isolation_test,
     suspect_stage_from_statuses,
 )
-from repro.scan.netconfig import NetworkScanFabric
 from repro.sim.component import Component
 
 #: Evidence weight per failure cause.  Blocked attempts are mostly
@@ -82,8 +80,8 @@ class FaultManager(Component):
     ignored, because masking shrinks path diversity, blocked evidence
     rises, and congestion noise must not trigger repeated fruitless
     isolation sweeps.  Evidence is weighed by :data:`DEFAULT_WEIGHTS`
-    (missing causes count 0) and repairs go through the manager's own
-    :class:`~repro.scan.netconfig.NetworkScanFabric`.  A due repair
+    (missing causes count 0) and wires are tested and masked by
+    :func:`~repro.faults.diagnosis.port_isolation_test`.  A due repair
     stops the engine, so a driving loop alternates ``run`` and
     :meth:`service`.
     """
@@ -96,7 +94,6 @@ class FaultManager(Component):
     def __init__(self, network, rate_window=200):
         self.network = network
         self.name = "faultmgr"
-        self.fabric = NetworkScanFabric(network)
         self.rate_window = rate_window
         self._cooldown_until = {}
 
@@ -217,10 +214,6 @@ class FaultManager(Component):
     # Repair: localization + masking (runs BETWEEN engine runs)
     # ------------------------------------------------------------------
 
-    def repairs_due(self):
-        """True when :meth:`service` has scheduled work to perform."""
-        return bool(self.due)
-
     def service(self):
         """Perform every due repair; returns the repair records.
 
@@ -281,89 +274,26 @@ class FaultManager(Component):
             if src_key[1] != layer:
                 continue
             if (src_key, dst_key) in self.masked:
-                # Re-testing a masked wire would re-enable its ports
-                # (the isolation test restores them on exit) — the mask
-                # is a standing repair, leave it alone.
+                # A mask is a standing repair: re-testing would hand a
+                # flaky wire its ports back during a quiet spell.
                 continue
-            if self._test_wire(src_key, dst_key):
+            passed, _observations = port_isolation_test(
+                self.network, src_key, dst_key
+            )
+            if passed:
                 continue
-            self._mask_wire(src_key, dst_key)
+            self.masked.add((src_key, dst_key))
+            self.mask_events.append(
+                {
+                    "cycle": self._cycle,
+                    "src": src_key,
+                    "dst": dst_key,
+                    "stage": src_key[1],
+                }
+            )
+            if self._telemetry is not None:
+                self._telemetry.registry.counter(
+                    "faultmgr.masked_wires", stage=src_key[1]
+                ).inc()
             masked.append((src_key, dst_key))
         return masked
-
-    def _test_wire(self, src_key, dst_key):
-        """Quiesce one wire, then isolation-test it.  True = healthy.
-
-        Ordering matters: the wire's circuits are torn down first,
-        then both facing ports are disabled in the same inter-cycle
-        gap (so the allocator cannot hand the wire to new traffic),
-        then the network runs briefly to flush in-flight words, and
-        only then do test patterns go on the now-silent wire.  The
-        teardown traffic (DROP words) crosses the wire *before* the
-        ports disable, so the masked-port oracle invariant holds
-        throughout.
-        """
-        network = self.network
-        upstream, bwd_port, downstream, fwd_port = _link_ends(
-            network, src_key, dst_key
-        )
-        upstream.quiesce_backward_port(bwd_port)
-        downstream.force_teardown(fwd_port)
-        up_key = (src_key[1], src_key[2], src_key[3])
-        down_key = (dst_key[1], dst_key[2], dst_key[3])
-        up_port_id = upstream.config.backward_port_id(bwd_port)
-        down_port_id = downstream.config.forward_port_id(fwd_port)
-        self.fabric.disable_port(up_key, up_port_id)
-        self.fabric.disable_port(down_key, down_port_id)
-        settle = network.channels[(src_key, dst_key)].delay + 2
-        network.run(settle)
-        passed, _observations = port_isolation_test(network, src_key, dst_key)
-        if passed:
-            # The isolation test's exit path re-enabled both ports;
-            # the wire rejoins the redundant pool.
-            return True
-        # Failing wires are re-masked by the caller before any engine
-        # cycle runs, so the allocator never sees them enabled.
-        return False
-
-    def _mask_wire(self, src_key, dst_key):
-        upstream, bwd_port, downstream, fwd_port = _link_ends(
-            self.network, src_key, dst_key
-        )
-        up_key = (src_key[1], src_key[2], src_key[3])
-        down_key = (dst_key[1], dst_key[2], dst_key[3])
-        self.fabric.disable_port(
-            up_key, upstream.config.backward_port_id(bwd_port)
-        )
-        self.fabric.disable_port(
-            down_key, downstream.config.forward_port_id(fwd_port)
-        )
-        self.masked.add((src_key, dst_key))
-        self.mask_events.append(
-            {
-                "cycle": self._cycle,
-                "src": src_key,
-                "dst": dst_key,
-                "stage": src_key[1],
-            }
-        )
-        if self._telemetry is not None:
-            self._telemetry.registry.counter(
-                "faultmgr.masked_wires", stage=src_key[1]
-            ).inc()
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def summary(self):
-        """Picklable snapshot of the manager's state for reports."""
-        return {
-            "evidence_count": self.evidence_count,
-            "suspicion": dict(self.suspicion),
-            "masked_wires": len(self.masked),
-            "mask_events": list(self.mask_events),
-            "repairs": [dict(r) for r in self.repairs],
-            "peak_window": self.peak_window,
-            "window_rates": list(self.window_rates),
-        }

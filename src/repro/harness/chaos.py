@@ -400,7 +400,7 @@ def _finish_soak(
     while engine.cycle < target:
         stop = target if next_snap is None else min(target, next_snap)
         network.run(stop - engine.cycle)
-        if manager is not None and manager.repairs_due():
+        if manager is not None:
             manager.service()
         if next_snap is not None and engine.cycle >= next_snap:
             if engine.cycle < target:

@@ -87,9 +87,8 @@ class DataRegister:
 
     def shift(self, tdi):
         """One shift clock: returns TDO (LSB out), TDI enters at MSB."""
-        tdo = self.bits[0]
-        self.bits = self.bits[1:] + [1 if tdi else 0]
-        return tdo
+        self.bits.append(1 if tdi else 0)
+        return self.bits.pop(0)
 
     def update(self):
         if self._update is not None:
@@ -135,8 +134,8 @@ class TapController:
         elif state == SHIFT_DR:
             tdo = self._current_dr().shift(tdi)
         elif state == SHIFT_IR:
-            tdo = self._ir_shift[0]
-            self._ir_shift = self._ir_shift[1:] + [1 if tdi else 0]
+            self._ir_shift.append(1 if tdi else 0)
+            tdo = self._ir_shift.pop(0)
         elif state == UPDATE_DR:
             self._current_dr().update()
         elif state == UPDATE_IR:
@@ -150,7 +149,7 @@ class TapController:
         return tdo
 
     def _current_dr(self):
-        return self.registers.get(self.instruction, self.registers[BYPASS])
+        return self.registers[self.instruction]
 
 
 def _int_bits(value, width):

@@ -1,13 +1,15 @@
 """Scan-driven fault localization and masking."""
 
+import inspect
+import textwrap
+
 import pytest
 
 from repro.core.words import RouterStatus
 from repro.endpoint.messages import DELIVERED, Message, TIMEOUT
+from repro.faults import diagnosis as diagnosis_module
 from repro.faults.diagnosis import (
-    diagnose_and_mask,
     diagnose_stage,
-    mask_link,
     port_isolation_test,
     suspect_stage_from_statuses,
 )
@@ -19,6 +21,18 @@ from repro.network.topology import figure1_plan
 
 def _network(seed=21):
     return build_network(figure1_plan(), seed=seed)
+
+
+def _facing_configs(network, src_key, dst_key):
+    """``(config, port id)`` of the two ports facing one wire."""
+    _, s_stage, s_block, s_index, s_port = src_key
+    _, d_stage, d_block, d_index, d_port = dst_key
+    up = network.router_grid[(s_stage, s_block, s_index)].config
+    down = network.router_grid[(d_stage, d_block, d_index)].config
+    return (
+        (up, up.backward_port_id(s_port)),
+        (down, down.forward_port_id(d_port)),
+    )
 
 
 class TestStatusLocalization:
@@ -64,6 +78,10 @@ class TestPortIsolation:
         FaultInjector(network).now(DeadLink(src_key=src_key, dst_key=dst_key))
         passed, observations = port_isolation_test(network, src_key, dst_key)
         assert not passed
+        # The mask: both facing ports stay disabled, no driver left on.
+        for config, port_id in _facing_configs(network, src_key, dst_key):
+            assert not config.port_enabled[port_id]
+            assert not config.off_port_drive[port_id]
 
     def test_stuck_bits_fail(self):
         network = _network()
@@ -79,13 +97,11 @@ class TestPortIsolation:
     def test_ports_restored_after_test(self):
         network = _network()
         src_key, dst_key = router_to_router_channels(network)[3]
-        port_isolation_test(network, src_key, dst_key)
-        _, s_stage, s_block, s_index, s_port = src_key
-        _, d_stage, d_block, d_index, d_port = dst_key
-        up = network.router_grid[(s_stage, s_block, s_index)]
-        down = network.router_grid[(d_stage, d_block, d_index)]
-        assert up.config.port_enabled[up.config.backward_port_id(s_port)]
-        assert down.config.port_enabled[down.config.forward_port_id(d_port)]
+        passed, _observations = port_isolation_test(network, src_key, dst_key)
+        assert passed
+        for config, port_id in _facing_configs(network, src_key, dst_key):
+            assert config.port_enabled[port_id]
+            assert not config.off_port_drive[port_id]
 
     def test_rejects_endpoint_wires(self):
         network = _network()
@@ -116,22 +132,53 @@ class TestStageSweep:
 
 class TestMasking:
     def test_masked_link_never_used(self):
-        """After diagnose_and_mask, a dead wire causes no more timeouts:
+        """After diagnose_stage, a dead wire causes no more timeouts:
         the allocator simply never selects the disabled port."""
         network = _network(seed=22)
         bad = router_to_router_channels(network)[6]
         FaultInjector(network).now(DeadLink(src_key=bad[0], dst_key=bad[1]))
-        masked = diagnose_and_mask(network, stage=bad[0][1])
+        masked = diagnose_stage(network, stage=bad[0][1])
         assert bad in masked
         before = dict(network.log.attempt_failures)
-        messages = [
-            network.send(src, Message(dest=(src + 5) % 16, payload=[1, 2]))
-            for src in range(16)
-        ]
-        assert network.run_until_quiet(max_cycles=120000)
-        assert all(m.outcome == DELIVERED for m in messages)
+        # The same six waves that make the unmasked control time out.
+        for _round in range(6):
+            messages = [
+                network.send(src, Message(dest=(src + 5) % 16, payload=[1, 2]))
+                for src in range(16)
+            ]
+            assert network.run_until_quiet(max_cycles=120000)
+            assert all(m.outcome == DELIVERED for m in messages)
         after = network.log.attempt_failures
-        assert after.get(TIMEOUT, 0) == before.get(TIMEOUT, 0)
+        for cause in (TIMEOUT, "died"):
+            assert after.get(cause, 0) == before.get(cause, 0), cause
+
+    def test_the_masking_test_catches_a_mask_on_the_neighbouring_wire(
+            self, monkeypatch):
+        """Seeded FaultManager bug (``docs/testing.md``, the mutation
+        table): a failing wire gets its ports back and the mask lands
+        on the upstream router's neighbouring backward port instead."""
+        healthy = "up_scan.disable_port(up_port_id)\n"
+        source = textwrap.dedent(inspect.getsource(port_isolation_test))
+        assert source.count(healthy) == 1
+        neighbour = "upstream.config.backward_port_id((bwd_port + 1) % {})".format(
+            "upstream.params.o"
+        )
+        mutant = {}
+        exec(
+            source.replace(
+                healthy,
+                "up_scan.enable_port(up_port_id); "
+                "down_scan.enable_port(down_port_id); "
+                "up_scan.disable_port({})\n".format(neighbour),
+            ),
+            vars(diagnosis_module), mutant,
+        )
+        monkeypatch.setattr(
+            diagnosis_module, "port_isolation_test",
+            mutant["port_isolation_test"],
+        )
+        with pytest.raises(AssertionError):
+            self.test_masked_link_never_used()
 
     def test_unmasked_dead_link_does_cause_timeouts(self):
         """Control for the test above: without masking, some attempts

@@ -1,7 +1,11 @@
 """FaultManager: evidence accumulation, localization, and the closed loop."""
 
+import inspect
+import textwrap
+
 import pytest
 
+from repro.faults import manager as manager_module
 from repro.faults.manager import DEFAULT_WEIGHTS, FaultManager
 from repro.harness.chaos import run_chaos_point
 from repro.network.builder import build_network
@@ -82,9 +86,8 @@ class TestEvidence:
         # under the threshold of 5; the fourth crosses it.
         for cycle in (50, 51, 52):
             manager._on_attempt_failure(cycle, endpoint, send, "corrupted", None)
-        assert not manager.repairs_due()
+        assert not manager.due
         manager._on_attempt_failure(53, endpoint, send, "corrupted", None)
-        assert manager.repairs_due()
         assert manager.due == [1]
         assert network.engine._stop_requested
 
@@ -93,7 +96,7 @@ class TestEvidence:
         for cycle in range(30):
             manager._on_attempt_failure(cycle, None, None, "blocked", 2)
         # 30 blocked attempts at weight 0.05 stay under threshold.
-        assert not manager.repairs_due()
+        assert not manager.due
         assert manager.evidence_count == 30
 
     def test_cooldown_suppresses_rescheduling(self):
@@ -229,3 +232,21 @@ class TestClosedLoop:
         verified = [r for r in healed.repairs if r["verified"]]
         assert verified, "no repair verified by delivered-rate rebound"
         assert all(r["verified_cycle"] is not None for r in verified)
+
+
+def test_the_recovery_test_catches_a_manager_that_never_verifies(monkeypatch):
+    """Seeded FaultManager bug (``docs/testing.md``, the mutation
+    table): no delivered-rate window ever counts as a recovery."""
+    healthy = "if self._window_count >= floor:"
+    source = textwrap.dedent(inspect.getsource(FaultManager._close_window))
+    assert source.count(healthy) == 1
+    mutant = {}
+    exec(source.replace(healthy, "if False:"), vars(manager_module), mutant)
+    monkeypatch.setattr(FaultManager, "_close_window", mutant["_close_window"])
+    healed = run_chaos_point(
+        self_heal=True, n_flaky_links=1, n_dead_routers=2, **_DEMO
+    )
+    with pytest.raises(AssertionError):
+        TestClosedLoop().test_recovery_verification_marks_repairs(
+            (None, healed, None)
+        )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import shutil
 
 import pytest
 
@@ -35,6 +36,17 @@ SOAK_KW = dict(
 )
 
 
+@pytest.fixture(scope="module")
+def soak_log(tmp_path_factory):
+    """``(path, result)`` of the seed-1 streamed soak, run once.
+
+    The log is read-only: a test that damages it works on a copy.
+    """
+    path = str(tmp_path_factory.mktemp("soak") / "run.jsonl")
+    result = run_chaos_point(seed=1, stream_path=path, metrics=True, **SOAK_KW)
+    return path, result
+
+
 def _loaded_network(**kwargs):
     network = figure1_network(seed=5, **kwargs)
     UniformRandomTraffic(
@@ -65,11 +77,8 @@ class TestSnapshotCodec:
 
 
 class TestRunLogSchema:
-    def test_soak_log_is_valid_and_complete(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        result = run_chaos_point(
-            seed=1, stream_path=path, metrics=True, **SOAK_KW
-        )
+    def test_soak_log_is_valid_and_complete(self, soak_log):
+        path, result = soak_log
         events = read_run_log(path)
         assert validate_run_log(events) == len(events)
         kinds = {event["event"] for event in events}
@@ -84,9 +93,9 @@ class TestRunLogSchema:
         assert events[-1]["deltas"] == len(deltas) > 0
         assert result.windows  # the run itself finished normally
 
-    def test_torn_final_line_is_tolerated(self, tmp_path):
+    def test_torn_final_line_is_tolerated(self, soak_log, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        run_chaos_point(seed=1, stream_path=path, metrics=True, **SOAK_KW)
+        shutil.copyfile(soak_log[0], path)
         whole = read_run_log(path)
         with open(path, "a") as handle:
             handle.write('{"event": "metrics.del')  # crash mid-write
@@ -133,7 +142,7 @@ class TestRunLogSchema:
                 ]
             )
 
-    def test_truncated_mid_record_parses_as_a_prefix(self, tmp_path):
+    def test_truncated_mid_record_parses_as_a_prefix(self, soak_log, tmp_path):
         """A crash can cut the file at any byte, not just mid-append.
 
         Whatever the truncation point, the reader must return a clean
@@ -142,8 +151,7 @@ class TestRunLogSchema:
         """
         from repro.harness.chaosmonkey import truncate_tail
 
-        path = str(tmp_path / "run.jsonl")
-        run_chaos_point(seed=1, stream_path=path, metrics=True, **SOAK_KW)
+        path = soak_log[0]
         whole = read_run_log(path)
         for nbytes in (1, 7, 40):
             torn_path = str(tmp_path / "torn-{}.jsonl".format(nbytes))
@@ -209,11 +217,9 @@ class TestLosslessDeltas:
 
 
 class TestWindowStats:
-    def test_windows_carry_slo_percentiles(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        run_chaos_point(seed=1, stream_path=path, metrics=True, **SOAK_KW)
+    def test_windows_carry_slo_percentiles(self, soak_log):
         windows = [
-            event for event in read_run_log(path)
+            event for event in read_run_log(soak_log[0])
             if event["event"] == "window.stats"
         ]
         assert len(windows) >= SOAK_KW["n_windows"]

@@ -2,11 +2,15 @@
 
 Every sweep command (``figure3``, ``faults``, ``chaos``, ``workloads``,
 ``saturation``, the three ``verify`` sweeps), the quarantine exit
-path, a journal resume and ``tail`` on a journal are run as real
-``python -m repro.cli`` subprocesses in an empty working directory,
-and what they print is compared with the committed fixtures under
-``tests/fixtures/cli_golden/`` — one JSON file per case, one entry per
-command, stdout/stderr as lists of lines so a diff names the line.
+path, a journal resume and ``tail`` on a journal are run in an empty
+working directory, and what they print is compared with the committed
+fixtures under ``tests/fixtures/cli_golden/`` — one JSON file per case,
+one entry per command, stdout/stderr as lists of lines so a diff names
+the line.  The fixtures are written by real ``python -m repro.cli``
+subprocesses.  The test runs the cases of :data:`SUBPROCESS` the same
+way; every other case calls ``repro.cli.main(argv)`` in-process with
+the case's environment and working directory and captures file
+descriptors 1 and 2, which saves an interpreter start per command.
 
 Only what differs between two runs of the *same* commit is masked
 (:func:`_mask`): wall-clock seconds, process ids and the temporary
@@ -25,6 +29,7 @@ Python 3.10 and 3.12; the parser's actions do not).
 
 import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -163,6 +168,14 @@ CASES = {
     },
 }
 
+#: Cases the test runs as subprocesses, as the fixtures were written:
+#: one per exit code (0, 1, 3), so ``python -m repro.cli`` itself stays
+#: pinned.  An in-process case runs under this interpreter's hash seed,
+#: not ``PYTHONHASHSEED=0``; none of them prints anything that depends
+#: on it.
+SUBPROCESS = {"send_plain", "faults_levels_max_undeliverable",
+              "faults_all_quarantined"}
+
 _SECONDS = re.compile(r"\d+\.\d+s\b")
 _PID = re.compile(r"\bpid \d+")
 
@@ -175,7 +188,17 @@ def _mask(text, scratch):
     return _PID.sub("pid <PID>", text)
 
 
-def _run_case(name):
+def _subprocess(argv, scratch, env):
+    """One command as ``python -m repro.cli``: (exit, stdout, stderr)."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli"] + argv,
+        cwd=scratch, env=env, capture_output=True, text=True,
+        timeout=600,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _run_case(name, run=_subprocess):
     """Run one case's commands; returns the fixture-shaped document."""
     case = CASES[name]
     env = dict(os.environ)
@@ -191,16 +214,12 @@ def _run_case(name):
     document = {"commands": []}
     with tempfile.TemporaryDirectory(prefix="cli-golden-") as scratch:
         for argv in case["commands"]:
-            done = subprocess.run(
-                [sys.executable, "-m", "repro.cli"] + argv,
-                cwd=scratch, env=env, capture_output=True, text=True,
-                timeout=600,
-            )
+            code, stdout, stderr = run(argv, scratch, env)
             document["commands"].append({
                 "argv": argv,
-                "exit": done.returncode,
-                "stdout": _mask(done.stdout, scratch).splitlines(),
-                "stderr": _mask(done.stderr, scratch).splitlines(),
+                "exit": code,
+                "stdout": _mask(stdout, scratch).splitlines(),
+                "stderr": _mask(stderr, scratch).splitlines(),
             })
         files = {}
         for relative in case.get("files", ()):
@@ -211,15 +230,44 @@ def _run_case(name):
     return document
 
 
+def _in_process(capfd, monkeypatch):
+    """A :func:`_run_case` runner calling ``main(argv)`` in this process.
+
+    The root logger's handlers are taken away for the call, as in a
+    fresh interpreter, so the harness's retry and quarantine warnings
+    reach stderr through logging's last-resort handler; under pytest the
+    logging plugin's handlers would take them instead.
+    """
+    from repro.cli import main
+
+    def run(argv, scratch, env):
+        with monkeypatch.context() as patch:
+            patch.setattr(logging.root, "handlers", [])
+            patch.chdir(scratch)
+            for key in set(os.environ) - set(env):
+                patch.delenv(key)
+            for key, value in env.items():
+                patch.setenv(key, value)
+            capfd.readouterr()
+            code = main(argv)
+            stdout, stderr = capfd.readouterr()
+        return code or 0, stdout, stderr
+
+    return run
+
+
 def _fixture_path(name):
     return os.path.join(GOLDEN_DIR, name + ".json")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_fixture(name):
+def test_cli_output_matches_fixture(name, capfd, monkeypatch):
     with open(_fixture_path(name)) as handle:
         golden = json.load(handle)
-    actual = _run_case(name)
+    if name in SUBPROCESS:
+        actual = _run_case(name)
+    else:
+        actual = _run_case(name, _in_process(capfd, monkeypatch))
     for want, got in zip(golden["commands"], actual["commands"]):
         label = "repro " + " ".join(want["argv"])
         assert got["stdout"] == want["stdout"], label

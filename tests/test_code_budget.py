@@ -82,7 +82,11 @@ BUDGET = 3767
 #: continue a journaled sweep (see :data:`BUDGET`; a move inside
 #: ``src/repro`` does not change this count, so all 45 are deletions).
 #: 12687 before PR 24 (see :data:`BUDGET`; nothing moved).
-SRC_BUDGET = 12684
+#: 12684 before the fault manager lost its private wire test and its
+#: board-chain scan fabric: a wire is tested and masked by
+#: ``faults/diagnosis.py::port_isolation_test`` alone (and a TAP shift
+#: became an append and a pop).
+SRC_BUDGET = 12635
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "
