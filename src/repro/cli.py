@@ -801,7 +801,11 @@ def _cmd_verify(args):
         return _cmd_verify_diff(args)
 
     if args.replay:
-        scenario = Scenario.load(args.replay)
+        try:
+            scenario = Scenario.load(args.replay)
+        except (OSError, ValueError, TypeError) as exc:
+            raise _UsageError("argument --replay: cannot load {}: {}".format(
+                args.replay, exc))
         result = scenario.run(max_cycles=args.max_cycles, backend=args.backend)
         print("replay {!r}".format(scenario))
         print(

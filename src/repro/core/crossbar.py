@@ -14,8 +14,6 @@ The allocator also supports two non-architectural selection policies
 quantify what randomness buys.
 """
 
-from repro.core import mutation as _mutation
-
 RANDOM = "random"
 FIRST_FREE = "first-free"
 ROUND_ROBIN = "round-robin"
@@ -64,15 +62,6 @@ class CrossbarAllocator:
         for shared-randomness cascading.
         """
         candidates = self.free_ports(direction)
-        if _mutation.ACTIVE and _mutation.enabled(_mutation.DOUBLE_ALLOCATE):
-            # Seeded bug: arbitration ignores the IN-USE bits, so two
-            # live connections can be granted the same backward port.
-            config = self.config
-            candidates = [
-                port
-                for port in config.backward_group(direction)
-                if config.port_enabled[config.backward_port_id(port)]
-            ]
         if not candidates:
             return None
         port = candidates[self._select(len(candidates), decision_key)]
@@ -97,11 +86,6 @@ class CrossbarAllocator:
     def release(self, port):
         """Return a backward port to the free pool."""
         if not self._in_use[port]:
-            if _mutation.ACTIVE:
-                # A seeded mutation already freed (or never claimed)
-                # this port; tolerate the double release so the run
-                # survives long enough for the oracle to report it.
-                return
             raise ValueError("backward port {} was not in use".format(port))
         self._in_use[port] = False
 

@@ -37,7 +37,6 @@ Port geometry: forward port ``p`` attaches to ``forward_ends[p]`` (the
 ``backward_ends[q]`` (the *A* side of the downstream channel).
 """
 
-from repro.core import mutation as _mutation
 from repro.core import words as W
 from repro.core.crossbar import CrossbarAllocator, RANDOM
 from repro.core.parameters import RouterConfig
@@ -413,26 +412,19 @@ class MetroRouter(Component):
             stage_count = end.recv_bcb()
             if stage_count is None:
                 continue  # a dead wire delivers no pulse
-            if _mutation.ACTIVE and _mutation.enabled(_mutation.IGNORE_BCB):
-                continue
             # Terminate the downstream side, free the output, and keep
             # propagating the (incremented) drop toward the source.
             end.send(W.DROP_WORD)
-            skip_release = _mutation.ACTIVE and _mutation.enabled(
-                _mutation.SKIP_BCB_RELEASE
-            )
             if conn in self._draining:
                 # Already closing; just finish immediately.
-                if not skip_release:
-                    self._release_backward(conn)
+                self._release_backward(conn)
                 self._draining.remove(conn)
                 continue
             fwd_end = self.forward_ends[conn.fwd_port]
             if fwd_end is not None:
                 fwd_end.send_bcb(stage_count + 1)
             self._record("bcb-propagate", conn.fwd_port, stage_count + 1)
-            if not skip_release:
-                self._release_backward(conn)
+            self._release_backward(conn)
             conn.reset()
             conn.state = DISCARD_STATE
 
@@ -472,19 +464,15 @@ class MetroRouter(Component):
 
     def _route(self, conn, forward_word):
         """Arbitrate for a backward port and establish (or block)."""
-        direction = conn.direction
-        if _mutation.ACTIVE and _mutation.enabled(_mutation.WRONG_DIRECTION):
-            direction = (direction + 1) % self.config.radix
-        backward = self.allocator.allocate(direction, decision_key=conn.fwd_port)
+        backward = self.allocator.allocate(
+            conn.direction, decision_key=conn.fwd_port
+        )
         if backward is None:
             self._block(conn)
             return
         conn.bwd_port = backward
         self._bwd_owner[backward] = conn
-        if not (
-            _mutation.ACTIVE and _mutation.enabled(_mutation.STALE_OWNED_COUNT)
-        ):
-            self._count_owned()
+        self._count_owned()
         conn.state = FORWARD_STATE
         conn.silent_cycles = 0
         self._record("conn-open", conn.fwd_port, (conn.direction, backward))
@@ -573,12 +561,6 @@ class MetroRouter(Component):
         self._record("conn-close-accepted", conn.fwd_port, conn.bwd_port)
         self._draining.append(conn)
         self._conns[conn.fwd_port] = _Connection(conn.fwd_port, self.params.dp)
-        if _mutation.ACTIVE and _mutation.enabled(_mutation.FREE_PORT_EARLY):
-            # Seeded bug: unlock the crosspoint while the old stream is
-            # still flushing through it.
-            drained = conn.bwd_port
-            self.allocator.release(drained)
-            self._bwd_owner[drained] = None
 
     def _handle_blocked(self, conn, word):
         if word is None:
@@ -728,20 +710,8 @@ class MetroRouter(Component):
     # -- helpers --------------------------------------------------------
 
     def _emit_status(self, conn, end):
-        if _mutation.ACTIVE and _mutation.enabled(_mutation.SKIP_STATUS):
-            # Seeded bug: the reversal proceeds without its STATUS word.
-            conn.status_pending = False
-            conn.checksum.reset()
-            conn.words_forwarded = 0
-            return
         checksum = conn.checksum.value
-        if _mutation.ACTIVE and _mutation.enabled(
-            _mutation.CORRUPT_STATUS_CHECKSUM
-        ):
-            checksum ^= 0xFF
-        end.send(
-            W.status(False, checksum, conn.words_forwarded, self.name)
-        )
+        end.send(W.status(False, checksum, conn.words_forwarded, self.name))
         conn.status_pending = False
         # The accumulators begin afresh for the new flow direction.
         conn.checksum.reset()
@@ -754,16 +724,6 @@ class MetroRouter(Component):
     def _release_backward(self, conn):
         if conn.bwd_port is None:
             return
-        if _mutation.ACTIVE:
-            if _mutation.enabled(_mutation.LEAK_PORT_ON_DROP):
-                # Seeded bug: the crosspoint is never returned to the
-                # pool; the connection just forgets it owned one.
-                conn.bwd_port = None
-                return
-            if not self.allocator.in_use(conn.bwd_port):
-                # A seeded early release already freed this port.
-                conn.bwd_port = None
-                return
         self.allocator.release(conn.bwd_port)
         self._bwd_owner[conn.bwd_port] = None
         self._count_owned()

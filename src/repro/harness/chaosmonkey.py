@@ -2,10 +2,12 @@
 
 :mod:`repro.faults` injects faults into the *simulated* network; this
 module injects faults into the *harness itself*, to prove the
-resilience layer (supervised pool, run journal, kill-resume) the same
-way :mod:`repro.core.mutation`'s seeded bugs prove the oracle and the
+resilience layer (supervised pool, run journal, kill-resume) the way
+the seeded bugs of ``tests/mutants.py`` prove the oracle and the
 backend differ: by actually breaking things and watching recovery
 happen.  Test/CI-only — nothing here runs unless explicitly armed.
+Unlike those source edits, which a test patches into its own process,
+this module's victims are other processes, so it lives in ``src/``.
 
 Arming is by environment variable, because the victim is usually a
 *worker process* (or a whole CLI subprocess) that inherits its

@@ -47,7 +47,6 @@ engine degrades to the dense reference sweep for the whole run —
 slower, never wrong.
 """
 
-from repro.core import mutation as _mutation
 from repro.sim.channel import Channel
 from repro.sim.component import ACTIVE, PARKED, POLL
 from repro.sim.engine import Engine, EngineDeadlineError
@@ -282,10 +281,6 @@ class EventEngine(Engine):
         hot = self._hot
         if hot:
             wake_ends = woken.update
-            if _mutation.ACTIVE and _mutation.enabled(
-                _mutation.EVENTS_SKIP_WAKE
-            ):
-                wake_ends = set().update  # seeded bug: wakes land nowhere
             cold = []
             attached = self._attached
             for channel in hot:

@@ -21,8 +21,6 @@ emerge from the pipeline, which is indistinguishable, to the attached
 components, from a broken or noisy wire.
 """
 
-from repro.core import mutation as _mutation
-
 
 class _Pipe:
     """A unidirectional shift register of ``delay`` word slots.
@@ -238,11 +236,7 @@ class ChannelEnd:
         """
         self._bcb_tx.staged = value
         channel = self.channel
-        if not (
-            _mutation.ACTIVE
-            and _mutation.enabled(_mutation.CHANNEL_STALE_LIVENESS)
-        ):
-            channel.live = True
+        channel.live = True
         hook = channel.hot_hook
         if hook is not None:
             hook(channel)

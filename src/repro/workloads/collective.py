@@ -26,7 +26,6 @@ training step.
 
 import hashlib
 
-from repro.core import mutation
 from repro.core.random_source import derive_seed
 from repro.endpoint.messages import (
     ABANDONED,
@@ -394,12 +393,12 @@ class CollectiveObserver:
     own — so :meth:`next_event_cycle` can always answer "no scheduled
     event" and ride compression jumps instead of vetoing them.
 
-    Two seeded mutation hooks (tests only) break the release rule on
-    purpose: ``workload-drop-dep-edge`` forgets the edge to an op's
-    first successor, ``workload-premature-release`` releases
-    successors on their first satisfied dependency instead of their
-    last.  Both must be caught by the workload determinism harness
-    (``tests/workloads/test_mutations.py``).
+    :meth:`_release_successors` is the release rule, and the workload
+    determinism harness is shown to catch two source edits of it
+    (``tests/mutants.py``): ``workload-drop-dep-edge`` forgets the edge
+    to an op's first successor, ``workload-premature-release``
+    releases successors on their first satisfied dependency instead of
+    their last (``tests/workloads/test_mutations.py``).
     """
 
     def __init__(self, state, log):
@@ -426,27 +425,9 @@ class CollectiveObserver:
 
     def _release_successors(self, op_id, cycle):
         state = self.state
-        succs = state.succs[op_id]
-        if (
-            mutation.ACTIVE
-            and mutation.enabled(mutation.WL_DROP_DEP_EDGE)
-            and succs
-        ):
-            # Seeded bug: the delivery never reaches the first
-            # successor — its dependency count stays pinned and the
-            # downstream subgraph deadlocks.
-            succs = succs[1:]
-        for succ in succs:
+        for succ in state.succs[op_id]:
             state.remaining[succ] -= 1
             released = state.remaining[succ] == 0
-            if (
-                mutation.ACTIVE
-                and mutation.enabled(mutation.WL_PREMATURE_RELEASE)
-                and not released
-            ):
-                # Seeded bug: first delivery releases the op, ahead of
-                # the dependencies it was meant to wait for.
-                released = state.released_cycle[succ] is None
             if released and state.released_cycle[succ] is None:
                 state._release(succ, cycle)
 

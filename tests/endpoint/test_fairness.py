@@ -10,9 +10,13 @@ the documented order at the unit level and the no-starvation
 consequence under a hotspot service load.
 """
 
+import pytest
+
 from repro.endpoint.messages import Message
 from repro.harness.load_sweep import figure1_network
 from repro.harness.workload_sweep import run_service_point
+
+from tests.mutants import seeded
 
 
 def _message(dest, queued_cycle, tag):
@@ -38,6 +42,15 @@ def test_oldest_submission_drains_first():
     started = [send.message for send in endpoint._sends.values()]
     assert started == [retried]
     assert [entry[1] for entry in endpoint._queue] == [fresh]
+
+
+def test_the_drain_order_test_catches_a_position_first_queue():
+    """Seeded endpoint bug (``docs/testing.md``, the mutation table):
+    queue position alone picks the next message, so the retry at the
+    tail waits behind the younger one."""
+    with seeded("endpoint-position-first"):
+        with pytest.raises(AssertionError):
+            test_oldest_submission_drains_first()
 
 
 def test_equal_age_falls_back_to_queue_position():

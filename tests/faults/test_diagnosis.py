@@ -1,13 +1,9 @@
 """Scan-driven fault localization and masking."""
 
-import inspect
-import textwrap
-
 import pytest
 
 from repro.core.words import RouterStatus
 from repro.endpoint.messages import DELIVERED, Message, TIMEOUT
-from repro.faults import diagnosis as diagnosis_module
 from repro.faults.diagnosis import (
     diagnose_stage,
     port_isolation_test,
@@ -17,6 +13,8 @@ from repro.faults.injector import FaultInjector, router_to_router_channels
 from repro.faults.model import CorruptLink, DeadLink
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
+
+from tests.mutants import seeded
 
 
 def _network(seed=21):
@@ -152,33 +150,13 @@ class TestMasking:
         for cause in (TIMEOUT, "died"):
             assert after.get(cause, 0) == before.get(cause, 0), cause
 
-    def test_the_masking_test_catches_a_mask_on_the_neighbouring_wire(
-            self, monkeypatch):
+    def test_the_masking_test_catches_a_mask_on_the_neighbouring_wire(self):
         """Seeded FaultManager bug (``docs/testing.md``, the mutation
         table): a failing wire gets its ports back and the mask lands
         on the upstream router's neighbouring backward port instead."""
-        healthy = "up_scan.disable_port(up_port_id)\n"
-        source = textwrap.dedent(inspect.getsource(port_isolation_test))
-        assert source.count(healthy) == 1
-        neighbour = "upstream.config.backward_port_id((bwd_port + 1) % {})".format(
-            "upstream.params.o"
-        )
-        mutant = {}
-        exec(
-            source.replace(
-                healthy,
-                "up_scan.enable_port(up_port_id); "
-                "down_scan.enable_port(down_port_id); "
-                "up_scan.disable_port({})\n".format(neighbour),
-            ),
-            vars(diagnosis_module), mutant,
-        )
-        monkeypatch.setattr(
-            diagnosis_module, "port_isolation_test",
-            mutant["port_isolation_test"],
-        )
-        with pytest.raises(AssertionError):
-            self.test_masked_link_never_used()
+        with seeded("diagnosis-masks-neighbour"):
+            with pytest.raises(AssertionError):
+                self.test_masked_link_never_used()
 
     def test_unmasked_dead_link_does_cause_timeouts(self):
         """Control for the test above: without masking, some attempts

@@ -1,15 +1,13 @@
 """FaultManager: evidence accumulation, localization, and the closed loop."""
 
-import inspect
-import textwrap
-
 import pytest
 
-from repro.faults import manager as manager_module
 from repro.faults.manager import DEFAULT_WEIGHTS, FaultManager
 from repro.harness.chaos import run_chaos_point
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
+
+from tests.mutants import seeded
 
 
 def _network(seed=21):
@@ -234,18 +232,13 @@ class TestClosedLoop:
         assert all(r["verified_cycle"] is not None for r in verified)
 
 
-def test_the_recovery_test_catches_a_manager_that_never_verifies(monkeypatch):
+def test_the_recovery_test_catches_a_manager_that_never_verifies():
     """Seeded FaultManager bug (``docs/testing.md``, the mutation
     table): no delivered-rate window ever counts as a recovery."""
-    healthy = "if self._window_count >= floor:"
-    source = textwrap.dedent(inspect.getsource(FaultManager._close_window))
-    assert source.count(healthy) == 1
-    mutant = {}
-    exec(source.replace(healthy, "if False:"), vars(manager_module), mutant)
-    monkeypatch.setattr(FaultManager, "_close_window", mutant["_close_window"])
-    healed = run_chaos_point(
-        self_heal=True, n_flaky_links=1, n_dead_routers=2, **_DEMO
-    )
+    with seeded("manager-never-verifies"):
+        healed = run_chaos_point(
+            self_heal=True, n_flaky_links=1, n_dead_routers=2, **_DEMO
+        )
     with pytest.raises(AssertionError):
         TestClosedLoop().test_recovery_verification_marks_repairs(
             (None, healed, None)

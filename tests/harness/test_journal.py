@@ -33,6 +33,8 @@ from repro.harness.parallel import (
 )
 from repro.telemetry.stream import read_run_log
 
+from tests.mutants import seeded
+
 
 def _load_specs(n=3, backend=None):
     """Small, fast, *real* simulation trials (cacheable)."""
@@ -291,6 +293,53 @@ def test_resume_refuses_a_damaged_cache_entry_that_still_decodes(
     assert resumed == control == [("payload-AAAA", 1), ("payload-CCCC", 1)]
     # The re-execution left a correct entry behind.
     assert open(entry, "rb").read() == intact
+
+
+@pytest.mark.parametrize("damage", ["rewritten in place", "another result"])
+def test_the_damaged_entry_test_catches_a_runner_that_ignores_the_hash(
+    tmp_path, damage
+):
+    """Seeded runner bug (``docs/testing.md``, the mutation table):
+    ``TrialRunner._lookup`` serves a finished trial's cache entry
+    whatever content hash the journal recorded for it."""
+    with seeded("runner-ignores-result-hash"):
+        with pytest.raises(AssertionError):
+            test_resume_refuses_a_damaged_cache_entry_that_still_decodes(
+                tmp_path, damage
+            )
+
+
+def test_every_trial_done_of_a_key_records_one_hash(tmp_path):
+    """Why ``replay_journal`` letting the *earliest* ``trial.done`` of a
+    key win would change nothing (``docs/testing.md``, the mutation
+    table): the runner reads only a finished trial's ``result_hash``,
+    every ``trial.done`` it writes carries one, and a journal key is a
+    spec's fingerprint under one code version, so a trial that
+    finishes again (served from the cache, or re-executed after its
+    entry was damaged) records the same hash again."""
+    specs = [
+        TrialSpec(__name__ + ":_echo_trial", params=dict(value=value),
+                  seed=1, label="echo-{}".format(value))
+        for value in ("payload-AAAA", "payload-CCCC")
+    ]
+    cache_dir = str(tmp_path / "cache")
+    path = str(tmp_path / "run.jsonl")
+    for leg in range(3):
+        runner = TrialRunner(cache_dir=cache_dir, journal=path)
+        if leg == 2:
+            runner.cache.put(specs[0].fingerprint(), ("payload-BBBB", 1))
+        runner.run(specs)
+        runner.journal.close()
+    done = {}
+    for event in read_run_log(path):
+        if event["event"] == "trial.done":
+            done.setdefault(event["key"], []).append(event)
+    assert [[e["source"] for e in done[spec.fingerprint()]] for spec in specs] == [
+        ["executed", "resumed", "executed"],
+        ["executed", "resumed", "resumed"],
+    ]
+    for records in done.values():
+        assert len({e["result_hash"] for e in records}) == 1
 
 
 def test_quarantine_report_carries_over_on_resume(tmp_path):

@@ -22,6 +22,8 @@ from repro.harness.parallel import (
 from repro.harness.reporting import format_trial_event
 from repro.harness.saturation import find_saturation
 
+from tests.mutants import seeded
+
 SWEEP_KW = dict(
     network_factory=figure1_network,
     message_words=6,
@@ -126,6 +128,15 @@ def test_spec_fingerprint_includes_code_version():
     spec = TrialSpec("repro.harness.load_sweep:run_load_point",
                      params=dict(rate=0.01), seed=5)
     assert spec.fingerprint(code_version="a") != spec.fingerprint(code_version="b")
+
+
+def test_the_fingerprint_test_catches_a_key_without_the_code_version():
+    """Seeded cache-key bug (``docs/testing.md``, the mutation table):
+    ``spec._digest`` hashes the spec without the code version, so a
+    code change would be served results cached under the old code."""
+    with seeded("spec-drops-code-version"):
+        with pytest.raises(AssertionError):
+            test_spec_fingerprint_includes_code_version()
 
 
 def test_module_level_callables_are_cacheable_lambdas_are_not():

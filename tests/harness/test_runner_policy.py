@@ -15,15 +15,12 @@ batch canonicalises a spec.
 """
 
 import ast
-import inspect
 import multiprocessing
 import os
-import textwrap
 import types
 
 import pytest
 
-from repro.harness import parallel as parallel_module
 from repro.harness import pool as pool_module
 from repro.harness.cache import encode_result
 from repro.harness.journal import JournalState
@@ -34,6 +31,8 @@ from repro.harness.parallel import (
     WorkerCrashError,
 )
 from repro.harness.pool import WorkerPool, _PoolWorker
+
+from tests.mutants import seeded
 
 HARNESS = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "src", "repro", "harness"
@@ -224,21 +223,12 @@ def test_dispatch_onto_a_dead_pipe_spends_no_attempt(script):
     assert script.spawned[0].conn.closed  # the corpse was reaped
 
 
-def test_the_dead_pipe_test_catches_an_attempt_spent_on_a_dead_pipe(
-        script, monkeypatch):
+def test_the_dead_pipe_test_catches_an_attempt_spent_on_a_dead_pipe(script):
     """Seeded runner-policy bug (``docs/testing.md``, the mutation
     table): a dispatch that failed is counted as an attempt."""
-    healthy = "ready.appendleft(trial)"
-    source = textwrap.dedent(inspect.getsource(TrialRunner._run_pool))
-    assert source.count(healthy) == 1
-    mutant = {}
-    exec(
-        source.replace(healthy, "trial.attempt += 1; " + healthy),
-        vars(parallel_module), mutant,
-    )
-    monkeypatch.setattr(TrialRunner, "_run_pool", mutant["_run_pool"])
-    with pytest.raises(AssertionError):
-        test_dispatch_onto_a_dead_pipe_spends_no_attempt(script)
+    with seeded("runner-dead-pipe-spends-attempt"):
+        with pytest.raises(AssertionError):
+            test_dispatch_onto_a_dead_pipe_spends_no_attempt(script)
 
 
 def test_every_worker_dead_and_none_respawnable_raises(script, caplog):

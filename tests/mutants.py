@@ -1,0 +1,223 @@
+"""Seeded bugs: one way to show that a check can fail.
+
+Every checker in this repository (the conformance Oracle, the backend
+differ, the golden trace, the channel property, the workload, harness
+and fault-manager tests) is shown to *fail* under a deliberate bug.  A
+seeded bug is a source edit, made here and nowhere else: the code under
+``src/`` carries no test-only branch.
+
+``mutant({(owner, name): [(healthy, broken), ...]})`` takes the source
+of ``owner.name`` (a method of a class, or a function of a module),
+asserts that each ``healthy`` fragment occurs exactly once, replaces it
+with ``broken``, compiles the edited copy in the owner module's
+globals and patches it in for the ``with`` block; the original goes
+back on exit.  A refactor that moves an anchor fails
+``tests/test_mutants.py`` by the name of the bug, before any check
+runs under it.
+
+:data:`MUTANTS` names every seeded bug a test relies on, and
+``seeded(name)`` applies one of them together with
+:data:`DOUBLE_RELEASE`.  ``docs/testing.md`` has the same inventory
+with the test that catches each bug.
+"""
+
+import ast
+import inspect
+import sys
+import textwrap
+from contextlib import contextmanager
+
+from repro.core.crossbar import CrossbarAllocator
+from repro.core.router import MetroRouter
+from repro.endpoint.interface import Endpoint
+from repro.faults import diagnosis
+from repro.faults.manager import FaultManager
+from repro.harness import spec
+from repro.harness.parallel import TrialRunner
+from repro.sim.backends import EventEngine
+from repro.sim.channel import ChannelEnd
+from repro.workloads.collective import CollectiveObserver
+
+
+def _function(owner, name):
+    function = vars(owner)[name]
+    assert inspect.isfunction(function) and function.__closure__ is None, (
+        "{}.{} is not a plain function".format(owner.__name__, name)
+    )
+    return function
+
+
+def compile_mutant(owner, name, edits):
+    """The function ``owner.name`` with each ``(healthy, broken)`` edit
+    applied in order, compiled where the original was."""
+    original = _function(owner, name)
+    lines, first_line = inspect.getsourcelines(original)
+    source = "".join(lines)
+    for healthy, broken in edits:
+        count = source.count(healthy)
+        assert count == 1, "{}.{}: {!r} occurs {} times, not once".format(
+            owner.__name__, name, healthy, count
+        )
+        source = source.replace(healthy, broken)
+    tree = ast.parse(textwrap.dedent(source))
+    ast.increment_lineno(tree, first_line - 1)  # tracebacks point home
+    module = owner if inspect.ismodule(owner) else sys.modules[owner.__module__]
+    namespace = {}
+    exec(compile(tree, inspect.getsourcefile(original), "exec"),
+         vars(module), namespace)
+    return namespace[name]
+
+
+@contextmanager
+def mutant(edits):
+    """Patch in the edited copy of every function ``edits`` names."""
+    originals = {key: _function(*key) for key in edits}
+    mutated = {key: compile_mutant(*key, pairs) for key, pairs in edits.items()}
+    try:
+        for (owner, name), function in mutated.items():
+            setattr(owner, name, function)
+        yield
+    finally:
+        for (owner, name), function in originals.items():
+            setattr(owner, name, function)
+
+
+#: A crosspoint a seeded bug already freed may be released again, so the
+#: run lives long enough for the Oracle to report it; ``seeded`` adds
+#: this to every bug (``oracle_violations.json`` was recorded under it).
+#: Without it ``CrossbarAllocator.release`` raises on a double release.
+DOUBLE_RELEASE = {
+    (CrossbarAllocator, "release"): [
+        ("raise ValueError(", "return  # tolerated: ValueError("),
+    ],
+    (MetroRouter, "_release_backward"): [(
+        "        self.allocator.release(conn.bwd_port)\n",
+        "        if not self.allocator.in_use(conn.bwd_port):\n"
+        "            conn.bwd_port = None\n"
+        "            return\n"
+        "        self.allocator.release(conn.bwd_port)\n",
+    )],
+}
+
+#: The METRO protocol: each must be caught by the conformance Oracle
+#: (``tests/verify/test_mutations.py``, ``oracle_violations.json``).
+PROTOCOL = {
+    # The reversal proceeds without its STATUS word.
+    "skip-status": {(MetroRouter, "_emit_status"): [(
+        "end.send(W.status(False, checksum, conn.words_forwarded, self.name))",
+        "pass",
+    )]},
+    # Every STATUS word reports a corrupted checksum.
+    "corrupt-status-checksum": {(MetroRouter, "_emit_status"): [
+        ("checksum = conn.checksum.value", "checksum = conn.checksum.value ^ 0xFF"),
+    ]},
+    # The crosspoint is unlocked the moment a DROP enters the router,
+    # while the old stream is still flushing through it.
+    "free-port-early": {(MetroRouter, "_begin_drain"): [(
+        "_Connection(conn.fwd_port, self.params.dp)\n",
+        "_Connection(conn.fwd_port, self.params.dp)\n"
+        "        self.allocator.release(conn.bwd_port)\n"
+        "        self._bwd_owner[conn.bwd_port] = None\n",
+    )]},
+    # A closing connection forgets its backward port without returning it.
+    "leak-port-on-drop": {(MetroRouter, "_release_backward"): [
+        ("self.allocator.release(conn.bwd_port)", "conn.bwd_port = None; return"),
+    ]},
+    # Arbitration ignores the IN-USE bits: two circuits share a port.
+    "double-allocate": {(CrossbarAllocator, "allocate"): [(
+        "candidates = self.free_ports(direction)",
+        "candidates = [port for port in self.config.backward_group(direction)"
+        " if self.config.port_enabled[self.config.backward_port_id(port)]]",
+    )]},
+    # Routing picks the next dilation group up, not the requested one.
+    "wrong-direction": {(MetroRouter, "_route"): [(
+        "conn.direction, decision_key",
+        "(conn.direction + 1) % self.config.radix, decision_key",
+    )]},
+    # A BCB drop is propagated without freeing the local backward port.
+    "skip-bcb-release": {(MetroRouter, "_service_backward_bcb"): [
+        ("self._release_backward(conn)\n                self._draining",
+         "self._draining"),
+        ("self._release_backward(conn)\n            conn.reset()",
+         "conn.reset()"),
+    ]},
+    # Backward-control-bit pulses are never answered.
+    "ignore-bcb": {(MetroRouter, "_service_backward_bcb"): [
+        ("if stage_count is None:", "if True:"),
+    ]},
+}
+
+MUTANTS = {
+    **PROTOCOL,
+    # -- the events engine's scheduler (tests/verify/test_backend_mutations.py)
+    # A parked component is not re-scheduled when a word reaches it.
+    "events-skip-wake": {(EventEngine, "step"): [
+        ("wake_ends = woken.update", "wake_ends = set().update"),
+    ]},
+    # -- fast paths both engines run (test_channel.py, test_fast_path_mutations.py)
+    # A lone send_bcb leaves the wire marked silent: the pulse never shifts.
+    "channel-stale-liveness": {(ChannelEnd, "send_bcb"): [
+        ("channel.live = True", "pass"),
+    ]},
+    # The owned-port count misses every claim, so the router skips
+    # _service_backward_bcb while a port is owned.
+    "router-stale-owned-count": {(MetroRouter, "_route"): [
+        ("self._count_owned()", "pass"),
+    ]},
+    # -- the collective DAG release rule (tests/workloads/test_mutations.py)
+    # A delivery never reaches its op's first successor.
+    "workload-drop-dep-edge": {(CollectiveObserver, "_release_successors"): [
+        ("state.succs[op_id]", "state.succs[op_id][1:]"),
+    ]},
+    # A successor is released on its first satisfied dependency.
+    "workload-premature-release": {
+        (CollectiveObserver, "_release_successors"): [
+            ("released = state.remaining[succ] == 0", "released = True"),
+        ],
+    },
+    # -- the endpoint (tests/endpoint/test_fairness.py)
+    # The drain order is queue position alone: a retry can be lapped.
+    "endpoint-position-first": {(Endpoint, "_maybe_start_send"): [
+        ("key = (candidate[1].queued_cycle, position)", "key = (position,)"),
+    ]},
+    # -- the harness (tests/harness/)
+    # A dispatch that found its worker's pipe dead spends an attempt.
+    "runner-dead-pipe-spends-attempt": {(TrialRunner, "_run_pool"): [
+        ("ready.appendleft(trial)", "trial.attempt += 1; ready.appendleft(trial)"),
+    ]},
+    # A cache entry is served whatever content hash the journal recorded.
+    "runner-ignores-result-hash": {(TrialRunner, "_lookup"): [
+        ('if finished.get("result_hash") not in (None, digest):', "if False:"),
+    ]},
+    # The trial fingerprint (cache key) leaves out the code version.
+    "spec-drops-code-version": {(spec, "_digest"): [
+        ("dict(structure, code=code)", "dict(structure)"),
+    ]},
+    # -- the fault manager (tests/faults/)
+    # A failing wire gets its ports back and the mask lands on the
+    # upstream router's neighbouring backward port instead.
+    "diagnosis-masks-neighbour": {(diagnosis, "port_isolation_test"): [(
+        "up_scan.disable_port(up_port_id)\n",
+        "up_scan.enable_port(up_port_id); down_scan.enable_port(down_port_id); "
+        "up_scan.disable_port(upstream.config.backward_port_id("
+        "(bwd_port + 1) % upstream.params.o))\n",
+    )]},
+    # No post-repair window ever counts as a delivered-rate rebound.
+    "manager-never-verifies": {(FaultManager, "_close_window"): [
+        ("if self._window_count >= floor:", "if False:"),
+    ]},
+}
+
+
+def edits_of(name):
+    """The edits ``seeded(name)`` applies: the bug's, after
+    :data:`DOUBLE_RELEASE`'s in any function both touch."""
+    merged = {key: list(pairs) for key, pairs in DOUBLE_RELEASE.items()}
+    for key, pairs in MUTANTS[name].items():
+        merged.setdefault(key, []).extend(pairs)
+    return merged
+
+
+def seeded(name):
+    """Context manager: the code runs with seeded bug ``name``."""
+    return mutant(edits_of(name))

@@ -5,9 +5,10 @@ import pickle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import mutation
 from repro.core import words as W
 from repro.sim.channel import Channel
+
+from tests.mutants import seeded
 
 
 def test_delay_one_word_arrives_next_cycle():
@@ -234,7 +235,6 @@ def test_channel_matches_the_always_shift_model(delay, script, pickle_at):
 def test_the_property_catches_a_stale_liveness_summary():
     """``channel-stale-liveness``: a lone ``send_bcb`` leaves the wire
     marked silent, so ``advance`` never shifts the pulse."""
-    assert mutation.CHANNEL_STALE_LIVENESS in mutation.FAST_PATH_MUTATIONS
-    with mutation.seeded(mutation.CHANNEL_STALE_LIVENESS):
+    with seeded("channel-stale-liveness"):
         with pytest.raises(AssertionError):
             test_channel_matches_the_always_shift_model()

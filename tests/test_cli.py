@@ -417,6 +417,30 @@ def test_verify_replay_failing_scenario_exits_nonzero(tmp_path, capsys):
     assert "quiet=False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("missing.json", None),  # FileNotFoundError
+        ("torn.json", '{"radix": 2,'),  # JSONDecodeError
+        ("list.json", "[1, 2, 3]"),  # TypeError in Scenario.from_dict
+    ],
+)
+def test_verify_replay_of_a_bad_file_is_a_usage_error(
+        tmp_path, capsys, name, content):
+    """Each was a traceback with exit 1, the code of a replay that found
+    violations."""
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    code = main(["verify", "--replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("repro verify: error: argument --replay: ")
+    assert str(path) in line
+
+
 _CHAOS_SMALL = [
     "chaos", "--seeds", "1", "--windows", "6", "--window-cycles", "200",
     "--warmup-windows", "2", "--mtbf", "400", "--mttr", "200",

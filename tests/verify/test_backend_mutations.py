@@ -1,6 +1,7 @@
 """The backend-layer seeded mutation is caught by *both* provers.
 
-``events-skip-wake`` plants the one bug an activity-gated engine
+``events-skip-wake`` (``tests/mutants.py``: an edit of
+``EventEngine.step``) plants the one bug an activity-gated engine
 invites: a parked component is not re-scheduled when a word reaches
 its ports.  This module asserts that
 
@@ -22,13 +23,12 @@ workloads are silent.
 
 from functools import partial
 
-import pytest
-
-from repro.core import mutation
 from repro.verify import families
 from repro.verify.backend_diff import diff_point
 from repro.verify.oracle import RULE_LEAK
 from repro.verify.scenario import random_scenario
+
+from tests.mutants import seeded
 
 #: (kind, seed) pairs the mutated events engine walks to a report.  A
 #: skipped wake can also hand a router a payload word as a header and
@@ -50,21 +50,6 @@ def _scenario_oracle_run(max_cycles=8000):
     return oracle
 
 
-def test_every_backend_mutation_is_covered():
-    assert mutation.BACKEND_MUTATIONS == {mutation.EVENTS_SKIP_WAKE}
-
-
-def test_backend_mutations_are_registered_but_separate():
-    # The backend layer's mutations are known to the seeding machinery
-    # but must not bleed into ALL_MUTATIONS: the reference-protocol
-    # coverage test enumerates that set exactly.
-    assert mutation.BACKEND_MUTATIONS <= mutation.KNOWN_MUTATIONS
-    assert not (mutation.BACKEND_MUTATIONS & mutation.ALL_MUTATIONS)
-    with pytest.raises(ValueError):
-        with mutation.seeded("events-no-such-mutation"):
-            pass
-
-
 def test_backend_diff_catches_mutation(monkeypatch):
     # The stalled DAG never completes and its network never goes quiet:
     # cap the collective's drive loop (a clean run needs ~1200 cycles)
@@ -75,14 +60,14 @@ def test_backend_diff_catches_mutation(monkeypatch):
         partial(families.finish_collective, max_cycles=4000),
     )
     for point in DIFF_POINTS:
-        with mutation.seeded(mutation.EVENTS_SKIP_WAKE):
+        with seeded("events-skip-wake"):
             result = diff_point(*point, backend="events")
         assert not result.ok, (point, "backend_diff missed events-skip-wake")
         assert result.mismatches
 
 
 def test_oracle_catches_mutation():
-    with mutation.seeded(mutation.EVENTS_SKIP_WAKE):
+    with seeded("events-skip-wake"):
         oracle = _scenario_oracle_run()
     assert not oracle.ok, "oracle missed events-skip-wake"
     assert RULE_LEAK in oracle.violation_rules(), oracle.violation_rules()

@@ -1,20 +1,21 @@
 """Mutation smoke test: the oracle catches deliberately broken routers.
 
-Each case enables one protocol bug behind the test-only hooks in
-:mod:`repro.core.mutation`, replays a workload that exercises the
+Each case seeds one protocol bug of ``tests/mutants.py`` (a source edit
+of the router or its allocator), replays a workload that exercises the
 broken path, and asserts the conformance oracle flags it with the
-expected rule.  Together with test_oracle.py (zero violations when the
-hooks are off) this bounds the oracle from both sides: it is silent on
+expected rule.  Together with test_oracle.py (zero violations on the
+unedited code) this bounds the oracle from both sides: it is silent on
 correct routers and loud on each known way to break the protocol.
 """
 
 import pytest
 
-from repro.core import mutation
 from repro.endpoint.messages import Message
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
 from repro.verify import attach_oracle
+
+from tests.mutants import PROTOCOL, seeded
 
 
 def _uniform_run(max_cycles=6000, backend="reference"):
@@ -40,26 +41,29 @@ def _converging_run(max_cycles=6000, backend="reference"):
     return oracle
 
 
-CASES = [
-    (mutation.SKIP_STATUS, _uniform_run, "missing-status"),
-    (mutation.CORRUPT_STATUS_CHECKSUM, _uniform_run, "status-checksum-mismatch"),
-    (mutation.WRONG_DIRECTION, _uniform_run, "wrong-dilation-group"),
-    (mutation.FREE_PORT_EARLY, _converging_run, "ownership"),
-    (mutation.LEAK_PORT_ON_DROP, _converging_run, "ownership"),
-    (mutation.DOUBLE_ALLOCATE, _converging_run, "ownership"),
-    (mutation.SKIP_BCB_RELEASE, _converging_run, "ownership"),
-    (mutation.IGNORE_BCB, _converging_run, "bcb-ignored"),
-]
+#: protocol bug -> (workload that exercises it, rule the oracle reports)
+CATCHES = {
+    "skip-status": (_uniform_run, "missing-status"),
+    "corrupt-status-checksum": (_uniform_run, "status-checksum-mismatch"),
+    "wrong-direction": (_uniform_run, "wrong-dilation-group"),
+    "free-port-early": (_converging_run, "ownership"),
+    "leak-port-on-drop": (_converging_run, "ownership"),
+    "double-allocate": (_converging_run, "ownership"),
+    "skip-bcb-release": (_converging_run, "ownership"),
+    "ignore-bcb": (_converging_run, "bcb-ignored"),
+}
+
+CASES = [(name, *CATCHES[name]) for name in PROTOCOL]
 
 
 def test_every_known_mutation_is_covered():
-    assert {name for name, _, _ in CASES} == set(mutation.ALL_MUTATIONS)
+    assert set(CATCHES) == set(PROTOCOL)
 
 
 @pytest.mark.parametrize("name,run,expected_rule",
                          CASES, ids=[c[0] for c in CASES])
 def test_oracle_catches_mutation(name, run, expected_rule):
-    with mutation.seeded(name):
+    with seeded(name):
         oracle = run()
     assert not oracle.ok, "oracle missed mutation {!r}".format(name)
     assert expected_rule in oracle.violation_rules(), (
@@ -71,17 +75,3 @@ def test_oracle_catches_mutation(name, run, expected_rule):
 def test_workloads_are_clean_without_mutations(run):
     oracle = run(max_cycles=50000)
     oracle.assert_clean()
-
-
-def test_seeded_restores_previous_state():
-    assert mutation.ACTIVE == frozenset()
-    with mutation.seeded(mutation.SKIP_STATUS):
-        assert mutation.enabled(mutation.SKIP_STATUS)
-        assert not mutation.enabled(mutation.DOUBLE_ALLOCATE)
-    assert mutation.ACTIVE == frozenset()
-
-
-def test_seeded_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        with mutation.seeded("no-such-bug"):
-            pass

@@ -1,8 +1,9 @@
 """Pinned Oracle output: every violation of every seeded-bug run.
 
 ``tests/fixtures/oracle_violations.json`` records, for each protocol
-mutation of test_mutations.py, the ``events-skip-wake`` backend
-mutation and the masked-port run of test_oracle.py, the complete list
+bug of ``tests/mutants.py`` (run as test_mutations.py runs it), the
+``events-skip-wake`` backend bug and the masked-port run of
+test_oracle.py, the complete list
 of violations the conformance oracle reports — ``[cycle, router, port,
 rule]`` rows in report order, plus a digest that also covers each
 violation's detail text.  The fixture was generated from the Oracle as
@@ -29,9 +30,9 @@ import sys
 
 import pytest
 
-from repro.core import mutation
 from repro.sim.backends import BACKENDS
 
+from tests.mutants import seeded
 from tests.verify import test_backend_mutations, test_mutations
 from tests.verify.test_oracle import _masked_port_run
 
@@ -39,7 +40,8 @@ FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "fixtures", "oracle_violations.json"
 )
 
-#: case -> (mutation to seed or None, run(backend) -> Oracle, backends)
+#: case -> (seeded bug of tests/mutants.py or None, run(backend) -> Oracle,
+#: backends)
 CASES = {
     name: (
         name,
@@ -49,8 +51,8 @@ CASES = {
     for name, run, _rule in test_mutations.CASES
 }
 # The skipped wake exists only in the events engine's scheduler.
-CASES[mutation.EVENTS_SKIP_WAKE] = (
-    mutation.EVENTS_SKIP_WAKE,
+CASES["events-skip-wake"] = (
+    "events-skip-wake",
     lambda backend: test_backend_mutations._scenario_oracle_run(),
     ["events"],
 )
@@ -58,9 +60,9 @@ CASES["masked-port"] = (None, _masked_port_run, sorted(BACKENDS))
 
 
 def _observed(case, backend):
-    seeded, run, _backends = CASES[case]
+    bug, run, _backends = CASES[case]
     context = (
-        mutation.seeded(seeded) if seeded else contextlib.nullcontext()
+        seeded(bug) if bug else contextlib.nullcontext()
     )
     with context:
         oracle = run(backend)
@@ -103,7 +105,7 @@ def test_oracle_reproduces_pinned_violations(pinned, case, backend):
 
 def _regen():
     state = {}
-    for case, (_seeded, _run, backends) in sorted(CASES.items()):
+    for case, (_bug, _run, backends) in sorted(CASES.items()):
         state[case] = _observed(case, backends[0])
         for backend in backends[1:]:
             assert _observed(case, backend) == state[case], (case, backend)

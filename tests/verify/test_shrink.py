@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import mutation
 from repro.verify.differential import mismatch_aware_run
 from repro.verify.scenario import Scenario, random_scenario
 from repro.verify.shrink import (
@@ -11,6 +10,8 @@ from repro.verify.shrink import (
     failure_signature,
     shrink_scenario,
 )
+
+from tests.mutants import seeded
 
 
 def test_passing_scenario_refuses_to_shrink():
@@ -29,7 +30,7 @@ def test_shrinks_mutation_failure_to_one_small_message():
     the shrinker should reach the floor: one message, one payload word,
     a one-stage network — while preserving the failure signature."""
     scenario = random_scenario(21, n_messages=4)
-    with mutation.seeded(mutation.CORRUPT_STATUS_CHECKSUM):
+    with seeded("corrupt-status-checksum"):
         original = failure_signature(scenario.run(max_cycles=2000))
         assert "rule:status-checksum-mismatch" in original
         # A tight cycle budget keeps the dozens of candidate runs fast;
@@ -45,13 +46,13 @@ def test_shrinks_mutation_failure_to_one_small_message():
     # The reduction is committed-reproduction quality: it round-trips
     # through JSON and still fails identically.
     replayed = Scenario.from_json(minimal.to_json())
-    with mutation.seeded(mutation.CORRUPT_STATUS_CHECKSUM):
+    with seeded("corrupt-status-checksum"):
         assert failure_signature(replayed.run(max_cycles=2000)) & original
 
 
 def test_shrinker_counts_its_test_runs():
     scenario = random_scenario(21, n_messages=3)
-    with mutation.seeded(mutation.CORRUPT_STATUS_CHECKSUM):
+    with seeded("corrupt-status-checksum"):
         shrinker = Shrinker(max_cycles=2000)
         shrinker.shrink(scenario)
     assert shrinker.tests_run > 3

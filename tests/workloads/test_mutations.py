@@ -1,10 +1,10 @@
 """Seeded workload bugs must be caught by the workload harness.
 
 The DAG-release observer is the one place a silent bug would corrupt
-every collective result at once, so it carries two seeded mutations
-(:data:`~repro.core.mutation.WL_DROP_DEP_EDGE`,
-:data:`~repro.core.mutation.WL_PREMATURE_RELEASE`) and this module
-proves the harness detects both:
+every collective result at once, so two seeded bugs edit its release
+rule, ``CollectiveObserver._release_successors`` (``tests/mutants.py``:
+``workload-drop-dep-edge``, ``workload-premature-release``), and this
+module proves the harness detects both:
 
 * a dropped dependency edge deadlocks the downstream subgraph — the
   run reports ``incomplete`` (and the SLO gate fails it);
@@ -13,10 +13,9 @@ proves the harness detects both:
   per-message dependency audit finds a violation.
 
 The clean control run, executed in the same process, pins that the
-hooks are inert when not seeded.
+unedited observer is back once the seeded block ends.
 """
 
-from repro.core import mutation
 from repro.harness.load_sweep import figure1_network
 from repro.harness.workload_sweep import run_collective_point, workload_slo_failures
 from repro.workloads.collective import (
@@ -24,6 +23,8 @@ from repro.workloads.collective import (
     CollectiveWorkload,
     run_collective,
 )
+
+from tests.mutants import seeded
 
 
 def _clean():
@@ -34,7 +35,7 @@ def test_dropped_dependency_edge_deadlocks_and_gates():
     clean = _clean()
     assert not clean.incomplete
 
-    with mutation.seeded(mutation.WL_DROP_DEP_EDGE):
+    with seeded("workload-drop-dep-edge"):
         broken = run_collective_point(seed=6, algorithm="ring", words=8)
 
     # The first successor of the first delivery never hears about it:
@@ -44,7 +45,7 @@ def test_dropped_dependency_edge_deadlocks_and_gates():
     failures = workload_slo_failures([broken], {})
     assert failures and "incomplete" in failures[0]
 
-    # The hook is inert outside the seeded scope.
+    # The edit is gone outside the seeded scope.
     again = _clean()
     assert not again.incomplete
     assert again.log_digest == clean.log_digest
@@ -58,7 +59,7 @@ def test_premature_release_diverges_the_trajectory():
                                  words=8)
     assert not clean.incomplete
 
-    with mutation.seeded(mutation.WL_PREMATURE_RELEASE):
+    with seeded("workload-premature-release"):
         broken = run_collective_point(seed=6, algorithm="recursive-doubling",
                                       words=8)
 
@@ -72,7 +73,7 @@ def test_premature_release_diverges_the_trajectory():
         16, words_per_rank=8
     )
     workload = CollectiveWorkload(schedule, w=network.codec.w, seed=7)
-    with mutation.seeded(mutation.WL_PREMATURE_RELEASE):
+    with seeded("workload-premature-release"):
         run_collective(network, workload)
     state = workload.state
     violations = [
@@ -102,8 +103,3 @@ def test_premature_release_diverges_the_trajectory():
         for dep in op.deps
         if state.released_cycle[op.op_id] < state.done_cycle[dep]
     ]
-
-
-def test_workload_mutations_are_registered():
-    assert mutation.WL_DROP_DEP_EDGE in mutation.KNOWN_MUTATIONS
-    assert mutation.WL_PREMATURE_RELEASE in mutation.KNOWN_MUTATIONS
