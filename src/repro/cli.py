@@ -573,9 +573,7 @@ def _cmd_workloads(args):
         raise _UsageError("{} set, which only `workloads {}` reads".format(
             ", ".join(stray), other))
     if args.kind == "service":
-        from repro.network.topology import figure1_plan, figure3_plan
-
-        plan = {"figure1": figure1_plan, "figure3": figure3_plan}[args.network]()
+        plan = _plan(args.network)
         for server in args.servers:
             if server >= plan.n_endpoints:
                 raise _UsageError(
@@ -690,18 +688,20 @@ def _cmd_saturation(args):
     return _sweep_command(args, run, render, gate)
 
 
-def _cmd_send(args):
-    from repro.endpoint.messages import DELIVERED, Message
-    from repro.network.builder import build_network
+def _plan(network):
+    """The plan of the network a ``--network`` flag names."""
     from repro.network.fattree import fattree_plan
     from repro.network.topology import figure1_plan, figure3_plan
 
-    plans = {
-        "figure1": figure1_plan,
-        "figure3": figure3_plan,
-        "fattree": fattree_plan,
-    }
-    plan = plans[args.network]()
+    plans = {"figure1": figure1_plan, "figure3": figure3_plan, "fattree": fattree_plan}
+    return plans[network]()
+
+
+def _cmd_send(args):
+    from repro.endpoint.messages import DELIVERED, Message
+    from repro.network.builder import build_network
+
+    plan = _plan(args.network)
     for role, index in (("src", args.src), ("dest", args.dest)):
         if not 0 <= index < plan.n_endpoints:
             print(
@@ -1398,17 +1398,21 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    from repro.harness.parallel import JournalMismatchError, SweepInterrupted
-
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print("repro {}: error: {}".format(args.command, exc), file=sys.stderr)
         return 2
-    except JournalMismatchError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except SweepInterrupted as exc:
+    except Exception as exc:
+        # Imported only once a command has raised, so a send never loads
+        # the harness; a sweep, the only thing that raises these, has.
+        from repro.harness.parallel import JournalMismatchError, SweepInterrupted
+
+        if isinstance(exc, JournalMismatchError):
+            print("error: {}".format(exc), file=sys.stderr)
+            return 2
+        if not isinstance(exc, SweepInterrupted):
+            raise
         print(
             "interrupted: {} — the journal is flushed; run the same "
             "command again to finish the sweep".format(exc),

@@ -7,8 +7,6 @@ the window.  :func:`run_experiment` is that loop;
 :class:`ExperimentResult` carries the statistics.
 """
 
-import numpy as np
-
 from repro.harness.cache import result_content_hash
 
 
@@ -48,6 +46,8 @@ class ExperimentResult:
         self.n_endpoints = n_endpoints
         self.message_words = message_words
         self.attempt_failures = dict(attempt_failures)
+        import numpy as np  # here, not at the top: a table or a send never loads it
+
         self._latencies = np.array(
             [m.total_latency for m in delivered], dtype=float
         )
@@ -62,9 +62,13 @@ class ExperimentResult:
 
     @property
     def median_latency(self):
-        return float(np.median(self._latencies)) if self.delivered_count else float("nan")
+        # Exactly np.median: latencies are whole cycles, so the midpoint
+        # of the two middle values is exact either way.
+        return self.latency_percentile(50)
 
     def latency_percentile(self, q):
+        import numpy as np
+
         return float(np.percentile(self._latencies, q)) if self.delivered_count else float("nan")
 
     @property

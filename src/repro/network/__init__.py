@@ -1,6 +1,5 @@
 """Multistage, multipath network construction and analysis."""
 
-from repro.network import analysis
 from repro.network.builder import MetroNetwork, build_network
 from repro.network.cascaded import CascadedNetwork, WideMessage
 from repro.network.fattree import fattree_plan
@@ -22,7 +21,6 @@ __all__ = [
     "NetworkPlan",
     "NodeRef",
     "StageSpec",
-    "analysis",
     "build_network",
     "fattree_plan",
     "figure1_plan",

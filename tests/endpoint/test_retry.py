@@ -9,6 +9,8 @@ from repro.endpoint.retry import (
     UniformBackoff,
 )
 
+from tests.mutants import seeded
+
 
 class _Message:
     def __init__(self, dest=0, attempts=1):
@@ -30,6 +32,13 @@ class TestUniformBackoff:
         rng = random.Random(7)
         draws = {policy.delay(rng, _Message()) for _ in range(200)}
         assert draws == {2, 3, 4, 5}
+
+    def test_the_bounds_test_catches_a_draw_that_never_reaches_hi(self):
+        """Seeded endpoint bug (``docs/testing.md``, the mutation table):
+        the wait is drawn from ``lo..hi-1``, so 5 never comes."""
+        with seeded("endpoint-backoff-never-max"):
+            with pytest.raises(AssertionError):
+                self.test_bounds()
 
 
 class TestEndpointIntegration:

@@ -30,6 +30,7 @@ from contextlib import contextmanager
 from repro.core.crossbar import CrossbarAllocator
 from repro.core.router import MetroRouter
 from repro.endpoint.interface import Endpoint
+from repro.endpoint.retry import UniformBackoff
 from repro.faults import diagnosis
 from repro.faults.manager import FaultManager
 from repro.harness import spec
@@ -175,10 +176,14 @@ MUTANTS = {
             ("released = state.remaining[succ] == 0", "released = True"),
         ],
     },
-    # -- the endpoint (tests/endpoint/test_fairness.py)
+    # -- the endpoint (tests/endpoint/test_fairness.py, test_retry.py)
     # The drain order is queue position alone: a retry can be lapped.
     "endpoint-position-first": {(Endpoint, "_maybe_start_send"): [
         ("key = (candidate[1].queued_cycle, position)", "key = (position,)"),
+    ]},
+    # The retry wait is drawn from lo..hi-1: the longest wait never comes.
+    "endpoint-backoff-never-max": {(UniformBackoff, "delay"): [
+        ("rng.randint(self.lo, self.hi)", "rng.randint(self.lo, self.hi - 1)"),
     ]},
     # -- the harness (tests/harness/)
     # A dispatch that found its worker's pipe dead spends an attempt.
