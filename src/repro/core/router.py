@@ -167,7 +167,6 @@ class MetroRouter(Component):
         self.boundary_capture = [None] * (params.i + params.o)
         #: Scan-driven test word per backward port (off-port drive).
         self._scan_drive = [None] * params.o
-        self._owned = 0
         self._cycle = 0
         #: A dead router (hard fault) goes completely silent; neighbours
         #: recover through their dead-signal watchdogs and sources route
@@ -177,22 +176,33 @@ class MetroRouter(Component):
         #: (forced teardowns, scan drives) call it so a parked router is
         #: re-scheduled.  None under the dense reference engine.
         self.wake_hook = None
+        self._reset_derived()
 
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
 
-    #: Derived state the tick's fast paths rest on: never pickled, and
-    #: valid the moment a snapshot is restored (out-of-tick mutators run
-    #: before the first tick).  ``_rx_slots`` is ``(forward port, its
-    #: receive pipe's slots)`` per wired port; None means "rebuild on
-    #: the next tick", because the channel ends may still be incomplete
-    #: inside ``__setstate__``.  ``_owned`` is never less than the
-    #: number of owned backward ports: it is recounted, never stepped,
-    #: at every claim and release.  ``_scan_pending`` may be True with
-    #: nothing to drive, never False with a word waiting.
-    _rx_slots = None
-    _scan_pending = True
+    def _reset_derived(self):
+        """Derived state the tick's fast paths rest on: never pickled,
+        assigned here (from ``__init__`` and ``__setstate__``, never
+        first inside a tick) and valid the moment a snapshot is restored
+        (out-of-tick mutators run before the first tick).
+
+        ``_rx_slots`` is ``(forward port, its receive pipe's slots)`` per
+        wired port, ``_rx_pipes`` the same slot lists alone and
+        ``_rx_silent`` an all-``None`` copy of them; None means "rebuild
+        on the next full tick", because the channel ends may still be
+        incomplete inside ``__setstate__``.  ``_quiet`` is the park
+        test, set by a full tick: nothing drains and every wired forward
+        port is idle with a ``None`` boundary register (so no backward
+        port is owned).  ``_owned`` is never less than the number of
+        owned backward ports: it is recounted, never stepped, at every
+        claim and release.  ``_scan_pending`` may be True with nothing
+        to drive, never False with a word waiting.
+        """
+        self._rx_slots = self._rx_pipes = self._rx_silent = None
+        self._quiet, self._scan_pending = False, True
+        self._count_owned()
 
     def __getstate__(self):
         """Shed engine- and scan-installed machinery for snapshots.
@@ -208,7 +218,8 @@ class MetroRouter(Component):
         """
         state = dict(self.__dict__)
         state["wake_hook"] = None
-        for name in ("_rx_slots", "_owned", "_scan_pending"):
+        for name in ("_rx_slots", "_rx_pipes", "_rx_silent", "_quiet",
+                     "_owned", "_scan_pending"):
             state.pop(name, None)
         multitap = state.pop("multitap", None)
         if multitap is not None:
@@ -218,7 +229,7 @@ class MetroRouter(Component):
     def __setstate__(self, state):
         marker = state.pop("_scan_marker", None)
         self.__dict__.update(state)
-        self._count_owned()
+        self._reset_derived()
         if marker is not None:
             from repro.scan.controller import attach_scan
 
@@ -234,6 +245,7 @@ class MetroRouter(Component):
         """Connect forward port ``port`` to the B side of its channel."""
         self.forward_ends[port] = channel_end
         self._rx_slots = None
+        self._quiet = False
 
     def attach_backward(self, port, channel_end):
         """Connect backward port ``port`` to the A side of its channel."""
@@ -254,10 +266,8 @@ class MetroRouter(Component):
 
     def is_quiescent(self):
         """True when no connection is open or in flight through here."""
-        return (
-            all(conn.state == IDLE_STATE for conn in self._conns)
-            and not self._draining
-        )
+        return not self._draining and all(
+            conn.state == IDLE_STATE for conn in self._conns)
 
     # ------------------------------------------------------------------
     # Activity protocol (event-driven engine backend)
@@ -267,30 +277,15 @@ class MetroRouter(Component):
         """How much of a cycle this router needs (see repro.sim.component).
 
         A dead router is parked outright: its tick is an unconditional
-        early return.  A live router parks only when it is quiescent,
-        has no scan drive pending, *and* its last tick read silence on
-        every attached forward port — the boundary capture registers
-        then already hold the ``None`` the reference engine would keep
-        rewriting, so skipped cycles are observably identical even if a
-        run stops mid-park.
+        early return.  A live router parks when its last full tick left
+        it quiet (see :meth:`_reset_derived`) and no scan drive is
+        pending: the boundary capture registers then already hold the
+        ``None`` the reference engine would keep rewriting, so skipped
+        cycles are observably identical even if a run stops mid-park.
         """
-        if self.dead:
+        if self.dead or (self._quiet and not self._scan_pending):
             return PARKED
-        if self._draining:
-            return ACTIVE
-        for conn in self._conns:
-            if conn.state != IDLE_STATE:
-                return ACTIVE
-        for fp in range(self.params.i):
-            if self.boundary_capture[fp] is not None:
-                return ACTIVE
-        for word in self._scan_drive:
-            if word is not None:
-                return ACTIVE
-        return PARKED
-
-    def on_park(self):
-        """Nothing to normalize: see :meth:`activity_state`."""
+        return ACTIVE
 
     def attached_channels(self):
         """The channel of every wired port, forward ports first."""
@@ -335,6 +330,13 @@ class MetroRouter(Component):
         self._cycle = cycle
         if self._shared_bus:
             self.random_stream.begin_cycle(cycle)
+        # A quiet router stays quiet while every forward receive pipe is
+        # silent: one list comparison, made in C.  It reads whole pipes,
+        # so it is exact for one-cycle wires and conservative (a full
+        # tick that finds nothing) for longer ones.
+        if self._quiet and not self._scan_pending:
+            if self._rx_pipes == self._rx_silent:
+                return
         if self._owned:
             self._service_backward_bcb()
         if self._draining:
@@ -346,6 +348,8 @@ class MetroRouter(Component):
                 for fp, end in enumerate(self.forward_ends)
                 if end is not None
             ]
+            self._rx_pipes = [slots for _, slots in rx]
+            self._rx_silent = [[None] * len(slots) for _, slots in rx]
         # The port loop is inlined (rather than calling a per-port
         # helper).  A silent port with an idle connection and a boundary
         # register already None is the overwhelmingly common case on a
@@ -355,6 +359,7 @@ class MetroRouter(Component):
         conns = self._conns
         boundary = self.boundary_capture
         enabled = self.config.port_enabled
+        quiet = not self._draining
         for fp, slots in rx:
             word = slots[-1]
             conn = conns[fp]
@@ -363,6 +368,7 @@ class MetroRouter(Component):
                     continue
             else:
                 word = self.forward_ends[fp].recv()
+            quiet = False
             state = conn.state
             # The boundary register observes the pins even on a
             # disabled port — that observability is what port-isolation
@@ -386,6 +392,13 @@ class MetroRouter(Component):
                 self._handle_discard(conn, word)
         if self._scan_pending:
             self._drive_scan_outputs()
+        # A port visited above may have gone idle during it; only a
+        # router that owns no backward port can be quiet, so only such
+        # a router pays for the recount.
+        self._quiet = quiet or not self._owned and all(
+            conns[fp].state == IDLE_STATE and boundary[fp] is None
+            for fp, _ in rx
+        )
 
     def _service_draining(self):
         """Flush pipelines of closed connections; free ports on DROP exit."""

@@ -29,7 +29,7 @@ import random
 from repro.core import words as W
 from repro.endpoint import messages as M
 from repro.endpoint.retry import UniformBackoff
-from repro.sim.component import ACTIVE, Component, PARKED, POLL
+from repro.sim.component import ACTIVE, Component, POLL
 from repro.telemetry.nullobj import NULL_TELEMETRY
 
 ACK_OK = 1
@@ -165,6 +165,21 @@ class Endpoint(Component):
         self._sends = {}        # port index -> _SendState
         self._queue = []        # (not_before_cycle, Message)
         self._cycle = 0
+        #: Derived state the tick's idle test rests on: every receive
+        #: pipe's slot list and an all-``None`` copy of them.  Never
+        #: pickled and assigned here, never first inside a tick.
+        #: ``_rx_pipes`` None means "rebuild on the next full tick" (the
+        #: channel ends may be incomplete inside ``__setstate__``) and
+        #: equals no template, so the idle test fails until then.
+        self._rx_pipes, self._rx_silent = None, ()
+
+    def __getstate__(self):
+        derived = ("_rx_pipes", "_rx_silent")
+        return {k: v for k, v in vars(self).items() if k not in derived}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._rx_pipes, self._rx_silent = None, ()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -176,6 +191,7 @@ class Endpoint(Component):
     def attach_receive(self, channel_end):
         self.receive_ends.append(channel_end)
         self._recv_states.append(_RecvState())
+        self._rx_pipes = None
 
     # ------------------------------------------------------------------
     # Application interface
@@ -201,28 +217,55 @@ class Endpoint(Component):
     # ------------------------------------------------------------------
 
     def tick(self, cycle):
+        if self._at_rest():
+            self.fast_poll(cycle)
+            return
         self._cycle = cycle
         # A silent receive port in its idle phase, an empty send table
         # and an empty queue each cost one test.  A None last slot is
         # None whatever ``dead`` or a fault transform would say; only
         # _service_receive reads a word, through recv().
+        if self._rx_pipes is None:
+            self._rx_pipes = [end._rx.slots for end in self.receive_ends]
+            self._rx_silent = [[None] * len(pipe) for pipe in self._rx_pipes]
         states = self._recv_states
-        for port, end in enumerate(self.receive_ends):
-            if end._rx.slots[-1] is not None or states[port].phase != _RX_IDLE:
+        for port, slots in enumerate(self._rx_pipes):
+            if slots[-1] is not None or states[port].phase != _RX_IDLE:
                 self._service_receive(port)
         sends = self._sends
         if sends:
             for port in list(sends):
                 self._service_send(sends[port])
+        self._generate(cycle)
+
+    def _generate(self, cycle):
+        """Draw from the traffic source up to capacity, then start the
+        oldest ready message on a free port."""
         source = self.traffic_source
         if source is not None:
-            while len(self._queue) + len(sends) < self.max_outstanding:
+            while len(self._queue) + len(self._sends) < self.max_outstanding:
                 message = source(cycle)
                 if message is None:
                     break
                 self.submit(message)
         if self._queue:
             self._maybe_start_send(cycle)
+
+    def _at_rest(self):
+        """Nothing queued or in flight, every receive pipe silent and
+        every receive FSM idle: the whole tick is :meth:`fast_poll`.
+
+        The phase test is needed: a destination replying (``_RX_REPLY``)
+        has silent receive pipes but must still send.  Whole pipes are
+        compared, so on a wire longer than one cycle a word still in
+        flight costs a full tick that finds nothing.
+        """
+        if self._sends or self._queue or self._rx_pipes != self._rx_silent:
+            return False
+        for state in self._recv_states:
+            if state.phase != _RX_IDLE:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Activity protocol (event-driven engine backend)
@@ -231,47 +274,33 @@ class Endpoint(Component):
     def activity_state(self):
         """How much of a cycle this endpoint needs.
 
-        Anything queued, in flight or mid-receive demands the full
-        tick.  Otherwise a traffic source still needs polling each
-        cycle (:meth:`fast_poll` — the source may consume randomness
-        per cycle, so polls cannot be skipped), and a sourceless idle
-        endpoint parks until a word arrives or a submit wakes it.
+        Anything queued, in flight, arriving or mid-receive demands the
+        full tick.  An endpoint at rest is polled (:meth:`fast_poll`):
+        its traffic source may consume randomness every cycle, so polls
+        cannot be skipped, and without a source a poll is one test.
         """
-        if self._sends or self._queue:
-            return ACTIVE
-        for state in self._recv_states:
-            if state.phase != _RX_IDLE:
-                return ACTIVE
-        if self.traffic_source is not None and self.max_outstanding > 0:
-            # With max_outstanding == 0 the generate loop never draws,
-            # so the endpoint is inert despite the source: park it.
-            return POLL
-        return PARKED
+        return POLL if self._at_rest() else ACTIVE
 
     def fast_poll(self, cycle):
-        """The POLL-state reduction of :meth:`tick`.
+        """The tick of an endpoint at rest (:meth:`_at_rest`).
 
-        Exact when nothing is queued, in flight, or arriving (the
-        engine's wake rules guarantee arrivals promote the endpoint to
-        a full tick first): receive and send service loops are no-ops,
-        leaving only the traffic poll.  The first source draw is made
-        here — POLL guarantees zero pending sends, so :meth:`tick`'s
-        capacity check is vacuous for it — and only a draw that yields
-        a message pays for the rest of the tick (further draws up to
-        capacity, the send start).  The return value tells the engine
-        whether the endpoint now has work (no re-classification call
-        needed).
+        Receive and send service are no-ops, leaving the traffic poll:
+        one source draw, and only a draw that yields a message pays for
+        the rest of the tick (:meth:`_generate`: further draws up to
+        capacity, the send start).  Returns whether the endpoint now
+        has work.  The events engine calls it for a POLL endpoint; its
+        wake rules turn an arrival into a full tick first.
         """
         self._cycle = cycle
-        message = self.traffic_source(cycle)
+        source = self.traffic_source
+        if source is None or self.max_outstanding < 1:
+            return False
+        message = source(cycle)
         if message is None:
             return False
         self.submit(message)
-        self.tick(cycle)
+        self._generate(cycle)
         return True
-
-    def on_park(self):
-        """Nothing to normalize; endpoint state is already minimal."""
 
     def on_wake(self, cycle):
         """Resynchronize the clock after parked cycles.

@@ -12,9 +12,8 @@ provable no-op work and nothing else:
 
 * Components expose the activity protocol of
   :mod:`repro.sim.component` (``activity_state`` / ``fast_poll`` /
-  ``on_park`` / ``attached_channels``).  ``PARKED`` components are
-  skipped entirely; ``POLL`` components (idle endpoints with a traffic
-  source) run a reduced poll; ``ACTIVE`` components tick normally, in
+  ``attached_channels``).  ``PARKED`` components are skipped entirely;
+  ``POLL`` components (endpoints at rest) run a reduced poll; ``ACTIVE`` components tick normally, in
   registration order, so traces, logs and telemetry events appear in
   exactly the reference order.
 * A parked component is re-scheduled while an attached channel has a
@@ -48,7 +47,7 @@ slower, never wrong.
 """
 
 from repro.sim.channel import Channel
-from repro.sim.component import ACTIVE, PARKED, POLL
+from repro.sim.component import ACTIVE, POLL
 from repro.sim.engine import Engine, EngineDeadlineError
 
 #: ``next_event_cycle`` return meaning "no future event at all".
@@ -138,7 +137,7 @@ class EventEngine(Engine):
     # Preparation: adjacency maps + conservative reset
     # ------------------------------------------------------------------
 
-    _PROTOCOL = ("activity_state", "attached_channels", "on_park")
+    _PROTOCOL = ("activity_state", "attached_channels")
 
     def _prepare(self):
         """(Re)build wiring maps; mark everything active/hot.
@@ -303,8 +302,6 @@ class EventEngine(Engine):
                 after = component.activity_state()
                 if after is not ACTIVE:
                     states[component] = after
-                    if after is PARKED:
-                        component.on_park()
         self.cycle = cycle + 1
 
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@
 # * ``ACTIVE`` — the component holds live state; its full ``tick`` must
 #   run every cycle.
 # * ``POLL``   — the component is idle except for an external input
-#   poll (a traffic source); the backend calls the cheaper
-#   ``fast_poll(cycle)`` instead of ``tick``.
+#   poll (a traffic source, if it has one); the backend calls the
+#   cheaper ``fast_poll(cycle)`` instead of ``tick``.
 # * ``PARKED`` — a full tick is provably a no-op; the component is
 #   skipped until an attached channel carries a word or something wakes
 #   it explicitly (``Engine.wake``).

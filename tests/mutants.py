@@ -155,7 +155,8 @@ MUTANTS = {
     "events-skip-wake": {(EventEngine, "step"): [
         ("wake_ends = woken.update", "wake_ends = set().update"),
     ]},
-    # -- fast paths both engines run (test_channel.py, test_fast_path_mutations.py)
+    # -- fast paths both engines run (test_channel.py,
+    # test_fast_path_mutations.py, test_full_ticks.py)
     # A lone send_bcb leaves the wire marked silent: the pulse never shifts.
     "channel-stale-liveness": {(ChannelEnd, "send_bcb"): [
         ("channel.live = True", "pass"),
@@ -164,6 +165,11 @@ MUTANTS = {
     # _service_backward_bcb while a port is owned.
     "router-stale-owned-count": {(MetroRouter, "_route"): [
         ("self._count_owned()", "pass"),
+    ]},
+    # A router goes quiet while a closed connection still drains: the
+    # quiet tick never flushes it, so its DROP never leaves.
+    "router-quiet-ignores-draining": {(MetroRouter, "tick"): [
+        ("quiet = not self._draining", "quiet = True"),
     ]},
     # -- the collective DAG release rule (tests/workloads/test_mutations.py)
     # A delivery never reaches its op's first successor.
@@ -176,7 +182,8 @@ MUTANTS = {
             ("released = state.remaining[succ] == 0", "released = True"),
         ],
     },
-    # -- the endpoint (tests/endpoint/test_fairness.py, test_retry.py)
+    # -- the endpoint (tests/endpoint/test_fairness.py, test_retry.py,
+    # tests/sim/test_full_ticks.py)
     # The drain order is queue position alone: a retry can be lapped.
     "endpoint-position-first": {(Endpoint, "_maybe_start_send"): [
         ("key = (candidate[1].queued_cycle, position)", "key = (position,)"),
@@ -185,6 +192,14 @@ MUTANTS = {
     "endpoint-backoff-never-max": {(UniformBackoff, "delay"): [
         ("rng.randint(self.lo, self.hi)", "rng.randint(self.lo, self.hi - 1)"),
     ]},
+    # The receive phases leave the idle test: a destination whose
+    # receive pipes fall silent mid-reply stops replying.
+    "endpoint-idle-ignores-reply-phase": {(Endpoint, "_at_rest"): [(
+        "        for state in self._recv_states:\n"
+        "            if state.phase != _RX_IDLE:\n"
+        "                return False\n",
+        "",
+    )]},
     # -- the harness (tests/harness/)
     # A dispatch that found its worker's pipe dead spends an attempt.
     "runner-dead-pipe-spends-attempt": {(TrialRunner, "_run_pool"): [

@@ -232,9 +232,6 @@ class _Wired(Component):
     def attached_channels(self):
         return [self.channel]
 
-    def on_park(self):
-        pass
-
 
 def test_unregistered_attached_channel_is_never_advanced():
     """A component may report wiring to a channel the engine never

@@ -265,8 +265,8 @@ class TestBackendTransmute:
 
 class TestDerivedStateAcrossRestore:
     """What the tick fast paths derive (a channel's liveness summary, a
-    router's owned-port count, pending-scan flag and cached receive
-    slots) is never pickled and is valid the moment a snapshot is
+    router's owned-port count, pending-scan flag, park test and cached
+    receive pipes, an endpoint's cached receive pipes) is never pickled and is valid the moment a snapshot is
     restored: out-of-tick mutators run on a restored network before its
     first tick (``FaultManager.service()`` inside a resumed chaos soak
     is the case that found this)."""
@@ -331,15 +331,23 @@ class TestDerivedStateAcrossRestore:
     def test_pickled_state_names_no_derived_field(self):
         network = self._loaded("reference")
         network.run(self.SPLIT)
+        fresh = self._loaded("reference")
         router = next(iter(network.router_grid.values()))
-        assert router._rx_slots is not None  # built by the first tick
-        assert not {"_rx_slots", "_owned", "_scan_pending"} & set(
-            router.__getstate__()
-        )
+        # Built by the first full tick:
+        assert router._rx_slots is not None and router._rx_pipes is not None
+        assert not {
+            "_rx_slots", "_rx_pipes", "_rx_silent", "_quiet", "_owned",
+            "_scan_pending",
+        } & set(router.__getstate__())
         channel = network.engine.channels[0]
         assert "live" not in channel.__getstate__()
-        # An endpoint pickles its __dict__: ticking must add nothing to it.
         endpoint = network.endpoints[0]
-        assert set(vars(endpoint)) == set(
-            vars(self._loaded("reference").endpoints[0])
-        )
+        assert endpoint._rx_pipes is not None
+        assert not {"_rx_pipes", "_rx_silent"} & set(endpoint.__getstate__())
+        # Derived state is assigned in __init__, never first inside a
+        # tick: ticking adds no attribute.
+        for ticked, built in (
+            (router, next(iter(fresh.router_grid.values()))),
+            (endpoint, fresh.endpoints[0]),
+        ):
+            assert set(vars(ticked)) == set(vars(built))
