@@ -41,7 +41,7 @@ from repro.core import words as W
 from repro.core.crossbar import CrossbarAllocator, RANDOM
 from repro.core.parameters import RouterConfig
 from repro.core.random_source import RandomStream, SharedRandomBus
-from repro.sim.component import ACTIVE, Component, PARKED
+from repro.sim.component import Component
 from repro.telemetry.nullobj import NULL_TELEMETRY
 
 # Forward-port FSM states (exposed for tests via connection_state()).
@@ -172,10 +172,6 @@ class MetroRouter(Component):
         #: recover through their dead-signal watchdogs and sources route
         #: around it by stochastic retry.
         self.dead = False
-        #: Set by the event-driven engine backend; out-of-tick mutators
-        #: (forced teardowns, scan drives) call it so a parked router is
-        #: re-scheduled.  None under the dense reference engine.
-        self.wake_hook = None
         self._reset_derived()
 
     # ------------------------------------------------------------------
@@ -192,7 +188,7 @@ class MetroRouter(Component):
         wired port, ``_rx_pipes`` the same slot lists alone and
         ``_rx_silent`` an all-``None`` copy of them; None means "rebuild
         on the next full tick", because the channel ends may still be
-        incomplete inside ``__setstate__``.  ``_quiet`` is the park
+        incomplete inside ``__setstate__``.  ``_quiet`` is the quiet
         test, set by a full tick: nothing drains and every wired forward
         port is idle with a ``None`` boundary register (so no backward
         port is owned).  ``_owned`` is never less than the number of
@@ -205,10 +201,9 @@ class MetroRouter(Component):
         self._count_owned()
 
     def __getstate__(self):
-        """Shed engine- and scan-installed machinery for snapshots.
+        """Shed derived state and scan-installed machinery for snapshots.
 
-        ``wake_hook`` is re-installed by the event backend's prepare
-        pass.  ``multitap`` (when a scan fabric attached one) holds
+        ``multitap`` (when a scan fabric attached one) holds
         closure-captured scan registers that cannot pickle; it is
         replaced by a marker and rebuilt on restore.  Every scan
         transaction begins from Test-Logic-Reset, so residual TAP/DR
@@ -217,7 +212,6 @@ class MetroRouter(Component):
         ports, which the marker carries across.
         """
         state = dict(self.__dict__)
-        state["wake_hook"] = None
         for name in ("_rx_slots", "_rx_pipes", "_rx_silent", "_quiet",
                      "_owned", "_scan_pending"):
             state.pop(name, None)
@@ -269,35 +263,22 @@ class MetroRouter(Component):
         return not self._draining and all(
             conn.state == IDLE_STATE for conn in self._conns)
 
-    # ------------------------------------------------------------------
-    # Activity protocol (event-driven engine backend)
-    # ------------------------------------------------------------------
+    def next_event_cycle(self):
+        """Idle-gap hint for the events engine: ``inf`` while no tick
+        could act, None otherwise.
 
-    def activity_state(self):
-        """How much of a cycle this router needs (see repro.sim.component).
-
-        A dead router is parked outright: its tick is an unconditional
-        early return.  A live router parks when its last full tick left
-        it quiet (see :meth:`_reset_derived`) and no scan drive is
-        pending: the boundary capture registers then already hold the
-        ``None`` the reference engine would keep rewriting, so skipped
-        cycles are observably identical even if a run stops mid-park.
+        A dead router's tick is an early return.  A quiet router (see
+        :meth:`_reset_derived`) with no scan drive pending ticks to a
+        no-op while its receive pipes are silent, which the engine
+        checks first (no wire is live); its boundary registers already
+        hold the ``None`` every skipped tick would write.  A router on
+        a shared random bus answers None: its tick steps the bus.
         """
-        if self.dead or (self._quiet and not self._scan_pending):
-            return PARKED
-        return ACTIVE
-
-    def attached_channels(self):
-        """The channel of every wired port, forward ports first."""
-        return [
-            end.channel
-            for end in self.forward_ends + self.backward_ends
-            if end is not None
-        ]
-
-    def _notify_wake(self):
-        if self.wake_hook is not None:
-            self.wake_hook(self)
+        if self.dead or (
+            self._quiet and not self._scan_pending and not self._shared_bus
+        ):
+            return float("inf")
+        return None
 
     def scan_drive_backward(self, port, word):
         """Scan subsystem: drive ``word`` out a *disabled* backward port.
@@ -318,7 +299,6 @@ class MetroRouter(Component):
             )
         self._scan_drive[port] = word
         self._scan_pending = True
-        self._notify_wake()
 
     # ------------------------------------------------------------------
     # Per-cycle behaviour
@@ -695,7 +675,6 @@ class MetroRouter(Component):
         self._record("forced-teardown", fwd_port, None)
         conn.reset()
         conn.state = DISCARD_STATE
-        self._notify_wake()
 
     def quiesce_backward_port(self, q):
         """Evict whatever owns backward port ``q`` (repair preparation).
@@ -715,7 +694,6 @@ class MetroRouter(Component):
             self._record("conn-drop", owner.fwd_port, q)
             self._release_backward(owner)
             self._draining.remove(owner)
-            self._notify_wake()
         else:
             self.force_teardown(owner.fwd_port)
         return True

@@ -29,7 +29,7 @@ import random
 from repro.core import words as W
 from repro.endpoint import messages as M
 from repro.endpoint.retry import UniformBackoff
-from repro.sim.component import ACTIVE, Component, POLL
+from repro.sim.component import Component
 from repro.telemetry.nullobj import NULL_TELEMETRY
 
 ACK_OK = 1
@@ -217,10 +217,19 @@ class Endpoint(Component):
     # ------------------------------------------------------------------
 
     def tick(self, cycle):
-        if self._at_rest():
-            self.fast_poll(cycle)
-            return
         self._cycle = cycle
+        if self._at_rest():
+            # Receive and send service are no-ops, leaving the traffic
+            # poll: one source draw, and only a draw that yields a
+            # message pays for the rest of the tick (_generate: further
+            # draws up to capacity, the send start).
+            source = self.traffic_source
+            if source is not None and self.max_outstanding > 0:
+                message = source(cycle)
+                if message is not None:
+                    self.submit(message)
+                    self._generate(cycle)
+            return
         # A silent receive port in its idle phase, an empty send table
         # and an empty queue each cost one test.  A None last slot is
         # None whatever ``dead`` or a fault transform would say; only
@@ -253,7 +262,7 @@ class Endpoint(Component):
 
     def _at_rest(self):
         """Nothing queued or in flight, every receive pipe silent and
-        every receive FSM idle: the whole tick is :meth:`fast_poll`.
+        every receive FSM idle: the whole tick is one source draw.
 
         The phase test is needed: a destination replying (``_RX_REPLY``)
         has silent receive pipes but must still send.  Whole pipes are
@@ -267,65 +276,20 @@ class Endpoint(Component):
                 return False
         return True
 
-    # ------------------------------------------------------------------
-    # Activity protocol (event-driven engine backend)
-    # ------------------------------------------------------------------
-
-    def activity_state(self):
-        """How much of a cycle this endpoint needs.
-
-        Anything queued, in flight, arriving or mid-receive demands the
-        full tick.  An endpoint at rest is polled (:meth:`fast_poll`):
-        its traffic source may consume randomness every cycle, so polls
-        cannot be skipped, and without a source a poll is one test.
-        """
-        return POLL if self._at_rest() else ACTIVE
-
-    def fast_poll(self, cycle):
-        """The tick of an endpoint at rest (:meth:`_at_rest`).
-
-        Receive and send service are no-ops, leaving the traffic poll:
-        one source draw, and only a draw that yields a message pays for
-        the rest of the tick (:meth:`_generate`: further draws up to
-        capacity, the send start).  Returns whether the endpoint now
-        has work.  The events engine calls it for a POLL endpoint; its
-        wake rules turn an arrival into a full tick first.
-        """
-        self._cycle = cycle
-        source = self.traffic_source
-        if source is None or self.max_outstanding < 1:
-            return False
-        message = source(cycle)
-        if message is None:
-            return False
-        self.submit(message)
-        self._generate(cycle)
-        return True
-
-    def on_wake(self, cycle):
-        """Resynchronize the clock after parked cycles.
-
-        A parked component's ``_cycle`` goes stale; an out-of-band
-        :meth:`submit` timestamps messages with it, so the engine
-        resynchronizes before external work arrives.
-        """
-        if cycle > self._cycle:
-            self._cycle = cycle
-
-    def attached_channels(self):
-        """The channel of every wired port, source ports first."""
-        return [end.channel for end in self.source_ends + self.receive_ends]
-
     def next_event_cycle(self):
-        """Idle-run compression hint: next cycle the poll could act.
+        """Idle-gap hint for the events engine: the next cycle the
+        traffic poll could act.
 
-        ``None`` means unpredictable (a Bernoulli source consumes
-        randomness every cycle — never compressible); ``inf`` means no
-        pending work at all.  Sources that schedule their arrivals
-        ahead of time (the service workload's open-loop clients, a
-        collective's dependency-released sends) expose the next one
-        via ``next_arrival_cycle``.
+        None unless the endpoint is at rest (anything queued, in
+        flight, arriving or mid-receive needs its tick), and None for a
+        source that cannot say (a Bernoulli source consumes randomness
+        every cycle); ``inf`` means no work at all.  Sources that
+        schedule their arrivals ahead of time (the service workload's
+        open-loop clients, a collective's dependency-released sends)
+        name the next one via ``next_arrival_cycle``.
         """
+        if not self._at_rest():
+            return None
         source = self.traffic_source
         if source is None:
             return float("inf")

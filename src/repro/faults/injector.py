@@ -96,7 +96,7 @@ class FaultInjector:
     def next_event_cycle(self):
         """The earliest cycle this injector could act; inf when spent.
 
-        Lets the event-driven backend's idle-run compression prove the
+        Lets the events engine's idle-gap compression prove the
         hook is a no-op until then (scheduled faults fire at known
         cycles; transients expose their next duty-cycle transition).
         """

@@ -106,12 +106,10 @@ class DeadLink(_LinkFault):
     def apply(self, network):
         channel = self._resolve(network)
         channel.dead = True
-        network.engine.wake(channel)
 
     def revert(self, network):
         channel = self._resolve(network)
         channel.dead = False
-        network.engine.wake(channel)
 
     def describe(self):
         return "{}({})".format(self.kind, self._channel_name())
@@ -159,12 +157,10 @@ class CorruptLink(_LinkFault):
     def apply(self, network):
         channel = self._resolve(network)
         channel.fault_a_to_b = self._corrupt
-        network.engine.wake(channel)
 
     def revert(self, network):
         channel = self._resolve(network)
         channel.fault_a_to_b = None
-        network.engine.wake(channel)
 
     def describe(self):
         return "{}({}, p={})".format(
@@ -188,15 +184,10 @@ class DeadRouter(Fault):
     def apply(self, network):
         router = self._router(network)
         router.dead = True
-        network.engine.wake(router)
 
     def revert(self, network):
-        # Waking is mandatory here: the revived router may hold frozen
-        # mid-connection state (watchdogs, drains) that an event-driven
-        # backend would otherwise never re-schedule.
         router = self._router(network)
         router.dead = False
-        network.engine.wake(router)
 
     def describe(self):
         return "{}(r{}.{}.{})".format(self.kind, self.stage, self.block, self.index)
@@ -224,12 +215,10 @@ class DisabledPort(Fault):
     def apply(self, network):
         router = self._router(network)
         router.config.port_enabled[self.port_id] = False
-        network.engine.wake(router)
 
     def revert(self, network):
         router = self._router(network)
         router.config.port_enabled[self.port_id] = True
-        network.engine.wake(router)
 
     def describe(self):
         return "{}(r{}.{}.{} port {})".format(
@@ -332,12 +321,10 @@ class FlakyLink(TransientFault):
     def apply(self, network):
         channel = self._resolve(network)
         channel.dead = True
-        network.engine.wake(channel)
 
     def revert(self, network):
         channel = self._resolve(network)
         channel.dead = False
-        network.engine.wake(channel)
 
     def describe(self):
         if self.channel is not None:
@@ -388,14 +375,10 @@ class FlakyRouter(TransientFault):
     def apply(self, network):
         router = self._router(network)
         router.dead = True
-        network.engine.wake(router)
 
     def revert(self, network):
-        # See DeadRouter.revert: frozen mid-connection state must be
-        # re-scheduled when the router comes back up.
         router = self._router(network)
         router.dead = False
-        network.engine.wake(router)
 
     def describe(self):
         return "{}(r{}.{}.{}, mtbf={}, mttr={})".format(

@@ -81,12 +81,7 @@ class MetroNetwork:
 
     def send(self, src, message):
         """Submit ``message`` at endpoint ``src``; returns the message."""
-        endpoint = self.endpoints[src]
-        # The endpoint may have been parked by an event-driven engine
-        # backend with a stale clock; wake (and resync) it before the
-        # submit so queue timestamps match the reference engine's.
-        self.engine.wake(endpoint)
-        return endpoint.submit(message)
+        return self.endpoints[src].submit(message)
 
     def request(self, src, dest, payload, max_cycles=30000):
         """Synchronous request/reply: send, run until done, return reply.
@@ -150,9 +145,9 @@ def build_network(
         finished network (engine observer + per-component hooks).
         Omitted, every component carries the null-telemetry fast path.
     :param backend: simulation engine backend — ``"reference"`` (the
-        dense two-phase sweep) or ``"events"`` (the activity-gated
-        event-driven engine of :mod:`repro.sim.backends`; identical
-        results, faster at low-to-moderate load).
+        dense two-phase sweep) or ``"events"`` (the same sweep minus
+        silent wires, plus idle-gap compression, of
+        :mod:`repro.sim.backends`; identical results).
     """
     rng = random.Random(seed)
     engine = make_engine(backend)

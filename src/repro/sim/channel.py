@@ -59,7 +59,6 @@ class Channel:
         "dead",
         "half_duplex_violations",
         "telemetry",
-        "hot_hook",
         "live",
     )
 
@@ -89,12 +88,6 @@ class Channel:
         #: Set by TelemetryHub.bind to count wire activity; None (the
         #: default) keeps the advance hot path free of telemetry work.
         self.telemetry = None
-        #: Set by the event-driven engine backend: called with this
-        #: channel whenever a word is staged onto it, so the engine
-        #: learns a sleeping wire went hot without scanning.  None (the
-        #: default, and always under the reference engine) costs one
-        #: branch per send.
-        self.hot_hook = None
         #: Liveness summary: falsy only when no word or BCB pulse is
         #: staged or in flight on any of the four pipes.
         #: ``ChannelEnd.send`` / ``send_bcb`` (the only writers of
@@ -102,22 +95,15 @@ class Channel:
         #: silent wire costs one test.
         self.live = False
 
-    #: The engine-installed staging hook (re-installed by the event
-    #: backend's prepare pass) and the liveness summary (recounted on
-    #: restore); never part of a snapshot.
-    _TRANSIENT_SLOTS = ("hot_hook", "live")
-
     def __getstate__(self):
+        # The liveness summary is recounted on restore, never captured.
         return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in self._TRANSIENT_SLOTS
+            name: getattr(self, name) for name in self.__slots__ if name != "live"
         }
 
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
-        self.hot_hook = None
         # Sound, not exact: the first advance() recounts.
         self.live = True
 
@@ -206,11 +192,7 @@ class ChannelEnd:
     def send(self, word):
         """Stage ``word`` onto the wire toward the other side."""
         self._tx.staged = word
-        channel = self.channel
-        channel.live = True
-        hook = channel.hot_hook
-        if hook is not None:
-            hook(channel)
+        self.channel.live = True
 
     def recv(self):
         """Read the word arriving at this side this cycle (or None)."""
@@ -235,11 +217,7 @@ class ChannelEnd:
         *Path Reclamation*).
         """
         self._bcb_tx.staged = value
-        channel = self.channel
-        channel.live = True
-        hook = channel.hot_hook
-        if hook is not None:
-            hook(channel)
+        self.channel.live = True
 
     def recv_bcb(self):
         """Read the backward-control pulse arriving this cycle (or None)."""

@@ -1,28 +1,5 @@
 """Base class for clocked components."""
 
-# ---------------------------------------------------------------------------
-# Activity protocol (optional, duck-typed)
-# ---------------------------------------------------------------------------
-# The event-driven backend (:mod:`repro.sim.backends`) asks components
-# how much of a cycle they actually need via ``activity_state()``:
-#
-# * ``ACTIVE`` — the component holds live state; its full ``tick`` must
-#   run every cycle.
-# * ``POLL``   — the component is idle except for an external input
-#   poll (a traffic source, if it has one); the backend calls the
-#   cheaper ``fast_poll(cycle)`` instead of ``tick``.
-# * ``PARKED`` — a full tick is provably a no-op; the component is
-#   skipped until an attached channel carries a word or something wakes
-#   it explicitly (``Engine.wake``).
-#
-# Components that don't implement the protocol are legal: the backend
-# detects them and degrades to the dense reference sweep.  Compare
-# states with ``is`` — implementations must return these exact objects.
-
-ACTIVE = "active"
-POLL = "poll"
-PARKED = "parked"
-
 
 class Component:
     """A synchronously clocked element of a METRO network simulation.

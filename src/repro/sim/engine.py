@@ -123,18 +123,6 @@ class Engine:
 
         return snapshot_engine(self, extras=extras, meta=meta)
 
-    def wake(self, obj):
-        """Nudge a component or channel that was mutated out-of-band.
-
-        The dense reference engine visits everything every cycle, so
-        this is a no-op here.  Event-driven backends override it to
-        re-schedule parked components (and re-heat idle channels) when
-        a fault strikes, a message is submitted from outside a tick, or
-        a scan operation drives a wire.  Callers may invoke it
-        unconditionally — it is always safe, never required for
-        correctness on this engine.
-        """
-
     def step(self):
         """Advance the simulation by exactly one clock cycle."""
         if self.deadline is not None and self.cycle >= self.deadline:

@@ -22,11 +22,12 @@ and metrics — across the same workload families the backend
 equivalence proof covers, on both engine backends and across
 backend-switching restores.
 
-Snapshots are **backend-portable**: engine-installed acceleration
-state (activity maps, hot-channel sets, staging hooks) is shed at
-capture and rebuilt by the restoring backend's prepare pass at the
-first post-restore run, so a snapshot taken under the dense reference
-engine restores under the event-driven one and vice versa
+Snapshots are **backend-portable**: the two backends share every
+piece of simulation state, and the events engine's own two fields (its
+compressed-cycle count and whether the last step left every wire
+silent) start fresh on a backend switch and are reset by its next run
+anyway, so a snapshot taken under the dense reference engine restores
+under the events engine and vice versa
 (``restore_engine(snap, backend="events")``).  A snapshot whose
 capture backend this build does not register (one written before a
 backend was removed) is refused with :class:`SnapshotFormatError`
@@ -203,8 +204,8 @@ def snapshot_network(network, extras=None, meta=None):
 # Restore
 # ---------------------------------------------------------------------------
 
-#: Engine attributes that carry simulation state (as opposed to
-#: backend-private acceleration state) and survive a backend transmute.
+#: Engine attributes that carry simulation state (as opposed to the
+#: events engine's counters) and survive a backend transmute.
 _CORE_ATTRS = (
     "cycle",
     "components",
@@ -223,8 +224,7 @@ def _transmute(engine, backend):
     references to this engine object, so replacing its class and
     backend-private state (rather than building a new engine) keeps the
     whole graph consistent.  Core simulation state is preserved
-    verbatim; backend-private state starts fresh, exactly as it does
-    after unpickling, and is rebuilt by the next run's prepare pass.
+    verbatim; backend-private state starts fresh.
     """
     from repro.sim.backends import BACKENDS
 

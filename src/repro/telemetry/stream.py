@@ -33,9 +33,8 @@ a run log (optionally following it live) with :func:`render_run_log`
 and :func:`format_run_log_event`; :func:`read_run_log` parses one;
 :func:`merge_stream_metrics` folds its deltas back into a snapshot.
 
-The stream implements the observer compression protocol
-(``next_event_cycle``): on the event-driven backends an attached
-stream only forces wake-ups at its own flush and window boundaries, so
+The stream answers the events engine's idle-gap question
+(``next_event_cycle``) with its next flush or window boundary, so
 idle-gap compression keeps working between them.
 """
 
@@ -258,13 +257,11 @@ class TelemetryStream(Component):
     def next_event_cycle(self):
         """The next cycle this observer must actually observe.
 
-        The observer compression protocol (see
-        :meth:`repro.sim.backends.EventEngine._compression_target`):
-        between flush and window boundaries a stream tick on an idle
-        network is a provable no-op (no new faults, no new messages,
-        an unchanged registry yields an empty delta), so the
-        event-driven backends may compress idle gaps up to — never
-        past — the boundary this names.
+        The idle-gap hint (see :mod:`repro.sim.backends`): between
+        flush and window boundaries a stream tick on an idle network
+        is a provable no-op (no new faults, no new messages, an
+        unchanged registry yields an empty delta), so the events
+        engine may jump up to — never past — the boundary this names.
         """
         nearest = float("inf")
         if self.closed:

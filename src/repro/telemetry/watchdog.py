@@ -28,10 +28,10 @@ observer that tells them apart *from inside* the simulation:
   can report the last-known cycle instead of a silent
   ``trial_timeout``.
 
-The watchdog implements the observer compression protocol
-(``next_event_cycle``): it only forces wake-ups at its own heartbeat
-boundaries and at the pending stall deadline, so it rides the
-event-driven backends without disabling idle-gap compression.
+The watchdog answers the events engine's idle-gap question
+(``next_event_cycle``): it names its next heartbeat boundary or the
+pending stall deadline, so a clock jump may land there but never
+past it, and attaching a watchdog leaves idle-gap compression on.
 """
 
 import json
@@ -228,9 +228,8 @@ class RunWatchdog(Component):
             self._next_heartbeat = cycle + self.heartbeat_every
 
     def next_event_cycle(self):
-        """Observer compression hint: heartbeat or stall deadline,
-        whichever is nearer (see
-        :meth:`repro.sim.backends.EventEngine._compression_target`)."""
+        """Idle-gap hint: heartbeat or stall deadline, whichever is
+        nearer (see :mod:`repro.sim.backends`)."""
         nearest = float("inf")
         if self._next_heartbeat is not None:
             nearest = self._next_heartbeat

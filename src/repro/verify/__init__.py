@@ -20,7 +20,7 @@ family builds, how it is driven, what its fingerprint holds, where it
 is split):
 
 * :mod:`repro.verify.backend_diff` — byte-identical equivalence
-  between the dense reference engine and the event-driven backend.
+  between the dense reference engine and the events backend.
 * :mod:`repro.verify.resume_diff` — byte-identical transparency of
   engine snapshot/restore (:mod:`repro.sim.snapshot`), including
   cross-backend restores.

@@ -1,6 +1,6 @@
 """Differential equivalence proof between engine backends.
 
-The event-driven backend (:mod:`repro.sim.backends`) claims to be a
+The events backend (:mod:`repro.sim.backends`) claims to be a
 drop-in replacement for the reference engine: not statistically
 similar — *byte-identical*.  This module is the proof harness.  Each
 diff point runs one seeded workload of one family once per backend,

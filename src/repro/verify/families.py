@@ -14,7 +14,7 @@ seeded workloads, and nothing about either proof:
 ``finish(state)``
     Drive the run from wherever it is to the family's end, in several
     ``run()`` calls where the end is a fixed cycle (run boundaries are
-    where an event-driven backend re-prepares, so they are under test
+    where the events engine steps instead of jumping, so they are under test
     too), and return the state to fingerprint.
 ``fingerprint(state)``
     Everything observable about the run *so far*, as plain data:

@@ -16,7 +16,7 @@ workload three ways —
   boundary a real checkpoint crosses), restored — at the split cycle
   and with the fingerprint the original had there — and finished,
   possibly on the other backend: a snapshot captured under the dense
-  reference engine must resume byte-identically under the event-driven
+  reference engine must resume byte-identically under the events
   engine and vice versa.
 
 ``chaos`` keeps a leg of its own: :func:`~repro.harness.chaos.run_chaos_point`

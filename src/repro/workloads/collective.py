@@ -14,7 +14,7 @@ deliveries and releases DAG successors.
 Because the release mechanism runs entirely off the observer tick and
 the sources expose ``next_arrival_cycle`` hints, the same workload
 object runs unchanged — and byte-identically — on the dense reference
-engine and the event-driven backend (idle compression included), and
+engine and the events backend (idle-gap compression included), and
 the whole live DAG pickles with the engine for snapshot/restore.
 
 Schedule generators cover the collectives an ML fabric evaluation
@@ -342,7 +342,7 @@ class _CollectiveSource:
 
     Consumes no randomness per cycle — payloads are derived per-op —
     so polls are free and the ``next_arrival_cycle`` hint keeps the
-    event-driven backends' idle compression alive: 0 (the distant
+    events engine's idle-gap compression alive: 0 (the distant
     past, blocking compression as long as released work is waiting)
     while the frontier is non-empty, +inf otherwise (the observer's
     next release can only follow network activity, which blocks

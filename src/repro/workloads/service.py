@@ -75,7 +75,7 @@ class _ClientSource:
     client id) and immediately draws that client's next arrival — so
     randomness is consumed *per request*, never per cycle, and
     :meth:`next_arrival_cycle` can always name the next event for the
-    event-driven backends' idle compression.  Requests the interface
+    events engine's idle-gap compression.  Requests the interface
     cannot transmit yet simply stay due (the open-loop backlog); their
     pre-stamped ``queued_cycle`` keeps the latency clock honest.
     """

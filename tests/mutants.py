@@ -150,16 +150,24 @@ PROTOCOL = {
 
 MUTANTS = {
     **PROTOCOL,
-    # -- the events engine's scheduler (tests/verify/test_backend_mutations.py)
-    # A parked component is not re-scheduled when a word reaches it.
-    "events-skip-wake": {(EventEngine, "step"): [
-        ("wake_ends = woken.update", "wake_ends = set().update"),
+    # -- the events engine's clock jump (tests/sim/test_backends.py,
+    # tests/verify/test_backend_mutations.py)
+    # A run may end inside a jump: its last cycle goes unstepped, so
+    # every component's clock is stale when the run returns.
+    "events-run-ends-in-jump": {(EventEngine, "run"): [
+        ("min(target, last)", "min(target, last + 1)"),
+        ("            self.step()\n",
+         "            if self.cycle <= last:\n                self.step()\n"),
+    ]},
+    # The jump lands one cycle past the nearest hint.
+    "events-jump-past-hint": {(EventEngine, "_next_event"): [
+        ("return nearest", "return nearest + 1"),
     ]},
     # -- fast paths both engines run (test_channel.py,
     # test_fast_path_mutations.py, test_full_ticks.py)
     # A lone send_bcb leaves the wire marked silent: the pulse never shifts.
     "channel-stale-liveness": {(ChannelEnd, "send_bcb"): [
-        ("channel.live = True", "pass"),
+        ("self.channel.live = True", "pass"),
     ]},
     # The owned-port count misses every claim, so the router skips
     # _service_backward_bcb while a port is owned.

@@ -1,23 +1,30 @@
-"""The event-driven engine backend: gating, waking, compression.
+"""The events engine backend: silent wires, idle-gap compression.
 
 Byte-level equivalence over whole workloads lives in
 ``tests/verify/test_backend_diff.py``; these tests pin the mechanisms
-that make it hold — parking and re-scheduling, the hot channel set,
-the degrade-to-dense fallback, idle-run compression and its
-interaction with deadlines and stop requests.
+that make it hold — only registered wires are advanced, a component
+that cannot name its next event vetoes the jump, a run's last cycle
+is always stepped, and compression's interaction with deadlines and
+stop requests.
 """
 
 import pytest
 
 from repro.core import words as W
+from repro.core.parameters import RouterConfig, RouterParameters
+from repro.core.random_source import SharedRandomBus
+from repro.core.router import MetroRouter
 from repro.endpoint.messages import DELIVERED, Message
 from repro.endpoint.traffic import UniformRandomTraffic
-from repro.harness.load_sweep import figure1_network
+from repro.harness.load_sweep import figure1_network, figure3_network
 from repro.sim.backends import BACKENDS, EventEngine, make_engine
 from repro.sim.channel import Channel
-from repro.sim.component import ACTIVE, Component
+from repro.sim.component import Component
 from repro.sim.engine import Engine, EngineDeadlineError
+from repro.telemetry import TelemetryHub
 from repro.workloads.service import RequestResponseWorkload
+
+from tests.mutants import seeded
 
 
 def test_make_engine_selects_backend():
@@ -37,7 +44,8 @@ def test_make_engine_rejects_unknown_backend():
 
 
 class _Counter(Component):
-    """Ticks forever; knows nothing of the activity protocol."""
+    """Ticks forever; cannot name its next event (no
+    ``next_event_cycle``)."""
 
     def __init__(self):
         self.name = "counter"
@@ -48,28 +56,31 @@ class _Counter(Component):
 
 
 def test_non_protocol_component_degrades_to_dense_sweep():
+    """A component without ``next_event_cycle`` vetoes every jump:
+    the run is the dense sweep."""
     engine = EventEngine()
     counter = _Counter()
     engine.add_component(counter)
     engine.run(5)
-    assert engine.degraded
     assert counter.ticks == [0, 1, 2, 3, 4]
     assert engine.compressed_cycles == 0
 
 
 def test_degraded_equivalence_on_a_network():
-    """A foreign component must not change network results, only speed:
-    the whole engine falls back to the reference sweep."""
-    logs = []
+    """A foreign component changes nothing but the jump: the same
+    delivery, no cycle compressed."""
+    logs, compressed = [], []
     for extra in (False, True):
         network = figure1_network(seed=3, backend="events")
         if extra:
             network.engine.add_component(_Counter())
         message = network.send(4, Message(dest=11, payload=[1, 2, 3]))
         assert network.run_until_quiet(max_cycles=20000)
+        network.run(500)
         logs.append((message.outcome, message.latency, message.attempts))
-    assert network.engine.degraded
+        compressed.append(network.engine.compressed_cycles)
     assert logs[0] == logs[1]
+    assert compressed[0] > 400 and compressed[1] == 0
 
 
 def test_idle_network_parks_and_compresses():
@@ -77,24 +88,38 @@ def test_idle_network_parks_and_compresses():
     network.run(2000)
     engine = network.engine
     assert engine.cycle == 2000
-    assert not engine.degraded
-    # Everything parks after the conservative warm-up cycles and the
+    # Every router goes quiet after its first full ticks and the
     # remaining idle run is compressed away in O(1).
     assert engine.compressed_cycles > 1900
 
 
+def _send_after_idle(factory, backend, src, dest):
+    network = factory(seed=5, backend=backend)
+    network.run(500)  # one jump (events) / 500 idle steps (reference)
+    message = network.send(src, Message(dest=dest, payload=[7, 8, 9]))
+    assert network.run_until_quiet(max_cycles=20000)
+    assert message.outcome == DELIVERED
+    return message.queued_cycle, message.start_cycle, message.done_cycle
+
+
 def test_send_on_a_parked_network_is_delivered():
-    """network.send wakes the endpoint out of PARKED; the delivery
-    must match the reference backend cycle for cycle."""
-    latencies = []
-    for backend in ("reference", "events"):
-        network = figure1_network(seed=5, backend=backend)
-        network.run(500)  # park everything (events) / spin (reference)
-        message = network.send(2, Message(dest=13, payload=[7, 8, 9]))
-        assert network.run_until_quiet(max_cycles=20000)
-        assert message.outcome == DELIVERED
-        latencies.append((message.start_cycle, message.done_cycle))
-    assert latencies[0] == latencies[1]
+    """A message submitted between runs is stamped with the endpoint's
+    clock (``queued_cycle``): the events engine steps the last cycle
+    of every run, so that clock, the start and the delivery match the
+    reference backend cycle for cycle, on Figure 1 and Figure 3."""
+    for factory, src, dest in ((figure1_network, 2, 13), (figure3_network, 5, 60)):
+        reference = _send_after_idle(factory, "reference", src, dest)
+        assert reference[0] == 499
+        assert _send_after_idle(factory, "events", src, dest) == reference
+
+
+def test_the_send_test_catches_a_run_that_ends_in_a_jump():
+    """Seeded engine bug (``docs/testing.md``): the last jump of a run
+    lands on its end cycle, so no component ticks the run's last
+    cycle and an endpoint stamps a message with a stale clock."""
+    with seeded("events-run-ends-in-jump"):
+        with pytest.raises(AssertionError):
+            test_send_on_a_parked_network_is_delivered()
 
 
 def test_loaded_equivalence_uniform_traffic():
@@ -166,8 +191,8 @@ def test_compression_respects_the_deadline():
 
 
 class _StopObserver(Component):
-    """Observer that requests a stop at a chosen cycle (observers are
-    outside the activity protocol and tick every cycle)."""
+    """Observer that requests a stop at a chosen cycle (it names no
+    next event, so it ticks every cycle)."""
 
     def __init__(self, engine, at):
         self.name = "stop-observer"
@@ -185,7 +210,6 @@ def test_stop_mid_run_on_the_events_backend():
     engine.add_observer(_StopObserver(engine, at=7))
     network.run(1000)
     assert engine.cycle == 8  # cycle 7 completed, nothing after
-    assert not engine.degraded
 
 
 def test_observers_disable_compression():
@@ -205,18 +229,8 @@ def test_observers_disable_compression():
     assert network.engine.compressed_cycles == 0
 
 
-def test_wake_ignores_unknown_objects():
-    network = figure1_network(seed=0, backend="events")
-    network.run(10)
-    foreign = Channel(name="foreign")
-    network.engine.wake(foreign)   # never registered: ignored
-    network.engine.wake(object())  # not a component either: ignored
-    network.run(10)
-    assert network.engine.cycle == 20
-
-
 class _Wired(Component):
-    """Protocol-compliant component wired to one channel's a side."""
+    """A component wired to one channel's a side."""
 
     def __init__(self, channel):
         self.name = "wired"
@@ -226,34 +240,83 @@ class _Wired(Component):
     def tick(self, cycle):
         self.ticks += 1
 
-    def activity_state(self):
-        return ACTIVE
-
-    def attached_channels(self):
-        return [self.channel]
-
 
 def test_unregistered_attached_channel_is_never_advanced():
-    """A component may report wiring to a channel the engine never
+    """A component may be wired to a channel the engine never
     registered (ad-hoc harnesses); the reference engine would not
-    advance it, so the events backend must not either."""
+    advance it, so the events backend must not either, live or not."""
     private = Channel(name="private")
     engine = EventEngine()
     engine.add_component(_Wired(private))
     private.a.send(W.data(1))
     engine.run(8)
-    assert not engine.degraded
+    assert private.live
     # The staged word went nowhere: the channel never advanced.
     assert private.b.recv() is None
 
 
 def test_staging_heats_a_cold_channel():
-    """The staging hook re-heats channels without any engine scan."""
+    """A word staged on a silent wire between runs marks it live, and
+    the next run advances it: nothing announces it to the engine."""
     network = figure1_network(seed=0, backend="events")
-    network.run(600)  # everything parked, hot set drained
+    network.run(600)
     engine = network.engine
-    assert not engine._hot
-    channel = network.engine.channels[0]
-    assert channel.hot_hook is not None
-    channel.hot_hook(channel)
-    assert channel in engine._hot
+    assert engine.compressed_cycles > 500
+    channel = engine.channels[0]
+    assert not channel.live
+    channel.a.send(W.data(1))
+    assert channel.live
+    network.run(channel.delay)
+    assert channel.b.recv() == W.data(1)
+
+
+def _cascade_facts(backend):
+    """Three routers cascaded on one random bus, idle for 500 cycles,
+    then fed the same header on one forward port each."""
+    params = RouterParameters(i=4, o=4, w=4, max_d=2)
+    bus = SharedRandomBus(seed=5)
+    engine = make_engine(backend)
+    hub = TelemetryHub(sample_period=0)
+    members, inputs = [], []
+    for index in range(3):
+        router = MetroRouter(
+            params, name="slice{}".format(index),
+            config=RouterConfig(params, dilation=2), random_stream=bus,
+        )
+        router.telemetry = hub
+        engine.add_component(router)
+        for port in range(4):
+            channel = engine.add_channel(Channel(name="f{}.{}".format(index, port)))
+            router.attach_forward(port, channel.b)
+            if port == 1:
+                inputs.append(channel.a)
+        for port in range(4):
+            channel = engine.add_channel(Channel(name="b{}.{}".format(index, port)))
+            router.attach_backward(port, channel.a)
+        members.append(router)
+    boundary = []
+    for burst in range(4):
+        engine.run(500)
+        for value in (burst % 4, 5, 6, 7):
+            for end in inputs:
+                end.send(W.data(value))
+            engine.run(1)
+        for end in inputs:
+            end.send(W.DROP_WORD)
+        engine.run(20)
+        boundary.append([repr(r.boundary_capture) for r in members])
+    events = [
+        (span.begin, span.track, span.name, span.args)
+        for span in hub.spans.completed
+        if span.cat == "router"
+    ]
+    return boundary, events
+
+
+def test_an_idle_cascade_on_a_shared_bus_matches_the_reference():
+    """Routers on a shared random bus step the bus every tick, so they
+    never let the clock jump: idle gaps give the same routing and the
+    same boundary registers on both engines."""
+    reference = _cascade_facts("reference")
+    assert reference[1]  # the comparison is not vacuous
+    assert _cascade_facts("events") == reference

@@ -1,7 +1,7 @@
 """The idle fast paths change nothing observable.
 
 ``MetroRouter.tick`` is one list comparison while the router is quiet
-(its park test, ``_quiet``) and its forward receive pipes are silent,
+(its quiet test, ``_quiet``) and its forward receive pipes are silent,
 and ``Endpoint.tick`` is one source draw while the endpoint is at rest
 (DESIGN.md, "Idle is one test").  Here a pre-cycle hook forces full
 ticks everywhere: every cycle it clears every router's ``_quiet`` and
@@ -286,7 +286,7 @@ def test_full_ticks_change_nothing_on_a_cascade(backend):
 
 
 def test_a_tick_never_enters_tick_again():
-    """An endpoint at rest draws through ``fast_poll`` and a draw that
+    """An endpoint at rest makes one source draw and a draw that
     yields a message finishes the tick in ``_generate``, never through
     ``tick``: a profiler that wraps ``tick`` on the instance
     (``bench/trace.py``) must count one call per component per cycle."""

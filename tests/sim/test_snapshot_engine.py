@@ -265,7 +265,7 @@ class TestBackendTransmute:
 
 class TestDerivedStateAcrossRestore:
     """What the tick fast paths derive (a channel's liveness summary, a
-    router's owned-port count, pending-scan flag, park test and cached
+    router's owned-port count, pending-scan flag, quiet test and cached
     receive pipes, an endpoint's cached receive pipes) is never pickled and is valid the moment a snapshot is
     restored: out-of-tick mutators run on a restored network before its
     first tick (``FaultManager.service()`` inside a resumed chaos soak

@@ -98,8 +98,13 @@ BUDGET = 3771
 #: pipes with an all-``None`` template, their snapshot handling and the
 #: endpoint's idle test) cost 15 lines net, after the router's and the
 #: endpoint's ``activity_state`` became a read of that test and
-#: ``on_park``, a no-op on both, left the activity protocol.
-SRC_BUDGET = 12536
+#: ``on_park``, a no-op on both, left the activity protocol.  12536
+#: before the events engine became the dense sweep minus silent wires,
+#: plus idle-gap compression: its park/wake scheduler, the activity
+#: protocol on routers and endpoints, ``Engine.wake`` with its 13
+#: callers, the channel's staging hook and the endpoint's ``fast_poll``
+#: (inlined into its tick) went (226 lines).
+SRC_BUDGET = 12310
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "

@@ -1,9 +1,8 @@
 """Pinned Oracle output: every violation of every seeded-bug run.
 
 ``tests/fixtures/oracle_violations.json`` records, for each protocol
-bug of ``tests/mutants.py`` (run as test_mutations.py runs it), the
-``events-skip-wake`` backend bug and the masked-port run of
-test_oracle.py, the complete list
+bug of ``tests/mutants.py`` (run as test_mutations.py runs it) and
+the masked-port run of test_oracle.py, the complete list
 of violations the conformance oracle reports — ``[cycle, router, port,
 rule]`` rows in report order, plus a digest that also covers each
 violation's detail text.  The fixture was generated from the Oracle as
@@ -33,7 +32,7 @@ import pytest
 from repro.sim.backends import BACKENDS
 
 from tests.mutants import seeded
-from tests.verify import test_backend_mutations, test_mutations
+from tests.verify import test_mutations
 from tests.verify.test_oracle import _masked_port_run
 
 FIXTURE_PATH = os.path.join(
@@ -50,12 +49,6 @@ CASES = {
     )
     for name, run, _rule in test_mutations.CASES
 }
-# The skipped wake exists only in the events engine's scheduler.
-CASES["events-skip-wake"] = (
-    "events-skip-wake",
-    lambda backend: test_backend_mutations._scenario_oracle_run(),
-    ["events"],
-)
 CASES["masked-port"] = (None, _masked_port_run, sorted(BACKENDS))
 
 
