@@ -20,7 +20,6 @@ is what lets serial and parallel sweep execution produce bit-identical
 results.
 """
 
-import hashlib
 import random
 
 
@@ -34,6 +33,8 @@ def derive_seed(root, *path):
     platforms and Python versions (unlike ``hash()``), and seeds for
     different paths are statistically independent.
     """
+    import hashlib  # here, not at the top: a run without a harness never loads it
+
     material = repr((int(root),) + tuple(_canonical_seed_part(p) for p in path))
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

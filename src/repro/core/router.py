@@ -41,8 +41,7 @@ from repro.core import words as W
 from repro.core.crossbar import CrossbarAllocator, RANDOM
 from repro.core.parameters import RouterConfig
 from repro.core.random_source import RandomStream, SharedRandomBus
-from repro.sim.component import Component
-from repro.telemetry.nullobj import NULL_TELEMETRY
+from repro.sim.component import NULL_TELEMETRY, Component
 
 # Forward-port FSM states (exposed for tests via connection_state()).
 IDLE_STATE = "idle"          # no connection; waiting for a head word

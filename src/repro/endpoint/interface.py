@@ -29,8 +29,7 @@ import random
 from repro.core import words as W
 from repro.endpoint import messages as M
 from repro.endpoint.retry import UniformBackoff
-from repro.sim.component import Component
-from repro.telemetry.nullobj import NULL_TELEMETRY
+from repro.sim.component import NULL_TELEMETRY, Component
 
 ACK_OK = 1
 ACK_BAD = 0

@@ -14,32 +14,24 @@ the two-phase simulation engine that models that clock:
 * :class:`~repro.sim.engine.Engine` — steps all components, then
   advances all channels, so evaluation order never matters.
 * :mod:`repro.sim.snapshot` — versioned capture/restore of live engine
-  state (checkpointing, warm starts, crash-safe soaks).
+  state (checkpointing, warm starts, crash-safe soaks).  It is not
+  imported here, so a run that never snapshots does not load ``pickle``
+  or ``hashlib``: write ``from repro.sim import snapshot`` or
+  ``from repro.sim.snapshot import ...``.  :meth:`Engine.snapshot
+  <repro.sim.engine.Engine.snapshot>` loads it on first use.
+
+:mod:`repro.sim.component` also holds :data:`NULL_TELEMETRY
+<repro.sim.component.NULL_TELEMETRY>`, the object routers and endpoints
+report to when no telemetry hub is bound.
 """
 
 from repro.sim.channel import Channel, ChannelEnd
 from repro.sim.component import Component
 from repro.sim.engine import Engine
-from repro.sim.snapshot import (
-    SNAPSHOT_FORMAT_VERSION,
-    Snapshot,
-    SnapshotFormatError,
-    restore_engine,
-    restore_network,
-    snapshot_engine,
-    snapshot_network,
-)
 
 __all__ = [
     "Channel",
     "ChannelEnd",
     "Component",
     "Engine",
-    "SNAPSHOT_FORMAT_VERSION",
-    "Snapshot",
-    "SnapshotFormatError",
-    "restore_engine",
-    "restore_network",
-    "snapshot_engine",
-    "snapshot_network",
 ]

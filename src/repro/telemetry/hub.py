@@ -11,7 +11,7 @@ Components report protocol events through the narrow hook API below;
 the hub translates them into metric increments and span operations.
 
 When no hub is bound, components hold the
-:data:`~repro.telemetry.nullobj.NULL_TELEMETRY` singleton and every
+:data:`~repro.sim.component.NULL_TELEMETRY` singleton and every
 hook site is skipped behind an ``enabled`` check — the disabled path
 is a single attribute test, and it is the path ``bench/``'s
 ``fig3_light`` and ``fig3_saturated`` workloads time.
@@ -19,9 +19,8 @@ is a single attribute test, and it is the path ``bench/``'s
 Metric names are documented in ``docs/observability.md``.
 """
 
-from repro.sim.component import Component
+from repro.sim.component import NULL_TELEMETRY, Component  # noqa: F401  (re-export)
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.nullobj import NULL_TELEMETRY  # noqa: F401  (re-export)
 from repro.telemetry.spans import SpanRecorder
 
 #: Router trace kinds promoted to named counter families; everything

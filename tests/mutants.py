@@ -35,8 +35,10 @@ from repro.faults import diagnosis
 from repro.faults.manager import FaultManager
 from repro.harness import spec
 from repro.harness.parallel import TrialRunner
+from repro.sim import snapshot
 from repro.sim.backends import EventEngine
 from repro.sim.channel import ChannelEnd
+from repro.telemetry.metrics import MetricsSnapshot
 from repro.workloads.collective import CollectiveObserver
 
 
@@ -220,6 +222,18 @@ MUTANTS = {
     # The trial fingerprint (cache key) leaves out the code version.
     "spec-drops-code-version": {(spec, "_digest"): [
         ("dict(structure, code=code)", "dict(structure)"),
+    ]},
+    # -- snapshots (tests/sim/test_snapshot_engine.py)
+    # A restore onto the other backend leaves the engine's deadline behind.
+    "snapshot-transmute-drops-deadline": {(snapshot, "_transmute"): [(
+        "for name in _CORE_ATTRS}",
+        'for name in _CORE_ATTRS if name != "deadline"}',
+    )]},
+    # -- telemetry (tests/telemetry/test_stream.py)
+    # A delta carries every histogram bucket's running count, not its
+    # change, so a fold of deltas over-counts the buckets.
+    "metrics-delta-keeps-buckets": {(MetricsSnapshot, "delta_since"): [
+        ('diff = count - old[1]["buckets"].get(index, 0)', "diff = count"),
     ]},
     # -- the fault manager (tests/faults/)
     # A failing wire gets its ports back and the mask lands on the

@@ -20,8 +20,11 @@ then review the fixture diff like any other code change.
 """
 
 import os
+import pickletools
 
 import pytest
+
+from tests.fresh import fresh_json
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "fixtures", "golden_snapshot.bin"
@@ -142,6 +145,66 @@ def test_capture_is_reproducible_in_process():
     # The fixture's source of truth is deterministic: two fresh
     # captures carry identical state (same content hash).
     assert _capture().content_hash == _capture().content_hash
+
+
+#: The reference every snapshot pickles the null telemetry object as.
+#: The object lives in ``repro.sim.component``; its ``__reduce__``
+#: keeps this older name so snapshot bytes and content hashes do not
+#: depend on where the class is defined.
+NULL_TELEMETRY_GLOBAL = ("repro.telemetry.nullobj", "_null_telemetry")
+
+
+def _pickled_globals(blob):
+    """Every ``(module, name)`` a pickle's STACK_GLOBAL opcodes load."""
+    found, pushed, memo = set(), [], []
+    for opcode, arg, _ in pickletools.genops(blob):
+        if opcode.name == "MEMOIZE":
+            memo.append(pushed[-1] if pushed else None)
+        elif opcode.name in ("BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        elif opcode.name == "STACK_GLOBAL":
+            found.add(tuple(pushed[-2:]))
+            pushed.append(None)
+        else:
+            pushed.append(arg if isinstance(arg, str) else None)
+    return found
+
+
+def test_snapshots_name_the_null_telemetry_by_its_pickled_path():
+    from repro.harness.load_sweep import figure1_network
+    from repro.sim.snapshot import snapshot_network
+
+    network = figure1_network(seed=3)
+    network.run(20)
+    assert NULL_TELEMETRY_GLOBAL in _pickled_globals(
+        snapshot_network(network).blob
+    )
+    assert NULL_TELEMETRY_GLOBAL in _pickled_globals(_load_golden().blob)
+
+
+_RESTORE_PROBE = """
+import json, sys
+from repro.sim.snapshot import Snapshot, restore_network
+assert "repro.telemetry" not in sys.modules
+network = restore_network(Snapshot.load(sys.argv[1])).network
+from repro.sim.component import NULL_TELEMETRY
+holders = [r for stage in network.routers for r in stage] + network.endpoints
+print(json.dumps([len(holders), all(h.telemetry is NULL_TELEMETRY for h in holders)]))
+"""
+
+
+def test_a_restore_in_a_fresh_interpreter_shares_the_singleton(tmp_path):
+    """The restore runs before anything imports :mod:`repro.telemetry`,
+    so unpickling the old name must resolve to the one object."""
+    from repro.harness.load_sweep import figure1_network
+    from repro.sim.snapshot import snapshot_network
+
+    network = figure1_network(seed=3)
+    network.run(20)
+    path = str(tmp_path / "figure1.snap")
+    snapshot_network(network).save(path)
+    assert fresh_json(_RESTORE_PROBE, path) == [24 + 16, True]  # routers + endpoints
+    assert fresh_json(_RESTORE_PROBE, GOLDEN_PATH)[1] is True
 
 
 def _regen():

@@ -6,7 +6,10 @@ import pickle
 import pytest
 
 from repro.endpoint.messages import Message
-from repro.sim import (
+from repro.sim.backends import BACKENDS, EventEngine
+from repro.sim.engine import Engine, EngineDeadlineError
+from repro.sim.snapshot import (
+    MAGIC,
     SNAPSHOT_FORMAT_VERSION,
     Snapshot,
     SnapshotFormatError,
@@ -14,10 +17,12 @@ from repro.sim import (
     restore_network,
     snapshot_network,
 )
-from repro.sim.backends import BACKENDS, EventEngine
-from repro.sim.engine import Engine, EngineDeadlineError
-from repro.sim.snapshot import MAGIC
 from repro.verify.scenario import Scenario
+
+from tests.mutants import seeded
+
+#: Every (capture, restore) backend pair that transmutes the engine.
+_SWITCHES = [(a, b) for a in sorted(BACKENDS) for b in sorted(BACKENDS) if a != b]
 
 
 def _network(backend="reference", messages=((0, 1, (3, 1, 2)),)):
@@ -122,6 +127,27 @@ class TestGuardRoundTrip:
         ).engine
         assert engine.deadline is None
         engine.run(60)  # well past the cleared deadline
+
+    @pytest.mark.parametrize("capture,target", _SWITCHES)
+    def test_deadline_survives_a_backend_switch(self, capture, target):
+        network = _network(backend=capture)
+        network.engine.set_deadline(6)
+        network.run(2)
+        snap = _roundtrip(snapshot_network(network))
+        engine = restore_network(snap, backend=target).engine
+        assert type(engine) is BACKENDS[target]
+        assert engine.deadline == 6
+        with pytest.raises(EngineDeadlineError):
+            engine.run(10)
+        assert engine.cycle == 6
+
+    def test_the_switch_test_catches_a_transmute_that_drops_the_deadline(self):
+        """Seeded snapshot bug (``docs/testing.md``, the mutation table):
+        ``_transmute`` keeps every core attribute but ``deadline``."""
+        with seeded("snapshot-transmute-drops-deadline"):
+            for capture, target in _SWITCHES:
+                with pytest.raises(AssertionError):
+                    self.test_deadline_survives_a_backend_switch(capture, target)
 
     def test_stop_request_round_trips(self):
         network = _network()

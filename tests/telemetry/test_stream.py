@@ -22,6 +22,8 @@ from repro.telemetry import (
     validate_run_log,
 )
 
+from tests.mutants import seeded
+
 # Small, fast soak shared by the streaming tests.
 SOAK_KW = dict(
     n_windows=6,
@@ -171,6 +173,16 @@ class TestLosslessDeltas:
         )
         merged = merge_stream_metrics(read_run_log(path))
         assert merged == result.metrics
+
+    def test_the_fold_test_catches_a_delta_that_keeps_its_buckets(
+        self, tmp_path
+    ):
+        """Seeded telemetry bug (``docs/testing.md``, the mutation
+        table): ``delta_since`` copies each histogram bucket's running
+        count instead of its change, so the fold over-counts."""
+        with seeded("metrics-delta-keeps-buckets"):
+            with pytest.raises(AssertionError):
+                self.test_merged_deltas_equal_final_snapshot_serial(tmp_path)
 
     @pytest.mark.parametrize(
         "backend", sorted(set(BACKENDS) - {"reference"})

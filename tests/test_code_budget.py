@@ -103,8 +103,11 @@ BUDGET = 3771
 #: plus idle-gap compression: its park/wake scheduler, the activity
 #: protocol on routers and endpoints, ``Engine.wake`` with its 13
 #: callers, the channel's staging hook and the endpoint's ``fast_poll``
-#: (inlined into its tick) went (226 lines).
-SRC_BUDGET = 12310
+#: (inlined into its tick) went (226 lines).  12310 before the null
+#: telemetry object moved beside ``Component`` and ``repro.sim`` stopped
+#: re-exporting the snapshot names (the seven-name import and its
+#: ``__all__`` rows went; ``telemetry/nullobj.py`` keeps one function).
+SRC_BUDGET = 12293
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "

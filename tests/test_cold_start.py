@@ -5,7 +5,13 @@ watched modules that interpreter then holds; nothing is timed, and
 nothing another test imported counts.  The lists below are the cold
 start budget (DESIGN.md, "Cold start"): networkx is for ``figure1``
 and the topology checks, numpy for building and summarising
-experiment results, the harness for sweeps, tables and ``tail``.
+experiment results, the harness for sweeps, tables and ``tail``,
+telemetry for a hub (``send --verbose``, ``--trace-export``,
+``--metrics``), and ``pickle`` and ``hashlib`` for snapshots, trial
+identities and seed derivation.  The harness brings the last three
+with it (telemetry through ``harness/journal.py``, ``spec.py`` and
+``pool.py``; pickle and hashlib through ``cache.py`` and ``spec.py``),
+so a table or ``tail`` holds them too.
 """
 
 import json
@@ -15,7 +21,17 @@ from repro.telemetry.stream import STREAM_FORMAT
 
 from tests.fresh import fresh_json
 
-WATCHED = ("networkx", "numpy", "repro.harness")
+WATCHED = (
+    "networkx",
+    "numpy",
+    "repro.harness",
+    "repro.telemetry",
+    "pickle",
+    "hashlib",
+)
+
+#: What the harness package loads on its own today.
+_HARNESS = {"repro.harness", "repro.telemetry", "pickle", "hashlib"}
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -44,21 +60,30 @@ def _header_only(path, header, format_tag):
 
 
 def test_import_and_send_load_no_harness_numpy_or_networkx():
+    """Nor telemetry, pickle or hashlib: none of ``WATCHED``."""
+    assert loaded("import repro") == set()
     assert loaded("import repro.cli") == set()
     assert loaded(_main("send", "5", "15")) == set()
 
 
+def test_a_trace_export_loads_telemetry(tmp_path):
+    trace = str(tmp_path / "trace.json")
+    send = _main("send", "5", "15", "--trace-export", trace)
+    assert "repro.telemetry" in loaded(send)
+
+
 def test_tail_loads_neither_numpy_nor_networkx(tmp_path):
     """Both renderers format through ``repro.harness.reporting``, and a
-    journal's reader lives in the harness, so the harness loads."""
+    journal's reader lives in the harness, so the harness loads, and
+    with it telemetry, pickle and hashlib."""
     log = _header_only(tmp_path / "run.jsonl", "run.start", STREAM_FORMAT)
     journal = _header_only(tmp_path / "j.jsonl", "journal.start", JOURNAL_FORMAT)
-    assert loaded(_main("tail", log)) == {"repro.harness"}
-    assert loaded(_main("tail", journal)) == {"repro.harness"}
+    assert loaded(_main("tail", log)) == _HARNESS
+    assert loaded(_main("tail", journal)) == _HARNESS
 
 
 def test_a_table_loads_neither_numpy_nor_networkx():
-    assert loaded(_main("table3")) == {"repro.harness"}
+    assert loaded(_main("table3")) == _HARNESS
 
 
 def test_figure1_still_loads_networkx():
@@ -68,6 +93,14 @@ def test_figure1_still_loads_networkx():
 def test_the_gate_reports_networkx_when_the_topology_analysis_is_imported():
     """What the eager ``from repro.network import analysis`` in
     ``repro/network/__init__.py`` did to every command."""
-    assert loaded("import repro.cli\nimport repro.network.analysis") == {
-        "networkx"
+    got = loaded("import repro.cli\nimport repro.network.analysis")
+    assert got - {"hashlib"} == {"networkx"}  # networkx imports hashlib itself
+
+
+def test_the_gate_reports_pickle_and_hashlib_when_snapshot_is_imported():
+    """What the eager snapshot exports of ``repro/sim/__init__.py`` did
+    to every command."""
+    assert loaded("import repro.cli\nimport repro.sim.snapshot") == {
+        "pickle",
+        "hashlib",
     }
