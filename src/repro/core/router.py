@@ -52,6 +52,13 @@ REVERSED_STATE = "reversed"  # established; data flowing dest -> source
 DISCARD_STATE = "discard"    # torn down; draining in-flight words
 
 
+def _silence(pipes):
+    """An all-``None`` template to compare ``pipes`` (slot lists)
+    against.  Rows of one length share one list, which nothing writes."""
+    rows = {}
+    return [rows.setdefault(len(slots), [None] * len(slots)) for slots in pipes]
+
+
 class _Connection:
     """Per-forward-port connection state."""
 
@@ -87,12 +94,6 @@ class _Connection:
         self.status_pending = False
         self.silent_cycles = 0
         self.drop_then_idle = False
-
-    def pipe_push(self, word):
-        """Shift the internal pipeline one stage; returns the word exiting."""
-        pipe = self.pipe
-        pipe.insert(0, word)
-        return pipe.pop()
 
     def pipe_clear(self):
         for index in range(len(self.pipe)):
@@ -185,9 +186,11 @@ class MetroRouter(Component):
 
         ``_rx_slots`` is ``(forward port, its receive pipe's slots)`` per
         wired port, ``_rx_pipes`` the same slot lists alone and
-        ``_rx_silent`` an all-``None`` copy of them; None means "rebuild
-        on the next full tick", because the channel ends may still be
-        incomplete inside ``__setstate__``.  ``_quiet`` is the quiet
+        ``_rx_silent`` an all-``None`` copy of them; ``_bcb_pipes`` and
+        ``_bcb_silent`` are the same pair for the BCB pipes arriving at
+        the wired backward ports.  None means "rebuild on the next full
+        tick", because the channel ends may still be incomplete inside
+        ``__setstate__``.  ``_quiet`` is the quiet
         test, set by a full tick: nothing drains and every wired forward
         port is idle with a ``None`` boundary register (so no backward
         port is owned).  ``_owned`` is never less than the number of
@@ -196,6 +199,7 @@ class MetroRouter(Component):
         to drive, never False with a word waiting.
         """
         self._rx_slots = self._rx_pipes = self._rx_silent = None
+        self._bcb_pipes = self._bcb_silent = None
         self._quiet, self._scan_pending = False, True
         self._count_owned()
 
@@ -211,8 +215,8 @@ class MetroRouter(Component):
         ports, which the marker carries across.
         """
         state = dict(self.__dict__)
-        for name in ("_rx_slots", "_rx_pipes", "_rx_silent", "_quiet",
-                     "_owned", "_scan_pending"):
+        for name in ("_rx_slots", "_rx_pipes", "_rx_silent", "_bcb_pipes",
+                     "_bcb_silent", "_quiet", "_owned", "_scan_pending"):
             state.pop(name, None)
         multitap = state.pop("multitap", None)
         if multitap is not None:
@@ -243,6 +247,7 @@ class MetroRouter(Component):
     def attach_backward(self, port, channel_end):
         """Connect backward port ``port`` to the A side of its channel."""
         self.backward_ends[port] = channel_end
+        self._rx_slots = None
 
     # ------------------------------------------------------------------
     # Introspection (used by tests, stats and the scan subsystem)
@@ -316,10 +321,6 @@ class MetroRouter(Component):
         if self._quiet and not self._scan_pending:
             if self._rx_pipes == self._rx_silent:
                 return
-        if self._owned:
-            self._service_backward_bcb()
-        if self._draining:
-            self._service_draining()
         rx = self._rx_slots
         if rx is None:
             rx = self._rx_slots = [
@@ -328,7 +329,18 @@ class MetroRouter(Component):
                 if end is not None
             ]
             self._rx_pipes = [slots for _, slots in rx]
-            self._rx_silent = [[None] * len(slots) for _, slots in rx]
+            self._rx_silent = _silence(self._rx_pipes)
+            self._bcb_pipes = [
+                end._bcb_rx.slots for end in self.backward_ends if end is not None
+            ]
+            self._bcb_silent = _silence(self._bcb_pipes)
+        # Fast reclamation arrives as a BCB pulse on a backward port; a
+        # router with no pulse on any of its backward wires skips the
+        # per-port scan after one list comparison.
+        if self._owned and self._bcb_pipes != self._bcb_silent:
+            self._service_backward_bcb()
+        if self._draining:
+            self._service_draining()
         # The port loop is inlined (rather than calling a per-port
         # helper).  A silent port with an idle connection and a boundary
         # register already None is the overwhelmingly common case on a
@@ -338,31 +350,67 @@ class MetroRouter(Component):
         conns = self._conns
         boundary = self.boundary_capture
         enabled = self.config.port_enabled
+        forward_ends = self.forward_ends
+        backward_ends = self.backward_ends
         quiet = not self._draining
         for fp, slots in rx:
             word = slots[-1]
             conn = conns[fp]
-            if word is None:
-                if conn.state == IDLE_STATE and boundary[fp] is None:
-                    continue
-            else:
-                word = self.forward_ends[fp].recv()
-            quiet = False
             state = conn.state
+            if word is not None:
+                word = forward_ends[fp].recv()
+            elif state == IDLE_STATE and boundary[fp] is None:
+                continue
+            quiet = False
             # The boundary register observes the pins even on a
             # disabled port — that observability is what port-isolation
             # tests use.  (Forward port ids equal forward indices.)
             boundary[fp] = word
-            if state == IDLE_STATE and (word is None or word.kind != W.DATA):
-                continue
             if not enabled[fp]:
                 continue
-            if state == IDLE_STATE:
-                self._handle_idle(conn, word)
+            if state == FORWARD_STATE:
+                # The established circuit: one word in, one word out of
+                # the ``dp``-stage pipeline, every cycle.
+                if word is not None and word.kind == W.DROP:
+                    # Accept the close at pipe *entry*: the forward port
+                    # frees immediately (a new circuit request may be one
+                    # cycle behind the DROP), while the old pipeline keeps
+                    # flushing downstream and releases the backward port
+                    # when the DROP exits.
+                    self._begin_drain(conn)
+                    continue
+                if conn.status_pending:
+                    # The flow just reversed back to forward through this
+                    # router; its STATUS word leads the new stream.
+                    self._emit_status(conn, backward_ends[conn.bwd_port])
+                elif word is None:
+                    if self._watchdog(conn):
+                        self._teardown_downstream(conn)
+                        continue
+                    # Hold the line: a bubble becomes DATA-IDLE
+                    # downstream so the circuit visibly stays open.
+                    word = W.IDLE_WORD
+                else:
+                    conn.silent_cycles = 0
+                if word is not None and word.kind == W.DATA:
+                    conn.checksum.update(word.value)
+                    conn.words_forwarded += 1
+                # A reversal cleared the pipe, so while the STATUS word
+                # leads, nothing exits.
+                pipe = conn.pipe
+                pipe.insert(0, word)
+                out = pipe.pop()
+                if out is not None:
+                    backward_ends[conn.bwd_port].send(out)
+                    if out.kind == W.TURN:
+                        conn.state = REVERSED_STATE
+                        conn.begin_new_direction()
+                        self._record("conn-turn", fp, conn.bwd_port)
+            elif state == IDLE_STATE:
+                if word is not None and word.kind == W.DATA:
+                    self._handle_idle(conn, word)
             elif state == SETUP_STATE:
                 self._handle_setup(conn, word)
-            elif state == FORWARD_STATE:
-                self._handle_forward(conn, word)
             elif state == BLOCKED_STATE:
                 self._handle_blocked(conn, word)
             elif state == REVERSED_STATE:
@@ -382,7 +430,9 @@ class MetroRouter(Component):
     def _service_draining(self):
         """Flush pipelines of closed connections; free ports on DROP exit."""
         for conn in list(self._draining):
-            out = conn.pipe_push(None)
+            pipe = conn.pipe
+            pipe.insert(0, None)
+            out = pipe.pop()
             if out is None:
                 continue
             self.backward_ends[conn.bwd_port].send(out)
@@ -423,9 +473,7 @@ class MetroRouter(Component):
     # -- forward-port FSM ----------------------------------------------
 
     def _handle_idle(self, conn, word):
-        if word is None or word.kind != W.DATA:
-            # Stale control words or silence: nothing to route.
-            return
+        """A DATA word on an idle port heads a new circuit request."""
         if self.params.hw == 0:
             self._route(conn, self._extract_direction_hw0(conn, word))
         else:
@@ -472,7 +520,10 @@ class MetroRouter(Component):
             # The shifted head word is forwarded data like any other.
             conn.checksum.update(forward_word.value)
             conn.words_forwarded += 1
-        self._emit_backward(conn, conn.pipe_push(forward_word))
+        conn.pipe.insert(0, forward_word)
+        out = conn.pipe.pop()
+        if out is not None:
+            self.backward_ends[backward].send(out)
 
     def _block(self, conn):
         fp = conn.fwd_port
@@ -509,47 +560,12 @@ class MetroRouter(Component):
         if conn.header_remaining <= 0:
             self._route(conn, None)
 
-    def _handle_forward(self, conn, word):
-        if word is not None and word.kind == W.DROP:
-            # Accept the close at pipe *entry*: the forward port frees
-            # immediately (a new circuit request may be one cycle
-            # behind the DROP), while the old pipeline keeps flushing
-            # downstream and releases the backward port when the DROP
-            # exits.
-            self._begin_drain(conn)
-            return
-        if conn.status_pending:
-            # The flow just reversed back to forward through this
-            # router; its STATUS word leads the new stream downstream.
-            self._emit_status(conn, self.backward_ends[conn.bwd_port])
-            if word is not None and word.kind == W.DATA:
-                conn.checksum.update(word.value)
-                conn.words_forwarded += 1
-            conn.pipe_push(word)  # pipeline refilling; nothing exits yet
-            return
-        if word is None:
-            if self._watchdog(conn):
-                self._teardown_downstream(conn)
-                return
-            # Hold the line: a bubble becomes DATA-IDLE downstream so
-            # the circuit visibly stays open.
-            word = W.IDLE_WORD
-        else:
-            conn.silent_cycles = 0
-            if word.kind == W.DATA:
-                conn.checksum.update(word.value)
-                conn.words_forwarded += 1
-        out = conn.pipe_push(word)
-        self._emit_backward(conn, out)
-        if out is not None and out.kind == W.TURN:
-            conn.state = REVERSED_STATE
-            conn.begin_new_direction()
-            self._record("conn-turn", conn.fwd_port, conn.bwd_port)
-
     def _begin_drain(self, conn):
         """Accept a forward-direction close: free the port, flush later."""
-        out = conn.pipe_push(W.DROP_WORD)
-        self._emit_backward(conn, out)
+        conn.pipe.insert(0, W.DROP_WORD)
+        out = conn.pipe.pop()
+        if out is not None:
+            self.backward_ends[conn.bwd_port].send(out)
         self._record("conn-close-accepted", conn.fwd_port, conn.bwd_port)
         self._draining.append(conn)
         self._conns[conn.fwd_port] = _Connection(conn.fwd_port, self.params.dp)
@@ -609,7 +625,9 @@ class MetroRouter(Component):
                 conn.checksum.update(reverse_in.value)
                 conn.words_forwarded += 1
 
-        out = conn.pipe_push(reverse_in)
+        pipe = conn.pipe
+        pipe.insert(0, reverse_in)
+        out = pipe.pop()
         if conn.status_pending:
             # The router's own STATUS word precedes all reverse data.
             # (The pipe is freshly cleared, so nothing exits this cycle.)
@@ -706,10 +724,6 @@ class MetroRouter(Component):
         # The accumulators begin afresh for the new flow direction.
         conn.checksum.reset()
         conn.words_forwarded = 0
-
-    def _emit_backward(self, conn, word):
-        if word is not None:
-            self.backward_ends[conn.bwd_port].send(word)
 
     def _release_backward(self, conn):
         if conn.bwd_port is None:

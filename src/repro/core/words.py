@@ -120,6 +120,10 @@ def _crc8_table(poly):
     return tuple(table)
 
 
+#: The CRC-8 lookup table of :attr:`Checksum.POLY`.
+_TABLE = _crc8_table(0x31)
+
+
 class Checksum:
     """Running CRC-8 (polynomial 0x31, as in Dallas/Maxim one-wire).
 
@@ -134,21 +138,18 @@ class Checksum:
     __slots__ = ("value",)
 
     POLY = 0x31
-    _TABLE = _crc8_table(0x31)
 
     def __init__(self):
         self.value = 0
 
     def update(self, word_value):
-        """Fold one word value into the checksum, byte by byte."""
-        table = self._TABLE
-        crc = self.value
-        value = word_value
-        while True:
-            crc = table[crc ^ (value & 0xFF)]
-            value >>= 8
-            if value == 0:
-                break
+        """Fold one word value into the checksum, byte by byte (a value
+        below 256, zero included, is one byte)."""
+        crc = _TABLE[self.value ^ (word_value & 0xFF)]
+        word_value >>= 8
+        while word_value:
+            crc = _TABLE[crc ^ (word_value & 0xFF)]
+            word_value >>= 8
         self.value = crc
 
     def reset(self):
@@ -156,8 +157,14 @@ class Checksum:
 
 
 def checksum_of(values):
-    """Checksum of an iterable of word values (convenience for tests)."""
-    crc = Checksum()
+    """Checksum of an iterable of word values: :meth:`Checksum.update`
+    folded over them in one loop, without a :class:`Checksum` object
+    (endpoints take one per message attempt)."""
+    crc = 0
     for value in values:
-        crc.update(value)
-    return crc.value
+        crc = _TABLE[crc ^ (value & 0xFF)]
+        value >>= 8
+        while value:
+            crc = _TABLE[crc ^ (value & 0xFF)]
+            value >>= 8
+    return crc

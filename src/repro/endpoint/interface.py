@@ -244,7 +244,9 @@ class Endpoint(Component):
         if sends:
             for port in list(sends):
                 self._service_send(sends[port])
-        self._generate(cycle)
+        # At capacity with nothing queued there is nothing to draw or start.
+        if self._queue or len(sends) < self.max_outstanding:
+            self._generate(cycle)
 
     def _generate(self, cycle):
         """Draw from the traffic source up to capacity, then start the
@@ -314,11 +316,6 @@ class Endpoint(Component):
         """
         if len(self._sends) >= self.max_outstanding or not self._queue:
             return
-        free_ports = [
-            p for p in range(len(self.source_ends)) if p not in self._sends
-        ]
-        if not free_ports:
-            return
         entry = None
         entry_key = None
         for position, candidate in enumerate(self._queue):
@@ -329,6 +326,11 @@ class Endpoint(Component):
                 entry = candidate
                 entry_key = key
         if entry is None:
+            return
+        free_ports = [
+            p for p in range(len(self.source_ends)) if p not in self._sends
+        ]
+        if not free_ports:
             return
         self._queue.remove(entry)
         message = entry[1]
@@ -342,9 +344,10 @@ class Endpoint(Component):
             self.telemetry.attempt_started(cycle, self, port, message)
 
     def _build_stream(self, message):
-        header = [W.data(v) for v in self.codec.encode(message.dest)]
-        payload = [W.data(v) for v in message.payload]
-        checksum = W.data(W.checksum_of(message.payload))
+        Word, DATA = W.Word, W.DATA
+        header = [Word(DATA, v) for v in self.codec.encode(message.dest)]
+        payload = [Word(DATA, v) for v in message.payload]
+        checksum = Word(DATA, W.checksum_of(message.payload))
         return header + payload + [checksum, W.TURN_WORD], len(header)
 
     # ------------------------------------------------------------------
@@ -353,7 +356,9 @@ class Endpoint(Component):
 
     def _service_send(self, send):
         end = self.source_ends[send.port]
-        bcb = end.recv_bcb()
+        # A None pulse slot is None whatever ``dead`` would say; only a
+        # pulse goes through recv_bcb().
+        bcb = end.recv_bcb() if end._bcb_rx.slots[-1] is not None else None
         if bcb is not None:
             # Fast path reclamation: a router `bcb` stages in blocked.
             end.send(W.DROP_WORD)

@@ -136,11 +136,18 @@ class Channel:
         live = 0
         for pipe in (self._a_to_b, self._b_to_a, self._bcb_b_to_a, self._bcb_a_to_b):
             staged = pipe.staged
-            if staged is not None or pipe.occupied:
+            if staged is not None:
                 slots = pipe.slots
                 slots.insert(0, staged)
-                pipe.occupied += (staged is not None) - (slots.pop() is not None)
                 pipe.staged = None
+                if slots.pop() is None:
+                    pipe.occupied += 1
+                live += pipe.occupied
+            elif pipe.occupied:
+                slots = pipe.slots
+                slots.insert(0, None)
+                if slots.pop() is not None:
+                    pipe.occupied -= 1
                 live += pipe.occupied
         self.live = live
 

@@ -37,7 +37,7 @@ from repro.harness import spec
 from repro.harness.parallel import TrialRunner
 from repro.sim import snapshot
 from repro.sim.backends import EventEngine
-from repro.sim.channel import ChannelEnd
+from repro.sim.channel import Channel, ChannelEnd
 from repro.telemetry.metrics import MetricsSnapshot
 from repro.workloads.collective import CollectiveObserver
 
@@ -171,10 +171,21 @@ MUTANTS = {
     "channel-stale-liveness": {(ChannelEnd, "send_bcb"): [
         ("self.channel.live = True", "pass"),
     ]},
+    # A word leaving a pipe's last slot is not uncounted: the wire's
+    # occupancy never falls back to zero, so it never reads as silent.
+    "channel-advance-keeps-occupancy": {(Channel, "advance"): [
+        ("pipe.occupied -= 1", "pass"),
+    ]},
     # The owned-port count misses every claim, so the router skips
     # _service_backward_bcb while a port is owned.
     "router-stale-owned-count": {(MetroRouter, "_route"): [
         ("self._count_owned()", "pass"),
+    ]},
+    # The BCB gate watches the pipes leaving the backward ports, not the
+    # ones arriving there: a pulse never opens it.
+    "router-bcb-gate-blind": {(MetroRouter, "tick"): [
+        ("end._bcb_rx.slots for end in self.backward_ends",
+         "end._bcb_tx.slots for end in self.backward_ends"),
     ]},
     # A router goes quiet while a closed connection still drains: the
     # quiet tick never flushes it, so its DROP never leaves.
@@ -235,6 +246,13 @@ MUTANTS = {
     "metrics-delta-keeps-buckets": {(MetricsSnapshot, "delta_since"): [
         ('diff = count - old[1]["buckets"].get(index, 0)', "diff = count"),
     ]},
+    # Merging two snapshots keeps the right-hand counter instead of the
+    # sum (tests/telemetry/test_metrics.py).
+    "metrics-merge-overwrites-counters": {(MetricsSnapshot, "merge"): [(
+        "series[key] = (kind, _merge_entry(kind, mine[1], data))",
+        "series[key] = (kind, data if kind == \"counter\" "
+        "else _merge_entry(kind, mine[1], data))",
+    )]},
     # -- the fault manager (tests/faults/)
     # A failing wire gets its ports back and the mask lands on the
     # upstream router's neighbouring backward port instead.

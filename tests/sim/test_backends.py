@@ -93,6 +93,16 @@ def test_idle_network_parks_and_compresses():
     assert engine.compressed_cycles > 1900
 
 
+def test_the_compression_test_catches_an_occupancy_that_never_clears():
+    """Seeded wire bug (``docs/testing.md``): ``Channel.advance`` never
+    uncounts a word leaving its last slot, so a wire that carried one
+    stays live and the network never compresses again.  (An idle network
+    carries no word, so the parking test above cannot see it.)"""
+    with seeded("channel-advance-keeps-occupancy"):
+        with pytest.raises(AssertionError):
+            test_degraded_equivalence_on_a_network()
+
+
 def _send_after_idle(factory, backend, src, dest):
     network = factory(seed=5, backend=backend)
     network.run(500)  # one jump (events) / 500 idle steps (reference)

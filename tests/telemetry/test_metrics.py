@@ -14,6 +14,8 @@ from repro.telemetry.metrics import (
     bucket_index,
 )
 
+from tests.mutants import seeded
+
 
 # -- bucketing -----------------------------------------------------------
 
@@ -144,6 +146,14 @@ def test_merge_counters_and_histograms_add():
     assert histogram.low == 10 and histogram.high == 40
     # Inputs are untouched.
     assert left.value("sends", endpoint=0) == 3
+
+
+def test_the_merge_test_catches_counters_that_overwrite():
+    """Seeded telemetry bug (``docs/testing.md``): ``merge`` keeps the
+    right-hand counter instead of the sum."""
+    with seeded("metrics-merge-overwrites-counters"):
+        with pytest.raises(AssertionError):
+            test_merge_counters_and_histograms_add()
 
 
 def test_merge_gauge_last_write_wins_in_merge_order():

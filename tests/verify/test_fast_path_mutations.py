@@ -11,7 +11,11 @@ the golden-trace test itself).  The seeded bug,
 ``router-stale-owned-count``, is an edit of ``MetroRouter._route``
 (``tests/mutants.py``); the channel's companion,
 ``channel-stale-liveness``, is caught by the property test in
-``tests/sim/test_channel.py``.
+``tests/sim/test_channel.py``.  The tick also skips that scan while no
+BCB pulse sits on any backward wire (one comparison against an
+all-``None`` template); ``router-bcb-gate-blind`` builds the gate from
+the outgoing pulse pipes, so no pulse ever opens it, and the Oracle
+reports the unanswered pulses the same way.
 """
 
 import json
@@ -38,3 +42,11 @@ def test_golden_trace_catches_a_stale_owned_count():
         state = _golden_state()
     assert state["deliveries"] != golden["deliveries"]
     assert state["waveform_sha256"] != golden["waveform_sha256"]
+
+
+def test_oracle_catches_a_blind_bcb_gate():
+    with seeded("router-bcb-gate-blind"):
+        oracle = _converging_run()
+    assert RULE_BCB_IGNORED in oracle.violation_rules(), (
+        oracle.violation_rules()
+    )
