@@ -275,12 +275,11 @@ class MetroRouter(Component):
         :meth:`_reset_derived`) with no scan drive pending ticks to a
         no-op while its receive pipes are silent, which the engine
         checks first (no wire is live); its boundary registers already
-        hold the ``None`` every skipped tick would write.  A router on
-        a shared random bus answers None: its tick steps the bus.
+        hold the ``None`` every skipped tick would write.  On a shared
+        random bus a skipped tick would only have cleared the bus's
+        per-cycle memo, which the next tick's ``begin_cycle`` clears.
         """
-        if self.dead or (
-            self._quiet and not self._scan_pending and not self._shared_bus
-        ):
+        if self.dead or (self._quiet and not self._scan_pending):
             return float("inf")
         return None
 

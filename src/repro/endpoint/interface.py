@@ -171,12 +171,17 @@ class Endpoint(Component):
         #: channel ends may be incomplete inside ``__setstate__``) and
         #: equals no template, so the idle test fails until then.
         self._rx_pipes, self._rx_silent = None, ()
+        #: At rest until cycle ``_wake``: the source that owes the calls
+        #: skipped since ``_rest_from`` (see ``tick``), or None.
+        self._resting, self._rest_from, self._wake = None, 0, 0
 
     def __getstate__(self):
         derived = ("_rx_pipes", "_rx_silent")
         return {k: v for k, v in vars(self).items() if k not in derived}
 
     def __setstate__(self, state):
+        # An endpoint pickled before the at-rest skip was not resting.
+        self._resting, self._rest_from, self._wake = None, 0, 0
         self.__dict__.update(state)
         self._rx_pipes, self._rx_silent = None, ()
 
@@ -217,13 +222,29 @@ class Endpoint(Component):
 
     def tick(self, cycle):
         self._cycle = cycle
+        resting = self._resting
+        if resting is not None:
+            # Every call until _wake would return None: skip them while
+            # no word arrives, nothing is submitted and the source stays.
+            if (cycle < self._wake and resting is self.traffic_source
+                    and not self._queue and self._rx_pipes == self._rx_silent):
+                return
+            resting.skip(cycle - self._rest_from)
+            self._resting = None
         if self._at_rest():
             # Receive and send service are no-ops, leaving the traffic
-            # poll: one source draw, and only a draw that yields a
-            # message pays for the rest of the tick (_generate: further
-            # draws up to capacity, the send start).
+            # poll: a source that can name the gap to its next message
+            # (a Bernoulli source's gap()) rests the endpoint until
+            # then, any other makes one call, and only a call that
+            # yields a message pays for the rest of the tick
+            # (_generate: further calls up to capacity, the send start).
             source = self.traffic_source
             if source is not None and self.max_outstanding > 0:
+                gap = source.gap() if hasattr(source, "gap") else 0
+                if gap:
+                    self._resting, self._rest_from = source, cycle
+                    self._wake = cycle + gap
+                    return
                 message = source(cycle)
                 if message is not None:
                     self.submit(message)
@@ -263,7 +284,7 @@ class Endpoint(Component):
 
     def _at_rest(self):
         """Nothing queued or in flight, every receive pipe silent and
-        every receive FSM idle: the whole tick is one source draw.
+        every receive FSM idle: the whole tick is the traffic poll.
 
         The phase test is needed: a destination replying (``_RX_REPLY``)
         has silent receive pipes but must still send.  Whole pipes are
@@ -283,11 +304,13 @@ class Endpoint(Component):
 
         None unless the endpoint is at rest (anything queued, in
         flight, arriving or mid-receive needs its tick), and None for a
-        source that cannot say (a Bernoulli source consumes randomness
-        every cycle); ``inf`` means no work at all.  Sources that
-        schedule their arrivals ahead of time (the service workload's
-        open-loop clients, a collective's dependency-released sends)
-        name the next one via ``next_arrival_cycle``.
+        source without ``next_arrival_cycle``: a Bernoulli source's
+        draw-ahead (``gap``) lets the tick skip its calls, but the tick
+        still runs to count the cycles it skipped.  ``inf`` means no
+        work at all.  Sources that schedule their arrivals ahead of
+        time (the service workload's open-loop clients, a collective's
+        dependency-released sends) name the next one via
+        ``next_arrival_cycle``.
         """
         if not self._at_rest():
             return None

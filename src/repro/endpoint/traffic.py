@@ -67,6 +67,64 @@ class TrafficSource:
         )
 
 
+#: A draw-ahead stops after this many failed draws, so that ``rate`` 0
+#: terminates; the endpoint rests that long and then asks again.
+_DRAW_AHEAD = 256
+
+
+class _BernoulliSource:
+    """One endpoint's Bernoulli injector (a picklable callable).
+
+    Each call draws ``rng.random()``, and only a draw below the
+    generator's ``rate`` goes on to draw a message (``_emit``).
+    ``gap()`` draws ahead: it calls ``rng.random()`` up to the first
+    value below ``rate`` (at most ``_DRAW_AHEAD`` times) and stops at
+    that success, so the message's own draws still follow it in the
+    stream; it returns how many calls will return None first.  An
+    endpoint at rest calls ``skip(n)`` for the n calls it did not make,
+    and a call uses up one drawn value, so every value and every
+    message is the one the per-call draws give.  ``rate`` is read once
+    per draw-ahead (only the generators' constructors set it), and a
+    source serves one endpoint.
+    """
+
+    __slots__ = ("_traffic", "_rng", "_index", "_misses", "_hit")
+
+    def __init__(self, traffic, rng, index):
+        self._traffic, self._rng, self._index = traffic, rng, index
+        # Drawn-ahead values >= rate still to use, and whether a value
+        # < rate follows them.
+        self._misses, self._hit = 0, False
+
+    def __setstate__(self, state):
+        self._misses, self._hit = 0, False  # pickled before draw-ahead
+        for name, value in state[1].items():
+            setattr(self, name, value)
+
+    def __call__(self, cycle):
+        if self._misses:
+            self._misses -= 1
+            return None
+        if self._hit:
+            self._hit = False
+        elif self._rng.random() >= self._traffic.rate:
+            return None
+        return self._emit(self._traffic, self._rng)
+
+    def gap(self):
+        draw, rate, misses = self._rng.random, self._traffic.rate, self._misses
+        while not self._hit and misses < _DRAW_AHEAD:
+            if draw() >= rate:  # the call's own test
+                misses += 1
+            else:
+                self._hit = True
+        self._misses = misses
+        return misses
+
+    def skip(self, n):
+        self._misses -= n
+
+
 class UniformRandomTraffic(TrafficSource):
     """Closed-loop Bernoulli injection to uniform-random destinations
     other than the sender.
@@ -83,21 +141,12 @@ class UniformRandomTraffic(TrafficSource):
         return _UniformSource(self, self._rng(endpoint_index), endpoint_index)
 
 
-class _UniformSource:
-    """One endpoint's uniform Bernoulli injector (picklable callable)."""
+class _UniformSource(_BernoulliSource):
+    """One endpoint's uniform Bernoulli injector."""
 
-    __slots__ = ("_traffic", "_rng", "_index")
+    __slots__ = ()
 
-    def __init__(self, traffic, rng, index):
-        self._traffic = traffic
-        self._rng = rng
-        self._index = index
-
-    def __call__(self, cycle):
-        traffic = self._traffic
-        rng = self._rng
-        if rng.random() >= traffic.rate:
-            return None
+    def _emit(self, traffic, rng):
         dest = rng.randrange(traffic.n_endpoints)
         while dest == self._index:
             dest = rng.randrange(traffic.n_endpoints)
@@ -118,21 +167,12 @@ class HotspotTraffic(TrafficSource):
         return _HotspotSource(self, self._rng(endpoint_index), endpoint_index)
 
 
-class _HotspotSource:
-    """One endpoint's hotspot injector (picklable callable)."""
+class _HotspotSource(_BernoulliSource):
+    """One endpoint's hotspot injector."""
 
-    __slots__ = ("_traffic", "_rng", "_index")
+    __slots__ = ()
 
-    def __init__(self, traffic, rng, index):
-        self._traffic = traffic
-        self._rng = rng
-        self._index = index
-
-    def __call__(self, cycle):
-        traffic = self._traffic
-        rng = self._rng
-        if rng.random() >= traffic.rate:
-            return None
+    def _emit(self, traffic, rng):
         if rng.random() < traffic.fraction:
             dest = traffic.hotspot
         else:
@@ -175,28 +215,20 @@ class PermutationTraffic(TrafficSource):
             self.mapping = list(permutation)
 
     def source_for(self, endpoint_index):
-        return _PartnerSource(
-            self,
-            self._rng(endpoint_index),
-            endpoint_index,
-            self.mapping[endpoint_index],
-        )
+        return _PartnerSource(self, self._rng(endpoint_index), endpoint_index,
+                              self.mapping[endpoint_index])
 
 
-class _PartnerSource:
-    """One endpoint's fixed-partner injector (picklable callable)."""
+class _PartnerSource(_BernoulliSource):
+    """One endpoint's fixed-partner injector."""
 
-    __slots__ = ("_traffic", "_rng", "_index", "_partner")
+    __slots__ = ("_partner",)
 
     def __init__(self, traffic, rng, index, partner):
-        self._traffic = traffic
-        self._rng = rng
-        self._index = index
+        super().__init__(traffic, rng, index)
         self._partner = partner
 
-    def __call__(self, cycle):
-        traffic = self._traffic
-        rng = self._rng
-        if rng.random() >= traffic.rate or self._partner == self._index:
+    def _emit(self, traffic, rng):
+        if self._partner == self._index:
             return None
         return traffic._message(rng, self._partner)

@@ -6,7 +6,8 @@ METRO's network is stateless (paper, Section 3): a port with no open
 connection holds nothing, so on a lightly loaded network almost all of
 that work finds nothing to do.  The components already make an idle
 visit cheap (DESIGN.md, "Idle is one test"): a quiet router's tick is
-one list comparison, an endpoint at rest one source draw.
+one list comparison, and an endpoint at rest skips its source calls
+until its Bernoulli source's next message.
 
 :class:`EventEngine` is the same sweep with two additions and nothing
 else:
@@ -19,10 +20,11 @@ else:
 * **Idle gaps are compressed.**  When the last step left no wire live,
   :meth:`EventEngine.run` asks every component, observer and
   pre-cycle-hook owner for ``next_event_cycle()``: the next cycle it
-  could act, ``inf`` for never, or None for "cannot say" (a Bernoulli
-  source draws randomness every cycle).  An object without the method
-  cannot say either.  If all can answer, the clock jumps to the
-  nearest answer (or the deadline, if nearer) and steps that cycle.
+  could act, ``inf`` for never, or None for "cannot say" (an endpoint
+  with a Bernoulli source, whose tick counts the cycles it skips).  An
+  object without the method cannot say either.  If all can answer, the
+  clock jumps to the nearest answer (or the deadline, if nearer) and
+  steps that cycle.
   A run never ends inside a jump: its last cycle is always stepped,
   so every component's clock (``_cycle``, which an out-of-tick
   ``submit`` stamps messages with) matches the reference engine's

@@ -7,6 +7,8 @@ from repro.latency_model.implementations import (
     table3_implementations,
 )
 
+from tests.mutants import seeded
+
 IMPLS = table3_implementations()
 
 
@@ -22,6 +24,18 @@ def test_t_stg_matches_paper(impl):
 @pytest.mark.parametrize("impl", IMPLS, ids=[i.name + "/" + i.technology for i in IMPLS])
 def test_t_20_32_matches_paper(impl):
     assert impl.t_20_32() == pytest.approx(impl.expected_t_20_32)
+
+
+def test_the_table_catches_a_stage_latency_without_its_pipeline_term():
+    """Seeded model bug (``docs/testing.md``): ``t_stg`` drops its
+    on-chip term ``t_clk * dp``, so every row's ``t_stg`` and
+    ``t_20,32`` fall short of the paper's."""
+    with seeded("latency-stage-drops-pipeline"):
+        for impl in IMPLS:
+            with pytest.raises(AssertionError):
+                test_t_stg_matches_paper(impl)
+            with pytest.raises(AssertionError):
+                test_t_20_32_matches_paper(impl)
 
 
 def test_orbit_prototype_headline_numbers():

@@ -31,10 +31,12 @@ from repro.core.crossbar import CrossbarAllocator
 from repro.core.router import MetroRouter
 from repro.endpoint.interface import Endpoint
 from repro.endpoint.retry import UniformBackoff
+from repro.endpoint.traffic import _BernoulliSource
 from repro.faults import diagnosis
 from repro.faults.manager import FaultManager
 from repro.harness import spec
 from repro.harness.parallel import TrialRunner
+from repro.latency_model import equations
 from repro.sim import snapshot
 from repro.sim.backends import EventEngine
 from repro.sim.channel import Channel, ChannelEnd
@@ -221,6 +223,17 @@ MUTANTS = {
         "                return False\n",
         "",
     )]},
+    # -- the at-rest skip (tests/endpoint/test_rest_skip.py)
+    # skip(n) uses up n - 1 drawn values: a rest leaves a failed draw
+    # unused, and the one-cycle rests on it (skip(1)) never use it.
+    "source-skip-undercounts": {(_BernoulliSource, "skip"): [
+        ("self._misses -= n", "self._misses -= n - 1"),
+    ]},
+    # A resting endpoint does not see its source replaced: it skips
+    # the new source's calls until the old source's next message.
+    "endpoint-skip-survives-new-source": {(Endpoint, "tick"): [
+        (" and resting is self.traffic_source", ""),
+    ]},
     # -- the harness (tests/harness/)
     # A dispatch that found its worker's pipe dead spends an attempt.
     "runner-dead-pipe-spends-attempt": {(TrialRunner, "_run_pool"): [
@@ -253,6 +266,11 @@ MUTANTS = {
         "series[key] = (kind, data if kind == \"counter\" "
         "else _merge_entry(kind, mine[1], data))",
     )]},
+    # -- the latency model (tests/latency_model/test_table3.py)
+    # A stage's latency loses its on-chip pipeline term (t_clk * dp).
+    "latency-stage-drops-pipeline": {(equations, "t_stg"): [
+        ("t_on_chip(t_clk, dp) + ", ""),
+    ]},
     # -- the fault manager (tests/faults/)
     # A failing wire gets its ports back and the mask lands on the
     # upstream router's neighbouring backward port instead.

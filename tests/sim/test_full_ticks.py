@@ -2,8 +2,9 @@
 
 ``MetroRouter.tick`` is one list comparison while the router is quiet
 (its quiet test, ``_quiet``) and its forward receive pipes are silent,
-and ``Endpoint.tick`` is one source draw while the endpoint is at rest
-(DESIGN.md, "Idle is one test").  Here a pre-cycle hook forces full
+and ``Endpoint.tick`` skips its source calls while the endpoint is at
+rest (DESIGN.md, "Idle is one test"); a forced full tick leaves rest and
+calls the source every cycle.  Here a pre-cycle hook forces full
 ticks everywhere: every cycle it clears every router's ``_quiet`` and
 sets every endpoint's silent template to a value no pipe list equals.
 A forced run must agree with a normal one on the message fingerprint,
@@ -286,8 +287,8 @@ def test_full_ticks_change_nothing_on_a_cascade(backend):
 
 
 def test_a_tick_never_enters_tick_again():
-    """An endpoint at rest makes one source draw and a draw that
-    yields a message finishes the tick in ``_generate``, never through
+    """An endpoint at rest makes at most one source call and a call
+    that yields a message finishes the tick in ``_generate``, never through
     ``tick``: a profiler that wraps ``tick`` on the instance
     (``bench/trace.py``) must count one call per component per cycle."""
     network, _ = _network("reference", 1, 1, True, seed=7)

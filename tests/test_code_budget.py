@@ -114,8 +114,13 @@ BUDGET = 3771
 #: ``_silence``, which lets template rows of one length share a list, so
 #: the gate costs no resident memory), the channel's staged-or-occupied
 #: branch and the endpoint's send-start reorder, gated BCB read and
-#: gated ``_generate`` call (+15 net).
-SRC_BUDGET = 12308
+#: gated ``_generate`` call (+15 net).  12308 before an endpoint at
+#: rest skipped its Bernoulli source's calls: the three sources share a
+#: draw-ahead base (``gap``, ``skip``, a ``__setstate__`` default for
+#: older snapshots; their three copies of the per-call draw went) and
+#: the endpoint's tick records and ends a rest, while the router's
+#: shared-bus clause left ``next_event_cycle`` (+18 net).
+SRC_BUDGET = 12326
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "
