@@ -1039,13 +1039,15 @@ def build_parser():
         command.add_argument(
             "--journal", type=_output_file, default=None, metavar="FILE",
             help="write a durable run journal (metro-run-journal-v1, "
-            "append-only JSONL, fsynced per record) of every trial "
-            "state transition.  Run the same command again to finish a "
-            "killed sweep: trials FILE shows finished are served from "
-            "the --cache-dir trial cache (content-hash verified), only "
-            "the rest re-execute, and the new leg appends to FILE — "
-            "byte-identical to an uninterrupted run (see "
-            "docs/resilience.md; render with 'repro tail')",
+            "append-only JSONL, each record flushed as written and "
+            "fsynced before the runner waits, runs a serial trial or "
+            "returns) of every trial state transition.  Run the same "
+            "command again to finish a killed sweep: trials FILE shows "
+            "finished are served from the --cache-dir trial cache "
+            "(content-hash verified), only the rest re-execute, and the "
+            "new leg appends to FILE — byte-identical to an "
+            "uninterrupted run (see docs/resilience.md; render with "
+            "'repro tail')",
         )
         command.add_argument(
             "--retries", type=_positive, default=None, metavar="N",

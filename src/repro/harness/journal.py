@@ -4,8 +4,9 @@ A sweep that dies forty hours into a chaos soak should cost the time
 of the *unfinished* trials, not the whole campaign.  The
 :class:`RunJournal` is the durability half of that promise: a
 :class:`~repro.harness.parallel.TrialRunner` given one appends a JSONL
-record — flushed *and* fsynced before the runner proceeds — for every
-trial state transition:
+record — flushed before :meth:`RunJournal.record` returns, and fsynced
+(:meth:`RunJournal.sync`) before the runner waits on its workers, runs
+a serial trial or returns — for every trial state transition:
 
 * ``journal.start`` — file header carrying :data:`JOURNAL_FORMAT`;
 * ``sweep.start`` — the sweep's full trial manifest (index, stable
@@ -78,14 +79,17 @@ class JournalMismatchError(ValueError):
 class RunJournal:
     """Append-only JSONL write-ahead journal for sweep state.
 
-    Every :meth:`record` is one JSON object per line, written, flushed
-    and fsynced before returning — the write-ahead
-    discipline that makes a SIGKILL at any instant recoverable.  The
-    worst a crash can leave is one torn final line, which every reader
-    here tolerates.  Opening an existing journal reads it, keeps the
-    replay as :attr:`state` (what the file held when it was opened; the
-    records this handle appends are not folded in) and appends after it
-    — a re-run extends the same history; opening a fresh path writes the
+    Every :meth:`record` is one JSON object per line, written and
+    flushed before returning: once in the kernel, a record survives a
+    SIGKILL of the writer.  :meth:`sync` fsyncs what was written since
+    the last sync, and :meth:`close` syncs, so a power cut loses at most
+    the records after the writer's last sync; every trial being a pure
+    function of its spec, those trials just run again.  The worst a
+    crash can leave is one torn final line, which every reader here
+    tolerates.  Opening an existing journal reads it, keeps the replay
+    as :attr:`state` (what the file held when it was opened; the records
+    this handle appends are not folded in) and appends after it — a
+    re-run extends the same history; opening a fresh path writes the
     ``journal.start`` header first.  A file that is not a journal
     raises :class:`JournalMismatchError` with its bytes untouched.
 
@@ -109,6 +113,7 @@ class RunJournal:
         trim_torn_tail(self.path)
         self._handle = open(self.path, "a")
         self.records_written = 0
+        self._synced = 0  # records_written at the last sync
         if not events:
             self.record("journal.start", format=JOURNAL_FORMAT, pid=os.getpid())
 
@@ -117,19 +122,26 @@ class RunJournal:
         return self._handle is None
 
     def record(self, event, **fields):
-        """Durably append one ``event`` record with ``fields``."""
+        """Append one ``event`` record with ``fields`` and flush it."""
         if self._handle is None:
             return
         entry = {"event": event, "t": round(time.time(), 6)}
         entry.update(fields)
         self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
         self._handle.flush()
-        os.fsync(self._handle.fileno())
         self.records_written += 1
 
+    def sync(self):
+        """fsync the records written since the last sync, if any."""
+        if self._synced != self.records_written:
+            os.fsync(self._handle.fileno())
+            self._synced = self.records_written
+
     def close(self):
-        """Close the file (idempotent); further records are dropped."""
+        """Sync and close the file (idempotent); further records are
+        dropped."""
         if self._handle is not None:
+            self.sync()
             self._handle.close()
             self._handle = None
 

@@ -41,11 +41,13 @@ late reply to drop.  See ``docs/resilience.md``.
 Durability: pass ``journal=`` (a :class:`~repro.harness.journal
 .RunJournal` or a path) and every trial's state transitions
 (queued → running → done/failed/quarantined) are appended to a
-crash-safe JSONL journal as they happen; SIGTERM/SIGINT mid-sweep
-flushes the journal and shuts the pool down cleanly instead of tearing
-the run.  A runner given a journal that already holds records replays
-it against the trial cache first, so running an interrupted sweep again
-on the same journal finishes it from where it died.
+crash-safe JSONL journal as they happen, and fsynced once per commit
+point: before the runner waits on the pool, runs a serial trial or
+returns.  SIGTERM/SIGINT mid-sweep flushes the journal and shuts the
+pool down cleanly instead of tearing the run.  A runner given a
+journal that already holds records replays it against the trial cache
+first, so running an interrupted sweep again on the same journal
+finishes it from where it died.
 
 Determinism: each trial receives its own seed derived from the sweep's
 root seed via :func:`repro.core.random_source.derive_seed`, and every
@@ -312,7 +314,9 @@ class TrialRunner:
         killed worker.
     :param journal: a :class:`repro.harness.journal.RunJournal` (or a
         path to open one at) that receives every trial state
-        transition as a durable JSONL record; also arms SIGTERM/SIGINT
+        transition as a JSONL record, flushed as it is written and
+        fsynced before the runner waits on the pool, runs a serial
+        trial or returns; also arms SIGTERM/SIGINT
         handling so an interrupted sweep journals its shutdown and
         stops cleanly (:class:`SweepInterrupted`) instead of tearing.
         A journal that already holds records is continued: every
@@ -385,62 +389,68 @@ class TrialRunner:
         trials = [
             _Trial(index, len(specs), spec) for index, spec in enumerate(specs)
         ]
-        self._check_journal(trials)
-        if self.journal is not None:
-            self.journal.record(
-                "sweep.start",
-                total=len(trials),
-                workers=self.workers,
-                retries=self.retries.describe(),
-                on_exhausted=self.on_exhausted,
-                trials=[
-                    {
-                        "index": trial.index,
-                        "key": trial.journal_key,
-                        "label": trial.spec.label,
-                        "seed": trial.spec.seed,
-                    }
-                    for trial in trials
-                ],
-            )
-        pending = []
-        for trial in trials:
-            result, source = self._lookup(trial)
-            if result is CACHE_MISS:
-                pending.append(trial)
-                self._journal_trial("trial.queued", trial, seed=trial.spec.seed)
-            else:
-                self._finish(trial, result, 0.0, source)
-        unserved = sum(
-            trial.journal_key in self._history.done for trial in pending
-        )
-        if unserved:
-            logger.warning(
-                "%d trial(s) journal %s records as finished cannot be "
-                "served from the trial cache; re-executing deterministically",
-                unserved, self.journal.path,
-            )
-
-        if pending:
-            restore = self._install_signal_handlers()
-            try:
-                if self.workers == 1:
-                    self._run_serial(pending)
+        try:
+            self._check_journal(trials)
+            if self.journal is not None:
+                self.journal.record(
+                    "sweep.start",
+                    total=len(trials),
+                    workers=self.workers,
+                    retries=self.retries.describe(),
+                    on_exhausted=self.on_exhausted,
+                    trials=[
+                        {
+                            "index": trial.index,
+                            "key": trial.journal_key,
+                            "label": trial.spec.label,
+                            "seed": trial.spec.seed,
+                        }
+                        for trial in trials
+                    ],
+                )
+            pending = []
+            for trial in trials:
+                result, source = self._lookup(trial)
+                if result is CACHE_MISS:
+                    pending.append(trial)
+                    self._journal_trial(
+                        "trial.queued", trial, seed=trial.spec.seed
+                    )
                 else:
-                    self._run_pool(trials, pending)
-            finally:
-                restore()
-        results = [trial.result for trial in trials]
-        if self.journal is not None:
-            _ok, quarantined = partition_quarantined(results)
-            self.journal.record(
-                "sweep.end",
-                total=len(trials),
-                executed=self.stats.executed,
-                cached=self.stats.cached,
-                quarantined=len(quarantined),
+                    self._finish(trial, result, 0.0, source)
+            unserved = sum(
+                trial.journal_key in self._history.done for trial in pending
             )
-        return results
+            if unserved:
+                logger.warning(
+                    "%d trial(s) journal %s records as finished cannot be "
+                    "served from the trial cache; re-executing "
+                    "deterministically",
+                    unserved, self.journal.path,
+                )
+
+            if pending:
+                restore = self._install_signal_handlers()
+                try:
+                    if self.workers == 1:
+                        self._run_serial(pending)
+                    else:
+                        self._run_pool(trials, pending)
+                finally:
+                    restore()
+            results = [trial.result for trial in trials]
+            if self.journal is not None:
+                _ok, quarantined = partition_quarantined(results)
+                self.journal.record(
+                    "sweep.end",
+                    total=len(trials),
+                    executed=self.stats.executed,
+                    cached=self.stats.cached,
+                    quarantined=len(quarantined),
+                )
+            return results
+        finally:
+            self._sync()  # run() returns or raises with every record synced
 
     # -- internals -------------------------------------------------------
 
@@ -516,6 +526,10 @@ class TrialRunner:
             return CACHE_MISS, None
         trial.result_hash = digest  # trial.done records it again
         return result, "resumed"
+
+    def _sync(self):
+        if self.journal is not None:
+            self.journal.sync()
 
     def _journal_trial(self, event_kind, trial, **fields):
         if self.journal is None:
@@ -693,6 +707,7 @@ class TrialRunner:
                     "trial.start", trial, attempt=trial.attempt,
                     worker=os.getpid(),
                 )
+                self._sync()
                 try:
                     result, elapsed = execute_trial(
                         trial.spec,
@@ -745,6 +760,7 @@ class TrialRunner:
                         worker=worker.process.pid,
                     )
 
+                self._sync()  # one commit per pass, before drain() waits
                 # scan() is lazy: the replies are handled before the scan
                 # starts, and each lost attempt before the next worker.
                 # Every report is of a trial's current attempt: a reply

@@ -99,6 +99,26 @@ def test_journal_header_and_round_trip(tmp_path):
     assert len(read_run_log(str(path))) == 3
 
 
+def test_a_record_is_in_the_file_when_record_returns(tmp_path):
+    """Flushed, not only buffered: a second reader of the file (or a
+    resumed leg after a SIGKILL) sees every record already returned."""
+    path = tmp_path / "run.jsonl"
+    with RunJournal(path) as journal:
+        for index in range(3):
+            journal.record("trial.queued", index=index, key="k", label="pt")
+            with open(path) as reader:
+                lines = reader.read().splitlines()
+            assert len(lines) == index + 2  # after the journal.start header
+            assert json.loads(lines[-1])["index"] == index
+
+
+def test_the_flush_test_catches_a_record_left_in_the_buffer(tmp_path):
+    """Seeded journal bug (``docs/testing.md``, the mutation table)."""
+    with seeded("journal-record-unflushed"):
+        with pytest.raises(AssertionError):
+            test_a_record_is_in_the_file_when_record_returns(tmp_path)
+
+
 def test_torn_tail_is_tolerated_and_trimmed_on_append(tmp_path):
     path = tmp_path / "run.jsonl"
     with RunJournal(path) as journal:

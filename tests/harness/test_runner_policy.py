@@ -10,17 +10,21 @@ the script holds the other end and, as a task is dispatched to the
 worker, runs one step on it: write a reply, close it, or nothing.  The
 pool's clock stands still unless the script lets time pass.
 
-Also here: the import directions the split rests on, and how often a
-batch canonicalises a spec.
+Also here: where the runner commits its journal (every record synced
+before a pool drain waits, before a serial trial runs and when
+``run()`` hands back control), the import directions the split rests
+on, and how often a batch canonicalises a spec.
 """
 
 import ast
+import json
 import multiprocessing
 import os
 import types
 
 import pytest
 
+from repro.harness import parallel
 from repro.harness import pool as pool_module
 from repro.harness.cache import encode_result
 from repro.harness.journal import JournalState
@@ -68,7 +72,9 @@ class _Script:
     dispatched to it: a callable ``(script, worker, far)``, ``far`` being
     the worker's end of its pipe.  It runs just before the send, so it
     can also be what the send finds.  Spawning past the end of the
-    script fails, as a host out of processes would."""
+    script fails, as a host out of processes would.  ``drains`` holds,
+    for every ``drain()``, how many of the journal's records were still
+    unsynced as it began to wait."""
 
     def __init__(self, monkeypatch):
         self.now = 0.0
@@ -77,6 +83,8 @@ class _Script:
         self.spawned = []
         self.far = []
         self.shutdowns = 0
+        self.journal = _Journal()
+        self.drains = []
         script = self
 
         def spawn(pool):
@@ -101,7 +109,14 @@ class _Script:
             script.shutdowns += 1
             shutdown(pool)
 
+        drain = WorkerPool.drain
+
+        def logged_drain(pool):
+            script.drains.append(script.journal.unsynced)
+            return drain(pool)
+
         monkeypatch.setattr(WorkerPool, "spawn", spawn)
+        monkeypatch.setattr(WorkerPool, "drain", logged_drain)
         monkeypatch.setattr(WorkerPool, "dispatch", scripted_dispatch)
         monkeypatch.setattr(WorkerPool, "shutdown", counted_shutdown)
         monkeypatch.setattr(
@@ -134,24 +149,40 @@ def script(monkeypatch):
 
 
 class _Journal:
-    """What the runner records, in order (``RunJournal``'s interface:
-    a fresh journal, so it held nothing when it was opened)."""
+    """What the runner records, in order, and how much of it it synced
+    (``RunJournal``'s interface: a fresh journal, so it held nothing
+    when it was opened)."""
 
     path = "scripted"
     records_written = 0
 
     def __init__(self):
         self.records = []
+        self.synced = 0  # len(records) at the last sync
         self.state = JournalState()
 
     def record(self, event, **fields):
         self.records.append(dict(fields, event=event))
 
+    def sync(self):
+        self.synced = len(self.records)
+
+    @property
+    def unsynced(self):
+        return len(self.records) - self.synced
+
     def close(self):
-        pass
+        self.sync()
 
     def of(self, *kinds):
         return [r for r in self.records if r["event"] in kinds]
+
+
+def _assert_committed(script):
+    """Every drain began with the journal synced, and so did the
+    return (or raise) of ``run()``."""
+    assert script.drains and not any(script.drains), script.drains
+    assert script.journal.unsynced == 0
 
 
 def _runner(journal, **options):
@@ -182,7 +213,7 @@ def test_late_reply_from_a_resolved_attempt_is_dropped(script, monkeypatch):
 
     monkeypatch.setattr(WorkerPool, "scan", scan_after_the_hung_worker_answers)
     script.steps = [hang, answer]
-    journal, events = _Journal(), []
+    journal, events = script.journal, []
     runner = _runner(journal, trial_timeout=5.0, progress=events.append)
     assert runner.run([_spec("slow")]) == ["fresh"]
     assert runner.stats.executed == 1
@@ -201,6 +232,7 @@ def test_late_reply_from_a_resolved_attempt_is_dropped(script, monkeypatch):
     assert script.spawned[0].process.exitcode == -9
     assert script.spawned[0].conn.closed
     assert script.shutdowns == 1
+    _assert_committed(script)
 
 
 def test_dispatch_onto_a_dead_pipe_spends_no_attempt(script):
@@ -212,7 +244,7 @@ def test_dispatch_onto_a_dead_pipe_spends_no_attempt(script):
         _reply(far, "done")
 
     script.steps = [dead_pipe, answer]
-    journal = _Journal()
+    journal = script.journal
     runner = _runner(journal)
     assert runner.run([_spec("requeued")]) == ["done"]
     # Re-queued, not failed: the only trial.start there is says attempt 1.
@@ -221,6 +253,7 @@ def test_dispatch_onto_a_dead_pipe_spends_no_attempt(script):
     assert journal.of("trial.failed") == []
     assert runner.stats.executed == 1
     assert script.spawned[0].conn.closed  # the corpse was reaped
+    _assert_committed(script)
 
 
 def test_the_dead_pipe_test_catches_an_attempt_spent_on_a_dead_pipe(script):
@@ -236,7 +269,7 @@ def test_every_worker_dead_and_none_respawnable_raises(script, caplog):
         worker.process.exitcode = -9
 
     script.steps = [die, die]  # a third spawn fails
-    journal = _Journal()
+    journal = script.journal
     runner = _runner(journal)
     with caplog.at_level("WARNING", logger="repro.harness"):
         with pytest.raises(
@@ -248,6 +281,68 @@ def test_every_worker_dead_and_none_respawnable_raises(script, caplog):
     assert all(worker.conn.closed for worker in script.spawned)
     assert script.shutdowns == 1
     assert journal.of("sweep.end") == []
+    _assert_committed(script)
+
+
+# ---------------------------------------------------------------------------
+# Commit points on a real journal
+# ---------------------------------------------------------------------------
+
+
+def _echo(value=0, seed=0):
+    return (value, seed)
+
+
+def test_a_serial_sweep_syncs_each_trial_start_before_running_it(
+    tmp_path, monkeypatch
+):
+    """N fresh trials cost N + 1 fsyncs: one before each trial runs
+    (its ``trial.start`` the last record synced) and one as ``run()``
+    returns."""
+    path = str(tmp_path / "run.jsonl")
+    synced = []  # the file's size at each fsync
+    fsync = os.fsync
+
+    def counted_fsync(fd):
+        fsync(fd)
+        synced.append(os.fstat(fd).st_size)
+
+    execute = parallel.execute_trial
+
+    def execute_after_commit(spec, **options):
+        assert synced and synced[-1] == os.path.getsize(path)
+        with open(path) as handle:
+            last = json.loads(handle.read().splitlines()[-1])
+        assert (last["event"], last["label"]) == ("trial.start", spec.label)
+        return execute(spec, **options)
+
+    monkeypatch.setattr(os, "fsync", counted_fsync)
+    monkeypatch.setattr(parallel, "execute_trial", execute_after_commit)
+    specs = [
+        TrialSpec(__name__ + ":_echo", params=dict(value=v), seed=v)
+        for v in range(3)
+    ]
+    runner = TrialRunner(journal=path)
+    assert runner.run(specs) == [(v, v) for v in range(3)]
+    assert len(synced) == len(specs) + 1
+    assert synced[-1] == os.path.getsize(path)
+    runner.journal.close()  # nothing left to sync
+    assert len(synced) == len(specs) + 1
+
+
+def test_the_commit_tests_catch_a_runner_that_skips_its_final_sync(
+    script, tmp_path, monkeypatch
+):
+    """Seeded runner bug (``docs/testing.md``, the mutation table): the
+    sync in ``run()``'s ``finally`` is dropped, so ``trial.done`` and
+    ``sweep.end`` are still unsynced when ``run()`` returns."""
+    with seeded("runner-skips-final-sync"):
+        with pytest.raises(AssertionError):
+            test_a_serial_sweep_syncs_each_trial_start_before_running_it(
+                tmp_path, monkeypatch
+            )
+        with pytest.raises(AssertionError):
+            test_dispatch_onto_a_dead_pipe_spends_no_attempt(script)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +412,6 @@ def test_only_the_cache_module_spells_the_result_encoding():
 # ---------------------------------------------------------------------------
 # Identity is computed once per spec per batch
 # ---------------------------------------------------------------------------
-
-
-def _echo(value=0, seed=0):
-    return (value, seed)
 
 
 def test_a_batch_canonicalises_each_spec_once(tmp_path, monkeypatch):

@@ -35,8 +35,10 @@ from repro.endpoint.traffic import _BernoulliSource
 from repro.faults import diagnosis
 from repro.faults.manager import FaultManager
 from repro.harness import spec
+from repro.harness.journal import RunJournal
 from repro.harness.parallel import TrialRunner
 from repro.latency_model import equations
+from repro.scan.tap import TapController
 from repro.sim import snapshot
 from repro.sim.backends import EventEngine
 from repro.sim.channel import Channel, ChannelEnd
@@ -243,6 +245,15 @@ MUTANTS = {
     "runner-ignores-result-hash": {(TrialRunner, "_lookup"): [
         ('if finished.get("result_hash") not in (None, digest):', "if False:"),
     ]},
+    # ``run()`` hands back control without its last sync: ``sweep.end``
+    # and the records before it since the last commit stay unsynced.
+    "runner-skips-final-sync": {(TrialRunner, "run"): [
+        ("self._sync()", "pass"),
+    ]},
+    # A record stays in the writer's buffer when ``record()`` returns.
+    "journal-record-unflushed": {(RunJournal, "record"): [
+        ("self._handle.flush()", "pass"),
+    ]},
     # The trial fingerprint (cache key) leaves out the code version.
     "spec-drops-code-version": {(spec, "_digest"): [
         ("dict(structure, code=code)", "dict(structure)"),
@@ -270,6 +281,12 @@ MUTANTS = {
     # A stage's latency loses its on-chip pipeline term (t_clk * dp).
     "latency-stage-drops-pipeline": {(equations, "t_stg"): [
         ("t_on_chip(t_clk, dp) + ", ""),
+    ]},
+    # -- the scan TAP (tests/scan/test_tap.py)
+    # Update-IR latches an opcode that selects no register instead of
+    # falling back to BYPASS.
+    "tap-latches-unknown-opcode": {(TapController, "step"): [
+        ("opcode if opcode in self.registers else BYPASS", "opcode"),
     ]},
     # -- the fault manager (tests/faults/)
     # A failing wire gets its ports back and the mask lands on the

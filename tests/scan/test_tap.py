@@ -4,6 +4,8 @@ import pytest
 
 from repro.scan import tap as T
 
+from tests.mutants import seeded
+
 
 def test_reset_from_any_state_with_five_ones():
     controller = T.TapController()
@@ -111,6 +113,13 @@ def test_unknown_instruction_falls_back_to_bypass():
     controller = T.TapController()
     _shift_ir(controller, 0b0110)  # not implemented
     assert controller.instruction == T.BYPASS
+
+
+def test_the_fallback_test_catches_an_unknown_opcode_latched():
+    """Seeded TAP bug (``docs/testing.md``, the mutation table)."""
+    with seeded("tap-latches-unknown-opcode"):
+        with pytest.raises(AssertionError):
+            test_unknown_instruction_falls_back_to_bypass()
 
 
 def test_data_register_capture_and_update():

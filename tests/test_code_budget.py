@@ -58,8 +58,13 @@ PATHS = ("src/repro/harness", "src/repro/cli.py")
 #: the same table that says which kind reads which flag.
 #: 3767 before four lines in ``cli.py`` made a ``verify --replay`` file
 #: that cannot be loaded a usage error (it was a traceback with exit 1,
-#: the code of a replay that found violations).
-BUDGET = 3771
+#: the code of a replay that found violations).  3771 before the run
+#: journal committed once per supervision pass instead of once per
+#: record: ``RunJournal.sync`` and the close that calls it (+5), the
+#: runner's ``_sync`` with its three commit points and the ``finally``
+#: that holds the last, re-wrapped lines included (+11), and the
+#: ``--journal`` help text that states the new contract (+2).
+BUDGET = 3788
 
 #: 13880 before PR 16, the first PR to ratchet it; 13458 before the two
 #: equivalence provers became loops over one table of workload families
@@ -119,8 +124,9 @@ BUDGET = 3771
 #: draw-ahead base (``gap``, ``skip``, a ``__setstate__`` default for
 #: older snapshots; their three copies of the per-call draw went) and
 #: the endpoint's tick records and ends a rest, while the router's
-#: shared-bus clause left ``next_event_cycle`` (+18 net).
-SRC_BUDGET = 12326
+#: shared-bus clause left ``next_event_cycle`` (+18 net).  12326 before
+#: the journal's per-pass commit (+18, all in :data:`BUDGET`'s files).
+SRC_BUDGET = 12344
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "
