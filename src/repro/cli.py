@@ -28,7 +28,7 @@
     python -m repro verify --trials 100 --shrink
     python -m repro verify --replay .verify-artifacts/diff-fail-0.json
     python -m repro verify --backend-diff --trials 54 --workers 4
-    python -m repro verify --resume-diff --trials 24 --workers 4
+    python -m repro verify --resume-diff --trials 28 --workers 4
 
 Commands exit nonzero on failure: ``send`` when the message is not
 delivered, ``faults`` when the degraded network delivers nothing (or
@@ -1363,7 +1363,7 @@ def build_parser():
         help="instead of the latency-model sweep, differentially test "
         "the --backend engine against the reference engine over "
         "--trials seeded workloads "
-        "(scenario/traffic/faults/chaos/collective/service); "
+        "(scenario/traffic/faults/chaos/collective/service/figure3); "
         "any observable difference fails the command",
     )
     verify.add_argument(
@@ -1371,7 +1371,7 @@ def build_parser():
         action="store_true",
         help="prove snapshot/restore transparency: each of --trials "
         "seeded workloads "
-        "(scenario/traffic/faults/chaos/collective/service) is run "
+        "(scenario/traffic/faults/chaos/collective/service/figure3) is run "
         "straight through and as run-half/snapshot/restore/run-half "
         "across every (capture, restore) backend pair; any observable "
         "difference fails the command",

@@ -4,7 +4,10 @@ Every simulation-backed figure in the paper reduces to: build a
 network, attach a workload, warm it up, measure a window, and report
 latency/throughput statistics over the messages that completed inside
 the window.  :func:`run_experiment` is that loop;
-:class:`ExperimentResult` carries the statistics.
+:class:`ExperimentResult` carries the statistics.  :func:`drive_window`
+is the drive it shares with the service soak
+(:func:`repro.workloads.service.finish_service`), and its conservation
+gate.
 """
 
 from repro.harness.cache import result_content_hash
@@ -178,16 +181,19 @@ def run_experiment(
     trials ship metrics back across process boundaries.
     """
     traffic.attach(network)
-    network.run(warmup_cycles)
-    start = network.engine.cycle
-    network.run(measure_cycles)
-    end = network.engine.cycle
+    return finish_experiment(
+        network, traffic, warmup_cycles, measure_cycles, label, telemetry
+    )
 
-    # Stop generating, let in-flight messages finish.
-    for endpoint in network.endpoints:
-        endpoint.traffic_source = None
-    network.run_until_quiet(max_cycles=measure_cycles * 4)
 
+def finish_experiment(network, traffic, warmup_cycles, measure_cycles, label,
+                      telemetry):
+    """:func:`run_experiment` after ``traffic`` is attached: drive the
+    window (:func:`drive_window`; the sources stop at its end) and
+    score it."""
+    start, end = drive_window(
+        network, traffic, warmup_cycles, measure_cycles, _detach_sources
+    )
     window = [
         m
         for m in network.log.delivered()
@@ -211,3 +217,49 @@ def run_experiment(
     if telemetry is not None:
         result.metrics = telemetry.snapshot()
     return result
+
+
+class ConservationError(RuntimeError):
+    """A workload submitted a message that is neither finished nor in
+    flight: the simulator lost it."""
+
+
+def drive_window(network, workload, warmup_cycles, measure_cycles, stop):
+    """Run a measured window to its end, stop the workload, drain.
+
+    The window is absolute: the run goes to cycle ``warmup_cycles``,
+    then to ``warmup_cycles + measure_cycles``, so a network restored
+    from a snapshot taken anywhere before the window's end scores the
+    same window a straight run does.  ``stop(network, end)`` ends the
+    workload at the window's edge; the network then drains for up to
+    ``4 * measure_cycles`` cycles, so stragglers finish and the tail is
+    not censored.  Returns the window's ``(start, end)`` cycles.
+
+    Afterwards every message ``workload`` submitted (its ``generated``
+    count) must be delivered, abandoned or still queued or in flight at
+    an endpoint; :class:`ConservationError` otherwise.
+    """
+    start, end = warmup_cycles, warmup_cycles + measure_cycles
+    for cycle in (start, end):
+        network.run(max(0, cycle - network.engine.cycle))
+    stop(network, end)
+    network.run_until_quiet(max_cycles=measure_cycles * 4)
+    log = network.log
+    in_flight = sum(endpoint.pending_count() for endpoint in network.endpoints)
+    if workload.generated != len(log.messages) + in_flight:
+        abandoned = len(log.abandoned())
+        raise ConservationError(
+            "{} messages submitted != {} delivered + {} abandoned + {} in "
+            "flight".format(
+                workload.generated, len(log.messages) - abandoned, abandoned,
+                in_flight,
+            )
+        )
+    return start, end
+
+
+def _detach_sources(network, end):
+    """:func:`drive_window`'s ``stop`` for closed-loop sources: they
+    leave their endpoints, and what they submitted drains."""
+    for endpoint in network.endpoints:
+        endpoint.traffic_source = None

@@ -10,8 +10,12 @@ reporting delivered throughput, latency and retry inflation.
 
 from repro.core.random_source import derive_seed
 from repro.faults.injector import FaultInjector, random_fault_scenario
-from repro.harness.experiment import run_experiment
-from repro.harness.load_sweep import build_point_network, figure3_network, point_traffic
+from repro.harness.load_sweep import (
+    build_point_network,
+    figure3_network,
+    finish_load_point,
+    point_traffic,
+)
 from repro.harness.parallel import run_trials
 from repro.harness.spec import TrialSpec
 
@@ -44,7 +48,9 @@ def run_fault_point(
     max_attempts=None,
     backend="reference",
 ):
-    """One (fault level, load) measurement.
+    """One (fault level, load) measurement:
+    :func:`~repro.harness.load_sweep.finish_load_point` of
+    :func:`start_fault_point`.
 
     ``metrics=True`` attaches a metrics-only telemetry snapshot to the
     result (see :func:`~repro.harness.load_sweep.run_load_point`).
@@ -52,6 +58,17 @@ def run_fault_point(
     messages that exhaust it are counted in ``result.undeliverable``.
     ``backend`` selects the engine backend.
     """
+    return finish_load_point(start_fault_point(**locals()))
+
+
+def start_fault_point(n_dead_links, n_dead_routers, rate, seed, message_words,
+                      warmup_cycles, measure_cycles, network_factory, metrics,
+                      max_attempts, backend):
+    """The start half of :func:`run_fault_point` (same parameters, no
+    defaults): the network built, the fault level applied and the
+    traffic attached.  The riders are
+    :func:`~repro.harness.load_sweep.start_load_point`'s plus the
+    ``injector`` that applied the faults."""
     endpoint_kwargs = {}
     if max_attempts is not None:
         endpoint_kwargs["max_attempts"] = max_attempts
@@ -59,14 +76,13 @@ def run_fault_point(
         network_factory, seed, backend=backend, metrics=metrics,
         endpoint_kwargs=endpoint_kwargs,
     )
-    _apply_fault_level(network, n_dead_links, n_dead_routers, seed)
-    return run_experiment(
-        network,
-        point_traffic(network, rate, message_words, seed),
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
+    injector = _apply_fault_level(network, n_dead_links, n_dead_routers, seed)
+    traffic = point_traffic(network, rate, message_words, seed)
+    return network, dict(
+        traffic=traffic.attach(network), telemetry=telemetry,
+        warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
         label="links={} routers={}".format(n_dead_links, n_dead_routers),
-        telemetry=telemetry,
+        injector=injector,
     )
 
 

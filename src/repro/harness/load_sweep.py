@@ -19,7 +19,7 @@ bit-identical to a serial run.
 
 from repro.core.random_source import derive_seed
 from repro.endpoint.traffic import UniformRandomTraffic
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import finish_experiment
 from repro.harness.parallel import run_trials
 from repro.harness.spec import TrialSpec
 from repro.network.builder import build_network
@@ -108,7 +108,8 @@ def run_load_point(
     metrics=False,
     backend="reference",
 ):
-    """One point of the latency/load curve.
+    """One point of the latency/load curve: :func:`finish_load_point`
+    of :func:`start_load_point`.
 
     ``metrics=True`` attaches a metrics-only telemetry snapshot to the
     result (``result.metrics``, picklable).  ``backend`` selects the
@@ -117,18 +118,37 @@ def run_load_point(
     low load.  Both reach ``network_factory`` through
     :func:`build_point_network`.
     """
+    return finish_load_point(start_load_point(**locals()))
+
+
+def start_load_point(rate, seed, message_words, warmup_cycles, measure_cycles,
+                     network_factory, metrics, backend):
+    """The start half of :func:`run_load_point` (same parameters, no
+    defaults): ``(network, riders)``, the network built with its
+    traffic attached and nothing run.  The riders are what
+    :func:`finish_load_point` reads (the traffic, the hub or None, the
+    window and the label), so a snapshot that carries them finishes
+    the same point."""
     network, telemetry = build_point_network(
         network_factory, seed, backend=backend, metrics=metrics
     )
-    result = run_experiment(
-        network,
-        point_traffic(network, rate, message_words, seed),
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
+    traffic = point_traffic(network, rate, message_words, seed)
+    return network, dict(
+        traffic=traffic.attach(network), telemetry=telemetry,
+        warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
         label="rate={}".format(rate),
-        telemetry=telemetry,
     )
-    return result
+
+
+def finish_load_point(state):
+    """The finish half of :func:`run_load_point` and
+    :func:`~repro.harness.fault_sweep.run_fault_point`: drive the
+    measured window from wherever the network is and score it."""
+    network, riders = state
+    return finish_experiment(
+        network, riders["traffic"], riders["warmup_cycles"],
+        riders["measure_cycles"], riders["label"], riders["telemetry"],
+    )
 
 
 def load_trial_specs(rates=DEFAULT_RATES, seed=0, **kwargs):

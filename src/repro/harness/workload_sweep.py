@@ -28,11 +28,11 @@ from repro.workloads.collective import (
     CollectiveSchedule,
     CollectiveWorkload,
     ModelShape,
-    run_collective,
+    finish_collective,
 )
 from repro.workloads.service import (
     RequestResponseWorkload,
-    run_service,
+    finish_service,
     service_slo_failures,
 )
 
@@ -105,7 +105,8 @@ def run_collective_point(
     metrics=False,
     max_cycles=400000,
 ):
-    """One collective execution, optionally on a degraded network.
+    """One collective execution, optionally on a degraded network:
+    :func:`finish_collective_point` of :func:`start_collective_point`.
 
     Faults are injected *before* the workload starts (static
     degradation, the Figure-6 discipline): the collective then runs on
@@ -114,6 +115,17 @@ def run_collective_point(
     (``repro.harness.workload_sweep:run_collective_point``) so trial
     specs stay picklable.
     """
+    return finish_collective_point(start_collective_point(**locals()))
+
+
+def start_collective_point(seed, algorithm, words, layers, microbatches,
+                           network, n_dead_links, n_dead_routers, backend,
+                           metrics, max_cycles):
+    """The start half of :func:`run_collective_point` (same parameters,
+    no defaults): ``(network, riders)`` with the fault level applied and
+    the workload attached.  Riders: the ``workload`` (its live DAG
+    state is shared with the sources and the observer inside the
+    network), the hub or None, the label and the cycle budget."""
     network_factory = _NETWORKS[network] if isinstance(network, str) else network
     net, telemetry = build_point_network(
         network_factory, seed, backend=backend, metrics=metrics
@@ -128,10 +140,24 @@ def run_collective_point(
         microbatches=microbatches,
     )
     workload = CollectiveWorkload(schedule, w=net.codec.w, seed=seed + 1)
-    label = "{} faults={}+{}".format(algorithm, n_dead_links, n_dead_routers)
-    result = run_collective(net, workload, max_cycles=max_cycles, label=label)
-    if telemetry is not None:
-        result.metrics = telemetry.snapshot()
+    return net, dict(
+        workload=workload.attach(net), telemetry=telemetry,
+        label="{} faults={}+{}".format(algorithm, n_dead_links, n_dead_routers),
+        max_cycles=max_cycles,
+    )
+
+
+def finish_collective_point(state):
+    """The finish half of :func:`run_collective_point`: the DAG driven
+    to completion (:func:`~repro.workloads.collective.finish_collective`)
+    from wherever the network is."""
+    net, riders = state
+    result = finish_collective(
+        net, riders["workload"], max_cycles=riders["max_cycles"],
+        label=riders["label"],
+    )
+    if riders["telemetry"] is not None:
+        result.metrics = riders["telemetry"].snapshot()
     return result
 
 
@@ -152,7 +178,18 @@ def run_service_point(
     backend="reference",
     metrics=False,
 ):
-    """One request/response soak at one offered load."""
+    """One request/response soak at one offered load:
+    :func:`finish_service_point` of :func:`start_service_point`."""
+    return finish_service_point(start_service_point(**locals()))
+
+
+def start_service_point(rate, seed, network, servers, clients, burst_prob,
+                        burst_size, request_words, reply_words, service_time,
+                        warmup_cycles, measure_cycles, max_outstanding,
+                        backend, metrics):
+    """The start half of :func:`run_service_point` (same parameters, no
+    defaults): ``(network, riders)`` with the service attached.  Riders:
+    the ``workload``, the hub or None, the window and the label."""
     network_factory = _NETWORKS[network] if isinstance(network, str) else network
     net, telemetry = build_point_network(
         network_factory, seed, backend=backend, metrics=metrics,
@@ -171,15 +208,24 @@ def run_service_point(
         service_time=service_time,
         seed=seed + 1,
     )
-    result = run_service(
-        net,
-        workload,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
+    return net, dict(
+        workload=workload.attach(net), telemetry=telemetry,
+        warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
         label="rate={}".format(rate),
     )
-    if telemetry is not None:
-        result.metrics = telemetry.snapshot()
+
+
+def finish_service_point(state):
+    """The finish half of :func:`run_service_point`: the window driven
+    and scored (:func:`~repro.workloads.service.finish_service`) from
+    wherever the network is."""
+    net, riders = state
+    result = finish_service(
+        net, riders["workload"], riders["warmup_cycles"],
+        riders["measure_cycles"], riders["label"],
+    )
+    if riders["telemetry"] is not None:
+        result.metrics = riders["telemetry"].snapshot()
     return result
 
 

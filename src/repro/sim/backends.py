@@ -34,7 +34,7 @@ else:
 A skipped cycle is one on which every tick is provably a no-op beyond
 refreshing the component's clock: equivalence is checked by
 :mod:`repro.verify.backend_diff`, which replays seeded workloads of
-six families on both backends and requires byte-identical results.
+seven families on both backends and requires byte-identical results.
 ``run_until`` never jumps (its predicate may observe any cycle).
 """
 

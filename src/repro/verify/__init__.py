@@ -15,7 +15,7 @@ protocol (paper, Sections 4-5):
   reproduction worth committing to the test suite.
 
 Two equivalence proofs build on those checks, both loops over one
-table of six workload families (:mod:`repro.verify.families`: what a
+table of seven workload families (:mod:`repro.verify.families`: what a
 family builds, how it is driven, what its fingerprint holds, where it
 is split):
 

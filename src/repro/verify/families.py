@@ -12,10 +12,11 @@ seeded workloads, and nothing about either proof:
     becomes ``snapshot_network(..., extras=riders)`` and comes back as
     ``restored.extras``).
 ``finish(state)``
-    Drive the run from wherever it is to the family's end, in several
-    ``run()`` calls where the end is a fixed cycle (run boundaries are
-    where the events engine steps instead of jumping, so they are under test
-    too), and return the state to fingerprint.
+    Drive the run from wherever it is to the family's end and return
+    the state to fingerprint.  The run takes several ``run()`` calls,
+    whose boundaries differ between a straight and a resumed leg (run
+    boundaries are where the events engine steps instead of jumping,
+    so they are under test too).
 ``fingerprint(state)``
     Everything observable about the run *so far*, as plain data:
     always :func:`~repro.endpoint.messages.message_fingerprint` of the
@@ -27,59 +28,64 @@ seeded workloads, and nothing about either proof:
     The cycle at which resume-diff snapshots the run; None for a
     family that does not split through ``snapshot_network``.
 
-====================  ================================================
-family                row
-====================  ================================================
-``scenario``          :class:`ScenarioFamily`
-``traffic``           :class:`TrafficFamily`
-``faults``            :class:`TrafficFamily` ``(with_faults=True)``
-``chaos``             :class:`ChaosFamily`
-``collective``        :class:`CollectiveFamily`
-``service``           :class:`ServiceFamily`
-====================  ================================================
+A workload kind a sweep runs is described once, by its point runner
+in ``harness/``: its row is a :class:`PointFamily`, a seeded draw of
+that runner's parameters on the runner's own start and finish halves,
+so the proofs run what ``repro figure3``, ``faults`` and ``workloads``
+run.  Only ``scenario`` and ``chaos`` keep rows of their own.
 
-``docs/testing.md`` holds the same table with the seeded bug each
-proof is shown to catch on it.
+==============  ==============================  ==========================
+family          row                             draws
+==============  ==============================  ==========================
+``scenario``    :class:`ScenarioFamily`         topology, plan, messages
+``traffic``     ``run_load_point``, Figure 1,   rate, message words;
+                metrics hub                     window 400 + 2000
+``faults``      ``run_fault_point``, Figure 1,  ``traffic``'s, plus dead
+                metrics hub                     links 0-2, routers 0-1,
+                                                retry budget 6 or none
+``chaos``       :class:`ChaosFamily`            (fixed soak)
+``collective``  ``run_collective_point``,       algorithm, words 6 or 12
+                Figure 1
+``service``     ``run_service_point``,          per-client rate; 2
+                Figure 1                        clients, window 400 + 2000
+``figure3``     ``run_load_point``,             rate 0.002 to 0.02 (the
+                Figure 3                        knee); window 200 + 600
+==============  ==============================  ==========================
+
+Every draw also draws the runner's ``seed``.  ``docs/testing.md``
+holds the same table with the seeded bug each proof is shown to catch
+on it.
 """
 
+import inspect
 import random
 
 from repro.core.random_source import derive_seed
 from repro.endpoint.messages import message_fingerprint
-from repro.endpoint.traffic import (
-    HotspotTraffic,
-    PermutationTraffic,
-    UniformRandomTraffic,
-)
-from repro.faults.injector import (
-    FaultInjector,
-    random_fault_scenario,
-    random_transient_scenario,
-)
 from repro.harness.chaos import run_chaos_point
-from repro.harness.load_sweep import figure1_network
-from repro.harness.workload_sweep import ALGORITHMS, build_schedule
-from repro.telemetry import TelemetryHub
+from repro.harness.fault_sweep import run_fault_point, start_fault_point
+from repro.harness.load_sweep import (
+    figure1_network,
+    finish_load_point,
+    run_load_point,
+    start_load_point,
+)
+from repro.harness.workload_sweep import (
+    ALGORITHMS,
+    finish_collective_point,
+    finish_service_point,
+    run_collective_point,
+    run_service_point,
+    start_collective_point,
+    start_service_point,
+)
 from repro.verify.scenario import finish_scenario, random_scenario
-from repro.workloads.collective import CollectiveWorkload, finish_collective
-from repro.workloads.service import RequestResponseWorkload, stop_arrivals
 
 
 def _rng(seed, kind):
     """The family's own stream.  The ``backend-diff`` label predates
     the table; keeping it keeps every pre-table trial's workload."""
     return random.Random(derive_seed(seed, "backend-diff", kind))
-
-
-def _run_to(network, end):
-    """Run to cycle ``end`` in three ``run()`` calls.  A run resumed
-    mid-way gets different boundaries than a straight one, on purpose:
-    run boundaries must be transparent."""
-    remaining = end - network.engine.cycle
-    span = max(1, remaining // 3)
-    while remaining > 0:
-        network.run(min(span, remaining))
-        remaining -= span
 
 
 class ScenarioFamily:
@@ -129,117 +135,116 @@ class ScenarioFamily:
         return rng.randrange(3, 25)
 
 
-def _traffic_for(rng, network, seed):
-    """A seeded traffic source: uniform, hotspot or permutation."""
-    n = network.plan.n_endpoints
-    w = network.codec.w
-    words = rng.choice((4, 12, 20))
-    rate = rng.choice((0.01, 0.02, 0.05))
-    kind = rng.randrange(3)
-    if kind == 0:
-        return UniformRandomTraffic(n, w, rate=rate, message_words=words, seed=seed)
-    if kind == 1:
-        return HotspotTraffic(
-            n,
-            w,
-            rate=rate,
-            hotspot=rng.randrange(n),
-            fraction=rng.choice((0.1, 0.3)),
-            message_words=words,
-            seed=seed,
-        )
-    return PermutationTraffic(
-        n,
-        w,
-        rate=rate,
-        permutation=rng.choice(("bit-reverse", "shift")),
-        message_words=words,
-        seed=seed,
-    )
+class PointFamily:
+    """A sweep's point runner on seeded parameters.
 
+    ``draw(rng)`` picks a few of ``runner``'s parameters (the rest keep
+    the runner's defaults); :meth:`params` is that draw for one seed and
+    backend, so ``runner(**row.params(seed, backend))`` is the trial a
+    sweep would run.  ``start`` is the runner's start half on those
+    parameters (the network built, the workload attached, nothing run;
+    its riders are what the finish half reads) and ``finish`` its
+    finish half, whose result rides along as the state's third item.
 
-class TrafficFamily:
-    """A Figure 1 network under seeded open-ended traffic (uniform,
-    hotspot or permutation, chosen by the seed) with a metrics-only
-    telemetry hub bound, run for :attr:`CYCLES` cycles.  With
-    ``with_faults`` (the ``faults`` family) a fault injector carries
-    static dead links/routers, scheduled mid-run faults with reverts,
-    and transient (duty-cycled) faults.  Riders: the hub and the
-    injector (None without faults).
+    Fingerprint: + whatever ``extras(network, riders)`` adds.  Split: a
+    cycle drawn from :attr:`splits`."""
 
-    Fingerprint: + engine ``cycle``, the hub's ``metrics`` snapshot,
-    and the injector's ``applied`` fault transitions.
+    def __init__(self, kind, runner, start, finish, draw, extras, splits):
+        self.kind, self.runner, self.draw = kind, runner, draw
+        self._start, self._finish, self._extras = start, finish, extras
+        self.splits = splits
 
-    Split: the midpoint."""
-
-    CYCLES = 2400
-
-    def __init__(self, with_faults=False):
-        self.with_faults = with_faults
+    def params(self, seed, backend):
+        return dict(self.draw(_rng(seed, self.kind)), backend=backend)
 
     def start(self, seed, backend):
-        cycles = self.CYCLES
-        rng = _rng(seed, "traffic")
-        build_seed = rng.getrandbits(24)
-        traffic_seed = rng.getrandbits(24)
-        telemetry = TelemetryHub(spans=False)
-        network = figure1_network(
-            seed=build_seed, telemetry=telemetry, backend=backend
-        )
-        traffic = _traffic_for(rng, network, traffic_seed)
-        injector = None
-        if self.with_faults:
-            injector = FaultInjector(network)
-            fault_seed = rng.getrandbits(24)
-            static = random_fault_scenario(
-                network,
-                n_dead_links=rng.randrange(0, 3),
-                n_dead_routers=rng.randrange(0, 2),
-                seed=fault_seed,
-                exclude_final_stage=True,
-            )
-            # A mix of immediate, scheduled and scheduled-then-reverted
-            # faults exercises every injector entry point.
-            for index, fault in enumerate(static):
-                if index % 2 == 0:
-                    injector.now(fault)
-                else:
-                    strike = rng.randrange(cycles // 4, cycles // 2)
-                    injector.at(strike, fault)
-                    if rng.random() < 0.5:
-                        injector.revert_at(
-                            strike + rng.randrange(50, cycles // 4), fault
-                        )
-            for fault in random_transient_scenario(
-                network,
-                n_flaky_links=rng.randrange(1, 3),
-                mtbf=rng.choice((300, 600)),
-                mttr=rng.choice((80, 150)),
-                seed=fault_seed + 1,
-                start=rng.randrange(0, cycles // 4),
-            ):
-                injector.transient(fault)
-        traffic.attach(network)
-        return network, {"telemetry": telemetry, "injector": injector}
+        bound = inspect.signature(self.runner).bind(**self.params(seed, backend))
+        bound.apply_defaults()
+        return self._start(**bound.arguments)
 
     def finish(self, state):
-        _run_to(state[0], self.CYCLES)
-        return state
+        return state[0], state[1], self._finish(state[:2])
 
     def fingerprint(self, state):
-        network, riders = state
+        network, riders = state[:2]
         fingerprint = message_fingerprint(network.log)
-        fingerprint["cycle"] = network.engine.cycle
-        fingerprint["metrics"] = riders["telemetry"].snapshot().as_dict()
-        if riders["injector"] is not None:
-            fingerprint["applied"] = [
-                (entry.cycle, entry.fault.describe(), entry.scheduled, entry.action)
-                for entry in riders["injector"].applied
-            ]
+        fingerprint.update(self._extras(network, riders))
         return fingerprint
 
     def split(self, rng):
-        return self.CYCLES // 2
+        return rng.choice(self.splits)
+
+
+def _window(network, riders):
+    """A measured window's extras: engine ``cycle`` (the drain starts at
+    the window's end on every leg, so it ends on the same cycle), the
+    hub's ``metrics`` snapshot when the point binds one, and the fault
+    injector's ``applied`` transitions when it has one."""
+    extras = {"cycle": network.engine.cycle}
+    if riders["telemetry"] is not None:
+        extras["metrics"] = riders["telemetry"].snapshot().as_dict()
+    if riders.get("injector") is not None:
+        extras["applied"] = [
+            (entry.cycle, entry.fault.describe(), entry.scheduled, entry.action)
+            for entry in riders["injector"].applied
+        ]
+    return extras
+
+
+def _steps(network, riders):
+    """A collective's per-step rows.  No engine cycle: the drive loop
+    runs in fixed slices from wherever it starts, so the cycle it
+    notices completion on depends on the split."""
+    return {"steps": riders["workload"].result(network).steps}
+
+
+def _load(rng):
+    return dict(
+        rate=rng.choice((0.01, 0.02, 0.05)),
+        seed=rng.getrandbits(24),
+        message_words=rng.choice((4, 12, 20)),
+        warmup_cycles=400,
+        measure_cycles=2000,
+        network_factory=figure1_network,
+        metrics=True,
+    )
+
+
+def _faults(rng):
+    return dict(
+        _load(rng),
+        n_dead_links=rng.randrange(0, 3),
+        n_dead_routers=rng.randrange(0, 2),
+        max_attempts=rng.choice((None, 6)),
+    )
+
+
+def _collective(rng):
+    return dict(
+        seed=rng.getrandbits(24),
+        algorithm=rng.choice(ALGORITHMS),
+        words=rng.choice((6, 12)),
+    )
+
+
+def _service(rng):
+    return dict(
+        rate=rng.choice((0.001, 0.002)),
+        seed=rng.getrandbits(24),
+        clients=2,
+        service_time=(0, 8),
+        warmup_cycles=400,
+        measure_cycles=2000,
+    )
+
+
+def _figure3(rng):
+    return dict(
+        rate=rng.choice((0.002, 0.005, 0.02)),
+        seed=rng.getrandbits(24),
+        warmup_cycles=200,
+        measure_cycles=600,
+    )
 
 
 class ChaosFamily:
@@ -284,98 +289,6 @@ class ChaosFamily:
         }
 
 
-class CollectiveFamily:
-    """One of the four collective schedules (ring, recursive-doubling,
-    all-to-all, pipeline; chosen by the seed) on a Figure 1 network,
-    driven by :func:`~repro.workloads.collective.finish_collective`
-    until the DAG completes.  Dependency release submits work from the
-    observer tick, outside any component's own.  Rider: the workload
-    (its live DAG state is shared with the sources and the observer
-    inside the network).
-
-    Fingerprint: + the per-step ``steps`` rows (ops, first release,
-    completion, skew).  No engine cycle: the drive loop runs in fixed
-    slices from wherever it starts, so the cycle it notices completion
-    on depends on the split.
-
-    Split: one of :attr:`SPLITS`, mid-DAG for every algorithm (the
-    shortest, recursive doubling, needs about 160 cycles)."""
-
-    SPLITS = range(40, 120)
-
-    def start(self, seed, backend):
-        rng = _rng(seed, "collective")
-        network = figure1_network(seed=rng.getrandbits(24), backend=backend)
-        schedule = build_schedule(
-            rng.choice(ALGORITHMS),
-            network.plan.n_endpoints,
-            words=rng.choice((6, 12)),
-        )
-        workload = CollectiveWorkload(
-            schedule, w=network.codec.w, seed=rng.getrandbits(24)
-        )
-        return network, {"workload": workload.attach(network)}
-
-    def finish(self, state):
-        finish_collective(state[0], state[1]["workload"])
-        return state
-
-    def fingerprint(self, state):
-        network, riders = state
-        fingerprint = message_fingerprint(network.log)
-        fingerprint["steps"] = riders["workload"].result(network).steps
-        return fingerprint
-
-    def split(self, rng):
-        return rng.choice(self.SPLITS)
-
-
-class ServiceFamily:
-    """An open-loop request/response soak on a Figure 1 network: two
-    Poisson clients per client endpoint against one server, arrivals
-    stopped at cycle :attr:`END`, then drained until quiet.  Arrivals
-    are due at cycles the sources name, not at a component's tick.  No
-    riders: sources and reply handlers live on the endpoints.
-
-    Fingerprint: + engine ``cycle`` (the drain starts at :attr:`END`
-    on every leg, so it ends on the same cycle).
-
-    Split: a cycle inside the arrival window."""
-
-    END = 2400
-
-    def start(self, seed, backend):
-        rng = _rng(seed, "service")
-        network = figure1_network(
-            seed=rng.getrandbits(24),
-            backend=backend,
-            endpoint_kwargs={"max_outstanding": 2},
-        )
-        RequestResponseWorkload(
-            n_endpoints=network.plan.n_endpoints,
-            w=network.codec.w,
-            clients=2,
-            rate=rng.choice((0.001, 0.002)),
-            service_time=(0, 8),
-            seed=rng.getrandbits(24),
-        ).attach(network)
-        return network, {}
-
-    def finish(self, state):
-        network = state[0]
-        _run_to(network, self.END)
-        stop_arrivals(network, self.END)
-        network.run_until_quiet(max_cycles=4 * self.END)
-        return state
-
-    def fingerprint(self, state):
-        fingerprint = message_fingerprint(state[0].log)
-        fingerprint["cycle"] = state[0].engine.cycle
-        return fingerprint
-
-    def split(self, rng):
-        return rng.randrange(self.END // 4, 3 * self.END // 4)
-
 
 #: The table, in sweep order (trial ``index`` runs kind ``index %
 #: len(FAMILIES)``).  New rows go at the end, so the first trials of a
@@ -383,11 +296,27 @@ class ServiceFamily:
 #: the first four.
 FAMILIES = {
     "scenario": ScenarioFamily(),
-    "traffic": TrafficFamily(),
-    "faults": TrafficFamily(with_faults=True),
+    "traffic": PointFamily(
+        "traffic", run_load_point, start_load_point, finish_load_point,
+        _load, _window, range(1200, 1201),
+    ),
+    "faults": PointFamily(
+        "faults", run_fault_point, start_fault_point, finish_load_point,
+        _faults, _window, range(1200, 1201),
+    ),
     "chaos": ChaosFamily(),
-    "collective": CollectiveFamily(),
-    "service": ServiceFamily(),
+    "collective": PointFamily(
+        "collective", run_collective_point, start_collective_point,
+        finish_collective_point, _collective, _steps, range(40, 120),
+    ),
+    "service": PointFamily(
+        "service", run_service_point, start_service_point,
+        finish_service_point, _service, _window, range(600, 1800),
+    ),
+    "figure3": PointFamily(
+        "figure3", run_load_point, start_load_point, finish_load_point,
+        _figure3, _window, range(200, 800),
+    ),
 }
 
 

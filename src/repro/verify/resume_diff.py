@@ -172,7 +172,7 @@ def resume_diff_specs(n_trials=16, seed=0):
     :data:`DEFAULT_PAIRS` of backends.
 
     Kinds cycle with the trial index and pairs cycle once per full pass
-    over the kinds, so ``len(kinds) * len(pairs)`` trials (24)
+    over the kinds, so ``len(kinds) * len(pairs)`` trials (28)
     cover the full (kind, capture backend, restore backend)
     matrix.  Each trial's seed derives from
     the root seed and its index, making the set a pure function of its

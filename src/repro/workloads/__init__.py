@@ -34,12 +34,11 @@ from repro.workloads.collective import (
     CollectiveWorkload,
     ModelShape,
     finish_collective,
-    run_collective,
 )
 from repro.workloads.service import (
     RequestResponseWorkload,
     ServiceResult,
-    run_service,
+    finish_service,
     service_slo_failures,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "RequestResponseWorkload",
     "ServiceResult",
     "finish_collective",
-    "run_collective",
-    "run_service",
+    "finish_service",
     "service_slo_failures",
 ]

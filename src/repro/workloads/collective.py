@@ -610,29 +610,17 @@ def collective_log_digest(log):
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def run_collective(network, workload, max_cycles=200000, label=None):
-    """Execute ``workload`` on ``network`` to completion (or deadlock).
-
-    Attaches the workload and hands off to :func:`finish_collective`.
-    Returns a :class:`CollectiveResult`.
-    """
-    workload.attach(network)
-    return finish_collective(
-        network, workload, max_cycles=max_cycles, label=label
-    )
-
-
 #: Cycles per engine ``run`` slice of :func:`finish_collective`.
 CHUNK = 256
 
 
 def finish_collective(network, workload, max_cycles=200000, label=None):
-    """Drive an already-attached workload to completion (or deadlock).
+    """Drive an already-attached workload to completion (or deadlock);
+    returns a :class:`CollectiveResult`.
 
-    The resume half of :func:`run_collective`: a network restored from
-    a mid-workload engine snapshot comes back with its sources and
-    observer already wired (shared identity through the pickle), so
-    only the drive loop remains.  Runs the engine in :data:`CHUNK`-cycle
+    A network restored from a mid-workload engine snapshot comes back
+    with its sources and observer already wired (shared identity
+    through the pickle), so only the drive loop remains.  Runs the engine in :data:`CHUNK`-cycle
     slices (compression-friendly: plain ``run`` slices, never an
     opaque ``run_until`` predicate) until the DAG finishes, the cycle
     budget runs out, or the DAG is provably stuck (network quiet,

@@ -348,24 +348,24 @@ def stop_arrivals(network, at_cycle):
             source.stop(at_cycle)
 
 
-def run_service(network, workload, warmup_cycles=1000, measure_cycles=6000,
-                label=None):
-    """Warm up, measure, drain, and summarize one service soak.
+def finish_service(network, workload, warmup_cycles, measure_cycles, label):
+    """Warm up, measure, drain, and summarize one service soak whose
+    ``workload`` is attached to ``network``.
 
-    Requests are attributed to the measured window by *arrival* cycle
-    (their open-loop ``queued_cycle``), and the drain phase lets
-    stragglers finish so the tail is not censored — the same
+    The window is driven by
+    :func:`repro.harness.experiment.drive_window`: the arrival processes
+    stop at its end and the drain lets stragglers finish, so the tail
+    is not censored.  Requests are attributed to the window by
+    *arrival* cycle (their open-loop ``queued_cycle``), the same
     discipline as :func:`repro.harness.experiment.run_experiment`,
-    minus the closed-loop assumptions.
+    minus the closed-loop assumptions.  ``label`` None names the
+    result by the workload's rate.
     """
-    workload.attach(network)
-    network.run(warmup_cycles)
-    start = network.engine.cycle
-    network.run(measure_cycles)
-    end = network.engine.cycle
-    stop_arrivals(network, end)
-    network.run_until_quiet(max_cycles=measure_cycles * 4)
+    from repro.harness.experiment import drive_window
 
+    start, end = drive_window(
+        network, workload, warmup_cycles, measure_cycles, stop_arrivals
+    )
     in_window = [
         m
         for m in network.log.messages

@@ -5,8 +5,10 @@ import math
 import pytest
 
 from repro.endpoint.traffic import UniformRandomTraffic
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import ConservationError, run_experiment
+from repro.harness.fault_sweep import run_fault_point
 from repro.harness.load_sweep import (
+    figure1_network,
     figure3_network,
     run_load_point,
     unloaded_latency,
@@ -14,6 +16,8 @@ from repro.harness.load_sweep import (
 from repro.harness.reporting import format_series, format_table, results_to_series
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
+
+from tests.mutants import seeded
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +27,26 @@ def small_result():
     return run_experiment(
         network, traffic, warmup_cycles=300, measure_cycles=1500, label="small"
     )
+
+
+def _abandoning_point():
+    """A fault-level point whose one-attempt retry budget turns every
+    blocked attempt into an abandoned message."""
+    return run_fault_point(
+        2, 0, rate=0.05, seed=3, warmup_cycles=100, measure_cycles=400,
+        network_factory=figure1_network, max_attempts=1,
+    )
+
+
+def test_a_point_that_abandons_messages_conserves_them():
+    assert _abandoning_point().abandoned_count > 0
+
+
+def test_the_conservation_gate_catches_an_endpoint_that_forgets_an_abandoned_message():
+    """Seeded endpoint bug (``docs/testing.md``, the mutation table)."""
+    with seeded("endpoint-forgets-abandoned"):
+        with pytest.raises(ConservationError, match=r"submitted != \d+ delivered"):
+            _abandoning_point()
 
 
 class TestRunExperiment:

@@ -38,6 +38,7 @@ from repro.harness import spec
 from repro.harness.journal import RunJournal
 from repro.harness.parallel import TrialRunner
 from repro.latency_model import equations
+from repro.network import validate
 from repro.scan.tap import TapController
 from repro.sim import snapshot
 from repro.sim.backends import EventEngine
@@ -287,6 +288,17 @@ MUTANTS = {
     # falling back to BYPASS.
     "tap-latches-unknown-opcode": {(TapController, "step"): [
         ("opcode if opcode in self.registers else BYPASS", "opcode"),
+    ]},
+    # -- the measured window's conservation gate
+    # (tests/harness/test_experiment.py): an abandoned message leaves
+    # its endpoint without reaching the log.
+    "endpoint-forgets-abandoned": {(Endpoint, "_finish_attempt"): [
+        ("self.log.record(message)", "pass"),
+    ]},
+    # -- the network linter (tests/network/test_validate.py)
+    # The turn-delay check reads only the source end of each wire.
+    "validate-turn-delay-source-only": {(validate, "_check_turn_delays"): [
+        ("((src_key, True), (dst_key, False))", "((src_key, True),)"),
     ]},
     # -- the fault manager (tests/faults/)
     # A failing wire gets its ports back and the mask lands on the

@@ -6,6 +6,8 @@ from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
 from repro.network.validate import validate_network
 
+from tests.mutants import seeded
+
 
 @pytest.fixture
 def network():
@@ -34,6 +36,14 @@ def test_detects_wrong_turn_delay(network):
     router.config.turn_delay[router.config.forward_port_id(0)] = 5
     problems = validate_network(network)
     assert any("turn delay" in p for p in problems)
+
+
+def test_the_turn_delay_test_catches_a_check_of_the_source_end_only(network):
+    """Seeded linter bug (``docs/testing.md``, the mutation table): the
+    turn delay set wrong is a forward port's, the far end of its wire."""
+    with seeded("validate-turn-delay-source-only"):
+        with pytest.raises(AssertionError):
+            test_detects_wrong_turn_delay(network)
 
 
 def test_detects_detached_port(network):

@@ -163,7 +163,7 @@ def test_malformed_comma_list_is_a_usage_error(capsys, argv):
         ["workloads", "collective", "--slo-cycles", "-1"],
         ["tail", "run.jsonl", "--interval", "0"],
         # PR 22: the first two were ValueError tracebacks (the second
-        # from inside run_service), the last two ran and printed a table.
+        # from inside the service run), the last two ran and printed a table.
         ["workloads", "service", "--service-time", "abc"],
         ["workloads", "service", "--service-time", "5"],
         ["workloads", "service", "--service-time", "9:3"],

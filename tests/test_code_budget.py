@@ -6,7 +6,8 @@ ROADMAP item 3, pruned as done at the PR 20 re-anchor).  Two ratchets:
 
 * Lines.  The count of lines that hold code (``tools/code_lines.py``:
   not blank, not comment, not docstring) in ``repro.harness`` +
-  ``cli.py`` must stay at or under :data:`BUDGET`, and all of
+  ``cli.py`` + ``repro.verify`` must stay at or under :data:`BUDGET`,
+  and all of
   ``src/repro`` under :data:`SRC_BUDGET`, so lines moved out of the
   harness still count somewhere.  A PR that needs more raises the
   number here, deliberately, in its diff; a PR that removes code
@@ -22,7 +23,7 @@ import importlib.util
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PATHS = ("src/repro/harness", "src/repro/cli.py")
+PATHS = ("src/repro/harness", "src/repro/cli.py", "src/repro/verify")
 
 #: 4931 before the sweep spine (PR 14); 4728 before the PR 8 benchmark
 #: tracker and its subcommand went (PR 15); 4478 before the chaos ring's
@@ -64,7 +65,14 @@ PATHS = ("src/repro/harness", "src/repro/cli.py")
 #: runner's ``_sync`` with its three commit points and the ``finally``
 #: that holds the last, re-wrapped lines included (+11), and the
 #: ``--journal`` help text that states the new contract (+2).
-BUDGET = 3788
+#: 3788 for ``harness/`` + ``cli.py`` alone before the proof rows of
+#: ``verify/families.py`` became seeded draws of the sweeps' own point
+#: runners.  That moved code from ``verify/`` into ``harness/``
+#: (each runner split into a start and a finish half, the shared
+#: window drive with its conservation gate: ``harness/`` + ``cli.py``
+#: 3788 -> 3846, ``verify/`` 1325 -> 1266), so ``verify/`` joined the
+#: counted paths: 5113 for the three before, 5112 after.
+BUDGET = 5112
 
 #: 13880 before PR 16, the first PR to ratchet it; 13458 before the two
 #: equivalence provers became loops over one table of workload families
@@ -126,7 +134,13 @@ BUDGET = 3788
 #: the endpoint's tick records and ends a rest, while the router's
 #: shared-bus clause left ``next_event_cycle`` (+18 net).  12326 before
 #: the journal's per-pass commit (+18, all in :data:`BUDGET`'s files).
-SRC_BUDGET = 12344
+#: 12344 before the proof rows' own networks, traffic mixes,
+#: injectors and workloads went from ``verify/families.py``, and with
+#: them ``run_collective`` and ``run_service``, wrappers only tests
+#: called once the point runners drive the finish halves directly;
+#: the runners' start / finish halves, the shared window drive and its
+#: conservation gate were added.
+SRC_BUDGET = 12332
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "

@@ -42,6 +42,7 @@ def test_the_family_table_is_the_single_source():
     # is what the pinned ``--trials 4`` CLI fixtures ran.
     assert DEFAULT_KINDS == (
         "scenario", "traffic", "faults", "chaos", "collective", "service",
+        "figure3",
     )
     # The two places that spell the list out, held to the table: the
     # family table of docs/testing.md, and the ``verify`` help (a
@@ -57,7 +58,7 @@ def test_the_family_table_is_the_single_source():
         assert "({})".format("/".join(DEFAULT_KINDS)) in action.help, flag
 
 
-@pytest.mark.parametrize("kind", ["scenario", "collective", "service"])
+@pytest.mark.parametrize("kind", ["scenario", "collective", "service", "figure3"])
 def test_the_proof_is_not_vacuous(kind):
     # Equal fingerprints prove nothing if nothing happened: the run a
     # family's seed draws delivers messages (the service soak serves
@@ -101,7 +102,7 @@ def test_specs_cycle_kinds_and_derive_seeds():
     specs = backend_diff_specs(n_trials=8, seed=3)
     assert [spec.params["kind"] for spec in specs] == [
         "scenario", "traffic", "faults", "chaos", "collective", "service",
-        "scenario", "traffic",
+        "figure3", "scenario",
     ]
     # Seeds are pure functions of (root seed, index): extending the
     # sweep never changes an existing trial's cache identity.

@@ -11,6 +11,7 @@ from functools import partial
 
 import pytest
 
+from repro.harness import workload_sweep
 from repro.harness.parallel import run_trials
 from repro.sim.channel import Channel, _Pipe
 from repro.verify import families
@@ -64,10 +65,17 @@ def test_a_snapshot_that_drops_in_flight_words_fails_the_proof(
     # A run that lost words may never drain (a DROP that vanished leaves
     # its circuit locked): cap the two open-ended drive loops, so the
     # broken leg costs thousands of cycles and not the whole budget.
-    for name, cap in (("finish_scenario", 2000), ("finish_collective", 4000)):
-        monkeypatch.setattr(
-            families, name, partial(getattr(families, name), max_cycles=cap)
-        )
+    monkeypatch.setattr(
+        families, "finish_scenario",
+        partial(families.finish_scenario, max_cycles=2000),
+    )
+    healthy_collective = workload_sweep.finish_collective
+    monkeypatch.setattr(
+        workload_sweep, "finish_collective",
+        lambda network, workload, max_cycles, label: healthy_collective(
+            network, workload, max_cycles=min(max_cycles, 4000), label=label
+        ),
+    )
     report = resume_point(
         kind, seed=5, backend="reference", restore_backend="events"
     )
@@ -92,7 +100,7 @@ def test_default_restore_backend_is_the_capture_backend():
 
 
 def test_specs_cross_kinds_with_backend_pairs():
-    specs = resume_diff_specs(n_trials=24, seed=3)
+    specs = resume_diff_specs(n_trials=28, seed=3)
     combos = [
         (
             spec.params["kind"],
@@ -101,16 +109,16 @@ def test_specs_cross_kinds_with_backend_pairs():
         )
         for spec in specs
     ]
-    # 24 trials tile the full 6x4 matrix: every family resumed under
+    # 28 trials tile the full 7x4 matrix: every family resumed under
     # every capture/restore pair, each exactly once.
-    assert len(set(combos)) == 24
+    assert len(set(combos)) == 28
     assert {kind for kind, _, _ in combos} == set(DEFAULT_KINDS)
     assert {(b, rb) for _, b, rb in combos} == set(DEFAULT_PAIRS)
     assert combos[0] == ("scenario", "reference", "reference")
-    assert combos[6] == ("scenario", "events", "events")
+    assert combos[7] == ("scenario", "events", "events")
     # Seeds are pure functions of (root seed, index): extending a sweep
     # never changes an existing trial's cache identity.
-    assert len({spec.seed for spec in specs}) == 24
+    assert len({spec.seed for spec in specs}) == 28
     prints = [spec.fingerprint(code_version="x") for spec in specs]
     assert prints[:8] == [
         spec.fingerprint(code_version="x")
@@ -118,7 +126,7 @@ def test_specs_cross_kinds_with_backend_pairs():
     ]
     assert prints != [
         spec.fingerprint(code_version="x")
-        for spec in resume_diff_specs(n_trials=24, seed=4)
+        for spec in resume_diff_specs(n_trials=28, seed=4)
     ]
 
 
@@ -148,11 +156,11 @@ def test_run_resume_trial_matches_resume_point():
 
 @pytest.mark.slow
 def test_acceptance_full_resume_matrix():
-    """The acceptance bar: byte-identical resume across all six
+    """The acceptance bar: byte-identical resume across all seven
     workload families, on both backends and both cross-backend
-    directions: the full 6x4 (kind, capture, restore) matrix."""
-    reports = run_trials(resume_diff_specs(n_trials=24, seed=0), workers=4)
-    assert len(reports) == 24
+    directions: the full 7x4 (kind, capture, restore) matrix."""
+    reports = run_trials(resume_diff_specs(n_trials=28, seed=0), workers=4)
+    assert len(reports) == 28
     failures = [report for report in reports if not report.ok]
     assert not failures, [
         (r.kind, r.seed, r.backend, r.restore_backend, r.mismatches[:2])

@@ -10,7 +10,7 @@ from repro.workloads.collective import (
     CollectiveSchedule,
     CollectiveWorkload,
     ModelShape,
-    run_collective,
+    finish_collective,
 )
 
 
@@ -112,7 +112,7 @@ def test_ring_all_reduce_completes_and_respects_dependencies():
     network = figure1_network(seed=11)
     schedule = CollectiveSchedule.ring_all_reduce(16, words_per_rank=12)
     workload = CollectiveWorkload(schedule, w=network.codec.w, seed=3)
-    result = run_collective(network, workload)
+    result = finish_collective(network, workload.attach(network))
 
     assert not result.incomplete
     assert result.completed_ops == len(schedule)

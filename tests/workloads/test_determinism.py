@@ -104,7 +104,7 @@ def test_trial_runner_caches_collective_points(tmp_path):
 
 def test_snapshot_resumes_collective_to_identical_trajectory():
     row = FAMILIES["collective"]
-    split = row.SPLITS[-1]  # the latest cycle the family's rule draws
+    split = row.splits[-1]  # the latest cycle the family's rule draws
     for seed in range(8):  # every algorithm is drawn at least once
         network, riders = row.start(seed, "reference")
         network.run(split)

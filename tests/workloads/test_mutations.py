@@ -21,7 +21,7 @@ from repro.harness.workload_sweep import run_collective_point, workload_slo_fail
 from repro.workloads.collective import (
     CollectiveSchedule,
     CollectiveWorkload,
-    run_collective,
+    finish_collective,
 )
 
 from tests.mutants import seeded
@@ -74,7 +74,7 @@ def test_premature_release_diverges_the_trajectory():
     )
     workload = CollectiveWorkload(schedule, w=network.codec.w, seed=7)
     with seeded("workload-premature-release"):
-        run_collective(network, workload)
+        finish_collective(network, workload.attach(network))
     state = workload.state
     violations = [
         (op.op_id, dep)
@@ -95,7 +95,7 @@ def test_premature_release_diverges_the_trajectory():
         w=network.codec.w,
         seed=7,
     )
-    run_collective(network, workload)
+    finish_collective(network, workload.attach(network))
     state = workload.state
     assert not [
         (op.op_id, dep)

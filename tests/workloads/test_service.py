@@ -9,7 +9,7 @@ from repro.harness.workload_sweep import run_service_point
 from repro.workloads.service import (
     RequestResponseWorkload,
     ServiceResult,
-    run_service,
+    finish_service,
     service_slo_failures,
 )
 
@@ -172,7 +172,7 @@ def test_drain_does_not_censor_the_tail():
         service_time=(0, 16),
         seed=5,
     )
-    run_service(network, workload, warmup_cycles=500, measure_cycles=3000)
+    finish_service(network, workload.attach(network), 500, 3000, None)
     requests = [
         m for m in network.log.messages
         if getattr(m, "request_id", None) is not None
@@ -195,9 +195,7 @@ def test_service_runs_under_idle_compression():
         clients=1,
         seed=3,
     )
-    result = run_service(
-        network, workload, warmup_cycles=500, measure_cycles=4000
-    )
+    result = finish_service(network, workload.attach(network), 500, 4000, None)
     assert result.delivered_count > 0
     # Sparse arrivals leave real idle gaps; the precomputed arrival
     # hints let the event backend jump them instead of ticking through.
