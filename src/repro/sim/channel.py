@@ -47,6 +47,12 @@ class Channel:
     :param name: identifier used in traces and error messages.
     """
 
+    #: Half-duplex collisions counted by every channel in this process.
+    #: An observer that remembers the total it last saw knows, with one
+    #: comparison, whether any wire's ``half_duplex_violations`` moved
+    #: since.  A class attribute, so no snapshot carries it.
+    collisions = 0
+
     __slots__ = (
         "name",
         "delay",
@@ -85,8 +91,10 @@ class Channel:
         #: flow, as they would in hardware where simultaneous driving
         #: produces garbage; a nonzero count means a protocol bug.
         self.half_duplex_violations = 0
-        #: Set by TelemetryHub.bind to count wire activity; None (the
-        #: default) keeps the advance hot path free of telemetry work.
+        #: Set by TelemetryHub.bind to the (fwd, rev) pair of counters
+        #: of this wire's link group, whose ``value`` :meth:`advance`
+        #: bumps for each word that enters the wire; None (the default)
+        #: keeps the advance hot path free of telemetry work.
         self.telemetry = None
         #: Liveness summary: falsy only when no word or BCB pulse is
         #: staged or in flight on any of the four pipes.
@@ -102,6 +110,14 @@ class Channel:
         }
 
     def __setstate__(self, state):
+        if type(state.get("telemetry")) not in (type(None), tuple):
+            # Before wires counted their own words they held the hub.
+            from repro.sim.snapshot import SnapshotFormatError
+
+            raise SnapshotFormatError(
+                "snapshot holds a channel bound to a telemetry hub in a "
+                "layout this build cannot resume (the hub, not its counters)"
+            )
         for name, value in state.items():
             setattr(self, name, value)
         # Sound, not exact: the first advance() recounts.
@@ -131,8 +147,13 @@ class Channel:
                 and up.kind == "data"
             ):
                 self.half_duplex_violations += 1
-            if self.telemetry is not None:
-                self.telemetry.channel_activity(self, down, up)
+                Channel.collisions += 1
+            words = self.telemetry
+            if words is not None:
+                if down is not None:
+                    words[0].value += 1
+                if up is not None:
+                    words[1].value += 1
         live = 0
         for pipe in (self._a_to_b, self._b_to_a, self._bcb_b_to_a, self._bcb_a_to_b):
             staged = pipe.staged

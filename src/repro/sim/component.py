@@ -68,9 +68,6 @@ class NullTelemetry:
     def router_event(self, cycle, router, kind, port, detail):
         pass
 
-    def channel_activity(self, channel, down, up):
-        pass
-
     def __repr__(self):
         return "<NullTelemetry>"
 

@@ -6,9 +6,11 @@ A :class:`TelemetryHub` owns a :class:`~repro.telemetry.metrics
 network: binding registers the hub as an engine **observer**
 (:meth:`~repro.sim.engine.Engine.add_observer`, so its per-cycle
 sampling sees fully-staged state regardless of registration order) and
-hands every router, endpoint and channel a reference back to the hub.
-Components report protocol events through the narrow hook API below;
-the hub translates them into metric increments and span operations.
+hands every router and endpoint a reference back to the hub.  Routers
+and endpoints report protocol events through the narrow hook API
+below; the hub translates them into metric increments and span
+operations.  A channel is handed its link group's ``channel.words``
+counters instead, and counts the words entering it itself.
 
 When no hub is bound, components hold the
 :data:`~repro.sim.component.NULL_TELEMETRY` singleton and every
@@ -64,7 +66,7 @@ class TelemetryHub(Component):
         self._router_labels = {}   # router name -> (stage, "s.b.i" label)
         self._router_counters = {}  # (name, kind, extra) -> Counter
         self._ep_counters = {}      # (endpoint, kind[, cause]) -> Counter
-        self._channel_counters = {}  # channel -> (fwd, rev) counters
+        self._channels = []  # every bound channel, for occupancy samples
         self._samplers = []
         self._hist_latency = registry.histogram("message.latency.cycles")
         self._hist_attempts = registry.histogram("message.attempts")
@@ -77,7 +79,8 @@ class TelemetryHub(Component):
     # ------------------------------------------------------------------
 
     def bind(self, network):
-        """Attach to ``network``: observer + component back-references."""
+        """Attach to ``network``: observer, component back-references
+        and each channel's word counters."""
         if self.network is not None:
             raise ValueError("hub is already bound to a network")
         self.network = network
@@ -115,11 +118,12 @@ class TelemetryHub(Component):
                 group = "deliver"
             else:
                 group = "s{}->s{}".format(link.src.stage, link.dst.stage)
-            self._channel_counters[channel] = (
+            # The wire counts its own words into its group's pair.
+            channel.telemetry = (
                 self.registry.counter("channel.words", link=group, dir="fwd"),
                 self.registry.counter("channel.words", link=group, dir="rev"),
             )
-            channel.telemetry = self
+            self._channels.append(channel)
 
     # ------------------------------------------------------------------
     # Per-cycle sampling (engine observer)
@@ -131,10 +135,9 @@ class TelemetryHub(Component):
         self._util_samples.inc()
         for router, busy_counter in self._samplers:
             busy_counter.inc(len(router.busy_backward_ports()))
-        total = 0
-        for channel in self._channel_counters:
-            total += channel.in_flight()
-        self._hist_occupancy.observe(total)
+        self._hist_occupancy.observe(
+            sum(channel.in_flight() for channel in self._channels)
+        )
 
     # ------------------------------------------------------------------
     # Endpoint hooks
@@ -270,19 +273,6 @@ class TelemetryHub(Component):
                 cat="router",
                 args={"port": port, "detail": repr(detail)},
             )
-
-    # ------------------------------------------------------------------
-    # Channel hook
-    # ------------------------------------------------------------------
-
-    def channel_activity(self, channel, down, up):
-        counters = self._channel_counters.get(channel)
-        if counters is None:
-            return
-        if down is not None:
-            counters[0].inc()
-        if up is not None:
-            counters[1].inc()
 
     # ------------------------------------------------------------------
     # Results

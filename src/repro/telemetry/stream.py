@@ -67,6 +67,19 @@ REQUIRED_FIELDS = {
 # ---------------------------------------------------------------------------
 
 
+#: Series key -> its ``repr``, which orders a rendering.  A key is an
+#: instrument's identity (one per registry series, immutable), so the
+#: repr is derived once per process instead of at every flush.
+_SERIES_ORDER = {}
+
+
+def _series_order(item):
+    order = _SERIES_ORDER.get(item[0])
+    if order is None:
+        order = _SERIES_ORDER[item[0]] = repr(item[0])
+    return order
+
+
 def snapshot_to_jsonable(snapshot):
     """A pure-JSON rendering of ``snapshot`` that round-trips exactly.
 
@@ -79,7 +92,7 @@ def snapshot_to_jsonable(snapshot):
     """
     out = []
     for (name, label_items), (kind, data) in sorted(
-        snapshot.series.items(), key=lambda kv: repr(kv[0])
+        snapshot.series.items(), key=_series_order
     ):
         if kind == "histogram":
             encoded = {

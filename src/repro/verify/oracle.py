@@ -26,7 +26,8 @@ paper's reliability story rests on:
   ownership bijection: a connection torn down by a backward-control
   bit that leaves its port claimed is flagged the same cycle.
 * **Half-duplex discipline** — the channels' own monitors feed the
-  oracle, so simultaneous bidirectional DATA is reported with a cycle.
+  oracle, so simultaneous bidirectional DATA is reported with a cycle;
+  the oracle reads them only after some channel counted a collision.
 * **Cascade IN-USE agreement** — :func:`attach_cascade_oracle` hooks
   the width-cascading consistency check so wired-AND disagreements
   between slices become oracle violations too (Section 5.1).
@@ -41,8 +42,6 @@ cycle, router and port; :meth:`Oracle.assert_clean` raises
 :class:`OracleViolationError` with the full list.
 """
 
-import operator
-
 from repro.core import words as W
 from repro.core.router import (
     FORWARD_STATE,
@@ -50,6 +49,7 @@ from repro.core.router import (
     REVERSED_STATE,
 )
 from repro.endpoint.interface import _RX_IDLE
+from repro.sim.channel import Channel
 from repro.sim.component import Component
 from repro.sim.snapshot import SnapshotFormatError
 
@@ -114,9 +114,6 @@ class _ConnTrack:
         self.stall = 0
 
 
-_HALF_DUPLEX_COUNT = operator.attrgetter("half_duplex_violations")
-
-
 class Oracle(Component):
     """Per-cycle conformance checker over a set of routers.
 
@@ -158,6 +155,9 @@ class Oracle(Component):
         self._bcb_prev = [[None] * len(r._bwd_owner) for r in self.routers]
         # Per channel: collisions already reported.
         self._half_duplex_seen = [0] * len(self.channels)
+        # Channel.collisions at the last sweep; None sweeps on the next
+        # tick, which picks up whatever the channels counted before.
+        self._collisions_seen = None
 
     def __setstate__(self, state):
         # An oracle pickled before the shadow became positional keyed
@@ -169,6 +169,8 @@ class Oracle(Component):
                 "build cannot resume (identity-keyed shadow state)"
             )
         self.__dict__.update(state)
+        # The process-wide total it was compared with stayed behind.
+        self._collisions_seen = None
 
     # ------------------------------------------------------------------
     # Reporting
@@ -206,7 +208,8 @@ class Oracle(Component):
         ):
             if not router.dead:
                 self._check_router(router, tracks, bcb_prev, cycle)
-        self._record(self._sweep_half_duplex(cycle))
+        if Channel.collisions != self._collisions_seen:
+            self._record(self._sweep_half_duplex(cycle))
 
     def _sweep_half_duplex(self, cycle):
         """Collisions the channels counted since the last sweep.
@@ -214,10 +217,12 @@ class Oracle(Component):
         A channel counts a collision as it advances, which is after the
         observers of that cycle have ticked, so a collision on cycle
         ``c`` is reported at ``c + 1`` — or by :meth:`check_quiescent`,
-        if the run ended on ``c``.
+        if the run ended on ``c``.  :meth:`tick` sweeps only when
+        :attr:`Channel.collisions` has moved since the last sweep.
         """
+        self._collisions_seen = Channel.collisions
         seen = self._half_duplex_seen
-        now = list(map(_HALF_DUPLEX_COUNT, self.channels))
+        now = [channel.half_duplex_violations for channel in self.channels]
         if now == seen:
             return []
         self._half_duplex_seen = now

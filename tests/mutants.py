@@ -43,6 +43,7 @@ from repro.scan.tap import TapController
 from repro.sim import snapshot
 from repro.sim.backends import EventEngine
 from repro.sim.channel import Channel, ChannelEnd
+from repro.telemetry import stream
 from repro.telemetry.metrics import MetricsSnapshot
 from repro.workloads.collective import CollectiveObserver
 
@@ -181,6 +182,15 @@ MUTANTS = {
     "channel-advance-keeps-occupancy": {(Channel, "advance"): [
         ("pipe.occupied -= 1", "pass"),
     ]},
+    # A collision leaves the process-wide total unmoved, so the Oracle
+    # never sweeps the channel that counted it.
+    "channel-collision-uncounted": {(Channel, "advance"): [
+        ("Channel.collisions += 1", "pass"),
+    ]},
+    # A wire bumps its forward word counter for reverse words too.
+    "channel-words-reverse-as-forward": {(Channel, "advance"): [
+        ("words[1].value += 1", "words[0].value += 1"),
+    ]},
     # The owned-port count misses every claim, so the router skips
     # _service_backward_bcb while a port is owned.
     "router-stale-owned-count": {(MetroRouter, "_route"): [
@@ -270,6 +280,12 @@ MUTANTS = {
     # change, so a fold of deltas over-counts the buckets.
     "metrics-delta-keeps-buckets": {(MetricsSnapshot, "delta_since"): [
         ('diff = count - old[1]["buckets"].get(index, 0)', "diff = count"),
+    ]},
+    # A series' run-log sort key is derived from its name alone, so the
+    # series of one family keep registry order
+    # (tests/telemetry/test_observer_pins.py).
+    "stream-sort-key-by-name": {(stream, "_series_order"): [
+        ("repr(item[0])", "repr(item[0][0])"),
     ]},
     # Merging two snapshots keeps the right-hand counter instead of the
     # sum (tests/telemetry/test_metrics.py).

@@ -12,7 +12,11 @@ import pytest
 
 from repro.core import words as W
 from repro.sim.backends import BACKENDS
-from repro.sim.snapshot import restore_network, snapshot_network
+from repro.sim.snapshot import (
+    SnapshotFormatError,
+    restore_network,
+    snapshot_network,
+)
 from repro.telemetry import TelemetryStream, read_run_log
 from repro.verify import attach_oracle
 from repro.verify.oracle import RULE_HALF_DUPLEX, Oracle
@@ -22,6 +26,7 @@ from tests.telemetry.test_observer_pins import (
     channel_words,
     pinned_network,
 )
+from tests.verify.test_oracle_rules import _watch_sweeps
 
 #: Where the run is split: a flush boundary of the pinned stream.
 SPLIT = 200
@@ -110,3 +115,32 @@ def test_a_split_run_finishes_with_the_straight_runs_observations(backend):
     assert [(e["cycle"], e["series"]) for e in after[1:]] == [
         (e["cycle"], e["series"]) for e in straight[len(before):]
     ]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_restored_oracle_sweeps_on_its_first_tick(backend):
+    """The total a live Oracle compares with is the process's; the
+    restored one has none to compare with, so it sweeps once."""
+    network, _hub, _stream, _handle = pinned_network(backend)
+    attach_oracle(network)
+    network.run(50)
+    resumed = restore_network(snapshot_network(network)).network
+    watched = _watch_sweeps(_observer(resumed, Oracle))
+    resumed.run(1)
+    swept = watched.iterations
+    assert swept > 0
+    resumed.run(50)
+    assert watched.iterations == swept
+
+
+def test_a_snapshot_whose_channels_hold_the_hub_is_refused():
+    """Before wires counted their own words, a bound channel held the
+    hub itself.  Such a snapshot is refused with the typed format
+    error when it is restored, never resumed into an AttributeError."""
+    network, hub, _stream, _handle = pinned_network()
+    network.run(20)
+    for channel in network.channels.values():
+        channel.telemetry = hub
+    snap = snapshot_network(network)
+    with pytest.raises(SnapshotFormatError, match="telemetry hub"):
+        restore_network(snap)

@@ -33,7 +33,13 @@ def test_bind_wires_every_component():
     assert network.telemetry is hub
     assert all(r.telemetry is hub for r in network.all_routers())
     assert all(ep.telemetry is hub for ep in network.endpoints)
-    assert all(ch.telemetry is hub for ch in network.channels.values())
+    # A wire holds its link group's (fwd, rev) word counters, not the hub.
+    counters = {
+        id(counter) for _kind, counter in hub.registry._metrics.values()
+    }
+    for channel in network.channels.values():
+        fwd, rev = channel.telemetry
+        assert fwd is not rev and {id(fwd), id(rev)} <= counters
 
 
 def test_hub_binds_exactly_once():

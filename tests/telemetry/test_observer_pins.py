@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+from unittest import mock
 
 import pytest
 
@@ -31,6 +32,9 @@ from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.load_sweep import figure1_network
 from repro.sim.backends import BACKENDS
 from repro.telemetry import TelemetryHub, TelemetryStream
+from repro.telemetry.stream import _SERIES_ORDER
+
+from tests.mutants import seeded
 
 PIN_PATH = os.path.join(
     os.path.dirname(os.path.dirname(__file__)), "fixtures", "observer_pins.json"
@@ -119,6 +123,26 @@ def test_run_log_bytes_match_the_pin(backend):
     for line, pinned in zip(state["run_log"], golden["run_log"]):
         assert line == pinned
     assert state == golden
+
+
+def test_the_pin_catches_reverse_words_counted_forward():
+    """Seeded bug ``channel-words-reverse-as-forward``
+    (``docs/testing.md``): a wire bumps its forward counter for the
+    words it carries backward."""
+    with seeded("channel-words-reverse-as-forward"):
+        with pytest.raises(AssertionError):
+            test_channel_words_match_the_pin("reference")
+
+
+def test_the_pin_catches_a_wrong_run_log_sort_key():
+    """Seeded bug ``stream-sort-key-by-name`` (``docs/testing.md``):
+    the series of a run-log delta are ordered by name alone.  The sort
+    keys are derived once per process, so the bug runs on an empty
+    cache, as it would in a fresh process."""
+    with seeded("stream-sort-key-by-name"):
+        with mock.patch.dict(_SERIES_ORDER, clear=True):
+            with pytest.raises(AssertionError):
+                test_run_log_bytes_match_the_pin("reference")
 
 
 def test_the_wall_clock_is_all_that_is_cut():

@@ -71,8 +71,13 @@ PATHS = ("src/repro/harness", "src/repro/cli.py", "src/repro/verify")
 #: (each runner split into a start and a finish half, the shared
 #: window drive with its conservation gate: ``harness/`` + ``cli.py``
 #: 3788 -> 3846, ``verify/`` 1325 -> 1266), so ``verify/`` joined the
-#: counted paths: 5113 for the three before, 5112 after.
-BUDGET = 5112
+#: counted paths: 5113 for the three before, 5112 after.  5112 before
+#: the Oracle stopped sweeping every channel each cycle: it compares
+#: ``Channel.collisions`` with the total of its last sweep and sweeps
+#: only when it moved, and a restored Oracle sweeps on its first tick
+#: (+5, less the ``operator.attrgetter`` the rare sweep no longer
+#: needs: +3).
+BUDGET = 5115
 
 #: 13880 before PR 16, the first PR to ratchet it; 13458 before the two
 #: equivalence provers became loops over one table of workload families
@@ -139,8 +144,14 @@ BUDGET = 5112
 #: them ``run_collective`` and ``run_service``, wrappers only tests
 #: called once the point runners drive the finish halves directly;
 #: the runners' start / finish halves, the shared window drive and its
-#: conservation gate were added.
-SRC_BUDGET = 12332
+#: conservation gate were added.  12332 before the observers stopped
+#: sweeping every wire: the process-wide collision total the Oracle
+#: compares (+3 in ``verify/``, see :data:`BUDGET`), a wire that counts
+#: its own words into its link group's counters with the typed refusal
+#: of a snapshot whose channels still hold the hub (+12), the stream's
+#: once-derived series sort keys (+6), less the hub's and the null
+#: object's ``channel_activity`` and the hub's occupancy loop (-11).
+SRC_BUDGET = 12342
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "

@@ -22,6 +22,8 @@ from repro.verify.oracle import (
     RULE_UNLOCKED_DATA,
 )
 
+from tests.mutants import seeded
+
 backends = pytest.mark.parametrize("backend", sorted(BACKENDS))
 
 
@@ -112,3 +114,60 @@ def test_half_duplex_on_the_last_cycle_is_swept_at_quiescence(backend):
     network.run(1)
     oracle.check_quiescent(network.engine.cycle)
     assert [v.rule for v in oracle.violations].count(RULE_HALF_DUPLEX) == 1
+
+
+def test_the_half_duplex_test_catches_an_uncounted_collision():
+    """Seeded bug ``channel-collision-uncounted`` (``docs/testing.md``):
+    the channel counts the collision but the process-wide total does
+    not move, so the Oracle, which sweeps the channels only after the
+    total moved, never reports it."""
+    with seeded("channel-collision-uncounted"):
+        with pytest.raises(AssertionError):
+            test_bidirectional_data_is_a_half_duplex_violation("reference")
+
+
+class _CountedList(list):
+    """A channel list that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _watch_sweeps(oracle):
+    oracle.channels = _CountedList(oracle.channels)
+    return oracle.channels
+
+
+@backends
+def test_a_collision_free_run_never_sweeps_the_channels(backend):
+    network = build_network(figure1_plan(), seed=3, backend=backend)
+    oracle = attach_oracle(network)
+    network.run(1)  # a new Oracle sweeps once, for what came before it
+    watched = _watch_sweeps(oracle)
+    sent = [
+        network.send(source, Message(dest=15 - source, payload=[source] * 6))
+        for source in range(0, 16, 3)
+    ]
+    assert network.run_until_quiet(max_cycles=2000)
+    assert all(message.latency is not None for message in sent)
+    assert watched.iterations == 0
+    assert oracle.ok
+    # A collision moves the total: the next tick sweeps and reports it
+    # at c + 1, and the ticks after it do not sweep again.
+    channel = _collide_on_cycle_0(network)
+    cycle = network.engine.cycle
+    assert watched.iterations == 0
+    network.run(1)
+    swept = watched.iterations
+    assert swept > 0
+    network.run(3)
+    assert watched.iterations == swept
+    assert _rows(oracle.violations) == [
+        (cycle, channel.name, None, RULE_HALF_DUPLEX)
+    ]
+    # check_quiescent sweeps whether or not anything happened.
+    oracle.check_quiescent(network.engine.cycle)
+    assert watched.iterations > swept
