@@ -243,13 +243,13 @@ class TelemetryHub(Component):
 
     def router_event(self, cycle, router, kind, port, detail):
         name = router.name
-        stage, label = self._router_labels.get(name, (None, name))
         extra = None
         if kind == "conn-blocked":
             extra = detail[1] if isinstance(detail, tuple) else None
         key = (name, kind, extra)
         counter = self._router_counters.get(key)
         if counter is None:
+            stage, label = self._router_labels.get(name, (None, name))
             family = _ROUTER_COUNTERS.get(kind)
             if family is None:
                 counter = self.registry.counter(

@@ -106,7 +106,7 @@ def snapshot_to_jsonable(snapshot):
             encoded = list(data)
         else:
             encoded = data
-        out.append([[name, [list(item) for item in label_items]], kind, encoded])
+        out.append([[name, list(map(list, label_items))], kind, encoded])
     return out
 
 

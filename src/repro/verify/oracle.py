@@ -306,7 +306,12 @@ class Oracle(Component):
         prev = bcb_prev[q]
         if prev is not None:
             end = router.backward_ends[q]
-            if end is not None and end.recv_bcb() is not None:
+            # What end.recv_bcb() returns, read without a call per port.
+            if (
+                end is not None
+                and end._bcb_rx.slots[-1] is not None
+                and not end.channel.dead
+            ):
                 prev_owner, prev_state, prev_words = prev
                 if (
                     owner is prev_owner
@@ -326,7 +331,12 @@ class Oracle(Component):
                         ),
                     )
         bcb_prev[q] = (owner, owner.state, owner.words_forwarded)
-        if owner not in router._conns and owner not in router._draining:
+        # A tracked owner sits in its own forward port's slot; the list
+        # scans run only for the draining and the untracked.
+        conns = router._conns
+        if conns[owner.fwd_port] is not owner and (
+            owner not in conns and owner not in router._draining
+        ):
             self._violate(
                 cycle,
                 router.name,
@@ -391,7 +401,9 @@ class Oracle(Component):
                 "it does not own".format(conn.fwd_port),
             )
         direction = conn.direction
-        if direction is not None and q // config.dilation != direction:
+        # ``_dilation`` is what the validated ``dilation`` property
+        # returns, read without the call this makes on every claim.
+        if direction is not None and q // config._dilation != direction:
             self._violate(
                 cycle,
                 router.name,

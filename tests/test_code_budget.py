@@ -76,8 +76,10 @@ PATHS = ("src/repro/harness", "src/repro/cli.py", "src/repro/verify")
 #: ``Channel.collisions`` with the total of its last sweep and sweeps
 #: only when it moved, and a restored Oracle sweeps on its first tick
 #: (+5, less the ``operator.attrgetter`` the rare sweep no longer
-#: needs: +3).
-BUDGET = 5115
+#: needs), and the rules of an owned backward port read the BCB slot
+#: without a ``recv_bcb()`` call and look for a tracked owner in its
+#: own forward port's slot before scanning the router's lists (+7).
+BUDGET = 5122
 
 #: 13880 before PR 16, the first PR to ratchet it; 13458 before the two
 #: equivalence provers became loops over one table of workload families
@@ -146,12 +148,13 @@ BUDGET = 5115
 #: the runners' start / finish halves, the shared window drive and its
 #: conservation gate were added.  12332 before the observers stopped
 #: sweeping every wire: the process-wide collision total the Oracle
-#: compares (+3 in ``verify/``, see :data:`BUDGET`), a wire that counts
+#: compares and its owned-port reads (+10 in ``verify/``, see
+#: :data:`BUDGET`), a wire that counts
 #: its own words into its link group's counters with the typed refusal
 #: of a snapshot whose channels still hold the hub (+12), the stream's
 #: once-derived series sort keys (+6), less the hub's and the null
 #: object's ``channel_activity`` and the hub's occupancy loop (-11).
-SRC_BUDGET = 12342
+SRC_BUDGET = 12349
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "
