@@ -18,7 +18,8 @@ invocations.
 import math
 import os
 
-from repro.harness.load_sweep import figure3_sweep, unloaded_latency
+from repro.harness.breakdown import measure_breakdown
+from repro.harness.load_sweep import figure3_network, figure3_sweep
 from repro.harness.parallel import TrialRunner
 from repro.harness.reporting import format_series, format_table, results_to_series
 
@@ -32,7 +33,7 @@ MEASURE_CYCLES = 1200 if QUICK else 3500
 
 
 def _sweep():
-    base = unloaded_latency(seed=3, samples=12)
+    base = measure_breakdown(figure3_network, samples=12, seed=3).total
     runner = TrialRunner(
         workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
         cache_dir=os.environ.get("REPRO_BENCH_CACHE"),

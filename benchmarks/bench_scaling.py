@@ -11,8 +11,8 @@ router, plus the analytical prediction.
 
 from repro.core.parameters import RouterParameters
 from repro.endpoint.traffic import UniformRandomTraffic
+from repro.harness.breakdown import measure_breakdown
 from repro.harness.experiment import run_experiment
-from repro.harness.load_sweep import unloaded_latency
 from repro.harness.reporting import format_table
 from repro.network.builder import build_network
 from repro.network.topology import NetworkPlan, StageSpec, figure3_plan
@@ -41,7 +41,7 @@ def plan_256():
 
 def _measure(plan, name, seed):
     factory = lambda seed=seed: build_network(plan, seed=seed, fast_reclaim=True)
-    base = unloaded_latency(seed=seed, samples=8, network_factory=factory)
+    base = measure_breakdown(factory, samples=8, seed=seed).total
     network = factory()
     traffic = UniformRandomTraffic(
         n_endpoints=plan.n_endpoints,

@@ -10,15 +10,16 @@ Run:  python examples/load_latency_curve.py
 """
 
 from repro.harness import (
+    figure3_network,
     figure3_sweep,
     format_series,
+    measure_breakdown,
     results_to_series,
-    unloaded_latency,
 )
 
 
 def main():
-    base = unloaded_latency(seed=3, samples=8)
+    base = measure_breakdown(figure3_network, samples=8, seed=3).total
     print("Unloaded 20-byte message latency: {:.1f} cycles "
           "(paper reports 28 on its leaner close protocol)\n".format(base))
 

@@ -12,7 +12,8 @@ import random
 import time
 
 from repro.harness.fault_sweep import fault_degradation_sweep
-from repro.harness.load_sweep import figure3_sweep, unloaded_latency
+from repro.harness.breakdown import measure_breakdown
+from repro.harness.load_sweep import figure3_network, figure3_sweep
 from repro.harness.reporting import (
     ascii_chart,
     format_series,
@@ -59,7 +60,7 @@ def main():
           analysis.tolerates_any_single_router_loss(plan, graph, 2))
 
     banner("Figure 3: latency vs. network loading (reduced sweep)")
-    base = unloaded_latency(seed=3, samples=6)
+    base = measure_breakdown(figure3_network, samples=6, seed=3).total
     print("unloaded latency: {:.1f} cycles (paper: 28, see EXPERIMENTS.md)".format(base))
     results = figure3_sweep(
         rates=(0.005, 0.02, 0.08, 0.32), seed=3,

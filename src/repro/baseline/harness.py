@@ -6,9 +6,8 @@ from both switching disciplines drop into the same report tables.
 
 import random
 
-import numpy as np
-
 from repro.baseline.builder import build_wormhole_network
+from repro.stats import percentile
 
 
 class WormholeResult:
@@ -20,24 +19,18 @@ class WormholeResult:
         self.measure_cycles = measure_cycles
         self.n_endpoints = n_endpoints
         self.message_words = message_words
-        self._latencies = np.array(
-            [p.total_latency for p in packets], dtype=float
-        )
+        self._latencies = sorted(p.total_latency for p in packets)
 
     @property
     def mean_latency(self):
-        return float(self._latencies.mean()) if self.delivered_count else float("nan")
+        return sum(self._latencies) / self.delivered_count if self.delivered_count else float("nan")
 
     @property
     def median_latency(self):
-        return float(np.median(self._latencies)) if self.delivered_count else float("nan")
+        return self.latency_percentile(50)
 
     def latency_percentile(self, q):
-        return (
-            float(np.percentile(self._latencies, q))
-            if self.delivered_count
-            else float("nan")
-        )
+        return percentile(self._latencies, q) if self.delivered_count else float("nan")
 
     @property
     def delivered_load(self):

@@ -302,10 +302,11 @@ def _cmd_figure1(args):
 
 
 def _cmd_figure3(args):
-    from repro.harness.load_sweep import load_trial_specs, unloaded_latency
+    from repro.harness.breakdown import measure_breakdown
+    from repro.harness.load_sweep import figure3_network, load_trial_specs
     from repro.harness.reporting import ascii_chart, format_series, results_to_series
 
-    base = unloaded_latency(seed=args.seed, samples=8)
+    base = measure_breakdown(figure3_network, samples=8, seed=args.seed).total
     print("Unloaded latency: {:.1f} cycles (paper: 28)\n".format(base))
     specs = load_trial_specs(
         rates=args.rates,

@@ -38,7 +38,6 @@ from repro.harness.load_sweep import (
     figure3_sweep,
     load_trial_specs,
     run_load_point,
-    unloaded_latency,
 )
 from repro.harness.reporting import (
     ascii_chart,
@@ -101,6 +100,5 @@ __all__ = [
     "run_saturation_point",
     "run_trials",
     "saturation_trial_specs",
-    "unloaded_latency",
     "validate_journal",
 ]

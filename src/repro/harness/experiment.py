@@ -11,6 +11,7 @@ gate.
 """
 
 from repro.harness.cache import result_content_hash
+from repro.stats import percentile
 
 
 class ExperimentResult:
@@ -49,19 +50,17 @@ class ExperimentResult:
         self.n_endpoints = n_endpoints
         self.message_words = message_words
         self.attempt_failures = dict(attempt_failures)
-        import numpy as np  # here, not at the top: a table or a send never loads it
-
-        self._latencies = np.array(
-            [m.total_latency for m in delivered], dtype=float
-        )
-        self._attempts = np.array([m.attempts for m in delivered], dtype=float)
+        self._latencies = sorted(m.total_latency for m in delivered)
+        self._attempts = [m.attempts for m in delivered]
         self._sources = [m.source for m in delivered]
 
     # -- latency ---------------------------------------------------------
+    # Latencies and attempt counts are whole numbers, so a plain sum is
+    # exact and each mean is correctly rounded (tests/test_stats.py).
 
     @property
     def mean_latency(self):
-        return float(self._latencies.mean()) if self.delivered_count else float("nan")
+        return sum(self._latencies) / self.delivered_count if self.delivered_count else float("nan")
 
     @property
     def median_latency(self):
@@ -70,13 +69,11 @@ class ExperimentResult:
         return self.latency_percentile(50)
 
     def latency_percentile(self, q):
-        import numpy as np
-
-        return float(np.percentile(self._latencies, q)) if self.delivered_count else float("nan")
+        return percentile(self._latencies, q) if self.delivered_count else float("nan")
 
     @property
     def mean_attempts(self):
-        return float(self._attempts.mean()) if self.delivered_count else float("nan")
+        return sum(self._attempts) / self.delivered_count if self.delivered_count else float("nan")
 
     # -- throughput / load -----------------------------------------------
 

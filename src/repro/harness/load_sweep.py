@@ -189,30 +189,3 @@ def figure3_sweep(
     return run_trials(
         specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner
     )
-
-
-def unloaded_latency(seed=0, samples=24, network_factory=figure3_network,
-                     message_words=20):
-    """Mean unloaded (single message at a time) delivery latency.
-
-    The paper's reference point: 28 cycles for 20-byte messages on the
-    Figure 3 network.
-    """
-    from repro.endpoint.messages import Message
-    import random
-
-    network = network_factory(seed=seed)
-    rng = random.Random(seed ^ 0x55AA)
-    latencies = []
-    for _ in range(samples):
-        src = rng.randrange(network.plan.n_endpoints)
-        dest = rng.randrange(network.plan.n_endpoints)
-        if dest == src:
-            dest = (dest + 1) % network.plan.n_endpoints
-        payload = [rng.getrandbits(8) for _ in range(message_words)]
-        message = network.send(src, Message(dest=dest, payload=payload))
-        if not network.run_until_quiet(max_cycles=20000):
-            raise RuntimeError("network failed to drain")
-        if message.latency is not None:
-            latencies.append(message.latency)
-    return sum(latencies) / len(latencies)

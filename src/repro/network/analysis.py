@@ -5,59 +5,55 @@ The paper's Figure 1 caption makes two structural claims about the
 and the dilation-1 final stage lets the network "tolerate the complete
 loss of any router in the final stage without isolating any
 endpoints".  This module verifies such claims on any
-:class:`~repro.network.topology.NetworkPlan` plus wiring, using
-networkx for the graph plumbing.
+:class:`~repro.network.topology.NetworkPlan` plus wiring, by passes
+over the wire list; it needs no graph library.
 
 Because METRO networks are *self-routing*, not every graph path is a
 legal route: at stage ``s`` a connection to destination ``dest`` may
 only leave through the dilation group of digit ``s`` of ``dest``.  All
-functions here therefore work on the *destination-filtered* subgraph.
+functions here therefore work on the *destination-filtered* wires.
+A plan only wires stage ``s`` to stage ``s + 1``, so one pass over
+the wires in stage order, last stage first, counts every route.
 """
-
-import networkx as nx
 
 
 def build_graph(plan, links):
-    """The full network as a directed multigraph.
+    """The full network as a list of wires, in stage order.
 
-    Nodes: ``("src", e)`` / ``("dst", e)`` endpoint sides and
-    ``("r", stage, block, index)`` routers.  Edges carry the producing
-    port's direction group as attribute ``direction`` (None for
-    endpoint-originated edges).  A multigraph is essential: dilated
-    wiring frequently runs two parallel wires between the same pair of
-    routers, and each is an independent path.
+    A wire is ``(u, v, direction, src_port)``.  Nodes are
+    ``("src", e)`` / ``("dst", e)`` endpoint sides and
+    ``("r", stage, block, index)`` routers; ``direction`` is the
+    producing port's direction group (None for endpoint-originated
+    wires) and ``src_port`` the producing port, so ``(u, v, src_port)``
+    names one wire even where dilated wiring runs two parallel wires
+    between the same pair of routers, each an independent path.
     """
-    graph = nx.MultiDiGraph()
+    wires = []
     for link in links:
-        src = _node(link.src, is_source=True)
-        dst = _node(link.dst, is_source=False)
-        direction = None
-        if link.src.kind == "router":
-            stage = plan.stages[link.src.stage]
-            direction = link.src.port // stage.dilation
-        graph.add_edge(src, dst, direction=direction, src_port=link.src.port)
-    return graph
-
-
-def _node(ref, is_source):
-    if ref.kind == "endpoint":
-        return ("src" if is_source else "dst", ref.index)
-    return ("r", ref.stage, ref.block, ref.index)
+        src, dst = link.src, link.dst
+        if src.kind == "endpoint":
+            u, direction = ("src", src.index), None
+        else:
+            u = ("r", src.stage, src.block, src.index)
+            direction = src.port // plan.stages[src.stage].dilation
+        if dst.kind == "endpoint":
+            v = ("dst", dst.index)
+        else:
+            v = ("r", dst.stage, dst.block, dst.index)
+        wires.append((u, v, direction, src.port))
+    wires.sort(key=lambda wire: -1 if wire[0][0] == "src" else wire[0][1])
+    return wires
 
 
 def route_subgraph(plan, graph, dest):
-    """Only the edges a connection to ``dest`` may legally use."""
+    """Only the wires a connection to ``dest`` may legally use."""
     digits = _digits(plan, dest)
-    keep = []
-    for u, v, key, attrs in graph.edges(keys=True, data=True):
-        if v[0] == "dst" and v[1] != dest:
-            continue
-        if attrs["direction"] is not None:
-            stage = u[1]
-            if attrs["direction"] != digits[stage]:
-                continue
-        keep.append((u, v, key))
-    return graph.edge_subgraph(keep).copy()
+    return [
+        (u, v, direction, port)
+        for u, v, direction, port in graph
+        if (v[0] != "dst" or v[1] == dest)
+        and (direction is None or direction == digits[u[1]])
+    ]
 
 
 def _digits(plan, dest):
@@ -70,59 +66,48 @@ def _digits(plan, dest):
     return digits
 
 
+def _routes_to(wires, dest, dead=(), cut=()):
+    """``{node: number of routes from node to dest}`` over ``wires``
+    (destination-filtered, in stage order), skipping the ``dead``
+    nodes and the ``cut`` wires, named ``(u, v)`` or ``(u, v, port)``.
+    Only nodes with at least one route appear."""
+    counts = {("dst", dest): 1}
+    for u, v, _direction, port in reversed(wires):
+        here = counts.get(v)
+        if here and u not in dead and (u, v) not in cut and (u, v, port) not in cut:
+            counts[u] = counts.get(u, 0) + here
+    return counts
+
+
 def count_paths(plan, graph, src, dest):
     """Number of distinct legal routes from ``src`` to ``dest``.
 
     Dynamic programming over the (acyclic) destination-filtered
-    subgraph — exact even when the count is large.
+    wires — exact even when the count is large.
     """
-    sub = route_subgraph(plan, graph, dest)
-    source, sink = ("src", src), ("dst", dest)
-    if source not in sub or sink not in sub:
-        return 0
-    counts = {source: 1}
-    for node in nx.topological_sort(sub):
-        here = counts.get(node)
-        if here is None:
-            continue
-        for successor in sub.successors(node):
-            multiplicity = sub.number_of_edges(node, successor)
-            counts[successor] = counts.get(successor, 0) + here * multiplicity
-    return counts.get(sink, 0)
+    return _routes_to(route_subgraph(plan, graph, dest), dest).get(("src", src), 0)
 
 
 def path_multiplicity_matrix(plan, graph):
     """``matrix[src][dest]`` legal-route counts for every pair."""
     n = plan.n_endpoints
-    return [
-        [count_paths(plan, graph, src, dest) for dest in range(n)]
-        for src in range(n)
-    ]
+    columns = [_routes_to(route_subgraph(plan, graph, dest), dest) for dest in range(n)]
+    return [[column.get(("src", src), 0) for column in columns] for src in range(n)]
 
 
 def reachable_with_removed(plan, graph, dest, removed_nodes=(), removed_edges=()):
     """The sources that still reach ``dest`` after removals, as a set.
 
     ``removed_nodes`` are router nodes ``("r", stage, block, index)``;
-    ``removed_edges`` are ``(u, v, key)`` triples identifying a single
-    wire, or ``(u, v)`` pairs removing every parallel wire.  The
-    destination-filtered subgraph is pruned once and every source is
-    read off the sink's ancestors.
+    ``removed_edges`` are ``(u, v, src_port)`` triples naming a single
+    wire, or ``(u, v)`` pairs removing every parallel wire.
     """
-    sub = route_subgraph(plan, graph, dest)
-    sub.remove_nodes_from([n for n in removed_nodes if n in sub])
-    for edge in removed_edges:
-        if len(edge) == 3:
-            if sub.has_edge(*edge):
-                sub.remove_edge(*edge)
-        else:
-            u, v = edge
-            while sub.has_edge(u, v):
-                sub.remove_edge(u, v)
-    sink = ("dst", dest)
-    if sink not in sub:
+    dead = set(removed_nodes)
+    if ("dst", dest) in dead:
         return set()
-    return {node[1] for node in nx.ancestors(sub, sink) if node[0] == "src"}
+    wires = route_subgraph(plan, graph, dest)
+    counts = _routes_to(wires, dest, dead, set(removed_edges))
+    return {node[1] for node in counts if node[0] == "src"}
 
 
 def tolerates_any_single_router_loss(plan, graph, stage):
@@ -131,9 +116,7 @@ def tolerates_any_single_router_loss(plan, graph, stage):
     True iff removing any single stage-``stage`` router leaves every
     (src, dest) pair connected.
     """
-    routers = [
-        node for node in graph.nodes if node[0] == "r" and node[1] == stage
-    ]
+    routers = {u for u, _v, _direction, _port in graph if u[0] == "r" and u[1] == stage}
     for router in routers:
         for dest in range(plan.n_endpoints):
             reachable = reachable_with_removed(

@@ -114,51 +114,33 @@ def _check_turn_delays(network):
 def _check_reachability(network):
     """Every destination must keep at least one enabled route.
 
-    Uses the destination-filtered graph restricted to *enabled* ports;
+    Uses the destination-filtered wires restricted to *enabled* ports;
     a too-aggressive masking session can silently isolate an endpoint,
     which is exactly what an operator wants the linter to say.
     """
-    import networkx as nx
-
     from repro.network import analysis
 
-    problems = []
-    graph = analysis.build_graph(network.plan, network.links)
-    # Remove edges whose producing or consuming port is disabled.
-    removed = []
-    for link in network.links:
-        for ref, backward in ((link.src, True), (link.dst, False)):
-            if ref.kind != "router":
-                continue
-            router = network.router_grid[(ref.stage, ref.block, ref.index)]
-            if backward:
-                port_id = router.config.backward_port_id(ref.port)
-            else:
-                port_id = router.config.forward_port_id(ref.port)
-            if not router.config.port_enabled[port_id]:
-                removed.append(
-                    (
-                        analysis._node(link.src, is_source=True),
-                        analysis._node(link.dst, is_source=False),
-                    )
-                )
-                break
-    for dest in range(network.plan.n_endpoints):
-        sub = analysis.route_subgraph(network.plan, graph, dest)
-        for edge in removed:
-            u, v = edge
-            while sub.has_edge(u, v):
-                sub.remove_edge(u, v)
-        sink = ("dst", dest)
-        reaches_sink = (
-            nx.ancestors(sub, sink) if sink in sub else set()
-        )
-        for src in range(network.plan.n_endpoints):
-            source = ("src", src)
-            if source not in reaches_sink:
-                problems.append(
-                    "no enabled route from endpoint {} to endpoint {}".format(
-                        src, dest
-                    )
-                )
-    return problems
+    plan = network.plan
+    graph = analysis.build_graph(plan, network.links)
+    disabled = [link for link in network.links if _link_disabled(network, link)]
+    removed = [(u, v, port) for u, v, _d, port in analysis.build_graph(plan, disabled)]
+    isolated = analysis.isolated_pairs_after_loss(plan, graph, removed)
+    return [
+        "no enabled route from endpoint {} to endpoint {}".format(src, dest)
+        for src, dest in sorted(isolated, key=lambda pair: (pair[1], pair[0]))
+    ]
+
+
+def _link_disabled(network, link):
+    """True when the port that drives or receives ``link`` is disabled."""
+    for ref, backward in ((link.src, True), (link.dst, False)):
+        if ref.kind != "router":
+            continue
+        router = network.router_grid[(ref.stage, ref.block, ref.index)]
+        if backward:
+            port_id = router.config.backward_port_id(ref.port)
+        else:
+            port_id = router.config.forward_port_id(ref.port)
+        if not router.config.port_enabled[port_id]:
+            return True
+    return False

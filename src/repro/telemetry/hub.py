@@ -134,7 +134,7 @@ class TelemetryHub(Component):
             return
         self._util_samples.inc()
         for router, busy_counter in self._samplers:
-            busy_counter.inc(len(router.busy_backward_ports()))
+            busy_counter.inc(router.busy_backward_count())
         self._hist_occupancy.observe(
             sum(channel.in_flight() for channel in self._channels)
         )

@@ -44,6 +44,7 @@ import os
 import time
 
 from repro.sim.component import Component
+from repro.stats import nearest_rank
 from repro.telemetry.metrics import MetricsSnapshot
 
 logger = logging.getLogger(__name__)
@@ -344,10 +345,10 @@ class TelemetryStream(Component):
         }
         if latencies:
             latencies.sort()
-            stats["p50_latency"] = _percentile(latencies, 50)
-            stats["p95_latency"] = _percentile(latencies, 95)
-            stats["p99_latency"] = _percentile(latencies, 99)
-            stats["p999_latency"] = _percentile(latencies, 99.9)
+            stats["p50_latency"] = nearest_rank(latencies, 50)
+            stats["p95_latency"] = nearest_rank(latencies, 95)
+            stats["p99_latency"] = nearest_rank(latencies, 99)
+            stats["p999_latency"] = nearest_rank(latencies, 99.9)
         self.emit("window.stats", cycle=cycle, **stats)
 
     # -- teardown --------------------------------------------------------
@@ -382,16 +383,6 @@ class TelemetryStream(Component):
 # ---------------------------------------------------------------------------
 # Reading run logs back
 # ---------------------------------------------------------------------------
-
-
-def _percentile(sorted_values, q):
-    """Exact nearest-rank percentile over a pre-sorted list."""
-    if not sorted_values:
-        return None
-    rank = max(
-        0, min(len(sorted_values) - 1, int(len(sorted_values) * q / 100.0))
-    )
-    return sorted_values[rank]
 
 
 def read_run_log(path_or_lines):

@@ -30,6 +30,7 @@ import random
 from repro.endpoint import messages as M
 from repro.endpoint.messages import Message
 from repro.endpoint.traffic import TrafficSource, random_payload
+from repro.stats import nearest_rank
 
 
 class _ServiceMessage(Message):
@@ -255,10 +256,7 @@ class ServiceResult:
     def latency_percentile(self, q):
         """Exact nearest-rank percentile over per-request latencies."""
         values = self._latencies
-        if not values:
-            return float("nan")
-        rank = max(0, min(len(values) - 1, int(len(values) * q / 100.0)))
-        return float(values[rank])
+        return float(nearest_rank(values, q)) if values else float("nan")
 
     @property
     def mean_latency(self):

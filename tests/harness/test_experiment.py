@@ -5,13 +5,13 @@ import math
 import pytest
 
 from repro.endpoint.traffic import UniformRandomTraffic
+from repro.harness.breakdown import measure_breakdown
 from repro.harness.experiment import ConservationError, run_experiment
 from repro.harness.fault_sweep import run_fault_point
 from repro.harness.load_sweep import (
     figure1_network,
     figure3_network,
     run_load_point,
-    unloaded_latency,
 )
 from repro.harness.reporting import format_series, format_table, results_to_series
 from repro.network.builder import build_network
@@ -82,12 +82,12 @@ class TestUnloadedLatency:
         """Paper: 28 cycles.  Ours: the same pipeline structure plus an
         explicit per-hop wire register each way, a checksum word and a
         close handshake — expect the same few-tens-of-cycles regime."""
-        latency = unloaded_latency(seed=1, samples=8)
+        latency = measure_breakdown(figure3_network, samples=8, seed=1).total
         assert 28 <= latency <= 55
 
     def test_unloaded_latency_deterministic_per_seed(self):
-        a = unloaded_latency(seed=2, samples=4)
-        b = unloaded_latency(seed=2, samples=4)
+        a = measure_breakdown(figure3_network, samples=4, seed=2).total
+        b = measure_breakdown(figure3_network, samples=4, seed=2).total
         assert a == b
 
 
@@ -100,7 +100,7 @@ class TestLoadPoints:
 
     def test_light_load_near_unloaded_latency(self):
         light = run_load_point(0.002, seed=5, warmup_cycles=400, measure_cycles=2500)
-        base = unloaded_latency(seed=5, samples=6)
+        base = measure_breakdown(figure3_network, samples=6, seed=5).total
         assert light.mean_latency < base * 1.5
 
 

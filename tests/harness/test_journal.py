@@ -68,7 +68,7 @@ def _result_bytes(results):
     """Byte-exact serialization (JSON: pickle memoizes identity)."""
     return json.dumps(
         [
-            [r.as_dict(), r._latencies.tolist(), r._attempts.tolist(),
+            [r.as_dict(), r._latencies, r._attempts,
              sorted(r.attempt_failures.items())]
             for r in results
         ],

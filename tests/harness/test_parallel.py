@@ -43,7 +43,7 @@ def _result_bytes(results):
 
     return json.dumps(
         [
-            [r.as_dict(), r._latencies.tolist(), r._attempts.tolist(),
+            [r.as_dict(), r._latencies, r._attempts,
              sorted(r.attempt_failures.items())]
             for r in results
         ],

@@ -38,7 +38,7 @@ from repro.harness import spec
 from repro.harness.journal import RunJournal
 from repro.harness.parallel import TrialRunner
 from repro.latency_model import equations
-from repro.network import validate
+from repro.network import analysis, validate
 from repro.scan.tap import TapController
 from repro.sim import snapshot
 from repro.sim.backends import EventEngine
@@ -315,6 +315,17 @@ MUTANTS = {
     # The turn-delay check reads only the source end of each wire.
     "validate-turn-delay-source-only": {(validate, "_check_turn_delays"): [
         ("((src_key, True), (dst_key, False))", "((src_key, True),)"),
+    ]},
+    # The reachability check counts a wire through a disabled port as
+    # enabled.
+    "validate-ignores-disabled-ports": {(validate, "_link_disabled"): [
+        ("if not router.config.port_enabled[port_id]:", "if False:"),
+    ]},
+    # -- the route analysis (tests/network/)
+    # A wire of any direction group may carry a connection to any
+    # destination: only the final wire into the endpoint is checked.
+    "analysis-ignores-dilation-group": {(analysis, "route_subgraph"): [
+        ("\n        and (direction is None or direction == digits[u[1]])", ""),
     ]},
     # -- the fault manager (tests/faults/)
     # A failing wire gets its ports back and the mask lands on the

@@ -8,6 +8,8 @@ from repro.network import analysis
 from repro.network.multibutterfly import wire
 from repro.network.topology import figure1_plan, figure3_plan
 
+from tests.mutants import seeded
+
 
 @pytest.fixture(scope="module")
 def fig1():
@@ -41,10 +43,16 @@ class TestPathCounting:
     def test_route_subgraph_excludes_wrong_directions(self, fig1):
         plan, _links, graph = fig1
         sub = analysis.route_subgraph(plan, graph, dest=0)
-        # Every surviving router edge must match dest 0's digits (all 0).
-        for u, v, attrs in sub.edges(data=True):
-            if attrs["direction"] is not None:
-                assert attrs["direction"] == 0
+        # Every surviving router wire must match dest 0's digits (all 0).
+        assert {direction for _u, _v, direction, _port in sub} == {None, 0}
+
+    def test_the_direction_test_catches_a_route_subgraph_that_ignores_the_dilation_group(
+        self, fig1
+    ):
+        """Seeded analysis bug (``docs/testing.md``, the mutation table)."""
+        with seeded("analysis-ignores-dilation-group"):
+            with pytest.raises(AssertionError):
+                self.test_route_subgraph_excludes_wrong_directions(fig1)
 
 
 class TestFaultTolerance:
@@ -62,10 +70,10 @@ class TestFaultTolerance:
 
     def test_single_link_loss_tolerated(self, fig1):
         plan, _links, graph = fig1
-        # Removing any one inter-router edge never isolates a pair.
+        # Removing any one inter-router wire never isolates a pair.
         router_edges = [
-            (u, v, k)
-            for u, v, k in graph.edges(keys=True)
+            (u, v, port)
+            for u, v, _direction, port in graph
             if u[0] == "r" and v[0] == "r"
         ]
         sample = router_edges[:: max(1, len(router_edges) // 12)]
@@ -79,7 +87,7 @@ class TestFaultTolerance:
         plan, _links, graph = fig1
         # Cutting both wires into endpoint 3 must isolate it as a dest.
         into_three = [
-            (u, v, k) for u, v, k in graph.edges(keys=True) if v == ("dst", 3)
+            (u, v, port) for u, v, _direction, port in graph if v == ("dst", 3)
         ]
         assert len(into_three) == 2
         broken = analysis.isolated_pairs_after_loss(

@@ -62,7 +62,7 @@ def test_single_disabled_port_keeps_reachability(network):
 
 def test_overmasking_isolates_and_is_reported(network):
     """Disable both wires into endpoint 3: the linter must flag every
-    source as cut off from it."""
+    source as cut off from it, and nothing else."""
     for (src_key, dst_key), _channel in network.channels.items():
         if dst_key[0] == "endpoint" and dst_key[3] == 3:
             _, stage, block, index, port = src_key
@@ -70,9 +70,19 @@ def test_overmasking_isolates_and_is_reported(network):
             router.config.port_enabled[
                 router.config.backward_port_id(port)
             ] = False
-    problems = validate_network(network)
-    isolation = [p for p in problems if "to endpoint 3" in p]
-    assert len(isolation) == 16
+    assert validate_network(network) == [
+        "no enabled route from endpoint {} to endpoint 3".format(src)
+        for src in range(16)
+    ]
+
+
+def test_the_reachability_test_catches_a_validator_that_ignores_disabled_ports(
+    network,
+):
+    """Seeded linter bug (``docs/testing.md``, the mutation table)."""
+    with seeded("validate-ignores-disabled-ports"):
+        with pytest.raises(AssertionError):
+            test_overmasking_isolates_and_is_reported(network)
 
 
 def test_multiple_problems_all_reported(network):

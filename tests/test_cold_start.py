@@ -3,9 +3,9 @@
 Each check runs its code in a fresh interpreter and lists which of the
 watched modules that interpreter then holds; nothing is timed, and
 nothing another test imported counts.  The lists below are the cold
-start budget (DESIGN.md, "Cold start"): networkx is for ``figure1``
-and the topology checks, numpy for building and summarising
-experiment results, the harness for sweeps, tables and ``tail``,
+start budget (DESIGN.md, "Cold start"): the package imports neither
+networkx nor numpy anywhere (both stay watched, so one that comes back
+fails here), the harness is for sweeps, tables and ``tail``,
 telemetry for a hub (``send --verbose``, ``--trace-export``,
 ``--metrics``), and ``pickle`` and ``hashlib`` for snapshots, trial
 identities and seed derivation.  The harness brings the last three
@@ -87,14 +87,33 @@ def test_a_table_loads_neither_numpy_nor_networkx():
 
 
 def test_figure1_still_loads_networkx():
-    assert "networkx" in loaded(_main("figure1"))
+    """The route analysis walks the wire list itself: figure1 loads neither library."""
+    assert loaded(_main("figure1")) & {"networkx", "numpy"} == set()
 
 
 def test_the_gate_reports_networkx_when_the_topology_analysis_is_imported():
-    """What the eager ``from repro.network import analysis`` in
-    ``repro/network/__init__.py`` did to every command."""
-    got = loaded("import repro.cli\nimport repro.network.analysis")
+    """The gate still sees networkx, probed by importing it directly."""
+    got = loaded("import repro.cli\nimport networkx")
     assert got - {"hashlib"} == {"networkx"}  # networkx imports hashlib itself
+
+
+_WITHOUT_LIBRARIES = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = sys.modules["networkx"] = None  # any import raises
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [
+        main(["figure1"]),
+        main(["figure3", "--rates", "0.02", "--warmup", "50", "--measure", "200"]),
+    ]
+print(json.dumps([codes, "Unloaded latency: 40.0" in out.getvalue()]))
+"""
+
+
+def test_figure1_and_a_figure3_sweep_run_without_numpy_or_networkx():
+    """The package needs only the standard library: with both libraries
+    made unimportable, the route analysis and a measured sweep run."""
+    assert fresh_json(_WITHOUT_LIBRARIES) == [[0, 0], True]
 
 
 def test_the_gate_reports_pickle_and_hashlib_when_snapshot_is_imported():

@@ -134,6 +134,7 @@ SUBMODULES = [
     "repro.verify.backend_diff",
     "repro.verify.families",
     "repro.verify.resume_diff",
+    "repro.stats",
     "repro.cli",
 ]
 
