@@ -69,12 +69,14 @@ def _digits(plan, dest):
 def _routes_to(wires, dest, dead=(), cut=()):
     """``{node: number of routes from node to dest}`` over ``wires``
     (destination-filtered, in stage order), skipping the ``dead``
-    nodes and the ``cut`` wires, named ``(u, v)`` or ``(u, v, port)``.
-    Only nodes with at least one route appear."""
+    nodes and the ``cut`` wires, named as :func:`reachable_with_removed`
+    takes them.  Only nodes with at least one route appear."""
     counts = {("dst", dest): 1}
-    for u, v, _direction, port in reversed(wires):
+    for wire in reversed(wires):
+        u, v, _direction, port = wire
         here = counts.get(v)
-        if here and u not in dead and (u, v) not in cut and (u, v, port) not in cut:
+        if (here and u not in dead and wire not in cut
+                and (u, v) not in cut and (u, v, port) not in cut):
             counts[u] = counts.get(u, 0) + here
     return counts
 
@@ -99,8 +101,9 @@ def reachable_with_removed(plan, graph, dest, removed_nodes=(), removed_edges=()
     """The sources that still reach ``dest`` after removals, as a set.
 
     ``removed_nodes`` are router nodes ``("r", stage, block, index)``;
-    ``removed_edges`` are ``(u, v, src_port)`` triples naming a single
-    wire, or ``(u, v)`` pairs removing every parallel wire.
+    ``removed_edges`` name a single wire, either as :func:`build_graph`
+    lists it or as its ``(u, v, src_port)`` triple, or are ``(u, v)``
+    pairs removing every parallel wire.
     """
     dead = set(removed_nodes)
     if ("dst", dest) in dead:

@@ -123,7 +123,7 @@ def _check_reachability(network):
     plan = network.plan
     graph = analysis.build_graph(plan, network.links)
     disabled = [link for link in network.links if _link_disabled(network, link)]
-    removed = [(u, v, port) for u, v, _d, port in analysis.build_graph(plan, disabled)]
+    removed = analysis.build_graph(plan, disabled)
     isolated = analysis.isolated_pairs_after_loss(plan, graph, removed)
     return [
         "no enabled route from endpoint {} to endpoint {}".format(src, dest)

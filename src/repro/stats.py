@@ -20,8 +20,11 @@ def percentile(sorted_values, q):
     The same floating-point steps as numpy's ``linear`` method: index
     ``(n - 1) * (q / 100)``, and the interpolation taken from whichever
     neighbour is nearer, so the result is bit-equal to
-    ``np.percentile``.
+    ``np.percentile``.  A ``q`` outside 0..100 raises ValueError, as
+    numpy's does.
     """
+    if not 0 <= q <= 100:
+        raise ValueError("percentile {!r} is not in 0..100".format(q))
     index = (len(sorted_values) - 1) * (q / 100)
     lo = math.floor(index)
     if lo >= len(sorted_values) - 1:

@@ -86,9 +86,7 @@ class TestFaultTolerance:
     def test_losing_both_endpoint_inputs_isolates(self, fig1):
         plan, _links, graph = fig1
         # Cutting both wires into endpoint 3 must isolate it as a dest.
-        into_three = [
-            (u, v, port) for u, v, _direction, port in graph if v == ("dst", 3)
-        ]
+        into_three = [wire for wire in graph if wire[1] == ("dst", 3)]
         assert len(into_three) == 2
         broken = analysis.isolated_pairs_after_loss(
             plan, graph, removed_edges=into_three

@@ -52,12 +52,6 @@ def legal_routes(plan, links, src, dest, dead=(), cut=()):
     return routes
 
 
-def _wire_name(plan, link):
-    """The ``(u, v, src_port)`` name ``analysis`` gives ``link``."""
-    u, v, _direction, port = analysis.build_graph(plan, [link])[0]
-    return (u, v, port)
-
-
 def _assert_counts(plan, links, pairs):
     graph = analysis.build_graph(plan, links)
     for src, dest in pairs:
@@ -137,7 +131,6 @@ def test_random_removals_leave_the_reference_survivors(make_plan, seed, dests):
     plan = make_plan()
     links = wire(plan, rng=random.Random(seed))
     graph = analysis.build_graph(plan, links)
-    names = [_wire_name(plan, link) for link in links]
     routers = sorted({link.src.router_key()[1:] for link in links
                       if link.src.kind == "router"})
     n = plan.n_endpoints
@@ -147,7 +140,7 @@ def test_random_removals_leave_the_reference_survivors(make_plan, seed, dests):
         cut = set(rng.sample(range(len(links)), rng.randint(4, len(links) // 5)))
         dead = set(rng.sample(routers, trial % 3))
         removed_nodes = [("r",) + router for router in dead]
-        removed_edges = [names[i] for i in cut]
+        removed_edges = analysis.build_graph(plan, [links[i] for i in cut])
         expected_isolated = []
         for dest in dests:
             expected = {src for src in range(n)

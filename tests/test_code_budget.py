@@ -160,12 +160,12 @@ BUDGET = 5099
 #: object's ``channel_activity`` and the hub's occupancy loop (-11).
 #: 12349 before ``src/repro`` came to depend only on the standard
 #: library: the route analysis walks the wire list instead of building
-#: networkx graphs (97 -> 76), the linter's own reachability search
+#: networkx graphs (97 -> 78), the linter's own reachability search
 #: went (validate.py 132 -> 113: it asks ``isolated_pairs_after_loss``
 #: with the disabled wires), the two percentile conventions live
-#: once each in ``repro/stats.py`` (+14) and the lines counted in
+#: once each in ``repro/stats.py`` (+16) and the lines counted in
 #: :data:`BUDGET` went (-23).
-SRC_BUDGET = 12289
+SRC_BUDGET = 12293
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "

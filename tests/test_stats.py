@@ -4,6 +4,7 @@ import random
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.baseline.harness import WormholeResult
 from repro.harness.experiment import ExperimentResult
@@ -37,3 +38,11 @@ def test_percentile_median_and_mean_equal_numpys():
             assert measured.median_latency == float(np.median(array))
             assert measured.latency_percentile(95) == float(np.percentile(array, 95))
         assert result.mean_attempts == float(np.array(attempts, dtype=float).mean())
+
+
+@pytest.mark.parametrize("q", [-1, 100.5, float("nan")])
+def test_a_percentile_outside_0_to_100_raises_as_numpys_does(q):
+    with pytest.raises(ValueError):
+        np.percentile([1, 2, 3], q)
+    with pytest.raises(ValueError):
+        percentile([1, 2, 3], q)
