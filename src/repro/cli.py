@@ -48,7 +48,7 @@ processes; results are bit-identical to a serial run for the same
 ``--seed``.  ``--cache-dir DIR`` reuses already-computed trial results
 across invocations (see ``docs/parallel.md``).  ``--backend events``
 runs a simulation command on the events engine backend (silent wires
-skipped, idle gaps jumped) — same results (see ``docs/API.md`` and
+skipped) — same results (see ``docs/API.md`` and
 ``repro.sim.backends``); ``verify --backend-diff`` checks that claim
 end to end.
 
@@ -1017,8 +1017,8 @@ def build_parser():
             "--backend",
             choices=sorted(BACKENDS),
             default="reference",
-            help="engine backend: 'events' skips silent wires and "
-            "jumps idle gaps for the same results (see docs/API.md)",
+            help="engine backend: 'events' skips silent wires "
+            "for the same results (see docs/API.md)",
         )
 
     def add_sweep_options(command, quarantine=True):

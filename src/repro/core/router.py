@@ -272,22 +272,6 @@ class MetroRouter(Component):
         return not self._draining and all(
             conn.state == IDLE_STATE for conn in self._conns)
 
-    def next_event_cycle(self):
-        """Idle-gap hint for the events engine: ``inf`` while no tick
-        could act, None otherwise.
-
-        A dead router's tick is an early return.  A quiet router (see
-        :meth:`_reset_derived`) with no scan drive pending ticks to a
-        no-op while its receive pipes are silent, which the engine
-        checks first (no wire is live); its boundary registers already
-        hold the ``None`` every skipped tick would write.  On a shared
-        random bus a skipped tick would only have cleared the bus's
-        per-cycle memo, which the next tick's ``begin_cycle`` clears.
-        """
-        if self.dead or (self._quiet and not self._scan_pending):
-            return float("inf")
-        return None
-
     def scan_drive_backward(self, port, word):
         """Scan subsystem: drive ``word`` out a *disabled* backward port.
 

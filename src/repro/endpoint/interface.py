@@ -298,31 +298,6 @@ class Endpoint(Component):
                 return False
         return True
 
-    def next_event_cycle(self):
-        """Idle-gap hint for the events engine: the next cycle the
-        traffic poll could act.
-
-        None unless the endpoint is at rest (anything queued, in
-        flight, arriving or mid-receive needs its tick), and None for a
-        source without ``next_arrival_cycle``: a Bernoulli source's
-        draw-ahead (``gap``) lets the tick skip its calls, but the tick
-        still runs to count the cycles it skipped.  ``inf`` means no
-        work at all.  Sources that schedule their arrivals ahead of
-        time (the service workload's open-loop clients, a collective's
-        dependency-released sends) name the next one via
-        ``next_arrival_cycle``.
-        """
-        if not self._at_rest():
-            return None
-        source = self.traffic_source
-        if source is None:
-            return float("inf")
-        probe = getattr(source, "next_arrival_cycle", None)
-        if probe is None:
-            return None
-        due = probe()
-        return float("inf") if due is None else due
-
     def _maybe_start_send(self, cycle):
         """Start the *oldest* ready message on a free port.
 

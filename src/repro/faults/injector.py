@@ -93,23 +93,6 @@ class FaultInjector:
     def pending(self):
         return list(self._scheduled)
 
-    def next_event_cycle(self):
-        """The earliest cycle this injector could act; inf when spent.
-
-        Lets the events engine's idle-gap compression prove the
-        hook is a no-op until then (scheduled faults fire at known
-        cycles; transients expose their next duty-cycle transition).
-        """
-        nearest = float("inf")
-        for cycle, _fault, _action in self._scheduled:
-            if cycle < nearest:
-                nearest = cycle
-        for fault in self._transients:
-            nxt = fault.next_change_cycle()
-            if nxt < nearest:
-                nearest = nxt
-        return nearest
-
 
 def router_to_router_channels(network):
     """Channel keys of every inter-router wire (endpoint wires excluded)."""

@@ -288,19 +288,6 @@ class TransientFault(Fault):
                 self._next_change = cycle + self._draw(self.mttr)
         return events
 
-    def next_change_cycle(self):
-        """The next cycle :meth:`poll` could take a transition.
-
-        Before the first poll that is the healthy lead-in's end
-        (``start``) — polling there initializes the schedule with
-        exactly the draws the reference engine's every-cycle polling
-        would make.  Used by the fault injector's idle-run compression
-        hint.
-        """
-        if self._next_change is None:
-            return self.start
-        return self._next_change
-
 
 class FlakyLink(TransientFault):
     """A wire that intermittently goes dead (marginal connector)."""

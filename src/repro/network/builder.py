@@ -146,8 +146,8 @@ def build_network(
         Omitted, every component carries the null-telemetry fast path.
     :param backend: simulation engine backend — ``"reference"`` (the
         dense two-phase sweep) or ``"events"`` (the same sweep minus
-        silent wires, plus idle-gap compression, of
-        :mod:`repro.sim.backends`; identical results).
+        silent wires, of :mod:`repro.sim.backends`; identical
+        results).
     """
     rng = random.Random(seed)
     engine = make_engine(backend)

@@ -23,10 +23,8 @@ equivalence proof covers, on both engine backends and across
 backend-switching restores.
 
 Snapshots are **backend-portable**: the two backends share every
-piece of simulation state, and the events engine's own two fields (its
-compressed-cycle count and whether the last step left every wire
-silent) start fresh on a backend switch and are reset by its next run
-anyway, so a snapshot taken under the dense reference engine restores
+piece of simulation state (the events engine has no field of its
+own), so a snapshot taken under the dense reference engine restores
 under the events engine and vice versa
 (``restore_engine(snap, backend="events")``).  A snapshot whose
 capture backend this build does not register (one written before a
@@ -204,8 +202,8 @@ def snapshot_network(network, extras=None, meta=None):
 # Restore
 # ---------------------------------------------------------------------------
 
-#: Engine attributes that carry simulation state (as opposed to the
-#: events engine's counters) and survive a backend transmute.
+#: Engine attributes that carry simulation state and survive a backend
+#: transmute.
 _CORE_ATTRS = (
     "cycle",
     "components",

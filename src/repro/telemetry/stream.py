@@ -32,10 +32,6 @@ and unstreamed runs stay byte-identical).  ``metro-repro tail`` renders
 a run log (optionally following it live) with :func:`render_run_log`
 and :func:`format_run_log_event`; :func:`read_run_log` parses one;
 :func:`merge_stream_metrics` folds its deltas back into a snapshot.
-
-The stream answers the events engine's idle-gap question
-(``next_event_cycle``) with its next flush or window boundary, so
-idle-gap compression keeps working between them.
 """
 
 import json
@@ -267,24 +263,6 @@ class TelemetryStream(Component):
         if self._next_flush is not None and cycle + 1 >= self._next_flush:
             self.flush_delta(cycle)
             self._next_flush = cycle + 1 + self.flush_every
-
-    def next_event_cycle(self):
-        """The next cycle this observer must actually observe.
-
-        The idle-gap hint (see :mod:`repro.sim.backends`): between
-        flush and window boundaries a stream tick on an idle network
-        is a provable no-op (no new faults, no new messages, an
-        unchanged registry yields an empty delta), so the events
-        engine may jump up to — never past — the boundary this names.
-        """
-        nearest = float("inf")
-        if self.closed:
-            return nearest
-        if self._next_flush is not None:
-            nearest = self._next_flush - 1
-        if self._next_window is not None and self._next_window - 1 < nearest:
-            nearest = self._next_window - 1
-        return nearest
 
     # -- event emission --------------------------------------------------
 

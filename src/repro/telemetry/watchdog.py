@@ -27,11 +27,6 @@ observer that tells them apart *from inside* the simulation:
   :class:`~repro.harness.parallel.TrialRunner` times a trial out it
   can report the last-known cycle instead of a silent
   ``trial_timeout``.
-
-The watchdog answers the events engine's idle-gap question
-(``next_event_cycle``): it names its next heartbeat boundary or the
-pending stall deadline, so a clock jump may land there but never
-past it, and attaching a watchdog leaves idle-gap compression on.
 """
 
 import json
@@ -215,8 +210,7 @@ class RunWatchdog(Component):
                 self._declare_stall(cycle, pending)
             else:
                 # Idle, not stalled: restart the quiet timer so the
-                # deadline stays ahead of the clock (and keeps naming
-                # a future cycle for the compression hint).
+                # deadline stays ahead of the clock.
                 self._last_progress_cycle = cycle
         if (
             self._next_heartbeat is not None
@@ -226,18 +220,6 @@ class RunWatchdog(Component):
                 self.heartbeat_path, cycle, self.delivered, self._stalled
             )
             self._next_heartbeat = cycle + self.heartbeat_every
-
-    def next_event_cycle(self):
-        """Idle-gap hint: heartbeat or stall deadline, whichever is
-        nearer (see :mod:`repro.sim.backends`)."""
-        nearest = float("inf")
-        if self._next_heartbeat is not None:
-            nearest = self._next_heartbeat
-        if not self._stalled and len(self.stalls) < self.stall_limit:
-            deadline = self._last_progress_cycle + self.stall_cycles
-            if deadline < nearest:
-                nearest = deadline
-        return nearest
 
     def _declare_stall(self, cycle, pending):
         # Import here: verify -> telemetry would otherwise be a cycle.

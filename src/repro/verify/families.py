@@ -14,9 +14,9 @@ seeded workloads, and nothing about either proof:
 ``finish(state)``
     Drive the run from wherever it is to the family's end and return
     the state to fingerprint.  The run takes several ``run()`` calls,
-    whose boundaries differ between a straight and a resumed leg (run
-    boundaries are where the events engine steps instead of jumping,
-    so they are under test too).
+    whose boundaries differ between a straight and a resumed leg (a
+    restore marks every wire live until its first advance, so the
+    boundaries are under test too).
 ``fingerprint(state)``
     Everything observable about the run *so far*, as plain data:
     always :func:`~repro.endpoint.messages.message_fingerprint` of the

@@ -11,11 +11,10 @@ one lightweight engine observer
 (:class:`CollectiveObserver`) that watches the shared message log for
 deliveries and releases DAG successors.
 
-Because the release mechanism runs entirely off the observer tick and
-the sources expose ``next_arrival_cycle`` hints, the same workload
-object runs unchanged — and byte-identically — on the dense reference
-engine and the events backend (idle-gap compression included), and
-the whole live DAG pickles with the engine for snapshot/restore.
+Because the release mechanism runs entirely off the observer tick, the
+same workload object runs unchanged — and byte-identically — on the
+dense reference engine and the events backend, and the whole live DAG
+pickles with the engine for snapshot/restore.
 
 Schedule generators cover the collectives an ML fabric evaluation
 needs: ring and recursive-doubling all-reduce, all-to-all, and
@@ -341,12 +340,7 @@ class _CollectiveSource:
     """One endpoint's DAG frontier drain (picklable callable).
 
     Consumes no randomness per cycle — payloads are derived per-op —
-    so polls are free and the ``next_arrival_cycle`` hint keeps the
-    events engine's idle-gap compression alive: 0 (the distant
-    past, blocking compression as long as released work is waiting)
-    while the frontier is non-empty, +inf otherwise (the observer's
-    next release can only follow network activity, which blocks
-    compression by itself).
+    so an empty frontier's poll is one lookup.
     """
 
     __slots__ = ("_workload", "_state", "_index")
@@ -362,9 +356,6 @@ class _CollectiveSource:
             return None
         op_id = queue.pop(0)
         return self._workload._message_for(op_id)
-
-    def next_arrival_cycle(self):
-        return 0 if self._state.ready.get(self._index) else float("inf")
 
 
 class _CollectiveMessage(Message):
@@ -387,11 +378,6 @@ class CollectiveObserver:
     their source endpoint's ready queue.  Abandoned collective
     messages mark the op failed (its successors stay gated — the
     workload reports the deadlock rather than silently skipping ops).
-
-    The observer acts only when the log grows, and the log grows only
-    through component activity — which blocks idle compression on its
-    own — so :meth:`next_event_cycle` can always answer "no scheduled
-    event" and ride compression jumps instead of vetoing them.
 
     :meth:`_release_successors` is the release rule, and the workload
     determinism harness is shown to catch two source edits of it
@@ -430,10 +416,6 @@ class CollectiveObserver:
             released = state.remaining[succ] == 0
             if released and state.released_cycle[succ] is None:
                 state._release(succ, cycle)
-
-    def next_event_cycle(self):
-        """Compression hint: the observer schedules no events itself."""
-        return float("inf")
 
 
 class CollectiveWorkload:
@@ -621,8 +603,7 @@ def finish_collective(network, workload, max_cycles=200000, label=None):
     A network restored from a mid-workload engine snapshot comes back
     with its sources and observer already wired (shared identity
     through the pickle), so only the drive loop remains.  Runs the engine in :data:`CHUNK`-cycle
-    slices (compression-friendly: plain ``run`` slices, never an
-    opaque ``run_until`` predicate) until the DAG finishes, the cycle
+    slices until the DAG finishes, the cycle
     budget runs out, or the DAG is provably stuck (network quiet,
     nothing released, ops remaining — the abandoned-message /
     seeded-bug case).

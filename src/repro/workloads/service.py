@@ -19,9 +19,8 @@ preserves.
 
 The workload is a standard
 :class:`~repro.endpoint.traffic.TrafficSource`: picklable, resumable
-mid-sequence from an engine snapshot, byte-identical across both
-backends, and compression-friendly (arrival times are precomputed per
-client, so an idle gap's length is always known).
+mid-sequence from an engine snapshot, and byte-identical across both
+backends.
 """
 
 import math
@@ -74,11 +73,10 @@ class _ClientSource:
     Keeps, per simulated client, the cycle of its next arrival; a poll
     at cycle ``c`` emits the earliest due request (ties broken by
     client id) and immediately draws that client's next arrival — so
-    randomness is consumed *per request*, never per cycle, and
-    :meth:`next_arrival_cycle` can always name the next event for the
-    events engine's idle-gap compression.  Requests the interface
-    cannot transmit yet simply stay due (the open-loop backlog); their
-    pre-stamped ``queued_cycle`` keeps the latency clock honest.
+    randomness is consumed *per request*, never per cycle.  Requests
+    the interface cannot transmit yet simply stay due (the open-loop
+    backlog); their pre-stamped ``queued_cycle`` keeps the latency
+    clock honest.
     """
 
     __slots__ = ("_traffic", "_rng", "_index", "_due", "_burst", "_stop_at")
@@ -149,13 +147,6 @@ class _ClientSource:
         for client, due in enumerate(self._due):
             if due >= at_cycle:
                 self._due[client] = float("inf")
-
-    def next_arrival_cycle(self):
-        """The earliest due arrival (possibly in the past), never None."""
-        nearest = min(self._due) if self._due else float("inf")
-        if self._burst:
-            nearest = min(nearest, self._burst[0][0])
-        return nearest
 
 
 class RequestResponseWorkload(TrafficSource):

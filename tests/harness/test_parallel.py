@@ -22,6 +22,9 @@ from repro.harness.parallel import (
 from repro.harness.reporting import format_trial_event
 from repro.harness.saturation import find_saturation
 
+if __name__ == "__main__":  # ``--regen`` runs this file as a script
+    sys.path.insert(0, os.path.normpath(os.path.join(__file__, "../../..")))
+
 from tests.mutants import seeded
 
 SWEEP_KW = dict(
@@ -849,7 +852,7 @@ def test_workers_exit_when_supervisor_is_sigkilled(tmp_path):
 # trial.  A refactor of the harness must leave the fixture untouched;
 # after an *intentional* identity change regenerate it with
 #
-#     PYTHONPATH=src python -m tests.harness.test_parallel --regen
+#     PYTHONPATH=src python tests/harness/test_parallel.py --regen
 #
 # and review the diff (every trial cache and journal in the field moves
 # with it).

@@ -158,18 +158,12 @@ PROTOCOL = {
 
 MUTANTS = {
     **PROTOCOL,
-    # -- the events engine's clock jump (tests/sim/test_backends.py,
+    # -- the events engine's live test (tests/sim/test_backends.py,
     # tests/verify/test_backend_mutations.py)
-    # A run may end inside a jump: its last cycle goes unstepped, so
-    # every component's clock is stale when the run returns.
-    "events-run-ends-in-jump": {(EventEngine, "run"): [
-        ("min(target, last)", "min(target, last + 1)"),
-        ("            self.step()\n",
-         "            if self.cycle <= last:\n                self.step()\n"),
-    ]},
-    # The jump lands one cycle past the nearest hint.
-    "events-jump-past-hint": {(EventEngine, "_next_event"): [
-        ("return nearest", "return nearest + 1"),
+    # Only a wire a send marked True is advanced: once advance() has
+    # recounted ``live`` as an int, a word in flight stops shifting.
+    "events-live-is-true": {(EventEngine, "step"): [
+        ("if channel.live:", "if channel.live is True:"),
     ]},
     # -- fast paths both engines run (test_channel.py,
     # test_fast_path_mutations.py, test_full_ticks.py)

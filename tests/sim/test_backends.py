@@ -1,11 +1,10 @@
-"""The events engine backend: silent wires, idle-gap compression.
+"""The events engine backend: the dense sweep minus silent wires.
 
 Byte-level equivalence over whole workloads lives in
 ``tests/verify/test_backend_diff.py``; these tests pin the mechanisms
-that make it hold — only registered wires are advanced, a component
-that cannot name its next event vetoes the jump, a run's last cycle
-is always stepped, and compression's interaction with deadlines and
-stop requests.
+that make it hold — only registered, live wires are advanced, every
+component and observer still ticks every cycle, and deadlines and stop
+requests hold as on the reference engine.
 """
 
 import pytest
@@ -44,8 +43,7 @@ def test_make_engine_rejects_unknown_backend():
 
 
 class _Counter(Component):
-    """Ticks forever; cannot name its next event (no
-    ``next_event_cycle``)."""
+    """Records every cycle it ticks."""
 
     def __init__(self):
         self.name = "counter"
@@ -56,20 +54,17 @@ class _Counter(Component):
 
 
 def test_non_protocol_component_degrades_to_dense_sweep():
-    """A component without ``next_event_cycle`` vetoes every jump:
-    the run is the dense sweep."""
+    """Every component ticks every cycle of an events run."""
     engine = EventEngine()
     counter = _Counter()
     engine.add_component(counter)
     engine.run(5)
     assert counter.ticks == [0, 1, 2, 3, 4]
-    assert engine.compressed_cycles == 0
 
 
 def test_degraded_equivalence_on_a_network():
-    """A foreign component changes nothing but the jump: the same
-    delivery, no cycle compressed."""
-    logs, compressed = [], []
+    """A foreign component on an events network changes no delivery."""
+    logs = []
     for extra in (False, True):
         network = figure1_network(seed=3, backend="events")
         if extra:
@@ -78,40 +73,52 @@ def test_degraded_equivalence_on_a_network():
         assert network.run_until_quiet(max_cycles=20000)
         network.run(500)
         logs.append((message.outcome, message.latency, message.attempts))
-        compressed.append(network.engine.compressed_cycles)
     assert logs[0] == logs[1]
-    assert compressed[0] > 400 and compressed[1] == 0
+    assert logs[0][0] == DELIVERED
+
+
+def _count_advances(network, cycles):
+    """Run ``cycles`` cycles; the number of ``Channel.advance`` calls."""
+    calls = []
+    advance = Channel.advance
+
+    def counted(channel):
+        calls.append(channel)
+        advance(channel)
+
+    Channel.advance = counted
+    try:
+        network.run(cycles)
+    finally:
+        Channel.advance = advance
+    return len(calls)
 
 
 def test_idle_network_parks_and_compresses():
-    """After a delivery every wire that carried it falls silent again,
-    every router goes quiet and the idle run that follows is
-    compressed away in O(1)."""
+    """After a delivery an idle events run advances no wire."""
     network = figure1_network(seed=0, backend="events")
     message = network.send(2, Message(dest=13, payload=[1, 2, 3]))
     assert network.run_until_quiet(max_cycles=20000)
     assert message.outcome == DELIVERED
     engine = network.engine
-    start, compressed = engine.cycle, engine.compressed_cycles
-    network.run(2000)
+    start = engine.cycle
+    assert _count_advances(network, 2000) == 0
     assert engine.cycle == start + 2000
-    assert engine.compressed_cycles - compressed > 1900
 
 
 def test_the_compression_test_catches_an_occupancy_that_never_clears():
-    """Seeded wire bug (``docs/testing.md``): ``Channel.advance`` never
-    uncounts a word leaving its last slot, so a wire that carried one
-    stays live and the network never compresses again."""
+    """The idle-advance count fails under ``channel-advance-keeps-occupancy``."""
+    # Seeded wire bug (``docs/testing.md``): ``Channel.advance`` never
+    # uncounts a word leaving its last slot, so a wire that carried one
+    # stays live and the events engine advances it every cycle.
     with seeded("channel-advance-keeps-occupancy"):
-        with pytest.raises(AssertionError):
-            test_degraded_equivalence_on_a_network()
         with pytest.raises(AssertionError):
             test_idle_network_parks_and_compresses()
 
 
 def _send_after_idle(factory, backend, src, dest):
     network = factory(seed=5, backend=backend)
-    network.run(500)  # one jump (events) / 500 idle steps (reference)
+    network.run(500)
     message = network.send(src, Message(dest=dest, payload=[7, 8, 9]))
     assert network.run_until_quiet(max_cycles=20000)
     assert message.outcome == DELIVERED
@@ -120,9 +127,9 @@ def _send_after_idle(factory, backend, src, dest):
 
 def test_send_on_a_parked_network_is_delivered():
     """A message submitted between runs is stamped with the endpoint's
-    clock (``queued_cycle``): the events engine steps the last cycle
-    of every run, so that clock, the start and the delivery match the
-    reference backend cycle for cycle, on Figure 1 and Figure 3."""
+    clock (``queued_cycle``), and that clock, the start and the
+    delivery match the reference backend cycle for cycle, on Figure 1
+    and Figure 3."""
     for factory, src, dest in ((figure1_network, 2, 13), (figure3_network, 5, 60)):
         reference = _send_after_idle(factory, "reference", src, dest)
         assert reference[0] == 499
@@ -130,10 +137,11 @@ def test_send_on_a_parked_network_is_delivered():
 
 
 def test_the_send_test_catches_a_run_that_ends_in_a_jump():
-    """Seeded engine bug (``docs/testing.md``): the last jump of a run
-    lands on its end cycle, so no component ticks the run's last
-    cycle and an endpoint stamps a message with a stale clock."""
-    with seeded("events-run-ends-in-jump"):
+    """The parked-send test fails under ``endpoint-idle-ignores-reply-phase``."""
+    # Seeded endpoint bug (``docs/testing.md``): a destination whose
+    # receive pipes fall silent mid-reply stops replying, so the
+    # message is never delivered.
+    with seeded("endpoint-idle-ignores-reply-phase"):
         with pytest.raises(AssertionError):
             test_send_on_a_parked_network_is_delivered()
 
@@ -163,14 +171,10 @@ def test_loaded_equivalence_uniform_traffic():
 
 
 def test_trace_traffic_compresses_between_arrivals():
-    """A source that names its next arrival lets the gaps between
-    arrivals be compressed — without changing a single delivery.  The
-    source here is the service workload's open-loop client population
-    (arrival times are drawn per request, so ``next_arrival_cycle`` is
-    always known), at a rate that leaves thousands of idle cycles
-    between requests."""
+    """Sparse open-loop arrivals give the same deliveries on both backends."""
+    # The service workload's client population, at a rate that leaves
+    # thousands of idle cycles between requests.
     logs = []
-    compressed = None
     for backend in ("reference", "events"):
         network = figure1_network(seed=21, backend=backend)
         RequestResponseWorkload(
@@ -189,16 +193,13 @@ def test_trace_traffic_compresses_between_arrivals():
                 for m in network.log.messages
             ]
         )
-        if backend == "events":
-            compressed = network.engine.compressed_cycles
     assert logs[0] == logs[1]
     assert len(logs[0]) == 3  # arrivals at cycles 63, 2264 and 4895
     assert all(entry[-1] == DELIVERED for entry in logs[0])
-    assert compressed > 4000  # the dead air between arrivals
 
 
 def test_compression_respects_the_deadline():
-    """An idle-run jump may land on the deadline but never past it."""
+    """An events run may end on the deadline but never past it."""
     network = figure1_network(seed=0, backend="events")
     network.engine.set_deadline(700)
     with pytest.raises(EngineDeadlineError):
@@ -229,7 +230,7 @@ def test_stop_mid_run_on_the_events_backend():
 
 
 def test_observers_disable_compression():
-    """Observers sample every cycle, so no cycle may be skipped."""
+    """An observer on an events network ticks every cycle."""
     network = figure1_network(seed=0, backend="events")
     trail = []
 
@@ -242,7 +243,6 @@ def test_observers_disable_compression():
     network.engine.add_observer(_Probe())
     network.run(50)
     assert trail == list(range(50))
-    assert network.engine.compressed_cycles == 0
 
 
 class _Wired(Component):
@@ -272,12 +272,11 @@ def test_unregistered_attached_channel_is_never_advanced():
 
 
 def test_staging_heats_a_cold_channel():
-    """A word staged on a silent wire between runs marks it live, and
-    the next run advances it: nothing announces it to the engine."""
+    """A word staged on a silent wire between runs is advanced by the next run."""
+    # Staging marks the wire live: nothing announces it to the engine.
     network = figure1_network(seed=0, backend="events")
     network.run(600)
     engine = network.engine
-    assert engine.compressed_cycles > 500
     channel = engine.channels[0]
     assert not channel.live
     channel.a.send(W.data(1))
@@ -289,7 +288,7 @@ def test_staging_heats_a_cold_channel():
 def _cascade_facts(backend):
     """Three routers cascaded on one random bus, idle for 500 cycles,
     then fed the same header on one forward port each; the boundary
-    registers, the router events and the cycles the engine jumped."""
+    registers and the router events."""
     params = RouterParameters(i=4, o=4, w=4, max_d=2)
     bus = SharedRandomBus(seed=5)
     engine = make_engine(backend)
@@ -327,16 +326,13 @@ def _cascade_facts(backend):
         for span in hub.spans.completed
         if span.cat == "router"
     ]
-    return boundary, events, getattr(engine, "compressed_cycles", 0)
+    return boundary, events
 
 
 def test_an_idle_cascade_on_a_shared_bus_matches_the_reference():
-    """A quiet router on a shared random bus lets the clock jump: a
-    skipped tick would only have cleared the bus's per-cycle memo,
-    which the next tick clears anyway.  Idle gaps give the same routing
-    and the same boundary registers on both engines."""
-    boundary, events, _ = _cascade_facts("reference")
-    assert events  # the comparison is not vacuous
-    *facts, compressed = _cascade_facts("events")
-    assert facts == [boundary, events]
-    assert compressed > 1900
+    """Routers cascaded on a shared bus route alike on both engines."""
+    # Idle gaps between the bursts leave every wire silent, so the
+    # events engine advances none of them until the next header.
+    reference = _cascade_facts("reference")
+    assert reference[1]  # the comparison is not vacuous
+    assert _cascade_facts("events") == reference

@@ -21,8 +21,12 @@ then review the fixture diff like any other code change.
 
 import os
 import pickletools
+import sys
 
 import pytest
+
+if __name__ == "__main__":  # ``--regen`` runs this file as a script
+    sys.path.insert(0, os.path.normpath(os.path.join(__file__, "../../..")))
 
 from tests.fresh import fresh_json
 

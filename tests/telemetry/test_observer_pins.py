@@ -13,7 +13,7 @@ A change to how a wire counts its words, to the hub's occupancy
 sampling or to the run-log encoding (series order included) shows up
 as a diff here.  If a change is *intentional*, regenerate with::
 
-    PYTHONPATH=src python -m tests.telemetry.test_observer_pins --regen
+    PYTHONPATH=src python tests/telemetry/test_observer_pins.py --regen
 
 and review the fixture diff like any other code change.  Every
 registered backend is held to the same fixture.
@@ -33,6 +33,9 @@ from repro.harness.load_sweep import figure1_network
 from repro.sim.backends import BACKENDS
 from repro.telemetry import TelemetryHub, TelemetryStream
 from repro.telemetry.stream import _SERIES_ORDER
+
+if __name__ == "__main__":  # ``--regen`` runs this file as a script
+    sys.path.insert(0, os.path.normpath(os.path.join(__file__, "../../..")))
 
 from tests.mutants import seeded
 
@@ -156,7 +159,7 @@ def test_the_wall_clock_is_all_that_is_cut():
 
 if __name__ == "__main__":
     if "--regen" not in sys.argv[1:]:
-        sys.exit("usage: python -m tests.telemetry.test_observer_pins --regen")
+        sys.exit("usage: python tests/telemetry/test_observer_pins.py --regen")
     with open(PIN_PATH, "w") as handle:
         json.dump(pinned_state(), handle, indent=1, sort_keys=True)
         handle.write("\n")

@@ -1,4 +1,4 @@
-"""TelemetryStream run logs: schema, lossless deltas, engine hints."""
+"""TelemetryStream run logs: schema, lossless deltas, the events engine."""
 
 import io
 import json
@@ -247,33 +247,50 @@ class TestWindowStats:
 
 
 class TestEngineHints:
+    """The stream on the events engine, which ticks it every cycle."""
+
     def test_stream_preserves_idle_compression(self):
-        network = figure1_network(seed=5, backend="events")
-        stream = TelemetryStream(
-            io.StringIO(), flush_every=500, window_cycles=1000
-        )
-        stream.bind(network)
-        network.run(5000)
-        stream.close()
-        # The stream's next_event_cycle hint lets the events backend
-        # keep jumping between flush boundaries on an idle network.
-        assert network.engine.compressed_cycles > 0.9 * 5000
+        """An idle events run writes the reference run's log."""
+        logs = []
+        for backend in ("reference", "events"):
+            network = figure1_network(seed=5, backend=backend)
+            sink = io.StringIO()
+            stream = TelemetryStream(sink, flush_every=500, window_cycles=1000)
+            stream.bind(network)
+            network.run(5000)
+            stream.close()
+            events = read_run_log(sink.getvalue().splitlines())
+            for event in events:
+                event.pop("t", None)  # wall-clock metadata
+            logs.append(events)
+        assert logs[0] == logs[1]
+        windows = [e for e in logs[0] if e["event"] == "window.stats"]
+        assert len(windows) == 5
 
     def test_hintless_observer_still_disables_compression(self):
+        """An observer on an idle events network ticks every cycle."""
         network = figure1_network(seed=5, backend="events")
+        ticks = []
 
         class Opaque:
             enabled = True
             name = "opaque"
 
             def tick(self, cycle):
-                pass
+                ticks.append(cycle)
 
         network.engine.add_observer(Opaque())
         network.run(2000)
-        assert network.engine.compressed_cycles == 0
+        assert ticks == list(range(2000))
 
     def test_closed_stream_never_wakes_the_engine(self):
-        stream = TelemetryStream(io.StringIO(), flush_every=10)
-        stream.closed = True
-        assert stream.next_event_cycle() == float("inf")
+        """A closed stream writes nothing more, however long the run."""
+        network = figure1_network(seed=5, backend="events")
+        sink = io.StringIO()
+        stream = TelemetryStream(sink, flush_every=10, window_cycles=20)
+        stream.bind(network)
+        stream.close()
+        closed = sink.getvalue()
+        assert closed
+        network.run(100)
+        assert sink.getvalue() == closed

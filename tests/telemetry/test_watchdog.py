@@ -84,15 +84,15 @@ class TestStallDetection:
         assert stalls[0]["violations"][0]["rule"] == "quiescence-leak"
 
     def test_idle_network_never_stalls(self):
+        """An idle run never stalls: the quiet timer restarts instead."""
         network = figure1_network(seed=5, backend="events")
         watchdog = RunWatchdog(stall_cycles=500)
         watchdog.bind(network)
         network.run(3000)
         assert not watchdog.stalled
         assert watchdog.stalls == []
-        # The idle-timer reset keeps the hint ahead of the clock, so
-        # the events backend still compresses the quiet stretches.
-        assert network.engine.compressed_cycles > 0.8 * 3000
+        # The idle-timer reset keeps the stall deadline ahead of the clock.
+        assert network.engine.cycle - watchdog._last_progress_cycle <= 500
 
     def test_healthy_loaded_network_never_stalls(self):
         network = figure1_network(seed=5)

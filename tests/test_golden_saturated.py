@@ -20,10 +20,14 @@ registered backend is held to the same fixture.
 
 import json
 import os
+import sys
 
 import pytest
 
 from repro.sim.backends import BACKENDS
+
+if __name__ == "__main__":  # ``--regen`` runs this file as a script
+    sys.path.insert(0, os.path.normpath(os.path.join(__file__, "../..")))
 
 from tests.mutants import seeded
 

@@ -1,18 +1,16 @@
 """The backend-layer seeded mutation is caught by the backend prover.
 
-``events-jump-past-hint`` (``tests/mutants.py``: an edit of
-``EventEngine._next_event``) plants the bug a clock-jumping engine
-invites: the jump lands one cycle past the nearest event any
-component, observer or hook named, so that event is skipped.  This
-module asserts that :func:`repro.verify.backend_diff.diff_point`
-reports a byte-level divergence from the reference backend on seeded
-``service`` soaks, whose open-loop clients name their next arrival
-(a skipped arrival cycle delays a request).
-
-The ``collective`` family does not catch it: its sources answer 0
-(work waiting, no jump) or ``inf``, so there is no finite hint to
-overshoot.  The conformance oracle does not either: a late request
-breaks no protocol rule.
+``events-live-is-true`` (``tests/mutants.py``: an edit of
+``EventEngine.step``) plants the bug a wire-skipping engine invites:
+it advances only a wire a send has just marked ``True``, so once
+``advance()`` has recounted ``live`` as an int, a word that no sender
+re-stages stops shifting.  This module asserts that
+:func:`repro.verify.backend_diff.diff_point` reports a byte-level
+divergence from the reference backend on seeded ``scenario`` runs,
+whose multi-cycle wires stop a word mid-pipe (the oracle reports it
+too), and on a ``traffic`` run, whose one-cycle wires strand only a
+trailing word its receiver ignores: no message changes, but the
+``channel.in_flight`` metrics count it.
 
 That is the point of the exercise: the equivalence prover must be
 demonstrably sensitive to a single-site bug in the surviving fast
@@ -27,7 +25,7 @@ from repro.verify.scenario import random_scenario
 from tests.mutants import seeded
 
 #: (kind, seed) pairs the mutated events engine walks to a report.
-DIFF_POINTS = [("service", seed) for seed in range(4)]
+DIFF_POINTS = [("scenario", 1), ("scenario", 2), ("scenario", 3), ("traffic", 0)]
 
 
 def _scenario_oracle_run(max_cycles=8000):
@@ -45,10 +43,11 @@ def _scenario_oracle_run(max_cycles=8000):
 
 
 def test_backend_diff_catches_mutation():
+    """The backend prover fails under ``events-live-is-true``."""
     for point in DIFF_POINTS:
-        with seeded("events-jump-past-hint"):
+        with seeded("events-live-is-true"):
             result = diff_point(*point, backend="events")
-        assert not result.ok, (point, "backend_diff missed events-jump-past-hint")
+        assert not result.ok, (point, "backend_diff missed events-live-is-true")
         assert result.mismatches
 
 

@@ -16,7 +16,7 @@ violation — or hit the oracle's 1000-violation cap — by cycle 514).
 
 If a change to a *rule* is intentional, regenerate with::
 
-    PYTHONPATH=src python -m tests.verify.test_oracle_pinned --regen
+    PYTHONPATH=src python tests/verify/test_oracle_pinned.py --regen
 
 and review the fixture diff like any other code change.
 """
@@ -30,6 +30,9 @@ import sys
 import pytest
 
 from repro.sim.backends import BACKENDS
+
+if __name__ == "__main__":  # ``--regen`` runs this file as a script
+    sys.path.insert(0, os.path.normpath(os.path.join(__file__, "../../..")))
 
 from tests.mutants import seeded
 from tests.verify import test_mutations
