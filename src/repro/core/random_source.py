@@ -12,8 +12,8 @@ per component, so experiments are reproducible, plus a
 
 The module also provides the experiment-level seed machinery:
 :func:`derive_seed` hashes a root seed plus a label path into an
-independent 64-bit seed, and :class:`SeedStream` wraps a root seed so
-sweeps can hand every trial its own reproducible stream.  Derivation
+independent 64-bit seed, so sweeps can hand every trial its own
+reproducible stream.  Derivation
 is position-independent — the seed for ``("load", 0.04)`` does not
 change when other trials are added to or removed from a sweep — which
 is what lets serial and parallel sweep execution produce bit-identical
@@ -46,34 +46,6 @@ def _canonical_seed_part(part):
     if isinstance(part, (tuple, list)):
         return tuple(_canonical_seed_part(p) for p in part)
     return part
-
-
-class SeedStream:
-    """A root seed plus namespaced derivation, for fan-out experiments.
-
-    Each trial of a sweep asks the stream for its own seed (or child
-    stream) by path; the answers depend only on (root, path), never on
-    the order of the requests, so a pool of workers and a serial loop
-    draw identical randomness.
-    """
-
-    def __init__(self, root=0):
-        self.root = int(root)
-
-    def seed(self, *path):
-        """The derived 64-bit seed for ``path``."""
-        return derive_seed(self.root, *path)
-
-    def child(self, *path):
-        """A :class:`SeedStream` rooted at the derived seed for ``path``."""
-        return SeedStream(self.seed(*path))
-
-    def stream(self, *path):
-        """A :class:`RandomStream` seeded for ``path``."""
-        return RandomStream(self.seed(*path))
-
-    def __repr__(self):
-        return "<SeedStream root={}>".format(self.root)
 
 
 class RandomStream:

@@ -180,8 +180,6 @@ class Endpoint(Component):
         return {k: v for k, v in vars(self).items() if k not in derived}
 
     def __setstate__(self, state):
-        # An endpoint pickled before the at-rest skip was not resting.
-        self._resting, self._rest_from, self._wake = None, 0, 0
         self.__dict__.update(state)
         self._rx_pipes, self._rx_silent = None, ()
 

@@ -96,11 +96,6 @@ class _BernoulliSource:
         # < rate follows them.
         self._misses, self._hit = 0, False
 
-    def __setstate__(self, state):
-        self._misses, self._hit = 0, False  # pickled before draw-ahead
-        for name, value in state[1].items():
-            setattr(self, name, value)
-
     def __call__(self, cycle):
         if self._misses:
             self._misses -= 1

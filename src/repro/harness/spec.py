@@ -172,12 +172,6 @@ def execute_trial(spec, heartbeat_path=None):
     liveness heartbeats there (restored afterwards — worker processes
     run many trials back to back).
     """
-    if os.environ.get("REPRO_CHAOSMONKEY"):
-        # Test/CI-only fault injector; the env lookup is the only cost
-        # in production runs.  See repro.harness.chaosmonkey.
-        from repro.harness import chaosmonkey
-
-        chaosmonkey.maybe_strike(spec)
     start = time.perf_counter()
     runner = spec.resolve_runner()
     if heartbeat_path is None:

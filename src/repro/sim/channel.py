@@ -110,14 +110,6 @@ class Channel:
         }
 
     def __setstate__(self, state):
-        if type(state.get("telemetry")) not in (type(None), tuple):
-            # Before wires counted their own words they held the hub.
-            from repro.sim.snapshot import SnapshotFormatError
-
-            raise SnapshotFormatError(
-                "snapshot holds a channel bound to a telemetry hub in a "
-                "layout this build cannot resume (the hub, not its counters)"
-            )
         for name, value in state.items():
             setattr(self, name, value)
         # Sound, not exact: the first advance() recounts.

@@ -72,14 +72,10 @@ class NullTelemetry:
         return "<NullTelemetry>"
 
     def __reduce__(self):
-        # Pickle to the singleton, so components restored from an
-        # engine snapshot share NULL_TELEMETRY instead of each holding
-        # a private copy.  The reference is by the name snapshots have
-        # always carried (``golden_snapshot.bin`` included), so their
-        # bytes and content hashes do not depend on where the class is.
-        from repro.telemetry.nullobj import _null_telemetry
-
-        return (_null_telemetry, ())
+        # Pickle by name, as the module global below, so components
+        # restored from an engine snapshot share NULL_TELEMETRY instead
+        # of each holding a private copy.
+        return "NULL_TELEMETRY"
 
 
 NULL_TELEMETRY = NullTelemetry()

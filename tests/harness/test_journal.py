@@ -9,12 +9,6 @@ import textwrap
 
 import pytest
 
-from repro.harness.chaosmonkey import (
-    arm,
-    corrupt_cache_entry,
-    strike_counts,
-    truncate_tail,
-)
 from repro.harness.journal import (
     JOURNAL_FORMAT,
     RunJournal,
@@ -33,6 +27,13 @@ from repro.harness.parallel import (
 )
 from repro.telemetry.stream import read_run_log
 
+from tests.chaosmonkey import (
+    corrupt_cache_entry,
+    needs_fork,
+    strike_counts,
+    truncate_tail,
+)
+from tests.fresh import ROOT
 from tests.mutants import seeded
 
 
@@ -420,8 +421,9 @@ _VICTIM_SCRIPT = textwrap.dedent(
     """
     import sys
     from repro.harness.parallel import TrialRunner, TrialSpec
+    from tests.chaosmonkey import armed
 
-    cache_dir, journal, backend = sys.argv[1], sys.argv[2], sys.argv[3]
+    cache_dir, journal, backend, ledger = sys.argv[1:5]
     specs = []
     for index in range(3):
         params = dict(rate=0.005 * (index + 1), warmup_cycles=100,
@@ -432,12 +434,14 @@ _VICTIM_SCRIPT = textwrap.dedent(
                                params=params, seed=index,
                                label="pt{}".format(index)))
     runner = TrialRunner(cache_dir=cache_dir, journal=journal)
-    runner.run(specs)
+    with armed(ledger, target="pt1", strikes=1):
+        runner.run(specs)
     print("SURVIVED")  # the chaosmonkey must never let us get here
     """
 )
 
 
+@needs_fork
 @pytest.mark.parametrize("backend", [None, "events"],
                          ids=["dense", "events"])
 def test_kill_resume_byte_identical(tmp_path, backend):
@@ -450,14 +454,13 @@ def test_kill_resume_byte_identical(tmp_path, backend):
     cache_dir = str(tmp_path / "cache")
     journal = str(tmp_path / "run.jsonl")
     env = dict(os.environ)
-    env.update(arm(str(tmp_path / "ledger"), target="pt1", strikes=1))
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(os.getcwd(), "src"),
-                    env.get("PYTHONPATH")) if p
+        p for p in (os.path.join(ROOT, "src"), ROOT, env.get("PYTHONPATH"))
+        if p
     )
     proc = subprocess.run(
         [sys.executable, "-c", _VICTIM_SCRIPT, cache_dir, journal,
-         backend or "none"],
+         backend or "none", str(tmp_path / "ledger")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == -signal.SIGKILL, proc.stderr

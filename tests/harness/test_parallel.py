@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.core.random_source import SeedStream, derive_seed
+from repro.core.random_source import derive_seed
 from repro.harness.fault_sweep import fault_degradation_sweep
 from repro.harness.load_sweep import figure1_network, figure3_sweep, load_trial_specs
 from repro.harness.parallel import (
@@ -25,6 +25,7 @@ from repro.harness.saturation import find_saturation
 if __name__ == "__main__":  # ``--regen`` runs this file as a script
     sys.path.insert(0, os.path.normpath(os.path.join(__file__, "../../..")))
 
+from tests.chaosmonkey import armed, needs_fork
 from tests.mutants import seeded
 
 SWEEP_KW = dict(
@@ -80,14 +81,6 @@ def test_derive_seed_position_independent():
     sparse = load_trial_specs(rates=(0.04,), seed=3)
     dense = load_trial_specs(rates=(0.002, 0.04, 0.32), seed=3)
     assert sparse[0].seed == dense[1].seed
-
-
-def test_seed_stream_children():
-    stream = SeedStream(7)
-    assert stream.seed("a", 1) == SeedStream(7).seed("a", 1)
-    child = stream.child("a")
-    assert child.root == stream.seed("a")
-    assert stream.stream("x").bits(16) == stream.stream("x").bits(16)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +417,8 @@ def test_serial_events_carry_wall_durations(tmp_path):
 
 
 def _crash_once_trial(seed=0):
-    # Killed externally by the chaosmonkey on its first attempt.
+    # Killed by the striker of ``tests/chaosmonkey.py`` on its first
+    # attempt.
     return ("survived", seed)
 
 
@@ -471,16 +465,11 @@ def test_timed_out_trial_recycles_worker_and_pool_completes(caplog):
     assert results[1:] == [(v, v) for v in range(4)]
 
 
-def test_worker_killed_three_times_quarantines_and_sweep_completes(
-    tmp_path, monkeypatch
-):
+@needs_fork
+def test_worker_killed_three_times_quarantines_and_sweep_completes(tmp_path):
     """Acceptance: 3x SIGKILL on one trial -> quarantine, sweep lives."""
-    from repro.harness.chaosmonkey import arm
     from repro.harness.parallel import TrialBackoff, partition_quarantined
 
-    for key, value in arm(str(tmp_path / "ledger"), target="victim",
-                          strikes=3).items():
-        monkeypatch.setenv(key, value)
     runner = TrialRunner(
         workers=2,
         retries=TrialBackoff(max_attempts=3, base=0.0, jitter=False),
@@ -493,7 +482,8 @@ def test_worker_killed_three_times_quarantines_and_sweep_completes(
                   label="bystander{}".format(v))
         for v in range(3)
     ]
-    results = runner.run(specs)
+    with armed(str(tmp_path / "ledger"), target="victim", strikes=3):
+        results = runner.run(specs)
     ok, quarantined = partition_quarantined(results)
     assert ok == [(v, v) for v in range(3)]
     (report,) = quarantined
@@ -509,21 +499,20 @@ def test_worker_killed_three_times_quarantines_and_sweep_completes(
     assert "crash x3" in format_quarantine_report([report])
 
 
-def test_crashed_worker_retries_to_success(tmp_path, monkeypatch):
+@needs_fork
+def test_crashed_worker_retries_to_success(tmp_path):
     """A worker SIGKILLed once retries the trial and succeeds."""
-    from repro.harness.chaosmonkey import arm
     from repro.harness.parallel import TrialBackoff
 
-    for key, value in arm(str(tmp_path / "ledger"), target="victim",
-                          strikes=1).items():
-        monkeypatch.setenv(key, value)
     runner = TrialRunner(
         workers=2,
         retries=TrialBackoff(max_attempts=2, base=0.0, jitter=False),
     )
-    results = runner.run(
-        [TrialSpec(__name__ + ":_crash_once_trial", seed=7, label="victim")]
-    )
+    with armed(str(tmp_path / "ledger"), target="victim", strikes=1):
+        results = runner.run(
+            [TrialSpec(__name__ + ":_crash_once_trial", seed=7,
+                       label="victim")]
+        )
     assert results == [("survived", 7)]
 
 
@@ -617,15 +606,11 @@ def test_serial_and_pool_agree_on_failure_handling(
     assert attempts == list(range(1, len(attempts) + 1))
 
 
+@needs_fork
 def test_pool_shrinks_when_respawn_fails(tmp_path, monkeypatch, caplog):
     """Graceful degradation: a dead worker that cannot be respawned
     shrinks the pool instead of wedging or crashing the sweep."""
-    from repro.harness.chaosmonkey import arm
     from repro.harness.parallel import TrialBackoff
-
-    for key, value in arm(str(tmp_path / "ledger"), target="victim",
-                          strikes=1).items():
-        monkeypatch.setenv(key, value)
     from repro.harness.pool import WorkerPool
 
     original = WorkerPool.spawn
@@ -649,7 +634,8 @@ def test_pool_shrinks_when_respawn_fails(tmp_path, monkeypatch, caplog):
                   label="bystander{}".format(v))
         for v in range(3)
     ]
-    with caplog.at_level("WARNING", logger="repro.harness.parallel"):
+    with caplog.at_level("WARNING", logger="repro.harness.parallel"), \
+            armed(str(tmp_path / "ledger"), target="victim", strikes=1):
         results = runner.run(specs)
     assert results[0] == ("survived", 7)
     assert results[1:] == [(v, v) for v in range(3)]

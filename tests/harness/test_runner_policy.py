@@ -388,15 +388,13 @@ def test_leaf_modules_import_neither_the_runner_nor_the_journal(leaf):
     "name", ["spec.py", "cache.py", "pool.py", "parallel.py", "journal.py"]
 )
 def test_no_harness_import_hides_inside_a_function(name):
+    """No harness module imports another one inside a function."""
     lazy = [
         (module, function)
         for module, function in _imports(os.path.join(HARNESS, name))
         if function is not None and module.startswith("repro.harness")
     ]
-    # The one stated exception: a test/CI-only fault injector, armed by
-    # an environment variable, imported where it strikes.
-    allowed = [("repro.harness.chaosmonkey", "execute_trial")]
-    assert lazy == (allowed if name == "spec.py" else [])
+    assert lazy == []
 
 
 def test_only_the_cache_module_spells_the_result_encoding():

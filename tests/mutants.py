@@ -264,11 +264,10 @@ MUTANTS = {
         ("dict(structure, code=code)", "dict(structure)"),
     ]},
     # -- snapshots (tests/sim/test_snapshot_engine.py)
-    # A restore onto the other backend leaves the engine's deadline behind.
-    "snapshot-transmute-drops-deadline": {(snapshot, "_transmute"): [(
-        "for name in _CORE_ATTRS}",
-        'for name in _CORE_ATTRS if name != "deadline"}',
-    )]},
+    # A restore keeps the capture backend whatever ``backend=`` asks for.
+    "snapshot-restore-ignores-backend": {(snapshot, "restore"): [
+        ("_transmute(engine, backend)", "_transmute(engine, snap.backend)"),
+    ]},
     # -- telemetry (tests/telemetry/test_stream.py)
     # A delta carries every histogram bucket's running count, not its
     # change, so a fold of deltas over-counts the buckets.

@@ -151,11 +151,9 @@ def test_capture_is_reproducible_in_process():
     assert _capture().content_hash == _capture().content_hash
 
 
-#: The reference every snapshot pickles the null telemetry object as.
-#: The object lives in ``repro.sim.component``; its ``__reduce__``
-#: keeps this older name so snapshot bytes and content hashes do not
-#: depend on where the class is defined.
-NULL_TELEMETRY_GLOBAL = ("repro.telemetry.nullobj", "_null_telemetry")
+#: The reference every snapshot pickles the null telemetry object as:
+#: the module global itself (``NullTelemetry.__reduce__`` names it).
+NULL_TELEMETRY_GLOBAL = ("repro.sim.component", "NULL_TELEMETRY")
 
 
 def _pickled_globals(blob):
@@ -175,15 +173,16 @@ def _pickled_globals(blob):
 
 
 def test_snapshots_name_the_null_telemetry_by_its_pickled_path():
+    """A fresh capture and the fixture pickle the singleton by its global, and nothing from nullobj."""
     from repro.harness.load_sweep import figure1_network
     from repro.sim.snapshot import snapshot_network
 
     network = figure1_network(seed=3)
     network.run(20)
-    assert NULL_TELEMETRY_GLOBAL in _pickled_globals(
-        snapshot_network(network).blob
-    )
-    assert NULL_TELEMETRY_GLOBAL in _pickled_globals(_load_golden().blob)
+    for blob in (snapshot_network(network).blob, _load_golden().blob):
+        found = _pickled_globals(blob)
+        assert NULL_TELEMETRY_GLOBAL in found
+        assert not [g for g in found if g[0] == "repro.telemetry.nullobj"]
 
 
 _RESTORE_PROBE = """
@@ -191,6 +190,7 @@ import json, sys
 from repro.sim.snapshot import Snapshot, restore_network
 assert "repro.telemetry" not in sys.modules
 network = restore_network(Snapshot.load(sys.argv[1])).network
+assert "repro.telemetry" not in sys.modules
 from repro.sim.component import NULL_TELEMETRY
 holders = [r for stage in network.routers for r in stage] + network.endpoints
 print(json.dumps([len(holders), all(h.telemetry is NULL_TELEMETRY for h in holders)]))
@@ -199,7 +199,8 @@ print(json.dumps([len(holders), all(h.telemetry is NULL_TELEMETRY for h in holde
 
 def test_a_restore_in_a_fresh_interpreter_shares_the_singleton(tmp_path):
     """The restore runs before anything imports :mod:`repro.telemetry`,
-    so unpickling the old name must resolve to the one object."""
+    resolves the pickled name to the one object and imports no
+    telemetry."""
     from repro.harness.load_sweep import figure1_network
     from repro.sim.snapshot import snapshot_network
 

@@ -142,9 +142,8 @@ class TestGuardRoundTrip:
         assert engine.cycle == 6
 
     def test_the_switch_test_catches_a_transmute_that_drops_the_deadline(self):
-        """Seeded snapshot bug (``docs/testing.md``, the mutation table):
-        ``_transmute`` keeps every core attribute but ``deadline``."""
-        with seeded("snapshot-transmute-drops-deadline"):
+        """Seeded bug ``snapshot-restore-ignores-backend``: ``restore`` keeps the capture backend."""
+        with seeded("snapshot-restore-ignores-backend"):
             for capture, target in _SWITCHES:
                 with pytest.raises(AssertionError):
                     self.test_deadline_survives_a_backend_switch(capture, target)

@@ -13,6 +13,8 @@ import pytest
 from repro.core import words as W
 from repro.sim.backends import BACKENDS
 from repro.sim.snapshot import (
+    SNAPSHOT_FORMAT_VERSION,
+    Snapshot,
     SnapshotFormatError,
     restore_network,
     snapshot_network,
@@ -133,14 +135,16 @@ def test_a_restored_oracle_sweeps_on_its_first_tick(backend):
     assert watched.iterations == swept
 
 
-def test_a_snapshot_whose_channels_hold_the_hub_is_refused():
-    """Before wires counted their own words, a bound channel held the
-    hub itself.  Such a snapshot is refused with the typed format
-    error when it is restored, never resumed into an AttributeError."""
+def test_a_snapshot_whose_channels_hold_the_hub_is_refused(tmp_path):
+    """A v1 file whose channels hold the hub is refused by the version gate."""
     network, hub, _stream, _handle = pinned_network()
     network.run(20)
     for channel in network.channels.values():
         channel.telemetry = hub
     snap = snapshot_network(network)
-    with pytest.raises(SnapshotFormatError, match="telemetry hub"):
-        restore_network(snap)
+    snap.version = 1
+    path = snap.save(str(tmp_path / "v1.snap"))
+    with pytest.raises(SnapshotFormatError,
+                       match="v1 is incompatible.*expected v{}".format(
+                           SNAPSHOT_FORMAT_VERSION)):
+        Snapshot.load(path)

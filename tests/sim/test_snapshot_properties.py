@@ -232,11 +232,13 @@ def test_oracle_shadow_round_trips_with_a_draining_connection(
     assert row.fingerprint(row.finish((network, riders))) == reference
 
 
-def test_oracle_in_the_identity_keyed_layout_is_refused():
-    """An oracle pickled before its shadow state became positional
-    must fail the restore with the typed format error — never come
-    back with its mid-circuit checksums silently reset."""
-    from repro.sim.snapshot import SnapshotFormatError
+def test_oracle_in_the_identity_keyed_layout_is_refused(tmp_path):
+    """A v1 file holding an identity-keyed oracle is refused by the version gate."""
+    from repro.sim.snapshot import (
+        SNAPSHOT_FORMAT_VERSION,
+        Snapshot,
+        SnapshotFormatError,
+    )
     from repro.verify.oracle import Oracle
     from repro.verify.scenario import Scenario
 
@@ -256,8 +258,10 @@ def test_oracle_in_the_identity_keyed_layout_is_refused():
             return (object.__new__, (Oracle,), self.state)
 
     network, oracle, _sent = Scenario(radix=2, n_stages=2, seed=9).start()
-    snap = _roundtrip(
-        snapshot_network(network, extras={"oracle": LegacyPickle(oracle)})
-    )
-    with pytest.raises(SnapshotFormatError, match="oracle"):
-        restore_network(snap)
+    snap = snapshot_network(network, extras={"oracle": LegacyPickle(oracle)})
+    snap.version = 1
+    path = snap.save(str(tmp_path / "v1.snap"))
+    with pytest.raises(SnapshotFormatError,
+                       match="v1 is incompatible.*expected v{}".format(
+                           SNAPSHOT_FORMAT_VERSION)):
+        Snapshot.load(path)

@@ -151,7 +151,7 @@ class TestRunLogSchema:
         prefix of the original events — the torn final record (and
         only it) vanishes.
         """
-        from repro.harness.chaosmonkey import truncate_tail
+        from tests.chaosmonkey import truncate_tail
 
         path = soak_log[0]
         whole = read_run_log(path)

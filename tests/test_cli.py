@@ -9,6 +9,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from tests.chaosmonkey import armed, needs_fork
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -714,15 +716,13 @@ def test_tail_renders_a_run_journal(tmp_path, capsys):
     assert "rate=0.005" in out
 
 
-def test_quarantined_sweep_exits_3_with_report(tmp_path, capsys, monkeypatch):
-    from repro.harness.chaosmonkey import arm
-
-    for key, value in arm(str(tmp_path / "ledger"), target="rate=0.01",
-                          strikes=3).items():
-        monkeypatch.setenv(key, value)
-    code = main(
-        ["--workers", "2"] + _FIG3_SMALL + ["--retries", "3", "--quarantine"]
-    )
+@needs_fork
+def test_quarantined_sweep_exits_3_with_report(tmp_path, capsys):
+    with armed(str(tmp_path / "ledger"), target="rate=0.01", strikes=3):
+        code = main(
+            ["--workers", "2"] + _FIG3_SMALL
+            + ["--retries", "3", "--quarantine"]
+        )
     assert code == 3
     captured = capsys.readouterr()
     assert "Quarantined trials" in captured.out

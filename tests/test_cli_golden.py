@@ -11,6 +11,10 @@ subprocesses.  The test runs the cases of :data:`SUBPROCESS` the same
 way; every other case calls ``repro.cli.main(argv)`` in-process with
 the case's environment and working directory and captures file
 descriptors 1 and 2, which saves an interpreter start per command.
+The quarantine cases kill their trials with the striker of
+``tests/chaosmonkey.py``: in-process it is armed around ``main(argv)``,
+and a subprocess runs that file's launcher, which arms it and then
+calls ``main(argv)``.
 
 Only what differs between two runs of the *same* commit is masked
 (:func:`_mask`): wall-clock seconds, process ids and the temporary
@@ -38,9 +42,15 @@ import tempfile
 
 import pytest
 
+if __name__ == "__main__":  # ``--regen`` runs this file as a script
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from tests.chaosmonkey import FORK, armed
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(ROOT, "tests", "fixtures", "cli_golden")
 OPTIONS_PATH = os.path.join(ROOT, "tests", "fixtures", "cli_options.json")
+CHAOSMONKEY = os.path.join(ROOT, "tests", "chaosmonkey.py")
 
 _FIG3 = ["figure3", "--rates", "0.005,0.04", "--warmup", "150",
          "--measure", "400"]
@@ -48,10 +58,13 @@ _FAULTS = ["faults", "--rate", "0.04", "--warmup", "150", "--measure", "400"]
 _CHAOS = ["chaos", "--seeds", "1", "--windows", "6", "--window-cycles",
           "200", "--warmup-windows", "2", "--mtbf", "400", "--mttr", "200"]
 
-#: case name -> {"commands": [argv, ...], "env": {...}, "files": [...]}.
-#: Commands of one case run in order in the same scratch directory;
-#: ``files`` are outputs whose bytes are deterministic and pinned by
-#: sha256 (journals carry timestamps and are pinned through ``tail``).
+#: case name -> {"commands": [argv, ...], "strike": (strikes, target),
+#: "files": [...]}.  Commands of one case run in order in the same
+#: scratch directory; ``strike`` arms ``tests/chaosmonkey.py`` for them
+#: (``strikes`` SIGKILLs per trial whose label contains ``target``,
+#: ``*`` for every trial), with its ledger in that directory; ``files``
+#: are outputs whose bytes are deterministic and pinned by sha256
+#: (journals carry timestamps and are pinned through ``tail``).
 CASES = {
     "figure3_plain": {"commands": [_FIG3]},
     "figure3_metrics": {"commands": [_FIG3 + ["--metrics"]]},
@@ -74,10 +87,7 @@ CASES = {
         "commands": [
             ["--workers", "2"] + _FIG3 + ["--retries", "3", "--quarantine"],
         ],
-        "env": {
-            "REPRO_CHAOSMONKEY": "3:rate=0.04",
-            "REPRO_CHAOSMONKEY_DIR": "ledger",
-        },
+        "strike": (3, "rate=0.04"),
     },
     # One trial, so the pool has one worker and the retry warnings
     # cannot interleave.
@@ -86,26 +96,17 @@ CASES = {
             ["--workers", "2", "figure3", "--rates", "0.04", "--warmup",
              "150", "--measure", "400", "--retries", "2", "--quarantine"],
         ],
-        "env": {
-            "REPRO_CHAOSMONKEY": "2:*",
-            "REPRO_CHAOSMONKEY_DIR": "ledger",
-        },
+        "strike": (2, "*"),
     },
     "faults_all_quarantined": {
         "commands": [
             ["--workers", "2"] + _FAULTS + ["--levels", "2:0", "--quarantine"],
         ],
-        "env": {
-            "REPRO_CHAOSMONKEY": "1:*",
-            "REPRO_CHAOSMONKEY_DIR": "ledger",
-        },
+        "strike": (1, "*"),
     },
     "chaos_all_quarantined": {
         "commands": [["--workers", "2"] + _CHAOS + ["--quarantine"]],
-        "env": {
-            "REPRO_CHAOSMONKEY": "1:*",
-            "REPRO_CHAOSMONKEY_DIR": "ledger",
-        },
+        "strike": (1, "*"),
     },
     "faults_point": {"commands": [_FAULTS + ["--links", "2"]]},
     "faults_point_metrics": {
@@ -188,10 +189,15 @@ def _mask(text, scratch):
     return _PID.sub("pid <PID>", text)
 
 
-def _subprocess(argv, scratch, env):
-    """One command as ``python -m repro.cli``: (exit, stdout, stderr)."""
+def _subprocess(argv, scratch, env, strike):
+    """One command as ``python -m repro.cli``, or through the striker's
+    launcher when the case arms it: (exit, stdout, stderr)."""
+    command = [sys.executable, "-m", "repro.cli"]
+    if strike:
+        command = [sys.executable, CHAOSMONKEY, str(strike[0]), strike[1],
+                   "ledger", "--"]
     done = subprocess.run(
-        [sys.executable, "-m", "repro.cli"] + argv,
+        command + argv,
         cwd=scratch, env=env, capture_output=True, text=True,
         timeout=600,
     )
@@ -207,14 +213,12 @@ def _run_case(name, run=_subprocess):
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     env["PYTHONHASHSEED"] = "0"
-    for key in ("REPRO_CHAOSMONKEY", "REPRO_CHAOSMONKEY_DIR",
-                "REPRO_CODE_VERSION", "REPRO_HEARTBEAT_FILE"):
+    for key in ("REPRO_CODE_VERSION", "REPRO_HEARTBEAT_FILE"):
         env.pop(key, None)
-    env.update(case.get("env", {}))
     document = {"commands": []}
     with tempfile.TemporaryDirectory(prefix="cli-golden-") as scratch:
         for argv in case["commands"]:
-            code, stdout, stderr = run(argv, scratch, env)
+            code, stdout, stderr = run(argv, scratch, env, case.get("strike"))
             document["commands"].append({
                 "argv": argv,
                 "exit": code,
@@ -240,7 +244,7 @@ def _in_process(capfd, monkeypatch):
     """
     from repro.cli import main
 
-    def run(argv, scratch, env):
+    def run(argv, scratch, env, strike):
         with monkeypatch.context() as patch:
             patch.setattr(logging.root, "handlers", [])
             patch.chdir(scratch)
@@ -249,7 +253,11 @@ def _in_process(capfd, monkeypatch):
             for key, value in env.items():
                 patch.setenv(key, value)
             capfd.readouterr()
-            code = main(argv)
+            if strike:
+                with armed("ledger", strike[1], strike[0]):
+                    code = main(argv)
+            else:
+                code = main(argv)
             stdout, stderr = capfd.readouterr()
         return code or 0, stdout, stderr
 
@@ -262,6 +270,9 @@ def _fixture_path(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_fixture(name, capfd, monkeypatch):
+    if "strike" in CASES[name] and not FORK:
+        pytest.skip("no fork on this platform: the striker cannot reach "
+                    "the pool's workers")
     with open(_fixture_path(name)) as handle:
         golden = json.load(handle)
     if name in SUBPROCESS:

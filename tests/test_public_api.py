@@ -129,7 +129,6 @@ SUBMODULES = [
     "repro.baseline.wormhole",
     "repro.telemetry.hub",
     "repro.telemetry.metrics",
-    "repro.telemetry.nullobj",
     "repro.telemetry.spans",
     "repro.verify.backend_diff",
     "repro.verify.families",

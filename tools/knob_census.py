@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""The keyword census: which defaulted parameters does any caller set?
+"""The keyword and caller censuses: what does production code use?
 
     python tools/knob_census.py src/repro
+    python tools/knob_census.py --callers src/repro
 
-Prints one ``path:line function keyword production|tests-only|nobody``
+The keyword census prints one
+``path:line function keyword production|tests-only|nobody``
 row per defaulted parameter of every function, method and constructor
 under the given paths, then one line of totals.  ``production`` means
 a call under the census paths themselves or under ``bench/``,
@@ -25,12 +27,24 @@ AST only; nothing is imported, so the answer errs towards "set":
   through ``**kwargs``.  The same holds for what may become a keyword
   later: ``dict(k=v)``, a ``{"k": v}`` literal, a ``d["k"] = v`` store.
 * ``f(*args)`` sets every positional parameter of ``f``.
+
+The caller census (``--callers``) is the same question one level up:
+it prints one ``path:line name`` row per top-level public function or
+class under the given paths that nothing reaches from those paths,
+``bench/``, ``benchmarks/``, ``examples/`` or ``.github/workflows``,
+then a count.  ``tests/test_code_budget.py`` ratchets the rows too.
+A name is reached by a load of it or of an attribute spelled the same
+(``f``, ``x.f``) outside its own body, by a ``"module:name"`` string
+(a trial runner's reference), or by the word in a workflow file.  An
+import is not a use, so a package ``__init__`` that re-exports a name
+does not reach it.
 """
 
 import argparse
 import ast
 import collections
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -38,10 +52,12 @@ from code_lines import python_files  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRODUCTION = ("bench", "benchmarks", "examples")
+WORKFLOWS = os.path.join(".github", "workflows")
 TESTS = ("tests",)
 STATUSES = ("production", "tests-only", "nobody")
 
 Row = collections.namedtuple("Row", ["path", "line", "function", "keyword", "status"])
+Unreached = collections.namedtuple("Unreached", ["path", "line", "name"])
 
 
 class _Definition:
@@ -261,14 +277,70 @@ def census(paths, production=(), tests=()):
     return sorted(rows)
 
 
+_RUNNER_REFERENCE = re.compile(r"^[\w.]+:(\w+)$")
+
+
+def _reached(tree):
+    """Every name ``tree`` reaches, less loads inside the definition of
+    the same name (a recursive call or a class naming itself)."""
+    names = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = _RUNNER_REFERENCE.match(node.value)
+            if match:
+                names[match.group(1)] += 1
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = sum(
+                1 for child in ast.walk(node)
+                if (isinstance(child, ast.Name) and child.id == node.name
+                    and isinstance(child.ctx, ast.Load))
+                or (isinstance(child, ast.Attribute) and child.attr == node.name)
+            )
+            names[node.name] -= inside
+    return {name for name, count in names.items() if count > 0}
+
+
+def callers_census(paths, production=(), texts=()):
+    """One :class:`Unreached` per top-level public function or class
+    defined under ``paths`` that no code under ``paths`` or
+    ``production`` and no word of a file under ``texts`` reaches."""
+    defined, reached = [], set()
+    for path, tree in _parse(paths):
+        defined.extend(
+            Unreached(path, node.lineno, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+    for _path, tree in _parse(list(paths) + list(production)):
+        reached |= _reached(tree)
+    for directory in texts:
+        for dirpath, _dirnames, filenames in os.walk(directory):
+            for filename in filenames:
+                with open(os.path.join(dirpath, filename), encoding="utf-8") as handle:
+                    reached.update(re.findall(r"\w+", handle.read()))
+    return sorted(row for row in defined if row.name not in reached)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="+", help="where the definitions live")
+    parser.add_argument("--callers", action="store_true",
+                        help="list the public names nothing reaches instead")
     args = parser.parse_args(argv)
+    production = [os.path.join(ROOT, name) for name in PRODUCTION]
+    if args.callers:
+        rows = callers_census(args.paths, production, [os.path.join(ROOT, WORKFLOWS)])
+        for row in rows:
+            print("{}:{} {}".format(*row))
+        print("{} unreached".format(len(rows)))
+        return 0
     rows = census(
-        args.paths,
-        [os.path.join(ROOT, name) for name in PRODUCTION],
-        [os.path.join(ROOT, name) for name in TESTS],
+        args.paths, production, [os.path.join(ROOT, name) for name in TESTS]
     )
     for row in rows:
         print("{}:{} {} {} {}".format(*row))
