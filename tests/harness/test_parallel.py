@@ -870,6 +870,7 @@ def _pinned_specs():
         service_trial_specs,
     )
     from repro.verify.backend_diff import backend_diff_specs
+    from repro.verify.differential import differential_specs
     from repro.verify.resume_diff import resume_diff_specs
 
     return {
@@ -885,6 +886,7 @@ def _pinned_specs():
         "service": service_trial_specs(rates=(0.001,), seed=3)[0],
         "backend_diff": backend_diff_specs(n_trials=1, seed=3)[0],
         "resume_diff": resume_diff_specs(n_trials=1, seed=3)[0],
+        "differential": differential_specs(1, root_seed=3)[0],
     }
 
 
