@@ -5,14 +5,19 @@ paper describes (Section 5.1, Scan Support): read the IDCODE,
 reconfigure dilation and fast reclamation through the configuration
 chain, disable a port for isolated testing while the router keeps
 routing, and fall back to the second TAP port (MultiTAP) when the
-first scan path fails.
+first scan path fails.  Then does the same network-wide (Section 5.3):
+every router of the Figure 1 network on one daisy chain per stage,
+read by IDCODE, and a per-stage reclamation policy loaded by scan.
 
 Run:  python examples/scan_configuration.py
 """
 
 from repro.core.parameters import RouterParameters
 from repro.core.router import MetroRouter
+from repro.network.builder import build_network
+from repro.network.topology import figure1_plan
 from repro.scan.controller import ScanController, attach_scan
+from repro.scan.netconfig import NetworkScanFabric
 from repro.scan.registers import config_chain_width, make_idcode
 
 
@@ -52,6 +57,32 @@ def main():
     router.multitap.kill_port(0)
     backup = ScanController(router, port=1)
     print("Port 1 reads IDCODE: {:#010x}".format(backup.read_idcode()))
+
+    network_wide()
+
+
+def network_wide():
+    """Figure 1's 24 routers on per-stage scan chains: the board map,
+    then fast reclamation everywhere but stage 1 (detailed blocked
+    replies where diagnosis wants them, Section 5.1), read back from
+    each router's live configuration."""
+    network = build_network(figure1_plan(), seed=0)
+    fabric = NetworkScanFabric(network)
+    print("\nFigure 1 network, one scan chain per stage:")
+    for row in fabric.inventory():
+        codes = sorted(set(row["idcodes"]))
+        print("  stage {}: {} routers, IDCODE {}".format(
+            row["stage"], row["routers"],
+            ", ".join("{:#010x}".format(code) for code in codes)))
+    fabric.set_fast_reclaim_policy(detailed_stages=(1,))
+    print("Scan policy: fast reclamation except in stage 1")
+    for stage, routers in enumerate(network.routers):
+        ports = [
+            router.config.fast_reclaim[router.config.forward_port_id(port)]
+            for router in routers for port in range(router.params.i)
+        ]
+        print("  stage {}: {}/{} forward ports fast-reclaim".format(
+            stage, sum(ports), len(ports)))
 
 
 if __name__ == "__main__":

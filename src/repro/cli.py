@@ -74,11 +74,6 @@ import os
 import sys
 
 
-class _UsageError(Exception):
-    """A command line argparse accepts and the command cannot apply:
-    :func:`main` prints ``repro <cmd>: error: <this>`` and exits 2."""
-
-
 def _runner(args):
     """The shared TrialRunner configured by --workers/--cache-dir.
 
@@ -113,18 +108,6 @@ def _point_kwargs(args):
     if args.backend != "reference":
         kwargs["backend"] = args.backend
     return kwargs
-
-
-_SWEEP_METRICS = dict(
-    names=(
-        "message.latency.cycles",
-        "message.queueing.cycles",
-        "message.attempts",
-        "channel.in_flight",
-    ),
-    title="Metrics: distributions over the merged sweep",
-    heatmap=True,
-)
 
 
 def _print_metrics(results, names, title, heatmap):
@@ -209,41 +192,90 @@ def _strip_quarantined(results):
     return ok, 3
 
 
-def _sweep_command(args, run, render, gate=lambda results: (), noun="trial",
-                   metrics_view=_SWEEP_METRICS, artifacts=None):
-    """The one path every sweep command takes; returns the exit status.
+def _stray_flags(args, kind, sweeps):
+    """``(row, dest)`` of every flag only another row of this command
+    reads that is set off its default."""
+    row = sweeps[kind]
+    mine = {*row.flags.values(), *row.gate_flags.values()}
+    others = [
+        (name, dest) for name, other in sweeps.items()
+        if other.command == row.command
+        for dest in (*other.flags.values(), *other.gate_flags.values())
+        if dest not in mine
+    ]
+    if not others:
+        return []
+    argv = [args.command] + ([kind] if "kind" in args else [])
+    bare = build_parser().parse_args(argv)
+    return [(name, dest) for name, dest in others
+            if getattr(args, dest) != getattr(bare, dest)]
 
-    ``run(runner)`` executes the family's trial specs on the runner
-    built from the global and resilience flags and returns the results
-    in spec order.  Quarantined trials are reported and dropped (exit
-    3; exit 3 with nothing rendered when every ``noun`` was
-    quarantined), ``render(results)`` prints the family's tables,
-    ``--metrics`` prints the merged distributions (``metrics_view``:
-    names, title, heatmap), ``artifacts(results)`` writes the family's
-    own output files, ``--metrics-export`` the merged snapshot, and
-    every string ``gate(results)`` returns (a ``FAIL: ...`` line, or a
-    verify sweep's ``MISMATCH`` block) goes to stderr and makes the
-    exit status 1.  Verify sweeps have no metrics flags; their reports
-    ride the same path.
+
+def _sweep_command(args, kind):
+    """The one path every sweep command takes: the ``kind`` row of
+    :data:`repro.harness.sweeps.SWEEPS`.  Returns ``(exit status,
+    results)``.
+
+    A flag only another row of the command reads, set, and the row's
+    own usage checks (``prepare``) are usage errors before any trial
+    runs.  The row's specs are built from its ``flags``, what
+    ``prepare`` derives and, for the commands that take them,
+    ``--metrics`` and ``--backend``, and run on the runner the global
+    and resilience flags configure.  Quarantined trials are reported
+    and dropped (exit 3; exit 3 with nothing rendered when every one
+    was), the row renders the rest, ``--metrics`` prints the merged
+    distributions (the row's ``metrics`` view), the row writes its own
+    output files, ``--metrics-export`` the merged snapshot, and every
+    string the row's gate returns (a ``FAIL: ...`` line, or a verify
+    sweep's ``MISMATCH`` block) goes to stderr and makes the exit
+    status 1.
     """
+    from repro.harness.spec import resolve
+    from repro.harness.sweeps import SWEEPS, UsageError, sweep_specs
+
+    row = SWEEPS[kind]
+    stray = _stray_flags(args, kind, SWEEPS)
+    if stray:
+        raise UsageError("{} set, which only `{} {}` reads".format(
+            ", ".join("--" + dest.replace("_", "-") for _, dest in stray),
+            row.command, stray[0][0]))
+    kwargs = _point_kwargs(args) if "metrics" in args else {}
+    kwargs.update({key: getattr(args, dest) for key, dest in row.flags.items()})
+    kwargs.update(row.prepare(args))
+    specs = sweep_specs(kind, seed=args.seed, **kwargs)
     runner = _runner(args)
-    results = run(runner)
+    if row.search:
+        results = resolve(row.search)(runner, specs)
+    else:
+        results = runner.run(specs)
     _report_runner_stats(runner)
     results, status = _strip_quarantined(results)
     if not results:
-        print("FAIL: every {} was quarantined".format(noun), file=sys.stderr)
-        return status or 1
-    render(results)
+        print("FAIL: every {} was quarantined".format(row.noun), file=sys.stderr)
+        return status or 1, results
+    row.render(args, results)
     if getattr(args, "metrics", False):
-        _print_metrics(results, **metrics_view)
-    if artifacts is not None:
-        artifacts(results)
+        _print_metrics(results, **row.metrics)
+    if row.artifacts is not None:
+        row.artifacts(args, results)
     if getattr(args, "metrics_export", None):
         _export_metrics(results, args.metrics_export)
-    for failure in gate(results):
+    bounds = {key: getattr(args, dest) for key, dest in row.gate_flags.items()}
+    for failure in row.gate(results, **bounds):
         print(failure, file=sys.stderr)
         status = status or 1
-    return status
+    return status, results
+
+
+def _cmd_sweep(args):
+    """``figure3``, ``faults``, ``chaos``, ``workloads`` and
+    ``saturation``: the sweep row the command (and the workloads kind)
+    names."""
+    from repro.harness.sweeps import SWEEPS
+
+    kind = getattr(args, "kind", None) or next(
+        name for name, row in SWEEPS.items() if row.command == args.command)
+    return _sweep_command(args, kind)[0]
 
 
 def _cmd_table3(args):
@@ -301,331 +333,6 @@ def _cmd_figure1(args):
     return 0
 
 
-def _cmd_figure3(args):
-    from repro.harness.breakdown import measure_breakdown
-    from repro.harness.load_sweep import figure3_network, load_trial_specs
-    from repro.harness.reporting import ascii_chart, format_series, results_to_series
-
-    base = measure_breakdown(figure3_network, samples=8, seed=args.seed).total
-    print("Unloaded latency: {:.1f} cycles (paper: 28)\n".format(base))
-    specs = load_trial_specs(
-        rates=args.rates,
-        seed=args.seed,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.measure,
-        **_point_kwargs(args)
-    )
-
-    def render(results):
-        print(
-            format_series(
-                results_to_series(results),
-                x_label="label",
-                y_labels=["delivered_load", "mean_latency", "p95_latency", "mean_attempts"],
-                title="Figure 3: latency vs. network loading",
-            )
-        )
-        print()
-        print(
-            ascii_chart(
-                [(r.delivered_load, r.mean_latency) for r in results],
-                title="latency vs delivered load",
-                x_label="delivered load (words/endpoint-cycle)",
-                y_label="mean latency (cycles)",
-            )
-        )
-
-    return _sweep_command(args, lambda runner: runner.run(specs), render)
-
-
-def _cmd_faults(args):
-    from repro.harness.fault_sweep import degradation_failures, fault_trial_specs
-    from repro.harness.reporting import format_table
-
-    common = dict(
-        rate=args.rate,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.measure,
-        **_point_kwargs(args)
-    )
-    if args.max_attempts is not None:
-        common["max_attempts"] = args.max_attempts
-    bounds = (args.max_degradation, args.max_undeliverable)
-    if not args.levels and bounds != (None, None):
-        raise _UsageError("--max-degradation and --max-undeliverable need --levels")
-    levels = args.levels or ((args.links, args.routers),)
-    specs = fault_trial_specs(fault_levels=levels, seed=args.seed, **common)
-    if not args.levels:
-        # One point is a one-spec sweep, so --journal/--retries/
-        # --quarantine/--workers/--cache-dir/--progress apply to it; it
-        # has always been seeded by --seed itself, not a per-level seed.
-        specs[0].seed = args.seed
-
-    def render(results):
-        print(
-            format_table(
-                [r.as_dict() for r in results],
-                title="Fault degradation {}".format(
-                    "sweep" if args.levels else "point"
-                ),
-            )
-        )
-
-    def gate(results):
-        failures = []
-        if any(r.delivered_count == 0 for r in results):
-            failures.append(
-                "FAIL: a fault level delivered no messages"
-                if args.levels
-                else "FAIL: faulted network delivered no messages"
-            )
-        # Without --levels both bounds are None: nothing to check.
-        for result, floor in degradation_failures(
-            results,
-            max_degradation=args.max_degradation,
-            max_undeliverable=args.max_undeliverable,
-        ):
-            if floor is None:
-                failures.append(
-                    "FAIL: {} abandoned {} message(s), over the "
-                    "--max-undeliverable bound {}".format(
-                        result.label,
-                        result.undeliverable,
-                        args.max_undeliverable,
-                    )
-                )
-            else:
-                failures.append(
-                    "FAIL: {} delivered {:.4f} words/endpoint-cycle, "
-                    "below the {:.0%}-degradation floor {:.4f}".format(
-                        result.label,
-                        result.delivered_load,
-                        args.max_degradation,
-                        floor,
-                    )
-                )
-        return failures
-
-    return _sweep_command(
-        args, lambda runner: runner.run(specs), render, gate,
-        noun="fault level",
-    )
-
-
-def _cmd_chaos(args):
-    from repro.harness.chaos import chaos_slo_failures, chaos_trial_specs
-    from repro.harness.reporting import format_table, sparkline
-
-    sweep_kwargs = _point_kwargs(args)
-    if bool(args.snapshot_every) != bool(args.snapshot_dir):
-        raise _UsageError("--snapshot-every and --snapshot-dir need each other")
-    if args.snapshot_every:
-        sweep_kwargs["snapshot_every"] = args.snapshot_every
-        sweep_kwargs["snapshot_dir"] = args.snapshot_dir
-    if args.stream:
-        sweep_kwargs["stream_dir"] = args.stream
-    if args.stall_cycles is not None:
-        sweep_kwargs["stall_cycles"] = args.stall_cycles
-    sweep_kwargs["metrics"] = bool(
-        sweep_kwargs.get("metrics") or args.snapshot or args.stream
-    )
-    specs = chaos_trial_specs(
-        seeds=args.seeds,
-        seed=args.seed,
-        self_heal=(True, False) if args.compare else (True,),
-        n_windows=args.windows,
-        window_cycles=args.window_cycles,
-        warmup_windows=args.warmup_windows,
-        n_flaky_links=args.flaky_links,
-        n_dead_routers=args.dead_routers,
-        mtbf=args.mtbf,
-        mttr=args.mttr,
-        rate=args.rate,
-        oracle=args.oracle,
-        **sweep_kwargs
-    )
-
-    def render(results):
-        rows = []
-        for result in results:
-            row = result.as_dict()
-            row["windows"] = sparkline(
-                result.windows, lo=0, hi=max(result.baseline_rate, 1)
-            )
-            del row["fault_events"]
-            del row["seed"]
-            rows.append(row)
-        title = (
-            "Chaos soak: {} seed(s), {} windows x {} cycles, "
-            "{} flaky link(s) + {} dead router(s)".format(
-                args.seeds,
-                args.windows,
-                args.window_cycles,
-                args.flaky_links,
-                args.dead_routers,
-            )
-        )
-        print(format_table(rows, title=title, floatfmt="{:.2f}"))
-
-    def write_snapshot(results):
-        import json
-
-        from repro.telemetry import MetricsSnapshot
-
-        merged = MetricsSnapshot.merge_all(r.metrics for r in results)
-        document = {
-            "soaks": [r.as_dict() for r in results],
-            "metrics": merged.as_dict(),
-        }
-        with open(args.snapshot, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print("wrote soak snapshot to {}".format(args.snapshot))
-
-    def gate(results):
-        for result in results:
-            for stall in result.stalls:
-                print(
-                    "WARNING: {} stalled at cycle {}: no progress for {} "
-                    "cycles with {} message(s) pending ({} quiescence "
-                    "violation(s) diagnosed)".format(
-                        result.label,
-                        stall["cycle"],
-                        stall["stalled_cycles"],
-                        stall["pending"],
-                        len(stall["violations"]),
-                    ),
-                    file=sys.stderr,
-                )
-        failures = [
-            "FAIL: {} saw {} protocol violation(s) under the "
-            "oracle".format(result.label, result.oracle_violations)
-            for result in results
-            if result.oracle_violations
-        ]
-        failures.extend(
-            "FAIL: {} violated SLO: {}".format(result.label, reason)
-            for result, reason in chaos_slo_failures(
-                [r for r in results if r.self_heal],
-                min_availability=args.min_availability,
-                max_undeliverable=args.max_undeliverable,
-                max_mttr_cycles=args.max_mttr,
-            )
-        )
-        return failures
-
-    return _sweep_command(
-        args, lambda runner: runner.run(specs), render, gate,
-        noun="soak",
-        metrics_view=dict(
-            names=("message.latency.cycles", "message.attempts"),
-            title="Metrics: distributions over the merged soaks",
-            heatmap=False,
-        ),
-        artifacts=write_snapshot if args.snapshot else None,
-    )
-
-
-#: What only one kind of ``workloads`` run reads, written once: kind ->
-#: ({spec-builder keyword: flag}, {SLO bound: flag}).  The kind's specs
-#: and SLO gate are built from its own entry; a flag of the other entry
-#: moved off its default is a usage error.
-_WORKLOAD_FLAGS = {
-    "collective": (
-        dict(fault_levels="fault_levels", algorithm="algorithm",
-             words="words", layers="layers", microbatches="microbatches",
-             max_cycles="max_cycles"),
-        dict(collective_cycles="slo_cycles"),
-    ),
-    "service": (
-        dict(rates="rates", servers="servers", clients="clients",
-             burst_prob="burst_prob", burst_size="burst_size",
-             request_words="request_words", reply_words="reply_words",
-             service_time="service_time", warmup_cycles="warmup",
-             measure_cycles="measure"),
-        dict(p50="slo_p50", p95="slo_p95", p99="slo_p99", p999="slo_p999",
-             abandoned="slo_abandoned"),
-    ),
-}
-
-
-def _cmd_workloads(args):
-    """Application workload sweeps with SLO gates (docs/workloads.md).
-
-    Exit codes follow the repo convention: 1 when the SLO gate fails
-    (a latency percentile over its bound, abandoned requests over
-    their bound, or an incomplete collective), 3 when trials were
-    quarantined, 0 otherwise.
-    """
-    from repro.harness.reporting import format_table
-    from repro.harness.workload_sweep import (
-        collective_trial_specs,
-        service_trial_specs,
-        workload_slo_failures,
-    )
-
-    other = "service" if args.kind == "collective" else "collective"
-    bare = build_parser().parse_args(["workloads", args.kind])
-    stray = [
-        "--" + flag.replace("_", "-")
-        for flags in _WORKLOAD_FLAGS[other] for flag in flags.values()
-        if getattr(args, flag) != getattr(bare, flag)
-    ]
-    if stray:
-        raise _UsageError("{} set, which only `workloads {}` reads".format(
-            ", ".join(stray), other))
-    if args.kind == "service":
-        plan = _plan(args.network)
-        for server in args.servers:
-            if server >= plan.n_endpoints:
-                raise _UsageError(
-                    "argument --servers: {} is not an endpoint of --network "
-                    "{} (valid: 0..{})".format(
-                        server, args.network, plan.n_endpoints - 1
-                    )
-                )
-    keywords, bounds = _WORKLOAD_FLAGS[args.kind]
-    build = collective_trial_specs if args.kind == "collective" else service_trial_specs
-    specs = build(
-        network=args.network, seed=args.seed, **_point_kwargs(args),
-        **{keyword: getattr(args, flag) for keyword, flag in keywords.items()}
-    )
-    slo = {
-        bound: getattr(args, flag) for bound, flag in bounds.items()
-        if getattr(args, flag) is not None
-    }
-
-    def render(results):
-        rows = []
-        for result in results:
-            row = result.as_dict()
-            row.pop("log_digest", None)
-            rows.append(row)
-        if args.kind == "collective":
-            print(format_table(rows, title="Collective completion vs fault level"))
-            for result in results:
-                print()
-                print(
-                    format_table(
-                        result.steps,
-                        title="{}: per-step completion".format(result.label),
-                    )
-                )
-        else:
-            print(
-                format_table(
-                    rows, title="Service tail latency vs offered load"
-                )
-            )
-
-    def gate(results):
-        return [
-            "FAIL: SLO violated: {}".format(failure)
-            for failure in workload_slo_failures(results, slo)
-        ]
-
-    return _sweep_command(args, lambda runner: runner.run(specs), render, gate)
-
-
 def _cmd_breakdown(args):
     from repro.harness.breakdown import measure_breakdown
     from repro.harness.load_sweep import figure3_network
@@ -648,45 +355,6 @@ def _cmd_breakdown(args):
         )
     )
     return 0
-
-
-def _cmd_saturation(args):
-    from repro.harness.reporting import format_series, results_to_series
-    from repro.harness.saturation import find_saturation
-
-    saturated = None
-
-    def run(runner):
-        nonlocal saturated
-        saturated, results = find_saturation(
-            seed=args.seed,
-            measure_cycles=args.measure,
-            runner=runner,
-            **_point_kwargs(args)
-        )
-        return results
-
-    def render(results):
-        print(
-            format_series(
-                results_to_series(results),
-                x_label="label",
-                y_labels=["delivered_load", "mean_latency", "mean_attempts"],
-                title="Saturation search (Figure 3 network)",
-            )
-        )
-        print(
-            "\nSaturation: ~{:.2f} words/endpoint-cycle at {}".format(
-                saturated.delivered_load, saturated.label
-            )
-        )
-
-    def gate(_results):
-        if saturated.delivered_load <= 0:
-            return ["FAIL: network carried no traffic at any rate"]
-        return []
-
-    return _sweep_command(args, run, render, gate)
 
 
 def _plan(network):
@@ -745,67 +413,25 @@ def _cmd_send(args):
     return 0
 
 
-def _cmd_verify_diff(args):
-    """``verify --backend-diff`` / ``--resume-diff``: the twin sweeps."""
-    if args.backend_diff:
-        from repro.verify.backend_diff import backend_diff_specs
-
-        specs = backend_diff_specs(
-            n_trials=args.trials,
-            seed=args.seed,
-            backend=args.backend if args.backend != "reference" else "events",
-        )
-        summary = (
-            "backend diff sweep: {}/{} workloads byte-identical across "
-            "backends"
-        )
-        name = "{0.kind}[seed={0.seed}]"
-    else:
-        from repro.verify.resume_diff import resume_diff_specs
-
-        specs = resume_diff_specs(n_trials=args.trials, seed=args.seed)
-        summary = (
-            "resume diff sweep: {}/{} workloads resumed byte-identically "
-            "from mid-run snapshots (incl. cross-backend)"
-        )
-        name = "{0.kind}[seed={0.seed}] {0.backend}->{0.restore_backend}"
-
-    def render(reports):
-        print(summary.format(sum(1 for r in reports if r.ok), len(reports)))
-
-    def gate(reports):
-        return [
-            "\n".join(
-                ["MISMATCH {}:".format(name.format(report))]
-                + ["  {}".format(line[:200]) for line in report.mismatches[:5]]
-            )
-            for report in reports
-            if not report.ok
-        ]
-
-    return _sweep_command(args, lambda runner: runner.run(specs), render, gate)
-
-
 def _cmd_verify(args):
-    from repro.verify.differential import (
-        differential_specs,
-        mismatch_aware_run,
-    )
+    from repro.harness.sweeps import UsageError
+    from repro.verify.differential import mismatch_aware_run
     from repro.verify.scenario import Scenario
     from repro.verify.shrink import shrink_scenario
 
     if args.backend_diff + args.resume_diff + bool(args.replay) > 1:
-        raise _UsageError(
+        raise UsageError(
             "--backend-diff, --resume-diff and --replay are three runs: give one"
         )
     if args.backend_diff or args.resume_diff:
-        return _cmd_verify_diff(args)
+        kind = "backend-diff" if args.backend_diff else "resume-diff"
+        return _sweep_command(args, kind)[0]
 
     if args.replay:
         try:
             scenario = Scenario.load(args.replay)
         except (OSError, ValueError, TypeError) as exc:
-            raise _UsageError("argument --replay: cannot load {}: {}".format(
+            raise UsageError("argument --replay: cannot load {}: {}".format(
                 args.replay, exc))
         result = scenario.run(max_cycles=args.max_cycles, backend=args.backend)
         print("replay {!r}".format(scenario))
@@ -819,19 +445,8 @@ def _cmd_verify(args):
                 cycle, router, port, rule, detail))
         return 0 if result.clean else 1
 
-    specs = differential_specs(args.trials, args.seed)
-    mismatches = []
-
-    def render(reports):
-        mismatches.extend(report for report in reports if not report["ok"])
-        print(
-            "differential sweep: {}/{} configurations agree with the "
-            "latency model".format(
-                len(reports) - len(mismatches), len(reports)
-            )
-        )
-
-    status = _sweep_command(args, lambda runner: runner.run(specs), render)
+    status, reports = _sweep_command(args, "differential")
+    mismatches = [report for report in reports if not report["ok"]]
     if not mismatches:
         return status
 
@@ -1386,12 +1001,12 @@ _COMMANDS = {
     "table3": _cmd_table3,
     "table5": _cmd_table5,
     "figure1": _cmd_figure1,
-    "figure3": _cmd_figure3,
-    "faults": _cmd_faults,
-    "chaos": _cmd_chaos,
-    "workloads": _cmd_workloads,
+    "figure3": _cmd_sweep,
+    "faults": _cmd_sweep,
+    "chaos": _cmd_sweep,
+    "workloads": _cmd_sweep,
     "breakdown": _cmd_breakdown,
-    "saturation": _cmd_saturation,
+    "saturation": _cmd_sweep,
     "send": _cmd_send,
     "verify": _cmd_verify,
     "tail": _cmd_tail,
@@ -1402,14 +1017,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print("repro {}: error: {}".format(args.command, exc), file=sys.stderr)
-        return 2
     except Exception as exc:
         # Imported only once a command has raised, so a send never loads
-        # the harness; a sweep, the only thing that raises these, has.
+        # the harness; a sweep or verify, the only things that raise
+        # these, has.
         from repro.harness.parallel import JournalMismatchError, SweepInterrupted
+        from repro.harness.sweeps import UsageError
 
+        if isinstance(exc, UsageError):
+            print("repro {}: error: {}".format(args.command, exc), file=sys.stderr)
+            return 2
         if isinstance(exc, JournalMismatchError):
             print("error: {}".format(exc), file=sys.stderr)
             return 2

@@ -2,11 +2,7 @@
 
 from repro.harness.breakdown import LatencyBreakdown, measure_breakdown
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.harness.fault_sweep import (
-    fault_degradation_sweep,
-    fault_trial_specs,
-    run_fault_point,
-)
+from repro.harness.fault_sweep import fault_degradation_sweep, run_fault_point
 from repro.harness.journal import (
     JOURNAL_FORMAT,
     JournalState,
@@ -51,10 +47,11 @@ from repro.harness.reporting import (
     results_to_series,
 )
 from repro.harness.saturation import (
-    find_saturation,
     run_saturation_point,
-    saturation_trial_specs,
+    saturation_point,
+    saturation_search,
 )
+from repro.harness.sweeps import SWEEPS, sweep_specs
 
 __all__ = [
     "DEFAULT_RATES",
@@ -64,6 +61,7 @@ __all__ = [
     "LatencyBreakdown",
     "QuarantinedTrial",
     "RunJournal",
+    "SWEEPS",
     "SweepInterrupted",
     "TrialBackoff",
     "TrialCache",
@@ -74,8 +72,6 @@ __all__ = [
     "ascii_chart",
     "measure_breakdown",
     "fault_degradation_sweep",
-    "fault_trial_specs",
-    "find_saturation",
     "figure1_network",
     "figure3_network",
     "figure3_sweep",
@@ -99,6 +95,8 @@ __all__ = [
     "run_load_point",
     "run_saturation_point",
     "run_trials",
-    "saturation_trial_specs",
+    "saturation_point",
+    "saturation_search",
+    "sweep_specs",
     "validate_journal",
 ]

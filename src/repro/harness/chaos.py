@@ -606,56 +606,6 @@ def _restore_own_checkpoint(snapshot_dir, identity, backend):
     return None
 
 
-def chaos_trial_specs(
-    seeds=4,
-    seed=0,
-    self_heal=(True,),
-    **kwargs
-):
-    """One :class:`TrialSpec` per (soak index, healing mode).
-
-    The seed path is ``("chaos", index, heal)`` so a soak's randomness
-    is unchanged when more soaks or the other healing mode are added.
-    ``self_heal=(True, False)`` produces the paired ON/OFF experiment.
-
-    When checkpointing (``snapshot_dir`` in ``kwargs``), each soak
-    gets its own ring subdirectory (``soak<i>-heal<on|off>/``) so
-    concurrent soaks never clobber each other's checkpoints, and
-    running the same specs again continues every unfinished soak from
-    its own subdirectory.  Likewise ``stream_dir`` gives each soak its
-    own run log (``soak<i>-heal<on|off>.jsonl``).  Note that run logs
-    and checkpoints are side effects outside the trial-cache key's
-    view of a result: a cache-hit trial returns its cached
-    :class:`ChaosResult` without re-writing them.
-    """
-    snapshot_dir = kwargs.pop("snapshot_dir", None)
-    stream_dir = kwargs.pop("stream_dir", None)
-    if stream_dir is not None:
-        os.makedirs(stream_dir, exist_ok=True)
-    specs = []
-    for index in range(seeds):
-        for heal in self_heal:
-            mode = "on" if heal else "off"
-            params = dict(self_heal=heal, **kwargs)
-            if snapshot_dir is not None:
-                params["snapshot_dir"] = os.path.join(
-                    snapshot_dir, "soak{}-heal{}".format(index, mode)
-                )
-            if stream_dir is not None:
-                params["stream_path"] = os.path.join(
-                    stream_dir, "soak{}-heal{}.jsonl".format(index, mode)
-                )
-            specs.append(
-                TrialSpec(
-                    runner="repro.harness.chaos:run_chaos_point",
-                    params=params,
-                    seed=derive_seed(seed, "chaos", index, heal),
-                    label="chaos[{}] heal={}".format(index, mode),
-                )
-            )
-    return specs
-
-
 def chaos_slo_failures(
     results,
     min_availability=None,

@@ -8,7 +8,6 @@ against networks with increasing numbers of dead wires/routers,
 reporting delivered throughput, latency and retry inflation.
 """
 
-from repro.core.random_source import derive_seed
 from repro.faults.injector import FaultInjector, random_fault_scenario
 from repro.harness.load_sweep import (
     build_point_network,
@@ -17,7 +16,7 @@ from repro.harness.load_sweep import (
     point_traffic,
 )
 from repro.harness.parallel import run_trials
-from repro.harness.spec import TrialSpec
+from repro.harness.sweeps import FAULT_LEVELS, sweep_specs
 
 
 def _apply_fault_level(network, n_dead_links, n_dead_routers, seed):
@@ -86,32 +85,8 @@ def start_fault_point(n_dead_links, n_dead_routers, rate, seed, message_words,
     )
 
 
-def fault_trial_specs(
-    fault_levels=((0, 0), (4, 0), (8, 0), (16, 0), (4, 2), (8, 4)),
-    rate=0.02,
-    seed=0,
-    **kwargs
-):
-    """One :class:`TrialSpec` per fault level, seeded per level.
-
-    The seed path is ``("fault", links, routers, rate)`` so a level's
-    randomness is unchanged when levels are added or reordered.
-    """
-    return [
-        TrialSpec(
-            runner="repro.harness.fault_sweep:run_fault_point",
-            params=dict(
-                n_dead_links=links, n_dead_routers=routers, rate=rate, **kwargs
-            ),
-            seed=derive_seed(seed, "fault", links, routers, rate),
-            label="links={} routers={}".format(links, routers),
-        )
-        for links, routers in fault_levels
-    ]
-
-
 def fault_degradation_sweep(
-    fault_levels=((0, 0), (4, 0), (8, 0), (16, 0), (4, 2), (8, 4)),
+    fault_levels=FAULT_LEVELS,
     rate=0.02,
     seed=0,
     workers=1,
@@ -122,11 +97,15 @@ def fault_degradation_sweep(
 ):
     """Latency/throughput at one load across increasing fault counts.
 
-    Levels are independent trials: ``workers`` parallelizes them and
-    ``cache_dir`` reuses already-measured levels across invocations.
+    Levels are independent trials (the ``fault`` row of
+    :data:`repro.harness.sweeps.SWEEPS`, each seeded by its path
+    ``("fault", links, routers, rate)``, so a level's randomness is
+    unchanged when levels are added or reordered): ``workers``
+    parallelizes them and ``cache_dir`` reuses already-measured levels
+    across invocations.
     """
-    specs = fault_trial_specs(
-        fault_levels=fault_levels, rate=rate, seed=seed, **kwargs
+    specs = sweep_specs(
+        "fault", seed=seed, fault_levels=fault_levels, rate=rate, **kwargs
     )
     return run_trials(
         specs, workers=workers, cache_dir=cache_dir, progress=progress, runner=runner

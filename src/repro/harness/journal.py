@@ -103,13 +103,11 @@ class RunJournal:
                 os.path.dirname(os.path.abspath(self.path)), exist_ok=True
             )
             events = read_run_log(self.path) if os.path.exists(self.path) else []
-            if events:
-                validate_journal(events)
+            self.state = _journal_state(events) if events else JournalState()
         except (OSError, ValueError) as exc:
             raise JournalMismatchError(
                 "journal {} cannot be continued: {}".format(self.path, exc)
             ) from exc
-        self.state = replay_journal(events)
         trim_torn_tail(self.path)
         self._handle = open(self.path, "a")
         self.records_written = 0
@@ -229,7 +227,7 @@ def replay_journal(events):
     one, a ``trial.done`` after a crash on a previous attempt), so the
     state reflects each trial's *last* known transition.  Multiple
     ``sweep.start`` manifests merge — lazy sweeps
-    (:func:`~repro.harness.saturation.find_saturation`) run one
+    (:func:`~repro.harness.saturation.saturation_search`) run one
     runner batch per probed point against the same journal.
     """
     state = JournalState()
@@ -278,11 +276,17 @@ def replay_journal(events):
     return state
 
 
-def load_journal_state(path):
-    """Read + validate + replay ``path`` in one call."""
-    events = read_run_log(path)
+def _journal_state(events):
+    """The :class:`JournalState` of parsed journal records, schema-checked
+    first (``ValueError``): how :class:`RunJournal` and
+    :func:`load_journal_state` read a journal."""
     validate_journal(events)
     return replay_journal(events)
+
+
+def load_journal_state(path):
+    """Read + validate + replay ``path`` in one call."""
+    return _journal_state(read_run_log(path))
 
 
 def format_journal_event(event):

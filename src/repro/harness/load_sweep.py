@@ -17,11 +17,10 @@ across worker processes and reuse cached points while remaining
 bit-identical to a serial run.
 """
 
-from repro.core.random_source import derive_seed
 from repro.endpoint.traffic import UniformRandomTraffic
 from repro.harness.experiment import finish_experiment
 from repro.harness.parallel import run_trials
-from repro.harness.spec import TrialSpec
+from repro.harness.sweeps import sweep_specs
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan, figure3_plan
 
@@ -152,21 +151,14 @@ def finish_load_point(state):
 
 
 def load_trial_specs(rates=DEFAULT_RATES, seed=0, **kwargs):
-    """The sweep as :class:`TrialSpec` objects, one per rate.
+    """The sweep as :class:`TrialSpec` objects, one per rate: the
+    ``load`` row of :data:`repro.harness.sweeps.SWEEPS`.
 
     Each trial's seed is ``derive_seed(seed, "load", rate)``: a pure
     function of the root seed and the rate, independent of the trial's
     position in the sweep and of which process executes it.
     """
-    return [
-        TrialSpec(
-            runner="repro.harness.load_sweep:run_load_point",
-            params=dict(rate=rate, **kwargs),
-            seed=derive_seed(seed, "load", rate),
-            label="rate={}".format(rate),
-        )
-        for rate in rates
-    ]
+    return sweep_specs("load", seed=seed, rates=rates, **kwargs)
 
 
 def figure3_sweep(

@@ -1,25 +1,30 @@
 """Saturation search: where does the network stop giving more?
 
 Figure 3's load axis ends where the latency curve turns vertical.
-:func:`find_saturation` locates that point automatically: it sweeps
-the injection rate geometrically until delivered throughput stops
-improving, then reports the saturation throughput and the rate at
-which it was reached — useful for comparing network variants (size,
-dilation, reclamation mode) by a single number.
+:func:`saturation_search` locates that point automatically: it sweeps the
+injection rate geometrically until delivered throughput stops
+improving, and :func:`saturation_point` reports the saturation
+throughput and the rate at which it was reached — useful for comparing
+network variants (size, dilation, reclamation mode) by a single number.
 
 The candidate rates are known up front (:data:`START_RATE` growing by
 :data:`GROWTH` for :data:`MAX_STEPS`), so each is an independent
-:class:`~repro.harness.parallel.TrialSpec`.  A serial runner evaluates
+:class:`~repro.harness.parallel.TrialSpec`: the ``saturation`` row of
+:data:`repro.harness.sweeps.SWEEPS` builds them, as ``repro
+saturation`` does::
+
+    specs = sweep_specs("saturation", seed=0, network_factory=figure3_network)
+    results = saturation_search(TrialRunner(workers=4), specs)
+    saturated = saturation_point(results)
+
+A serial runner evaluates
 them lazily with early stopping; a parallel runner measures all
 candidates concurrently and then applies the *same* stopping rule to
 the full series, so both modes return identical results (the parallel
 mode merely spends extra work past the knee in exchange for latency).
 """
 
-from repro.core.random_source import derive_seed
-from repro.harness.load_sweep import figure3_network, run_load_point
-from repro.harness.parallel import run_trials
-from repro.harness.spec import TrialSpec
+from repro.harness.load_sweep import run_load_point
 
 #: The geometric rate ladder the search climbs.
 START_RATE = 0.01
@@ -46,26 +51,6 @@ def run_saturation_point(rate, seed=0, warmup_cycles=800, measure_cycles=3000,
     return result
 
 
-def saturation_trial_specs(seed=0, **kwargs):
-    """The geometric rate ladder as :class:`TrialSpec` objects.
-
-    ``kwargs`` reach :func:`run_saturation_point` only when given.
-    """
-    specs = []
-    rate = START_RATE
-    for _step in range(MAX_STEPS):
-        specs.append(
-            TrialSpec(
-                runner="repro.harness.saturation:run_saturation_point",
-                params=dict(rate=rate, **kwargs),
-                seed=derive_seed(seed, "saturation", rate),
-                label="rate={:.4g}".format(rate),
-            )
-        )
-        rate *= GROWTH
-    return specs
-
-
 def _saturation_index(results):
     """Index of the first flattening point, or None if still growing.
 
@@ -86,45 +71,29 @@ def _saturation_index(results):
     return None
 
 
-def find_saturation(
-    network_factory=figure3_network,
-    seed=0,
-    workers=1,
-    cache_dir=None,
-    progress=None,
-    runner=None,
-    **kwargs
-):
-    """Grow the injection rate until throughput gains fall below
-    :data:`TOLERANCE`; returns ``(saturation_result, all_results)``.
+def saturation_search(runner, specs):
+    """Run the rate ladder ``specs`` on ``runner`` until throughput gains
+    fall below :data:`TOLERANCE`; returns the results up to one rung
+    past the saturation point (all of them if the curve never flattens).
 
-    The saturation result is the first point whose delivered load is
-    within :data:`TOLERANCE` of its successor's (the curve has flattened).
-    With ``workers`` > 1 all candidate rates are measured concurrently
-    and the result series is truncated at the same stopping point the
-    serial search would have reached, so the two modes agree exactly.
-    ``kwargs`` (``message_words``, ``warmup_cycles``,
-    ``measure_cycles``, ``metrics``, ``backend``) go to
-    :func:`saturation_trial_specs`.
+    A serial runner measures one rung at a time and stops there; a pool
+    measures every rung at once and cuts the series at the same rung,
+    so the two return the same results.
     """
-    specs = saturation_trial_specs(
-        seed=seed, network_factory=network_factory, **kwargs
-    )
-    # One batch of every candidate on a pool, one candidate per batch
-    # serially; a prebuilt runner's pool size wins over ``workers``.
-    if getattr(runner, "workers", workers) > 1:
-        batches = [specs]
-    else:
-        batches = [[spec] for spec in specs]
+    batches = [specs] if runner.workers > 1 else [[spec] for spec in specs]
     results = []
     for batch in batches:
-        results.extend(
-            run_trials(
-                batch, workers=workers, cache_dir=cache_dir, progress=progress,
-                runner=runner,
-            )
-        )
+        results.extend(runner.run(batch))
         index = _saturation_index(results)
         if index is not None:
-            return results[index], results[: index + 2]
-    return results[-1], results
+            return results[: index + 2]
+    return results
+
+
+def saturation_point(results):
+    """The saturation result of a :func:`saturation_search`: the first
+    point whose delivered load is within :data:`TOLERANCE` of its
+    successor's (the curve has flattened), or the last point if it
+    never did."""
+    index = _saturation_index(results)
+    return results[-1] if index is None else results[index]

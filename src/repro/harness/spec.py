@@ -101,14 +101,7 @@ class TrialSpec:
     def resolve_runner(self):
         """The runner callable (importing it if named by string)."""
         if isinstance(self.runner, str):
-            module_name, _, attr = self.runner.partition(":")
-            if not attr:
-                raise ValueError(
-                    "runner string must be 'module:function', got {!r}".format(
-                        self.runner
-                    )
-                )
-            return getattr(importlib.import_module(module_name), attr)
+            return resolve(self.runner)
         return self.runner
 
     def canonical(self):
@@ -137,12 +130,21 @@ class TrialSpec:
         return "<TrialSpec {} seed={}>".format(self.label, self.seed)
 
 
+def resolve(path):
+    """The module-level function a ``"module:function"`` path names."""
+    module_name, _, attr = path.partition(":")
+    if not attr:
+        raise ValueError(
+            "runner string must be 'module:function', got {!r}".format(path)
+        )
+    return getattr(importlib.import_module(module_name), attr)
+
+
 def trial_keys(spec):
     """``(journal key, cache key or None)`` from one canonicalisation.
 
-    A spec is mutable (``cli._cmd_faults`` re-seeds one after building
-    it), so nothing is memoised here: whoever runs a batch asks once
-    per spec and keeps the answer for the batch.
+    A spec is mutable, so nothing is memoised here: whoever runs a
+    batch asks once per spec and keeps the answer for the batch.
     """
     structure, cacheable = spec.canonical()
     if cacheable:

@@ -16,14 +16,12 @@ serial vs parallel.  The CLI front end is ``repro workloads`` (see
 ``docs/workloads.md``).
 """
 
-from repro.core.random_source import derive_seed
 from repro.harness.fault_sweep import _apply_fault_level
 from repro.harness.load_sweep import (
     build_point_network,
     figure1_network,
     figure3_network,
 )
-from repro.harness.spec import TrialSpec
 from repro.workloads.collective import (
     CollectiveSchedule,
     CollectiveWorkload,
@@ -35,12 +33,6 @@ from repro.workloads.service import (
     finish_service,
     service_slo_failures,
 )
-
-#: Fault levels (dead links, dead routers) swept by default.
-DEFAULT_FAULT_LEVELS = ((0, 0), (4, 0), (8, 0), (4, 2))
-
-#: Per-client arrival rates swept by default.
-DEFAULT_SERVICE_RATES = (0.0005, 0.001, 0.002, 0.004)
 
 _NETWORKS = {
     "figure1": figure1_network,
@@ -227,38 +219,6 @@ def finish_service_point(state):
     if riders["telemetry"] is not None:
         result.metrics = riders["telemetry"].snapshot()
     return result
-
-
-def collective_trial_specs(fault_levels=DEFAULT_FAULT_LEVELS, seed=0,
-                           algorithm="ring", **kwargs):
-    """One spec per fault level; seed path ``("wl-coll", algo, l, r)``."""
-    return [
-        TrialSpec(
-            runner="repro.harness.workload_sweep:run_collective_point",
-            params=dict(
-                algorithm=algorithm,
-                n_dead_links=links,
-                n_dead_routers=routers,
-                **kwargs
-            ),
-            seed=derive_seed(seed, "wl-coll", algorithm, links, routers),
-            label="{} faults={}+{}".format(algorithm, links, routers),
-        )
-        for links, routers in fault_levels
-    ]
-
-
-def service_trial_specs(rates=DEFAULT_SERVICE_RATES, seed=0, **kwargs):
-    """One spec per offered load; seed path ``("wl-svc", rate)``."""
-    return [
-        TrialSpec(
-            runner="repro.harness.workload_sweep:run_service_point",
-            params=dict(rate=rate, **kwargs),
-            seed=derive_seed(seed, "wl-svc", rate),
-            label="rate={}".format(rate),
-        )
-        for rate in rates
-    ]
 
 
 def workload_slo_failures(results, slo):

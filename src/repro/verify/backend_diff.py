@@ -28,10 +28,8 @@ import difflib
 import pprint
 from collections import namedtuple
 
-from repro.core.random_source import derive_seed
 # Lives beside MessageLog; bench/ and older callers import it from here.
 from repro.endpoint.messages import message_fingerprint  # noqa: F401
-from repro.harness.spec import TrialSpec
 from repro.verify.families import FAMILIES, run_family
 
 #: Workload families diffed by default, in sweep order: the table's keys.
@@ -130,27 +128,6 @@ def diff_point(kind, seed, backend="events"):
 
 
 def run_diff_trial(seed=0, kind="scenario", backend="events"):
-    """:class:`TrialSpec` runner wrapper around :func:`diff_point`."""
+    """The ``backend-diff`` sweep's runner (a row of
+    :data:`repro.harness.sweeps.SWEEPS`): :func:`diff_point`."""
     return diff_point(kind, seed, backend=backend)
-
-
-def backend_diff_specs(n_trials=50, seed=0, backend="events"):
-    """``n_trials`` diff trials cycling through :data:`DEFAULT_KINDS`.
-
-    Each trial's seed derives from the root seed and its index, so the
-    set is a pure function of its arguments (and each report is
-    independently reproducible with ``diff_point``).
-    """
-    specs = []
-    for index in range(n_trials):
-        kind = DEFAULT_KINDS[index % len(DEFAULT_KINDS)]
-        trial_seed = derive_seed(seed, "backend-diff", index)
-        specs.append(
-            TrialSpec(
-                runner="repro.verify.backend_diff:run_diff_trial",
-                params=dict(kind=kind, backend=backend),
-                seed=trial_seed,
-                label="{}[{}]".format(kind, index),
-            )
-        )
-    return specs

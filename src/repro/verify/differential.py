@@ -29,9 +29,7 @@ over the :class:`~repro.harness.parallel.TrialRunner` and is
 bit-identical serial or parallel.
 """
 
-from repro.core.random_source import derive_seed
 from repro.endpoint.messages import DELIVERED
-from repro.harness.spec import TrialSpec
 from repro.latency_model import equations
 from repro.verify.scenario import Scenario, random_scenario
 
@@ -108,21 +106,9 @@ def compare(scenario, max_cycles=50000):
 
 
 def run_trial(seed):
-    """One differential trial (module-level for TrialSpec workers)."""
+    """One differential trial: the ``differential`` sweep's runner (a
+    row of :data:`repro.harness.sweeps.SWEEPS`)."""
     return compare(random_scenario(seed, n_messages=1))
-
-
-def differential_specs(n_trials, root_seed=0):
-    """The picklable spec list for an ``n_trials`` differential sweep."""
-    return [
-        TrialSpec(
-            runner="repro.verify.differential:run_trial",
-            params={},
-            seed=derive_seed(root_seed, "verify-differential", index),
-            label="diff[{}]".format(index),
-        )
-        for index in range(n_trials)
-    ]
 
 
 def mismatch_aware_run(max_cycles=50000):

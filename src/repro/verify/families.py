@@ -28,11 +28,13 @@ seeded workloads, and nothing about either proof:
     The cycle at which resume-diff snapshots the run; None for a
     family that does not split through ``snapshot_network``.
 
-A workload kind a sweep runs is described once, by its point runner
-in ``harness/``: its row is a :class:`PointFamily`, a seeded draw of
-that runner's parameters on the runner's own start and finish halves,
-so the proofs run what ``repro figure3``, ``faults`` and ``workloads``
-run.  Only ``scenario`` and ``chaos`` keep rows of their own.
+A workload kind a sweep runs is described once, by its row of the
+sweep table (:data:`repro.harness.sweeps.SWEEPS`): its family is a
+:class:`PointFamily`, a seeded draw of that row's runner's parameters
+on the runner's own start and finish halves, which the row names, so
+the proofs run what ``repro figure3``, ``faults`` and ``workloads``
+run.  Only ``scenario`` and ``chaos`` keep rows of their own (the
+chaos row runs the ``chaos`` sweep's runner).
 
 ==============  ==============================  ==========================
 family          row                             draws
@@ -62,23 +64,10 @@ import random
 
 from repro.core.random_source import derive_seed
 from repro.endpoint.messages import message_fingerprint
-from repro.harness.chaos import run_chaos_point
-from repro.harness.fault_sweep import run_fault_point, start_fault_point
-from repro.harness.load_sweep import (
-    figure1_network,
-    finish_load_point,
-    run_load_point,
-    start_load_point,
-)
-from repro.harness.workload_sweep import (
-    ALGORITHMS,
-    finish_collective_point,
-    finish_service_point,
-    run_collective_point,
-    run_service_point,
-    start_collective_point,
-    start_service_point,
-)
+from repro.harness.load_sweep import figure1_network
+from repro.harness.spec import resolve
+from repro.harness.sweeps import SWEEPS
+from repro.harness.workload_sweep import ALGORITHMS
 from repro.verify.scenario import finish_scenario, random_scenario
 
 
@@ -136,23 +125,27 @@ class ScenarioFamily:
 
 
 class PointFamily:
-    """A sweep's point runner on seeded parameters.
+    """The point runner of the sweep table's row ``sweep`` on seeded
+    parameters.
 
-    ``draw(rng)`` picks a few of ``runner``'s parameters (the rest keep
-    the runner's defaults); :meth:`params` is that draw for one seed and
-    backend, so ``runner(**row.params(seed, backend))`` is the trial a
-    sweep would run.  ``start`` is the runner's start half on those
-    parameters (the network built, the workload attached, nothing run;
-    its riders are what the finish half reads) and ``finish`` its
-    finish half, whose result rides along as the state's third item.
+    ``draw(rng)`` picks a few of the :attr:`runner`'s parameters (the
+    rest keep the runner's defaults); :meth:`params` is that draw for
+    one seed and backend, so ``runner(**row.params(seed, backend))`` is
+    the trial a sweep would run.  ``start`` is the runner's start half
+    on those parameters (the network built, the workload attached,
+    nothing run; its riders are what the finish half reads) and
+    ``finish`` its finish half, whose result rides along as the state's
+    third item; the sweep row names both halves.
 
     Fingerprint: + whatever ``extras(network, riders)`` adds.  Split: a
     cycle drawn from :attr:`splits`."""
 
-    def __init__(self, kind, runner, start, finish, draw, extras, splits):
-        self.kind, self.runner, self.draw = kind, runner, draw
-        self._start, self._finish, self._extras = start, finish, extras
-        self.splits = splits
+    def __init__(self, kind, sweep, draw, extras, splits):
+        row = SWEEPS[sweep]
+        self.kind, self.sweep, self.draw = kind, sweep, draw
+        self.runner = resolve(row.runner)
+        self._start, self._finish = (resolve(half) for half in row.halves)
+        self._extras, self.splits = extras, splits
 
     def params(self, seed, backend):
         return dict(self.draw(_rng(seed, self.kind)), backend=backend)
@@ -248,8 +241,9 @@ def _figure3(rng):
 
 
 class ChaosFamily:
-    """A full :func:`~repro.harness.chaos.run_chaos_point` soak with
-    self-healing on.  ``run_chaos_point`` owns its loop, so the state
+    """A full soak of the ``chaos`` sweep's runner
+    (:func:`~repro.harness.chaos.run_chaos_point`) with self-healing
+    on.  ``run_chaos_point`` owns its loop, so the state
     is its keyword arguments before ``finish`` and the
     :class:`~repro.harness.chaos.ChaosResult` after.
 
@@ -273,7 +267,7 @@ class ChaosFamily:
         )
 
     def finish(self, state):
-        return run_chaos_point(**state)
+        return resolve(SWEEPS["chaos"].runner)(**state)
 
     def fingerprint(self, state):
         return {
@@ -297,25 +291,20 @@ class ChaosFamily:
 FAMILIES = {
     "scenario": ScenarioFamily(),
     "traffic": PointFamily(
-        "traffic", run_load_point, start_load_point, finish_load_point,
-        _load, _window, range(1200, 1201),
+        "traffic", "load", _load, _window, range(1200, 1201)
     ),
     "faults": PointFamily(
-        "faults", run_fault_point, start_fault_point, finish_load_point,
-        _faults, _window, range(1200, 1201),
+        "faults", "fault", _faults, _window, range(1200, 1201)
     ),
     "chaos": ChaosFamily(),
     "collective": PointFamily(
-        "collective", run_collective_point, start_collective_point,
-        finish_collective_point, _collective, _steps, range(40, 120),
+        "collective", "collective", _collective, _steps, range(40, 120)
     ),
     "service": PointFamily(
-        "service", run_service_point, start_service_point,
-        finish_service_point, _service, _window, range(600, 1800),
+        "service", "service", _service, _window, range(600, 1800)
     ),
     "figure3": PointFamily(
-        "figure3", run_load_point, start_load_point, finish_load_point,
-        _figure3, _window, range(200, 800),
+        "figure3", "load", _figure3, _window, range(200, 800)
     ),
 }
 

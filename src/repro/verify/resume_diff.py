@@ -41,9 +41,8 @@ from collections import namedtuple
 
 from repro.core.random_source import derive_seed
 from repro.harness import chaos
-from repro.harness.spec import TrialSpec
 from repro.sim.snapshot import restore_network, snapshot_network
-from repro.verify.backend_diff import DEFAULT_KINDS, _compare
+from repro.verify.backend_diff import _compare
 from repro.verify.families import family, run_family
 
 #: (capture backend, restore backend) pairs swept by default: both
@@ -161,41 +160,8 @@ def resume_point(kind, seed, backend="reference", restore_backend=None):
 
 
 def run_resume_trial(seed=0, kind="scenario", backend="reference", restore_backend=None):
-    """:class:`TrialSpec` runner wrapper around :func:`resume_point`."""
+    """The ``resume-diff`` sweep's runner (a row of
+    :data:`repro.harness.sweeps.SWEEPS`): :func:`resume_point`."""
     return resume_point(
         kind, seed, backend=backend, restore_backend=restore_backend
     )
-
-
-def resume_diff_specs(n_trials=16, seed=0):
-    """``n_trials`` resume trials crossing :data:`DEFAULT_KINDS` with
-    :data:`DEFAULT_PAIRS` of backends.
-
-    Kinds cycle with the trial index and pairs cycle once per full pass
-    over the kinds, so ``len(kinds) * len(pairs)`` trials (28)
-    cover the full (kind, capture backend, restore backend)
-    matrix.  Each trial's seed derives from
-    the root seed and its index, making the set a pure function of its
-    arguments.
-    """
-    kinds, pairs = DEFAULT_KINDS, DEFAULT_PAIRS
-    specs = []
-    for index in range(n_trials):
-        kind = kinds[index % len(kinds)]
-        backend, restore_backend = pairs[(index // len(kinds)) % len(pairs)]
-        trial_seed = derive_seed(seed, "resume-diff", index)
-        specs.append(
-            TrialSpec(
-                runner="repro.verify.resume_diff:run_resume_trial",
-                params=dict(
-                    kind=kind,
-                    backend=backend,
-                    restore_backend=restore_backend,
-                ),
-                seed=trial_seed,
-                label="{}[{}] {}->{}".format(
-                    kind, index, backend, restore_backend
-                ),
-            )
-        )
-    return specs

@@ -7,9 +7,9 @@ import pytest
 from repro.harness.chaos import (
     ChaosResult,
     chaos_slo_failures,
-    chaos_trial_specs,
     run_chaos_point,
 )
+from repro.harness.sweeps import sweep_specs
 from repro.harness.parallel import run_trials
 
 # Small, fast soak used throughout this module.
@@ -110,8 +110,8 @@ class TestDeterminism:
         assert pickle.dumps(first) == pickle.dumps(second)
 
     def test_trial_specs_seeds_are_stable(self):
-        specs = chaos_trial_specs(seeds=2, seed=9, self_heal=(True, False))
-        again = chaos_trial_specs(seeds=2, seed=9, self_heal=(True, False))
+        specs = sweep_specs("chaos", seeds=2, seed=9, self_heal=(True, False))
+        again = sweep_specs("chaos", seeds=2, seed=9, self_heal=(True, False))
         assert [s.seed for s in specs] == [s.seed for s in again]
         assert len({s.seed for s in specs}) == 4
         assert [s.label for s in specs] == [
@@ -125,8 +125,8 @@ class TestDeterminism:
 class TestParallelEquivalence:
     def test_serial_matches_parallel_byte_identically(self):
         kw = dict(seeds=2, seed=4, self_heal=(True,), metrics=True, **SOAK_KW)
-        serial = run_trials(chaos_trial_specs(**kw), workers=1)
-        parallel = run_trials(chaos_trial_specs(**kw), workers=2)
+        serial = run_trials(sweep_specs("chaos", **kw), workers=1)
+        parallel = run_trials(sweep_specs("chaos", **kw), workers=2)
         assert len(serial) == len(parallel) == 2
         for a, b in zip(serial, parallel):
             # Per-result pickles match byte-for-byte (list-level pickle

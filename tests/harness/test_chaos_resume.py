@@ -8,7 +8,8 @@ import shutil
 
 import pytest
 
-from repro.harness.chaos import SNAPSHOT_KEEP, chaos_trial_specs, run_chaos_point
+from repro.harness.chaos import SNAPSHOT_KEEP, run_chaos_point
+from repro.harness.sweeps import sweep_specs
 from repro.harness.journal import RunJournal
 from repro.harness.load_sweep import figure1_network
 from repro.harness.parallel import TrialRunner, TrialSpec, journal_trial_key
@@ -240,7 +241,8 @@ def test_journal_resume_finishes_a_mid_flight_soak_in_a_pool_worker(
 
 
 def test_trial_specs_give_each_soak_its_own_ring_subdir(tmp_path):
-    specs = chaos_trial_specs(
+    specs = sweep_specs(
+        "chaos",
         seeds=2,
         self_heal=(True, False),
         snapshot_every=2,
@@ -255,5 +257,5 @@ def test_trial_specs_give_each_soak_its_own_ring_subdir(tmp_path):
     for spec in specs:
         assert spec.params["snapshot_every"] == 2
     # Without a ring, no snapshot params leak into the specs.
-    for spec in chaos_trial_specs(seeds=1, **SOAK_KW):
+    for spec in sweep_specs("chaos", seeds=1, **SOAK_KW):
         assert "snapshot_dir" not in spec.params

@@ -20,7 +20,8 @@ from repro.harness.parallel import (
     run_trials,
 )
 from repro.harness.reporting import format_trial_event
-from repro.harness.saturation import find_saturation
+from repro.harness.saturation import saturation_point, saturation_search
+from repro.harness.sweeps import sweep_specs
 
 if __name__ == "__main__":  # ``--regen`` runs this file as a script
     sys.path.insert(0, os.path.normpath(os.path.join(__file__, "../../..")))
@@ -188,10 +189,11 @@ def test_saturation_parallel_matches_serial():
         warmup_cycles=200,
         measure_cycles=800,
     )
-    sat_serial, serial = find_saturation(workers=1, **kw)
-    sat_parallel, parallel = find_saturation(workers=2, **kw)
+    specs = sweep_specs("saturation", **kw)
+    serial = saturation_search(TrialRunner(workers=1), specs)
+    parallel = saturation_search(TrialRunner(workers=2), specs)
     assert _result_bytes(serial) == _result_bytes(parallel)
-    assert sat_serial.label == sat_parallel.label
+    assert saturation_point(serial).label == saturation_point(parallel).label
 
 
 @pytest.mark.slow
@@ -862,31 +864,20 @@ def _env_flaky_trial(seed=0):
 
 
 def _pinned_specs():
-    from repro.harness.chaos import chaos_trial_specs
-    from repro.harness.fault_sweep import fault_trial_specs
-    from repro.harness.saturation import saturation_trial_specs
-    from repro.harness.workload_sweep import (
-        collective_trial_specs,
-        service_trial_specs,
-    )
-    from repro.verify.backend_diff import backend_diff_specs
-    from repro.verify.differential import differential_specs
-    from repro.verify.resume_diff import resume_diff_specs
-
     return {
         "load": load_trial_specs(rates=(0.04,), seed=3, **SWEEP_KW)[0],
-        "fault": fault_trial_specs(fault_levels=((2, 1),), seed=3)[0],
-        "saturation": saturation_trial_specs(seed=3)[1],
-        "chaos": chaos_trial_specs(
-            seeds=1, seed=3, n_windows=6, window_cycles=200
+        "fault": sweep_specs("fault", fault_levels=((2, 1),), seed=3)[0],
+        "saturation": sweep_specs("saturation", seed=3)[1],
+        "chaos": sweep_specs(
+            "chaos", seeds=1, seed=3, n_windows=6, window_cycles=200
         )[0],
-        "collective": collective_trial_specs(
-            fault_levels=((2, 0),), seed=3, words=6
+        "collective": sweep_specs(
+            "collective", fault_levels=((2, 0),), seed=3, words=6
         )[0],
-        "service": service_trial_specs(rates=(0.001,), seed=3)[0],
-        "backend_diff": backend_diff_specs(n_trials=1, seed=3)[0],
-        "resume_diff": resume_diff_specs(n_trials=1, seed=3)[0],
-        "differential": differential_specs(1, root_seed=3)[0],
+        "service": sweep_specs("service", rates=(0.001,), seed=3)[0],
+        "backend_diff": sweep_specs("backend-diff", n_trials=1, seed=3)[0],
+        "resume_diff": sweep_specs("resume-diff", n_trials=1, seed=3)[0],
+        "differential": sweep_specs("differential", n_trials=1, seed=3)[0],
     }
 
 

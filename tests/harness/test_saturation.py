@@ -1,6 +1,8 @@
 """Saturation search."""
 
-from repro.harness.saturation import find_saturation
+from repro.harness.parallel import TrialRunner
+from repro.harness.saturation import saturation_point, saturation_search
+from repro.harness.sweeps import sweep_specs
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
 
@@ -9,14 +11,16 @@ def _small_factory(seed=0):
     return build_network(figure1_plan(), seed=seed, fast_reclaim=True)
 
 
-def test_finds_a_flattening_point():
-    saturated, results = find_saturation(
-        network_factory=_small_factory,
-        seed=2,
-        message_words=8,
-        warmup_cycles=300,
-        measure_cycles=1200,
+def _search(**kwargs):
+    specs = sweep_specs(
+        "saturation", network_factory=_small_factory, message_words=8, **kwargs
     )
+    return saturation_search(TrialRunner(), specs)
+
+
+def test_finds_a_flattening_point():
+    results = _search(seed=2, warmup_cycles=300, measure_cycles=1200)
+    saturated = saturation_point(results)
     assert saturated in results
     assert len(results) >= 2
     assert saturated.delivered_load > 0
@@ -26,12 +30,6 @@ def test_finds_a_flattening_point():
 
 
 def test_results_are_ordered_by_rate():
-    _saturated, results = find_saturation(
-        network_factory=_small_factory,
-        seed=3,
-        message_words=8,
-        warmup_cycles=200,
-        measure_cycles=800,
-    )
+    results = _search(seed=3, warmup_cycles=200, measure_cycles=800)
     labels = [r.label for r in results]
     assert labels == sorted(labels, key=lambda s: float(s.split("=")[1]))

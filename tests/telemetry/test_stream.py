@@ -7,7 +7,8 @@ import shutil
 import pytest
 
 from repro.endpoint.traffic import UniformRandomTraffic
-from repro.harness.chaos import chaos_trial_specs, run_chaos_point
+from repro.harness.chaos import run_chaos_point
+from repro.harness.sweeps import sweep_specs
 from repro.harness.load_sweep import figure1_network
 from repro.harness.parallel import run_trials
 from repro.sim.backends import BACKENDS
@@ -200,7 +201,8 @@ class TestLosslessDeltas:
 
     def test_merged_deltas_equal_final_snapshot_parallel(self, tmp_path):
         results = run_trials(
-            chaos_trial_specs(
+            sweep_specs(
+                "chaos",
                 seeds=2,
                 seed=7,
                 stream_dir=str(tmp_path),

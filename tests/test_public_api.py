@@ -124,6 +124,7 @@ SUBMODULES = [
     "repro.harness.reporting",
     "repro.harness.saturation",
     "repro.harness.spec",
+    "repro.harness.sweeps",
     "repro.baseline.builder",
     "repro.baseline.harness",
     "repro.baseline.wormhole",

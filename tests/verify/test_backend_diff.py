@@ -13,11 +13,11 @@ import pytest
 
 from repro.cli import build_parser
 from repro.harness.parallel import run_trials
+from repro.harness.sweeps import sweep_specs
 from repro.verify.backend_diff import (
     DEFAULT_KINDS,
     DiffReport,
     _compare,
-    backend_diff_specs,
     diff_point,
     run_diff_trial,
 )
@@ -99,7 +99,7 @@ def test_unknown_kind_is_rejected():
 
 
 def test_specs_cycle_kinds_and_derive_seeds():
-    specs = backend_diff_specs(n_trials=8, seed=3)
+    specs = sweep_specs("backend-diff", n_trials=8, seed=3)
     assert [spec.params["kind"] for spec in specs] == [
         "scenario", "traffic", "faults", "chaos", "collective", "service",
         "figure3", "scenario",
@@ -110,16 +110,16 @@ def test_specs_cycle_kinds_and_derive_seeds():
     prints = [spec.fingerprint(code_version="x") for spec in specs]
     assert prints[:4] == [
         spec.fingerprint(code_version="x")
-        for spec in backend_diff_specs(n_trials=4, seed=3)
+        for spec in sweep_specs("backend-diff", n_trials=4, seed=3)
     ]
     assert prints != [
         spec.fingerprint(code_version="x")
-        for spec in backend_diff_specs(n_trials=8, seed=4)
+        for spec in sweep_specs("backend-diff", n_trials=8, seed=4)
     ]
 
 
 def test_sweep_reports_and_failure_filter():
-    reports = run_trials(backend_diff_specs(n_trials=2, seed=1))
+    reports = run_trials(sweep_specs("backend-diff", n_trials=2, seed=1))
     assert [report.kind for report in reports] == list(DEFAULT_KINDS[:2])
     # ``ok`` is the whole failure filter: it is what the CLI gate reads.
     assert all(report.ok for report in reports)
@@ -139,7 +139,9 @@ def test_run_diff_trial_matches_diff_point():
 def test_acceptance_sweep_54_trials():
     """The acceptance bar: >= 50 random workloads, every family nine
     times (transient faults included), byte-identical across backends."""
-    reports = run_trials(backend_diff_specs(n_trials=54, seed=0), workers=4)
+    reports = run_trials(
+        sweep_specs("backend-diff", n_trials=54, seed=0), workers=4
+    )
     assert len(reports) == 54
     failures = [report for report in reports if not report.ok]
     assert not failures, [

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.harness.parallel import run_trials
+from repro.harness.sweeps import sweep_specs
 from repro.verify.differential import (
     compare,
-    differential_specs,
     model_one_way,
     model_slack,
     run_trial,
@@ -18,22 +18,22 @@ pytestmark = pytest.mark.stress
 def test_fifty_random_configs_agree_with_model():
     """The acceptance bar: >= 50 random (r, d, vtd, dp, hw) draws, the
     simulator and the closed-form model agree at the stated slack."""
-    reports = run_trials(differential_specs(50, root_seed=0))
+    reports = run_trials(sweep_specs("differential", n_trials=50, seed=0))
     mismatches = [report for report in reports if not report["ok"]]
     assert len(reports) == 50
     assert mismatches == [], mismatches[0]["detail"] if mismatches else ""
 
 
 def test_serial_and_parallel_sweeps_are_identical():
-    specs = differential_specs(10, root_seed=7)
+    specs = sweep_specs("differential", n_trials=10, seed=7)
     assert run_trials(specs) == run_trials(specs, workers=2)
 
 
 def test_specs_are_deterministic_in_root_seed():
-    first = differential_specs(5, root_seed=3)
-    second = differential_specs(5, root_seed=3)
+    first = sweep_specs("differential", n_trials=5, seed=3)
+    second = sweep_specs("differential", n_trials=5, seed=3)
     assert [s.seed for s in first] == [s.seed for s in second]
-    different = differential_specs(5, root_seed=4)
+    different = sweep_specs("differential", n_trials=5, seed=4)
     assert [s.seed for s in first] != [s.seed for s in different]
 
 

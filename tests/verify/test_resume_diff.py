@@ -13,13 +13,13 @@ import pytest
 
 from repro.harness import workload_sweep
 from repro.harness.parallel import run_trials
+from repro.harness.sweeps import sweep_specs
 from repro.sim.channel import Channel, _Pipe
 from repro.verify import families
 from repro.verify.backend_diff import DEFAULT_KINDS
 from repro.verify.resume_diff import (
     DEFAULT_PAIRS,
     ResumeReport,
-    resume_diff_specs,
     resume_point,
     run_resume_trial,
 )
@@ -100,7 +100,7 @@ def test_default_restore_backend_is_the_capture_backend():
 
 
 def test_specs_cross_kinds_with_backend_pairs():
-    specs = resume_diff_specs(n_trials=28, seed=3)
+    specs = sweep_specs("resume-diff", n_trials=28, seed=3)
     combos = [
         (
             spec.params["kind"],
@@ -122,16 +122,16 @@ def test_specs_cross_kinds_with_backend_pairs():
     prints = [spec.fingerprint(code_version="x") for spec in specs]
     assert prints[:8] == [
         spec.fingerprint(code_version="x")
-        for spec in resume_diff_specs(n_trials=8, seed=3)
+        for spec in sweep_specs("resume-diff", n_trials=8, seed=3)
     ]
     assert prints != [
         spec.fingerprint(code_version="x")
-        for spec in resume_diff_specs(n_trials=28, seed=4)
+        for spec in sweep_specs("resume-diff", n_trials=28, seed=4)
     ]
 
 
 def test_sweep_reports_and_failure_filter():
-    reports = run_trials(resume_diff_specs(n_trials=2, seed=1))
+    reports = run_trials(sweep_specs("resume-diff", n_trials=2, seed=1))
     assert [report.kind for report in reports] == list(DEFAULT_KINDS[:2])
     # ``ok`` is the whole failure filter: it is what the CLI gate reads.
     assert all(report.ok for report in reports)
@@ -159,7 +159,9 @@ def test_acceptance_full_resume_matrix():
     """The acceptance bar: byte-identical resume across all seven
     workload families, on both backends and both cross-backend
     directions: the full 7x4 (kind, capture, restore) matrix."""
-    reports = run_trials(resume_diff_specs(n_trials=28, seed=0), workers=4)
+    reports = run_trials(
+        sweep_specs("resume-diff", n_trials=28, seed=0), workers=4
+    )
     assert len(reports) == 28
     failures = [report for report in reports if not report.ok]
     assert not failures, [

@@ -24,11 +24,8 @@ import pickle
 import pytest
 
 from repro.harness.parallel import TrialRunner, run_trials
-from repro.harness.workload_sweep import (
-    collective_trial_specs,
-    run_collective_point,
-    service_trial_specs,
-)
+from repro.harness.sweeps import sweep_specs
+from repro.harness.workload_sweep import run_collective_point
 from repro.sim.backends import BACKENDS
 from repro.sim.snapshot import restore_network, snapshot_network
 from repro.verify.backend_diff import diff_point
@@ -55,8 +52,9 @@ def test_random_collectives_identical_across_backends(seed):
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**20))
 def test_random_collective_sweeps_identical_serial_vs_parallel(seed):
-    specs = collective_trial_specs(
-        fault_levels=((0, 0), (2, 0)), seed=seed, algorithm="ring", words=6
+    specs = sweep_specs(
+        "collective", fault_levels=((0, 0), (2, 0)), seed=seed,
+        algorithm="ring", words=6,
     )
     serial = run_trials(specs, workers=1)
     parallel = run_trials(specs, workers=2)
@@ -79,8 +77,8 @@ def test_figure3_ring_all_reduce_completes_every_step():
 
 
 def test_service_sweep_identical_serial_vs_parallel():
-    specs = service_trial_specs(
-        rates=(0.0005, 0.001), seed=3, measure_cycles=1500
+    specs = sweep_specs(
+        "service", rates=(0.0005, 0.001), seed=3, measure_cycles=1500
     )
     serial = run_trials(specs, workers=1)
     parallel = run_trials(specs, workers=2)
@@ -88,8 +86,8 @@ def test_service_sweep_identical_serial_vs_parallel():
 
 
 def test_trial_runner_caches_collective_points(tmp_path):
-    specs = collective_trial_specs(
-        fault_levels=((0, 0),), seed=2, algorithm="ring", words=6
+    specs = sweep_specs(
+        "collective", fault_levels=((0, 0),), seed=2, algorithm="ring", words=6
     )
     first = run_trials(specs, cache_dir=str(tmp_path))
     runner = TrialRunner(cache_dir=str(tmp_path))
