@@ -11,6 +11,7 @@ from repro.core.router import (
     IDLE_STATE,
     MetroRouter,
     REVERSED_STATE,
+    SETUP_STATE,
 )
 from repro.sim.channel import Channel
 from repro.sim.engine import Engine
@@ -267,6 +268,39 @@ def test_watchdog_disabled_with_none():
     h.send(0, [W.data(0)])
     h.step(100)
     assert h.router.connection_state(0) == FORWARD_STATE
+
+
+def test_default_watchdog_fires_on_the_64th_silent_cycle():
+    """``MetroRouter``'s own default dead-signal timeout is 64 cycles:
+    a forward connection whose source goes silent is still open after
+    63 silent cycles and torn down on the 64th."""
+    h = RouterHarness()
+    h.fwd[0].send(W.data(0))
+    while h.router.connection_state(0) != FORWARD_STATE:
+        h.step()
+    q = h.router.connected_backward_port(0)
+    h.step(63)
+    assert h.router.connection_state(0) == FORWARD_STATE
+    assert h.router.busy_backward_ports() == [q]
+    h.step()
+    assert h.router.connection_state(0) == IDLE_STATE
+    assert h.router.busy_backward_ports() == []
+
+
+def test_setup_survives_a_header_stall_shorter_than_the_timeout():
+    """With ``hw >= 1`` a connection waits in setup for its next header
+    word; 63 silent cycles there are not a dead source, and the header
+    word that finally arrives routes the connection."""
+    params = RouterParameters(i=4, o=4, w=8, max_d=2, hw=2)
+    h = RouterHarness(params=params)
+    h.send(0, [W.data(1)], settle=1)
+    assert h.router.connection_state(0) == SETUP_STATE
+    h.step(62)  # with the settle cycle above: 63 silent setup cycles
+    assert h.router.connection_state(0) == SETUP_STATE
+    h.send(0, [W.data(0), W.data(0x5A)], settle=3)
+    q = h.router.connected_backward_port(0)
+    assert q in (2, 3)  # the direction the first header word carried
+    assert h.downstream_data(q) == [0x5A]
 
 
 def test_disabled_forward_port_ignores_traffic():

@@ -246,6 +246,48 @@ def test_blocked_then_retried_message_shows_bcb_drop():
     assert snapshot.total("endpoint.send.failures") > 0
 
 
+def test_bcb_instants_carry_the_stage_count():
+    """Fast reclamation at saturation: a blocking router sends a BCB
+    count of 1, and each router above it propagates the count its
+    downstream router sent plus one (Section 5.1), so the source learns
+    which stage blocked.  Every ``bcb-sent`` / ``bcb-propagate`` instant
+    carries that count; on Figure 1's one-cycle wires the pulse reaches
+    the upstream router one cycle after it was sent."""
+    network, hub = _bound_network(seed=5)
+    UniformRandomTraffic(
+        16, network.codec.w, rate=0.5, message_words=8, seed=6
+    ).attach(network)
+    network.run(1500)
+
+    names = {key: router.name for key, router in network.router_grid.items()}
+    downstream = collections.defaultdict(set)
+    for link in network.links:
+        if link.src.kind == "router" and link.dst.kind == "router":
+            src = (link.src.stage, link.src.block, link.src.index)
+            dst = (link.dst.stage, link.dst.block, link.dst.index)
+            downstream[names[src]].add(names[dst])
+    kinds = ("bcb-sent", "bcb-propagate")
+    instants = [s for s in hub.spans.completed if s.name in kinds]
+    counts = collections.defaultdict(list)  # (router, cycle) -> counts
+    for span in instants:
+        counts[(span.track, span.begin)].append(int(span.args["detail"]))
+
+    sent = [s for s in instants if s.name == "bcb-sent"]
+    propagated = [s for s in instants if s.name == "bcb-propagate"]
+    assert len(sent) > 100 and len(propagated) > 100
+    assert {s.args["detail"] for s in sent} == {"1"}
+    for span in propagated:
+        below = [
+            count
+            for router in downstream[span.track]
+            for count in counts.get((router, span.begin - 1), ())
+        ]
+        assert int(span.args["detail"]) - 1 in below, (span, below)
+    # Figure 1 has three stages: a stage-0 router propagates a stage-2
+    # block as 3.
+    assert {s.args["detail"] for s in propagated} == {"2", "3"}
+
+
 def test_export_trace_validates(tmp_path):
     network, hub = _bound_network()
     network.send(1, Message(dest=9, payload=[7]))
