@@ -415,18 +415,12 @@ def _cmd_send(args):
 
 def _cmd_verify(args):
     from repro.harness.sweeps import UsageError
-    from repro.verify.differential import mismatch_aware_run
     from repro.verify.scenario import Scenario
-    from repro.verify.shrink import shrink_scenario
 
     if args.backend_diff + args.resume_diff + bool(args.replay) > 1:
         raise UsageError(
             "--backend-diff, --resume-diff and --replay are three runs: give one"
         )
-    if args.backend_diff or args.resume_diff:
-        kind = "backend-diff" if args.backend_diff else "resume-diff"
-        return _sweep_command(args, kind)[0]
-
     if args.replay:
         try:
             scenario = Scenario.load(args.replay)
@@ -444,39 +438,10 @@ def _cmd_verify(args):
             print("  @{} {} port={} [{}] {}".format(
                 cycle, router, port, rule, detail))
         return 0 if result.clean else 1
-
-    status, reports = _sweep_command(args, "differential")
-    mismatches = [report for report in reports if not report["ok"]]
-    if not mismatches:
-        return status
-
-    os.makedirs(args.save, exist_ok=True)
-    for index, report in enumerate(mismatches):
-        scenario = Scenario.from_dict(report["scenario"])
-        path = os.path.join(args.save, "diff-fail-{}.json".format(index))
-        scenario.save(path)
-        print("MISMATCH {}: {} -> {}".format(index, report["detail"], path))
-
-    if args.shrink:
-        scenario = Scenario.from_dict(mismatches[0]["scenario"])
-        shrunk = shrink_scenario(
-            scenario,
-            max_cycles=args.max_cycles,
-            run=mismatch_aware_run(max_cycles=args.max_cycles),
-        )
-        path = os.path.join(args.save, "diff-fail-0.min.json")
-        shrunk.minimal.save(path)
-        print(
-            "shrunk first failure: {} -> {} messages in {} runs, "
-            "signature {} -> {}".format(
-                len(shrunk.original.messages),
-                len(shrunk.minimal.messages),
-                shrunk.tests_run,
-                sorted(shrunk.signature),
-                path,
-            )
-        )
-    return 1
+    kind = "differential"
+    if args.backend_diff or args.resume_diff:
+        kind = "backend-diff" if args.backend_diff else "resume-diff"
+    return _sweep_command(args, kind)[0]
 
 
 def _tail_view(events):

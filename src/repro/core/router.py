@@ -262,11 +262,6 @@ class MetroRouter(Component):
     def busy_backward_ports(self):
         return [q for q, owner in enumerate(self._bwd_owner) if owner is not None]
 
-    def busy_backward_count(self):
-        """``len(busy_backward_ports())``, without building the list."""
-        owners = self._bwd_owner
-        return len(owners) - owners.count(None)
-
     def is_quiescent(self):
         """True when no connection is open or in flight through here."""
         return not self._draining and all(

@@ -5,6 +5,7 @@ import random
 from collections import namedtuple
 
 from repro.faults.model import DeadLink, DeadRouter, FlakyLink, FlakyRouter
+from repro.sim.component import BackReference
 
 log = logging.getLogger("repro.faults")
 
@@ -31,14 +32,23 @@ class FaultInjector:
         injector.at(500, DeadLink(src_key, dst_key))
         injector.transient(FlakyLink(src_key, dst_key, mtbf=600, mttr=150))
         network.run(...)
+
+    The hook is the engine's, so the injector holds its network weakly
+    (:class:`~repro.sim.component.BackReference`): dropping the
+    network frees it at once.
     """
 
     def __init__(self, network):
-        self.network = network
+        self._network = BackReference(network)
         self._scheduled = []  # (cycle, fault, action)
         self._transients = []
         self.applied = []     # AppliedFault history
         network.engine.add_pre_cycle_hook(self._hook)
+
+    @property
+    def network(self):
+        """The network faults strike, or None once it has been dropped."""
+        return self._network()
 
     def at(self, cycle, fault):
         """Apply ``fault`` just before the given cycle."""
@@ -68,6 +78,7 @@ class FaultInjector:
         return fault
 
     def _hook(self, engine):
+        network = self._network()
         due = [entry for entry in self._scheduled if entry[0] <= engine.cycle]
         for entry in due:
             self._scheduled.remove(entry)
@@ -80,14 +91,14 @@ class FaultInjector:
                     engine.cycle,
                 )
             if action == "apply":
-                fault.apply(self.network)
+                fault.apply(network)
             else:
-                fault.revert(self.network)
+                fault.revert(network)
             self.applied.append(
                 AppliedFault(engine.cycle, fault, scheduled, action)
             )
         for fault in self._transients:
-            for action, cycle in fault.poll(engine.cycle, self.network):
+            for action, cycle in fault.poll(engine.cycle, network):
                 self.applied.append(AppliedFault(cycle, fault, cycle, action))
 
     def pending(self):

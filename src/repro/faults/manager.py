@@ -46,7 +46,7 @@ from repro.faults.diagnosis import (
     port_isolation_test,
     suspect_stage_from_statuses,
 )
-from repro.sim.component import Component
+from repro.sim.component import BackReference, Component
 
 #: Evidence weight per failure cause.  Blocked attempts are mostly
 #: congestion, so they barely move the needle; silence, corruption and
@@ -84,6 +84,11 @@ class FaultManager(Component):
     :func:`~repro.faults.diagnosis.port_isolation_test`.  A due repair
     stops the engine, so a driving loop alternates ``run`` and
     :meth:`service`.
+
+    The manager is an engine observer and every endpoint's listener,
+    so it holds its network weakly
+    (:class:`~repro.sim.component.BackReference`): dropping the
+    network frees it at once.
     """
 
     threshold = 5.0
@@ -92,7 +97,7 @@ class FaultManager(Component):
     cooldown = 1000
 
     def __init__(self, network, rate_window=200):
-        self.network = network
+        self._network = BackReference(network)
         self.name = "faultmgr"
         self.rate_window = rate_window
         self._cooldown_until = {}
@@ -128,6 +133,11 @@ class FaultManager(Component):
         for endpoint in network.endpoints:
             endpoint.fault_listener = self._on_attempt_failure
         network.engine.add_observer(self)
+
+    @property
+    def network(self):
+        """The managed network, or None once it has been dropped."""
+        return self._network()
 
     # ------------------------------------------------------------------
     # Detection: evidence accumulation (runs inside the simulation)

@@ -456,6 +456,45 @@ def _render_differential(args, reports):
           "latency model".format(agree, len(reports)))
 
 
+def _diff_fail_path(save, index):
+    return os.path.join(save, "diff-fail-{}.json".format(index))
+
+
+def _differential_gate(reports, save):
+    """One ``MISMATCH`` line per disagreeing configuration, naming the
+    scenario file :func:`_save_differential_failures` wrote."""
+    mismatches = [report for report in reports if not report["ok"]]
+    return ["MISMATCH {}: {} -> {}".format(
+        index, report["detail"], _diff_fail_path(save, index))
+        for index, report in enumerate(mismatches)]
+
+
+def _save_differential_failures(args, reports):
+    """Each disagreeing scenario as ``diff-fail-N.json`` under ``--save``;
+    ``--shrink`` minimizes the first to ``diff-fail-0.min.json``."""
+    from repro.verify.differential import mismatch_aware_run
+    from repro.verify.scenario import Scenario
+    from repro.verify.shrink import shrink_scenario
+
+    failed = [Scenario.from_dict(report["scenario"])
+              for report in reports if not report["ok"]]
+    if not failed:
+        return
+    os.makedirs(args.save, exist_ok=True)
+    for index, scenario in enumerate(failed):
+        scenario.save(_diff_fail_path(args.save, index))
+    if args.shrink:
+        shrunk = shrink_scenario(
+            failed[0], max_cycles=args.max_cycles,
+            run=mismatch_aware_run(max_cycles=args.max_cycles))
+        path = os.path.join(args.save, "diff-fail-0.min.json")
+        shrunk.minimal.save(path)
+        print("shrunk first failure: {} -> {} messages in {} runs, "
+              "signature {} -> {}".format(
+                  len(shrunk.original.messages), len(shrunk.minimal.messages),
+                  shrunk.tests_run, sorted(shrunk.signature), path))
+
+
 def _diff_report(summary, name):
     """A twin sweep's renderer (``summary`` of the ok count and the
     total) and gate (one ``MISMATCH`` block per report, named by
@@ -555,7 +594,8 @@ SWEEPS = {
     "differential": Sweep(
         "verify", "repro.verify.differential:run_trial", "verify-differential",
         _differential_points, _render_differential,
-        flags=dict(n_trials="trials"),
+        flags=dict(n_trials="trials"), gate_flags=dict(save="save"),
+        gate=_differential_gate, artifacts=_save_differential_failures,
     ),
     "backend-diff": Sweep(
         "verify", "repro.verify.backend_diff:run_diff_trial", "backend-diff",

@@ -8,9 +8,14 @@ Two registers matter:
 * the **boundary register** — ``w`` bits per port sampling the last
   word value seen at that port (SAMPLE) and, for disabled backward
   ports with off-port drive, driving test patterns out (EXTEST).
+
+A router holds its registers (``router.multitap``), so each register
+closes over a weak proxy of its router: a strong capture would make
+every scanned router, and the network around it, cyclic garbage.
 """
 
 import math
+import weakref
 
 from repro.core import words as W
 from repro.scan.tap import DataRegister
@@ -90,6 +95,7 @@ def decode_config(config, bits):
 
 def make_config_register(router):
     """The CONFIG data register for one router's live configuration."""
+    router = weakref.proxy(router)
     return DataRegister(
         config_chain_width(router.params),
         capture=lambda: encode_config(router.config),
@@ -111,6 +117,7 @@ def make_boundary_register(router):
     a data word next cycle — the hook port-isolation tests use.
     """
     params = router.params
+    router = weakref.proxy(router)
 
     def capture():
         bits = []

@@ -1,4 +1,5 @@
-"""Base class for clocked components, and the null telemetry object.
+"""Base class for clocked components, the null telemetry object, and
+the weak back-reference hooks hold to their network.
 
 Routers and endpoints hold a ``telemetry`` attribute that is either a
 live :class:`~repro.telemetry.hub.TelemetryHub` or
@@ -7,6 +8,8 @@ live :class:`~repro.telemetry.hub.TelemetryHub` or
 observability layer: a network built without a hub never loads
 :mod:`repro.telemetry`.
 """
+
+import weakref
 
 
 class Component:
@@ -79,3 +82,25 @@ class NullTelemetry:
 
 
 NULL_TELEMETRY = NullTelemetry()
+
+
+class BackReference(weakref.ref):
+    """A weak reference to the network a hook or observer serves.
+
+    A network owns its engine, and the engine owns everything it ticks
+    or hooks, so anything registered there that held its network
+    strongly would close a network -> engine -> hook -> network cycle:
+    a dropped network would wait for the cyclic garbage collector
+    instead of being freed at once.  Calling the reference returns the
+    network, or None once nothing else holds it.
+
+    It pickles as a strong reference, so a snapshot carries the network
+    it names, and the restored reference is weak again: the restored
+    network lives as long as its caller holds it
+    (:attr:`repro.sim.snapshot.Restored.network`).
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return BackReference, (self(),)

@@ -49,7 +49,7 @@ from collections import namedtuple
 
 #: Bump on any change to the captured object graph (and regenerate
 #: ``tests/fixtures/golden_snapshot.bin``): the only compatibility rule.
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: File magic for saved snapshots.
 MAGIC = b"METROSNAP\x00"

@@ -12,6 +12,12 @@ below; the hub translates them into metric increments and span
 operations.  A channel is handed its link group's ``channel.words``
 counters instead, and counts the words entering it itself.
 
+The hub holds no reference back to its network: routers hold the hub,
+and the engine ticks it, so one would make the whole network cyclic
+garbage.  It keeps the leaves it reads instead (each router's
+backward-port owner list, each channel, the cycle its last tick
+closed), and a dropped network is freed at once.
+
 When no hub is bound, components hold the
 :data:`~repro.sim.component.NULL_TELEMETRY` singleton and every
 hook site is skipped behind an ``enabled`` check — the disabled path
@@ -62,12 +68,14 @@ class TelemetryHub(Component):
         self.registry = registry = MetricsRegistry()
         self.spans = SpanRecorder() if spans else None
         self.sample_period = sample_period
-        self.network = None
+        #: The engine cycle after the hub's last tick (the cycle an
+        #: exported trace ends on); None until bound.
+        self._next_cycle = None
         self._router_labels = {}   # router name -> (stage, "s.b.i" label)
         self._router_counters = {}  # (name, kind, extra) -> Counter
         self._ep_counters = {}      # (endpoint, kind[, cause]) -> Counter
         self._channels = []  # every bound channel, for occupancy samples
-        self._samplers = []
+        self._samplers = []  # (router._bwd_owner, its busy counter)
         self._hist_latency = registry.histogram("message.latency.cycles")
         self._hist_attempts = registry.histogram("message.attempts")
         self._hist_queueing = registry.histogram("message.queueing.cycles")
@@ -81,9 +89,9 @@ class TelemetryHub(Component):
     def bind(self, network):
         """Attach to ``network``: observer, component back-references
         and each channel's word counters."""
-        if self.network is not None:
+        if self._next_cycle is not None:
             raise ValueError("hub is already bound to a network")
-        self.network = network
+        self._next_cycle = network.engine.cycle
         network.telemetry = self
         network.engine.add_observer(self)
         for (stage, block, index), router in network.router_grid.items():
@@ -101,7 +109,7 @@ class TelemetryHub(Component):
             ).set(router.params.o)
             self._samplers.append(
                 (
-                    router,
+                    router._bwd_owner,
                     self.registry.counter(
                         "router.util.busy", router=label, stage=stage
                     ),
@@ -130,11 +138,12 @@ class TelemetryHub(Component):
     # ------------------------------------------------------------------
 
     def tick(self, cycle):
+        self._next_cycle = cycle + 1
         if not self.sample_period or cycle % self.sample_period:
             return
         self._util_samples.inc()
-        for router, busy_counter in self._samplers:
-            busy_counter.inc(router.busy_backward_count())
+        for owners, busy_counter in self._samplers:
+            busy_counter.inc(len(owners) - owners.count(None))
         self._hist_occupancy.observe(
             sum(channel.in_flight() for channel in self._channels)
         )
@@ -286,5 +295,4 @@ class TelemetryHub(Component):
         """Write the span timeline as Chrome trace-event JSON."""
         if self.spans is None:
             raise ValueError("this hub was built with spans=False")
-        final = self.network.engine.cycle if self.network is not None else None
-        return self.spans.export(path, final_cycle=final)
+        return self.spans.export(path, final_cycle=self._next_cycle)

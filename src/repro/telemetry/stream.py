@@ -154,6 +154,11 @@ class TelemetryStream(Component):
     up the network's bound :class:`~repro.telemetry.hub.TelemetryHub`
     for metric deltas — without one, lifecycle/window/fault events
     still stream, metric deltas are simply absent.
+
+    The engine ticks the stream, so it holds no reference back to the
+    network (that would make a dropped network cyclic garbage): it
+    keeps the message log and the cycle its last tick closed, which a
+    record without an explicit ``cycle`` carries.
     """
 
     enabled = True
@@ -166,8 +171,11 @@ class TelemetryStream(Component):
         self.flush_every = int(flush_every)
         self.window_cycles = window_cycles
         self.meta = dict(meta or {})
-        self.network = None
         self.hub = None
+        self._log = None
+        #: The engine cycle after the stream's last tick; None until
+        #: bound.
+        self._next_cycle = None
         self.events_written = 0
         self.deltas_written = 0
         self.closed = False
@@ -202,9 +210,9 @@ class TelemetryStream(Component):
             ``fault.transition`` events (also settable later via
             :meth:`observe_injector`).
         """
-        if self.network is not None:
+        if self._log is not None:
             raise ValueError("stream is already bound to a network")
-        self.network = network
+        self._log = network.log
         self.hub = getattr(network, "telemetry", None)
         if self.hub is not None and not self.hub.enabled:
             self.hub = None
@@ -214,7 +222,7 @@ class TelemetryStream(Component):
             trim_torn_tail(self._path)
             self._handle = open(self._path, "a")
         self._t0 = time.perf_counter()
-        cycle = network.engine.cycle
+        cycle = self._next_cycle = network.engine.cycle
         if self.flush_every:
             self._next_flush = cycle + self.flush_every
         if self.window_cycles:
@@ -242,6 +250,7 @@ class TelemetryStream(Component):
     # -- the observer tick ----------------------------------------------
 
     def tick(self, cycle):
+        self._next_cycle = cycle + 1
         if self.closed:
             return
         if self._injector is not None:
@@ -271,10 +280,7 @@ class TelemetryStream(Component):
         if self.closed or self._handle is None:
             return
         record = {"event": event}
-        record["cycle"] = (
-            cycle if cycle is not None
-            else (self.network.engine.cycle if self.network else None)
-        )
+        record["cycle"] = cycle if cycle is not None else self._next_cycle
         if self._t0 is not None:
             record["t"] = round(time.perf_counter() - self._t0, 6)
         record.update(fields)
@@ -304,10 +310,9 @@ class TelemetryStream(Component):
         self.emit("snapshot.write", cycle=cycle, path=str(path))
 
     def _emit_window(self, cycle):
-        log = self.network.log
         latencies = []
         delivered = 0
-        messages = log.messages
+        messages = self._log.messages
         while self._msg_cursor < len(messages):
             message = messages[self._msg_cursor]
             self._msg_cursor += 1
@@ -341,11 +346,11 @@ class TelemetryStream(Component):
         """
         if self.closed:
             return
-        cycle = self.network.engine.cycle if self.network is not None else None
+        cycle = self._next_cycle
         if self._next_window is not None and cycle is not None:
             # Close the partial tail window so the log accounts for
             # every delivered message.
-            if self._msg_cursor < len(self.network.log.messages):
+            if self._msg_cursor < len(self._log.messages):
                 self._emit_window(cycle)
         self.flush_delta(cycle)
         fields = {"deltas": self.deltas_written}

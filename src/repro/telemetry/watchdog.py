@@ -121,6 +121,10 @@ class RunWatchdog(Component):
     Diagnosis stops after :attr:`stall_limit` stalls: the condition
     persists, and re-auditing every window just repeats the same
     inventory.
+
+    The engine ticks the watchdog, so it holds no reference back to the
+    network (that would make a dropped network cyclic garbage): it
+    keeps the message log and the endpoint and router lists it reads.
     """
 
     enabled = True
@@ -142,7 +146,8 @@ class RunWatchdog(Component):
         )
         self.heartbeat_every = int(heartbeat_every)
         self.sink = sink
-        self.network = None
+        self._log = None
+        self._endpoints = self._routers = None
         self.stalls = []
         self.delivered = 0
         self._msg_cursor = 0
@@ -152,9 +157,11 @@ class RunWatchdog(Component):
 
     def bind(self, network):
         """Start observing ``network``; returns self."""
-        if self.network is not None:
+        if self._log is not None:
             raise ValueError("watchdog is already bound to a network")
-        self.network = network
+        self._log = network.log
+        self._endpoints = network.endpoints
+        self._routers = list(network.all_routers())
         cycle = network.engine.cycle
         self._msg_cursor = len(network.log.messages)
         self._last_progress_cycle = cycle
@@ -178,14 +185,14 @@ class RunWatchdog(Component):
         by definition cannot stall.
         """
         pending = 0
-        for endpoint in self.network.endpoints:
+        for endpoint in self._endpoints:
             if getattr(endpoint, "dead", False):
                 continue
             pending += len(endpoint._sends) + len(endpoint._queue)
         return pending
 
     def tick(self, cycle):
-        messages = self.network.log.messages
+        messages = self._log.messages
         if self._msg_cursor < len(messages):
             finished = len(messages) - self._msg_cursor
             self._msg_cursor = len(messages)
@@ -225,10 +232,7 @@ class RunWatchdog(Component):
         # Import here: verify -> telemetry would otherwise be a cycle.
         from repro.verify.oracle import leak_inventory
 
-        network = self.network
-        violations = leak_inventory(
-            network.all_routers(), network.endpoints, cycle
-        )
+        violations = leak_inventory(self._routers, self._endpoints, cycle)
         stall = Stall(
             cycle, cycle - self._last_progress_cycle, pending, violations
         )

@@ -146,12 +146,14 @@ class Scenario:
         stages = [StageSpec(params, self.dilation) for _ in range(self.n_stages)]
         # Find the smallest endpoint multiplicity that wires up evenly
         # (dilated stages need enough wires per block to fill routers).
+        # Keep the message, not the exception: its traceback would pin
+        # the calling frames, and through them the network being built.
         last_error = None
         for m in (1, 2, 4, 8):
             try:
                 return NetworkPlan(self.n_endpoints, m, m, stages)
             except ValueError as error:
-                last_error = error
+                last_error = str(error)
         raise ValueError(
             "no endpoint multiplicity wires up {!r}: {}".format(self, last_error)
         )

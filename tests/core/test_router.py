@@ -16,6 +16,8 @@ from repro.core.router import (
 from repro.sim.channel import Channel
 from repro.sim.engine import Engine
 
+from tests.mutants import seeded
+
 
 class RouterHarness:
     """One router wired to raw channels, with every wire logged.
@@ -301,6 +303,21 @@ def test_setup_survives_a_header_stall_shorter_than_the_timeout():
     q = h.router.connected_backward_port(0)
     assert q in (2, 3)  # the direction the first header word carried
     assert h.downstream_data(q) == [0x5A]
+
+
+def test_the_timeout_test_catches_a_default_of_65():
+    """Seeded router bug (``docs/testing.md``)."""
+    with seeded("router-timeout-default-65"):
+        with pytest.raises(AssertionError):
+            test_default_watchdog_fires_on_the_64th_silent_cycle()
+
+
+def test_the_stall_test_catches_a_setup_reset_on_the_first_silent_cycle():
+    """Seeded router bug (``docs/testing.md``): the setup state's
+    watchdog test is negated."""
+    with seeded("router-setup-watchdog-negated"):
+        with pytest.raises(AssertionError):
+            test_setup_survives_a_header_stall_shorter_than_the_timeout()
 
 
 def test_disabled_forward_port_ignores_traffic():

@@ -98,7 +98,8 @@ class TestEvidence:
         assert manager.evidence_count == 30
 
     def test_cooldown_suppresses_rescheduling(self):
-        manager = FaultManager(_network())
+        network = _network()  # the manager holds it weakly
+        manager = FaultManager(network)
         endpoint = _Endpoint([10])
         send = _Send([_Status(99)])
 

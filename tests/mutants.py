@@ -201,6 +201,27 @@ MUTANTS = {
     "router-quiet-ignores-draining": {(MetroRouter, "tick"): [
         ("quiet = not self._draining", "quiet = True"),
     ]},
+    # The stage count a blocking router reports to the hub is 2 (the
+    # pulse it sends still carries 1).
+    "router-bcb-sent-reports-two": {(MetroRouter, "_block"): [
+        ('self._record("bcb-sent", fp, 1)', 'self._record("bcb-sent", fp, 2)'),
+    ]},
+    # A propagating router reports the count it received plus two (the
+    # pulse it sends on still carries plus one).
+    "router-bcb-propagate-reports-plus-two": {
+        (MetroRouter, "_service_backward_bcb"): [(
+            "conn.fwd_port, stage_count + 1)",
+            "conn.fwd_port, stage_count + 2)",
+        )],
+    },
+    # MetroRouter's own dead-signal timeout default is 65 cycles.
+    "router-timeout-default-65": {(MetroRouter, "__init__"): [
+        ("signal_timeout=64,", "signal_timeout=65,"),
+    ]},
+    # A silent cycle in the setup state resets the connection at once.
+    "router-setup-watchdog-negated": {(MetroRouter, "_handle_setup"): [
+        ("if self._watchdog(conn):", "if not self._watchdog(conn):"),
+    ]},
     # -- the collective DAG release rule (tests/workloads/test_mutations.py)
     # A delivery never reaches its op's first successor.
     "workload-drop-dep-edge": {(CollectiveObserver, "_release_successors"): [

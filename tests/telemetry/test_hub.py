@@ -16,6 +16,8 @@ from repro.telemetry import (
     validate_trace_events,
 )
 
+from tests.mutants import seeded
+
 
 def _bound_network(seed=3, **hub_kwargs):
     hub = TelemetryHub(**hub_kwargs)
@@ -286,6 +288,18 @@ def test_bcb_instants_carry_the_stage_count():
     # Figure 1 has three stages: a stage-0 router propagates a stage-2
     # block as 3.
     assert {s.args["detail"] for s in propagated} == {"2", "3"}
+
+
+@pytest.mark.parametrize(
+    "bug",
+    ["router-bcb-sent-reports-two", "router-bcb-propagate-reports-plus-two"],
+)
+def test_the_stage_count_test_catches_a_wrong_count(bug):
+    """Seeded router bugs (``docs/testing.md``): the count a router
+    reports to the hub is off by one while the pulse itself is right."""
+    with seeded(bug):
+        with pytest.raises(AssertionError):
+            test_bcb_instants_carry_the_stage_count()
 
 
 def test_export_trace_validates(tmp_path):

@@ -109,14 +109,16 @@ class TestRunLogSchema:
         """A resumed leg binds a new stream to the log a SIGKILLed leg
         left torn: the fragment is trimmed, not glued onto ``run.start``."""
         path = str(tmp_path / "run.jsonl")
-        first = TelemetryStream(path, window_cycles=100).bind(_loaded_network())
-        first.network.run(250)
+        network = _loaded_network()
+        first = TelemetryStream(path, window_cycles=100).bind(network)
+        network.run(250)
         first.close()
         whole = read_run_log(path)
         with open(path, "a") as handle:
             handle.write('{"event": "window.stats", "cyc')  # SIGKILL mid-write
-        second = TelemetryStream(path, window_cycles=100).bind(_loaded_network())
-        second.network.run(250)
+        network = _loaded_network()
+        second = TelemetryStream(path, window_cycles=100).bind(network)
+        network.run(250)
         second.close()
         events = read_run_log(path)
         assert events[:len(whole)] == whole

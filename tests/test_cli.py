@@ -599,9 +599,33 @@ def test_verify_saves_artifacts_on_mismatch(tmp_path, capsys, monkeypatch):
     )
     captured = capsys.readouterr()
     assert code == 1
-    assert "MISMATCH" in captured.out
+    assert "MISMATCH" in captured.err
     assert (tmp_path / "diff-fail-0.json").exists()
     assert (tmp_path / "diff-fail-0.min.json").exists()
+
+
+def test_verify_mismatches_go_through_the_differential_gate(
+    tmp_path, capsys, monkeypatch
+):
+    """Like every sweep's gate, the differential sweep's MISMATCH lines
+    go to stderr, one per disagreeing trial naming the file its
+    ``artifacts`` hook wrote, and make the exit status 1."""
+    from repro.verify import differential
+
+    monkeypatch.setattr(differential, "model_slack", lambda scenario: -999)
+    code = main(["verify", "--trials", "2", "--save", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "MISMATCH" not in captured.out
+    assert captured.out.startswith("differential sweep: 0/2 configurations")
+    lines = [line for line in captured.err.splitlines() if "MISMATCH" in line]
+    assert len(lines) == 2
+    for index, line in enumerate(lines):
+        path = tmp_path / "diff-fail-{}.json".format(index)
+        assert line.startswith("MISMATCH {}: ".format(index))
+        assert line.endswith(" -> {}".format(path))
+        assert path.exists()
+    assert not (tmp_path / "diff-fail-0.min.json").exists()  # no --shrink
 
 
 CHAOS_SMALL = [
