@@ -16,7 +16,14 @@ from repro.core.parameters import RouterParameters
 from repro.core.router import MetroRouter
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
-from repro.scan.controller import ScanController, attach_scan
+from repro.scan.chain import (
+    ScanChain,
+    attach_scan,
+    disable_port,
+    enable_port,
+    set_dilation,
+    set_fast_reclaim,
+)
 from repro.scan.netconfig import NetworkScanFabric
 from repro.scan.registers import config_chain_width, make_idcode
 
@@ -25,9 +32,9 @@ def main():
     params = RouterParameters(i=8, o=8, w=8, max_d=2, sp=2)
     router = MetroRouter(params, name="hub")
     attach_scan(router)
-    scan = ScanController(router, port=0)
+    scan = ScanChain([router], port=0)  # a lone router is a chain of one
 
-    idcode = scan.read_idcode()
+    [idcode] = scan.read_idcodes()
     print("IDCODE: {:#010x} (expected {:#010x})".format(
         idcode, make_idcode(params)))
     print("Configuration chain: {} bits for {} ports".format(
@@ -35,28 +42,28 @@ def main():
 
     print("\nDilation {} (radix {})".format(
         router.config.dilation, router.config.radix))
-    scan.set_dilation(1)
+    scan.configure(0, set_dilation(1))
     print("After scan write: dilation {} (radix {})".format(
         router.config.dilation, router.config.radix))
-    scan.set_dilation(2)
+    scan.configure(0, set_dilation(2))
 
     port_id = router.config.forward_port_id(3)
-    scan.set_fast_reclaim(port_id, True)
+    scan.configure(0, set_fast_reclaim([port_id], True))
     print("\nFast reclamation on forward port 3: {}".format(
         router.config.fast_reclaim[port_id]))
 
     victim = router.config.backward_port_id(5)
-    scan.disable_port(victim, drive=True)
+    scan.configure(0, disable_port(victim, drive=True))
     print("Backward port 5 disabled for isolated testing "
           "(off-port drive on); other {} ports still in service".format(
               params.i + params.o - 1))
-    scan.enable_port(victim)
+    scan.configure(0, enable_port(victim))
     print("...and returned to service.")
 
     print("\nMultiTAP: killing scan port 0, continuing on port 1")
     router.multitap.kill_port(0)
-    backup = ScanController(router, port=1)
-    print("Port 1 reads IDCODE: {:#010x}".format(backup.read_idcode()))
+    backup = ScanChain([router], port=1)
+    print("Port 1 reads IDCODE: {:#010x}".format(backup.read_idcodes()[0]))
 
     network_wide()
 

@@ -228,7 +228,7 @@ class MetroRouter(Component):
         self.__dict__.update(state)
         self._reset_derived()
         if marker is not None:
-            from repro.scan.controller import attach_scan
+            from repro.scan.chain import attach_scan
 
             sp, dead_ports = marker
             multitap = attach_scan(self, sp=sp)

@@ -19,7 +19,7 @@ The flow implemented here:
 3. :func:`diagnose_stage` — repair every wire between two stages.
 """
 
-from repro.scan.controller import ScanController
+from repro.scan.chain import ScanChain, disable_port, enable_port
 
 DEFAULT_PATTERNS = (0b0101, 0b1010, 0b1111, 0b0000, 0b0011)
 
@@ -68,8 +68,8 @@ def port_isolation_test(network, src_key, dst_key):
     network runs on its redundancy.  An exception re-enables both.
     """
     upstream, bwd_port, downstream, fwd_port = _link_ends(network, src_key, dst_key)
-    up_scan = ScanController(upstream)
-    down_scan = ScanController(downstream)
+    up_scan = ScanChain([upstream])
+    down_scan = ScanChain([downstream])
     up_port_id = upstream.config.backward_port_id(bwd_port)
     down_port_id = downstream.config.forward_port_id(fwd_port)
     delay = network.channels[(src_key, dst_key)].delay
@@ -77,25 +77,25 @@ def port_isolation_test(network, src_key, dst_key):
 
     upstream.quiesce_backward_port(bwd_port)
     downstream.force_teardown(fwd_port)
-    up_scan.disable_port(up_port_id, drive=True)
-    down_scan.disable_port(down_port_id)
+    up_scan.configure(0, disable_port(up_port_id, drive=True))
+    down_scan.configure(0, disable_port(down_port_id, drive=False))
     observations = []
     passed = None
     try:
         network.run(delay + 2)
         for pattern in DEFAULT_PATTERNS:
-            up_scan.extest_drive(bwd_port, pattern & mask)
+            up_scan.extest_drive(0, bwd_port, pattern & mask)
             # One cycle to launch, plus the wire's pipeline depth.
             network.run(1 + delay)
-            seen = down_scan.sample_boundary()[fwd_port]
+            seen = down_scan.sample_boundary(0)[fwd_port]
             observations.append((pattern & mask, seen))
         passed = all(drove == seen for drove, seen in observations)
     finally:
         if passed is False:
-            up_scan.disable_port(up_port_id)
+            up_scan.configure(0, disable_port(up_port_id, drive=False))
         else:
-            up_scan.enable_port(up_port_id)
-            down_scan.enable_port(down_port_id)
+            up_scan.configure(0, enable_port(up_port_id))
+            down_scan.configure(0, enable_port(down_port_id))
     return passed, observations
 
 

@@ -1,7 +1,13 @@
 """IEEE 1149.1 TAP, MultiTAP, and scan-driven configuration."""
 
-from repro.scan.chain import ScanChain
-from repro.scan.controller import ScanController, attach_scan
+from repro.scan.chain import (
+    ScanChain,
+    attach_scan,
+    disable_port,
+    enable_port,
+    set_dilation,
+    set_fast_reclaim,
+)
 from repro.scan.multitap import MultiTap
 from repro.scan.registers import (
     boundary_width,
@@ -31,14 +37,17 @@ __all__ = [
     "MultiTap",
     "SAMPLE",
     "ScanChain",
-    "ScanController",
     "TapController",
     "attach_scan",
     "boundary_width",
     "config_chain_width",
     "decode_config",
+    "disable_port",
+    "enable_port",
     "encode_config",
     "make_boundary_register",
     "make_config_register",
     "make_idcode",
+    "set_dilation",
+    "set_fast_reclaim",
 ]

@@ -9,7 +9,7 @@ stage", "disable that port" — as scan traffic, never by poking the
 config objects directly.
 """
 
-from repro.scan.chain import ScanChain
+from repro.scan.chain import ScanChain, set_fast_reclaim
 
 
 class NetworkScanFabric:
@@ -36,7 +36,7 @@ class NetworkScanFabric:
                 {
                     "stage": stage_index,
                     "routers": len(chain),
-                    "idcodes": chain.read_all_idcodes(),
+                    "idcodes": chain.read_idcodes(),
                 }
             )
         return rows
@@ -65,33 +65,13 @@ class NetworkScanFabric:
         blocked replies only where diagnosis wants them.
         """
         detailed = set(detailed_stages)
-
-        def fast(config):
-            for port in range(config.params.i):
-                config.fast_reclaim[config.forward_port_id(port)] = True
-
-        def slow(config):
-            for port in range(config.params.i):
-                config.fast_reclaim[config.forward_port_id(port)] = False
-
-        for stage_index in range(len(self.chains)):
+        for stage_index, chain in enumerate(self.chains):
+            # A stage's routers share one geometry; forward port ids are
+            # the forward indices.
+            forward = range(chain.routers[0].params.i)
             self.configure_stage(
-                stage_index, slow if stage_index in detailed else fast
+                stage_index, set_fast_reclaim(forward, stage_index not in detailed)
             )
-
-    def disable_port(self, key, port_id, drive=False):
-        def mutate(config):
-            config.port_enabled[port_id] = False
-            config.off_port_drive[port_id] = drive
-
-        self.configure_router(key, mutate)
-
-    def enable_port(self, key, port_id):
-        def mutate(config):
-            config.port_enabled[port_id] = True
-            config.off_port_drive[port_id] = False
-
-        self.configure_router(key, mutate)
 
 
 def _key_of(network, router):

@@ -18,7 +18,7 @@ import math
 import weakref
 
 from repro.core import words as W
-from repro.scan.tap import DataRegister
+from repro.scan.tap import DataRegister, _bits_int, _int_bits
 
 
 def _turn_delay_bits(params):
@@ -53,12 +53,10 @@ def encode_config(config):
         bits.append(1 if config.port_enabled[port_id] else 0)
         bits.append(1 if config.off_port_drive[port_id] else 0)
         bits.append(1 if config.fast_reclaim[port_id] else 0)
-        delay = config.turn_delay[port_id]
-        bits.extend((delay >> index) & 1 for index in range(tbits))
+        bits.extend(_int_bits(config.turn_delay[port_id], tbits))
     for port in range(params.i):
         bits.append(1 if config.swallow[port] else 0)
-    log_d = int(math.log2(config.dilation))
-    bits.extend((log_d >> index) & 1 for index in range(_dilation_bits(params)))
+    bits.extend(_int_bits(int(math.log2(config.dilation)), _dilation_bits(params)))
     return bits
 
 
@@ -76,19 +74,13 @@ def decode_config(config, bits):
         config.port_enabled[port_id] = bool(bits[cursor]); cursor += 1
         config.off_port_drive[port_id] = bool(bits[cursor]); cursor += 1
         config.fast_reclaim[port_id] = bool(bits[cursor]); cursor += 1
-        delay = 0
-        for index in range(tbits):
-            delay |= (1 if bits[cursor] else 0) << index
-            cursor += 1
-        config.turn_delay[port_id] = min(delay, params.max_vtd)
-        cursor += 0
+        config.turn_delay[port_id] = min(
+            _bits_int(bits[cursor:cursor + tbits]), params.max_vtd
+        )
+        cursor += tbits
     for port in range(params.i):
         config.swallow[port] = bool(bits[cursor]); cursor += 1
-    log_d = 0
-    for index in range(_dilation_bits(params)):
-        log_d |= (1 if bits[cursor] else 0) << index
-        cursor += 1
-    dilation = 1 << log_d
+    dilation = 1 << _bits_int(bits[cursor:])
     if dilation <= params.max_d:
         config.dilation = dilation
 
@@ -123,7 +115,7 @@ def make_boundary_register(router):
         bits = []
         for word in router.boundary_capture:
             value = word.value if (word is not None and word.kind == W.DATA) else 0
-            bits.extend((value >> index) & 1 for index in range(params.w))
+            bits.extend(_int_bits(value, params.w))
         return bits
 
     def update(bits):
@@ -133,9 +125,7 @@ def make_boundary_register(router):
             if config.port_enabled[port_id] or not config.off_port_drive[port_id]:
                 continue
             offset = port_id * params.w
-            value = 0
-            for index in range(params.w):
-                value |= (1 if bits[offset + index] else 0) << index
+            value = _bits_int(bits[offset:offset + params.w])
             router.scan_drive_backward(port, W.data(value))
 
     return DataRegister(boundary_width(params), capture=capture, update=update)

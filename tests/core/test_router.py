@@ -305,6 +305,56 @@ def test_setup_survives_a_header_stall_shorter_than_the_timeout():
     assert h.downstream_data(q) == [0x5A]
 
 
+def test_a_bcb_pulse_is_answered_past_an_unwired_backward_port():
+    """A partly wired router: direction 0's backward ports have no
+    wire.  A connection holding one of them (parked behind its forward
+    port, disabled right after it routed, so its head word never
+    leaves) does not stop the BCB scan from answering a pulse on a
+    wired port: the connection there is torn down downstream, the pulse
+    goes upstream one stage higher and the port is free again."""
+    params = RouterParameters(i=4, o=4, w=8, max_d=2)
+    router = MetroRouter(
+        params, name="dut", config=RouterConfig(params, dilation=2),
+        random_stream=RandomStream(7),
+    )
+    engine = Engine()
+    engine.add_component(router)
+    fwd = []
+    for p in range(params.i):
+        channel = Channel(name="f{}".format(p))
+        engine.add_channel(channel)
+        router.attach_forward(p, channel.b)
+        fwd.append(channel.a)
+    bwd = {}
+    for q in router.config.backward_group(1):
+        channel = Channel(name="b{}".format(q))
+        engine.add_channel(channel)
+        router.attach_backward(q, channel.a)
+        bwd[q] = channel.b
+    fwd[0].send(W.data(0x00))  # direction 0: an unwired port
+    fwd[1].send(W.data(0x80))  # direction 1: a wired one
+    engine.run(2)
+    router.config.port_enabled[0] = False
+    assert router.connected_backward_port(0) in (0, 1)
+    q = router.connected_backward_port(1)
+    engine.step()
+    assert bwd[q].recv() == W.data(0x00)  # the shifted head word
+    bwd[q].send_bcb(1)
+    engine.run(2)
+    assert fwd[1].recv_bcb() == 2
+    assert bwd[q].recv() == W.DROP_WORD
+    assert q not in router.busy_backward_ports()
+
+
+def test_the_bcb_test_catches_a_scan_that_reads_an_unwired_port():
+    """Seeded router bug (``docs/testing.md``): the BCB scan skips a
+    port only when it is unwired *and* silent, so it reads the pulse
+    pipe of a port with no wire."""
+    with seeded("router-bcb-reads-unwired-port"):
+        with pytest.raises(AttributeError):
+            test_a_bcb_pulse_is_answered_past_an_unwired_backward_port()
+
+
 def test_the_timeout_test_catches_a_default_of_65():
     """Seeded router bug (``docs/testing.md``)."""
     with seeded("router-timeout-default-65"):

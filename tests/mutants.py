@@ -39,6 +39,7 @@ from repro.harness.journal import RunJournal
 from repro.harness.parallel import TrialRunner
 from repro.latency_model import equations
 from repro.network import analysis, validate
+from repro.scan.chain import ScanChain
 from repro.scan.tap import TapController
 from repro.sim import snapshot
 from repro.sim.backends import EventEngine
@@ -222,6 +223,18 @@ MUTANTS = {
     "router-setup-watchdog-negated": {(MetroRouter, "_handle_setup"): [
         ("if self._watchdog(conn):", "if not self._watchdog(conn):"),
     ]},
+    # The BCB scan skips a backward port only when it is unwired *and*
+    # silent: an owned port with no wire is read.
+    "router-bcb-reads-unwired-port": {(MetroRouter, "_service_backward_bcb"): [
+        ("if end is None or end._bcb_rx", "if end is None and end._bcb_rx"),
+    ]},
+    # -- the scan host's slot arithmetic (tests/scan/test_chain.py)
+    # The target's image is padded on the wrong side: the routers
+    # before it get the padding that belongs between it and TDO.
+    "chain-pads-wrong-side": {(ScanChain, "_scan"): [
+        ("[0] * after + list(bits) + [0] * sum(lengths[:slot])",
+         "[0] * sum(lengths[:slot]) + list(bits) + [0] * after"),
+    ]},
     # -- the collective DAG release rule (tests/workloads/test_mutations.py)
     # A delivery never reaches its op's first successor.
     "workload-drop-dep-edge": {(CollectiveObserver, "_release_successors"): [
@@ -345,10 +358,11 @@ MUTANTS = {
     # A failing wire gets its ports back and the mask lands on the
     # upstream router's neighbouring backward port instead.
     "diagnosis-masks-neighbour": {(diagnosis, "port_isolation_test"): [(
-        "up_scan.disable_port(up_port_id)\n",
-        "up_scan.enable_port(up_port_id); down_scan.enable_port(down_port_id); "
-        "up_scan.disable_port(upstream.config.backward_port_id("
-        "(bwd_port + 1) % upstream.params.o))\n",
+        "up_scan.configure(0, disable_port(up_port_id, drive=False))\n",
+        "up_scan.configure(0, enable_port(up_port_id)); "
+        "down_scan.configure(0, enable_port(down_port_id)); "
+        "up_scan.configure(0, disable_port(upstream.config.backward_port_id("
+        "(bwd_port + 1) % upstream.params.o), drive=False))\n",
     )]},
     # No post-repair window ever counts as a delivered-rate rebound.
     "manager-never-verifies": {(FaultManager, "_close_window"): [

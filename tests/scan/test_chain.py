@@ -7,6 +7,8 @@ from repro.core.router import MetroRouter
 from repro.scan import registers as R
 from repro.scan.chain import ScanChain
 
+from tests.mutants import seeded
+
 
 def _routers(n=3, params=None):
     return [
@@ -18,7 +20,7 @@ def _routers(n=3, params=None):
 def test_read_all_idcodes():
     routers = _routers(3)
     chain = ScanChain(routers)
-    codes = chain.read_all_idcodes()
+    codes = chain.read_idcodes()
     assert codes == [R.make_idcode(r.params) for r in routers]
 
 
@@ -26,7 +28,7 @@ def test_mixed_geometry_idcodes_in_chain_order():
     small = MetroRouter(METROJR, name="small")
     big = MetroRouter(RouterParameters(i=8, o=8, w=8, max_d=2), name="big")
     chain = ScanChain([small, big])
-    codes = chain.read_all_idcodes()
+    codes = chain.read_idcodes()
     assert codes[0] == R.make_idcode(small.params)
     assert codes[1] == R.make_idcode(big.params)
     assert codes[0] != codes[1]
@@ -69,19 +71,18 @@ def test_configure_dilation_through_chain():
 def test_wrong_width_rejected():
     routers = _routers(2)
     chain = ScanChain(routers)
-    from repro.scan import tap as T
-
-    chain.load_instructions([T.BYPASS, T.CONFIG])
+    before = [R.encode_config(router.config) for router in routers]
     with pytest.raises(ValueError):
         chain.write_config(1, [0, 1, 0])
+    assert [R.encode_config(router.config) for router in routers] == before
 
 
 def test_opcode_count_must_match():
+    """Each scan loads one opcode per router on the chain; a slot past
+    the end has no router to take the target's."""
     chain = ScanChain(_routers(2))
-    from repro.scan import tap as T
-
-    with pytest.raises(ValueError):
-        chain.load_instructions([T.BYPASS])
+    with pytest.raises(IndexError):
+        chain.configure(2, lambda config: None)
 
 
 def test_empty_chain_rejected():
@@ -92,9 +93,18 @@ def test_empty_chain_rejected():
 def test_long_chain_of_sixteen():
     routers = _routers(16)
     chain = ScanChain(routers)
-    codes = chain.read_all_idcodes()
+    codes = chain.read_idcodes()
     assert len(codes) == 16
     assert len(set(codes)) == 1  # identical parts
     chain.configure(9, lambda config: config.swallow.__setitem__(0, True))
     assert routers[9].config.swallow[0]
     assert not routers[8].config.swallow[0]
+
+
+def test_the_chain_tests_catch_an_image_padded_on_the_wrong_side():
+    """Seeded scan-host bug (``docs/testing.md``): the target's image is
+    padded on the wrong side, so each router in turn takes its write
+    one bit off and the routers before it take stray bits."""
+    with seeded("chain-pads-wrong-side"):
+        with pytest.raises(AssertionError):
+            test_configure_each_router_in_turn()

@@ -5,6 +5,7 @@ import pytest
 from repro.endpoint.messages import BLOCKED, BLOCKED_FAST, DELIVERED, Message
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
+from repro.scan.chain import disable_port, enable_port
 from repro.scan.netconfig import NetworkScanFabric
 from repro.scan.registers import make_idcode
 
@@ -73,10 +74,10 @@ def test_disable_and_reenable_via_fabric(network):
     fabric = NetworkScanFabric(network)
     router = network.router_grid[(0, 0, 0)]
     port_id = router.config.backward_port_id(1)
-    fabric.disable_port((0, 0, 0), port_id, drive=True)
+    fabric.configure_router((0, 0, 0), disable_port(port_id, drive=True))
     assert not router.config.port_enabled[port_id]
     assert router.config.off_port_drive[port_id]
-    fabric.enable_port((0, 0, 0), port_id)
+    fabric.configure_router((0, 0, 0), enable_port(port_id))
     assert router.config.port_enabled[port_id]
 
 

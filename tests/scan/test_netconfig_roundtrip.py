@@ -15,38 +15,13 @@ from repro.core.parameters import RouterConfig
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
 from repro.scan import registers as R
-from repro.scan import tap as T
+from repro.scan.chain import attach_scan
 from repro.scan.netconfig import NetworkScanFabric
 
 
 @pytest.fixture
 def network():
     return build_network(figure1_plan(), seed=66)
-
-
-def read_config_via_scan(chain, target_index):
-    """One router's CONFIG bits as captured on the chain.
-
-    All other routers are in BYPASS.  The capture is non-destructive:
-    the bits shifted *in* are the target's current encoding, so the
-    Update-DR at the end rewrites the state it just read.
-    """
-    n = len(chain)
-    opcodes = [T.BYPASS] * n
-    opcodes[target_index] = T.CONFIG
-    chain.load_instructions(opcodes)
-    lengths = chain._dr_lengths(opcodes)
-    image = []
-    # Bits for the last router in the chain shift in first.
-    for index in reversed(range(n)):
-        if index == target_index:
-            image.extend(R.encode_config(chain.routers[index].config))
-        else:
-            image.extend([0] * lengths[index])
-    out = chain.scan_dr(image)
-    # Captured bits emerge last-router-first.
-    offset = sum(lengths[i] for i in range(target_index + 1, n))
-    return out[offset : offset + lengths[target_index]]
 
 
 def decoded_config(router, bits):
@@ -73,7 +48,7 @@ def assert_configs_equal(actual, expected):
 def test_default_config_reads_back(network):
     fabric = NetworkScanFabric(network)
     router = network.router_grid[(1, 0, 2)]
-    bits = read_config_via_scan(fabric.chains[1], 2)
+    bits = fabric.chains[1].read_config_bits(2)
     assert len(bits) == R.config_chain_width(router.params)
     assert_configs_equal(decoded_config(router, bits), router.config)
 
@@ -104,7 +79,7 @@ def test_every_table2_field_round_trips(network):
     assert router.config.dilation == 1
 
     # ...and the scan read-back reproduces every field exactly.
-    bits = read_config_via_scan(fabric.chains[1], slot)
+    bits = fabric.chains[1].read_config_bits(slot)
     readback = decoded_config(router, bits)
     assert_configs_equal(readback, router.config)
 
@@ -122,7 +97,7 @@ def test_read_back_is_non_destructive(network):
         (0, 0, 5), lambda config: config.swallow.__setitem__(2, True)
     )
     before = R.encode_config(router.config)
-    read_config_via_scan(fabric.chains[0], 5)
+    fabric.chains[0].read_config_bits(5)
     assert R.encode_config(router.config) == before
 
 
@@ -133,7 +108,7 @@ def test_neighbours_unaffected_by_targeted_write(network):
     )
     for slot in range(8):
         router = network.routers[2][slot]
-        bits = read_config_via_scan(fabric.chains[2], slot)
+        bits = fabric.chains[2].read_config_bits(slot)
         assert_configs_equal(decoded_config(router, bits), router.config)
         if slot != 1:
             assert not any(router.config.fast_reclaim)
@@ -143,8 +118,6 @@ def test_round_trip_through_redundant_multitap_port(network):
     """MultiTAP redundancy: after the primary TAP port dies, the same
     write/read-back works through the spare port's chain."""
     for router in network.routers[1]:
-        from repro.scan.controller import attach_scan
-
         attach_scan(router, sp=2)
         router.multitap.kill_port(0)
     fabric = NetworkScanFabric(network, port=1)
@@ -155,5 +128,5 @@ def test_round_trip_through_redundant_multitap_port(network):
     )
     router = network.router_grid[key]
     assert router.config.turn_delay[2] == 3
-    bits = read_config_via_scan(fabric.chains[1], slot)
+    bits = fabric.chains[1].read_config_bits(slot)
     assert_configs_equal(decoded_config(router, bits), router.config)

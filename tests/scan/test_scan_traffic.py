@@ -25,7 +25,14 @@ if __name__ == "__main__":  # ``--regen`` runs this file as a script
 from repro.network.builder import build_network
 from repro.network.topology import figure1_plan
 from repro.scan import registers as R
-from repro.scan.controller import ScanController, attach_scan
+from repro.scan.chain import (
+    ScanChain,
+    attach_scan,
+    disable_port,
+    enable_port,
+    set_dilation,
+    set_fast_reclaim,
+)
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.dirname(__file__)), "fixtures", "scan_traffic.json"
@@ -36,23 +43,24 @@ PORTS = (0, 1)
 
 
 def _operations(router):
-    """(name, operation on a one-router host) in the order they run."""
+    """(name, operation on a chain of one) in the order they run."""
     config = router.config
     victim = config.backward_port_id(1)
     image = R.encode_config(config)
     image[0] = 0  # forward port 0 out of service
 
     return [
-        ("idcode", lambda scan: scan.read_idcode()),
-        ("config-read", lambda scan: scan.read_config_bits()),
-        ("config-write", lambda scan: scan.write_config_bits(image)),
-        ("port-disable", lambda scan: scan.disable_port(victim, drive=True)),
-        ("extest", lambda scan: scan.extest_drive(1, 0x9)),
-        ("sample", lambda scan: scan.sample_boundary()),
-        ("port-enable", lambda scan: scan.enable_port(victim)),
-        ("fast-reclaim", lambda scan: scan.set_fast_reclaim(
-            config.forward_port_id(2), True)),
-        ("dilation", lambda scan: scan.set_dilation(1)),
+        ("idcode", lambda scan: scan.read_idcodes()),
+        ("config-read", lambda scan: scan.read_config_bits(0)),
+        ("config-write", lambda scan: scan.write_config(0, image)),
+        ("port-disable", lambda scan: scan.configure(
+            0, disable_port(victim, drive=True))),
+        ("extest", lambda scan: scan.extest_drive(0, 1, 0x9)),
+        ("sample", lambda scan: scan.sample_boundary(0)),
+        ("port-enable", lambda scan: scan.configure(0, enable_port(victim))),
+        ("fast-reclaim", lambda scan: scan.configure(
+            0, set_fast_reclaim([config.forward_port_id(2)], True))),
+        ("dilation", lambda scan: scan.configure(0, set_dilation(1))),
     ]
 
 
@@ -64,12 +72,12 @@ def _traffic(port):
     driven = []
     step = multitap.step
 
-    def record(tap_port, tms, tdi=0):
+    def record(tap_port, tms, tdi):
         driven.append((tap_port, tms, tdi))
         return step(tap_port, tms, tdi)
 
     multitap.step = record
-    scan = ScanController(router, port=port)
+    scan = ScanChain([router], port=port)
     traffic = {}
     for name, operation in _operations(router):
         del driven[:]

@@ -142,7 +142,7 @@ def test_masked_port_scan_state_round_trips():
     """router.multitap (lambda-captured scan registers) is rebuilt on
     restore with its dead-port set intact; masked router config rides
     the snapshot verbatim."""
-    from repro.scan.controller import attach_scan
+    from repro.scan.chain import attach_scan
     from repro.verify.scenario import Scenario
 
     network = Scenario(radix=2, n_stages=2, seed=9).build()

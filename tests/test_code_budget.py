@@ -212,7 +212,13 @@ BUDGET = 4885
 #: ``MetroRouter.busy_backward_count``, whose only caller was the hub's
 #: sampler (-3), and the differential sweep's gate and artifacts hook
 #: moving from ``cli._cmd_verify`` into its sweep row (-2).
-SRC_BUDGET = 11953
+#: 11953 before one scan host: ``scan/controller.py`` went and
+#: ``ScanChain`` drives a lone router as a chain of one, every
+#: operation one walk (``ScanChain._scan``); the Table 2 edits the
+#: controller and ``NetworkScanFabric`` each spelled out became four
+#: mutate functions, and the register bits pack through ``_int_bits`` /
+#: ``_bits_int`` (``scan/`` 576 -> 434).
+SRC_BUDGET = 11811
 
 _TABLE_1 = "Table 1 architectural parameter"
 _SEAM = "fake-injection seam: "

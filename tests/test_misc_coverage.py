@@ -80,31 +80,33 @@ class TestCascadedNetworkMisc:
 
 
 class TestScanControllerMisc:
+    """One router's scan host: a :class:`ScanChain` of one."""
+
     def test_write_config_bits_roundtrip(self):
         from repro.core.parameters import METROJR
         from repro.core.router import MetroRouter
         from repro.scan import registers as R
-        from repro.scan.controller import ScanController
+        from repro.scan.chain import ScanChain
 
         router = MetroRouter(METROJR, name="w")
-        scan = ScanController(router)
+        scan = ScanChain([router])
         bits = R.encode_config(router.config)
         bits[0] = 0  # disable forward port 0
-        scan.write_config_bits(bits)
+        scan.write_config(0, bits)
         assert not router.config.port_enabled[0]
 
     def test_sample_boundary_on_live_network_port(self):
         from repro.endpoint.messages import Message
         from repro.network.builder import build_network
         from repro.network.topology import figure1_plan
-        from repro.scan.controller import ScanController
+        from repro.scan.chain import ScanChain
 
         network = build_network(figure1_plan(), seed=5)
         network.send(0, Message(dest=9, payload=[0xB]))
         network.run(3)  # header in flight somewhere in stage 0
         saw = []
         for router in network.routers[0]:
-            saw.extend(ScanController(router).sample_boundary())
+            saw.extend(ScanChain([router]).sample_boundary(0))
         assert any(value != 0 for value in saw)
 
 

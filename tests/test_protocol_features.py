@@ -10,7 +10,7 @@ from repro.core.parameters import RouterParameters
 from repro.endpoint.messages import BLOCKED, BLOCKED_FAST, DELIVERED, Message
 from repro.network.builder import build_network
 from repro.network.topology import NetworkPlan, StageSpec, figure1_plan
-from repro.scan.controller import ScanController
+from repro.scan.chain import ScanChain, disable_port, set_fast_reclaim
 
 
 class TestSelectiveReclamationModes:
@@ -84,14 +84,14 @@ class TestDynamicReconfigurationViaScan:
     def test_toggle_fast_reclaim_mid_run_via_scan(self):
         network = build_network(figure1_plan(), seed=46)
         router = network.router_grid[(0, 0, 0)]
-        scan = ScanController(router)
+        scan = ScanChain([router])
         port_id = router.config.forward_port_id(0)
         assert not router.config.fast_reclaim[port_id]
         # Traffic flows...
         network.send(0, Message(dest=5, payload=[1]))
         network.run(4)
         # ...while the scan system flips the mode.
-        scan.set_fast_reclaim(port_id, True)
+        scan.configure(0, set_fast_reclaim([port_id], True))
         assert router.config.fast_reclaim[port_id]
         assert network.run_until_quiet(max_cycles=10000)
         assert len(network.log.delivered()) == 1
@@ -99,9 +99,9 @@ class TestDynamicReconfigurationViaScan:
     def test_disable_port_mid_run_via_scan(self):
         network = build_network(figure1_plan(), seed=47)
         router = network.router_grid[(0, 0, 1)]
-        scan = ScanController(router)
+        scan = ScanChain([router])
         victim = router.config.backward_port_id(0)
-        scan.disable_port(victim)
+        scan.configure(0, disable_port(victim, drive=False))
         # The network keeps working without that output.
         messages = [
             network.send(src, Message(dest=(src + 3) % 16, payload=[src]))

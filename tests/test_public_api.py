@@ -103,7 +103,6 @@ SUBMODULES = [
     "repro.faults.injector",
     "repro.faults.model",
     "repro.scan.chain",
-    "repro.scan.controller",
     "repro.scan.multitap",
     "repro.scan.netconfig",
     "repro.scan.registers",

@@ -182,6 +182,7 @@ def test_masked_port_carrying_data_is_flagged():
 def test_quiesced_mask_is_clean():
     """The manager's quiesce-then-mask ordering leaves no data on the
     wire, so the same rule stays silent."""
+    from repro.scan.chain import disable_port
     from repro.scan.netconfig import NetworkScanFabric
 
     network = build_network(figure1_plan(), seed=42)
@@ -192,10 +193,10 @@ def test_quiesced_mask_is_clean():
     downstream = network.router_grid[dst_key[1:4]]
     upstream.quiesce_backward_port(src_key[4])
     downstream.force_teardown(dst_key[4])
-    fabric.disable_port(src_key[1:4], upstream.config.backward_port_id(src_key[4]))
-    fabric.disable_port(
-        dst_key[1:4], downstream.config.forward_port_id(dst_key[4])
-    )
+    fabric.configure_router(src_key[1:4], disable_port(
+        upstream.config.backward_port_id(src_key[4]), drive=False))
+    fabric.configure_router(dst_key[1:4], disable_port(
+        downstream.config.forward_port_id(dst_key[4]), drive=False))
     message = network.send(2, Message(dest=13, payload=[3, 1, 4]))
     assert network.run_until_quiet(max_cycles=20000)
     assert message.outcome == DELIVERED
